@@ -117,7 +117,8 @@ func BenchmarkSimulatorGreedy(b *testing.B) {
 // on a 64-input butterfly under continuous Poisson injection, reporting
 // the cost of one open-loop flit step. This is the hot path of the
 // traffic subsystem, so the ns/step trajectory is the perf baseline for
-// future engine work (the CI bench gate tracks it via wormbench -bench).
+// future engine work (benchmark/'s knee-rigid workload tracks the same
+// operating point end to end).
 //
 // Two operating points bracket the regime:
 //

@@ -1,13 +1,11 @@
 // Command wormbench runs the paper-reproduction experiments and prints
-// their result tables, and doubles as the benchmark harness behind the
-// CI regression gate.
+// their result tables.
 //
 // Usage:
 //
 //	wormbench -list
 //	wormbench -run T1 [-seed 42] [-quick] [-trials 5] [-workers 8]
 //	wormbench -all
-//	wormbench -bench [-benchout BENCH.json] [-baseline BENCH_BASELINE.json] [-benchreps 5]
 //	wormbench ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // Experiment IDs are catalogued in README.md (F1, F2 for the figures;
@@ -15,25 +13,20 @@
 // steady-state traffic study; T13 for the buffer-architecture study —
 // lane depth and shared pools; A1–A5 for the design ablations). -workers
 // fans the experiment's independent jobs across a worker pool
-// (0 = GOMAXPROCS); tables are byte-identical for any value.
-//
-// -bench runs the fixed benchmark suite (see internal/bench) and writes
-// ns/step and allocs/step per workload to -benchout. With -baseline it
-// additionally compares against a committed report and exits nonzero on
-// a >15% calibration-normalized ns/step regression or any allocs/step
-// regression — the CI perf gate.
+// (0 = GOMAXPROCS); tables are byte-identical for any value. It is the
+// one parallel axis; performance is measured by benchmark/ (see
+// benchmark/README.md), not by this command.
 //
 // -cpuprofile and -memprofile write pprof profiles covering whatever the
-// invocation ran — an experiment or the benchmark suite — so performance
-// work reproduces from the committed harness instead of ad-hoc patches:
+// invocation ran, so performance work reproduces from the committed
+// harness instead of ad-hoc patches:
 //
-//	go run ./cmd/wormbench -bench -cpuprofile cpu.prof
+//	go run ./cmd/wormbench -run T12 -cpuprofile cpu.prof
 //	go tool pprof -top cpu.prof
 //
 // -telemetry FILE attaches hot-path counters to whatever the invocation
 // runs and writes the resulting snapshot as JSON: with -run/-all every
-// simulator feeds one aggregate; with -bench the knee-telemetry
-// workload's snapshot is exported; alone it runs the knee smoke workload
+// simulator feeds one aggregate; alone it runs the knee smoke workload
 // with counters and a windowed time series. -http ADDR additionally
 // serves the latest published snapshot at /metrics and the standard
 // net/http/pprof handlers at /debug/pprof for live inspection.
@@ -51,39 +44,35 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"wormhole/internal/bench"
 	"wormhole/internal/core"
 	"wormhole/internal/telemetry"
+	"wormhole/internal/traffic"
+	"wormhole/internal/vcsim"
 )
 
 func main() {
 	// Defers (the profile writers below) must run before the process
-	// exits, including on gate failures — os.Exit skips them — so the
-	// real work happens in run() and main only converts its code.
+	// exits, including on failures — os.Exit skips them — so the real
+	// work happens in run() and main only converts its code.
 	os.Exit(run())
 }
 
 func run() int {
 	var (
-		list      = flag.Bool("list", false, "list available experiments")
-		run       = flag.String("run", "", "experiment ID to run (e.g. T1)")
-		all       = flag.Bool("all", false, "run every experiment")
-		seed      = flag.Uint64("seed", 42, "experiment seed")
-		quick     = flag.Bool("quick", false, "shrink sweeps to smoke-test scale")
-		trials    = flag.Int("trials", 0, "override trial count (0 = default)")
-		workers   = flag.Int("workers", 0, "parallel harness workers (0 = GOMAXPROCS)")
-		scale     = flag.Int("scale", 0, "network-size override for scale experiments (T14, T15; 0 = default)")
-		shards    = flag.Int("shards", 0, "simulator shard count for open-loop experiments (0/1 = sequential; outputs are byte-identical for every value)")
-		csvOut    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		doBench   = flag.Bool("bench", false, "run the benchmark suite instead of experiments")
-		benchOut  = flag.String("benchout", "BENCH.json", "benchmark report output path")
-		baseline  = flag.String("baseline", "", "baseline report to gate against (e.g. BENCH_BASELINE.json)")
-		benchReps = flag.Int("benchreps", 5, "benchmark repeats (best-of)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile of the run to this file")
-		telOut    = flag.String("telemetry", "", "write a telemetry snapshot JSON to this file (attaches counters to whatever runs; alone it runs the knee smoke workload)")
-		httpAddr  = flag.String("http", "", "serve live telemetry (/metrics) and net/http/pprof (/debug/pprof) on this address")
-		ckptDir   = flag.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes on re-invocation (long offline sweeps; tables are byte-identical with or without it)")
+		list     = flag.Bool("list", false, "list available experiments")
+		run      = flag.String("run", "", "experiment ID to run (e.g. T1)")
+		all      = flag.Bool("all", false, "run every experiment")
+		seed     = flag.Uint64("seed", 42, "experiment seed")
+		quick    = flag.Bool("quick", false, "shrink sweeps to smoke-test scale")
+		trials   = flag.Int("trials", 0, "override trial count (0 = default)")
+		workers  = flag.Int("workers", 0, "parallel harness workers (0 = GOMAXPROCS)")
+		scale    = flag.Int("scale", 0, "network-size override for scale experiments (T14, T15; 0 = default)")
+		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the run to this file")
+		telOut   = flag.String("telemetry", "", "write a telemetry snapshot JSON to this file (attaches counters to whatever runs; alone it runs the knee smoke workload)")
+		httpAddr = flag.String("http", "", "serve live telemetry (/metrics) and net/http/pprof (/debug/pprof) on this address")
+		ckptDir  = flag.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes on re-invocation (long offline sweeps; tables are byte-identical with or without it)")
 	)
 	flag.Parse()
 
@@ -129,17 +118,12 @@ func run() int {
 		}()
 	}
 
-	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale, Shards: *shards}
-	if *telOut != "" || *shards >= 2 {
-		// With -shards the aggregate is attached even without -telemetry:
-		// its sharded_steps / shard_fallback_steps counters back the
-		// fallback warning below. Tables are byte-identical either way.
+	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale}
+	if *telOut != "" {
 		cfg.Telemetry = telemetry.NewAggregate()
 	}
 
 	switch {
-	case *doBench:
-		return runBench(*benchOut, *baseline, *benchReps, *telOut)
 	case *list:
 		for _, e := range core.Experiments() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
@@ -150,18 +134,16 @@ func run() int {
 				return code
 			}
 		}
-		warnShardFallback(*shards, cfg.Telemetry)
 		return writeTelemetry(*telOut, cfg.Telemetry)
 	case *run != "":
 		if code := runOne(*run, cfg, *csvOut, *ckptDir); code != 0 {
 			return code
 		}
-		warnShardFallback(*shards, cfg.Telemetry)
 		return writeTelemetry(*telOut, cfg.Telemetry)
 	case *telOut != "":
 		// Standalone -telemetry: run the knee smoke workload with the full
 		// observability surface and export its snapshot (the CI smoke step).
-		snap, err := bench.TelemetrySmoke()
+		snap, err := telemetrySmoke()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wormbench: telemetry:", err)
 			return 1
@@ -179,28 +161,10 @@ func run() int {
 	return 0
 }
 
-// warnShardFallback reports — on stderr, never stdout, which CI
-// byte-diffs across shard counts — when -shards requested a parallel
-// stepper but every simulator step silently fell back to the
-// sequential path (see vcsim.Sim.ShardFallbackReason for the standing
-// conditions that cause this).
-func warnShardFallback(shards int, agg *telemetry.Aggregate) {
-	if shards < 2 || agg == nil {
-		return
-	}
-	snap := agg.Snapshot()
-	if snap.Counter("steps") > 0 && snap.Counter("sharded_steps") == 0 {
-		fmt.Fprintf(os.Stderr,
-			"wormbench: warning: -shards %d requested but no step ran sharded (%d of %d steps hit a fallback condition; the rest were below the activity cutoff)\n",
-			shards, snap.Counter("shard_fallback_steps"), snap.Counter("steps"))
-	}
-}
-
 // writeTelemetry publishes and exports the aggregate collected across the
-// experiments just run. A nil aggregate (no -telemetry flag) is a no-op,
-// as is an empty path (aggregate attached only for the fallback warning).
+// experiments just run. A nil aggregate (no -telemetry flag) is a no-op.
 func writeTelemetry(path string, agg *telemetry.Aggregate) int {
-	if agg == nil || path == "" {
+	if agg == nil {
 		return 0
 	}
 	snap := agg.Snapshot()
@@ -214,49 +178,39 @@ func writeTelemetry(path string, agg *telemetry.Aggregate) int {
 	return 0
 }
 
-func runBench(out, baselinePath string, reps int, telOut string) int {
-	start := time.Now()
-	rep, err := bench.Collect(reps)
+// telemetrySmoke runs the knee workload — the 64-input butterfly at the
+// near-saturation operating point (B=2, rate 0.3; the d=1 knee is
+// ~0.306) — once with the full observability surface attached: hot-path
+// counters plus a windowed time series published to telemetry.Default.
+// Standalone wormbench -telemetry (the CI telemetry smoke step) uses it.
+func telemetrySmoke() (telemetry.Snapshot, error) {
+	met := telemetry.NewMetrics()
+	r, err := traffic.NewRunner(traffic.Config{
+		Net:             traffic.NewButterflyNet(64),
+		VirtualChannels: 2,
+		MessageLength:   6,
+		Arbitration:     vcsim.ArbAge,
+		Process:         traffic.Poisson,
+		Rate:            0.3,
+		Pattern:         traffic.Uniform,
+		Warmup:          2048,
+		Measure:         8192,
+		Drain:           32768,
+		MaxBacklog:      65536,
+		Seed:            17,
+		Metrics:         met,
+		Window:          1024,
+		Publish:         telemetry.Default,
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wormbench: bench:", err)
-		return 1
+		return telemetry.Snapshot{}, err
 	}
-	if telOut != "" && rep.Telemetry != nil {
-		telemetry.Default.Publish(*rep.Telemetry)
-		if err := telemetry.WriteSnapshotFile(telOut, *rep.Telemetry); err != nil {
-			fmt.Fprintln(os.Stderr, "wormbench: telemetry:", err)
-			return 1
-		}
-		fmt.Printf("telemetry: knee-telemetry snapshot written to %s\n", telOut)
+	if _, err := r.Run(); err != nil {
+		return telemetry.Snapshot{}, err
 	}
-	for _, e := range rep.Entries {
-		fmt.Printf("%-28s %12.0f ns/%s %10.3f allocs/%s\n",
-			e.Name, e.NsPerStep, e.Unit, e.AllocsPerStep, e.Unit)
-	}
-	fmt.Printf("[calibration %.0f ns; %d repeats; done in %v]\n",
-		rep.CalibrationNs, reps, time.Since(start).Round(time.Millisecond))
-	if err := rep.WriteFile(out); err != nil {
-		fmt.Fprintln(os.Stderr, "wormbench: bench:", err)
-		return 1
-	}
-	if baselinePath == "" {
-		return 0
-	}
-	base, err := bench.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wormbench: bench:", err)
-		return 1
-	}
-	fmt.Print(bench.DeltaTable(base, rep))
-	if bad := bench.Compare(base, rep, bench.NsTolerance); len(bad) > 0 {
-		fmt.Fprintln(os.Stderr, "wormbench: benchmark regressions against", baselinePath)
-		for _, msg := range bad {
-			fmt.Fprintln(os.Stderr, "  REGRESSION:", msg)
-		}
-		return 1
-	}
-	fmt.Printf("bench gate: no regressions against %s\n", baselinePath)
-	return 0
+	s := met.Snapshot()
+	s.Windows = append([]telemetry.WindowStats(nil), r.Windows()...)
+	return s, nil
 }
 
 func runOne(id string, cfg core.Config, csvOut bool, ckptDir string) int {

@@ -339,3 +339,85 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 	}
 	fetch(t, srv.URL+"/api/v1/jobs/nope", http.StatusNotFound)
 }
+
+// TestPanickingExperimentFailsJobNotDaemon is the regression for a
+// one-request crash loop: T15 with a non-power-of-two scale passes
+// submission (only the ID is checked) and panics inside the experiment.
+// The panic must become that job's failure — not take the worker
+// goroutine and the process with it, and not re-kill every restart
+// whose startup recovery re-queues the running job.
+func TestPanickingExperimentFailsJobNotDaemon(t *testing.T) {
+	dir := t.TempDir()
+	srv, m := startTestServer(t, dir, 0)
+
+	bad := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs",
+		JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T15", Scale: 100}}))
+	failed := waitState(t, srv, bad.ID, stateFailed)
+	if !strings.Contains(failed.Error, "power-of-two") {
+		t.Fatalf("failed job's error %q does not carry the panic text", failed.Error)
+	}
+
+	// The daemon survived: it answers health checks and runs new work.
+	fetch(t, srv.URL+"/healthz", http.StatusOK)
+	good := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs",
+		JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T1", Seed: 42, Quick: true}}))
+	waitState(t, srv, good.ID, stateDone)
+	m.Shutdown()
+	srv.Close()
+
+	// A restart over the same state dir comes up, with the bad job still
+	// failed rather than re-queued.
+	srv2, m2 := startTestServer(t, dir, 0)
+	defer m2.Shutdown()
+	fetch(t, srv2.URL+"/healthz", http.StatusOK)
+	if st := waitState(t, srv2, bad.ID, stateFailed); st.Error != failed.Error {
+		t.Fatalf("recovered job error %q, want %q", st.Error, failed.Error)
+	}
+}
+
+// TestRetiredSpecFieldAccepted pins upgrade compatibility: earlier
+// daemons accepted a "shards" knob on both spec types and persisted it
+// in job.json. The knob is gone, the decoders are lenient, and both a
+// request body and a recovered state dir that still carry it must run.
+func TestRetiredSpecFieldAccepted(t *testing.T) {
+	dir := t.TempDir()
+	const oldSweep = `{"type":"sweep","sweep":{"topology":"butterfly","size":8,
+		"virtual_channels":2,"message_length":4,"process":"bernoulli",
+		"rates":[0.02],"warmup":40,"measure":160,"drain":400,"seed":17,"shards":4}}`
+
+	// A job an older daemon left queued, shard_note and all.
+	jobDir := filepath.Join(dir, "jobs", "j000000")
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	persisted := `{"id":"j000000","type":"sweep","state":"queued","points_total":1,
+		"shard_note":"shards=4 requested but no step ran sharded","created_unix":1,"spec":` + oldSweep + `}`
+	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(persisted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, m := startTestServer(t, dir, 0)
+	defer m.Shutdown()
+	waitState(t, srv, "j000000", stateDone)
+	want := fetch(t, srv.URL+"/api/v1/jobs/j000000/result", http.StatusOK)
+
+	for name, body := range map[string]string{
+		"sweep":      oldSweep,
+		"experiment": `{"type":"experiment","experiment":{"id":"T1","seed":42,"quick":true,"shards":4}}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s body carrying \"shards\": status %d, want 202", name, resp.StatusCode)
+		}
+		st := decodeStatus(t, resp)
+		waitState(t, srv, st.ID, stateDone)
+		if name == "sweep" {
+			if got := fetch(t, srv.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK); !bytes.Equal(want, got) {
+				t.Fatalf("submitted and recovered sweeps diverged\nrecovered:\n%s\nsubmitted:\n%s", want, got)
+			}
+		}
+	}
+}

@@ -89,7 +89,6 @@ type SweepSpec struct {
 	Window     int    `json:"window,omitempty"`
 	MaxBacklog int    `json:"max_backlog,omitempty"`
 	Seed       uint64 `json:"seed,omitempty"`
-	Shards     int    `json:"shards,omitempty"`
 
 	// Faults is a fault schedule in the internal/fault grammar
 	// ("lane:EDGE@START-END edge:EDGE@START-END ...") applied to every
@@ -206,7 +205,6 @@ func (s *SweepSpec) config(net *traffic.Network, rate float64) (traffic.Config, 
 		Window:              s.Window,
 		MaxBacklog:          s.MaxBacklog,
 		Seed:                s.Seed,
-		Shards:              s.Shards,
 		Faults:              sched,
 		Retry: vcsim.RetryPolicy{
 			MaxAttempts: s.RetryMaxAttempts,
@@ -232,11 +230,9 @@ func (s *SweepSpec) validate() error {
 	if err != nil {
 		return err
 	}
-	r, err := traffic.NewRunner(cfg)
-	if err != nil {
+	if _, err := traffic.NewRunner(cfg); err != nil {
 		return err
 	}
-	r.Close()
 	for _, rate := range s.Rates[1:] {
 		if rate <= 0 || rate > cfg.MaxRate() {
 			return fmt.Errorf("rate %g outside (0, %g]", rate, cfg.MaxRate())
@@ -252,7 +248,6 @@ type ExperimentSpec struct {
 	Quick  bool   `json:"quick,omitempty"`
 	Trials int    `json:"trials,omitempty"`
 	Scale  int    `json:"scale,omitempty"`
-	Shards int    `json:"shards,omitempty"`
 }
 
 func (e *ExperimentSpec) validate() error {
@@ -296,20 +291,15 @@ type JobStatus struct {
 	Error       string   `json:"error,omitempty"`
 	PointsDone  int      `json:"points_done,omitempty"`
 	PointsTotal int      `json:"points_total,omitempty"`
-	// ShardNote reports — typed, per satellite contract — why a job that
-	// asked for Shards ≥ 2 never actually stepped sharded.
-	ShardNote   string  `json:"shard_note,omitempty"`
-	CreatedUnix int64   `json:"created_unix"`
-	Spec        JobSpec `json:"spec"`
+	CreatedUnix int64    `json:"created_unix"`
+	Spec        JobSpec  `json:"spec"`
 }
 
 // pointResult memoizes one completed sweep point.
 type pointResult struct {
-	Rate           float64                 `json:"rate"`
-	Result         traffic.Result          `json:"result"`
-	Windows        []telemetry.WindowStats `json:"windows,omitempty"`
-	ShardedSteps   int64                   `json:"sharded_steps,omitempty"`
-	FallbackReason string                  `json:"fallback_reason,omitempty"`
+	Rate    float64                 `json:"rate"`
+	Result  traffic.Result          `json:"result"`
+	Windows []telemetry.WindowStats `json:"windows,omitempty"`
 }
 
 type job struct {
@@ -608,25 +598,10 @@ func (m *manager) runSweep(j *job) error {
 		results = append(results, pr)
 		j.mu.Lock()
 		j.status.PointsDone = k + 1
-		if note := shardNote(spec.Shards, pr); note != "" && j.status.ShardNote == "" {
-			j.status.ShardNote = note
-		}
 		j.mu.Unlock()
 		m.persist(j)
 	}
 	return atomicWrite(filepath.Join(m.jobDir(st.ID), "result.csv"), []byte(renderSweepCSV(results)))
-}
-
-// shardNote is the typed silent-fallback report: the tenant asked for a
-// parallel stepper and no step ever ran on it.
-func shardNote(shards int, pr pointResult) string {
-	if shards < 2 || pr.ShardedSteps > 0 {
-		return ""
-	}
-	if pr.FallbackReason != "" {
-		return fmt.Sprintf("shards=%d requested but every step fell back to the sequential stepper: %s", shards, pr.FallbackReason)
-	}
-	return fmt.Sprintf("shards=%d requested but no step ran sharded: active backlog stayed below the per-shard cutoff", shards)
 }
 
 // runPoint runs (or resumes) one sweep point. The runner checkpoints
@@ -684,7 +659,6 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 			return pointResult{}, err
 		}
 	}
-	defer r.Close()
 
 	var res traffic.Result
 	if resume {
@@ -703,11 +677,9 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 		return pointResult{}, err
 	}
 	return pointResult{
-		Rate:           rate,
-		Result:         res,
-		Windows:        append([]telemetry.WindowStats(nil), r.Windows()...),
-		ShardedSteps:   r.ShardedSteps(),
-		FallbackReason: r.ShardFallbackReason(),
+		Rate:    rate,
+		Result:  res,
+		Windows: append([]telemetry.WindowStats(nil), r.Windows()...),
 	}, nil
 }
 
@@ -794,7 +766,6 @@ func (m *manager) runExperiment(j *job) (err error) {
 		Quick:      spec.Quick,
 		Trials:     spec.Trials,
 		Scale:      spec.Scale,
-		Shards:     spec.Shards,
 		Checkpoint: &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}},
 		Interrupt: func() bool {
 			if j.cancel.Load() {
@@ -820,7 +791,12 @@ func (m *manager) runExperiment(j *job) (err error) {
 					}
 					return
 				}
-				panic(r)
+				// Experiments panic on bad parameters (e.g. T15 with a
+				// non-power-of-two scale). That is this job's failure,
+				// not the daemon's: a panic escaping this worker
+				// goroutine kills the process, and startup recovery
+				// would re-queue the job and kill every restart too.
+				err = fmt.Errorf("experiment %s panicked: %v", spec.ID, r)
 			}
 		}()
 		tables, err = core.Run(spec.ID, cfg)

@@ -120,22 +120,18 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
-// TestExperimentsLeakNoGoroutines pins the simulator lifecycle across
-// the harness: experiments that run open-loop simulators — including
-// sharded ones, whose stepper pools own worker goroutines — must leave
-// no goroutines behind. A leak here means some Runner/Sim creation site
-// lost its Close.
+// TestExperimentsLeakNoGoroutines pins the harness lifecycle: mapJobs
+// fans every experiment's jobs across worker goroutines, and all of them
+// must be gone once Run returns.
 func TestExperimentsLeakNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, id := range []string{"T12", "T15"} {
-		cfg := quickCfg
-		cfg.Shards = 2 // engage the sharded stepper's worker pools
-		if _, err := Run(id, cfg); err != nil {
+		if _, err := Run(id, quickCfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Pool workers exit asynchronously after Close; give them a bounded
-	// grace period before declaring a leak.
+	// Workers exit asynchronously after their last job; give them a
+	// bounded grace period before declaring a leak.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

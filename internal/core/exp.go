@@ -27,12 +27,6 @@ type Config struct {
 	// offline 1024-input T14 and 4096-input T15 — are opt-in via
 	// wormbench -scale.
 	Scale int
-	// Shards steps every open-loop simulator the experiment runs on that
-	// many goroutines (traffic.Config.Shards → vcsim.Config.Shards).
-	// Tables are byte-identical for every value — CI's shard-determinism
-	// matrix diffs them — so sharding is purely a wall-clock lever for
-	// the scale studies.
-	Shards int
 	// Telemetry, when non-nil, collects hot-path counters from every
 	// simulator the experiment runs. Each concurrent job gets its own
 	// child registry (via metrics), folded deterministically at

@@ -102,7 +102,6 @@ func (p t12Params) traffic(cfg Config, b int, rate float64, seed uint64) traffic
 		Drain:           p.drain,
 		MaxBacklog:      p.maxBacklog,
 		Seed:            seed,
-		Shards:          cfg.Shards,
 		Metrics:         cfg.metrics(),
 	}
 }

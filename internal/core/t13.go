@@ -77,7 +77,6 @@ type t13Params struct {
 	maxBacklog int
 	searchHi   float64
 	searchIter int
-	shards     int
 }
 
 func t13Scale(cfg Config) t13Params {
@@ -107,7 +106,6 @@ func t13Scale(cfg Config) t13Params {
 			searchIter: 8,
 		}
 	}
-	p.shards = cfg.Shards
 	return p
 }
 
@@ -141,7 +139,6 @@ func (p t13Params) traffic(a T13Arch, rate float64, seed uint64) traffic.Config 
 		Drain:           p.drain,
 		MaxBacklog:      p.maxBacklog,
 		Seed:            seed,
-		Shards:          p.shards,
 	}
 }
 

@@ -63,7 +63,6 @@ type t14Params struct {
 	maxBacklog int
 	searchHi   float64
 	searchIter int
-	shards     int
 }
 
 func t14Scale(cfg Config) t14Params {
@@ -77,7 +76,6 @@ func t14Scale(cfg Config) t14Params {
 		maxBacklog: 1 << 16,
 		searchHi:   2,
 		searchIter: 10,
-		shards:     cfg.Shards,
 	}
 	if cfg.Scale > 0 {
 		n := cfg.Scale
@@ -113,7 +111,6 @@ func (p t14Params) traffic(a T14Arch, rate float64, seed uint64) traffic.Config 
 		Drain:           p.drain,
 		MaxBacklog:      p.maxBacklog,
 		Seed:            seed,
-		Shards:          p.shards,
 	}
 }
 

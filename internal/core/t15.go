@@ -10,21 +10,17 @@ import (
 	"wormhole/internal/vcsim"
 )
 
-// T15 is the parallel scale study: the T14 open-loop questions asked at
-// butterfly sizes only the sharded stepper makes affordable. A
+// T15 is the scale study: the T14 open-loop questions asked on a
 // 1024-input butterfly (CI scale; -scale 4096 runs the documented
-// offline size) carries the Poisson/uniform open-loop workload across
-// the knee into deep saturation, where the standing backlog holds on
-// the order of a million flits in flight — the regime where the sharded
-// stepper's per-goroutine edge bands each carry enough contest work to
-// amortize the fan-out barriers.
+// offline size). The Poisson/uniform open-loop workload is carried
+// across the knee into deep saturation, where the standing backlog
+// holds on the order of a million flits in flight. The (B, rate) points
+// are independent jobs, so -workers is the parallel axis, as everywhere
+// else.
 //
-// Shards is a pure wall-clock lever: every table is byte-identical for
-// every Config.Shards (CI's shard-determinism matrix diffs T15 along
-// with T12–T14, and the scale-smoke step times -shards 1 against
-// -shards 4 on the same output). Unlike T12–T14 there is no saturation
-// bisection half — at this scale the load curve already brackets the
-// knee, and CI wall clock goes to the deep-saturation points instead.
+// Unlike T12–T14 there is no saturation bisection half — at this scale
+// the load curve already brackets the knee, and CI wall clock goes to
+// the deep-saturation points instead.
 
 // T15Row is one latency-vs-load curve point.
 type T15Row struct {
@@ -50,7 +46,6 @@ type t15Params struct {
 	measure    int
 	drain      int
 	maxBacklog int
-	shards     int
 }
 
 func t15Scale(cfg Config) t15Params {
@@ -62,7 +57,6 @@ func t15Scale(cfg Config) t15Params {
 		measure:    1024,
 		drain:      16384,
 		maxBacklog: 1 << 20,
-		shards:     cfg.Shards,
 	}
 	if cfg.Scale > 0 {
 		n := cfg.Scale
@@ -98,7 +92,6 @@ func (p t15Params) traffic(b int, rate float64, seed uint64) traffic.Config {
 		Drain:           p.drain,
 		MaxBacklog:      p.maxBacklog,
 		Seed:            seed,
-		Shards:          p.shards,
 	}
 }
 
@@ -109,9 +102,7 @@ func t15Seed(cfg Config, b int) uint64 {
 }
 
 // T15OpenLoop sweeps latency-vs-load curve points, one job per
-// (B, rate). The jobs fan across the harness workers as usual; pass
-// -workers 1 when timing shards, so the sharded stepper is the only
-// parallelism in play.
+// (B, rate), fanned across the harness workers as usual.
 func T15OpenLoop(cfg Config) []T15Row {
 	p := t15Scale(cfg)
 	return mapJobs(cfg, len(p.bs)*len(p.rates), func(i int) T15Row {
@@ -139,6 +130,10 @@ func T15OpenLoop(cfg Config) []T15Row {
 }
 
 func t15CurveTable(rows []T15Row) *stats.Table {
+	// The title is frozen verbatim: benchmark/'s tables-quick golden
+	// digest hashes `wormbench -all -quick -csv` stdout, title lines
+	// included. Reword it (the stepper it names is gone) at the next
+	// benchmark PR (ROADMAP, frozen-surface shims).
 	t := stats.NewTable(
 		"T15 — parallel scale study: latency vs offered load on the sharded wide butterfly (Poisson, uniform)",
 		"n", "B", "offered", "accepted", "messages",
@@ -159,7 +154,7 @@ func t15CurveTable(rows []T15Row) *stats.Table {
 func init() {
 	register(Experiment{
 		ID:    "T15",
-		Title: "Parallel scale study — 1024-input butterfly (offline: -scale 4096): load curves on the sharded stepper",
+		Title: "Scale study — 1024-input butterfly (offline: -scale 4096): load curves across the knee into deep saturation",
 		Run: func(cfg Config) []*stats.Table {
 			return []*stats.Table{t15CurveTable(T15OpenLoop(cfg))}
 		},

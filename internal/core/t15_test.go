@@ -44,33 +44,3 @@ func TestT15ScaleValidation(t *testing.T) {
 		t.Errorf("scale 2048 gave n=%d", p.n)
 	}
 }
-
-// TestShardInvarianceAcrossExperiments is the core-layer rendering of the
-// byte-identity contract CI enforces on full experiment output: the
-// open-loop studies produce identical tables — down to the formatted
-// string — for sequential and sharded configs.
-func TestShardInvarianceAcrossExperiments(t *testing.T) {
-	for _, id := range []string{"T12", "T15"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			seq, err := Run(id, quickCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shCfg := quickCfg
-			shCfg.Shards = 4
-			sh, err := Run(id, shCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seq) != len(sh) {
-				t.Fatalf("table count differs: %d vs %d", len(seq), len(sh))
-			}
-			for i := range seq {
-				if a, b := seq[i].String(), sh[i].String(); a != b {
-					t.Errorf("table %d diverges across shard counts\nsequential:\n%s\nsharded:\n%s", i, a, b)
-				}
-			}
-		})
-	}
-}

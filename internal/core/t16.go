@@ -63,7 +63,6 @@ type t16Params struct {
 	drain      int
 	meanOutage int
 	maxBacklog int
-	shards     int
 }
 
 func t16Scale(cfg Config) t16Params {
@@ -77,7 +76,6 @@ func t16Scale(cfg Config) t16Params {
 		drain:      1 << 14,
 		meanOutage: 192,
 		maxBacklog: 1 << 16,
-		shards:     cfg.Shards,
 	}
 	if cfg.Quick {
 		p.bs = []int{1, 8}
@@ -118,7 +116,6 @@ func (p t16Params) traffic(b int, sched fault.Schedule, seed uint64) traffic.Con
 		Drain:           p.drain,
 		MaxBacklog:      p.maxBacklog,
 		Seed:            seed,
-		Shards:          p.shards,
 		Faults:          sched,
 		Retry:           vcsim.RetryPolicy{MaxAttempts: 8, Backoff: 16, BackoffCap: 1024},
 	}

@@ -22,13 +22,12 @@ import (
 //     per-process; all randomness must come from internal/rng, whose
 //     streams are seeded, splittable, and replay-identical.
 //   - time.Now / time.Since: wall-clock reads make output depend on the
-//     host. (internal/bench and the CLIs keep them — they time the
+//     host. (benchmark/ and the CLIs keep them — they time the
 //     harness, not the simulation — and sit outside the scope list.)
 //
 // This is the static face of the differential replay oracle: the class
-// of cross-goroutine determinism bugs the ROADMAP's sharded-PDES core
-// would meet (map-order fanout, stray rng) is caught here before any
-// fuzzer could.
+// of cross-goroutine determinism bugs a job fan-out can meet (map-order
+// fanout, stray rng) is caught here before any fuzzer could.
 var DeterminismAnalyzer = &lintkit.Analyzer{
 	Name: "determinism",
 	Doc:  "flag map-order iteration, math/rand, and wall-clock reads in simulator packages",

@@ -8,9 +8,9 @@ import (
 	"wormhole/internal/lint/lintkit"
 )
 
-// HotallocAnalyzer makes the zero-alloc stepping contract — until now
-// enforced only at benchmark time by the allocs/step gate — a
-// compile-time property of every function marked //wormvet:hotpath.
+// HotallocAnalyzer makes the zero-alloc stepping contract — otherwise
+// enforced only at test time by the testing.AllocsPerRun steady-state
+// tests — a compile-time property of every function marked //wormvet:hotpath.
 // Inside a marked function it flags the constructs that heap-allocate
 // (or can):
 //
@@ -23,8 +23,8 @@ import (
 //   - append whose destination is not the value being appended to
 //     (`dst = append(src, ...)` builds a new backing array; the
 //     amortized-reuse idiom `buf = append(buf[:0], x)` is permitted —
-//     steady-state growth is pinned at zero by the benchmark gate and
-//     the escape-analysis harness)
+//     steady-state growth is pinned at zero by the AllocsPerRun tests
+//     and the escape-analysis harness)
 //   - calls to functions not themselves marked //wormvet:hotpath or
 //     //wormvet:nonalloc (cross-package callees resolve through
 //     exported facts), dynamic calls through interfaces or function
@@ -38,8 +38,8 @@ import (
 // The static check is deliberately cross-checked dynamically: the
 // escape-analysis harness test compiles the simulator with -gcflags=-m
 // and fails on any heap-escape diagnostic landing inside a marked
-// function (see escape_test.go), and the benchmark gate keeps asserting
-// the observed allocs/step.
+// function (see escape_test.go), and the AllocsPerRun tests in vcsim,
+// telemetry and traffic keep asserting the observed allocs/step.
 var HotallocAnalyzer = &lintkit.Analyzer{
 	Name: "hotalloc",
 	Doc:  "forbid allocating constructs in //wormvet:hotpath functions",

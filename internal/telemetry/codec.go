@@ -8,7 +8,8 @@ package telemetry
 // slots being appended (the slot list is append-only by contract): the
 // encoded slot count is stored, a newer reader zero-fills slots the
 // writer did not know about, and an older reader rejects the blob
-// rather than misattribute counters.
+// rather than misattribute counters. Slots are positional, so removing
+// one mid-list is an incompatible change and bumps the version.
 
 import (
 	"encoding/binary"
@@ -19,8 +20,10 @@ import (
 // metricsCodecVersion is bumped whenever the encoding below changes
 // incompatibly. Appending counter slots does NOT bump it: the slot
 // count is encoded explicitly. v2 added the per-edge fault-time
-// accumulator as a fifth edge array.
-const metricsCodecVersion = 2
+// accumulator as a fifth edge array; v3 removed two mid-list slots
+// (the deleted parallel stepper's step tallies), which shifts every
+// fault counter — a v2 blob is rejected, not silently misattributed.
+const metricsCodecVersion = 3
 
 // ErrMetricsCodec is wrapped by every decode failure in
 // (*Metrics).UnmarshalBinary.

@@ -108,6 +108,12 @@ func TestMetricsCodecRejectsCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint64(b, 99)
 			return b
 		}),
+		// v2 had two more mid-list slots: decoding it positionally would
+		// land its fault counters in the wrong slots.
+		"previous version": mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b, metricsCodecVersion-1)
+			return b
+		}),
 		"slot count over": mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[8:], uint64(NumCounters)+1)
 			return b

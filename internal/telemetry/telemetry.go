@@ -30,7 +30,8 @@ import (
 // Counter identifies one fixed slot in the Metrics registry.
 type Counter int
 
-// Fixed counter slots. Order is the snapshot order; append only.
+// Fixed counter slots. Order is the snapshot order; append only —
+// removing or reordering a slot is a metricsCodecVersion bump.
 const (
 	CtrSteps Counter = iota
 	CtrAdvances
@@ -45,8 +46,6 @@ const (
 	CtrStallBandwidth
 	CtrStallHeadOfLine
 	CtrFastForwards
-	CtrShardedSteps
-	CtrShardFallback
 	CtrFaultKills
 	CtrFaultRevives
 	CtrFaultAborts
@@ -70,8 +69,6 @@ var counterNames = [NumCounters]string{
 	"stall_bandwidth",
 	"stall_head_of_line",
 	"fast_forwards",
-	"sharded_steps",
-	"shard_fallback_steps",
 	"fault_kills",
 	"fault_revives",
 	"fault_aborts",
@@ -415,29 +412,6 @@ func (m *Metrics) Merge(other *Metrics) {
 		// stays meaningful; lastOcc/lastT remain m's own.
 		m.occInt[e] += other.occInt[e] + other.lastOcc[e]*(other.horizon-other.lastT[e])
 		m.edgeFault[e] += other.edgeFault[e]
-	}
-}
-
-// DrainInto folds m's accumulated totals into dst exactly as Merge
-// would, then resets m to zero — so repeated drains never double-count.
-// The sharded simulator uses it at snapshot boundaries to fold each
-// shard's child registry into the parent. A nil dst just resets m.
-func (m *Metrics) DrainInto(dst *Metrics) {
-	if dst != nil {
-		dst.Merge(m)
-	}
-	m.ctr = [NumCounters]int64{}
-	m.jump = [jumpBuckets]int64{}
-	m.gaugeSteps, m.dirtySum, m.dirtyMax = 0, 0, 0
-	m.parkedSum, m.parkedMax = 0, 0
-	m.arenaChunks, m.arenaCapacity = 0, 0
-	m.horizon = 0
-	for e := range m.edgeStall {
-		m.edgeStall[e] = 0
-		m.occInt[e] = 0
-		m.lastOcc[e] = 0
-		m.lastT[e] = 0
-		m.edgeFault[e] = 0
 	}
 }
 

@@ -193,42 +193,3 @@ func TestMetricsHotPathAllocationFree(t *testing.T) {
 		t.Errorf("hot-path counter updates allocate %.1f/op, want 0", n)
 	}
 }
-
-func TestDrainInto(t *testing.T) {
-	fill := func() *Metrics {
-		m := NewMetrics()
-		m.EnsureEdges(3)
-		m.Add(CtrSteps, 2)
-		m.EdgeStall(CtrStallLaneCredit, 1)
-		m.EdgeStall(CtrStallBandwidth, 2)
-		return m
-	}
-	dst := fill()
-	src := fill()
-	src.DrainInto(dst)
-
-	// The fold matches Merge exactly.
-	want := fill()
-	want.Merge(fill())
-	if got, exp := dst.Snapshot(), want.Snapshot(); !reflect.DeepEqual(got, exp) {
-		t.Fatalf("DrainInto fold differs from Merge\ngot:  %+v\nwant: %+v", got, exp)
-	}
-
-	// The source is fully zeroed: draining it again must be a no-op,
-	// which is what makes every snapshot boundary safe to call it.
-	before := dst.Snapshot()
-	src.DrainInto(dst)
-	if after := dst.Snapshot(); !reflect.DeepEqual(before, after) {
-		t.Fatalf("second drain changed the destination\nbefore: %+v\nafter:  %+v", before, after)
-	}
-	if s := src.Snapshot(); s.Counter("steps") != 0 || s.EdgeStalls != nil && (s.EdgeStalls[1] != 0 || s.EdgeStalls[2] != 0) {
-		t.Fatalf("drained source still carries data: %+v", s)
-	}
-
-	// A nil destination still zeroes the source (discard semantics).
-	loose := fill()
-	loose.DrainInto(nil)
-	if s := loose.Snapshot(); s.Counter("steps") != 0 {
-		t.Fatalf("DrainInto(nil) left data behind: %+v", s)
-	}
-}

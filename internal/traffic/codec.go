@@ -133,9 +133,8 @@ func (s *runnerReader) sketch(sk *Sketch) {
 
 // digest lists every schedule-relevant numeric Config field, in a fixed
 // order shared by the snapshot writer and the restore verifier. The
-// hook fields and mechanism-only knobs (Shards, Metrics, Trace,
-// OnWindow, OnStep, Publish, the Network closures) are absent by
-// design: a restored run may swap them freely.
+// hook fields (Metrics, Trace, OnWindow, OnStep, Publish, the Network
+// closures) are absent by design: a restored run may swap them freely.
 func (c *Config) digest() []struct {
 	name string
 	bits uint64

@@ -17,7 +17,7 @@ import (
 
 var errPause = errors.New("pause requested")
 
-func runnerOracleCfg(proc Process, pat Pattern, shards int) Config {
+func runnerOracleCfg(proc Process, pat Pattern) Config {
 	return Config{
 		Net:             NewButterflyNet(8),
 		VirtualChannels: 2,
@@ -30,7 +30,6 @@ func runnerOracleCfg(proc Process, pat Pattern, shards int) Config {
 		Drain:           400,
 		Window:          50,
 		Seed:            17,
-		Shards:          shards,
 	}
 }
 
@@ -38,7 +37,7 @@ func runnerOracleCfg(proc Process, pat Pattern, shards int) Config {
 // OnStep at an arbitrary step and Resuming must not perturb the run.
 func TestRunnerPauseResume(t *testing.T) {
 	for _, proc := range []Process{Bernoulli, Poisson, OnOff} {
-		cfg := runnerOracleCfg(proc, Uniform, 0)
+		cfg := runnerOracleCfg(proc, Uniform)
 		want, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +55,6 @@ func TestRunnerPauseResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		res, err := r.Run()
 		for errors.Is(err, errPause) {
 			res, err = r.Resume()
@@ -75,11 +73,10 @@ func TestRunnerPauseResume(t *testing.T) {
 
 // TestRunnerResumeWithoutRun pins the error contract.
 func TestRunnerResumeWithoutRun(t *testing.T) {
-	r, err := NewRunner(runnerOracleCfg(Bernoulli, Uniform, 0))
+	r, err := NewRunner(runnerOracleCfg(Bernoulli, Uniform))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	if _, err := r.Resume(); err == nil {
 		t.Fatal("Resume with no run in progress succeeded")
 	}
@@ -93,28 +90,30 @@ func TestRunnerResumeWithoutRun(t *testing.T) {
 // run is snapshotted mid-flight from inside OnStep, the original Runner
 // abandoned, and a RestoreRunner-built replacement finishes it. The
 // final Result and the per-window series must match the uninterrupted
-// oracle exactly — including a cross-mechanism restore onto a sharded
-// stepper.
+// oracle exactly — including a cross-mechanism case whose oracle runs
+// on the naive-scan stepper (NaiveScan is a verified snapshot field, so
+// the restore itself cannot switch steppers).
 func TestRunnerSnapshotRestore(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		proc     Process
-		pat      Pattern
-		snapAt   int
-		reShards int
+		name        string
+		proc        Process
+		pat         Pattern
+		snapAt      int
+		naiveOracle bool
 	}{
-		{"bernoulli-uniform", Bernoulli, Uniform, 31, 0},
-		{"poisson-transpose", Poisson, Transpose, 97, 0},
-		{"onoff-hotspot", OnOff, Hotspot, 53, 0},
-		{"cross-shard", Bernoulli, Uniform, 142, 4},
-		{"drain-phase", Bernoulli, Uniform, 201, 0},
+		{"bernoulli-uniform", Bernoulli, Uniform, 31, false},
+		{"poisson-transpose", Poisson, Transpose, 97, false},
+		{"onoff-hotspot", OnOff, Hotspot, 53, false},
+		{"cross-stepper", Bernoulli, Uniform, 142, true},
+		{"drain-phase", Bernoulli, Uniform, 201, false},
 	} {
-		cfg := runnerOracleCfg(tc.proc, tc.pat, 0)
-		oracle, err := NewRunner(cfg)
+		cfg := runnerOracleCfg(tc.proc, tc.pat)
+		oracleCfg := cfg
+		oracleCfg.NaiveScan = tc.naiveOracle
+		oracle, err := NewRunner(oracleCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer oracle.Close()
 		want, err := oracle.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +134,6 @@ func TestRunnerSnapshotRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer victim.Close()
 		oracle = victim // Snapshot target inside OnStep
 		if _, err := victim.Run(); !errors.Is(err, errPause) {
 			t.Fatalf("%s: run did not pause at step %d: %v", tc.name, tc.snapAt, err)
@@ -143,12 +141,10 @@ func TestRunnerSnapshotRestore(t *testing.T) {
 
 		reCfg := cfg
 		reCfg.OnStep = nil
-		reCfg.Shards = tc.reShards
 		restored, err := RestoreRunner(reCfg, bytes.NewReader(blob.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: restore: %v", tc.name, err)
 		}
-		defer restored.Close()
 		got, err := restored.Resume()
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +162,7 @@ func TestRunnerSnapshotRestore(t *testing.T) {
 // reported as ErrRunnerSnapshot naming the field, and garbage must
 // never restore.
 func TestRestoreRunnerRejectsMismatch(t *testing.T) {
-	cfg := runnerOracleCfg(OnOff, Hotspot, 0)
+	cfg := runnerOracleCfg(OnOff, Hotspot)
 	var blob bytes.Buffer
 	cfg.OnStep = func(step int) error {
 		if step == 25 {
@@ -178,7 +174,6 @@ func TestRestoreRunnerRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	if _, err := r.Run(); !errors.Is(err, errPause) {
 		t.Fatal(err)
 	}
@@ -199,7 +194,7 @@ func TestRestoreRunnerRejectsMismatch(t *testing.T) {
 		"Window":          func(c *Config) { c.Window = 25 },
 		"OnMean":          func(c *Config) { c.OnMean = 9 },
 	}
-	base := runnerOracleCfg(OnOff, Hotspot, 0)
+	base := runnerOracleCfg(OnOff, Hotspot)
 	for field, mutate := range mutations {
 		bad := base
 		mutate(&bad)
@@ -228,7 +223,7 @@ func TestRestoreRunnerRejectsMismatch(t *testing.T) {
 // WITHOUT pausing must not perturb the run (Snapshot only reads), and
 // the LAST snapshot taken must still restore to the oracle result.
 func TestRunnerSnapshotCheckpointContinue(t *testing.T) {
-	cfg := runnerOracleCfg(Poisson, BitReverse, 0)
+	cfg := runnerOracleCfg(Poisson, BitReverse)
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +244,6 @@ func TestRunnerSnapshotCheckpointContinue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer victim.Close()
 	got, err := victim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +261,6 @@ func TestRunnerSnapshotCheckpointContinue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 	res, err := restored.Resume()
 	if err != nil {
 		t.Fatal(err)

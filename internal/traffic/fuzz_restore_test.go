@@ -25,7 +25,7 @@ import (
 )
 
 func FuzzRestoreRunner(f *testing.F) {
-	cfg := runnerOracleCfg(OnOff, Hotspot, 0)
+	cfg := runnerOracleCfg(OnOff, Hotspot)
 	cfg.Faults = fault.Generate(fault.GenConfig{
 		Seed: 23, NumEdges: cfg.Net.G.NumEdges(), Horizon: 120, Rate: 0.3, MeanOutage: 40, Lanes: 1,
 	})
@@ -47,7 +47,6 @@ func FuzzRestoreRunner(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer victim.Close()
 	if _, err := victim.Run(); !errors.Is(err, errPause) {
 		f.Fatalf("run did not pause: %v", err)
 	}
@@ -101,6 +100,5 @@ func FuzzRestoreRunner(f *testing.F) {
 		// (phases and the simulator horizon bound it); an error result
 		// is fine, a panic or a hang is not.
 		_, _ = r.Resume()
-		r.Close()
 	})
 }

@@ -99,21 +99,13 @@ type Config struct {
 
 	// Faults attaches a deterministic kill/revive schedule to the
 	// underlying simulator (vcsim.Config.Faults). Runs with a schedule
-	// are byte-identical across engines and Shards settings; accepted
-	// throughput and latency then measure graceful degradation.
+	// are byte-identical across engines; accepted throughput and latency
+	// then measure graceful degradation.
 	Faults fault.Schedule
 	// Retry is the fault retry policy for messages whose first edge is
 	// dead before injection (vcsim.Config.Retry). Meaningful only with
 	// Faults; the zero value disables retries.
 	Retry vcsim.RetryPolicy
-
-	// Shards ≥ 2 steps the underlying simulator on that many goroutines
-	// (vcsim.Config.Shards). Results are byte-identical to the
-	// sequential stepper for every value; steps outside the provable
-	// sharding regime fall back transparently. The simulator's worker
-	// goroutines live for the Runner's lifetime — call Runner.Close when
-	// retiring a sharded Runner (the one-shot Run does).
-	Shards int
 
 	// Metrics, when non-nil, attaches a flight-recorder counter registry
 	// to the underlying simulator (vcsim.Config.Metrics): stall-cause
@@ -352,7 +344,6 @@ func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
 		NaiveScan:           cfg.NaiveScan,
 		Faults:              cfg.Faults,
 		Retry:               cfg.Retry,
-		Shards:              cfg.Shards,
 		Metrics:             cfg.Metrics,
 		Trace:               cfg.Trace,
 	}, nil
@@ -587,22 +578,11 @@ func (r *Runner) flushWindow(start, end int) {
 // Config.Window > 0). The slice is reused by the next Run.
 func (r *Runner) Windows() []telemetry.WindowStats { return r.windows }
 
-// Close releases the underlying simulator's sharded-stepper worker
-// goroutines, if any. The Runner stays usable — workers restart on the
-// next sharded step — so Close marks idle points, not end of life.
-func (r *Runner) Close() { r.sim.Close() }
-
-// ShardedSteps reports how many simulator steps of the last (or
-// current) Run actually executed on the sharded stepper — zero for
-// sequential configs, and for sharded ones whose active backlog never
-// reached the per-shard cutoff.
-func (r *Runner) ShardedSteps() int64 { return r.sim.ShardedSteps() }
-
-// ShardFallbackReason names the standing condition keeping a
-// Shards ≥ 2 run on the sequential stepper, or "" when none applies
-// (see vcsim.Sim.ShardFallbackReason). Services report it so a tenant
-// who asked for sharding learns why it silently never engaged.
-func (r *Runner) ShardFallbackReason() string { return r.sim.ShardFallbackReason() }
+// Close is a no-op: a Runner holds no goroutines or other resources to
+// release. It survives only because benchmark/{bisect,ckpt,sim}.go call
+// it and benchmark/ is frozen outside benchmark PRs — delete it with
+// those calls at the next one (ROADMAP, frozen-surface shims).
+func (r *Runner) Close() {}
 
 // Run executes one open-loop simulation and returns its measurements: a
 // one-shot NewRunner + Runner.Run. Drivers that replay similar
@@ -613,6 +593,5 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer r.Close()
 	return r.Run()
 }

@@ -357,64 +357,3 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestShardByteIdentity pins the Config.Shards contract at the traffic
-// layer: the full Result — latency percentiles, windows, backlog, every
-// field — is deeply equal for every shard count, and an overloaded run
-// (whose standing backlog clears the sharded stepper's activity cutoff)
-// really does engage the parallel path.
-func TestShardByteIdentity(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Net = NewButterflyNet(64)
-	cfg.MessageLength = 6
-	cfg.Rate = 0.9 // overload: the backlog grows past the per-shard cutoff
-	cfg.MaxBacklog = 1 << 15
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		sc := cfg
-		sc.Shards = shards
-		r, err := NewRunner(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("shards=%d: result diverged from sequential\nseq:     %+v\nsharded: %+v", shards, base, res)
-		}
-		if shards > 1 && r.ShardedSteps() == 0 {
-			t.Errorf("shards=%d: overloaded run never engaged the sharded stepper", shards)
-		}
-		r.Close()
-	}
-}
-
-// TestShardFallbackReason pins the runner-level pass-through: a config
-// with a standing inhibitor names it, a shardable one reports none.
-func TestShardFallbackReason(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Shards = 4
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.ShardFallbackReason(); got != "" {
-		t.Errorf("shardable config reports %q", got)
-	}
-
-	cfg.RestrictedBandwidth = true
-	rb, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	if got := rb.ShardFallbackReason(); got == "" {
-		t.Error("restricted-bandwidth config reports no fallback reason")
-	}
-}

@@ -35,9 +35,9 @@ package vcsim
 // Config, because hooks (Observer, OnComplete, Metrics, Trace) cannot
 // be serialized. Every schedule-relevant Config field is verified
 // against the snapshot and mismatch is an error (ErrSnapshotConfig);
-// Shards and CheckInvariants are free to differ — both are pure
-// mechanism with byte-identical results. Trace ring contents do not
-// survive a restore (the ring is diagnostics, not schedule state).
+// CheckInvariants is free to differ — it is pure mechanism with
+// byte-identical results. Trace ring contents do not survive a restore
+// (the ring is diagnostics, not schedule state).
 
 import (
 	"bufio"
@@ -269,11 +269,8 @@ func (s *snapReader) bitsInto(dst []bool) {
 
 // Snapshot serializes the simulator's complete schedule state to w.
 // Callable at any public-API point in the Sim's life (between steps);
-// the Sim is not mutated beyond folding the sharded stepper's
-// telemetry children into the parent registry, which every snapshot
-// boundary (Result, Reset) does anyway. Restore with RestoreSim.
+// the Sim is not mutated. Restore with RestoreSim.
 func (si *Sim) Snapshot(w io.Writer) error {
-	si.drainShardMetrics()
 	sw := &snapWriter{w: bufio.NewWriter(w)}
 	sw.w.WriteString(snapMagic)
 	sw.u32(SnapshotVersion)
@@ -413,7 +410,11 @@ func (si *Sim) Snapshot(w io.Writer) error {
 	for _, id := range si.blockedIDs {
 		sw.i32(int32(id)) //wormvet:allow horizon -- message IDs are pinned < MaxHorizon by addWorm
 	}
-	sw.i64(si.shardSteps)
+	// Reserved slot: held the deleted sharded stepper's step count.
+	// benchmark/'s ckpt-long golden digest pins untraced snapshot sizes,
+	// so the 8 bytes stay until the next benchmark PR can re-record it
+	// (ROADMAP, frozen-surface shims) — written as zero, no version bump.
+	sw.i64(0)
 
 	// Telemetry registry, length-prefixed so a reader without a
 	// registry can skip it.
@@ -437,8 +438,8 @@ func (si *Sim) Snapshot(w io.Writer) error {
 
 // RestoreSim rebuilds a Sim from a Snapshot stream over the network g.
 // cfg supplies everything a snapshot cannot carry — the callback hooks
-// (Observer, OnComplete, Metrics, Trace) and the mechanism-only knobs
-// (Shards, CheckInvariants) — and must match the snapshot on every
+// (Observer, OnComplete, Metrics, Trace) and the mechanism-only
+// CheckInvariants knob — and must match the snapshot on every
 // schedule-relevant field: VirtualChannels, LaneDepth, SharedPool,
 // RestrictedBandwidth, DropOnDelay, Arbitration, Seed, MaxSteps,
 // NaiveScan, ParkStreak, Faults, Retry. The restored Sim continues the run
@@ -784,7 +785,9 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 			si.blockedIDs[i] = message.ID(r.i32())
 		}
 	}
-	si.shardSteps = r.i64()
+	// Reserved slot (see Snapshot): discarded unvalidated, so snapshots
+	// an older build wrote with a non-zero count still restore.
+	r.i64()
 
 	if r.bool() {
 		blob := r.blob(r.length(1<<30, "metrics blob"), "metrics blob")

@@ -2,11 +2,10 @@ package vcsim
 
 // Checkpoint/restore differentials: a Sim snapshotted mid-run, restored
 // into a fresh process-equivalent Sim, must continue the run
-// byte-identically to the uninterrupted original — across both steppers,
-// every policy, deep lanes, shared pools, and cross-shard restores
-// (snapshot under one Shards setting, restore under another). The decode
-// path is additionally held to never panic on corrupt or truncated
-// input.
+// byte-identically to the uninterrupted original — across both steppers
+// (the uninterrupted oracle runs on the other one), every policy, deep
+// lanes and shared pools. The decode path is additionally held to never
+// panic on corrupt or truncated input.
 
 import (
 	"bytes"
@@ -40,20 +39,21 @@ func snapDrain(si *Sim) {
 	}
 }
 
-// roundTrip drives the full differential: oracle runs uninterrupted;
-// victim runs to snapStep, snapshots, and its restoration (under
-// restoreCfg, which may differ on mechanism-only fields) finishes the
-// run. Both finals must be deeply equal, and a second snapshot taken at
-// the end must be byte-identical between the victim's original and its
-// restoration — the strongest statement that no schedule state was lost.
-func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg, restoreCfg Config, snapStep int) {
+// roundTrip drives the full differential: oracle runs uninterrupted
+// under oracleCfg (which may select the other stepper — NaiveScan is a
+// verified snapshot field, so the cross-mechanism leg is the oracle, not
+// the restore); victim runs to snapStep under cfg, snapshots, and its
+// restoration finishes the run. Both finals must be deeply equal, and a
+// second snapshot taken at the end must be byte-identical between the
+// victim's original and its restoration — the strongest statement that
+// no schedule state was lost.
+func roundTrip(t *testing.T, name string, set *message.Set, releases []int, oracleCfg, cfg Config, snapStep int) {
 	t.Helper()
 
-	oracle, err := NewSim(set.G, cfg)
+	oracle, err := NewSim(set.G, oracleCfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	defer oracle.Close()
 	snapInject(t, oracle, set, releases)
 	snapDrain(oracle)
 	want := oracle.Result()
@@ -62,7 +62,6 @@ func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg,
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	defer victim.Close()
 	snapInject(t, victim, set, releases)
 	for victim.Now() < snapStep && victim.Active() > 0 {
 		if victim.Step() != nil {
@@ -74,11 +73,10 @@ func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg,
 		t.Fatalf("%s: snapshot: %v", name, err)
 	}
 
-	restored, err := RestoreSim(set.G, restoreCfg, bytes.NewReader(blob.Bytes()))
+	restored, err := RestoreSim(set.G, cfg, bytes.NewReader(blob.Bytes()))
 	if err != nil {
 		t.Fatalf("%s: restore: %v", name, err)
 	}
-	defer restored.Close()
 	if restored.Now() != victim.Now() || restored.Active() != victim.Active() {
 		t.Fatalf("%s: restored at step %d with %d active, victim at %d with %d",
 			name, restored.Now(), restored.Active(), victim.Now(), victim.Active())
@@ -120,16 +118,16 @@ func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg,
 }
 
 // TestSnapshotRoundTripDifferential fuzzes the snapshot step across the
-// (policy × LaneDepth × SharedPool × Shards) grid, restoring each
-// snapshot under a different Shards setting than it was taken with —
-// checkpoint migration across stepper mechanisms must be invisible.
+// (policy × LaneDepth × SharedPool × stepper) grid, holding each
+// restored run to an uninterrupted oracle on the other stepper — a
+// checkpoint cut must be as invisible as the stepping mechanism.
 func TestSnapshotRoundTripDifferential(t *testing.T) {
 	r := rng.New(0xC0DEC)
 	caseID := 0
 	for _, pol := range []Policy{ArbByID, ArbAge, ArbRandom} {
 		for _, depth := range []int{1, 2} {
 			for _, shared := range []bool{false, true} {
-				for _, shards := range []int{0, 4} {
+				for _, naive := range []bool{false, true} {
 					topo := uint8(caseID % 3)
 					seed := uint64(1000 + caseID)
 					set, releases := fuzzWorkload(seed, topo, 18)
@@ -142,13 +140,13 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 						Arbitration:         pol,
 						Seed:                seed,
 						MaxSteps:            1 << 16,
-						Shards:              shards,
+						NaiveScan:           naive,
 						CheckInvariants:     true,
 					}
-					restoreCfg := cfg
-					restoreCfg.Shards = 4 - shards // 0↔4: cross-mechanism restore
+					oracleCfg := cfg
+					oracleCfg.NaiveScan = !naive // naive↔wakeup: cross-mechanism oracle
 					snapStep := 1 + r.Intn(40)
-					roundTrip(t, pol.String(), set, releases, cfg, restoreCfg, snapStep)
+					roundTrip(t, pol.String(), set, releases, oracleCfg, cfg, snapStep)
 					caseID++
 				}
 			}
@@ -198,12 +196,10 @@ func TestSnapshotResumesInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oracle.Close()
 	victim, err := NewSim(set.G, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer victim.Close()
 	for _, si := range []*Sim{oracle, victim} {
 		inject(si, 0, half, 0)
 		if err := si.StepTo(8); err != nil {
@@ -219,7 +215,6 @@ func TestSnapshotResumesInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 
 	// Second wave of injections lands on the oracle and the restoration.
 	inject(oracle, half, set.Len(), 8)
@@ -246,7 +241,6 @@ func TestSnapshotCarriesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oracle.Close()
 	snapInject(t, oracle, set, releases)
 	snapDrain(oracle)
 
@@ -257,7 +251,6 @@ func TestSnapshotCarriesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer victim.Close()
 	snapInject(t, victim, set, releases)
 	if err := victim.StepTo(9); err != nil {
 		t.Fatal(err)
@@ -274,7 +267,6 @@ func TestSnapshotCarriesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 	snapDrain(restored)
 
 	want, got := full.Snapshot(), resumed.Snapshot()
@@ -294,7 +286,6 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer si.Close()
 	snapInject(t, si, set, releases)
 	if err := si.StepTo(5); err != nil {
 		t.Fatal(err)
@@ -331,12 +322,48 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if _, err := RestoreSim(other.G, cfg, bytes.NewReader(blob.Bytes())); !errors.Is(err, ErrSnapshotConfig) {
 		t.Errorf("wrong network: got %v, want ErrSnapshotConfig", err)
 	}
-	// Mechanism-only fields restore freely.
+	// The mechanism-only field restores freely.
 	free := cfg
-	free.Shards = 8
 	free.CheckInvariants = true
 	if _, err := RestoreSim(set.G, free, bytes.NewReader(blob.Bytes())); err != nil {
-		t.Errorf("Shards/CheckInvariants should be unverified: %v", err)
+		t.Errorf("CheckInvariants should be unverified: %v", err)
+	}
+}
+
+// TestRestoreIgnoresReservedSlot pins the format-compatibility shim: the
+// 8 bytes ahead of the metrics flag are reserved (an older build kept a
+// stepper-mechanism tally there), so a snapshot carrying any value in
+// them restores and finishes exactly like one carrying zero.
+func TestRestoreIgnoresReservedSlot(t *testing.T) {
+	set, releases := fuzzWorkload(13, 0, 12)
+	cfg := Config{VirtualChannels: 2, Arbitration: ArbAge, Seed: 13, MaxSteps: 1 << 16}
+	si, err := NewSim(set.G, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapInject(t, si, set, releases)
+	if err := si.StepTo(6); err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := si.Snapshot(&blob); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(nil), blob.Bytes()...)
+	// Metrics-free tail: reserved i64, metrics flag (1 byte), trailer u64.
+	slot := old[len(old)-17 : len(old)-9]
+	if !bytes.Equal(slot, make([]byte, 8)) {
+		t.Fatalf("reserved slot written as % x, want zeros", slot)
+	}
+	copy(slot, []byte{0x39, 0x30, 0, 0, 0, 0, 0, 0})
+	restored, err := RestoreSim(set.G, cfg, bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("snapshot with a non-zero reserved slot rejected: %v", err)
+	}
+	snapDrain(si)
+	snapDrain(restored)
+	if want, got := si.Result(), restored.Result(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("restored run diverged\noriginal: %+v\nrestored: %+v", want, got)
 	}
 }
 
@@ -350,7 +377,6 @@ func TestRestoreNeverPanicsOnCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer si.Close()
 	snapInject(t, si, set, releases)
 	if err := si.StepTo(7); err != nil {
 		t.Fatal(err)
@@ -389,7 +415,6 @@ func TestRestoreNeverPanicsOnCorruptInput(t *testing.T) {
 			// timestamp) can still decode; it must at least not wedge
 			// the stepper.
 			snapDrain(si2)
-			si2.Close()
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"wormhole/internal/telemetry"
 )
 
 // RunChecked is the service-facing front end: workload validation must
@@ -39,55 +37,5 @@ func TestRunCheckedTypedErrors(t *testing.T) {
 		if _, err := RunChecked(set, tc.release, tc.cfg); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-	}
-}
-
-// ShardFallbackReason names the standing condition keeping a sharded
-// run sequential; a shardable (or unsharded) config reports none.
-func TestShardFallbackReason(t *testing.T) {
-	set := lineSet(t, 1, 2, 2)
-	reason := func(cfg Config) string {
-		cfg.MaxSteps = 64
-		si, err := NewSim(set.G, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer si.Close()
-		return si.ShardFallbackReason()
-	}
-
-	base := Config{VirtualChannels: 2, Shards: 4}
-	if got := reason(base); got != "" {
-		t.Errorf("shardable config reports %q", got)
-	}
-	unsharded := base
-	unsharded.Shards = 0
-	if got := reason(unsharded); got != "" {
-		t.Errorf("unsharded config reports %q", got)
-	}
-
-	inhibited := map[string]func(*Config){
-		"naive-scan":  func(c *Config) { c.NaiveScan = true },
-		"deep lanes":  func(c *Config) { c.LaneDepth = 2 },
-		"shared pool": func(c *Config) { c.SharedPool = true },
-		"bandwidth":   func(c *Config) { c.RestrictedBandwidth = true },
-		"random arb":  func(c *Config) { c.Arbitration = ArbRandom },
-		"trace":       func(c *Config) { c.Trace = telemetry.NewTrace(16) },
-		"observer":    func(c *Config) { c.Observer = &zeroObserver{} },
-	}
-	seen := map[string]bool{}
-	for name, mutate := range inhibited {
-		cfg := base
-		mutate(&cfg)
-		got := reason(cfg)
-		if got == "" {
-			t.Errorf("%s: inhibited config reports no fallback reason", name)
-		}
-		seen[got] = true
-	}
-	// Distinct inhibitors must be distinguishable (deep lanes and shared
-	// pool legitimately share one reason).
-	if len(seen) < len(inhibited)-1 {
-		t.Errorf("only %d distinct reasons across %d inhibitors: %v", len(seen), len(inhibited), seen)
 	}
 }

@@ -2,22 +2,19 @@ package vcsim
 
 // Fault-plane determinism suite. The fault schedule is first-class
 // simulator state, so it is held to the same bar as every other feature:
-// byte-identical across the naive scan, the wakeup engine, and every
-// Shards setting; byte-identical across a snapshot/restore cut taken in
-// the middle of an outage or of a retry backoff; and deadlock-honest —
+// byte-identical across the naive scan and the wakeup engine;
+// byte-identical across a snapshot/restore cut taken in the middle of
+// an outage or of a retry backoff; and deadlock-honest —
 // a freeze that a scheduled revival would break is never declared dead,
 // while a freeze formed around dead resources is flagged as the
 // outage's doing.
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"wormhole/internal/fault"
-	"wormhole/internal/graph"
 	"wormhole/internal/message"
-	"wormhole/internal/rng"
 	"wormhole/internal/topology"
 )
 
@@ -78,61 +75,6 @@ func TestFaultMatchesNaiveRandomized(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFaultShardByteIdentity pins the ISSUE-sanctioned fallback: a fault
-// schedule forces the sequential stepper, and every Shards setting —
-// including ones that would shard without the schedule — must reproduce
-// the naive scan byte for byte.
-func TestFaultShardByteIdentity(t *testing.T) {
-	r := rng.New(42)
-	bf := topology.NewButterfly(16)
-	set := message.NewSet(bf.G)
-	var releases []int
-	for i := 0; i < 48; i++ {
-		src, dst := r.Intn(16), r.Intn(16)
-		set.Add(bf.Input(src), bf.Output(dst), 1+r.Intn(8), bf.Route(src, dst))
-		releases = append(releases, r.Intn(40))
-	}
-	sched := fault.Generate(fault.GenConfig{
-		Seed:       7,
-		NumEdges:   set.G.NumEdges(),
-		Horizon:    150,
-		Rate:       0.3,
-		MeanOutage: 40,
-	})
-	if len(sched) == 0 {
-		t.Fatal("generated schedule is empty; pick a different seed")
-	}
-	base := Config{
-		VirtualChannels: 2,
-		Arbitration:     ArbAge,
-		MaxSteps:        1 << 14,
-		Faults:          sched,
-		Retry:           faultRetryDefaults,
-	}
-	naiveCfg := base
-	naiveCfg.NaiveScan = true
-	want := Run(set, releases, naiveCfg)
-	for _, shards := range []int{0, 1, 2, 4, 8} {
-		cfg := base
-		cfg.Shards = shards
-		got := Run(set, releases, cfg)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("Shards=%d diverged from naive under faults\nnaive: %+v\n  got: %+v", shards, want, got)
-		}
-	}
-
-	cfg := base
-	cfg.Shards = 4
-	si, err := NewSim(set.G, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer si.Close()
-	if got := si.ShardFallbackReason(); got != "fault schedule attached" {
-		t.Errorf("ShardFallbackReason = %q, want %q", got, "fault schedule attached")
 	}
 }
 
@@ -370,11 +312,11 @@ func TestRestoreRejectsFaultScheduleMismatch(t *testing.T) {
 	} {
 		bad := cfg
 		mut(&bad)
-		if _, err := restoreBlob(set.G, bad, blob); err == nil {
+		if _, err := RestoreSim(set.G, bad, bytes.NewReader(blob)); err == nil {
 			t.Errorf("%s: restore succeeded, want ErrSnapshotConfig", name)
 		}
 	}
-	if _, err := restoreBlob(set.G, cfg, blob); err != nil {
+	if _, err := RestoreSim(set.G, cfg, bytes.NewReader(blob)); err != nil {
 		t.Fatalf("matching config failed to restore: %v", err)
 	}
 }
@@ -387,7 +329,6 @@ func snapAt(t *testing.T, set *message.Set, releases []int, cfg Config, step int
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer si.Close()
 	snapInject(t, si, set, releases)
 	if err := si.StepTo(step); err != nil {
 		t.Fatal(err)
@@ -397,12 +338,4 @@ func snapAt(t *testing.T, set *message.Set, releases []int, cfg Config, step int
 		t.Fatal(err)
 	}
 	return blob.Bytes()
-}
-
-func restoreBlob(g *graph.Graph, cfg Config, blob []byte) (*Sim, error) {
-	si, err := RestoreSim(g, cfg, bytes.NewReader(blob))
-	if si != nil {
-		si.Close()
-	}
-	return si, err
 }

@@ -28,7 +28,7 @@ package vcsim
 //
 // Events scheduled inside a trailing idle span that no step ever
 // executes (a truncated run, or a horizon past the last worm) stay
-// unapplied — consistently across engines and shard counts.
+// unapplied — consistently across engines.
 //
 // Blocked worms split two ways. A worm whose header is still at its
 // source (nothing injected) and whose first edge is dead can abort the

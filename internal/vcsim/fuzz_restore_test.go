@@ -43,7 +43,6 @@ func FuzzRestoreSim(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer si.Close()
 	for i := range set.Msgs {
 		if _, err := si.Inject(set.Msgs[i], releases[i]); err != nil {
 			f.Fatal(err)
@@ -104,6 +103,5 @@ func FuzzRestoreSim(f *testing.F) {
 		// non-validated field. The restored simulator must still run out
 		// without wedging (the horizon bounds the drain).
 		snapDrain(si)
-		si.Close()
 	})
 }

@@ -9,9 +9,7 @@ package vcsim
 //     worms' configurations and the per-edge credit accounting, occupancy
 //     never above capacity) — enforced by Config.CheckInvariants, which
 //     panics at the first bad step;
-//  2. the wakeup engine and the naive scan are byte-identical — at the
-//     fuzzed Config.Shards, so the sharded stepper (and its fallback
-//     boundary) is held to the same oracle;
+//  2. the wakeup engine and the naive scan are byte-identical;
 //  3. a drained simulator leaks nothing: no worm left parked, no wait
 //     queue entry, no buffer credit still held once every message is
 //     delivered or dropped (deadlocks strand credits by design and are
@@ -186,13 +184,13 @@ func FuzzSimInvariants(f *testing.F) {
 	// Seed corpus: one entry per topology family crossed with the
 	// interesting config corners (deep lanes, shared pool, restricted
 	// bandwidth, drop-on-delay, every policy).
-	f.Add(uint64(1), uint8(0), uint8(12), uint8(1), uint8(1), false, false, false, uint8(0), uint8(2))
-	f.Add(uint64(2), uint8(0), uint8(20), uint8(2), uint8(2), false, true, false, uint8(1), uint8(0))
-	f.Add(uint64(3), uint8(1), uint8(16), uint8(1), uint8(3), true, false, false, uint8(2), uint8(3))
-	f.Add(uint64(4), uint8(1), uint8(24), uint8(3), uint8(1), true, true, true, uint8(0), uint8(4))
-	f.Add(uint64(5), uint8(2), uint8(8), uint8(1), uint8(2), false, false, false, uint8(2), uint8(1))
-	f.Add(uint64(6), uint8(2), uint8(10), uint8(2), uint8(4), true, true, false, uint8(1), uint8(8))
-	f.Fuzz(func(t *testing.T, seed uint64, topoSel, msgs, b, depth uint8, shared, restricted, drop bool, pol, shards uint8) {
+	f.Add(uint64(1), uint8(0), uint8(12), uint8(1), uint8(1), false, false, false, uint8(0))
+	f.Add(uint64(2), uint8(0), uint8(20), uint8(2), uint8(2), false, true, false, uint8(1))
+	f.Add(uint64(3), uint8(1), uint8(16), uint8(1), uint8(3), true, false, false, uint8(2))
+	f.Add(uint64(4), uint8(1), uint8(24), uint8(3), uint8(1), true, true, true, uint8(0))
+	f.Add(uint64(5), uint8(2), uint8(8), uint8(1), uint8(2), false, false, false, uint8(2))
+	f.Add(uint64(6), uint8(2), uint8(10), uint8(2), uint8(4), true, true, false, uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, topoSel, msgs, b, depth uint8, shared, restricted, drop bool, pol uint8) {
 		m := 1 + int(msgs)%32
 		set, releases := fuzzWorkload(seed, topoSel, m)
 		cfg := Config{
@@ -204,16 +202,11 @@ func FuzzSimInvariants(f *testing.F) {
 			Arbitration:         Policy(pol % 3),
 			Seed:                seed,
 			ParkStreak:          1 + int(seed%11),
-			Shards:              int(shards) % 9, // sharded stepper (or its fallback) in every property
-			CheckInvariants:     true,            // property 1: per-step invariants
+			CheckInvariants:     true, // property 1: per-step invariants
 		}
 
-		// Property 2: wakeup ≡ naive, with internals inspectable. The
-		// activity cutoff drops to 1 so fuzz-sized workloads engage the
-		// sharded stepper whenever the config is inside its regime.
+		// Property 2: wakeup ≡ naive, with internals inspectable.
 		wake := newBatchSim(set, releases, cfg)
-		wake.shardMin = 1
-		defer wake.Close()
 		wake.Drain()
 		wakeRes := wake.Result()
 		naiveCfg := cfg
@@ -276,8 +269,6 @@ func FuzzSimInvariants(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ff.shardMin = 1
-			defer ff.Close()
 			for round := 0; round < 2; round++ {
 				for i := 0; i < set.Len(); i++ {
 					if _, err := ff.Inject(set.Get(message.ID(i)), releases[i]); err != nil {
@@ -300,9 +291,7 @@ func FuzzSimInvariants(f *testing.F) {
 
 		// Property 6: checkpoint transparency. The workload replayed
 		// through a Sim that is snapshotted at a fuzzed mid-run step and
-		// restored — under the complementary Shards setting, so restores
-		// migrate across stepper mechanisms — must still match the batch
-		// result exactly.
+		// restored must still match the batch result exactly.
 		if !wakeRes.Truncated {
 			cpCfg := cfg
 			cpCfg.MaxSteps = 1 << 20
@@ -310,8 +299,6 @@ func FuzzSimInvariants(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cp.shardMin = 1
-			defer cp.Close()
 			for i := 0; i < set.Len(); i++ {
 				if _, err := cp.Inject(set.Get(message.ID(i)), releases[i]); err != nil {
 					t.Fatal(err)
@@ -327,14 +314,10 @@ func FuzzSimInvariants(f *testing.F) {
 			if err := cp.Snapshot(&blob); err != nil {
 				t.Fatal(err)
 			}
-			rcCfg := cpCfg
-			rcCfg.Shards = (cpCfg.Shards + 1) % 9
-			rc, err := RestoreSim(set.G, rcCfg, bytes.NewReader(blob.Bytes()))
+			rc, err := RestoreSim(set.G, cpCfg, bytes.NewReader(blob.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc.shardMin = 1
-			defer rc.Close()
 			for rc.Active() > 0 {
 				if rc.Step() != nil {
 					break

@@ -36,7 +36,7 @@ var (
 	// workload to a client error instead of crashing the job.
 
 	// ErrBadConfig wraps every Config rejection: VirtualChannels < 1,
-	// negative LaneDepth or ParkStreak, Shards outside [0, 256].
+	// negative LaneDepth or ParkStreak.
 	ErrBadConfig = errors.New("vcsim: invalid configuration")
 	// ErrOverHorizon wraps every rejection of a time or size above
 	// MaxHorizon: release times, message lengths, path lengths, and

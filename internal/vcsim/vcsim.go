@@ -29,7 +29,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"wormhole/internal/fault"
 	"wormhole/internal/message"
@@ -131,24 +130,11 @@ type Config struct {
 	// have no Observer equivalent). Same nil-gating and identity guarantees
 	// as Metrics.
 	Trace *telemetry.Trace
-	// Shards ≥ 2 steps the simulation on that many goroutines, each
-	// owning a contiguous band of edge IDs (topological slabs: butterfly
-	// stages, mesh tiles); ≤ 256. Results are byte-identical to the
-	// sequential stepper for every value — sharding is pure mechanism,
-	// pinned by differential, lockstep, and fuzz suites (see shard.go
-	// for the contest-edge argument). Steps outside the provable regime
-	// (deep lanes, restricted bandwidth, ArbRandom, mixed edge roles,
-	// trace/observer sinks, or too few active worms to pay the fan-out)
-	// transparently run sequentially. Worker goroutines start lazily on
-	// the first sharded step; Sim.Close releases them (a finalizer
-	// covers abandoned Sims). 0 and 1 mean sequential.
-	Shards int
 	// Faults attaches a deterministic fault schedule (see internal/fault):
 	// scripted kill/revive events against lanes and whole edges, applied at
-	// exact flit steps. Nil keeps the fault-free hot path bit for bit. A
-	// fault plane forces the sequential stepper (ShardFallbackReason
-	// reports it); results remain byte-identical across shard counts and
-	// across snapshot/restore cuts, including cuts inside an outage.
+	// exact flit steps. Nil keeps the fault-free hot path bit for bit;
+	// results remain byte-identical across steppers and across
+	// snapshot/restore cuts, including cuts inside an outage.
 	Faults fault.Schedule
 	// Retry is the source-side re-injection policy for fault-blocked
 	// messages: a worm whose header is still at its source router (nothing
@@ -522,9 +508,7 @@ func (a *i32Arena) reset() { a.cur, a.off = 0, 0 }
 func Run(s *message.Set, release []int, cfg Config) Result {
 	sim := newBatchSim(s, release, cfg)
 	sim.Drain()
-	res := sim.Result()
-	sim.Close()
-	return res
+	return sim.Result()
 }
 
 // RunChecked is Run with the workload validation surfaced as a typed
@@ -700,27 +684,6 @@ type Sim struct {
 	met *telemetry.Metrics
 	trc *telemetry.Trace
 
-	// Sharded-stepper state (Config.Shards ≥ 2; see shard.go). The
-	// phase funcs are bound once so the per-step pool dispatch does not
-	// allocate; shardMin is the per-shard activity cutoff
-	// (shardMinActive, overridable by tests to force tiny workloads
-	// onto the parallel path).
-	shards       int
-	shardMin     int
-	edgeShard    []uint8 // owning shard per edge: contiguous ID bands
-	shardStates  []*shardState
-	shardOwner   []uint8 // per-active-worm owner, rebuilt each sharded step
-	shardVerdict []uint8 // per-active-worm verdict (see shardKeep etc.)
-	// pool is guarded by poolMu: Close may race a concurrent Reset (or a
-	// second Close, or the finalizer) in long-lived drivers that retire
-	// Sims from a different goroutine than the one stepping them.
-	poolMu       sync.Mutex
-	finalizerSet bool // the Close finalizer is set at most once per Sim
-	pool         *shardPool
-	classifyFn   func(int)
-	processFn    func(int)
-	shardSteps   int64
-
 	// Fault plane (Config.Faults; everything below is nil/zero — and the
 	// per-step cost one predictable branch — when no schedule is
 	// attached). Events are consumed in schedule order through faultIdx:
@@ -772,10 +735,6 @@ func emptySim(numEdges int, cfg Config) *Sim {
 	if cfg.VirtualChannels*depth > MaxHorizon {
 		panic(fmt.Sprintf("vcsim: VirtualChannels %d × LaneDepth %d overflows the 32-bit pool layout", cfg.VirtualChannels, depth))
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	si := &Sim{
 		cfg:        cfg,
 		b:          cfg.VirtualChannels,
@@ -786,23 +745,11 @@ func emptySim(numEdges int, cfg Config) *Sim {
 		poolCap:    int32(cfg.VirtualChannels * depth),
 		naive:      cfg.NaiveScan,
 		parkStreak: int32(parkStreak),
-		shards:     shards,
-		shardMin:   shardMinActive,
 		laneFree:   make([]int32, numEdges),
 		relLane:    make([]int32, numEdges),
 		crossings:  make([]uint64, numEdges),
 		dirtyFlag:  make([]uint8, numEdges),
 		maxSteps:   cfg.MaxSteps,
-	}
-	if shards > 1 && numEdges > 0 {
-		// Contiguous, balanced edge-ID bands: edge IDs are laid out
-		// stage-major on the butterfly and tile-major on meshes, so a
-		// band is a topological slab and same-edge contention stays
-		// shard-local.
-		si.edgeShard = make([]uint8, numEdges)
-		for e := range si.edgeShard {
-			si.edgeShard[e] = uint8(e * shards / numEdges)
-		}
 	}
 	if cfg.RestrictedBandwidth {
 		si.cap = 1
@@ -934,11 +881,6 @@ func (si *Sim) Reset() {
 	si.progFree = si.progFree[:0]
 	si.parked = 0
 	si.now = 0
-	si.shardSteps = 0
-	// Shard accumulators are empty between steps; only their telemetry
-	// children carry state, which must survive into the parent so a
-	// Reset-reused Sim loses no counts.
-	si.drainShardMetrics()
 	si.totalStalls = 0
 	si.flitHops = 0
 	si.maxOccupied = 0
@@ -1060,9 +1002,6 @@ func validateArch(cfg Config) error {
 	}
 	if cfg.MaxSteps > MaxHorizon {
 		return fmt.Errorf("%w: MaxSteps %d exceeds MaxHorizon %d", ErrOverHorizon, cfg.MaxSteps, MaxHorizon)
-	}
-	if cfg.Shards < 0 || cfg.Shards > 256 {
-		return fmt.Errorf("%w: Shards %d outside [0, 256]", ErrBadConfig, cfg.Shards)
 	}
 	return nil
 }
@@ -1277,21 +1216,9 @@ func (si *Sim) step() {
 	if m := si.met; m != nil {
 		m.Inc(telemetry.CtrSteps)
 	}
-	switch {
-	case si.naive:
-		if m := si.met; m != nil && si.shards > 1 {
-			m.Inc(telemetry.CtrShardFallback)
-		}
+	if si.naive {
 		si.stepNaive()
-	case si.shardable():
-		if m := si.met; m != nil {
-			m.Inc(telemetry.CtrShardedSteps)
-		}
-		si.stepSharded()
-	default:
-		if m := si.met; m != nil && si.shards > 1 {
-			m.Inc(telemetry.CtrShardFallback)
-		}
+	} else {
 		si.stepWakeup()
 	}
 }
@@ -1784,7 +1711,6 @@ func (si *Sim) checkInvariants() {
 // at any point in a Sim's life; per-message stats of in-flight messages
 // appear with their current (partial) values.
 func (si *Sim) Result() Result {
-	si.drainShardMetrics()
 	if m := si.met; m != nil {
 		// Result calls are snapshot boundaries: sample arena occupancy here
 		// rather than on the hot path.
