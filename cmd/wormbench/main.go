@@ -9,13 +9,17 @@
 //	wormbench ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // Experiment IDs are catalogued in README.md (F1, F2 for the figures;
-// T1–T11 for the theorem/remark reproductions; T12 for the open-loop
-// steady-state traffic study; T13 for the buffer-architecture study —
-// lane depth and shared pools; A1–A5 for the design ablations). -workers
-// fans the experiment's independent jobs across a worker pool
-// (0 = GOMAXPROCS); tables are byte-identical for any value. It is the
-// one parallel axis; performance is measured by benchmark/ (see
-// benchmark/README.md), not by this command.
+// T1–T11 for the theorem/remark reproductions; A1–A5 for the design
+// ablations; and the open-loop traffic studies: T12 steady-state load
+// curves and saturation rate vs B, T13 buffer architectures — lane depth
+// and shared pools, T14 and T15 the 256- and 1024-input scale studies,
+// T16 graceful degradation under lane faults). -workers fans the
+// experiment's independent jobs across a worker pool (0 = GOMAXPROCS);
+// tables are byte-identical for any value. It is the one parallel axis;
+// performance is measured by benchmark/ (see benchmark/README.md), not
+// by this command. -scale overrides the butterfly size of T14 and T15;
+// a size they cannot run (not a power of two, or too small) is reported
+// as a one-line error and exit status 1 before anything runs.
 //
 // -cpuprofile and -memprofile write pprof profiles covering whatever the
 // invocation ran, so performance work reproduces from the committed
@@ -45,6 +49,7 @@ import (
 	"time"
 
 	"wormhole/internal/core"
+	"wormhole/internal/stats"
 	"wormhole/internal/telemetry"
 	"wormhole/internal/traffic"
 	"wormhole/internal/vcsim"
@@ -225,20 +230,16 @@ func runOne(id string, cfg core.Config, csvOut bool, ckptDir string) int {
 		fmt.Fprintln(os.Stderr, "wormbench:", err)
 		return 1
 	}
-	for _, t := range tables {
-		if csvOut {
-			fmt.Printf("# %s\n", t.Title())
-			if err := t.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "wormbench: csv:", err)
-				return 1
-			}
-			fmt.Println()
-			continue
+	if csvOut {
+		if err := stats.WriteTablesCSV(os.Stdout, tables); err != nil {
+			fmt.Fprintln(os.Stderr, "wormbench: csv:", err)
+			return 1
 		}
+		return 0
+	}
+	for _, t := range tables {
 		fmt.Println(t)
 	}
-	if !csvOut {
-		fmt.Printf("[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
+	fmt.Printf("[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	return 0
 }

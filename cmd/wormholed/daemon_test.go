@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"wormhole/internal/core"
+	"wormhole/internal/stats"
 	"wormhole/internal/traffic"
 )
 
@@ -149,7 +150,8 @@ func TestSubmitValidation(t *testing.T) {
 			s.Drain = 1 << 30
 			return s
 		}()}, "over_horizon"},
-		"unknown experiment": {JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T99"}}, ""},
+		"unknown experiment":   {JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T99"}}, ""},
+		"bad experiment scale": {JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T15", Scale: 100}}, ""},
 	} {
 		resp := postJSON(t, srv.URL+"/api/v1/jobs", tc.spec)
 		body := map[string]string{}
@@ -341,19 +343,29 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 }
 
 // TestPanickingExperimentFailsJobNotDaemon is the regression for a
-// one-request crash loop: T15 with a non-power-of-two scale passes
-// submission (only the ID is checked) and panics inside the experiment.
-// The panic must become that job's failure — not take the worker
-// goroutine and the process with it, and not re-kill every restart
-// whose startup recovery re-queues the running job.
+// one-request crash loop: an experiment that panics mid-run (submission
+// can only validate the spec, not rule out bugs) must become that job's
+// failure — not take the worker goroutine and the process with it, and
+// not re-kill every restart whose startup recovery re-queues the
+// running job. The panic is a real one, raised by a run function
+// swapped in for core.Run on one experiment ID.
 func TestPanickingExperimentFailsJobNotDaemon(t *testing.T) {
+	orig := runCore
+	defer func() { runCore = orig }()
+	runCore = func(id string, cfg core.Config) ([]*stats.Table, error) {
+		if id == "T2" {
+			panic("T2: injected test panic")
+		}
+		return core.Run(id, cfg)
+	}
+
 	dir := t.TempDir()
 	srv, m := startTestServer(t, dir, 0)
 
 	bad := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs",
-		JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T15", Scale: 100}}))
+		JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T2", Quick: true}}))
 	failed := waitState(t, srv, bad.ID, stateFailed)
-	if !strings.Contains(failed.Error, "power-of-two") {
+	if !strings.Contains(failed.Error, "injected test panic") {
 		t.Fatalf("failed job's error %q does not carry the panic text", failed.Error)
 	}
 
@@ -372,6 +384,29 @@ func TestPanickingExperimentFailsJobNotDaemon(t *testing.T) {
 	fetch(t, srv2.URL+"/healthz", http.StatusOK)
 	if st := waitState(t, srv2, bad.ID, stateFailed); st.Error != failed.Error {
 		t.Fatalf("recovered job error %q, want %q", st.Error, failed.Error)
+	}
+}
+
+// TestPersistedBadScaleFailsJob: submission now rejects a scale the
+// experiment cannot run, but a job.json persisted by a daemon that did
+// not may still carry one. Recovery must fail that job through
+// core.Run's error return — no panic, no recover.
+func TestPersistedBadScaleFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", "j000000")
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	persisted := `{"id":"j000000","type":"experiment","state":"queued","created_unix":1,
+		"spec":{"type":"experiment","experiment":{"id":"T15","scale":100}}}`
+	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(persisted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, m := startTestServer(t, dir, 0)
+	defer m.Shutdown()
+	st := waitState(t, srv, "j000000", stateFailed)
+	if !strings.Contains(st.Error, "power-of-two") || strings.Contains(st.Error, "panicked") {
+		t.Fatalf("job error %q, want the validation error, not a recovered panic", st.Error)
 	}
 }
 

@@ -250,13 +250,10 @@ type ExperimentSpec struct {
 	Scale  int    `json:"scale,omitempty"`
 }
 
-func (e *ExperimentSpec) validate() error {
-	for _, known := range core.Experiments() {
-		if known.ID == e.ID {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown experiment %q", e.ID)
+// config is the core.Config the spec asks for, before the daemon
+// attaches its checkpoint store and interrupt hook.
+func (e *ExperimentSpec) config() core.Config {
+	return core.Config{Seed: e.Seed, Quick: e.Quick, Trials: e.Trials, Scale: e.Scale}
 }
 
 // JobSpec is the body of POST /api/v1/jobs.
@@ -277,7 +274,7 @@ func (s *JobSpec) validate() error {
 		if s.Experiment == nil {
 			return errors.New(`"experiment" spec required for type "experiment"`)
 		}
-		return s.Experiment.validate()
+		return core.Validate(s.Experiment.ID, s.Experiment.config())
 	default:
 		return fmt.Errorf("unknown job type %q (want sweep or experiment)", s.Type)
 	}
@@ -755,29 +752,28 @@ func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // --- experiment jobs ---------------------------------------------------------
 
+// runCore is core.Run behind a variable so a test can substitute a run
+// function that panics and drive runExperiment's recover.
+var runCore = core.Run
+
 // runExperiment runs a core registry experiment under checkpoint
-// memoization and renders its tables exactly as `wormbench -csv` does,
-// so daemon output byte-diffs cleanly against the CLI.
+// memoization and renders its tables with the renderer `wormbench -csv`
+// uses, so daemon output byte-diffs cleanly against the CLI.
 func (m *manager) runExperiment(j *job) (err error) {
 	st := j.snapshotStatus()
 	spec := st.Spec.Experiment
-	cfg := core.Config{
-		Seed:       spec.Seed,
-		Quick:      spec.Quick,
-		Trials:     spec.Trials,
-		Scale:      spec.Scale,
-		Checkpoint: &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}},
-		Interrupt: func() bool {
-			if j.cancel.Load() {
-				return true
-			}
-			select {
-			case <-m.stop:
-				return true
-			default:
-				return false
-			}
-		},
+	cfg := spec.config()
+	cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}}
+	cfg.Interrupt = func() bool {
+		if j.cancel.Load() {
+			return true
+		}
+		select {
+		case <-m.stop:
+			return true
+		default:
+			return false
+		}
 	}
 	var tables []*stats.Table
 	func() {
@@ -791,28 +787,24 @@ func (m *manager) runExperiment(j *job) (err error) {
 					}
 					return
 				}
-				// Experiments panic on bad parameters (e.g. T15 with a
-				// non-power-of-two scale). That is this job's failure,
-				// not the daemon's: a panic escaping this worker
-				// goroutine kills the process, and startup recovery
-				// would re-queue the job and kill every restart too.
+				// Experiments panic on states they take for bugs. That
+				// is this job's failure, not the daemon's: a panic
+				// escaping this worker goroutine kills the process, and
+				// startup recovery would re-queue the job and kill every
+				// restart too.
 				err = fmt.Errorf("experiment %s panicked: %v", spec.ID, r)
 			}
 		}()
-		tables, err = core.Run(spec.ID, cfg)
+		tables, err = runCore(spec.ID, cfg)
 	}()
 	if err != nil {
 		return err
 	}
-	var b strings.Builder
-	for _, t := range tables {
-		fmt.Fprintf(&b, "# %s\n", t.Title())
-		if err := t.WriteCSV(&b); err != nil {
-			return err
-		}
-		b.WriteString("\n")
+	var b bytes.Buffer
+	if err := stats.WriteTablesCSV(&b, tables); err != nil {
+		return err
 	}
-	return atomicWrite(filepath.Join(m.jobDir(st.ID), "result.csv"), []byte(b.String()))
+	return atomicWrite(filepath.Join(m.jobDir(st.ID), "result.csv"), b.Bytes())
 }
 
 // ResultPath returns the final output path for a done job.

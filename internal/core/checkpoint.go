@@ -14,7 +14,10 @@ package core
 // carry), so the save side proves each blob faithful before storing it:
 // marshal, unmarshal into a fresh value, and deep-compare against the
 // live result. A type that does not round-trip is simply never stored —
-// those jobs re-run every time, which is slower but always right.
+// those jobs re-run every time, which is slower but always right. The
+// load side mirrors the proof: a stored blob is replayed only if it
+// re-encodes to itself under the job's current result type; a stale
+// one is recomputed and overwritten.
 //
 // The stage counter assigns each mapJobs/flatJobs call within one
 // experiment run a sequence number. Experiments issue their fan-outs in
@@ -30,6 +33,7 @@ package core
 // the daemon's SIGTERM path — then re-runs after restart to resume.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -73,9 +77,16 @@ func (c *Checkpoint) nextStage() int {
 func memoJob[T any](cp *Checkpoint, stage, i int, job func(i int) T) T {
 	key := fmt.Sprintf("s%03d-j%06d.json", stage, i)
 	if blob, ok := cp.Store.Load(key); ok {
+		// Replay only a blob that is a faithful encoding of T as it is
+		// now. Unmarshal tolerates unknown and missing fields, so a blob
+		// written before the result type changed (a re-invocation after
+		// an upgrade, a daemon restarted over a live state dir) decodes
+		// "successfully" into zeroed fields; re-encoding exposes that.
 		var cached T
 		if json.Unmarshal(blob, &cached) == nil {
-			return cached
+			if again, err := json.Marshal(cached); err == nil && bytes.Equal(again, blob) {
+				return cached
+			}
 		}
 	}
 	out := job(i)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -196,6 +197,62 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 	}
 	if w, g := render(plain), render(resumed); w != g {
 		t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", w, g)
+	}
+}
+
+// TestCheckpointStaleBlobsRecomputed is the upgrade-safety contract of
+// the load side. testdata/ckpt_parent_T12 holds two blobs a build from
+// before T12's row type changed wrote for `-run T12 -quick -seed 42`
+// (curve job 0 and bisection job 0). Both still json.Unmarshal into the
+// current type without error — into zeroed fields — so replaying them
+// would silently corrupt the tables. They must be recomputed and
+// overwritten; blobs this build wrote must still replay.
+func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
+	render := func(store BlobStore) string {
+		cfg := Config{Seed: 42, Quick: true}
+		if store != nil {
+			cfg.Checkpoint = &Checkpoint{Store: store}
+		}
+		tables, err := Run("T12", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := stats.WriteTablesCSV(&b, tables); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	plain := render(nil)
+
+	store := newMemStore()
+	stale := map[string][]byte{}
+	for _, key := range []string{"s000-j000000.json", "s001-j000000.json"} {
+		blob, err := os.ReadFile(filepath.Join("testdata", "ckpt_parent_T12", key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale[key] = blob
+		store.blobs[key] = blob
+	}
+	if got := render(store); got != plain {
+		t.Fatalf("run over stale blobs diverged from a plain run\nwant:\n%s\ngot:\n%s", plain, got)
+	}
+	for key, blob := range stale {
+		if bytes.Equal(store.blobs[key], blob) {
+			t.Errorf("%s: stale blob was not overwritten", key)
+		}
+	}
+	jobs := int64(len(store.blobs))
+	if n := store.saves.Load(); n != jobs {
+		t.Fatalf("first run saved %d blobs for %d jobs", n, jobs)
+	}
+
+	if got := render(store); got != plain {
+		t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
+	}
+	if n := store.saves.Load(); n != jobs {
+		t.Errorf("resume recomputed %d jobs; blobs written by this build must replay", n-jobs)
 	}
 }
 

@@ -67,6 +67,9 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Config) []*stats.Table
+	// Validate, when non-nil, rejects a Config the experiment cannot run
+	// (a bad -scale). Run may assume it returned nil.
+	Validate func(Config) error
 }
 
 var registry = map[string]Experiment{}
@@ -87,13 +90,26 @@ func Experiments() []Experiment {
 	return out
 }
 
-// Run executes the experiment with the given ID.
-func Run(id string, cfg Config) ([]*stats.Table, error) {
+// Validate reports whether Run(id, cfg) can start: the experiment
+// exists and accepts cfg. Callers holding outside input (a command
+// line, a job submission) use it to reject the input up front.
+func Validate(id string, cfg Config) error {
 	e, ok := registry[id]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown experiment %q (have %v)", id, ids())
+		return fmt.Errorf("core: unknown experiment %q (have %v)", id, ids())
 	}
-	return e.Run(cfg), nil
+	if e.Validate != nil {
+		return e.Validate(cfg)
+	}
+	return nil
+}
+
+// Run validates cfg and executes the experiment with the given ID.
+func Run(id string, cfg Config) ([]*stats.Table, error) {
+	if err := Validate(id, cfg); err != nil {
+		return nil, err
+	}
+	return registry[id].Run(cfg), nil
 }
 
 func ids() []string {

@@ -209,6 +209,22 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+// TestWriteTablesCSV pins the `wormbench -csv` stream format: per table
+// a "# title" line, the CSV, and a blank line.
+func TestWriteTablesCSV(t *testing.T) {
+	a := NewTable("first", "x")
+	a.AddRow(1)
+	b := NewTable("second", "y", "z")
+	b.AddRow(2.5, "q")
+	var out strings.Builder
+	if err := WriteTablesCSV(&out, []*Table{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# first\nx\n1\n\n# second\ny,z\n2.5,q\n\n"; out.String() != want {
+		t.Errorf("stream = %q, want %q", out.String(), want)
+	}
+}
+
 func TestTableHandlesShortRows(t *testing.T) {
 	tab := NewTable("", "a", "b")
 	tab.AddRow(1)       // missing cell

@@ -65,6 +65,25 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// WriteTablesCSV emits tables in the `wormbench -csv` stream format:
+// per table a "# title" line, the CSV, and a blank line. Every producer
+// of that stream (the CLI, the daemon's result.csv) calls this, so they
+// cannot drift apart.
+func WriteTablesCSV(w io.Writer, tables []*Table) error {
+	for _, t := range tables {
+		if _, err := fmt.Fprintf(w, "# %s\n", t.title); err != nil {
+			return err
+		}
+		if err := t.WriteCSV(w); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))
