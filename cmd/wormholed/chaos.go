@@ -1,17 +1,15 @@
 package main
 
-// Checkpoint integrity framing and the -chaos fault injector.
+// The -chaos fault injector.
 //
-// Checkpoint files on disk are not raw WRUNSNAP blobs: the daemon frames
-// them with a magic and a CRC-32 of the payload, so *any* corruption — a
-// torn write from a crash, a flipped bit from a bad disk, a truncation
-// from a full one — is detected before the runner codec ever sees the
-// bytes, and recovery falls back to a fresh run instead of resuming from
-// (and serving results derived from) silently-corrupt state. The runner
-// codec validates structure; the frame validates the bytes themselves.
+// Checkpoint files on disk are not raw WRUNSNAP blobs: the daemon seals
+// them in internal/snap's CRC-32 integrity frame, so *any* corruption is
+// detected before the runner codec ever sees the bytes, and recovery
+// falls back to a fresh run instead of resuming from (and serving
+// results derived from) silently-corrupt state.
 //
 // The -chaos flag arms a deterministic, seed-derived injector on that
-// same write path: checkpoint writes randomly fail as if the disk were
+// write path: checkpoint writes randomly fail as if the disk were
 // full, tear (a prefix of the blob hits the disk), flip a byte, or
 // vanish entirely. It exists for the chaos e2e harness, which SIGKILLs a
 // chaotic daemon mid-run and requires the restart to produce results
@@ -20,42 +18,17 @@ package main
 // the daemon and never leak into served results.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
 
 	"wormhole/internal/rng"
 )
 
-// ckptMagic frames every checkpoint file: magic, CRC-32 (IEEE) of the
-// payload, payload.
-const ckptMagic = "WHCKPT01"
-
+// errCorruptCheckpoint is what snap.Open wraps when a checkpoint file
+// fails its frame.
 var errCorruptCheckpoint = errors.New("wormholed: corrupt checkpoint")
-
-// sealCheckpoint wraps a WRUNSNAP blob in the integrity frame.
-func sealCheckpoint(blob []byte) []byte {
-	out := make([]byte, 0, len(ckptMagic)+4+len(blob))
-	out = append(out, ckptMagic...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(blob))
-	return append(out, blob...)
-}
-
-// openCheckpoint verifies the frame and returns the payload.
-func openCheckpoint(raw []byte) ([]byte, error) {
-	if len(raw) < len(ckptMagic)+4 || string(raw[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("%w: bad frame", errCorruptCheckpoint)
-	}
-	want := binary.LittleEndian.Uint32(raw[len(ckptMagic):])
-	payload := raw[len(ckptMagic)+4:]
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", errCorruptCheckpoint)
-	}
-	return payload, nil
-}
 
 // chaosInjector deterministically mangles checkpoint writes. One
 // injector serves all workers, so the draw sequence (and therefore the

@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,34 +16,32 @@ import (
 	"testing"
 	"time"
 
+	"wormhole/internal/snap"
 	"wormhole/internal/traffic"
 )
 
-// TestCheckpointFrame: the CRC frame round-trips, and every corruption
-// class the chaos plane produces — truncation anywhere, a flip of any
-// single byte, garbage — is rejected before the runner codec runs.
+// TestCheckpointFrame: what checkpointRunner seals, runPoint opens, and
+// the two corruptions the chaos plane writes — a torn write, a flipped
+// byte — come back as errCorruptCheckpoint. (The exhaustive every-offset
+// check lives with the frame, in internal/snap.)
 func TestCheckpointFrame(t *testing.T) {
 	payload := []byte("WRUNSNAP-stand-in payload bytes, long enough to cut at many points")
-	sealed := sealCheckpoint(payload)
+	sealed := snap.Seal(payload)
 
-	got, err := openCheckpoint(sealed)
+	got, err := snap.Open(sealed, errCorruptCheckpoint)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("roundtrip: %v (%q)", err, got)
 	}
-	for cut := 0; cut < len(sealed); cut++ {
-		if _, err := openCheckpoint(sealed[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	flipped := append([]byte(nil), sealed...)
+	flipped[len(flipped)/2] ^= 0x20
+	for name, raw := range map[string][]byte{
+		"torn":    sealed[:len(sealed)/2],
+		"flipped": flipped,
+		"garbage": []byte("not a checkpoint at all"),
+	} {
+		if _, err := snap.Open(raw, errCorruptCheckpoint); !errors.Is(err, errCorruptCheckpoint) {
+			t.Errorf("%s checkpoint: err = %v, want errCorruptCheckpoint", name, err)
 		}
-	}
-	for pos := 0; pos < len(sealed); pos++ {
-		mut := append([]byte(nil), sealed...)
-		mut[pos] ^= 0x20
-		if _, err := openCheckpoint(mut); err == nil {
-			t.Fatalf("bit flip at %d accepted", pos)
-		}
-	}
-	if _, err := openCheckpoint([]byte("not a checkpoint at all")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

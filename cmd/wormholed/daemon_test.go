@@ -322,6 +322,40 @@ func TestCancelJob(t *testing.T) {
 	fetch(t, srv.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusConflict)
 }
 
+// TestSubmitPersistFailureLeavesNoPhantom: a submission whose job
+// directory cannot be created is an error and nothing else — no queued
+// job in List or /metrics that no worker will ever run — and the next
+// submission is unaffected.
+func TestSubmitPersistFailureLeavesNoPhantom(t *testing.T) {
+	dir := t.TempDir()
+	srv, m := startTestServer(t, dir, 0)
+	defer m.Shutdown()
+
+	// A regular file where the first job's directory must go: ENOTDIR.
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "j000000"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Type: "sweep", Sweep: testSweepSpec()}
+	if st, err := m.Submit(spec); err == nil {
+		t.Fatalf("Submit over a blocked job dir succeeded: %+v", st)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("failed Submit left %d job(s) behind: %+v", len(jobs), jobs)
+	}
+	var gauges map[string]any
+	if err := json.Unmarshal(fetch(t, srv.URL+"/metrics", http.StatusOK), &gauges); err != nil {
+		t.Fatal(err)
+	}
+	if n := gauges["jobs_total"]; n != float64(0) {
+		t.Fatalf("/metrics reports jobs_total = %v after a failed Submit", n)
+	}
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, st.ID, stateDone)
+}
+
 // TestHealthAndMetricsEndpoints covers the ops surface.
 func TestHealthAndMetricsEndpoints(t *testing.T) {
 	srv, m := startTestServer(t, t.TempDir(), 0)

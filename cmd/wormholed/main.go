@@ -35,6 +35,8 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"wormhole/internal/snap"
 )
 
 func main() {
@@ -69,7 +71,7 @@ func run() int {
 		return 1
 	}
 	if *addrFile != "" {
-		if err := atomicWrite(*addrFile, []byte(ln.Addr().String())); err != nil {
+		if err := snap.WriteFile(*addrFile, []byte(ln.Addr().String())); err != nil {
 			fmt.Fprintln(os.Stderr, "wormholed:", err)
 			return 1
 		}

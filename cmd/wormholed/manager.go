@@ -34,6 +34,7 @@ import (
 
 	"wormhole/internal/core"
 	"wormhole/internal/fault"
+	"wormhole/internal/snap"
 	"wormhole/internal/stats"
 	"wormhole/internal/telemetry"
 	"wormhole/internal/traffic"
@@ -434,14 +435,21 @@ func (m *manager) Submit(spec JobSpec) (JobStatus, error) {
 	if spec.Type == "sweep" {
 		j.status.PointsTotal = len(spec.Sweep.Rates)
 	}
-	m.jobs[id] = j
-	m.order = append(m.order, id)
+	// Directory and first job.json before the job becomes visible: a
+	// submission that cannot be persisted must not leave List and /metrics
+	// showing a queued job no worker will ever run.
+	err := os.MkdirAll(m.jobDir(id), 0o755)
+	if err == nil {
+		err = m.persist(j)
+	}
+	if err == nil {
+		m.jobs[id] = j
+		m.order = append(m.order, id)
+	}
 	m.mu.Unlock()
-
-	if err := os.MkdirAll(m.jobDir(id), 0o755); err != nil {
+	if err != nil {
 		return JobStatus{}, err
 	}
-	m.persist(j)
 	select {
 	case m.queue <- j:
 	case <-m.stop:
@@ -497,39 +505,19 @@ func (m *manager) setState(j *job, s jobState, errMsg string) {
 	m.persist(j)
 }
 
-// persist atomically rewrites the job's job.json.
-func (m *manager) persist(j *job) {
+// persist atomically rewrites the job's job.json. A failure is logged
+// here; only Submit, which must not admit an unpersisted job, also acts
+// on the returned error.
+func (m *manager) persist(j *job) error {
 	st := j.snapshotStatus()
 	blob, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return
+	if err == nil {
+		err = snap.WriteFile(filepath.Join(m.jobDir(st.ID), "job.json"), blob)
 	}
-	if err := atomicWrite(filepath.Join(m.jobDir(st.ID), "job.json"), blob); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "wormholed: persist:", err)
 	}
-}
-
-func atomicWrite(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
+	return err
 }
 
 func (m *manager) worker() {
@@ -598,7 +586,7 @@ func (m *manager) runSweep(j *job) error {
 		j.mu.Unlock()
 		m.persist(j)
 	}
-	return atomicWrite(filepath.Join(m.jobDir(st.ID), "result.csv"), []byte(renderSweepCSV(results)))
+	return snap.WriteFile(filepath.Join(m.jobDir(st.ID), "result.csv"), []byte(renderSweepCSV(results)))
 }
 
 // runPoint runs (or resumes) one sweep point. The runner checkpoints
@@ -639,7 +627,7 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 		// The integrity frame catches torn writes, truncations, and bit
 		// flips before the runner codec sees the bytes; either failure
 		// falls back to a fresh run rather than resuming corrupt state.
-		blob, err := openCheckpoint(raw)
+		blob, err := snap.Open(raw, errCorruptCheckpoint)
 		if err == nil {
 			r, err = traffic.RestoreRunner(cfg, bytes.NewReader(blob))
 		}
@@ -688,7 +676,7 @@ func (m *manager) checkpointRunner(r *traffic.Runner, path string) error {
 	if err := r.Snapshot(&buf); err != nil {
 		return err
 	}
-	blob := sealCheckpoint(buf.Bytes())
+	blob := snap.Seal(buf.Bytes())
 	if m.chaos != nil {
 		var err error
 		if blob, err = m.chaos.mangleWrite(path, blob); err != nil {
@@ -698,7 +686,7 @@ func (m *manager) checkpointRunner(r *traffic.Runner, path string) error {
 			return nil // write silently lost
 		}
 	}
-	return atomicWrite(path, blob)
+	return snap.WriteFile(path, blob)
 }
 
 func (m *manager) pointSnapPath(id string, k int) string {
@@ -726,7 +714,7 @@ func (m *manager) savePoint(id string, k int, pr pointResult) {
 	if err != nil {
 		return
 	}
-	if err := atomicWrite(m.pointPath(id, k), blob); err != nil {
+	if err := snap.WriteFile(m.pointPath(id, k), blob); err != nil {
 		fmt.Fprintln(os.Stderr, "wormholed: point save:", err)
 	}
 }
@@ -804,7 +792,7 @@ func (m *manager) runExperiment(j *job) (err error) {
 	if err := stats.WriteTablesCSV(&b, tables); err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(m.jobDir(st.ID), "result.csv"), b.Bytes())
+	return snap.WriteFile(filepath.Join(m.jobDir(st.ID), "result.csv"), b.Bytes())
 }
 
 // ResultPath returns the final output path for a done job.

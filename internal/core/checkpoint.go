@@ -41,6 +41,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+
+	"wormhole/internal/snap"
 )
 
 // ErrInterrupted is the panic value forEachJob raises when
@@ -121,21 +123,7 @@ func (d DirStore) Load(key string) ([]byte, bool) {
 // checkpoint store that cannot write degrades to re-running jobs, which
 // is always correct.
 func (d DirStore) Save(key string, blob []byte) {
-	if os.MkdirAll(d.Dir, 0o755) != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(d.Dir, key+".tmp*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if os.Rename(name, filepath.Join(d.Dir, key)) != nil {
-		os.Remove(name)
+	if os.MkdirAll(d.Dir, 0o755) == nil {
+		snap.WriteFile(filepath.Join(d.Dir, key), blob) //nolint:errcheck // see above
 	}
 }

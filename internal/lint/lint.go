@@ -34,6 +34,7 @@ var simScopePrefixes = []string{
 	"wormhole/internal/schedule",
 	"wormhole/internal/baseline",
 	"wormhole/internal/telemetry",
+	"wormhole/internal/snap",
 }
 
 // inSimScope reports whether the pass's package is one the

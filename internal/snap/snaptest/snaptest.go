@@ -1,0 +1,29 @@
+// Package snaptest is the one corruption engine the checkpoint fuzzers
+// share: FuzzReader (snap), FuzzRestoreSim (vcsim) and FuzzRestoreRunner
+// (traffic) all attack a valid stream through Mutate, so their committed
+// corpora mean the same thing everywhere.
+package snaptest
+
+import "bytes"
+
+// Mutate returns a corrupted copy of valid, steered by three fuzz
+// inputs. mode%4 picks the class: 0 leaves the stream untouched, 1
+// truncates it at pos, 2 XORs val|1 into byte pos (mod the length), 3
+// splices 1+val%9 filler bytes of value val in at pos — the shape a
+// corrupt length prefix or a torn-and-resumed write leaves behind.
+func Mutate(valid []byte, mode uint8, pos uint32, val uint8) []byte {
+	mut := append([]byte(nil), valid...)
+	p := min(int(pos), len(mut))
+	switch mode % 4 {
+	case 1:
+		mut = mut[:p]
+	case 2:
+		if len(mut) > 0 {
+			mut[int(pos)%len(mut)] ^= val | 1
+		}
+	case 3:
+		filler := bytes.Repeat([]byte{val}, 1+int(val)%9)
+		mut = append(mut[:p:p], append(filler, valid[p:]...)...)
+	}
+	return mut
+}

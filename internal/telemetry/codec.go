@@ -12,9 +12,10 @@ package telemetry
 // one mid-list is an incompatible change and bumps the version.
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
-	"fmt"
+
+	"wormhole/internal/snap"
 )
 
 // metricsCodecVersion is bumped whenever the encoding below changes
@@ -29,111 +30,85 @@ const metricsCodecVersion = 3
 // (*Metrics).UnmarshalBinary.
 var ErrMetricsCodec = errors.New("telemetry: bad metrics encoding")
 
+// gauges and edges list the scalar gauges and the per-edge accumulators
+// in wire order, for the writer and the reader alike.
+func (m *Metrics) gauges() []*int64 {
+	return []*int64{
+		&m.gaugeSteps, &m.dirtySum, &m.dirtyMax, &m.parkedSum,
+		&m.parkedMax, &m.arenaChunks, &m.arenaCapacity, &m.horizon,
+	}
+}
+
+func (m *Metrics) edges() [][]int64 {
+	return [][]int64{m.edgeStall, m.occInt, m.lastOcc, m.lastT, m.edgeFault}
+}
+
 // MarshalBinary encodes the full registry state — counters, histogram,
 // gauges and per-edge accumulators — as a little-endian binary blob.
 // It never fails; the error return satisfies encoding.BinaryMarshaler.
 func (m *Metrics) MarshalBinary() ([]byte, error) {
 	n := len(m.edgeStall)
-	buf := make([]byte, 0, 8+8*(int(NumCounters)+jumpBuckets+8)+40*n)
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	i64 := func(v int64) { u64(uint64(v)) }
-
-	u64(uint64(metricsCodecVersion))
-	u64(uint64(NumCounters))
-	for i := Counter(0); i < NumCounters; i++ {
-		i64(m.ctr[i])
-	}
-	u64(uint64(jumpBuckets))
-	for _, v := range m.jump {
-		i64(v)
-	}
-	i64(m.gaugeSteps)
-	i64(m.dirtySum)
-	i64(m.dirtyMax)
-	i64(m.parkedSum)
-	i64(m.parkedMax)
-	i64(m.arenaChunks)
-	i64(m.arenaCapacity)
-	i64(m.horizon)
-	u64(uint64(n))
-	for _, s := range [][]int64{m.edgeStall, m.occInt, m.lastOcc, m.lastT, m.edgeFault} {
+	var buf bytes.Buffer
+	buf.Grow(8 * (int(NumCounters) + jumpBuckets + 12 + 5*n))
+	w := snap.NewWriter(&buf)
+	i64s := func(s []int64) {
 		for _, v := range s {
-			i64(v)
+			w.I64(v)
 		}
 	}
-	return buf, nil
+
+	w.U64(metricsCodecVersion)
+	w.U64(uint64(NumCounters))
+	i64s(m.ctr[:])
+	w.U64(jumpBuckets)
+	i64s(m.jump[:])
+	for _, p := range m.gauges() {
+		w.I64(*p)
+	}
+	w.U64(uint64(n))
+	for _, s := range m.edges() {
+		i64s(s)
+	}
+	w.Flush() //nolint:errcheck // a bytes.Buffer write cannot fail
+	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary replaces m's state with the blob's. Counter slots the
-// writer did not know about (a blob from an older binary) are zeroed;
-// slots this binary does not know about make the decode fail.
+// UnmarshalBinary replaces m's state with the blob's, all or nothing: a
+// rejected blob leaves m exactly as it was. Counter slots the writer did
+// not know about (a blob from an older binary) are zeroed; slots this
+// binary does not know about make the decode fail.
 func (m *Metrics) UnmarshalBinary(data []byte) error {
-	pos := 0
-	fail := func(what string) error {
-		return fmt.Errorf("%w: %s at offset %d", ErrMetricsCodec, what, pos)
+	r := snap.NewReader(bytes.NewReader(data), ErrMetricsCodec)
+	var got Metrics
+	if ver := r.U64(); ver != metricsCodecVersion {
+		r.Fail("unsupported version %d", ver)
 	}
-	u64 := func() (uint64, bool) {
-		if pos+8 > len(data) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
-		return v, true
+	nc := r.U64()
+	if nc > uint64(NumCounters) {
+		r.Fail("counter slot count %d", nc)
+		nc = 0
 	}
-	i64s := func(dst []int64) bool {
-		for i := range dst {
-			v, ok := u64()
-			if !ok {
-				return false
-			}
-			dst[i] = int64(v)
-		}
-		return true
+	r.I64sInto(got.ctr[:nc])
+	if nj := r.U64(); nj != jumpBuckets {
+		r.Fail("jump bucket count %d", nj)
 	}
-
-	ver, ok := u64()
-	if !ok || ver != metricsCodecVersion {
-		return fail("unsupported version")
+	r.I64sInto(got.jump[:])
+	for _, p := range got.gauges() {
+		*p = r.I64()
 	}
-	nc, ok := u64()
-	if !ok || nc > uint64(NumCounters) {
-		return fail("counter slot count")
+	ne := r.U64()
+	if ne > uint64(len(data)/8) {
+		r.Fail("edge count %d", ne)
+		ne = 0
 	}
-	m.ctr = [NumCounters]int64{}
-	if !i64s(m.ctr[:nc]) {
-		return fail("counters")
+	got.EnsureEdges(int(ne))
+	for _, s := range got.edges() {
+		r.I64sInto(s)
 	}
-	nj, ok := u64()
-	if !ok || nj != jumpBuckets {
-		return fail("jump bucket count")
+	r.End()
+	if r.Err() != nil {
+		return r.Err()
 	}
-	if !i64s(m.jump[:]) {
-		return fail("jump histogram")
-	}
-	scalars := []*int64{
-		&m.gaugeSteps, &m.dirtySum, &m.dirtyMax, &m.parkedSum,
-		&m.parkedMax, &m.arenaChunks, &m.arenaCapacity, &m.horizon,
-	}
-	for _, p := range scalars {
-		v, ok := u64()
-		if !ok {
-			return fail("gauges")
-		}
-		*p = int64(v)
-	}
-	ne, ok := u64()
-	if !ok || ne > uint64(len(data)/8) {
-		return fail("edge count")
-	}
-	m.edgeStall, m.occInt, m.lastOcc, m.lastT, m.edgeFault = nil, nil, nil, nil, nil
-	m.EnsureEdges(int(ne))
-	for _, s := range [][]int64{m.edgeStall, m.occInt, m.lastOcc, m.lastT, m.edgeFault} {
-		if !i64s(s) {
-			return fail("edge accumulators")
-		}
-	}
-	if pos != len(data) {
-		return fail("trailing bytes")
-	}
+	*m = got
 	return nil
 }

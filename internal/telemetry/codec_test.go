@@ -133,10 +133,24 @@ func TestMetricsCodecRejectsCorruption(t *testing.T) {
 			return b
 		}),
 	}
+	// Decoding is all or nothing: a rejected blob — several of these fail
+	// only after whole sections parsed — leaves a live registry exactly as
+	// it was, so the run that falls back from a bad checkpoint reports its
+	// own totals.
+	live := NewMetrics()
+	live.EnsureEdges(2)
+	live.Add(CtrSteps, 41)
+	live.EdgeStall(CtrStallLaneCredit, 1)
 	for name, bad := range cases {
 		got := NewMetrics()
+		got.EnsureEdges(2)
+		got.Add(CtrSteps, 41)
+		got.EdgeStall(CtrStallLaneCredit, 1)
 		if err := got.UnmarshalBinary(bad); !errors.Is(err, ErrMetricsCodec) {
 			t.Errorf("%s: err = %v, want ErrMetricsCodec", name, err)
+		}
+		if !reflect.DeepEqual(got, live) {
+			t.Errorf("%s: a rejected blob modified the registry", name)
 		}
 	}
 }

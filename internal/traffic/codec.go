@@ -18,13 +18,13 @@ package traffic
 // shape is on their own, exactly as with vcsim.RestoreSim.
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"wormhole/internal/fault"
+	"wormhole/internal/snap"
 	"wormhole/internal/telemetry"
 	"wormhole/internal/vcsim"
 )
@@ -41,94 +41,22 @@ const (
 // that does not match the snapshot's digest.
 var ErrRunnerSnapshot = errors.New("traffic: bad runner snapshot")
 
-type runnerWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (s *runnerWriter) u8(v uint8) {
-	if s.err == nil {
-		s.err = s.w.WriteByte(v)
-	}
-}
-
-func (s *runnerWriter) bool(v bool) {
-	if v {
-		s.u8(1)
-	} else {
-		s.u8(0)
-	}
-}
-
-func (s *runnerWriter) u64(v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	if s.err == nil {
-		_, s.err = s.w.Write(b[:])
-	}
-}
-
-func (s *runnerWriter) i64(v int64)   { s.u64(uint64(v)) }
-func (s *runnerWriter) f64(v float64) { s.u64(math.Float64bits(v)) }
-
-func (s *runnerWriter) sketch(sk *Sketch) {
+func writeSketch(w *snap.Writer, sk *Sketch) {
 	for _, c := range sk.counts {
-		s.i64(c)
+		w.I64(c)
 	}
-	s.i64(sk.n)
-	s.i64(sk.sum)
-	s.i64(int64(sk.min))
-	s.i64(int64(sk.max))
+	w.I64(sk.n)
+	w.I64(sk.sum)
+	w.I64(int64(sk.min))
+	w.I64(int64(sk.max))
 }
 
-type runnerReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (s *runnerReader) u8() uint8 {
-	if s.err != nil {
-		return 0
-	}
-	b, err := s.r.ReadByte()
-	if err != nil {
-		s.err = fmt.Errorf("%w: %v", ErrRunnerSnapshot, err)
-		return 0
-	}
-	return b
-}
-
-func (s *runnerReader) bool() bool { return s.u8() != 0 }
-
-func (s *runnerReader) u64() uint64 {
-	var b [8]byte
-	if s.err != nil {
-		return 0
-	}
-	if _, err := io.ReadFull(s.r, b[:]); err != nil {
-		s.err = fmt.Errorf("%w: %v", ErrRunnerSnapshot, err)
-		return 0
-	}
-	var v uint64
-	for i := range b {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func (s *runnerReader) i64() int64   { return int64(s.u64()) }
-func (s *runnerReader) f64() float64 { return math.Float64frombits(s.u64()) }
-
-func (s *runnerReader) sketch(sk *Sketch) {
-	for i := range sk.counts {
-		sk.counts[i] = s.i64()
-	}
-	sk.n = s.i64()
-	sk.sum = s.i64()
-	sk.min = int(s.i64())
-	sk.max = int(s.i64())
+func readSketch(r *snap.Reader, sk *Sketch) {
+	r.I64sInto(sk.counts[:])
+	sk.n = r.I64()
+	sk.sum = r.I64()
+	sk.min = int(r.I64())
+	sk.max = int(r.I64())
 }
 
 // digest lists every schedule-relevant numeric Config field, in a fixed
@@ -208,54 +136,51 @@ func (r *Runner) Snapshot(w io.Writer) error {
 	if r.phase == phaseIdle {
 		return errors.New("traffic: Snapshot with no run in progress")
 	}
-	sw := &runnerWriter{w: bufio.NewWriter(w)}
-	sw.w.WriteString(runnerSnapMagic)
-	sw.u64(runnerSnapVersion)
+	sw := snap.NewWriter(w)
+	sw.Raw([]byte(runnerSnapMagic))
+	sw.U64(runnerSnapVersion)
 	for _, f := range r.cfg.digest() {
-		sw.u64(f.bits)
+		sw.U64(f.bits)
 	}
 
-	sw.u8(uint8(r.phase))
-	sw.i64(int64(r.t))
-	sw.i64(int64(r.injectSteps))
-	sw.f64(r.res.Offered)
-	sw.i64(int64(r.res.LastRelease))
-	sw.i64(int64(r.res.Tracked))
-	sw.i64(int64(r.trackedDone))
-	sw.i64(int64(r.deliveredMeasure))
-	sw.sketch(&r.sketch)
-	sw.sketch(&r.winSketch)
-	sw.i64(r.winDelivered)
-	sw.i64(int64(r.winInjBase))
-	sw.i64(int64(r.winIndex))
-	sw.i64(int64(len(r.windows)))
+	sw.U8(uint8(r.phase))
+	sw.I64(int64(r.t))
+	sw.I64(int64(r.injectSteps))
+	sw.F64(r.res.Offered)
+	sw.I64(int64(r.res.LastRelease))
+	sw.I64(int64(r.res.Tracked))
+	sw.I64(int64(r.trackedDone))
+	sw.I64(int64(r.deliveredMeasure))
+	writeSketch(sw, &r.sketch)
+	writeSketch(sw, &r.winSketch)
+	sw.I64(r.winDelivered)
+	sw.I64(int64(r.winInjBase))
+	sw.I64(int64(r.winIndex))
+	sw.I64(int64(len(r.windows)))
 	for _, ws := range r.windows {
-		sw.i64(int64(ws.Index))
-		sw.i64(ws.Start)
-		sw.i64(ws.End)
-		sw.i64(ws.Injected)
-		sw.i64(ws.Delivered)
-		sw.i64(ws.Backlog)
-		sw.f64(ws.LatMean)
-		sw.f64(ws.LatP50)
-		sw.f64(ws.LatP95)
-		sw.f64(ws.LatP99)
-		sw.i64(ws.LatMax)
+		sw.I64(int64(ws.Index))
+		sw.I64(ws.Start)
+		sw.I64(ws.End)
+		sw.I64(ws.Injected)
+		sw.I64(ws.Delivered)
+		sw.I64(ws.Backlog)
+		sw.F64(ws.LatMean)
+		sw.F64(ws.LatP50)
+		sw.F64(ws.LatP95)
+		sw.F64(ws.LatP99)
+		sw.I64(ws.LatMax)
 	}
-	sw.u64(r.parent.State())
+	sw.U64(r.parent.State())
 	for i := range r.sources {
-		sw.u64(r.sources[i].State())
+		sw.U64(r.sources[i].State())
 	}
 	// Injection-process state. The derived per-step probabilities are
 	// recomputed from cfg on restore; only the evolving state crosses.
 	for i := range r.inject {
-		sw.f64(r.inject[i].next)
-		sw.bool(r.inject[i].on)
+		sw.F64(r.inject[i].next)
+		sw.Bool(r.inject[i].on)
 	}
-	if sw.err != nil {
-		return sw.err
-	}
-	if err := sw.w.Flush(); err != nil {
+	if err := sw.Flush(); err != nil {
 		return err
 	}
 	// The simulator snapshot goes last, unframed: it carries its own
@@ -274,66 +199,64 @@ func RestoreRunner(cfg Config, rd io.Reader) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(rd)
-	sr := &runnerReader{r: br}
-	var magic [len(runnerSnapMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != runnerSnapMagic {
+	sr := snap.NewReader(rd, ErrRunnerSnapshot)
+	if !sr.Magic(runnerSnapMagic) {
 		return nil, fmt.Errorf("%w: bad magic", ErrRunnerSnapshot)
 	}
-	if v := sr.u64(); sr.err == nil && v != runnerSnapVersion {
+	if v := sr.U64(); sr.Err() == nil && v != runnerSnapVersion {
 		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrRunnerSnapshot, v, runnerSnapVersion)
 	}
 	for _, f := range cfg.digest() {
-		if got := sr.u64(); sr.err == nil && got != f.bits {
+		if got := sr.U64(); sr.Err() == nil && got != f.bits {
 			return nil, fmt.Errorf("%w: config mismatch on %s (snapshot %#x, config %#x)", ErrRunnerSnapshot, f.name, got, f.bits)
 		}
 	}
 
-	r.phase = runPhase(sr.u8())
-	if sr.err == nil && r.phase != phaseInject && r.phase != phaseDrain {
+	r.phase = runPhase(sr.U8())
+	if sr.Err() == nil && r.phase != phaseInject && r.phase != phaseDrain {
 		return nil, fmt.Errorf("%w: phase %d is not an in-progress run", ErrRunnerSnapshot, r.phase)
 	}
-	r.t = int(sr.i64())
-	r.injectSteps = int(sr.i64())
+	r.t = int(sr.I64())
+	r.injectSteps = int(sr.I64())
 	r.res = Result{
-		Offered:     sr.f64(),
-		LastRelease: int(sr.i64()),
-		Tracked:     int(sr.i64()),
+		Offered:     sr.F64(),
+		LastRelease: int(sr.I64()),
+		Tracked:     int(sr.I64()),
 	}
-	r.trackedDone = int(sr.i64())
-	r.deliveredMeasure = int(sr.i64())
-	sr.sketch(&r.sketch)
-	sr.sketch(&r.winSketch)
-	r.winDelivered = sr.i64()
-	r.winInjBase = int(sr.i64())
-	r.winIndex = int(sr.i64())
-	nw := sr.i64()
-	if sr.err == nil && (nw < 0 || nw > int64(r.winIndex)) {
+	r.trackedDone = int(sr.I64())
+	r.deliveredMeasure = int(sr.I64())
+	readSketch(sr, &r.sketch)
+	readSketch(sr, &r.winSketch)
+	r.winDelivered = sr.I64()
+	r.winInjBase = int(sr.I64())
+	r.winIndex = int(sr.I64())
+	nw := sr.I64()
+	if sr.Err() == nil && (nw < 0 || nw > int64(r.winIndex)) {
 		return nil, fmt.Errorf("%w: %d windows recorded with window index %d", ErrRunnerSnapshot, nw, r.winIndex)
 	}
-	for i := int64(0); i < nw && sr.err == nil; i++ {
+	for i := int64(0); i < nw && sr.Err() == nil; i++ {
 		r.windows = append(r.windows, telemetry.WindowStats{
-			Index:     int(sr.i64()),
-			Start:     sr.i64(),
-			End:       sr.i64(),
-			Injected:  sr.i64(),
-			Delivered: sr.i64(),
-			Backlog:   sr.i64(),
-			LatMean:   sr.f64(),
-			LatP50:    sr.f64(),
-			LatP95:    sr.f64(),
-			LatP99:    sr.f64(),
-			LatMax:    sr.i64(),
+			Index:     int(sr.I64()),
+			Start:     sr.I64(),
+			End:       sr.I64(),
+			Injected:  sr.I64(),
+			Delivered: sr.I64(),
+			Backlog:   sr.I64(),
+			LatMean:   sr.F64(),
+			LatP50:    sr.F64(),
+			LatP95:    sr.F64(),
+			LatP99:    sr.F64(),
+			LatMax:    sr.I64(),
 		})
 	}
-	r.parent.Reseed(sr.u64())
+	r.parent.Reseed(sr.U64())
 	for i := range r.sources {
-		r.sources[i].Reseed(sr.u64())
+		r.sources[i].Reseed(sr.U64())
 	}
 	on, off := cfg.onOffMeans()
 	for i := range r.inject {
-		in := injector{r: &r.sources[i], next: sr.f64()}
-		osn := sr.bool()
+		in := injector{r: &r.sources[i], next: sr.F64()}
+		osn := sr.Bool()
 		if cfg.Process == OnOff {
 			in.on = osn
 			in.pInject = cfg.Rate * (on + off) / on
@@ -342,12 +265,11 @@ func RestoreRunner(cfg Config, rd io.Reader) (*Runner, error) {
 		}
 		r.inject[i] = in
 	}
-	if sr.err != nil {
-		return nil, sr.err
+	if sr.Err() != nil {
+		return nil, sr.Err()
 	}
-	// The embedded simulator snapshot: read through the same buffered
-	// reader (RestoreSim may over-buffer, but nothing follows it).
-	sim, err := vcsim.RestoreSim(cfg.Net.G, simCfg, br)
+	// The embedded simulator snapshot reads on through the same buffer.
+	sim, err := vcsim.RestoreSim(cfg.Net.G, simCfg, sr.Rest())
 	if err != nil {
 		return nil, err
 	}

@@ -14,9 +14,11 @@ import (
 	"strings"
 	"testing"
 
+	"wormhole/internal/fault"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
 	"wormhole/internal/telemetry"
+	"wormhole/internal/topology"
 )
 
 // snapInject streams the whole workload into an incremental Sim.
@@ -277,11 +279,70 @@ func TestSnapshotCarriesMetrics(t *testing.T) {
 	}
 }
 
+// TestFailedRestoreLeavesMetricsUntouched is the regression for a
+// rejected checkpoint polluting the run that replaces it: a snapshot
+// damaged after its metrics blob (here: the trailer cut short) must not
+// write into the caller's registry, so the fresh NewSim the caller falls
+// back to with the same Config reports its own step count, not its own
+// plus the dead snapshot's.
+func TestFailedRestoreLeavesMetricsUntouched(t *testing.T) {
+	set, releases := fuzzWorkload(3, 0, 14)
+	cfg := Config{VirtualChannels: 2, Arbitration: ArbAge, Seed: 3, MaxSteps: 1 << 16}
+	steps := func(m *telemetry.Metrics) int64 {
+		snap := m.Snapshot()
+		return snap.Counter("steps")
+	}
+	run := func(cfg Config) int64 {
+		si, err := NewSim(set.G, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapInject(t, si, set, releases)
+		snapDrain(si)
+		return steps(cfg.Metrics)
+	}
+	cfg.Metrics = telemetry.NewMetrics()
+	want := run(cfg)
+
+	cfg.Metrics = telemetry.NewMetrics()
+	victim, err := NewSim(set.G, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapInject(t, victim, set, releases)
+	if err := victim.StepTo(9); err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := victim.Snapshot(&blob); err != nil {
+		t.Fatal(err)
+	}
+	torn := blob.Bytes()[:blob.Len()-3]
+
+	cfg.Metrics = telemetry.NewMetrics()
+	if _, err := RestoreSim(set.G, cfg, bytes.NewReader(torn)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("torn snapshot: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if got := steps(cfg.Metrics); got != 0 {
+		t.Errorf("rejected restore left steps = %d in the caller's registry", got)
+	}
+	if got := run(cfg); got != want {
+		t.Errorf("fallback run after a rejected restore reports steps = %d, a clean run %d", got, want)
+	}
+}
+
 // TestRestoreRejectsMismatchedConfig exercises the ErrSnapshotConfig
-// contract on every verified field.
+// contract on every verified field. It walks the Sim's own config field
+// list, so a field added to the verifier without a mismatch case here
+// fails the test.
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	set, releases := fuzzWorkload(5, 0, 10)
-	cfg := Config{VirtualChannels: 2, LaneDepth: 2, Arbitration: ArbAge, Seed: 5, MaxSteps: 1 << 16}
+	other := topology.NewButterfly(16).G // larger, so cfg.Faults stays in range on it
+	faults := fault.Generate(fault.GenConfig{Seed: 5, NumEdges: set.G.NumEdges(), Horizon: 40, Rate: 0.3, MeanOutage: 10})
+	cfg := Config{
+		VirtualChannels: 2, LaneDepth: 2, Arbitration: ArbAge, Seed: 5, MaxSteps: 1 << 16,
+		Faults: faults, Retry: RetryPolicy{MaxAttempts: 3, Backoff: 4, BackoffCap: 32},
+	}
 	si, err := NewSim(set.G, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,21 +367,44 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		"ParkStreak":          func(c *Config) { c.ParkStreak = 3 },
 		"Seed":                func(c *Config) { c.Seed = 99 },
 		"MaxSteps":            func(c *Config) { c.MaxSteps = 123 },
+		"Retry.MaxAttempts":   func(c *Config) { c.Retry.MaxAttempts = 4 },
+		"Retry.Backoff":       func(c *Config) { c.Retry.Backoff = 5 },
+		"Retry.BackoffCap":    func(c *Config) { c.Retry.BackoffCap = 33 },
+		"Faults":              func(c *Config) { c.Faults = faults[:len(faults)-1] },
 	}
-	for field, mutate := range mutations {
-		bad := cfg
-		mutate(&bad)
-		if _, err := RestoreSim(set.G, bad, bytes.NewReader(blob.Bytes())); !errors.Is(err, ErrSnapshotConfig) {
+	fields := []string{"Faults"} // verified after the fixed-width list
+	for _, f := range si.configFields() {
+		if f.adopt == nil {
+			fields = append(fields, f.name)
+		}
+	}
+	for _, field := range fields {
+		bad, g := cfg, set.G
+		switch mutate := mutations[field]; {
+		case field == "network edges":
+			g = other
+		case mutate == nil:
+			t.Errorf("verified field %q has no mismatch case", field)
+			continue
+		default:
+			mutate(&bad)
+		}
+		if _, err := RestoreSim(g, bad, bytes.NewReader(blob.Bytes())); !errors.Is(err, ErrSnapshotConfig) {
 			t.Errorf("%s mismatch: got %v, want ErrSnapshotConfig", field, err)
 		} else if !strings.Contains(err.Error(), field) {
 			t.Errorf("%s mismatch error does not name the field: %v", field, err)
 		}
 	}
+	if len(fields) != len(mutations)+1 {
+		t.Errorf("%d mismatch cases for %d verified fields", len(mutations)+1, len(fields))
+	}
 
-	// A different network is a config mismatch too.
-	other, _ := fuzzWorkload(5, 1, 4)
-	if _, err := RestoreSim(other.G, cfg, bytes.NewReader(blob.Bytes())); !errors.Is(err, ErrSnapshotConfig) {
-		t.Errorf("wrong network: got %v, want ErrSnapshotConfig", err)
+	// The 0-means-default aliases restore: the verifier compares what
+	// emptySim normalized, not what the caller spelled.
+	alias := cfg
+	alias.ParkStreak = defaultParkStreak
+	if _, err := RestoreSim(set.G, alias, bytes.NewReader(blob.Bytes())); err != nil {
+		t.Errorf("explicit default ParkStreak should match the zero alias: %v", err)
 	}
 	// The mechanism-only field restores freely.
 	free := cfg

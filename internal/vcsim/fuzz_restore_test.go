@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"wormhole/internal/fault"
+	"wormhole/internal/snap/snaptest"
 )
 
 func FuzzRestoreSim(f *testing.F) {
@@ -70,25 +71,7 @@ func FuzzRestoreSim(f *testing.F) {
 	f.Add(uint8(1), uint32(3*len(valid)/4), uint8(0))       // truncate in worm state
 
 	f.Fuzz(func(t *testing.T, mode uint8, pos uint32, val uint8) {
-		mut := append([]byte(nil), valid...)
-		p := int(pos)
-		switch mode % 4 {
-		case 1: // truncate
-			if p > len(mut) {
-				p = len(mut)
-			}
-			mut = mut[:p]
-		case 2: // bit/byte flip
-			if len(mut) > 0 {
-				mut[p%len(mut)] ^= val | 1
-			}
-		case 3: // length-inflate: splice extra bytes in
-			if p > len(mut) {
-				p = len(mut)
-			}
-			filler := bytes.Repeat([]byte{val}, 1+int(val)%9)
-			mut = append(mut[:p:p], append(filler, valid[p:]...)...)
-		}
+		mut := snaptest.Mutate(valid, mode, pos, val)
 
 		si, err := RestoreSim(set.G, cfg, bytes.NewReader(mut))
 		if err != nil {
