@@ -1,7 +1,6 @@
 // Package stats supplies the small statistical toolkit the experiment
-// harness needs: summaries with confidence intervals, log-log growth
-// exponent fits (for checking the paper's D^(1/B)-style shapes), and
-// aligned text tables for printing paper-style results.
+// harness needs: percentiles, guarded ratios, compact float formatting,
+// and aligned text / CSV tables for printing paper-style results.
 package stats
 
 import (
@@ -9,54 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary describes a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. It returns a zero Summary for empty
-// input.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	s.Median = percentileSorted(sorted, 0.5)
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// CI95 returns the half-width of an approximate 95% confidence interval
-// for the mean (normal approximation; fine for the N ≥ 5 trials the
-// harness uses).
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
-}
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of xs by linear
 // interpolation.
@@ -66,10 +17,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -84,102 +31,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GrowthExponent fits y = a·x^k by least squares on (log x, log y) and
-// returns the exponent k with the fit's R². All inputs must be positive.
-// The experiments use it to test claims like "time grows as D^(1/B)".
-func GrowthExponent(xs, ys []float64) (k, r2 float64) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN(), 0
-	}
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return math.NaN(), 0
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	return linearFit(lx, ly)
-}
-
-// linearFit returns the least-squares slope of y on x and the R² of the
-// fit.
-func linearFit(xs, ys []float64) (slope, r2 float64) {
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return math.NaN(), 0
-	}
-	slope = sxy / sxx
-	if syy == 0 {
-		return slope, 1
-	}
-	r2 = sxy * sxy / (sxx * syy)
-	return slope, r2
-}
-
-// Histogram bins xs into k equal-width buckets over [min, max] and returns
-// the counts plus the bucket boundaries (k+1 entries).
-func Histogram(xs []float64, k int) (counts []int, bounds []float64) {
-	if k < 1 || len(xs) == 0 {
-		return nil, nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts = make([]int, k)
-	bounds = make([]float64, k+1)
-	w := (hi - lo) / float64(k)
-	for i := 0; i <= k; i++ {
-		bounds[i] = lo + w*float64(i)
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= k {
-			b = k - 1
-		}
-		counts[b]++
-	}
-	return counts, bounds
-}
-
-// GeometricMean returns the geometric mean of positive xs (NaN otherwise).
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Ratio returns a/b, guarding against division by zero with NaN.

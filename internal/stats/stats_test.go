@@ -4,41 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Std-2.138) > 0.01 {
-		t.Errorf("std = %v", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Error("min/max")
-	}
-	if s.Median != 4.5 {
-		t.Errorf("median = %v", s.Median)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Error("empty summary")
-	}
-}
-
-func TestCI95(t *testing.T) {
-	s := Summarize([]float64{1, 1, 1, 1})
-	if s.CI95() != 0 {
-		t.Error("constant sample CI should be 0")
-	}
-	if Summarize([]float64{5}).CI95() != 0 {
-		t.Error("single sample CI should be 0")
-	}
-	wide := Summarize([]float64{0, 10})
-	if wide.CI95() <= 0 {
-		t.Error("CI must be positive for spread data")
-	}
-}
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
@@ -50,69 +16,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if Percentile(nil, 0.5) != 0 {
 		t.Error("empty percentile")
-	}
-}
-
-func TestGrowthExponentExactPowerLaw(t *testing.T) {
-	for _, k := range []float64{0.5, 1, 2, 3} {
-		var xs, ys []float64
-		for x := 1.0; x <= 32; x *= 2 {
-			xs = append(xs, x)
-			ys = append(ys, 7*math.Pow(x, k))
-		}
-		got, r2 := GrowthExponent(xs, ys)
-		if math.Abs(got-k) > 1e-9 {
-			t.Errorf("exponent = %v, want %v", got, k)
-		}
-		if math.Abs(r2-1) > 1e-9 {
-			t.Errorf("R² = %v, want 1", r2)
-		}
-	}
-}
-
-func TestGrowthExponentRejectsBadInput(t *testing.T) {
-	if k, _ := GrowthExponent([]float64{1, 2}, []float64{1}); !math.IsNaN(k) {
-		t.Error("length mismatch")
-	}
-	if k, _ := GrowthExponent([]float64{1, -2}, []float64{1, 2}); !math.IsNaN(k) {
-		t.Error("negative input")
-	}
-	if k, _ := GrowthExponent([]float64{3, 3}, []float64{1, 2}); !math.IsNaN(k) {
-		t.Error("zero-variance x")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, bounds := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(counts) != 5 || len(bounds) != 6 {
-		t.Fatal("shapes")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram lost values: %v", counts)
-	}
-	if c, _ := Histogram(nil, 3); c != nil {
-		t.Error("empty histogram")
-	}
-	// Constant data must not divide by zero.
-	c, _ := Histogram([]float64{5, 5, 5}, 2)
-	if c[0]+c[1] != 3 {
-		t.Error("constant data histogram")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	if g := GeometricMean([]float64{1, 4, 16}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("geomean = %v", g)
-	}
-	if !math.IsNaN(GeometricMean([]float64{1, -1})) {
-		t.Error("negative input")
-	}
-	if !math.IsNaN(GeometricMean(nil)) {
-		t.Error("empty input")
 	}
 }
 
@@ -139,31 +42,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 	if FormatFloat(math.NaN()) != "-" {
 		t.Error("NaN formatting")
-	}
-}
-
-func TestSummarizeProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		s := Summarize(xs)
-		if s.Min > s.Median || s.Median > s.Max {
-			return false
-		}
-		if s.Mean < s.Min-1e-9 || s.Mean > s.Max+1e-9 {
-			return false
-		}
-		return s.Std >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

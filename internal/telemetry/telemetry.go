@@ -8,8 +8,8 @@
 //     increments counters through nil-check-gated pointers, so a nil *Metrics
 //     costs a single predictable branch per site.
 //  2. Event stream (Trace): a ring-buffered structured trace of
-//     inject/advance/park/wake/deliver/drop/credit events with an optional
-//     compact binary spill and a Chrome trace-event exporter (chrome.go).
+//     inject/advance/park/wake/deliver/drop/credit events with a Chrome
+//     trace-event exporter (chrome.go).
 //  3. Live export (Publisher): mutex-guarded snapshot publication consumed by
 //     wormbench's -http endpoint (publish.go).
 //
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // Counter identifies one fixed slot in the Metrics registry.
@@ -263,14 +262,6 @@ type JumpBucket struct {
 	Count int64 `json:"count"`
 }
 
-// EdgeSample pairs an edge ID with that edge's accumulated stall count and
-// mean occupancy.
-type EdgeSample struct {
-	Edge    int     `json:"edge"`
-	Stalls  int64   `json:"stalls"`
-	OccMean float64 `json:"occ_mean"`
-}
-
 // Snapshot is a deterministic point-in-time copy of a Metrics registry.
 // Field ordering and slice ordering are fixed (counter slot order, then edge
 // ID order) so identical runs serialize identically.
@@ -303,24 +294,6 @@ func (s *Snapshot) Counter(name string) int64 {
 		}
 	}
 	return 0
-}
-
-// HottestEdges returns the indices of the n highest-stall edges (ties broken
-// by lower edge ID), most-stalled first.
-func (s *Snapshot) HottestEdges(n int) []EdgeSample {
-	out := make([]EdgeSample, 0, len(s.EdgeStalls))
-	for e, st := range s.EdgeStalls {
-		var occ float64
-		if e < len(s.EdgeOcc) {
-			occ = s.EdgeOcc[e]
-		}
-		out = append(out, EdgeSample{Edge: e, Stalls: st, OccMean: occ})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Stalls > out[j].Stalls })
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }
 
 // Snapshot copies the registry into a deterministic Snapshot. Per-edge

@@ -133,18 +133,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestHottestEdges(t *testing.T) {
-	m := NewMetrics()
-	m.EnsureEdges(3)
-	m.StallSpan(CtrStallLaneCredit, 2, 10)
-	m.StallSpan(CtrStallLaneCredit, 0, 4)
-	s := m.Snapshot()
-	top := s.HottestEdges(2)
-	if len(top) != 2 || top[0].Edge != 2 || top[1].Edge != 0 {
-		t.Errorf("HottestEdges = %+v, want edges [2 0]", top)
-	}
-}
-
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	m := NewMetrics()
 	m.EnsureEdges(2)

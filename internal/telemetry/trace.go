@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // EventKind discriminates structured trace events.
 type EventKind uint8
@@ -57,21 +52,16 @@ type Event struct {
 // simulator horizon (vcsim.MaxHorizon) is far below this already.
 const maxEventTime = 1<<31 - 1
 
-// Trace is a fixed-capacity ring buffer of Events with an optional binary
-// spill writer. Recording is allocation-free: when the ring fills, events
-// either spill to the writer (one Write per full ring — the only I/O
-// boundary) or overwrite the oldest buffered event.
+// Trace is a fixed-capacity ring buffer of Events. Recording is
+// allocation-free: when the ring fills, the newest event overwrites the
+// oldest buffered one.
 //
 // A Trace must only be written by a single simulator at a time.
 type Trace struct {
 	buf     []Event
-	start   int // index of oldest buffered event
-	n       int // number of buffered events
-	spill   io.Writer
-	scratch []byte // reused spill encoding buffer
-	spilled int64  // events flushed to the spill writer
-	dropped int64  // events overwritten because the ring was full
-	err     error  // first spill error, surfaced by Flush/Err
+	start   int   // index of oldest buffered event
+	n       int   // number of buffered events
+	dropped int64 // events overwritten because the ring was full
 }
 
 // NewTrace returns a ring buffer holding up to capacity events (minimum 1).
@@ -82,16 +72,7 @@ func NewTrace(capacity int) *Trace {
 	return &Trace{buf: make([]Event, capacity)}
 }
 
-// SetSpill directs ring overflow to w in the compact binary format (see
-// WriteSpillHeader). Must be set before recording starts.
-func (t *Trace) SetSpill(w io.Writer) {
-	t.spill = w
-	if t.scratch == nil {
-		t.scratch = make([]byte, 0, spillHeaderLen+len(t.buf)*spillRecordLen)
-	}
-}
-
-// add appends one event, spilling or overwriting on overflow.
+// add appends one event, overwriting the oldest when the ring is full.
 //
 //wormvet:hotpath
 func (t *Trace) add(time int, kind EventKind, msg, arg int32) {
@@ -99,7 +80,12 @@ func (t *Trace) add(time int, kind EventKind, msg, arg int32) {
 		time = maxEventTime
 	}
 	if t.n == len(t.buf) {
-		t.overflow() //wormvet:allow hotalloc -- ring boundary, not per-event steady state
+		t.start++
+		if t.start == len(t.buf) {
+			t.start = 0
+		}
+		t.n--
+		t.dropped++
 	}
 	i := t.start + t.n
 	if i >= len(t.buf) {
@@ -108,57 +94,6 @@ func (t *Trace) add(time int, kind EventKind, msg, arg int32) {
 	t.buf[i] = Event{Time: int32(time), Msg: msg, Arg: arg, Kind: kind}
 	t.n++
 }
-
-// overflow makes room for one more event: flush the whole ring to the spill
-// writer when configured, otherwise drop the oldest event.
-func (t *Trace) overflow() {
-	if t.spill == nil {
-		t.start++
-		if t.start == len(t.buf) {
-			t.start = 0
-		}
-		t.n--
-		t.dropped++
-		return
-	}
-	t.flush()
-}
-
-// flush writes all buffered events to the spill writer and empties the ring.
-func (t *Trace) flush() {
-	if t.n == 0 {
-		return
-	}
-	b := t.scratch[:0]
-	if t.spilled == 0 {
-		b = appendSpillHeader(b)
-	}
-	for i := 0; i < t.n; i++ {
-		j := t.start + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		b = appendSpillRecord(b, t.buf[j])
-	}
-	if _, err := t.spill.Write(b); err != nil && t.err == nil {
-		t.err = err
-	}
-	t.scratch = b[:0]
-	t.spilled += int64(t.n)
-	t.start, t.n = 0, 0
-}
-
-// Flush drains buffered events to the spill writer (no-op without one) and
-// reports the first spill error.
-func (t *Trace) Flush() error {
-	if t.spill != nil {
-		t.flush()
-	}
-	return t.err
-}
-
-// Err reports the first spill error encountered.
-func (t *Trace) Err() error { return t.err }
 
 // Inject records message injection at time with the given path length.
 //
@@ -202,8 +137,8 @@ func (t *Trace) Credit(time int, edge, occ int32) { t.add(time, EvCredit, edge, 
 //wormvet:hotpath
 func (t *Trace) Fault(time int, edge, kind int32) { t.add(time, EvFault, edge, kind) }
 
-// Events returns the buffered events oldest-first. Events already spilled
-// (or overwritten) are not included.
+// Events returns the buffered events oldest-first. Overwritten events are
+// not included.
 func (t *Trace) Events() []Event {
 	out := make([]Event, t.n)
 	for i := 0; i < t.n; i++ {
@@ -216,72 +151,6 @@ func (t *Trace) Events() []Event {
 	return out
 }
 
-// Spilled returns the number of events flushed to the spill writer.
-func (t *Trace) Spilled() int64 { return t.spilled }
-
-// Dropped returns the number of events overwritten because the ring was full
-// and no spill writer was configured.
+// Dropped returns the number of events overwritten because the ring was
+// full.
 func (t *Trace) Dropped() int64 { return t.dropped }
-
-// Binary spill format: an 8-byte header ("WTRC", u16 version, u16 reserved)
-// followed by fixed 16-byte records: u32 time, u8 kind, 3 reserved bytes,
-// i32 msg, i32 arg — all little-endian.
-const (
-	spillMagic     = "WTRC"
-	spillVersion   = 1
-	spillHeaderLen = 8
-	spillRecordLen = 16
-)
-
-func appendSpillHeader(b []byte) []byte {
-	b = append(b, spillMagic...)
-	b = binary.LittleEndian.AppendUint16(b, spillVersion)
-	b = binary.LittleEndian.AppendUint16(b, 0)
-	return b
-}
-
-func appendSpillRecord(b []byte, ev Event) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(ev.Time))
-	b = append(b, byte(ev.Kind), 0, 0, 0)
-	b = binary.LittleEndian.AppendUint32(b, uint32(ev.Msg))
-	b = binary.LittleEndian.AppendUint32(b, uint32(ev.Arg))
-	return b
-}
-
-// ErrSpillFormat reports a malformed spill stream.
-var ErrSpillFormat = errors.New("telemetry: malformed spill stream")
-
-// DecodeSpill parses a binary spill stream produced by a Trace with a spill
-// writer, returning the events in recorded order.
-func DecodeSpill(r io.Reader) ([]Event, error) {
-	var hdr [spillHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil // empty stream: nothing was spilled
-		}
-		return nil, fmt.Errorf("%w: short header", ErrSpillFormat)
-	}
-	if string(hdr[:4]) != spillMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrSpillFormat, hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != spillVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrSpillFormat, v)
-	}
-	var out []Event
-	var rec [spillRecordLen]byte
-	for {
-		_, err := io.ReadFull(r, rec[:])
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated record", ErrSpillFormat)
-		}
-		out = append(out, Event{
-			Time: int32(binary.LittleEndian.Uint32(rec[0:4])),
-			Kind: EventKind(rec[4]),
-			Msg:  int32(binary.LittleEndian.Uint32(rec[8:12])),
-			Arg:  int32(binary.LittleEndian.Uint32(rec[12:16])),
-		})
-	}
-}

@@ -3,9 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -25,9 +23,6 @@ func TestTraceRecordsInOrder(t *testing.T) {
 	}
 	if got := tr.Events(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Events() = %+v, want %+v", got, want)
-	}
-	if err := tr.Err(); err != nil {
-		t.Errorf("spill-free trace reports error %v", err)
 	}
 	for i, e := range want {
 		if got := e.Kind.String(); got != []string{"inject", "advance", "park", "wake", "deliver"}[i] {
@@ -62,39 +57,6 @@ func TestTraceRingDropsOldestWithoutSpill(t *testing.T) {
 	}
 	if tr.Dropped() != 2 {
 		t.Errorf("Dropped() = %d, want 2", tr.Dropped())
-	}
-}
-
-func TestTraceSpillRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(4)
-	tr.SetSpill(&buf)
-	var want []Event
-	for i := 0; i < 11; i++ {
-		tr.Advance(i, int32(i), int32(2*i))
-		want = append(want, Event{Time: int32(i), Msg: int32(i), Arg: int32(2 * i), Kind: EvAdvance})
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Spilled() != 11 || tr.Dropped() != 0 {
-		t.Fatalf("spilled=%d dropped=%d, want 11/0", tr.Spilled(), tr.Dropped())
-	}
-	got, err := DecodeSpill(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("spill round trip: got %+v, want %+v", got, want)
-	}
-}
-
-func TestDecodeSpillRejectsGarbage(t *testing.T) {
-	if _, err := DecodeSpill(strings.NewReader("NOPE1234........")); !errors.Is(err, ErrSpillFormat) {
-		t.Errorf("bad magic: err = %v, want ErrSpillFormat", err)
-	}
-	if evs, err := DecodeSpill(strings.NewReader("")); err != nil || evs != nil {
-		t.Errorf("empty stream: (%v, %v), want (nil, nil)", evs, err)
 	}
 }
 

@@ -91,7 +91,7 @@ var (
 type cfgField struct {
 	name  string
 	width int
-	val   uint64 // non-negative by validateArch/validateFaults, so zero-extension is exact
+	val   uint64 // non-negative by validateConfig, so zero-extension is exact
 	adopt func(uint64)
 }
 
@@ -279,13 +279,7 @@ func (si *Sim) Snapshot(w io.Writer) error {
 // contents are replaced with the snapshot's registry state, so resumed
 // runs report cumulative totals; a failed restore leaves it untouched.
 func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
-	if cfg.VirtualChannels < 1 {
-		return nil, fmt.Errorf("%w: VirtualChannels %d < 1", ErrBadConfig, cfg.VirtualChannels)
-	}
-	if err := validateArch(cfg); err != nil {
-		return nil, err
-	}
-	if err := validateFaults(g.NumEdges(), cfg); err != nil {
+	if err := validateConfig(g.NumEdges(), cfg); err != nil {
 		return nil, err
 	}
 	r := snap.NewReader(rd, ErrSnapshotCorrupt)

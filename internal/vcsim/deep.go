@@ -114,37 +114,27 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 		// flit is FIFO- or own-lane-blocked, states only the worm's own
 		// movement resolves — so the whole rescan collapses to this
 		// resume-condition probe.
-		e := b &^ (parkFlitBit | parkFaultBit)
-		switch {
-		case b&parkFaultBit != 0:
-			if si.deadEdge[e] {
-				// A cached re-fail is a proven park-eligible verdict: the
-				// block already outlived a step and wakes are precise, so
-				// skip the rest of the probation (pure mechanism — park
-				// timing never changes results; see the park-hysteresis
-				// suite).
-				w.streak = si.parkStreak - 1
-				if m := si.met; m != nil {
-					m.EdgeStall(telemetry.CtrStallFault, e)
-				}
-				return false, b
-			}
-		case b&parkFlitBit != 0:
-			if si.flitFree[e] <= 0 {
-				w.streak = si.parkStreak - 1
-				if m := si.met; m != nil {
-					m.EdgeStall(telemetry.CtrStallSharedPool, e)
-				}
-				return false, b
-			}
+		cause, e := parkTarget(b)
+		var holds bool
+		switch cause {
+		case telemetry.CtrStallFault:
+			holds = si.deadEdge[e]
+		case telemetry.CtrStallSharedPool:
+			holds = si.flitFree[e] <= 0
 		default:
-			if si.laneFree[e] <= 0 || (si.shared && si.flitFree[e] <= 0) {
-				w.streak = si.parkStreak - 1
-				if m := si.met; m != nil {
-					m.EdgeStall(telemetry.CtrStallLaneCredit, e)
-				}
-				return false, b
+			holds = si.laneFree[e] <= 0 || (si.shared && si.flitFree[e] <= 0)
+		}
+		if holds {
+			// A cached re-fail is a proven park-eligible verdict: the
+			// block already outlived a step and wakes are precise, so
+			// skip the rest of the probation (pure mechanism — park
+			// timing never changes results; see the park-hysteresis
+			// suite).
+			w.streak = si.parkStreak - 1
+			if m := si.met; m != nil {
+				m.EdgeStall(cause, e)
 			}
+			return false, b
 		}
 		w.blockedOn = -1
 	}
@@ -301,13 +291,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 			} else {
 				w.lastInj = int32(j)
 				if w.injectTime < 0 {
-					w.injectTime = int32(si.now + 1)
-					if m := si.met; m != nil {
-						m.Inc(telemetry.CtrInjects)
-					}
-					if tr := si.trc; tr != nil {
-						tr.Inject(si.now+1, w.id, w.d)
-					}
+					si.stampInject(w)
 				}
 			}
 			if c == w.d-1 {
@@ -333,14 +317,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 	if !moved {
 		if parkable && parkEdge >= 0 {
 			if m := si.met; m != nil {
-				switch {
-				case parkEdge&parkFaultBit != 0:
-					m.EdgeStall(telemetry.CtrStallFault, parkEdge&^parkFaultBit)
-				case parkEdge&parkFlitBit != 0:
-					m.EdgeStall(telemetry.CtrStallSharedPool, parkEdge&^parkFlitBit)
-				default:
-					m.EdgeStall(telemetry.CtrStallLaneCredit, parkEdge)
-				}
+				m.EdgeStall(parkTarget(parkEdge))
 			}
 			w.blockedOn = parkEdge
 			return false, parkEdge
@@ -463,13 +440,7 @@ func (si *Sim) tryAdvanceStretched(w *worm) bool {
 		prog[last+1] = 1
 		w.lastInj = int32(last) + 1
 		if w.injectTime < 0 {
-			w.injectTime = int32(si.now + 1)
-			if m := si.met; m != nil {
-				m.Inc(telemetry.CtrInjects)
-			}
-			if tr := si.trc; tr != nil {
-				tr.Inject(si.now+1, w.id, w.d)
-			}
+			si.stampInject(w)
 		}
 	}
 	if c == w.d-1 {
@@ -493,23 +464,7 @@ func (si *Sim) finishDeepMove(w *worm) (bool, int32) {
 		obs.OnAdvance(si.now+1, message.ID(w.id), int(w.prog[0])) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
 	}
 	if w.fHead >= w.l {
-		w.status = StatusDelivered
-		w.deliverTime = int32(si.now + 1)
-		si.delivered++
-		if m := si.met; m != nil {
-			m.Inc(telemetry.CtrDelivers)
-		}
-		if tr := si.trc; tr != nil {
-			tr.Deliver(si.now+1, w.id, w.deliverTime-w.injectTime)
-		}
-		si.freePath(w)
-		si.freeProg(w)
-		if obs := si.cfg.Observer; obs != nil {
-			obs.OnDeliver(si.now+1, message.ID(w.id)) //wormvet:allow hotalloc -- per-delivery observer hook; nil in measured configs
-		}
-		if cb := si.cfg.OnComplete; cb != nil {
-			cb(message.ID(w.id), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
-		}
+		si.retire(w, StatusDelivered)
 	} else {
 		w.status = StatusActive
 	}

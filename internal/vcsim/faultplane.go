@@ -50,7 +50,6 @@ import (
 	"fmt"
 
 	"wormhole/internal/fault"
-	"wormhole/internal/message"
 	"wormhole/internal/telemetry"
 )
 
@@ -130,16 +129,7 @@ func (si *Sim) applyFaults(upTo int, direct bool) {
 			// verdict: wake the whole fault queue. (Direct mode cannot
 			// have waiters — nothing is in flight during a jump.)
 			if si.faultQ != nil {
-				if q := si.faultQ[e]; len(q) > 0 {
-					random := si.cfg.Arbitration == ArbRandom
-					for _, k := range q {
-						si.stampParked(k, int32(si.now)) //wormvet:allow horizon -- now < maxSteps ≤ MaxHorizon
-						if !random {
-							si.wokenScratch = append(si.wokenScratch, k)
-						}
-					}
-					si.faultQ[e] = q[:0]
-				}
+				si.wakeAll(&si.faultQ[e])
 			}
 		}
 		// Outage-span accounting for the per-edge fault-time heatmap.
@@ -168,23 +158,6 @@ func (si *Sim) applyFaults(upTo int, direct bool) {
 	}
 }
 
-// killedDebt returns the buffer-slot debt kills currently impose on
-// edge e, for occupancy accounting (occupancy counts flits in buffers,
-// so kill debt — credits removed without a flit — is subtracted).
-//
-//wormvet:hotpath
-func (si *Sim) killedDebt(e int32) int32 {
-	if kl := si.killedLanes; kl != nil {
-		if k := kl[e]; k != 0 {
-			if si.deepMode {
-				return k * si.depth
-			}
-			return k
-		}
-	}
-	return 0
-}
-
 // faultRetriable reports whether a failed advance should go through the
 // retry policy instead of stalling: the block is a dead-edge verdict,
 // the header never left the source, and retries are enabled.
@@ -202,17 +175,7 @@ func (si *Sim) faultRetriable(w *worm, failEdge int32) bool {
 // caller removes the worm from its active structures.
 func (si *Sim) faultRetry(w *worm) {
 	if int(w.retries) >= si.retryMax {
-		w.status = StatusAborted
-		w.dropTime = int32(si.now + 1) //wormvet:allow horizon -- now < maxSteps ≤ MaxHorizon
-		si.aborted++
-		si.freePath(w)
-		si.freeProg(w)
-		if m := si.met; m != nil {
-			m.Inc(telemetry.CtrFaultAborts)
-		}
-		if cb := si.cfg.OnComplete; cb != nil {
-			cb(message.ID(w.id), w.messageStats())
-		}
+		si.retire(w, StatusAborted)
 		return
 	}
 	back := si.retryCap

@@ -8,7 +8,6 @@ package vcsim
 
 import (
 	"errors"
-	"fmt"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
@@ -28,12 +27,12 @@ var (
 	// when worms move, so no future injection can help.
 	ErrDeadlocked = errors.New("vcsim: network is deadlocked")
 
-	// The validation family below unifies the error contract across the
-	// incremental path (Inject/NewSim return them wrapped with context)
-	// and the batch path (newBatchSim panics with the same wrapped
-	// values, and RunChecked surfaces them as errors). Services in front
-	// of the simulator match with errors.Is to map a tenant's bad
-	// workload to a client error instead of crashing the job.
+	// The validation family below is one error contract for both ways in:
+	// NewSim and Inject return these wrapped with context, and the batch
+	// Run panics with the same wrapped values (validateConfig and spawn
+	// produce them for both). Services in front of the simulator match
+	// with errors.Is to map a tenant's bad workload to a client error
+	// instead of crashing the job.
 
 	// ErrBadConfig wraps every Config rejection: VirtualChannels < 1,
 	// negative LaneDepth or ParkStreak.
@@ -56,13 +55,7 @@ var (
 // messages streaming in there is no workload to derive a safe bound from,
 // so a zero horizon is rejected with ErrNoHorizon rather than guessed at.
 func NewSim(g *graph.Graph, cfg Config) (*Sim, error) {
-	if cfg.VirtualChannels < 1 {
-		return nil, fmt.Errorf("%w: VirtualChannels %d < 1", ErrBadConfig, cfg.VirtualChannels)
-	}
-	if err := validateArch(cfg); err != nil {
-		return nil, err
-	}
-	if err := validateFaults(g.NumEdges(), cfg); err != nil {
+	if err := validateConfig(g.NumEdges(), cfg); err != nil {
 		return nil, err
 	}
 	if cfg.MaxSteps <= 0 {
@@ -80,47 +73,52 @@ func NewSim(g *graph.Graph, cfg Config) (*Sim, error) {
 // the first step at or after its release, exactly like a batch release
 // list entry.
 func (si *Sim) Inject(msg message.Message, release int) (message.ID, error) {
-	if release < si.now {
-		return -1, fmt.Errorf("%w: release %d is before the current step %d", ErrPastRelease, release, si.now)
+	w, err := si.spawn(msg, release)
+	if err != nil {
+		return -1, err
 	}
-	if release > MaxHorizon {
-		return -1, fmt.Errorf("%w: release %d exceeds MaxHorizon %d", ErrOverHorizon, release, MaxHorizon)
+	si.pendPush(relKey(release, int(w.id)))
+	return message.ID(w.id), nil
+}
+
+// tick is the one way the clock moves, behind Step, StepTo and Drain: a
+// frozen or out-of-horizon simulator refuses; an idle span is jumped in
+// one go, up to limit (see NextEventTime for why that is exact); otherwise
+// released messages are admitted and one real step runs. A limit at or
+// before Now() forbids the jump, so the call is exactly one step.
+//
+//wormvet:hotpath
+func (si *Sim) tick(limit int) error {
+	if si.deadlocked {
+		return ErrDeadlocked
 	}
-	if msg.Length < 1 {
-		return -1, fmt.Errorf("%w: message length %d < 1", ErrBadMessage, msg.Length)
+	if si.now >= si.maxSteps {
+		si.truncated = true
+		return ErrHorizon
 	}
-	if msg.Length > MaxHorizon || len(msg.Path) > MaxHorizon {
-		return -1, fmt.Errorf("%w: message length %d / path %d exceeds MaxHorizon %d", ErrOverHorizon, msg.Length, len(msg.Path), MaxHorizon)
-	}
-	p := si.newPath(len(msg.Path))
-	for j, e := range msg.Path {
-		if int(e) < 0 || int(e) >= len(si.laneFree) {
-			return -1, fmt.Errorf("%w: path edge %d out of range [0,%d)", ErrBadMessage, e, len(si.laneFree))
+	if next := si.NextEventTime(); next != si.now && limit > si.now {
+		// Every step up to min(next, limit) — or all the way to limit
+		// when nothing is pending — would be pure clock. Jump, but never
+		// past the horizon the check above enforces step by step: a
+		// release beyond MaxSteps truncates the run there.
+		if next < 0 || next > limit {
+			next = limit
 		}
-		p[j] = int32(e)
+		if next > si.maxSteps {
+			next = si.maxSteps
+		}
+		if m := si.met; m != nil {
+			m.Jump(int64(next - si.now))
+		}
+		si.now = next
+		return nil
 	}
-	w, id := si.addWorm()
-	*w = worm{
-		id:          int32(id), //wormvet:allow horizon -- addWorm pins id < MaxHorizon
-		path:        p,
-		d:           int32(len(msg.Path)),
-		l:           int32(msg.Length),
-		release:     int32(release),
-		key:         si.policyKey(release, id),
-		injectTime:  -1,
-		deliverTime: -1,
-		dropTime:    -1,
-		parkedAt:    -1,
-		lastInj:     -1,
-		stretched:   true,
-		blockedOn:   -1,
+	si.admit()
+	si.step()
+	if si.deadlocked {
+		return ErrDeadlocked
 	}
-	if si.deepMode {
-		w.prog = si.newProg(msg.Length)
-	}
-	si.markPathRoles(p)
-	si.pendPush(relKey(release, id))
-	return message.ID(id), nil
+	return nil
 }
 
 // Step advances the simulation by exactly one flit step, admitting
@@ -132,21 +130,7 @@ func (si *Sim) Inject(msg message.Message, release int) (message.ID, error) {
 // including the step that detects it.
 //
 //wormvet:hotpath
-func (si *Sim) Step() error {
-	if si.deadlocked {
-		return ErrDeadlocked
-	}
-	if si.now >= si.maxSteps {
-		si.truncated = true
-		return ErrHorizon
-	}
-	si.admit()
-	si.step()
-	if si.deadlocked {
-		return ErrDeadlocked
-	}
-	return nil
-}
+func (si *Sim) Step() error { return si.tick(si.now) }
 
 // NextEventTime returns the earliest flit step at or after Now() whose
 // step can be anything but a pure idle step (one that only advances the
@@ -190,37 +174,27 @@ func (si *Sim) NextEventTime() int {
 //wormvet:hotpath
 func (si *Sim) StepTo(t int) error {
 	for si.now < t {
-		if si.deadlocked {
-			return ErrDeadlocked
-		}
-		if si.now >= si.maxSteps {
-			si.truncated = true
-			return ErrHorizon
-		}
-		next := si.NextEventTime()
-		if next != si.now {
-			// Idle span: every step up to min(next, t) — or all the way
-			// to t when nothing is pending — would be pure clock. Jump,
-			// but never past the horizon Step() enforces step by step.
-			if next < 0 || next > t {
-				next = t
-			}
-			if next > si.maxSteps {
-				next = si.maxSteps
-			}
-			if m := si.met; m != nil && next > si.now {
-				m.Jump(int64(next - si.now))
-			}
-			si.now = next
-			continue
-		}
-		si.admit()
-		si.step()
-		if si.deadlocked {
-			return ErrDeadlocked
+		if err := si.tick(t); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// Drain runs the simulation until every injected message has completed,
+// a deadlock freezes the network (Deadlocked), or the MaxSteps horizon is
+// exceeded (Truncated). Unlike repeated Step calls, Drain fast-forwards
+// across gaps where no message is eligible, so idle time costs nothing;
+// batch Run is exactly load-everything-then-Drain.
+//
+//wormvet:hotpath
+func (si *Sim) Drain() {
+	for {
+		t := si.NextEventTime()
+		if t < 0 || si.StepTo(t+1) != nil {
+			return
+		}
+	}
 }
 
 // Now returns the current flit step.

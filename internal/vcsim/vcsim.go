@@ -511,18 +511,6 @@ func Run(s *message.Set, release []int, cfg Config) Result {
 	return sim.Result()
 }
 
-// RunChecked is Run with the workload validation surfaced as a typed
-// error — ErrBadConfig, ErrBadMessage, or ErrOverHorizon, the same
-// family Inject and NewSim return — instead of a panic. Services
-// running tenant-submitted workloads use it to report a client error
-// rather than crash the job.
-func RunChecked(s *message.Set, release []int, cfg Config) (Result, error) {
-	if err := validateBatch(s, release, cfg); err != nil {
-		return Result{}, err
-	}
-	return Run(s, release, cfg), nil
-}
-
 // Sim is the incremental simulation engine: a resumable simulator state
 // that messages can be injected into while time advances. The lifecycle
 // is
@@ -805,8 +793,8 @@ func emptySim(numEdges int, cfg Config) *Sim {
 		if bcap <= 0 {
 			bcap = 1024
 		}
-		si.retryBase = int32(base) //wormvet:allow horizon -- validateArch bounds Backoff ≤ MaxHorizon
-		si.retryCap = int32(bcap)  //wormvet:allow horizon -- validateArch bounds BackoffCap ≤ MaxHorizon
+		si.retryBase = int32(base) //wormvet:allow horizon -- validateFaults bounds Backoff ≤ MaxHorizon
+		si.retryCap = int32(bcap)  //wormvet:allow horizon -- validateFaults bounds BackoffCap ≤ MaxHorizon
 	}
 	return si
 }
@@ -988,12 +976,15 @@ func (si *Sim) markPathRoles(p []int32) {
 	}
 }
 
-// validateArch rejects nonsensical buffer-architecture and hysteresis
-// settings; both constructors share it (the batch path panics on the
-// returned error, the incremental path returns it). Every rejection
+// validateConfig is the one statement of what a Config must satisfy
+// before a Sim is built over numEdges channels; NewSim and RestoreSim
+// return its error, the batch loader panics with it. Every rejection
 // wraps ErrBadConfig or — for the 32-bit time-counter bound —
 // ErrOverHorizon, so callers can errors.Is-classify it.
-func validateArch(cfg Config) error {
+func validateConfig(numEdges int, cfg Config) error {
+	if cfg.VirtualChannels < 1 {
+		return fmt.Errorf("%w: VirtualChannels %d < 1", ErrBadConfig, cfg.VirtualChannels)
+	}
 	if cfg.LaneDepth < 0 {
 		return fmt.Errorf("%w: LaneDepth %d < 0", ErrBadConfig, cfg.LaneDepth)
 	}
@@ -1003,53 +994,74 @@ func validateArch(cfg Config) error {
 	if cfg.MaxSteps > MaxHorizon {
 		return fmt.Errorf("%w: MaxSteps %d exceeds MaxHorizon %d", ErrOverHorizon, cfg.MaxSteps, MaxHorizon)
 	}
-	return nil
+	return validateFaults(numEdges, cfg)
 }
 
-// validateBatch applies the batch wrapper's workload checks, returning
-// the same typed error family the incremental path (NewSim, Inject)
-// uses: ErrBadConfig, ErrBadMessage, ErrOverHorizon.
-func validateBatch(s *message.Set, release []int, cfg Config) error {
-	if cfg.VirtualChannels < 1 {
-		return fmt.Errorf("%w: VirtualChannels %d < 1", ErrBadConfig, cfg.VirtualChannels)
+// spawn is where a worm is born, for the batch loader and Inject alike:
+// it checks the message and its release time, copies the path and returns
+// the new worm. Everything is validated before a buffer is taken, so a
+// rejected message costs no freelist entry and no arena space. Queueing
+// the release key is the caller's job — Inject inserts in order, the
+// batch loader appends everything and sorts once.
+func (si *Sim) spawn(msg message.Message, release int) (*worm, error) {
+	switch {
+	case release < 0:
+		return nil, fmt.Errorf("%w: negative release time %d", ErrBadMessage, release)
+	case release < si.now:
+		return nil, fmt.Errorf("%w: release %d is before the current step %d", ErrPastRelease, release, si.now)
+	case release > MaxHorizon:
+		return nil, fmt.Errorf("%w: release %d exceeds MaxHorizon %d", ErrOverHorizon, release, MaxHorizon)
+	case msg.Length < 1:
+		return nil, fmt.Errorf("%w: message length %d < 1", ErrBadMessage, msg.Length)
+	case msg.Length > MaxHorizon || len(msg.Path) > MaxHorizon:
+		return nil, fmt.Errorf("%w: message length %d / path %d exceeds MaxHorizon %d", ErrOverHorizon, msg.Length, len(msg.Path), MaxHorizon)
 	}
-	if err := validateArch(cfg); err != nil {
-		return err
-	}
-	if err := validateFaults(s.G.NumEdges(), cfg); err != nil {
-		return err
-	}
-	if release != nil && len(release) != s.Len() {
-		return fmt.Errorf("%w: %d release times for %d messages", ErrBadMessage, len(release), s.Len())
-	}
-	for i := 0; i < s.Len(); i++ {
-		msg := s.Get(message.ID(i))
-		if msg.Length > MaxHorizon || len(msg.Path) > MaxHorizon {
-			return fmt.Errorf("%w: message %d length %d / path %d exceeds MaxHorizon", ErrOverHorizon, i, msg.Length, len(msg.Path))
-		}
-		if release == nil {
-			continue
-		}
-		if release[i] < 0 {
-			return fmt.Errorf("%w: negative release time for message %d", ErrBadMessage, i)
-		}
-		if release[i] > MaxHorizon {
-			return fmt.Errorf("%w: release time %d for message %d exceeds MaxHorizon", ErrOverHorizon, release[i], i)
+	for _, e := range msg.Path {
+		if int(e) < 0 || int(e) >= len(si.laneFree) {
+			return nil, fmt.Errorf("%w: path edge %d out of range [0,%d)", ErrBadMessage, e, len(si.laneFree))
 		}
 	}
-	return nil
+	p := si.newPath(len(msg.Path))
+	for j, e := range msg.Path {
+		p[j] = int32(e)
+	}
+	w, id := si.addWorm()
+	*w = worm{
+		id:          int32(id), //wormvet:allow horizon -- addWorm pins id < MaxHorizon
+		path:        p,
+		d:           int32(len(msg.Path)),
+		l:           int32(msg.Length),
+		release:     int32(release),
+		key:         si.policyKey(release, id),
+		injectTime:  -1,
+		deliverTime: -1,
+		dropTime:    -1,
+		parkedAt:    -1,
+		lastInj:     -1,
+		stretched:   true,
+		blockedOn:   -1,
+	}
+	if si.deepMode {
+		w.prog = si.newProg(msg.Length)
+	}
+	si.markPathRoles(p)
+	return w, nil
 }
 
 // newBatchSim loads a complete message set, deriving the MaxSteps safety
 // bound from the workload when the config leaves it at 0 (which is only
 // meaningful here: the batch workload is finite and fully known). A bad
-// workload panics with the typed validation error — RunChecked is the
-// non-panicking front end.
+// config or workload panics with the typed validation error — the same
+// ErrBadConfig / ErrBadMessage / ErrOverHorizon family NewSim and Inject
+// return.
 func newBatchSim(s *message.Set, release []int, cfg Config) *Sim {
-	if err := validateBatch(s, release, cfg); err != nil {
+	if err := validateConfig(s.G.NumEdges(), cfg); err != nil {
 		panic(err)
 	}
 	n := s.Len()
+	if release != nil && len(release) != n {
+		panic(fmt.Errorf("%w: %d release times for %d messages", ErrBadMessage, len(release), n))
+	}
 	si := emptySim(s.G.NumEdges(), cfg)
 	si.pending = make([]uint64, 0, n)
 	si.active = make([]uint64, 0, n)
@@ -1064,36 +1076,18 @@ func newBatchSim(s *message.Set, release []int, cfg Config) *Sim {
 		if rel > maxRelease {
 			maxRelease = rel
 		}
-		p := si.arena.alloc(len(msg.Path))
-		for j, e := range msg.Path {
-			p[j] = int32(e)
-		}
-		w, id := si.addWorm()
-		*w = worm{
-			id:          int32(id), //wormvet:allow horizon -- addWorm pins id < MaxHorizon
-			path:        p,
-			d:           int32(len(msg.Path)), //wormvet:allow horizon -- validateBatch bounds len(msg.Path) ≤ MaxHorizon above
-			l:           int32(msg.Length),    //wormvet:allow horizon -- validateBatch bounds msg.Length ≤ MaxHorizon above
-			release:     int32(rel),
-			key:         si.policyKey(rel, id),
-			injectTime:  -1,
-			deliverTime: -1,
-			dropTime:    -1,
-			parkedAt:    -1,
-			lastInj:     -1,
-			stretched:   true,
-			blockedOn:   -1,
+		w, err := si.spawn(msg, rel)
+		if err != nil {
+			panic(fmt.Errorf("message %d: %w", i, err))
 		}
 		if si.deepMode {
-			w.prog = si.newProg(msg.Length)
 			// A deep step may move as little as one flit, so the safety
 			// bound counts flit moves (L·D per worm), not worm moves.
-			work += len(p)*msg.Length + msg.Length
+			work += len(msg.Path)*msg.Length + msg.Length
 		} else {
-			work += len(p) + msg.Length
+			work += len(msg.Path) + msg.Length
 		}
-		si.markPathRoles(p)
-		si.pending = append(si.pending, relKey(rel, id))
+		si.pending = append(si.pending, relKey(rel, int(w.id)))
 	}
 	if si.maxSteps == 0 {
 		// Any non-deadlocked run advances at least one worm per step, so
@@ -1109,38 +1103,6 @@ func newBatchSim(s *message.Set, release []int, cfg Config) *Sim {
 	// policies treat as the base ordering.
 	slices.Sort(si.pending)
 	return si
-}
-
-// Drain runs the simulation until every injected message has completed,
-// a deadlock freezes the network (Deadlocked), or the MaxSteps horizon is
-// exceeded (Truncated). Unlike repeated Step calls, Drain fast-forwards
-// across gaps where no message is eligible, so idle time costs nothing;
-// batch Run is exactly load-everything-then-Drain.
-//
-//wormvet:hotpath
-func (si *Sim) Drain() {
-	for si.inFlight() > 0 || si.pendLen() > 0 {
-		// Fast-forward across gaps where nothing is eligible — but never
-		// past the horizon: a release beyond MaxSteps truncates the run
-		// at the horizon instead of executing steps past the bound that
-		// Step() enforces.
-		if si.inFlight() == 0 && keyRelease(si.pendFirst()) > si.now {
-			prev := si.now
-			si.now = keyRelease(si.pendFirst())
-			if si.now > si.maxSteps {
-				si.now = si.maxSteps
-			}
-			if m := si.met; m != nil && si.now > prev {
-				m.Jump(int64(si.now - prev))
-			}
-		}
-		if si.now >= si.maxSteps {
-			si.truncated = true
-			return
-		}
-		si.admit()
-		si.step()
-	}
 }
 
 // inFlight counts released, incomplete worms the stepper still owes work
@@ -1323,27 +1285,11 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 		// Source equals destination: delivered in the step after release.
 		// Event times follow the Config.Observer convention — an event
 		// processed in the step from t to t+1 reports time t+1 — exactly
-		// like every positive-length path.
+		// like every positive-length path. No edge is crossed, so the ending
+		// counts as an inject and a delivery but not as an advance.
 		w.frontier = w.l // mark complete
-		w.status = StatusDelivered
-		w.injectTime = int32(si.now + 1)
-		w.deliverTime = int32(si.now + 1)
-		si.delivered++
-		si.freeProg(w)
-		if m := si.met; m != nil {
-			m.Inc(telemetry.CtrInjects)
-			m.Inc(telemetry.CtrDelivers)
-		}
-		if tr := si.trc; tr != nil {
-			tr.Inject(si.now+1, w.id, w.d)
-			tr.Deliver(si.now+1, w.id, 0)
-		}
-		if obs := si.cfg.Observer; obs != nil {
-			obs.OnDeliver(si.now+1, message.ID(w.id)) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
-		}
-		if cb := si.cfg.OnComplete; cb != nil {
-			cb(message.ID(w.id), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
-		}
+		si.stampInject(w)
+		si.retire(w, StatusDelivered)
 		return true, -1
 	}
 	path := w.path
@@ -1404,13 +1350,7 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 		si.touch(e)
 	}
 	if w.injectTime < 0 {
-		w.injectTime = int32(si.now + 1)
-		if m := si.met; m != nil {
-			m.Inc(telemetry.CtrInjects)
-		}
-		if tr := si.trc; tr != nil {
-			tr.Inject(si.now+1, w.id, w.d)
-		}
+		si.stampInject(w)
 	}
 	w.frontier++
 	if m := si.met; m != nil {
@@ -1423,31 +1363,86 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 		obs.OnAdvance(si.now+1, message.ID(w.id), int(w.frontier)) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
 	}
 	if w.complete() {
-		w.status = StatusDelivered
-		w.deliverTime = int32(si.now + 1)
-		si.delivered++
-		if m := si.met; m != nil {
-			m.Inc(telemetry.CtrDelivers)
-		}
-		if tr := si.trc; tr != nil {
-			tr.Deliver(si.now+1, w.id, w.deliverTime-w.injectTime)
-		}
-		// The path is never consulted again; freeing it shrinks a
-		// completed worm to its fixed-size struct and stats. (The struct
-		// itself is retained so IDs keep indexing worms and Result can
-		// report per-message stats; a long-lived open-loop Sim therefore
-		// still grows by ~one small struct per message.)
-		si.freePath(w)
-		if obs := si.cfg.Observer; obs != nil {
-			obs.OnDeliver(si.now+1, message.ID(w.id)) //wormvet:allow hotalloc -- per-delivery observer hook; nil in measured configs
-		}
-		if cb := si.cfg.OnComplete; cb != nil {
-			cb(message.ID(w.id), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
-		}
+		si.retire(w, StatusDelivered)
 	} else {
 		w.status = StatusActive
 	}
 	return true, -1
+}
+
+// stampInject records the step a worm's header first enters the network
+// (or, for a zero-length path, its one and only step).
+//
+//wormvet:hotpath
+func (si *Sim) stampInject(w *worm) {
+	w.injectTime = int32(si.now + 1)
+	if m := si.met; m != nil {
+		m.Inc(telemetry.CtrInjects)
+	}
+	if tr := si.trc; tr != nil {
+		tr.Inject(si.now+1, w.id, w.d)
+	}
+}
+
+// retire is how a message ends, whichever way it ends: delivered (rigid,
+// deep or zero-length), dropped by drop-on-delay, or aborted by the
+// fault-retry policy. It stamps the final status and event time, moves
+// the matching tally and counter, recycles the worm's buffers and fires
+// the hooks — OnComplete last, exactly once, with the final stats. Event
+// times follow the Observer convention (an ending processed in the step
+// from t to t+1 reports t+1). An abort is deliberately quiet: the worm
+// never entered the network, so there is no trace event and no Observer
+// callback to pair with one. The caller has already released whatever
+// credits the worm held.
+//
+//wormvet:hotpath
+func (si *Sim) retire(w *worm, status Status) {
+	stamp := int32(si.now + 1)
+	now, id := int(stamp), message.ID(w.id)
+	m, tr, obs := si.met, si.trc, si.cfg.Observer
+	w.status = status
+	switch status {
+	case StatusDelivered:
+		w.deliverTime = stamp
+		si.delivered++
+		if m != nil {
+			m.Inc(telemetry.CtrDelivers)
+		}
+		if tr != nil {
+			tr.Deliver(now, w.id, w.deliverTime-w.injectTime)
+		}
+		if obs != nil {
+			obs.OnDeliver(now, id) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
+		}
+	case StatusDropped:
+		w.dropTime = stamp
+		si.dropped++
+		if m != nil {
+			m.Inc(telemetry.CtrDrops)
+		}
+		if tr != nil {
+			tr.Drop(now, w.id, w.frontier)
+		}
+		if obs != nil {
+			obs.OnDrop(now, id) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
+		}
+	case StatusAborted:
+		w.dropTime = stamp
+		si.aborted++
+		if m != nil {
+			m.Inc(telemetry.CtrFaultAborts)
+		}
+	}
+	// The path and progress buffers are never consulted again; freeing
+	// them shrinks a finished worm to its fixed-size struct and stats.
+	// (The struct itself is retained so IDs keep indexing worms and Result
+	// can report per-message stats; a long-lived open-loop Sim therefore
+	// still grows by ~one small struct per message.)
+	si.freePath(w)
+	si.freeProg(w)
+	if cb := si.cfg.OnComplete; cb != nil {
+		cb(id, w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
+	}
 }
 
 // drop discards worm w, releasing all buffer credits it occupies (visible
@@ -1462,23 +1457,7 @@ func (si *Sim) drop(w *worm) {
 			si.touch(e)
 		}
 	}
-	w.status = StatusDropped
-	w.dropTime = int32(si.now + 1)
-	si.freePath(w)
-	si.freeProg(w)
-	si.dropped++
-	if m := si.met; m != nil {
-		m.Inc(telemetry.CtrDrops)
-	}
-	if tr := si.trc; tr != nil {
-		tr.Drop(si.now+1, w.id, w.frontier)
-	}
-	if obs := si.cfg.Observer; obs != nil {
-		obs.OnDrop(si.now+1, message.ID(w.id))
-	}
-	if cb := si.cfg.OnComplete; cb != nil {
-		cb(message.ID(w.id), w.messageStats())
-	}
+	si.retire(w, StatusDropped)
 }
 
 // freePath retires a finished worm's path buffer: recycled through the
@@ -1541,8 +1520,7 @@ func (si *Sim) touchMax(e int32) {
 //
 //wormvet:hotpath
 func (si *Sim) applyStepEnd() {
-	m := si.met
-	if m != nil {
+	if m := si.met; m != nil {
 		m.StepGauges(len(si.dirty), si.parked)
 	}
 	if si.faults != nil {
@@ -1554,23 +1532,13 @@ func (si *Sim) applyStepEnd() {
 		si.dirtyFlag[e] = 0
 		si.laneFree[e] += si.relLane[e]
 		si.relLane[e] = 0
-		var occ int32
 		if si.deepMode {
 			si.flitFree[e] += si.relFlit[e]
 			si.relFlit[e] = 0
-			occ = si.poolCap - si.flitFree[e]
-		} else {
-			occ = si.bI32 - si.laneFree[e]
 		}
-		occ -= si.killedDebt(e)
-		if int(occ) > si.maxOccupied {
-			si.maxOccupied = int(occ)
-		}
-		if m != nil {
-			// Dirty edges are exactly the ones whose persistent occupancy
-			// can have changed, so folding the integral here is exact.
-			m.EdgeOccupancy(e, int64(occ), int64(si.now)+1)
-		}
+		// Dirty edges are exactly the ones whose persistent occupancy can
+		// have changed, so folding the metrics integral here is exact.
+		occ := si.probeOccupancy(e)
 		if tr := si.trc; tr != nil {
 			tr.Credit(si.now+1, e, occ)
 		}
@@ -1587,19 +1555,7 @@ func (si *Sim) applyStepEnd() {
 			continue
 		}
 		si.dirtyFlag[e] = 0
-		var occ int32
-		if si.deepMode {
-			occ = si.poolCap - si.flitFree[e]
-		} else {
-			occ = si.bI32 - si.laneFree[e]
-		}
-		occ -= si.killedDebt(e)
-		if int(occ) > si.maxOccupied {
-			si.maxOccupied = int(occ)
-		}
-		if m != nil {
-			m.EdgeOccupancy(e, int64(occ), int64(si.now)+1)
-		}
+		si.probeOccupancy(e)
 	}
 	si.dirtyMax = si.dirtyMax[:0]
 	si.mergeWoken()
@@ -1650,7 +1606,8 @@ func (si *Sim) finishAsDeadlocked() {
 
 // lanesInUse returns edge e's persistent lane occupancy (worms buffered in
 // the rigid model, distinct worms in deep mode) — the quantity the
-// pre-arena engine kept as slotsUsed. Invariant checks and tests use it.
+// pre-arena engine kept as slotsUsed. Occupancy counts flits in buffers,
+// so kill debt — credits a fault removed without a flit — is subtracted.
 //
 //wormvet:hotpath
 func (si *Sim) lanesInUse(e int) int32 {
@@ -1661,7 +1618,8 @@ func (si *Sim) lanesInUse(e int) int32 {
 	return n
 }
 
-// flitsInUse returns edge e's persistent flit occupancy (deep mode).
+// flitsInUse returns edge e's persistent flit occupancy (deep mode), net
+// of kill debt like lanesInUse.
 //
 //wormvet:hotpath
 func (si *Sim) flitsInUse(e int) int32 {
@@ -1670,6 +1628,27 @@ func (si *Sim) flitsInUse(e int) int32 {
 		n -= si.killedLanes[e] * si.depth
 	}
 	return n
+}
+
+// probeOccupancy reads edge e's buffer occupancy at step end — flits under
+// the deep engine, lanes under the rigid one — into the MaxOccupied
+// high-water mark and the metrics occupancy integral, and returns it.
+//
+//wormvet:hotpath
+func (si *Sim) probeOccupancy(e int32) int32 {
+	var occ int32
+	if si.deepMode {
+		occ = si.flitsInUse(int(e))
+	} else {
+		occ = si.lanesInUse(int(e))
+	}
+	if int(occ) > si.maxOccupied {
+		si.maxOccupied = int(occ)
+	}
+	if m := si.met; m != nil {
+		m.EdgeOccupancy(e, int64(occ), int64(si.now)+1)
+	}
+	return occ
 }
 
 // checkInvariants asserts model invariants; it panics on violation so test

@@ -78,98 +78,69 @@ func (si *Sim) stepWakeup() {
 		si.shuffler.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] }) //wormvet:allow hotalloc -- shuffle swap closure does not escape (escape harness)
 	}
 
-	moved := false
-	droppedAny := false
-	faultActed := false
+	// progressed: some worm moved, was dropped, or went through the fault
+	// retry policy — the configuration changed, so this step cannot be the
+	// one that proves a deadlock.
+	progressed := false
 	// Parked worms are eligible-but-blocked: they count for deadlock
 	// detection exactly as their futile attempts did in the naive scan.
 	anyEligible := len(order) > 0 || si.parked > 0
 
-	if random {
-		needCompact := false
-		for _, k := range order {
-			w := si.wormK(k)
-			if w.parkedAt >= 0 {
-				continue // would fail; charged lazily
-			}
-			ok, slotEdge := si.tryMove(w)
-			switch {
-			case ok:
-				moved = true
-				w.streak = 0
-				w.woken = false
-				if w.status == StatusDelivered {
-					needCompact = true
-				}
-			case si.cfg.DropOnDelay:
-				si.drop(w) //wormvet:allow hotalloc -- drop path: per-drop cost is accepted in drop-on-delay runs
-				droppedAny = true
-				needCompact = true
-			case si.faultRetriable(w, slotEdge):
-				// Dead first edge, header still at the source: one stall
-				// for the failed attempt (as the naive scan charges), then
-				// back to the pending queue — or aborted — immediately, no
-				// probation.
-				w.stalls++
-				si.totalStalls++
-				si.faultRetry(w) //wormvet:allow hotalloc -- fault-retry path: per-retry cost accepted under an outage
-				faultActed = true
-				needCompact = true
-			case slotEdge >= 0 && w.streak >= si.parkStreak-1:
-				w.streak = 0
-				si.park(w, k, slotEdge)
-			default:
-				// Probation, or a transient bandwidth block (crossing
-				// capacity resets every step): retry next step.
-				w.streak++
-				w.stalls++
-				si.totalStalls++
-			}
+	// One loop serves both list disciplines. Under the deterministic
+	// policies the active list is maintained directly in policy order, so
+	// it is the order: compact it in place, keeping only worms that remain
+	// unparked contenders (the write cursor never passes the read
+	// position). Under ArbRandom order is a shuffled copy and parked worms
+	// stay listed (and are skipped), so the list is filtered afterwards,
+	// and only when somebody left it for good: delivered, dropped,
+	// aborted, or back in the pending queue.
+	keep := si.active[:0]
+	left := false
+	for _, k := range order {
+		w := si.wormK(k)
+		if random && w.parkedAt >= 0 {
+			continue // would fail; charged lazily
 		}
-		if needCompact {
-			si.active = si.reapList(si.active)
-		}
-	} else {
-		// The active list is maintained directly in policy order, so it
-		// is the order; compact it in place as worms complete or park
-		// (the write cursor never passes the read position).
-		keep := si.active[:0]
-		for _, k := range order {
-			w := si.wormK(k)
-			ok, slotEdge := si.tryMove(w)
-			switch {
-			case ok:
-				moved = true
-				w.streak = 0
-				w.woken = false
-				if w.status != StatusDelivered {
-					keep = append(keep, k)
-				}
-			case si.cfg.DropOnDelay:
-				si.drop(w) //wormvet:allow hotalloc -- drop path: per-drop cost is accepted in drop-on-delay runs
-				droppedAny = true
-			case si.faultRetriable(w, slotEdge):
-				// Dead first edge, header still at the source: one stall
-				// for the failed attempt (as the naive scan charges), then
-				// back to the pending queue — or aborted — immediately, no
-				// probation. Not kept: the worm left the active list.
-				w.stalls++
-				si.totalStalls++
-				si.faultRetry(w) //wormvet:allow hotalloc -- fault-retry path: per-retry cost accepted under an outage
-				faultActed = true
-			case slotEdge >= 0 && w.streak >= si.parkStreak-1:
-				w.streak = 0
-				si.park(w, k, slotEdge)
-			default:
-				// Probation, or a transient bandwidth block (crossing
-				// capacity resets every step): retry next step.
-				w.streak++
-				w.stalls++
-				si.totalStalls++
+		ok, slotEdge := si.tryMove(w)
+		switch {
+		case ok:
+			progressed = true
+			w.streak = 0
+			w.woken = false
+			if w.status == StatusDelivered {
+				left = true
+			} else if !random {
+				keep = append(keep, k)
+			}
+		case si.cfg.DropOnDelay:
+			si.drop(w) //wormvet:allow hotalloc -- drop path: per-drop cost is accepted in drop-on-delay runs
+			progressed, left = true, true
+		case si.faultRetriable(w, slotEdge):
+			// Dead first edge, header still at the source: one stall for
+			// the failed attempt (as the naive scan charges), then back to
+			// the pending queue — or aborted — immediately, no probation.
+			w.stalls++
+			si.totalStalls++
+			si.faultRetry(w) //wormvet:allow hotalloc -- fault-retry path: per-retry cost accepted under an outage
+			progressed, left = true, true
+		case slotEdge >= 0 && w.streak >= si.parkStreak-1:
+			w.streak = 0
+			si.park(w, k, slotEdge)
+		default:
+			// Probation, or a transient bandwidth block (crossing
+			// capacity resets every step): retry next step.
+			w.streak++
+			w.stalls++
+			si.totalStalls++
+			if !random {
 				keep = append(keep, k)
 			}
 		}
+	}
+	if !random {
 		si.active = keep
+	} else if left {
+		si.active = si.reapList(si.active)
 	}
 
 	si.applyStepEnd() // folds releases, wakes parked worms on slot events
@@ -179,7 +150,7 @@ func (si *Sim) stepWakeup() {
 		si.checkInvariants() //wormvet:allow hotalloc -- debug-gated by Config.CheckInvariants
 	}
 
-	if !moved && !droppedAny && !faultActed && anyEligible && !si.deadlockDeferred() {
+	if !progressed && anyEligible && !si.deadlockDeferred() {
 		// Every eligible worm is slot-blocked and slots free only when
 		// worms move; future releases cannot free slots. Frozen forever.
 		// (No wake can have fired this step: wakes need slot events, and
@@ -213,29 +184,77 @@ func (si *Sim) park(w *worm, k uint64, e int32) {
 	if tr := si.trc; tr != nil {
 		tr.Park(si.now+1, w.id, e)
 	}
-	switch {
-	case e&parkFaultBit != 0:
-		// Dead-edge wait: only the edge's revival changes the verdict, so
-		// the worm sits out all slot traffic on the fault queue.
-		si.heapPush(&si.faultQ[e&^parkFaultBit], k)
-	case e&parkFlitBit != 0:
-		si.heapPush(&si.waitQFlit[e&^parkFlitBit], k)
-	default:
-		si.heapPush(&si.waitQ[e], k)
-	}
+	si.heapPush(si.waitQueue(e), k)
 	si.parked++
 }
 
-// clearParkQueue empties the queue worm w is parked on (deadlock
-// teardown).
-func (si *Sim) clearParkQueue(w *worm) {
-	switch e := w.waitEdge; {
-	case e&parkFaultBit != 0:
-		si.faultQ[e&^parkFaultBit] = si.faultQ[e&^parkFaultBit][:0]
-	case e&parkFlitBit != 0:
-		si.waitQFlit[e&^parkFlitBit] = si.waitQFlit[e&^parkFlitBit][:0]
+// parkTarget decodes a park target (worm.waitEdge, worm.blockedOn, the
+// failure edge a kernel returns) into the bare edge and the stall cause
+// the block is charged to. The cause also names the kind of wait: a dead
+// edge (parkFaultBit), a shared-pool credit (parkFlitBit, see deep.go),
+// or — untagged — a lane.
+//
+//wormvet:nonalloc
+func parkTarget(t int32) (cause telemetry.Counter, e int32) {
+	switch {
+	case t&parkFaultBit != 0:
+		return telemetry.CtrStallFault, t &^ parkFaultBit
+	case t&parkFlitBit != 0:
+		return telemetry.CtrStallSharedPool, t &^ parkFlitBit
+	}
+	return telemetry.CtrStallLaneCredit, t
+}
+
+// waitQueue returns the wait queue park target t names. A dead-edge wait
+// sits on the fault queue, out of all slot traffic: only the edge's
+// revival changes that verdict.
+//
+//wormvet:hotpath
+func (si *Sim) waitQueue(t int32) *[]uint64 {
+	switch cause, e := parkTarget(t); cause {
+	case telemetry.CtrStallFault:
+		return &si.faultQ[e]
+	case telemetry.CtrStallSharedPool:
+		return &si.waitQFlit[e]
 	default:
-		si.waitQ[e] = si.waitQ[e][:0]
+		return &si.waitQ[e]
+	}
+}
+
+// wakeAll unparks every waiter on q, stamping stalls through the current
+// step: the worm would have failed this step too, since credit events fold
+// in only at step end. Under the deterministic policies the woken worms
+// are batched for one sorted merge back into the active list; ArbRandom's
+// waiters never left it, so waking is just unparking.
+//
+//wormvet:hotpath
+func (si *Sim) wakeAll(q *[]uint64) {
+	merge := si.cfg.Arbitration != ArbRandom
+	for _, k := range *q {
+		si.stampParked(k, int32(si.now))
+		if merge {
+			si.wokenScratch = append(si.wokenScratch, k)
+		}
+	}
+	*q = (*q)[:0]
+}
+
+// wakeBest unparks the n best-priority waiters on q — the only ones that
+// could win the n freed credits next step (see wakeEdge, wakeEdgeDeep for
+// why the rest would still fail). ArbRandom's per-step shuffle gives every
+// waiter a shot at any arbitration position, so no priority argument
+// applies and the whole queue wakes.
+//
+//wormvet:hotpath
+func (si *Sim) wakeBest(q *[]uint64, n int32) {
+	if si.cfg.Arbitration == ArbRandom {
+		si.wakeAll(q)
+		return
+	}
+	for ; n > 0 && len(*q) > 0; n-- {
+		k := si.heapPop(q)
+		si.stampParked(k, int32(si.now))
+		si.wokenScratch = append(si.wokenScratch, k)
 	}
 }
 
@@ -251,30 +270,15 @@ func (si *Sim) clearParkQueue(w *worm) {
 // cap == B: a worm holds a buffer slot on every body edge it would
 // cross, so at most B−1 rivals can cross such an edge and its body
 // flits never fail. Under RestrictedBandwidth (cap < B) that argument
-// breaks, so the whole queue wakes instead; likewise under ArbRandom,
-// whose per-step shuffle gives every waiter a shot at any arbitration
-// position (its waiters never left the active list, so waking is just
-// unparking). When the event leaves the edge full — grants outweighed
+// breaks, so the whole queue wakes instead (as it does under ArbRandom,
+// see wakeBest). When the event leaves the edge full — grants outweighed
 // releases — laneFree is zero, nobody can grant next step, and nobody
 // wakes.
-//
-// Stalls accrued through the current step are stamped on wake: the worm
-// would have failed this step too, since slot events fold in only at
-// step end. Under the deterministic policies woken worms are batched for
-// one sorted merge back into the active list.
 //
 //wormvet:hotpath
 func (si *Sim) wakeEdge(e int32) {
 	if si.deepMode {
 		si.wakeEdgeDeep(e)
-		return
-	}
-	q := &si.waitQ[e]
-	if si.cfg.Arbitration == ArbRandom {
-		for _, k := range *q {
-			si.stampParked(k, int32(si.now))
-		}
-		*q = (*q)[:0]
 		return
 	}
 	if si.cap < si.b || si.mixedFinal {
@@ -283,18 +287,10 @@ func (si *Sim) wakeEdge(e int32) {
 		// message's final edge and another's body edge, so a final-edge
 		// crossing (which holds no slot) can saturate a woken worm's body
 		// edge and fail it on bandwidth even at cap == B.
-		for _, k := range *q {
-			si.stampParked(k, int32(si.now))
-			si.wokenScratch = append(si.wokenScratch, k)
-		}
-		*q = (*q)[:0]
+		si.wakeAll(&si.waitQ[e])
 		return
 	}
-	for free := si.laneFree[e]; free > 0 && len(*q) > 0; free-- {
-		k := si.heapPop(q)
-		si.stampParked(k, int32(si.now))
-		si.wokenScratch = append(si.wokenScratch, k)
-	}
+	si.wakeBest(&si.waitQ[e], si.laneFree[e])
 }
 
 // wakeEdgeDeep wakes edge e's deep-mode waiters whose resume condition
@@ -317,44 +313,19 @@ func (si *Sim) wakeEdge(e int32) {
 // A queue whose resume condition is false post-fold (the lane, or pool,
 // is still exhausted) stays parked entirely: waking it on unrelated
 // credit traffic is what made contended deep edges thrash their whole
-// backlog awake every step. ArbRandom keeps whole-queue unparks — its
-// per-step shuffle gives every waiter a shot at any arbitration
-// position, so no priority argument applies (its waiters never left
-// the active list; waking is just unparking).
+// backlog awake every step. ArbRandom keeps whole-queue unparks (see
+// wakeBest).
 //
 //wormvet:hotpath
 func (si *Sim) wakeEdgeDeep(e int32) {
-	random := si.cfg.Arbitration == ArbRandom
 	if q := &si.waitQ[e]; len(*q) > 0 && si.laneFree[e] > 0 && (!si.shared || si.flitFree[e] > 0) {
-		if random {
-			for _, k := range *q {
-				si.stampParked(k, int32(si.now))
-			}
-			*q = (*q)[:0]
-		} else {
-			for free := si.laneFree[e]; free > 0 && len(*q) > 0; free-- {
-				k := si.heapPop(q)
-				si.stampParked(k, int32(si.now))
-				si.wokenScratch = append(si.wokenScratch, k)
-			}
-		}
+		si.wakeBest(q, si.laneFree[e])
 	}
 	if si.waitQFlit == nil {
 		return
 	}
 	if q := &si.waitQFlit[e]; len(*q) > 0 && si.flitFree[e] > 0 {
-		if random {
-			for _, k := range *q {
-				si.stampParked(k, int32(si.now))
-			}
-			*q = (*q)[:0]
-		} else {
-			for free := si.flitFree[e]; free > 0 && len(*q) > 0; free-- {
-				k := si.heapPop(q)
-				si.stampParked(k, int32(si.now))
-				si.wokenScratch = append(si.wokenScratch, k)
-			}
-		}
+		si.wakeBest(q, si.flitFree[e])
 	}
 }
 
@@ -445,16 +416,7 @@ func (si *Sim) stampParked(k uint64, through int32) {
 		// the worm was waiting on — these are the steps its attempt would
 		// have failed there.
 		m.Inc(telemetry.CtrWakes)
-		cause := telemetry.CtrStallLaneCredit
-		e := w.waitEdge
-		switch {
-		case e&parkFaultBit != 0:
-			cause = telemetry.CtrStallFault
-			e &^= parkFaultBit
-		case e&parkFlitBit != 0:
-			cause = telemetry.CtrStallSharedPool
-			e &^= parkFlitBit
-		}
+		cause, e := parkTarget(w.waitEdge)
 		// The park-step attempt itself was already recorded by tryMove's
 		// EdgeStall, so only the remaining parked steps are added here —
 		// keeping the stall counters in lockstep with Result.TotalStalls.
@@ -532,34 +494,27 @@ func (si *Sim) insertActive(k uint64) {
 // reported in the detecting step's arbitration order, matching the list
 // the naive scan builds as its worms fail one by one.
 func (si *Sim) stampDeadlock(order []uint64) {
-	if si.cfg.Arbitration == ArbRandom {
-		// order is this step's shuffle over the full active list; with
-		// nothing moved or dropped, every entry is blocked.
-		si.blockedIDs = make([]message.ID, len(order))
-		for i, k := range order {
-			si.blockedIDs[i] = message.ID(uint32(k))
-			if w := si.wormK(k); w.parkedAt >= 0 {
-				si.clearParkQueue(w)
-				si.stampParked(k, int32(si.now)-1)
+	// Under ArbRandom order is this step's shuffle over the full active
+	// list; with nothing moved or dropped, every entry is blocked.
+	blocked := order
+	if si.cfg.Arbitration != ArbRandom {
+		// Blocked set = bandwidth-stalled survivors still on the active
+		// list plus every parked worm, in policy (= key) order.
+		blocked = make([]uint64, 0, len(si.active)+si.parked)
+		blocked = append(blocked, si.active...)
+		for i := 0; i < si.numWorms; i++ {
+			if w := si.worm(i); w.parkedAt >= 0 {
+				blocked = append(blocked, w.key)
 			}
 		}
-		return
+		slices.Sort(blocked)
 	}
-	// Blocked set = bandwidth-stalled survivors still on the active list
-	// plus every parked worm, in policy (= key) order.
-	blocked := make([]uint64, 0, len(si.active)+si.parked)
-	blocked = append(blocked, si.active...)
-	for i := 0; i < si.numWorms; i++ {
-		if w := si.worm(i); w.parkedAt >= 0 {
-			blocked = append(blocked, w.key)
-		}
-	}
-	slices.Sort(blocked)
 	si.blockedIDs = make([]message.ID, len(blocked))
 	for i, k := range blocked {
 		si.blockedIDs[i] = message.ID(uint32(k))
 		if w := si.wormK(k); w.parkedAt >= 0 {
-			si.clearParkQueue(w)
+			q := si.waitQueue(w.waitEdge)
+			*q = (*q)[:0]
 			si.stampParked(k, int32(si.now)-1)
 		}
 	}
