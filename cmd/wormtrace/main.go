@@ -11,12 +11,12 @@
 //	wormtrace -scenario ring -msgs 2 -b 2          # resolved by a 2nd VC
 //	wormtrace -scenario butterfly -msgs 6 -b 1
 //
-// -format selects the output: "ascii" (default) draws the in-terminal
-// space-time diagram; "chrome" emits Chrome trace-event JSON from the
-// telemetry event stream — open it in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. The ASCII reconstruction assumes rigid worms and
-// refuses deep-engine configs (-d > 1 or -shared); the chrome stream
-// records real events and handles both engines.
+// Every invocation is one run with a telemetry event ring attached, and
+// -format picks the renderer over its events: "ascii" (default) draws the
+// in-terminal space-time diagram; "chrome" emits them as Chrome trace-event
+// JSON — open it in Perfetto (ui.perfetto.dev) or chrome://tracing. The
+// ASCII reconstruction assumes rigid worms and refuses deep-engine configs
+// (-d > 1 or -shared); the chrome renderer handles both engines.
 package main
 
 import (
@@ -65,9 +65,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	switch {
+	case *format != "ascii" && *format != "chrome":
+		return usage(stderr, "unknown format %q (want ascii or chrome)", *format)
+	case *msgs < 0:
+		return usage(stderr, "-msgs %d: want 0 or more worms", *msgs)
+	case *l < 1 || *b < 1 || *d < 1:
+		return usage(stderr, "-l %d -b %d -d %d: flits per worm, virtual channels and lane depth must each be at least 1", *l, *b, *d)
+	}
+
 	var set *message.Set
 	switch *scenario {
 	case "line":
+		if *span < 0 {
+			return usage(stderr, "-span %d: want a path length of 0 or more", *span)
+		}
 		g := topology.NewLinearArray(*span + 1)
 		set = message.NewSet(g)
 		route := message.ShortestPathRouter(g)
@@ -75,6 +87,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			set.Add(0, graph.NodeID(*span), *l, route(0, graph.NodeID(*span)))
 		}
 	case "ring":
+		if *n < 2 {
+			return usage(stderr, "-n %d: a ring needs at least 2 nodes", *n)
+		}
 		r := deadlock.NewRing(*n, 1)
 		starts := make([]int, *msgs)
 		for i := range starts {
@@ -82,6 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		set = r.SparseWorkload(starts, *n-1, *l)
 	case "butterfly":
+		if *n < 2 || *n&(*n-1) != 0 {
+			return usage(stderr, "-n %d: a butterfly needs a power-of-two input count, at least 2", *n)
+		}
 		bf := topology.NewButterfly(*n)
 		set = message.NewSet(bf.G)
 		r := rng.New(*seed)
@@ -90,46 +108,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 			set.Add(bf.Input(src), bf.Output(dst), *l, bf.Route(src, dst))
 		}
 	default:
-		fmt.Fprintf(stderr, "wormtrace: unknown scenario %q\n", *scenario)
-		return 2
+		return usage(stderr, "unknown scenario %q", *scenario)
 	}
 
+	// One traced run, whatever the format. Every flit move is one advance
+	// event, so Σ(D+L) events bounds advances; 4× covers the
+	// park/wake/credit/inject/deliver envelope on these small scenarios.
+	capacity := 1024
+	for _, m := range set.Msgs {
+		capacity += 4 * (len(m.Path) + m.Length)
+	}
+	events := telemetry.NewTrace(capacity)
 	cfg := vcsim.Config{
 		VirtualChannels: *b,
 		LaneDepth:       *d,
 		SharedPool:      *shared,
 		DropOnDelay:     *drop,
+		Trace:           events,
 	}
-	switch *format {
-	case "ascii":
-		rec := trace.NewRecorder(set)
+	rec := trace.NewRecorder(set)
+	if *format == "ascii" {
 		if err := rec.Observe(&cfg); err != nil {
-			fmt.Fprintf(stderr, "wormtrace: %v\n", err)
-			return 2
+			return usage(stderr, "%v", err)
 		}
-		res := vcsim.Run(set, nil, cfg)
+	}
+	res := vcsim.Run(set, nil, cfg)
+	if lost := events.Dropped(); lost != 0 {
+		fmt.Fprintf(stderr, "wormtrace: event ring overflowed (%d events lost); the scenario is too large to trace\n", lost)
+		return 1
+	}
+	if *format == "ascii" {
 		fmt.Fprintf(stdout, "scenario=%s msgs=%d B=%d L=%d: steps=%d delivered=%d dropped=%d stalls=%d deadlocked=%v\n\n",
 			*scenario, set.Len(), *b, *l, res.Steps, res.Delivered, res.Dropped, res.TotalStalls, res.Deadlocked)
 		fmt.Fprint(stdout, rec.Render())
-	case "chrome":
-		// Size the ring for the whole run: every flit move is one advance
-		// event, so Σ(D+L) events bounds advances; 4× covers the
-		// park/wake/credit/inject/deliver envelope on these small scenarios.
-		capacity := 1024
-		for i := 0; i < set.Len(); i++ {
-			m := set.Get(message.ID(i))
-			capacity += 4 * (len(m.Path) + m.Length)
-		}
-		tr := telemetry.NewTrace(capacity)
-		cfg.Trace = tr
-		vcsim.Run(set, nil, cfg)
-		if err := telemetry.WriteChrome(stdout, tr.Events()); err != nil {
-			fmt.Fprintf(stderr, "wormtrace: %v\n", err)
-			return 1
-		}
-	default:
-		fmt.Fprintf(stderr, "wormtrace: unknown format %q (want ascii or chrome)\n", *format)
-		return 2
+	} else if err := telemetry.WriteChrome(stdout, events.Events()); err != nil {
+		fmt.Fprintf(stderr, "wormtrace: %v\n", err)
+		return 1
 	}
 	return 0
+}
+
+// usage reports a bad invocation in one line and returns exit code 2.
+func usage(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, "wormtrace: "+format+"\n", args...)
+	return 2
 }

@@ -70,6 +70,31 @@ func TestUnknownScenarioFails(t *testing.T) {
 	}
 }
 
+// TestBadFlagValuesExitTwo: a value the scenario builders or the
+// simulator would reject is caught after parsing and reported in one
+// line with exit code 2 — these all used to reach a panic (or makeslice)
+// and die with a goroutine dump.
+func TestBadFlagValuesExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "butterfly", "-n", "6"},
+		{"-scenario", "butterfly", "-n", "0"},
+		{"-scenario", "ring", "-n", "1"},
+		{"-msgs", "-1"},
+		{"-scenario", "ring", "-msgs", "-1"},
+		{"-l", "0"},
+		{"-b", "0"},
+		{"-span", "-1"},
+		{"-d", "-2", "-format", "chrome"},
+		{"-d", "0"},
+	} {
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 ||
+			!strings.HasPrefix(stderr, "wormtrace: ") || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%v: code=%d stdout=%q stderr=%q, want exit 2 with one wormtrace: line", args, code, stdout, stderr)
+		}
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	_, stderr, code := runCLI(t, "-h")
 	if code != 0 || !strings.Contains(stderr, "Usage") {

@@ -32,7 +32,9 @@ func run(title string, classes, b int, starts []int, render bool) {
 	cfg := wormhole.SimConfig{VirtualChannels: b}
 	if render {
 		rec = wormhole.NewTraceRecorder(set)
-		cfg.Observer = rec
+		if err := rec.Observe(&cfg); err != nil {
+			panic(err)
+		}
 	}
 	res := wormhole.Simulate(set, nil, cfg)
 	fmt.Printf("== %s ==\n", title)

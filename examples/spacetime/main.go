@@ -40,7 +40,9 @@ func buildWorkload() *wormhole.MessageSet {
 func show(title string, cfg wormhole.SimConfig) {
 	set := buildWorkload()
 	rec := wormhole.NewTraceRecorder(set)
-	cfg.Observer = rec
+	if err := rec.Observe(&cfg); err != nil {
+		panic(err)
+	}
 	res := wormhole.Simulate(set, nil, cfg)
 	fmt.Printf("== %s ==\n", title)
 	fmt.Printf("makespan %d flit steps, delivered %d, dropped %d, stalls %d\n\n",

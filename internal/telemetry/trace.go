@@ -5,8 +5,8 @@ import "fmt"
 // EventKind discriminates structured trace events.
 type EventKind uint8
 
-// Event kinds emitted by the simulator. The stream is a superset of the
-// vcsim.Observer callbacks: Observer sees advance/drop/deliver only.
+// Event kinds emitted by the simulator, its one per-event output. (The
+// space-time recorder in internal/trace reads advance/drop/deliver only.)
 const (
 	EvInject EventKind = iota + 1
 	EvAdvance

@@ -6,7 +6,9 @@
 // Usage:
 //
 //	rec := trace.NewRecorder(set)
-//	vcsim.Run(set, nil, vcsim.Config{VirtualChannels: 1, Observer: rec})
+//	cfg := vcsim.Config{VirtualChannels: 1}
+//	if err := rec.Observe(&cfg); err != nil { ... }
+//	vcsim.Run(set, nil, cfg)
 //	fmt.Println(rec.Render())
 //
 // The diagram has one row per network edge (in first-use order) and one
@@ -18,11 +20,13 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
+	"wormhole/internal/telemetry"
 	"wormhole/internal/vcsim"
 )
 
@@ -30,86 +34,111 @@ import (
 // (LaneDepth > 1 or SharedPool): the recorder's reconstruction assumes
 // rigid worms, whose full flit configuration is determined by the frontier
 // alone. A deep worm compresses — its flits pile up at non-consecutive
-// progress values the advance stream does not carry — so the diagram would
-// silently show flits on edges they never occupied. Use the telemetry
-// event stream (wormtrace -format chrome) for deep runs instead.
+// progress values, and a deep advance event carries the head position only
+// — so the diagram would silently show flits on edges they never occupied.
+// Read the event stream itself (wormtrace -format chrome) for deep runs.
 var ErrDeepRun = errors.New("trace: Recorder cannot reconstruct deep-engine runs (LaneDepth > 1 or SharedPool); use the telemetry event stream instead")
 
-// Recorder implements vcsim.Observer and reconstructs per-step buffer
-// occupancy from the advance stream. Because worms are rigid, a worm's
-// full flit configuration at any time is determined by its frontier, so
-// recording (time, frontier) pairs suffices. That assumption is exactly
-// the rigid engine's; attach the recorder through Observe, which rejects
-// deep-engine configurations with ErrDeepRun.
+// Recorder reconstructs per-step buffer occupancy from a run's
+// telemetry event stream. Because worms are rigid, a worm's full flit
+// configuration at any time is determined by its frontier, so the
+// (time, frontier) pairs of its advance events suffice. That assumption
+// is exactly the rigid engine's; attach the recorder through Observe,
+// which rejects deep-engine configurations with ErrDeepRun.
 type Recorder struct {
-	set *message.Set
-	// advances[m] lists the times at which message m advanced.
+	set  *message.Set
+	ring *telemetry.Trace // the run's event stream, set by Observe
+	// What the first query folds out of ring: the times at which each
+	// message advanced, its drop or deliver event (Kind 0 while in
+	// flight), and the last of those times.
 	advances [][]int32
-	drops    map[message.ID]int
-	delivers map[message.ID]int
+	ends     []telemetry.Event
 	lastTime int
 }
 
 // NewRecorder returns a recorder for runs over the given message set.
 // The same recorder must not be reused across runs.
-func NewRecorder(set *message.Set) *Recorder {
-	return &Recorder{
-		set:      set,
-		advances: make([][]int32, set.Len()),
-		drops:    make(map[message.ID]int),
-		delivers: make(map[message.ID]int),
-	}
-}
+func NewRecorder(set *message.Set) *Recorder { return &Recorder{set: set} }
 
-// Observe validates that cfg runs on the rigid engine and installs the
-// recorder as its Observer. Deep-engine configurations (LaneDepth > 1 or
-// SharedPool) are rejected with ErrDeepRun — the frontier-only advance
-// stream cannot reconstruct a compressed worm's flit placement.
+// Observe attaches the recorder to cfg's event stream: a ring the caller
+// set as cfg.Trace is kept, otherwise one sized for the message set is
+// installed. Deep-engine configurations (LaneDepth > 1 or SharedPool) are
+// rejected with ErrDeepRun and cfg is left untouched. Query the recorder
+// once the run has finished; the first query reads the ring.
 func (r *Recorder) Observe(cfg *vcsim.Config) error {
 	if cfg.LaneDepth > 1 || cfg.SharedPool {
 		return ErrDeepRun
 	}
-	cfg.Observer = r
+	if cfg.Trace == nil {
+		// Σ(D+L) bounds the advance events; 4× covers the inject/park/
+		// wake/credit envelope on the small instances a diagram is for.
+		capacity := 1024
+		for _, m := range r.set.Msgs {
+			capacity += 4 * (len(m.Path) + m.Length)
+		}
+		cfg.Trace = telemetry.NewTrace(capacity)
+	}
+	r.ring = cfg.Trace
 	return nil
 }
 
-// OnAdvance implements vcsim.Observer.
-func (r *Recorder) OnAdvance(time int, msg message.ID, frontier int) {
-	r.advances[msg] = append(r.advances[msg], int32(time))
-	if time > r.lastTime {
-		r.lastTime = time
+// fold reads the observed ring, once. Only advance, drop and deliver
+// events shape a diagram; every other kind is skipped, time included — a
+// deadlocked ring parks after its last advance, and that must not widen
+// the picture.
+func (r *Recorder) fold() {
+	if r.advances != nil {
+		return
+	}
+	r.advances = make([][]int32, r.set.Len())
+	r.ends = make([]telemetry.Event, r.set.Len())
+	if r.ring == nil {
+		return // never attached: an empty diagram
+	}
+	for _, ev := range r.ring.Events() {
+		switch ev.Kind {
+		case telemetry.EvAdvance: // in increasing time order
+			r.advances[ev.Msg] = append(r.advances[ev.Msg], ev.Time)
+		case telemetry.EvDrop, telemetry.EvDeliver:
+			r.ends[ev.Msg] = ev
+		default:
+			continue
+		}
+		r.lastTime = max(r.lastTime, int(ev.Time))
 	}
 }
 
-// OnDrop implements vcsim.Observer.
-func (r *Recorder) OnDrop(time int, msg message.ID) {
-	r.drops[msg] = time
-	if time > r.lastTime {
-		r.lastTime = time
-	}
+// Steps returns the time of the last advance, drop or delivery.
+func (r *Recorder) Steps() int {
+	r.fold()
+	return r.lastTime
 }
-
-// OnDeliver implements vcsim.Observer.
-func (r *Recorder) OnDeliver(time int, msg message.ID) {
-	r.delivers[msg] = time
-	if time > r.lastTime {
-		r.lastTime = time
-	}
-}
-
-// Steps returns the time of the last recorded event.
-func (r *Recorder) Steps() int { return r.lastTime }
 
 // frontierAt returns how many edges msg's header had crossed at time t,
 // or -1 if the worm was already dropped.
 func (r *Recorder) frontierAt(msg message.ID, t int) int {
-	if dropT, dropped := r.drops[msg]; dropped && t >= dropT {
+	r.fold()
+	if end := r.ends[msg]; end.Kind == telemetry.EvDrop && t >= int(end.Time) {
 		return -1
 	}
-	// Advances are recorded in increasing time order.
 	adv := r.advances[msg]
-	n := sort.Search(len(adv), func(i int) bool { return int(adv[i]) > t })
-	return n
+	return sort.Search(len(adv), func(i int) bool { return int(adv[i]) > t })
+}
+
+// occupied returns the stretch of msg's path whose buffers hold its flits
+// at time t: path indices f−L..f−1 for frontier f, clipped to the path
+// and to its last buffered edge (the final edge delivers, it has none).
+func (r *Recorder) occupied(msg message.ID, t int) graph.Path {
+	f := r.frontierAt(msg, t)
+	if f <= 0 {
+		return nil
+	}
+	m := r.set.Get(msg)
+	lo, hi := max(f-m.Length, 0), min(f-1, len(m.Path)-2)
+	if lo > hi {
+		return nil
+	}
+	return m.Path[lo : hi+1]
 }
 
 // OccupancyAt returns, for every edge holding at least one flit at time
@@ -118,21 +147,7 @@ func (r *Recorder) OccupancyAt(t int) map[graph.EdgeID][]message.ID {
 	occ := make(map[graph.EdgeID][]message.ID)
 	for i := 0; i < r.set.Len(); i++ {
 		id := message.ID(i)
-		f := r.frontierAt(id, t)
-		if f <= 0 {
-			continue
-		}
-		m := r.set.Get(id)
-		d, l := len(m.Path), m.Length
-		lo, hi := f-l, f-1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > d-2 {
-			hi = d - 2
-		}
-		for j := lo; j <= hi; j++ {
-			e := m.Path[j]
+		for _, e := range r.occupied(id, t) {
 			occ[e] = append(occ[e], id)
 		}
 	}
@@ -142,11 +157,15 @@ func (r *Recorder) OccupancyAt(t int) map[graph.EdgeID][]message.ID {
 // Render draws the space-time diagram. Rows are edges in first-use order
 // across all message paths; columns are flit steps 0..Steps(). Rendering
 // is intended for small instances; above maxCells cells it degrades to a
-// summary line.
+// summary line, and so does a ring that overwrote its oldest events: a
+// diagram missing early advances would be silently wrong.
 func (r *Recorder) Render() string {
 	const maxCells = 200000
 	edges, labels := r.edgeRows()
-	steps := r.lastTime
+	steps := r.Steps()
+	if r.ring != nil && r.ring.Dropped() != 0 {
+		return fmt.Sprintf("trace: event ring overflowed (%d events lost) — attach a larger telemetry.Trace\n", r.ring.Dropped())
+	}
 	if len(edges)*(steps+1) > maxCells {
 		return fmt.Sprintf("trace: %d edges × %d steps — too large to render\n", len(edges), steps+1)
 	}
@@ -174,24 +193,8 @@ func (r *Recorder) cellAt(e graph.EdgeID, t int) byte {
 	var owners []message.ID
 	for i := 0; i < r.set.Len(); i++ {
 		id := message.ID(i)
-		f := r.frontierAt(id, t)
-		if f <= 0 {
-			continue
-		}
-		m := r.set.Get(id)
-		d, l := len(m.Path), m.Length
-		lo, hi := f-l, f-1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > d-2 {
-			hi = d - 2
-		}
-		for j := lo; j <= hi; j++ {
-			if m.Path[j] == e {
-				owners = append(owners, id)
-				break
-			}
+		if slices.Contains(r.occupied(id, t), e) {
+			owners = append(owners, id)
 		}
 	}
 	switch {
@@ -248,10 +251,11 @@ func (r *Recorder) legend() string {
 	for i := 0; i < r.set.Len(); i++ {
 		id := message.ID(i)
 		fate := "in flight"
-		if t, ok := r.delivers[id]; ok {
-			fate = fmt.Sprintf("delivered@%d", t)
-		} else if t, ok := r.drops[id]; ok {
-			fate = fmt.Sprintf("dropped@%d", t)
+		switch end := r.ends[id]; end.Kind {
+		case telemetry.EvDeliver:
+			fate = fmt.Sprintf("delivered@%d", end.Time)
+		case telemetry.EvDrop:
+			fate = fmt.Sprintf("dropped@%d", end.Time)
 		}
 		if i > 0 {
 			b.WriteString(", ")
@@ -261,6 +265,3 @@ func (r *Recorder) legend() string {
 	b.WriteByte('\n')
 	return b.String()
 }
-
-// Assert the interface is satisfied.
-var _ vcsim.Observer = (*Recorder)(nil)

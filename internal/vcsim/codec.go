@@ -32,7 +32,7 @@ package vcsim
 // shuffler state, the run counters, and the telemetry registry.
 //
 // Restore-side configuration: the caller supplies the network and a
-// Config, because hooks (Observer, OnComplete, Metrics, Trace) cannot
+// Config, because hooks (OnComplete, Metrics, Trace) cannot
 // be serialized. Every schedule-relevant Config field is verified
 // against the snapshot and mismatch is an error (ErrSnapshotConfig);
 // CheckInvariants is free to differ — it is pure mechanism with
@@ -270,7 +270,7 @@ func (si *Sim) Snapshot(w io.Writer) error {
 
 // RestoreSim rebuilds a Sim from a Snapshot stream over the network g.
 // cfg supplies everything a snapshot cannot carry — the callback hooks
-// (Observer, OnComplete, Metrics, Trace) and the mechanism-only
+// (OnComplete, Metrics, Trace) and the mechanism-only
 // CheckInvariants knob — and must match the snapshot on every
 // schedule-relevant field: VirtualChannels, LaneDepth, SharedPool,
 // RestrictedBandwidth, DropOnDelay, Arbitration, Seed, MaxSteps,

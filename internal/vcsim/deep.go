@@ -77,7 +77,6 @@ package vcsim
 import (
 	"fmt"
 
-	"wormhole/internal/message"
 	"wormhole/internal/telemetry"
 )
 
@@ -450,7 +449,7 @@ func (si *Sim) tryAdvanceStretched(w *worm) bool {
 }
 
 // finishDeepMove is the shared post-advance epilogue of the deep engine's
-// two paths: observer callback, delivery detection, status update.
+// two paths: advance event, delivery detection, status update.
 //
 //wormvet:hotpath
 func (si *Sim) finishDeepMove(w *worm) (bool, int32) {
@@ -459,9 +458,6 @@ func (si *Sim) finishDeepMove(w *worm) (bool, int32) {
 	}
 	if tr := si.trc; tr != nil {
 		tr.Advance(si.now+1, w.id, w.prog[0])
-	}
-	if obs := si.cfg.Observer; obs != nil {
-		obs.OnAdvance(si.now+1, message.ID(w.id), int(w.prog[0])) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
 	}
 	if w.fHead >= w.l {
 		si.retire(w, StatusDelivered)

@@ -13,35 +13,23 @@ import (
 	"wormhole/internal/topology"
 )
 
-// eventLog records the Observer callbacks that name one message, with
-// runs of the same callback collapsed ("advance advance deliver" reads
-// "advance deliver").
-type eventLog struct {
-	id   message.ID
-	seen []string
-}
-
-func (l *eventLog) note(id message.ID, what string) {
-	if id == l.id && (len(l.seen) == 0 || l.seen[len(l.seen)-1] != what) {
-		l.seen = append(l.seen, what)
-	}
-}
-func (l *eventLog) OnAdvance(_ int, id message.ID, _ int) { l.note(id, "advance") }
-func (l *eventLog) OnDrop(_ int, id message.ID)           { l.note(id, "drop") }
-func (l *eventLog) OnDeliver(_ int, id message.ID)        { l.note(id, "deliver") }
-
 // TestTerminalEventContract pins what each of the five ways a message can
 // end does, hook by hook: OnComplete exactly once with the final stats,
-// which counters move, which trace events and Observer callbacks name the
-// message, and that its path/prog buffers go back to the freelists. The
-// asymmetries are deliberate and load-bearing for byte-identical
-// telemetry: a zero-length delivery is no advance, and a fault abort is
-// silent on the trace and the Observer.
+// which counters move, which trace events name the message (runs of one
+// kind collapsed: "advance advance deliver" reads "advance deliver"), and
+// that its path/prog buffers go back to the freelists. The asymmetries
+// are deliberate and load-bearing for byte-identical telemetry: a
+// zero-length delivery is no advance, a fault abort is silent on the
+// trace, and a drop reports where the header stood on either engine.
 func TestTerminalEventContract(t *testing.T) {
-	g := topology.NewLinearArray(4)
+	g := topology.NewLinearArray(6)
 	route := message.ShortestPathRouter(g)
 	long := message.Message{Src: 0, Dst: 3, Length: 2, Path: route(0, 3)}
 	self := message.Message{Src: 1, Dst: 1, Length: 2}
+	// blocker's tail sits on edge 2→3 long after chaser's header has
+	// crossed 0→1 and 1→2, so chaser is dropped mid-path, frontier 2.
+	blocker := message.Message{Src: 2, Dst: 5, Length: 8, Path: route(2, 5)}
+	chaser := message.Message{Src: 0, Dst: 5, Length: 3, Path: route(0, 5)}
 	outage := fault.Schedule{
 		{Step: 0, Edge: int(long.Path[0]), Kind: fault.KillEdge},
 		{Step: 1000, Edge: int(long.Path[0]), Kind: fault.ReviveEdge},
@@ -56,31 +44,31 @@ func TestTerminalEventContract(t *testing.T) {
 		status   Status
 		counters map[string]int64
 		trace    string
-		observer string
+		dropArg  int32 // EvDrop's Arg: the header's position at the drop
 	}{
 		{
 			name: "zero-length delivery", msgs: []message.Message{self},
 			status:   StatusDelivered,
 			counters: map[string]int64{"injects": 1, "delivers": 1, "advances": 0, "drops": 0, "fault_aborts": 0},
-			trace:    "inject deliver", observer: "deliver",
+			trace:    "inject deliver",
 		},
 		{
 			name: "zero-length delivery (deep)", msgs: []message.Message{self}, deep: true,
 			status:   StatusDelivered,
 			counters: map[string]int64{"injects": 1, "delivers": 1, "advances": 0, "drops": 0, "fault_aborts": 0},
-			trace:    "inject deliver", observer: "deliver",
+			trace:    "inject deliver",
 		},
 		{
 			name: "rigid delivery", msgs: []message.Message{long},
 			status:   StatusDelivered,
 			counters: map[string]int64{"injects": 1, "delivers": 1, "advances": advances, "drops": 0, "fault_aborts": 0},
-			trace:    "inject advance deliver", observer: "advance deliver",
+			trace:    "inject advance deliver",
 		},
 		{
 			name: "deep delivery", msgs: []message.Message{long}, deep: true,
 			status:   StatusDelivered,
 			counters: map[string]int64{"injects": 1, "delivers": 1, "advances": advances, "drops": 0, "fault_aborts": 0},
-			trace:    "inject advance deliver", observer: "advance deliver",
+			trace:    "inject advance deliver",
 		},
 		{
 			// Two worms want the one lane of the first edge in the same
@@ -89,35 +77,48 @@ func TestTerminalEventContract(t *testing.T) {
 			cfg:      Config{DropOnDelay: true},
 			status:   StatusDropped,
 			counters: map[string]int64{"injects": 1, "delivers": 1, "drops": 1, "fault_aborts": 0},
-			trace:    "drop", observer: "drop",
+			trace:    "drop",
 		},
 		{
 			name: "drop (deep)", msgs: []message.Message{long, long}, deep: true,
 			cfg:      Config{DropOnDelay: true},
 			status:   StatusDropped,
 			counters: map[string]int64{"injects": 1, "delivers": 1, "drops": 1, "fault_aborts": 0},
-			trace:    "drop", observer: "drop",
+			trace:    "drop",
+		},
+		{
+			name: "drop mid-path", msgs: []message.Message{blocker, chaser},
+			cfg:      Config{DropOnDelay: true},
+			status:   StatusDropped,
+			counters: map[string]int64{"injects": 2, "delivers": 1, "drops": 1, "fault_aborts": 0},
+			trace:    "inject advance drop", dropArg: 2,
+		},
+		{
+			name: "drop mid-path (deep)", msgs: []message.Message{blocker, chaser}, deep: true,
+			cfg:      Config{DropOnDelay: true},
+			status:   StatusDropped,
+			counters: map[string]int64{"injects": 2, "delivers": 1, "drops": 1, "fault_aborts": 0},
+			trace:    "inject advance drop", dropArg: 2,
 		},
 		{
 			name: "fault abort", msgs: []message.Message{long},
 			cfg:      Config{Faults: outage, Retry: RetryPolicy{MaxAttempts: 2, Backoff: 1, BackoffCap: 2}},
 			status:   StatusAborted,
 			counters: map[string]int64{"injects": 0, "delivers": 0, "advances": 0, "drops": 0, "fault_aborts": 1, "fault_retries": 2},
-			trace:    "", observer: "",
+			trace:    "",
 		},
 		{
 			name: "fault abort (deep)", msgs: []message.Message{long}, deep: true,
 			cfg:      Config{Faults: outage, Retry: RetryPolicy{MaxAttempts: 2, Backoff: 1, BackoffCap: 2}},
 			status:   StatusAborted,
 			counters: map[string]int64{"injects": 0, "delivers": 0, "advances": 0, "drops": 0, "fault_aborts": 1, "fault_retries": 2},
-			trace:    "", observer: "",
+			trace:    "",
 		},
 	}
 	for _, tc := range cases {
 		for _, naive := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/naive=%v", tc.name, naive), func(t *testing.T) {
 				target := message.ID(len(tc.msgs) - 1)
-				obs := &eventLog{id: target}
 				var completions []MessageStats
 				cfg := tc.cfg
 				cfg.VirtualChannels = 1
@@ -126,7 +127,6 @@ func TestTerminalEventContract(t *testing.T) {
 				cfg.CheckInvariants = true
 				cfg.Metrics = telemetry.NewMetrics()
 				cfg.Trace = telemetry.NewTrace(1 << 10)
-				cfg.Observer = obs
 				cfg.OnComplete = func(id message.ID, st MessageStats) {
 					if id == target {
 						completions = append(completions, st)
@@ -173,15 +173,18 @@ func TestTerminalEventContract(t *testing.T) {
 					case telemetry.EvCredit, telemetry.EvFault:
 						continue // Msg is an edge ID on these
 					}
-					if k := ev.Kind.String(); message.ID(ev.Msg) == target && (len(kinds) == 0 || kinds[len(kinds)-1] != k) {
+					if message.ID(ev.Msg) != target {
+						continue
+					}
+					if k := ev.Kind.String(); len(kinds) == 0 || kinds[len(kinds)-1] != k {
 						kinds = append(kinds, k)
+					}
+					if ev.Kind == telemetry.EvDrop && ev.Arg != tc.dropArg {
+						t.Errorf("drop event Arg = %d, want the header position %d", ev.Arg, tc.dropArg)
 					}
 				}
 				if got := strings.Join(kinds, " "); got != tc.trace {
 					t.Errorf("trace events %q, want %q", got, tc.trace)
-				}
-				if got := strings.Join(obs.seen, " "); got != tc.observer {
-					t.Errorf("observer callbacks %q, want %q", got, tc.observer)
 				}
 
 				// Buffers: the worm lets go of both, and every buffer that

@@ -109,10 +109,6 @@ type Config struct {
 	// 0 means the default of 8. The value is pure mechanism — results are
 	// byte-identical for every setting (pinned by regression tests).
 	ParkStreak int
-	// Observer, when non-nil, receives per-event callbacks (advances,
-	// drops, deliveries). Event times match the MessageStats convention:
-	// an event processed in the step from t to t+1 reports time t+1.
-	Observer Observer
 	// OnComplete, when non-nil, fires exactly once per message when it
 	// finishes — delivered or dropped — with its final MessageStats. Open-
 	// loop drivers use it to stream latencies without retaining per-message
@@ -125,10 +121,10 @@ type Config struct {
 	// simulation schedule is byte-identical either way. A Metrics must not
 	// be shared by concurrently running simulators.
 	Metrics *telemetry.Metrics
-	// Trace, when non-nil, receives the structured event stream — a strict
-	// superset of the Observer callbacks (inject/park/wake/credit events
-	// have no Observer equivalent). Same nil-gating and identity guarantees
-	// as Metrics.
+	// Trace, when non-nil, receives the structured event stream (see
+	// telemetry.Event), the kernel's one per-event hook. Times follow the
+	// MessageStats convention: an event processed in the step from t to t+1
+	// reports t+1. Same nil-gating and identity guarantees as Metrics.
 	Trace *telemetry.Trace
 	// Faults attaches a deterministic fault schedule (see internal/fault):
 	// scripted kill/revive events against lanes and whole edges, applied at
@@ -164,19 +160,6 @@ type RetryPolicy struct {
 // the cap would take days of wall clock; the bound exists so overflow is
 // an up-front error instead of silent corruption.)
 const MaxHorizon = math.MaxInt32 - 1
-
-// Observer receives simulation events; the trace package uses it to
-// reconstruct space-time diagrams. Implementations must not call back
-// into the simulator.
-type Observer interface {
-	// OnAdvance fires when a worm moves; frontier is the number of edges
-	// its header has crossed after the move.
-	OnAdvance(time int, msg message.ID, frontier int)
-	// OnDrop fires when drop-on-delay discards a worm.
-	OnDrop(time int, msg message.ID)
-	// OnDeliver fires when a worm's last flit reaches its destination.
-	OnDeliver(time int, msg message.ID)
-}
 
 // Status describes a message's final (or current) state.
 type Status int8
@@ -1283,7 +1266,7 @@ func (si *Sim) crossStamp() uint64 { return uint64(si.now+1) << 32 }
 func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 	if w.d == 0 {
 		// Source equals destination: delivered in the step after release.
-		// Event times follow the Config.Observer convention — an event
+		// Event times follow the Config.Trace convention — an event
 		// processed in the step from t to t+1 reports time t+1 — exactly
 		// like every positive-length path. No edge is crossed, so the ending
 		// counts as an inject and a delivery but not as an advance.
@@ -1359,9 +1342,6 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 	if tr := si.trc; tr != nil {
 		tr.Advance(si.now+1, w.id, w.frontier)
 	}
-	if obs := si.cfg.Observer; obs != nil {
-		obs.OnAdvance(si.now+1, message.ID(w.id), int(w.frontier)) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
-	}
 	if w.complete() {
 		si.retire(w, StatusDelivered)
 	} else {
@@ -1389,17 +1369,16 @@ func (si *Sim) stampInject(w *worm) {
 // fault-retry policy. It stamps the final status and event time, moves
 // the matching tally and counter, recycles the worm's buffers and fires
 // the hooks — OnComplete last, exactly once, with the final stats. Event
-// times follow the Observer convention (an ending processed in the step
-// from t to t+1 reports t+1). An abort is deliberately quiet: the worm
-// never entered the network, so there is no trace event and no Observer
-// callback to pair with one. The caller has already released whatever
-// credits the worm held.
+// times follow the Config.Trace convention (an ending processed in the
+// step from t to t+1 reports t+1). An abort is deliberately quiet: the
+// worm never entered the network, so there is no trace event to pair with
+// one. The caller has already released whatever credits the worm held.
 //
 //wormvet:hotpath
 func (si *Sim) retire(w *worm, status Status) {
 	stamp := int32(si.now + 1)
-	now, id := int(stamp), message.ID(w.id)
-	m, tr, obs := si.met, si.trc, si.cfg.Observer
+	now := int(stamp)
+	m, tr := si.met, si.trc
 	w.status = status
 	switch status {
 	case StatusDelivered:
@@ -1411,9 +1390,6 @@ func (si *Sim) retire(w *worm, status Status) {
 		if tr != nil {
 			tr.Deliver(now, w.id, w.deliverTime-w.injectTime)
 		}
-		if obs != nil {
-			obs.OnDeliver(now, id) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
-		}
 	case StatusDropped:
 		w.dropTime = stamp
 		si.dropped++
@@ -1421,10 +1397,11 @@ func (si *Sim) retire(w *worm, status Status) {
 			m.Inc(telemetry.CtrDrops)
 		}
 		if tr != nil {
-			tr.Drop(now, w.id, w.frontier)
-		}
-		if obs != nil {
-			obs.OnDrop(now, id) //wormvet:allow hotalloc -- per-event observer hook; nil in measured configs
+			head := w.frontier
+			if w.prog != nil {
+				head = w.prog[0] // the deep engine keeps the header here, never in frontier
+			}
+			tr.Drop(now, w.id, head)
 		}
 	case StatusAborted:
 		w.dropTime = stamp
@@ -1441,7 +1418,7 @@ func (si *Sim) retire(w *worm, status Status) {
 	si.freePath(w)
 	si.freeProg(w)
 	if cb := si.cfg.OnComplete; cb != nil {
-		cb(id, w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
+		cb(message.ID(w.id), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
+	"wormhole/internal/telemetry"
 	"wormhole/internal/topology"
 )
 
@@ -520,13 +521,6 @@ func TestDeadlockedStepsNotBelowLastDelivery(t *testing.T) {
 
 // --- zero-length paths --------------------------------------------------------
 
-// zeroObserver records OnDeliver times.
-type zeroObserver struct{ deliver []int }
-
-func (z *zeroObserver) OnAdvance(time int, msg message.ID, frontier int) {}
-func (z *zeroObserver) OnDrop(time int, msg message.ID)                  {}
-func (z *zeroObserver) OnDeliver(time int, msg message.ID)               { z.deliver = append(z.deliver, time) }
-
 // TestZeroLengthPathEventTimes: a source==destination worm follows the
 // documented convention — an event processed in the step from t to t+1
 // reports t+1 — like every positive-length path (regression: it used to
@@ -535,8 +529,8 @@ func TestZeroLengthPathEventTimes(t *testing.T) {
 	g := topology.NewLinearArray(2)
 	set := message.NewSet(g)
 	set.Add(0, 0, 3, nil)
-	obs := &zeroObserver{}
-	res := Run(set, nil, Config{VirtualChannels: 1, Observer: obs})
+	tr := telemetry.NewTrace(8)
+	res := Run(set, nil, Config{VirtualChannels: 1, Trace: tr})
 	st := res.PerMessage[0]
 	if st.Status != StatusDelivered {
 		t.Fatalf("status = %v", st.Status)
@@ -545,8 +539,14 @@ func TestZeroLengthPathEventTimes(t *testing.T) {
 		t.Errorf("inject/deliver = %d/%d, want 1/1 (released at 0, processed in step 0→1)",
 			st.InjectTime, st.DeliverTime)
 	}
-	if len(obs.deliver) != 1 || obs.deliver[0] != st.DeliverTime {
-		t.Errorf("OnDeliver times %v disagree with DeliverTime %d", obs.deliver, st.DeliverTime)
+	var deliver []int
+	for _, ev := range tr.Events() {
+		if ev.Kind == telemetry.EvDeliver {
+			deliver = append(deliver, int(ev.Time))
+		}
+	}
+	if len(deliver) != 1 || deliver[0] != st.DeliverTime {
+		t.Errorf("EvDeliver times %v disagree with DeliverTime %d", deliver, st.DeliverTime)
 	}
 	if res.Steps != 1 {
 		t.Errorf("Steps = %d, want 1", res.Steps)

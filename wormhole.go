@@ -258,8 +258,8 @@ func SaturationRate(cfg OpenLoopConfig, opts SaturationOptions) (SaturationResul
 	return traffic.SaturationRate(cfg, opts)
 }
 
-// TraceRecorder reconstructs flit-level space-time diagrams from a run;
-// pass it as SimConfig.Observer, then call Render.
+// TraceRecorder reconstructs flit-level space-time diagrams from a run:
+// attach it with rec.Observe(&cfg), run, then call Render.
 type TraceRecorder = trace.Recorder
 
 // NewTraceRecorder returns a recorder for one run over the message set.
