@@ -72,20 +72,41 @@ func (b *Butterfly) Output(w int) graph.NodeID { return b.Node(w, b.Levels) }
 
 // Route returns the unique downward path from input column src to output
 // column dst: at level i the path follows the straight edge if bit i+1 of
-// src and dst agree and the cross edge otherwise (bit-fixing).
+// src and dst agree and the cross edge otherwise (bit-fixing). The result
+// is a fresh slice the caller owns.
 func (b *Butterfly) Route(src, dst int) graph.Path {
-	p := make(graph.Path, 0, b.Levels)
+	return b.AppendRoute(make(graph.Path, 0, b.Levels), src, dst)
+}
+
+// AppendRoute appends the Route(src, dst) path to buf and returns the
+// extended slice, allocating only if buf lacks capacity for log n more
+// edges.
+//
+//wormvet:hotpath
+func (b *Butterfly) AppendRoute(buf graph.Path, src, dst int) graph.Path {
+	return appendBitFix(buf, b.Inputs, b.Levels, 0, src, dst)
+}
+
+// appendBitFix appends the levels bit-fixing edges that take column src to
+// column dst through a run of butterfly stages whose first stage's nodes
+// start at node ID base. The path is arithmetic in (src, dst): the
+// constructors add the straight then the cross edge of each node in node
+// order, so node v's out-edges are 2v and 2v+1, and the bits of src ^ dst,
+// consumed from the most significant, say which of the two each level
+// takes. The loop is branch-free on purpose — destination bits are random,
+// so a per-hop branch would mispredict every other hop.
+//
+//wormvet:hotpath
+func appendBitFix(buf graph.Path, n, levels, base, src, dst int) graph.Path {
+	diff := src ^ dst
 	w := src
-	for lvl := 0; lvl < b.Levels; lvl++ {
-		next := setBitTo(w, b.Levels, lvl+1, bitAt(dst, b.Levels, lvl+1))
-		eid := b.G.FindEdge(b.Node(w, lvl), b.Node(next, lvl+1))
-		if eid == graph.None {
-			panic("topology: missing butterfly edge")
-		}
-		p = append(p, eid)
-		w = next
+	for sh := levels - 1; sh >= 0; sh-- {
+		bit := diff >> sh & 1
+		buf = append(buf, graph.EdgeID(2*(base+w)+bit))
+		w ^= bit << sh
+		base += n
 	}
-	return p
+	return buf
 }
 
 // TwoPassButterfly is the unrolled network used by the Section 3.1
@@ -140,25 +161,12 @@ func (t *TwoPassButterfly) Input(w int) graph.NodeID { return t.Node(w, 0) }
 func (t *TwoPassButterfly) Output(w int) graph.NodeID { return t.Node(w, 2*t.Levels) }
 
 // Route returns the two-pass path from input column src through intermediate
-// column mid (reached at level log n) to output column dst.
+// column mid (reached at level log n) to output column dst: the bit-fixing
+// walk twice over the unrolled levels.
 func (t *TwoPassButterfly) Route(src, mid, dst int) graph.Path {
 	p := make(graph.Path, 0, 2*t.Levels)
-	w := src
-	for lvl := 0; lvl < 2*t.Levels; lvl++ {
-		bit := lvl%t.Levels + 1
-		target := mid
-		if lvl >= t.Levels {
-			target = dst
-		}
-		next := setBitTo(w, t.Levels, bit, bitAt(target, t.Levels, bit))
-		eid := t.G.FindEdge(t.Node(w, lvl), t.Node(next, lvl+1))
-		if eid == graph.None {
-			panic("topology: missing two-pass butterfly edge")
-		}
-		p = append(p, eid)
-		w = next
-	}
-	return p
+	p = appendBitFix(p, t.Inputs, t.Levels, 0, src, mid)
+	return appendBitFix(p, t.Inputs, t.Levels, t.Levels*t.Inputs, mid, dst)
 }
 
 // RandomRoute picks a uniform intermediate column and returns the resulting
@@ -180,23 +188,9 @@ func EdgeLevel(g *graph.Graph, levelOf func(graph.NodeID) int, e graph.EdgeID) i
 // The paper numbers bit positions 1..log n with position 1 the most
 // significant bit of the column number.
 
-// bitAt returns bit `pos` (1-indexed from the MSB of a k-bit word) of w.
-func bitAt(w, k, pos int) int {
-	return (w >> (k - pos)) & 1
-}
-
 // flipBit flips bit `pos` of the k-bit word w.
 func flipBit(w, k, pos int) int {
 	return w ^ (1 << (k - pos))
-}
-
-// setBitTo sets bit `pos` of the k-bit word w to v (0 or 1).
-func setBitTo(w, k, pos, v int) int {
-	mask := 1 << (k - pos)
-	if v == 0 {
-		return w &^ mask
-	}
-	return w | mask
 }
 
 // log2Exact returns log2(n) and panics unless n is a power of two ≥ 2.

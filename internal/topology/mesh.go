@@ -15,6 +15,12 @@ type Mesh struct {
 	Dims  []int // size per dimension
 	Wrap  bool  // true for a torus
 	strid []int // row-major strides
+	// step[2·(v·len(Dims)+d)] is the edge leaving node v toward the next
+	// higher coordinate in dimension d (across the wrap link where there
+	// is one) and the entry after it the edge toward the next lower; None
+	// where the mesh ends. Filled from the IDs AddBiEdge returns, so a
+	// route never searches the graph for an edge.
+	step []graph.EdgeID
 }
 
 // NewMesh builds a mesh with the given per-dimension sizes.
@@ -40,6 +46,10 @@ func newMesh(wrap bool, dims []int) *Mesh {
 	}
 	g := graph.New(n, 2*len(dims)*n)
 	m := &Mesh{G: g, Dims: append([]int(nil), dims...), Wrap: wrap, strid: strid}
+	m.step = make([]graph.EdgeID, 2*len(dims)*n)
+	for i := range m.step {
+		m.step[i] = graph.None
+	}
 	coord := make([]int, len(dims))
 	for v := 0; v < n; v++ {
 		g.AddNode(fmt.Sprint(m.coordOf(v, coord)))
@@ -47,12 +57,17 @@ func newMesh(wrap bool, dims []int) *Mesh {
 	for v := 0; v < n; v++ {
 		m.coordOf(v, coord)
 		for d := range dims {
-			if coord[d]+1 < dims[d] {
-				g.AddBiEdge(graph.NodeID(v), graph.NodeID(v+strid[d]))
-			} else if wrap && dims[d] > 2 {
+			up := v + strid[d]
+			if coord[d]+1 == dims[d] {
+				if !wrap || dims[d] <= 2 {
+					continue
+				}
 				// Wrap edge back to coordinate 0 in dimension d.
-				g.AddBiEdge(graph.NodeID(v), graph.NodeID(v-(dims[d]-1)*strid[d]))
+				up = v - (dims[d]-1)*strid[d]
 			}
+			fwd, bwd := g.AddBiEdge(graph.NodeID(v), graph.NodeID(up))
+			m.step[2*(v*len(dims)+d)] = fwd
+			m.step[2*(up*len(dims)+d)+1] = bwd
 		}
 	}
 	return m
@@ -88,43 +103,53 @@ func (m *Mesh) coordOf(v int, out []int) []int {
 
 // DimensionOrderRoute returns the canonical e-cube path from src to dst:
 // correct coordinates one dimension at a time, lowest dimension first.
-// On a torus it takes the shorter way around each ring. Dimension-order
-// routes are the standard deadlock-free minimal paths for meshes.
+// On a torus it takes the shorter way around each ring (the ascending way
+// on a tie). Dimension-order routes are the standard deadlock-free minimal
+// paths for meshes. The result is a fresh slice, nil when src == dst.
 func (m *Mesh) DimensionOrderRoute(src, dst graph.NodeID) graph.Path {
-	var p graph.Path
-	cur := m.Coord(src)
-	want := m.Coord(dst)
-	for d := range m.Dims {
-		for cur[d] != want[d] {
-			step := m.stepToward(cur, d, want[d])
-			from := m.Node(cur...)
-			cur[d] = step
-			to := m.Node(cur...)
-			eid := m.G.FindEdge(from, to)
+	return m.AppendRoute(nil, src, dst)
+}
+
+// AppendRoute appends the DimensionOrderRoute(src, dst) path to buf and
+// returns the extended slice, allocating only if buf lacks the capacity.
+//
+//wormvet:hotpath
+func (m *Mesh) AppendRoute(buf graph.Path, src, dst graph.NodeID) graph.Path {
+	v := int(src)
+	for d, size := range m.Dims {
+		stride := m.strid[d]
+		c := v / stride % size
+		want := int(dst) / stride % size
+		// hops steps in direction dir (0 ascending, 1 descending). The
+		// direction never changes mid-dimension, so it is chosen once: on
+		// a ring the shorter way round, ascending on a tie.
+		dir, hops := 0, want-c
+		if m.Wrap && size > 2 {
+			if hops = (want - c + size) % size; hops > size-hops {
+				dir, hops = 1, size-hops
+			}
+		} else if hops < 0 {
+			dir, hops = 1, -hops
+		}
+		for ; hops > 0; hops-- {
+			eid := m.step[2*(v*len(m.Dims)+d)+dir]
 			if eid == graph.None {
 				panic("topology: missing mesh edge on dimension-order route")
 			}
-			p = append(p, eid)
+			buf = append(buf, eid)
+			// Move to the neighbour, across the wrap link at a ring's end.
+			if dir == 0 {
+				c, v = c+1, v+stride
+				if c == size {
+					c, v = 0, v-size*stride
+				}
+			} else {
+				c, v = c-1, v-stride
+				if c < 0 {
+					c, v = size-1, v+size*stride
+				}
+			}
 		}
 	}
-	return p
-}
-
-// stepToward returns the next coordinate value in dimension d moving from
-// cur[d] toward target, respecting wraparound on toruses.
-func (m *Mesh) stepToward(cur []int, d, target int) int {
-	size := m.Dims[d]
-	c := cur[d]
-	if !m.Wrap || size <= 2 {
-		if target > c {
-			return c + 1
-		}
-		return c - 1
-	}
-	fwd := (target - c + size) % size
-	bwd := (c - target + size) % size
-	if fwd <= bwd {
-		return (c + 1) % size
-	}
-	return (c - 1 + size) % size
+	return buf
 }

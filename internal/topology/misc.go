@@ -15,13 +15,16 @@ type Hypercube struct {
 	G    *graph.Graph
 	Dim  int // log n
 	Size int // n
+	// step[v·Dim+d] is the edge from corner v across dimension d, recorded
+	// as AddBiEdge hands it out.
+	step []graph.EdgeID
 }
 
 // NewHypercube builds the hypercube on n = 2^k nodes.
 func NewHypercube(n int) *Hypercube {
 	k := log2Exact(n)
 	g := graph.New(n, n*k)
-	h := &Hypercube{G: g, Dim: k, Size: n}
+	h := &Hypercube{G: g, Dim: k, Size: n, step: make([]graph.EdgeID, n*k)}
 	for v := 0; v < n; v++ {
 		g.AddNode(fmt.Sprintf("%0*b", k, v))
 	}
@@ -29,7 +32,7 @@ func NewHypercube(n int) *Hypercube {
 		for d := 0; d < k; d++ {
 			u := v ^ (1 << d)
 			if u > v {
-				g.AddBiEdge(graph.NodeID(v), graph.NodeID(u))
+				h.step[v*k+d], h.step[u*k+d] = g.AddBiEdge(graph.NodeID(v), graph.NodeID(u))
 			}
 		}
 	}
@@ -41,17 +44,10 @@ func NewHypercube(n int) *Hypercube {
 func (h *Hypercube) Route(src, dst graph.NodeID) graph.Path {
 	var p graph.Path
 	cur := int(src)
-	diff := cur ^ int(dst)
-	for diff != 0 {
+	for diff := cur ^ int(dst); diff != 0; diff &= diff - 1 {
 		d := bits.TrailingZeros(uint(diff))
-		next := cur ^ (1 << d)
-		eid := h.G.FindEdge(graph.NodeID(cur), graph.NodeID(next))
-		if eid == graph.None {
-			panic("topology: missing hypercube edge")
-		}
-		p = append(p, eid)
-		cur = next
-		diff &^= 1 << d
+		p = append(p, h.step[cur*h.Dim+d])
+		cur ^= 1 << d
 	}
 	return p
 }

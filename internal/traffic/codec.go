@@ -9,8 +9,8 @@ package traffic
 // which in practice means from inside Config.OnStep: pause the run by
 // returning an error from OnStep, or snapshot and keep going.
 //
-// The Network adapter holds function fields (Source/Dest/Route) and
-// cannot be serialized; the restoring caller supplies an equivalent
+// The Network adapter holds function fields (Source/Dest and the routers)
+// and cannot be serialized; the restoring caller supplies an equivalent
 // Config. Every numeric schedule-relevant field is digest-verified
 // against the snapshot (ErrRunnerSnapshot on mismatch), and the
 // embedded simulator snapshot independently verifies the network's edge
@@ -264,6 +264,7 @@ func RestoreRunner(cfg Config, rd io.Reader) (*Runner, error) {
 			in.pExitOff = 1 / off
 		}
 		r.inject[i] = in
+		r.due[i] = in.next
 	}
 	if sr.Err() != nil {
 		return nil, sr.Err()

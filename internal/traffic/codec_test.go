@@ -100,14 +100,21 @@ func TestRunnerSnapshotRestore(t *testing.T) {
 		pat         Pattern
 		snapAt      int
 		naiveOracle bool
+		inputs      int // butterfly size; 0 keeps runnerOracleCfg's 8
 	}{
-		{"bernoulli-uniform", Bernoulli, Uniform, 31, false},
-		{"poisson-transpose", Poisson, Transpose, 97, false},
-		{"onoff-hotspot", OnOff, Hotspot, 53, false},
-		{"cross-stepper", Bernoulli, Uniform, 142, true},
-		{"drain-phase", Bernoulli, Uniform, 201, false},
+		{"bernoulli-uniform", Bernoulli, Uniform, 31, false, 0},
+		{"poisson-transpose", Poisson, Transpose, 97, false, 0},
+		{"onoff-hotspot", OnOff, Hotspot, 53, false, 0},
+		{"cross-stepper", Bernoulli, Uniform, 142, true, 0},
+		{"drain-phase", Bernoulli, Uniform, 201, false, 0},
+		// Wide and sparse: most endpoints are between arrivals at the cut,
+		// so the resumed scan runs off the due times RestoreRunner rebuilt.
+		{"poisson-wide", Poisson, Uniform, 97, false, 512},
 	} {
 		cfg := runnerOracleCfg(tc.proc, tc.pat)
+		if tc.inputs > 0 {
+			cfg.Net = NewButterflyNet(tc.inputs)
+		}
 		oracleCfg := cfg
 		oracleCfg.NaiveScan = tc.naiveOracle
 		oracle, err := NewRunner(oracleCfg)
@@ -144,6 +151,12 @@ func TestRunnerSnapshotRestore(t *testing.T) {
 		restored, err := RestoreRunner(reCfg, bytes.NewReader(blob.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: restore: %v", tc.name, err)
+		}
+		for e := range restored.inject {
+			if restored.due[e] != restored.inject[e].next {
+				t.Fatalf("%s: endpoint %d restored with due time %g, its injector says %g",
+					tc.name, e, restored.due[e], restored.inject[e].next)
+			}
 		}
 		got, err := restored.Resume()
 		if err != nil {

@@ -16,6 +16,12 @@ import (
 // For indirect networks (butterflies) the injection and delivery nodes of
 // endpoint i differ (input column i, output column i); for direct
 // networks (meshes, toruses) they coincide.
+//
+// A Network is immutable once built — the adapters in this package
+// compute every route arithmetically and keep no cache — so one Network
+// is safe for concurrent use by multiple Runners. A caller-built Network
+// keeps that guarantee as long as its function fields are themselves safe
+// to call concurrently.
 type Network struct {
 	// G is the physical network.
 	G *graph.Graph
@@ -26,47 +32,32 @@ type Network struct {
 	// Dest returns the delivery node of endpoint i.
 	Dest func(i int) graph.NodeID
 	// Route returns the path from endpoint src's injection node to
-	// endpoint dst's delivery node.
+	// endpoint dst's delivery node as a fresh slice the caller owns.
 	Route func(src, dst int) graph.Path
+	// AppendRoute appends that same path to buf and returns the extended
+	// slice, allocating only when buf lacks the capacity. The Runner
+	// routes every message through it into one reused buffer. Optional:
+	// a Network that sets only Route is routed through Route, at one
+	// allocation per message.
+	AppendRoute func(buf graph.Path, src, dst int) graph.Path
 	// Label names the network in tables and errors.
 	Label string
 }
-
-// routeCacheMax bounds the endpoint count for which an adapter memoizes
-// its n² routes (256 endpoints ≈ a few MB of cached paths at most).
-const routeCacheMax = 256
 
 // NewButterflyNet adapts an n-input butterfly: endpoint i injects at
 // input column i and delivers at output column i, routed on the unique
 // bit-fixing path. The leveled DAG structure makes greedy wormhole
 // routing deadlock-free for any B.
-//
-// Bit-fixing routes are pure functions of (src, dst), so small networks
-// memoize them: steady-state injection then stops re-deriving and
-// re-allocating the same log n-hop path for every message. The returned
-// path is shared — callers must treat it as read-only (the simulator
-// copies on Inject).
 func NewButterflyNet(n int) *Network {
 	bf := topology.NewButterfly(n)
-	route := func(src, dst int) graph.Path { return bf.Route(src, dst) }
-	if n <= routeCacheMax {
-		routes := make([]graph.Path, n*n)
-		route = func(src, dst int) graph.Path {
-			p := routes[src*n+dst]
-			if p == nil {
-				p = bf.Route(src, dst)
-				routes[src*n+dst] = p
-			}
-			return p
-		}
-	}
 	return &Network{
-		G:         bf.G,
-		Endpoints: n,
-		Source:    func(i int) graph.NodeID { return bf.Input(i) },
-		Dest:      func(i int) graph.NodeID { return bf.Output(i) },
-		Route:     route,
-		Label:     fmt.Sprintf("butterfly(n=%d)", n),
+		G:           bf.G,
+		Endpoints:   n,
+		Source:      bf.Input,
+		Dest:        bf.Output,
+		Route:       bf.Route,
+		AppendRoute: bf.AppendRoute,
+		Label:       fmt.Sprintf("butterfly(n=%d)", n),
 	}
 }
 
@@ -88,34 +79,21 @@ func NewTorusNet(dims ...int) *Network {
 	return meshNet(m, fmt.Sprintf("torus%v", dims))
 }
 
+// meshNet adapts a mesh or torus: endpoint i is node i, routed on the
+// dimension-order path.
 func meshNet(m *topology.Mesh, label string) *Network {
-	n := m.G.NumNodes()
-	route := func(src, dst int) graph.Path {
-		return m.DimensionOrderRoute(graph.NodeID(src), graph.NodeID(dst))
-	}
-	if n <= routeCacheMax {
-		// Dimension-order routes are pure (src, dst) functions too;
-		// memoize them under the same read-only-result contract.
-		routes := make([]graph.Path, n*n)
-		inner := route
-		route = func(src, dst int) graph.Path {
-			p := routes[src*n+dst]
-			if p == nil {
-				p = inner(src, dst)
-				if p == nil {
-					p = graph.Path{} // src == dst: cache a non-nil empty path
-				}
-				routes[src*n+dst] = p
-			}
-			return p
-		}
-	}
+	node := func(i int) graph.NodeID { return graph.NodeID(i) }
 	return &Network{
 		G:         m.G,
-		Endpoints: n,
-		Source:    func(i int) graph.NodeID { return graph.NodeID(i) },
-		Dest:      func(i int) graph.NodeID { return graph.NodeID(i) },
-		Route:     route,
-		Label:     label,
+		Endpoints: m.G.NumNodes(),
+		Source:    node,
+		Dest:      node,
+		Route: func(src, dst int) graph.Path {
+			return m.DimensionOrderRoute(graph.NodeID(src), graph.NodeID(dst))
+		},
+		AppendRoute: func(buf graph.Path, src, dst int) graph.Path {
+			return m.AppendRoute(buf, graph.NodeID(src), graph.NodeID(dst))
+		},
+		Label: label,
 	}
 }

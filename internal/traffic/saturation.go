@@ -45,6 +45,9 @@ type SearchResult struct {
 func SaturationRate(cfg Config, opts SearchOptions) (SearchResult, error) {
 	lo := opts.Lo
 	hi := opts.Hi
+	if !finite(lo) || !finite(hi) {
+		return SearchResult{}, fmt.Errorf("traffic: saturation bracket [%g, %g] is not finite", lo, hi)
+	}
 	if hi <= 0 {
 		hi = cfg.MaxRate()
 	}

@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"wormhole/internal/fault"
+	"wormhole/internal/graph"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
 	"wormhole/internal/telemetry"
@@ -185,6 +186,9 @@ func (c *Config) validate() error {
 	if c.Net.Endpoints < 1 {
 		return fmt.Errorf("traffic: network %q has no endpoints", c.Net.Label)
 	}
+	if c.Net.Route == nil && c.Net.AppendRoute == nil {
+		return fmt.Errorf("traffic: network %q has no router", c.Net.Label)
+	}
 	if c.VirtualChannels < 1 {
 		return fmt.Errorf("traffic: VirtualChannels %d < 1", c.VirtualChannels)
 	}
@@ -199,6 +203,20 @@ func (c *Config) validate() error {
 	}
 	if c.Warmup < 0 || c.Drain < 0 {
 		return fmt.Errorf("traffic: negative window (warmup %d, drain %d)", c.Warmup, c.Drain)
+	}
+	// NaN compares false against every bound below and an infinite mean
+	// turns the OnOff maximum into NaN, so non-finite values are refused
+	// by name before the range checks can wave them through.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Rate", c.Rate}, {"OnMean", c.OnMean}, {"OffMean", c.OffMean},
+		{"HotspotFraction", c.HotspotFraction},
+	} {
+		if !finite(f.v) {
+			return fmt.Errorf("traffic: %s %g is not finite", f.name, f.v)
+		}
 	}
 	if c.Rate <= 0 {
 		return fmt.Errorf("traffic: Rate %g must be positive", c.Rate)
@@ -220,6 +238,9 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Result reports one open-loop run. Latency statistics cover tracked
 // messages: those released during the measurement window and delivered
@@ -266,6 +287,16 @@ type Runner struct {
 	parent  rng.Source
 	sources []rng.Source
 	inject  []injector
+	// due[e] mirrors inject[e].next — the earliest time endpoint e can
+	// fire: a Poisson endpoint's next arrival, 0 (always due) for the
+	// per-step processes. The injection scan reads this dense array and
+	// touches an injector only when it is due. Derived state: begin and
+	// RestoreRunner rebuild it, snapshots do not carry it.
+	due []float64
+	// route appends one message's path to a buffer; path is the scratch
+	// buffer it is re-sliced into, which Sim.Inject copies from.
+	route func(buf graph.Path, src, dst int) graph.Path
+	path  graph.Path
 
 	// Per-run measurement state, reset at the top of Run; the Sim's
 	// OnComplete closure (built once) streams into these.
@@ -313,6 +344,14 @@ func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
 		horizon: cfg.Warmup + cfg.Measure,
 		sources: make([]rng.Source, cfg.Net.Endpoints),
 		inject:  make([]injector, cfg.Net.Endpoints),
+		due:     make([]float64, cfg.Net.Endpoints),
+		route:   cfg.Net.AppendRoute,
+	}
+	if r.route == nil {
+		route := cfg.Net.Route
+		r.route = func(buf graph.Path, src, dst int) graph.Path {
+			return append(buf, route(src, dst)...)
+		}
 	}
 	onComplete := func(_ message.ID, st vcsim.MessageStats) {
 		if st.Status != vcsim.StatusDelivered {
@@ -390,6 +429,7 @@ func (r *Runner) begin() {
 	for i := range r.sources {
 		r.parent.SplitInto(&r.sources[i])
 		r.inject[i] = newInjector(cfg, &r.sources[i])
+		r.due[i] = r.inject[i].next
 	}
 	r.res = Result{Offered: cfg.Rate, LastRelease: -1}
 	r.t = 0
@@ -402,31 +442,39 @@ func (r *Runner) begin() {
 // with no run in progress is an error.
 func (r *Runner) Resume() (Result, error) {
 	cfg := &r.cfg
-	net := cfg.Net
 	sim := r.sim
 	if r.phase == phaseIdle {
 		return Result{}, errors.New("traffic: Resume with no run in progress")
 	}
 	injectors := r.inject
+	due := r.due[:len(injectors)]
+	msg := message.Message{Length: cfg.MessageLength}
 	for r.phase == phaseInject {
 		t := r.t
+		before := sim.Injected()
+		// Endpoints are visited in index order (message IDs depend on it),
+		// but only a due one costs more than a compare: at light load most
+		// Poisson endpoints are between arrivals on most steps.
+		end := float64(t + 1)
 		for e := range injectors {
-			for k := injectors[e].arrivals(cfg, t); k > 0; k-- {
-				dst := cfg.dest(e, injectors[e].r)
-				msg := message.Message{
-					Src:    net.Source(e),
-					Dst:    net.Dest(dst),
-					Length: cfg.MessageLength,
-					Path:   net.Route(e, dst),
-				}
+			if due[e] >= end {
+				continue
+			}
+			in := &injectors[e]
+			for k := in.arrivals(cfg, t); k > 0; k-- {
+				r.path = r.route(r.path[:0], e, cfg.dest(e, in.r))
+				msg.Path = r.path
 				if _, err := sim.Inject(msg, t); err != nil {
 					r.phase = phaseIdle
 					return Result{}, fmt.Errorf("traffic: inject at step %d: %w", t, err)
 				}
-				r.res.LastRelease = t
-				if t >= cfg.Warmup {
-					r.res.Tracked++
-				}
+			}
+			due[e] = in.next
+		}
+		if n := sim.Injected() - before; n > 0 {
+			r.res.LastRelease = t
+			if t >= cfg.Warmup {
+				r.res.Tracked += n
 			}
 		}
 		// StepTo is Step with event-horizon fast-forward: one real flit

@@ -357,3 +357,48 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteRejected: NaN compares false against every range check, so
+// a non-finite rate, burst mean or search bracket used to pass validation
+// and come back as a confident zero-injection "sustained" result.
+func TestNonFiniteRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"Rate NaN bernoulli", func(c *Config) { c.Process = Bernoulli; c.Rate = nan }},
+		{"Rate NaN poisson", func(c *Config) { c.Process = Poisson; c.Rate = nan }},
+		{"Rate NaN on-off", func(c *Config) { c.Process = OnOff; c.Rate = nan }},
+		{"Rate +Inf", func(c *Config) { c.Rate = inf }},
+		{"Rate -Inf", func(c *Config) { c.Rate = -inf }},
+		{"OnMean NaN", func(c *Config) { c.Process = OnOff; c.OnMean = nan }},
+		{"OnMean +Inf", func(c *Config) { c.Process = OnOff; c.OnMean = inf }},
+		{"OffMean NaN", func(c *Config) { c.Process = OnOff; c.OffMean = nan }},
+		{"OffMean +Inf", func(c *Config) { c.Process = OnOff; c.OffMean = inf }},
+		{"HotspotFraction NaN", func(c *Config) { c.Pattern = Hotspot; c.HotspotFraction = nan }},
+		{"HotspotFraction +Inf", func(c *Config) { c.Pattern = Hotspot; c.HotspotFraction = inf }},
+	} {
+		cfg := smallCfg()
+		tc.mutate(&cfg)
+		if res, err := Run(cfg); err == nil {
+			t.Errorf("%s: accepted, returned %+v", tc.name, res)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts SearchOptions
+	}{
+		{"Hi NaN", SearchOptions{Hi: nan}},
+		{"Hi +Inf", SearchOptions{Hi: inf}},
+		{"Lo NaN", SearchOptions{Lo: nan}},
+		{"Lo -Inf", SearchOptions{Lo: -inf}},
+	} {
+		cfg := smallCfg()
+		cfg.MaxBacklog = 256
+		tc.opts.Iters = 2
+		if res, err := SaturationRate(cfg, tc.opts); err == nil {
+			t.Errorf("SaturationRate %s: accepted, returned rate %g after %d probes", tc.name, res.Rate, len(res.Probes))
+		}
+	}
+}

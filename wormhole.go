@@ -205,13 +205,16 @@ func NewSim(g *Graph, cfg SimConfig) (*Sim, error) { return vcsim.NewSim(g, cfg)
 type (
 	// OpenLoopConfig parameterizes a steady-state open-loop run: network,
 	// injection process × spatial pattern, offered rate, and the
-	// warmup / measurement / drain windows.
+	// warmup / measurement / drain windows. A NaN or infinite Rate,
+	// OnMean, OffMean or HotspotFraction is a validation error.
 	OpenLoopConfig = traffic.Config
 	// OpenLoopResult reports accepted throughput and streaming latency
 	// statistics (mean, p50/p95/p99) for one open-loop run.
 	OpenLoopResult = traffic.Result
 	// TrafficNetwork adapts a topology (endpoints, routing) for the
-	// open-loop engine.
+	// open-loop engine. The adapters below compute routes arithmetically
+	// and hold no mutable state, so one TrafficNetwork is safe for
+	// concurrent use by any number of runs.
 	TrafficNetwork = traffic.Network
 	// SaturationOptions tunes the saturation-rate bisection.
 	SaturationOptions = traffic.SearchOptions
