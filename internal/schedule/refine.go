@@ -17,12 +17,22 @@ type RefineResult struct {
 	NumClasses int // distinct non-empty classes after the step
 }
 
-// refiner carries the incidence structure needed to check multiplex sizes
-// quickly across resampling rounds.
+// refiner carries the message set and the scratch that lets every
+// resampling round check multiplex sizes without hashing: the messages are
+// counting-sorted by class, so each class is one contiguous run, and one
+// per-edge counter, zeroed again after each run, does the (edge, class)
+// counting a map keyed by that pair used to do.
 type refiner struct {
 	set  *message.Set
 	rnd  *rng.Source
 	opts Options
+
+	oldStart []int32 // first byClass slot of each old dense class, plus an end sentinel (fixed per refine)
+	bySub    []int32 // message indices sorted by subclass draw (LSD pass 1)
+	byClass  []int32 // message indices sorted by new class (LSD pass 2)
+	cursor   []int32 // counting-sort cursors, max(r, old classes)+1 entries
+	onEdge   []int32 // per edge: messages of the class being swept; all zero between classes
+	bad      []bool  // per message: its class is violated this round
 }
 
 // refine applies one StepSpec to the coloring: every existing class is
@@ -40,19 +50,22 @@ func (rf *refiner) refine(color []int, spec StepSpec) (RefineResult, error) {
 
 	// Remap old colors densely so new class IDs are oldDense*r + j.
 	oldDense := densify(color)
+	rf.groupByOld(oldDense)
 	r := spec.R
 
 	newColor := make([]int, n)
 	draw := func(i int) { newColor[i] = oldDense[i]*r + rf.rnd.Intn(r) }
-	for i := 0; i < n; i++ {
-		draw(i)
+	drawAll := func() {
+		for i := 0; i < n; i++ {
+			draw(i)
+		}
 	}
+	drawAll()
 
 	attempts := 0
 	for {
 		attempts++
-		violated := rf.violatedClasses(newColor, spec.Mf)
-		if len(violated) == 0 {
+		if rf.markViolated(oldDense, newColor, r, spec.Mf) == 0 {
 			break
 		}
 		if attempts >= rf.opts.MaxAttempts {
@@ -64,21 +77,17 @@ func (rf *refiner) refine(color []int, spec StepSpec) (RefineResult, error) {
 			res.Escalated = true
 			res.FinalR = r
 			attempts = 0
-			for i := 0; i < n; i++ {
-				newColor[i] = oldDense[i]*r + rf.rnd.Intn(r)
-			}
+			drawAll()
 			continue
 		}
 		if rf.opts.ResampleWhole {
-			for i := 0; i < n; i++ {
-				newColor[i] = oldDense[i]*r + rf.rnd.Intn(r)
-			}
+			drawAll()
 			continue
 		}
 		// Moser–Tardos style: redraw only messages in violated classes.
 		for i := 0; i < n; i++ {
-			if _, bad := violated[newColor[i]]; bad {
-				newColor[i] = oldDense[i]*r + rf.rnd.Intn(r)
+			if rf.bad[i] {
+				draw(i)
 			}
 		}
 	}
@@ -88,24 +97,105 @@ func (rf *refiner) refine(color []int, spec StepSpec) (RefineResult, error) {
 	return res, nil
 }
 
-// violatedClasses returns the set of new-class IDs that have some edge
-// carrying more than mf of their messages.
-func (rf *refiner) violatedClasses(color []int, mf int) map[int]struct{} {
-	type key struct {
-		e graph.EdgeID
-		c int
+// groupByOld sizes the scratch for this message set and counts the old
+// dense classes into oldStart. The grouping is fixed for a whole refine
+// call, so every round's second sort pass starts from it.
+func (rf *refiner) groupByOld(oldDense []int) {
+	n := len(oldDense)
+	k := 0
+	for _, c := range oldDense {
+		if c >= k {
+			k = c + 1
+		}
 	}
-	counts := make(map[key]int)
-	violated := make(map[int]struct{})
-	for i := range rf.set.Msgs {
-		c := color[i]
-		for _, e := range rf.set.Msgs[i].Path {
-			k := key{e, c}
-			counts[k]++
-			if counts[k] > mf {
-				violated[c] = struct{}{}
+	rf.oldStart = grow(rf.oldStart, k+1)
+	clear(rf.oldStart)
+	for _, c := range oldDense {
+		rf.oldStart[c+1]++
+	}
+	for c := 0; c < k; c++ {
+		rf.oldStart[c+1] += rf.oldStart[c]
+	}
+	rf.bySub = grow(rf.bySub, n)
+	rf.byClass = grow(rf.byClass, n)
+	rf.bad = grow(rf.bad, n)
+	if e := rf.set.G.NumEdges(); len(rf.onEdge) != e {
+		rf.onEdge = make([]int32, e)
+	}
+}
+
+// grow returns s resized to n elements, reusing its storage when it fits.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// markViolated sets bad[i] for every message whose new class has some edge
+// carrying more than mf of the class's messages, and returns the number of
+// such classes. New class IDs are oldDense*r + j, so an LSD counting sort —
+// by the draw j, then stably by old class — lists the messages class by
+// class in O(n + r + old classes), however sparse the ID space r·(old
+// classes) is; each class is then counted onto the per-edge counter and
+// wiped off it again.
+func (rf *refiner) markViolated(oldDense, newColor []int, r, mf int) int {
+	n := len(newColor)
+	k := len(rf.oldStart) - 1
+
+	// Pass 1: by subclass draw j = newColor − oldDense·r.
+	cur := grow(rf.cursor, max(r, k)+1)
+	rf.cursor = cur
+	clear(cur[:r+1])
+	for i := 0; i < n; i++ {
+		cur[newColor[i]-oldDense[i]*r+1]++
+	}
+	for j := 0; j < r; j++ {
+		cur[j+1] += cur[j]
+	}
+	for i := 0; i < n; i++ {
+		j := newColor[i] - oldDense[i]*r
+		rf.bySub[cur[j]] = int32(i)
+		cur[j]++
+	}
+	// Pass 2: stably by old class, from the fixed group offsets.
+	copy(cur[:k], rf.oldStart[:k])
+	for _, i := range rf.bySub[:n] {
+		c := oldDense[i]
+		rf.byClass[cur[c]] = i
+		cur[c]++
+	}
+
+	clear(rf.bad[:n])
+	violated := 0
+	for lo := 0; lo < n; {
+		c := newColor[rf.byClass[lo]]
+		hi := lo + 1
+		for hi < n && newColor[rf.byClass[hi]] == c {
+			hi++
+		}
+		run := rf.byClass[lo:hi]
+		over := false
+		for _, i := range run {
+			for _, e := range rf.set.Msgs[i].Path {
+				rf.onEdge[e]++
+				if int(rf.onEdge[e]) > mf {
+					over = true
+				}
 			}
 		}
+		for _, i := range run {
+			for _, e := range rf.set.Msgs[i].Path {
+				rf.onEdge[e] = 0
+			}
+		}
+		if over {
+			violated++
+			for _, i := range run {
+				rf.bad[i] = true
+			}
+		}
+		lo = hi
 	}
 	return violated
 }

@@ -339,3 +339,67 @@ func TestScheduleReleasesMatchColors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMarkViolatedMatchesMapCount pins the refiner's hashing-free check to
+// the obvious one: on random colorings — dense and sparse class-ID spaces,
+// tight and loose targets — the messages it marks are exactly those whose
+// class has an (edge, class) count above mf in a map keyed by that pair.
+func TestMarkViolatedMatchesMapCount(t *testing.T) {
+	set := butterflyWorkload(16, 6, 4, 21)
+	n := set.Len()
+	r := rng.New(5)
+	rf := &refiner{set: set}
+	for trial := 0; trial < 200; trial++ {
+		oldClasses := 1 + r.Intn(12)
+		sub := 1 + r.Intn(40)
+		mf := 1 + r.Intn(3)
+		oldDense := make([]int, n)
+		for i := range oldDense {
+			oldDense[i] = r.Intn(oldClasses)
+		}
+		oldDense = densify(oldDense)
+		newColor := make([]int, n)
+		for i := range newColor {
+			newColor[i] = oldDense[i]*sub + r.Intn(sub)
+		}
+
+		type key struct {
+			e graph.EdgeID
+			c int
+		}
+		counts := map[key]int{}
+		wantClasses := map[int]bool{}
+		for i := range set.Msgs {
+			for _, e := range set.Msgs[i].Path {
+				k := key{e, newColor[i]}
+				if counts[k]++; counts[k] > mf {
+					wantClasses[newColor[i]] = true
+				}
+			}
+		}
+
+		rf.groupByOld(oldDense)
+		if got := rf.markViolated(oldDense, newColor, sub, mf); got != len(wantClasses) {
+			t.Fatalf("trial %d: %d violated classes, map count says %d", trial, got, len(wantClasses))
+		}
+		for i := 0; i < n; i++ {
+			if rf.bad[i] != wantClasses[newColor[i]] {
+				t.Fatalf("trial %d: message %d (class %d) marked %v, map count says %v",
+					trial, i, newColor[i], rf.bad[i], wantClasses[newColor[i]])
+			}
+		}
+	}
+}
+
+// BenchmarkRefine times the whole refinement pipeline on the workload of
+// core.ButterflyQRelation(128, 8, 16): nearly all of Build is the
+// resampling rounds' multiplex check.
+func BenchmarkRefine(b *testing.B) {
+	set := butterflyWorkload(128, 8, 16, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(set, Options{B: 2, ConstantScale: 0.05}, rng.New(7)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

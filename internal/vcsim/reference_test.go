@@ -17,6 +17,7 @@ package vcsim
 // deterministic policies, staggered releases).
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -307,17 +308,23 @@ func refRun(s *message.Set, release []int, cfg Config) Result {
 }
 
 // diffConfigs enumerates the model space the differential test covers.
+// Every model runs with CheckInvariants on and off: on, the kernel meters
+// every crossed edge and re-proves lane-implied bandwidth (see
+// Sim.crossings); off, it takes the elided path production runs, and that
+// is what the reference engine is compared against.
 func diffConfigs() []Config {
 	var out []Config
 	for _, b := range []int{1, 2, 3} {
 		for _, restricted := range []bool{false, true} {
 			for _, drop := range []bool{false, true} {
-				out = append(out, Config{
-					VirtualChannels:     b,
-					RestrictedBandwidth: restricted,
-					DropOnDelay:         drop,
-					CheckInvariants:     true,
-				})
+				for _, check := range []bool{true, false} {
+					out = append(out, Config{
+						VirtualChannels:     b,
+						RestrictedBandwidth: restricted,
+						DropOnDelay:         drop,
+						CheckInvariants:     check,
+					})
+				}
 			}
 		}
 	}
@@ -397,6 +404,12 @@ func TestDifferentialRandom(t *testing.T) {
 		}
 		prod := Run(set, releases, cfg)
 		ref := refRun(set, releases, cfg)
+		plain := cfg
+		plain.CheckInvariants = false // the elided metering path
+		if elided := Run(set, releases, plain); !reflect.DeepEqual(prod, elided) {
+			t.Logf("seed %d: checked %+v, unchecked %+v", seed, prod, elided)
+			return false
+		}
 		if prod.Steps != ref.Steps || prod.Delivered != ref.Delivered ||
 			prod.Dropped != ref.Dropped || prod.TotalStalls != ref.TotalStalls {
 			t.Logf("seed %d: prod{steps %d del %d drop %d stalls %d} ref{steps %d del %d drop %d stalls %d}",

@@ -582,6 +582,30 @@ type Sim struct {
 	// crossing count within that step. A stale stamp reads as zero, so
 	// body-flit crossings touch no end-of-step state at all — the dirty
 	// list below carries only credit events, the ones wakeups care about.
+	//
+	// Lane-implied bandwidth. On a body (non-final) edge of the rigid
+	// model the meter can never refuse anyone while cap == B, because
+	// bandwidth there is implied by lane ownership:
+	//
+	//   - every flit that crosses a body edge lands in a lane its worm
+	//     holds there once the step commits — a lane it already held, or
+	//     the one its header was granted this step — and at most B worms
+	//     hold lanes on an edge (a grant needs laneFree > 0);
+	//   - a worm crosses each edge at most once per step per lane it holds;
+	//   - the worm whose tail releases a lane this step does not cross the
+	//     released edge (its crossed interval starts one edge later), and
+	//     the release stays invisible until step end, so nobody is granted
+	//     that lane in its place;
+	//   - fault kill debt only lowers laneFree, so it removes grants and
+	//     never adds a crosser.
+	//
+	// So a body edge sees at most B crossings a step and every rival of a
+	// crossing worm counts at most B−1. The one edge crossed without
+	// holding a lane is a worm's final edge (the delivery buffer is
+	// external), where any number of worms can meet. While no edge serves
+	// in both roles (laneImplied), tryAdvance therefore meters final edges
+	// only, and wakeEdge may wake by free-slot count; Config.CheckInvariants
+	// keeps every edge metered and re-proves the bound on each run.
 	crossings []uint64
 	// dirty lists the edges with credit releases this step — the only
 	// edges whose counters need folding and whose wait queues can need a
@@ -1255,6 +1279,19 @@ func (si *Sim) tryMove(w *worm) (bool, int32) {
 //wormvet:hotpath
 func (si *Sim) crossStamp() uint64 { return uint64(si.now+1) << 32 }
 
+// laneImplied reports whether the lane-implied bandwidth argument (see
+// Sim.crossings) holds right now: full crossing capacity, and an edge-role
+// classification that exists (rigid wakeup engine) and has not turned
+// mixed. It is derived, not stored — an Inject that flips mixedFinal
+// simply changes the answer from the next step on, and crossings is
+// per-step scratch, so nothing needs repair. The naive scan keeps no role
+// bits and so always meters every edge: it is the oracle for the elision.
+//
+//wormvet:hotpath
+func (si *Sim) laneImplied() bool {
+	return si.capI32 >= si.bI32 && si.finalSeen != nil && !si.mixedFinal
+}
+
 // tryAdvance attempts to move worm w one step, honoring buffer and
 // bandwidth constraints. On success it performs the move and returns
 // true. A slot failure returns the full edge, telling the wakeup engine
@@ -1300,11 +1337,22 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 		needSlot = e
 	}
 	// Bandwidth constraint: every edge a flit of this worm would cross
-	// this step must still have crossing capacity.
+	// this step must still have crossing capacity. Under lane-implied
+	// bandwidth (see Sim.crossings) a body edge cannot refuse, so only the
+	// final edge path[d−1] is metered; CheckInvariants meters them all and
+	// turns a body-edge refusal into a panic.
 	stamp := si.crossStamp()
 	lo, hi := w.crossed()
-	for i := lo; i <= hi; i++ {
+	implied := si.laneImplied()
+	mlo := lo
+	if implied && !si.cfg.CheckInvariants && mlo < w.d-1 {
+		mlo = w.d - 1
+	}
+	for i := mlo; i <= hi; i++ {
 		if cw := si.crossings[path[i]]; cw >= stamp && int32(cw-stamp) >= si.capI32 {
+			if implied && i < w.d-1 {
+				panic(fmt.Sprintf("vcsim: step %d: worm %d refused bandwidth on body edge %d (lane-implied bandwidth violated)", si.now, w.id, path[i]))
+			}
 			if m := si.met; m != nil {
 				m.EdgeStall(telemetry.CtrStallBandwidth, path[i])
 			}
@@ -1316,7 +1364,7 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 		si.laneFree[needSlot]--
 		si.touchMax(needSlot)
 	}
-	for i := lo; i <= hi; i++ {
+	for i := mlo; i <= hi; i++ {
 		e := path[i]
 		cw := si.crossings[e]
 		if cw < stamp {

@@ -266,14 +266,13 @@ func (si *Sim) wakeBest(q *[]uint64, n int32) {
 // slot on e is granted or e's crossing capacity is exhausted, both of
 // which fail its attempt exactly as parking assumes. The missing case —
 // a higher-priority contender declining its slot by failing bandwidth on
-// some *other* edge of its crossed interval — cannot happen when
-// cap == B: a worm holds a buffer slot on every body edge it would
-// cross, so at most B−1 rivals can cross such an edge and its body
-// flits never fail. Under RestrictedBandwidth (cap < B) that argument
-// breaks, so the whole queue wakes instead (as it does under ArbRandom,
-// see wakeBest). When the event leaves the edge full — grants outweighed
-// releases — laneFree is zero, nobody can grant next step, and nobody
-// wakes.
+// some *other* edge of its crossed interval — cannot happen under
+// lane-implied bandwidth (see Sim.crossings): a slot-blocked header is
+// short of its final edge, so every edge the worm would cross is a body
+// edge, and body edges never refuse. Where that argument breaks the
+// whole queue wakes instead (as it does under ArbRandom, see wakeBest).
+// When the event leaves the edge full — grants outweighed releases —
+// laneFree is zero, nobody can grant next step, and nobody wakes.
 //
 //wormvet:hotpath
 func (si *Sim) wakeEdge(e int32) {
@@ -281,12 +280,13 @@ func (si *Sim) wakeEdge(e int32) {
 		si.wakeEdgeDeep(e)
 		return
 	}
-	if si.cap < si.b || si.mixedFinal {
+	if !si.laneImplied() {
 		// Whole-queue wake, for the configurations where a woken worm can
-		// decline its credit. mixedFinal: some edge serves as one
-		// message's final edge and another's body edge, so a final-edge
-		// crossing (which holds no slot) can saturate a woken worm's body
-		// edge and fail it on bandwidth even at cap == B.
+		// decline its credit. RestrictedBandwidth: cap 1 < B, so a body
+		// edge with two holders already refuses one. mixedFinal: some edge
+		// serves as one message's final edge and another's body edge, so a
+		// final-edge crossing (which holds no slot) can saturate a woken
+		// worm's body edge and fail it on bandwidth even at cap == B.
 		si.wakeAll(&si.waitQ[e])
 		return
 	}

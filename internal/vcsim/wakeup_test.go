@@ -12,26 +12,47 @@ package vcsim
 // arbitration.
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
+	"wormhole/internal/telemetry"
 	"wormhole/internal/topology"
 )
 
-// runBoth executes the workload under both steppers and fails the test on
-// any difference in the full Result.
-func runBoth(t *testing.T, label string, set *message.Set, releases []int, cfg Config) {
-	t.Helper()
+// diffSteppers executes the workload under the naive scan and under the
+// wakeup engine — as configured and, when cfg asks for CheckInvariants,
+// once more with it off: the checked run meters every crossed edge and
+// re-proves lane-implied bandwidth (see Sim.crossings), the unchecked run
+// is the elided path production takes, and both must equal the oracle. It
+// returns a description of the first difference, or "" when all agree.
+func diffSteppers(set *message.Set, releases []int, cfg Config) string {
 	naiveCfg := cfg
 	naiveCfg.NaiveScan = true
-	wake := Run(set, releases, cfg)
 	naive := Run(set, releases, naiveCfg)
-	if !reflect.DeepEqual(wake, naive) {
-		t.Fatalf("%s: wakeup and naive results differ\nwakeup: %+v\n naive: %+v", label, wake, naive)
+	legs := []bool{cfg.CheckInvariants}
+	if cfg.CheckInvariants {
+		legs = append(legs, false)
+	}
+	for _, check := range legs {
+		cfg.CheckInvariants = check
+		if wake := Run(set, releases, cfg); !reflect.DeepEqual(wake, naive) {
+			return fmt.Sprintf("wakeup (CheckInvariants=%v) and naive results differ\nwakeup: %+v\n naive: %+v", check, wake, naive)
+		}
+	}
+	return ""
+}
+
+// runBoth fails the test on any difference diffSteppers finds.
+func runBoth(t *testing.T, label string, set *message.Set, releases []int, cfg Config) {
+	t.Helper()
+	if diff := diffSteppers(set, releases, cfg); diff != "" {
+		t.Fatalf("%s: %s", label, diff)
 	}
 }
 
@@ -69,13 +90,8 @@ func TestWakeupMatchesNaiveRandomized(t *testing.T) {
 							Seed:                seed,
 							CheckInvariants:     true,
 						}
-						naiveCfg := cfg
-						naiveCfg.NaiveScan = true
-						wake := Run(set, releases, cfg)
-						naive := Run(set, releases, naiveCfg)
-						if !reflect.DeepEqual(wake, naive) {
-							t.Logf("seed %d restricted=%v drop=%v: wakeup %+v naive %+v",
-								seed, restricted, drop, wake, naive)
+						if diff := diffSteppers(set, releases, cfg); diff != "" {
+							t.Logf("seed %d restricted=%v drop=%v: %s", seed, restricted, drop, diff)
 							return false
 						}
 					}
@@ -173,10 +189,81 @@ func TestWakeupMatchesNaiveDeadlock(t *testing.T) {
 	})
 }
 
+// simPair is a wakeup Sim and its NaiveScan twin over one network, fed
+// the same messages and stepped side by side; each carries its own Metrics
+// so stall attribution can be compared as well as Results.
+type simPair struct {
+	wake, naive *Sim
+}
+
+func newSimPair(t *testing.T, g *graph.Graph, cfg Config) *simPair {
+	t.Helper()
+	build := func(naive bool) *Sim {
+		cfg.NaiveScan, cfg.Metrics = naive, telemetry.NewMetrics()
+		sim, err := NewSim(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	return &simPair{wake: build(false), naive: build(true)}
+}
+
+func (p *simPair) inject(t *testing.T, m message.Message, release int) {
+	t.Helper()
+	for _, sim := range []*Sim{p.wake, p.naive} {
+		if _, err := sim.Inject(m, release); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// step advances both engines one flit step and requires identical errors
+// and identical Result snapshots (which fold in pending lazy stall credit);
+// it reports whether the run can continue.
+func (p *simPair) step(t *testing.T, label string) bool {
+	t.Helper()
+	errW, errN := p.wake.Step(), p.naive.Step()
+	if (errW == nil) != (errN == nil) {
+		t.Fatalf("%s step %d: error mismatch: wakeup %v, naive %v", label, p.wake.Now(), errW, errN)
+	}
+	if rw, rn := p.wake.Result(), p.naive.Result(); !reflect.DeepEqual(rw, rn) {
+		t.Fatalf("%s step %d: snapshots differ\nwakeup: %+v\n naive: %+v", label, p.wake.Now(), rw, rn)
+	}
+	return errW == nil
+}
+
+// drain steps the pair in lockstep until nothing is in flight.
+func (p *simPair) drain(t *testing.T, label string) {
+	t.Helper()
+	for p.wake.Active() > 0 && p.step(t, label) {
+	}
+}
+
+// requireSameStalls fails unless both engines charged every stall to the
+// same cause and the same edge. Call it once the run is over, when every
+// parked span has been stamped.
+func (p *simPair) requireSameStalls(t *testing.T, label string) {
+	t.Helper()
+	sw, sn := p.wake.met.Snapshot(), p.naive.met.Snapshot()
+	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
+		if !strings.HasPrefix(c.Name(), "stall_") {
+			continue
+		}
+		if w, n := sw.Counter(c.Name()), sn.Counter(c.Name()); w != n {
+			t.Errorf("%s: %s = %d under wakeup, %d under naive", label, c.Name(), w, n)
+		}
+	}
+	if !reflect.DeepEqual(sw.EdgeStalls, sn.EdgeStalls) {
+		t.Errorf("%s: per-edge stall attribution differs\nwakeup: %v\n naive: %v", label, sw.EdgeStalls, sn.EdgeStalls)
+	}
+}
+
 // TestWakeupMatchesNaiveLockstep pins mid-run observability: the two
 // engines are stepped side by side through the incremental API and their
 // Result snapshots — which must fold in pending lazy stall credit — are
-// compared after every single step.
+// compared after every single step, with the wakeup engine's bandwidth
+// metering both checked in full and elided (see Sim.crossings).
 func TestWakeupMatchesNaiveLockstep(t *testing.T) {
 	r := rng.New(23)
 	bf := topology.NewButterfly(8)
@@ -190,38 +277,12 @@ func TestWakeupMatchesNaiveLockstep(t *testing.T) {
 		releases = append(releases, r.Intn(40))
 	}
 	for _, pol := range []Policy{ArbByID, ArbRandom, ArbAge} {
-		cfg := Config{VirtualChannels: 1, Arbitration: pol, Seed: 5, MaxSteps: 4096, CheckInvariants: true}
-		naiveCfg := cfg
-		naiveCfg.NaiveScan = true
-		wake, err := NewSim(bf.G, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, err := NewSim(bf.G, naiveCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, m := range msgs {
-			if _, err := wake.Inject(m, releases[i]); err != nil {
-				t.Fatal(err)
+		for _, check := range []bool{true, false} {
+			p := newSimPair(t, bf.G, Config{VirtualChannels: 1, Arbitration: pol, Seed: 5, MaxSteps: 4096, CheckInvariants: check})
+			for i, m := range msgs {
+				p.inject(t, m, releases[i])
 			}
-			if _, err := naive.Inject(m, releases[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for step := 0; wake.Active() > 0 && step < 4096; step++ {
-			errW := wake.Step()
-			errN := naive.Step()
-			if (errW == nil) != (errN == nil) {
-				t.Fatalf("%s step %d: error mismatch: wakeup %v, naive %v", pol, step, errW, errN)
-			}
-			rw, rn := wake.Result(), naive.Result()
-			if !reflect.DeepEqual(rw, rn) {
-				t.Fatalf("%s step %d: snapshots differ\nwakeup: %+v\n naive: %+v", pol, step, rw, rn)
-			}
-			if errW != nil {
-				break
-			}
+			p.drain(t, pol.String())
 		}
 	}
 }
