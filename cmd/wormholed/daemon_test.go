@@ -143,6 +143,11 @@ func TestSubmitValidation(t *testing.T) {
 			s.VirtualChannels = 0
 			return s
 		}()}, ""},
+		"lanes past the engine layout": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
+			s := testSweepSpec()
+			s.VirtualChannels, s.LaneDepth = 1<<30, 4 // panicked in NewSim; the handler died mid-request
+			return s
+		}()}, "bad_config"},
 		"over horizon": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
 			s := testSweepSpec()
 			s.Warmup = 1 << 30
@@ -164,6 +169,8 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: engine_error %q, want %q", name, body["engine_error"], tc.wantKind)
 		}
 	}
+	// Every rejection left the daemon serving.
+	fetch(t, srv.URL+"/api/v1/jobs", http.StatusOK)
 }
 
 // TestSweepJobMatchesDirectRun: a completed sweep job's CSV must equal

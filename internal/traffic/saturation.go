@@ -62,14 +62,25 @@ func SaturationRate(cfg Config, opts SearchOptions) (SearchResult, error) {
 		iters = 10
 	}
 
+	// One Runner serves the whole search: every probe replays over the
+	// same Sim, worm chunks, arenas and injectors, re-targeted to its rate
+	// and seed, instead of building and discarding them a dozen times.
+	// Results are those of a fresh Run per probe
+	// (TestSaturationRateMatchesFreshRuns).
+	first := cfg
+	first.Rate = hi
+	runner, err := NewRunner(first)
+	if err != nil {
+		return SearchResult{}, err
+	}
 	var out SearchResult
 	probe := func(rate float64) (bool, error) {
-		c := cfg
-		c.Rate = rate
 		// Decorrelate probes while keeping them a pure function of the
 		// experiment seed and the probe index.
-		c.Seed = cfg.Seed + uint64(len(out.Probes))*0x9E3779B97F4A7C15
-		r, err := Run(c)
+		if err := runner.retarget(rate, cfg.Seed+uint64(len(out.Probes))*0x9E3779B97F4A7C15); err != nil {
+			return false, err
+		}
+		r, err := runner.Run()
 		if err != nil {
 			return false, err
 		}

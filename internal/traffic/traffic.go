@@ -402,6 +402,21 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
+// retarget points the runner's next Run at another offered load and seed
+// of the same configuration — all a saturation-search probe varies — after
+// the same validation a fresh NewRunner would apply. The seed reaches the
+// simulator's arbitration shuffle through the Reset that opens the run.
+func (r *Runner) retarget(rate float64, seed uint64) error {
+	cfg := r.cfg
+	cfg.Rate, cfg.Seed = rate, seed
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	r.cfg = cfg
+	r.sim.SetSeed(seed)
+	return nil
+}
+
 // Run executes one open-loop simulation and returns its measurements.
 // Every call replays the same Config from scratch — same seed, same
 // windows — over the retained storage. With Config.OnStep set, a

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -206,6 +207,36 @@ func TestSaturationSearchDeterminism(t *testing.T) {
 	}
 }
 
+// TestSaturationRateMatchesFreshRuns: the search keeps one Runner and
+// re-targets it per probe; every probe must still be what a fresh Run of
+// (rate, the documented (cfg.Seed, i) seed) reports. ArbRandom makes the
+// seed reach the simulator's shuffle, not just the injectors.
+func TestSaturationRateMatchesFreshRuns(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Arbitration = vcsim.ArbRandom
+	cfg.MaxBacklog = 512
+	cfg.Measure = 128
+	sr, err := SaturationRate(cfg, SearchOptions{Hi: 1, Iters: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Probes) != 6 {
+		t.Fatalf("%d probes, want the bracket probe and 5 bisections", len(sr.Probes))
+	}
+	for i, p := range sr.Probes {
+		c := cfg
+		c.Rate = p.Rate
+		c.Seed = cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
+		r, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (Probe{Rate: p.Rate, Accepted: r.Accepted, MeanLat: r.MeanLatency, Saturated: r.Saturated}); p != want {
+			t.Errorf("probe %d: search saw %+v, a fresh run gives %+v", i, p, want)
+		}
+	}
+}
+
 // TestPermutationPatterns: transpose and bit-reverse must be bijections
 // on the endpoint space (otherwise they are not permutation traffic).
 func TestPermutationPatterns(t *testing.T) {
@@ -355,6 +386,13 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("mutation %d: expected a validation error", i)
 		}
+	}
+	// A lane count past the engine's layout is the engine's typed error,
+	// not a panic: wormholed validates a submission by building a Runner.
+	cfg := smallCfg()
+	cfg.VirtualChannels, cfg.LaneDepth = 1<<30, 4
+	if _, err := NewRunner(cfg); !errors.Is(err, vcsim.ErrBadConfig) {
+		t.Errorf("NewRunner with 2^30 lanes: err = %v, want vcsim.ErrBadConfig", err)
 	}
 }
 

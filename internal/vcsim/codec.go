@@ -103,7 +103,7 @@ func (si *Sim) configFields() []cfgField {
 		return 0
 	}
 	return []cfgField{
-		{"network edges", 4, uint64(len(si.laneFree)), nil},
+		{"network edges", 4, uint64(len(si.edges)), nil},
 		{"VirtualChannels", 4, uint64(si.b), nil},
 		{"LaneDepth", 4, uint64(si.depth), nil},
 		{"SharedPool", 1, bit(si.shared), nil},
@@ -178,8 +178,14 @@ func (si *Sim) Snapshot(w io.Writer) error {
 	sw.U64s(si.active)
 	sw.Bool(si.byID != nil)
 
-	// Per-edge credit state.
-	sw.I32s(si.laneFree)
+	// Per-edge credit state. The wire form is a plain counter array; the
+	// rest of edgeRec is empty between steps (relLane, dirtyFlag) or
+	// rebuilt from the wait heaps on restore (waiters).
+	laneFree := make([]int32, len(si.edges))
+	for e := range si.edges {
+		laneFree[e] = si.edges[e].laneFree
+	}
+	sw.I32s(laneFree)
 	if si.deepMode {
 		sw.I32s(si.flitFree)
 	}
@@ -470,7 +476,11 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		slices.Sort(si.byID)
 	}
 
-	r.I32sInto(skipLen(r, si.laneFree, "laneFree"))
+	laneFree := make([]int32, numEdges)
+	r.I32sInto(skipLen(r, laneFree, "laneFree"))
+	for e := range si.edges {
+		si.edges[e].laneFree = laneFree[e]
+	}
 	if si.deepMode {
 		r.I32sInto(skipLen(r, si.flitFree, "flitFree"))
 	}
@@ -496,6 +506,12 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		readHeaps(si.waitQ, "waitQ")
 		if si.waitQFlit != nil {
 			readHeaps(si.waitQFlit, "waitQFlit")
+		}
+		// The waiters bits are not on the wire: they follow from the heaps.
+		for e := range si.edges {
+			if si.queued(e) {
+				si.edges[e].waiters = 1
+			}
 		}
 		si.parked = int(r.I64())
 		if si.finalSeen != nil {

@@ -36,9 +36,9 @@ package vcsim
 // attempt touches exactly one worm record; the pre-overhaul engine kept a
 // parallel deepWorms array whose extra cache miss per attempt was a
 // measurable slice of deep-knee step cost. Edge credits are the shared
-// in-place counters of vcsim.go: laneFree (lanes = distinct worms
+// in-place counters of vcsim.go: edgeRec.laneFree (lanes = distinct worms
 // buffered), flitFree (the B·d flit credits), with releases deferred
-// through relLane/relFlit under the two-phase discipline, and the
+// through edgeRec.relLane/relFlit under the two-phase discipline, and the
 // epoch-stamped crossings meter for bandwidth.
 //
 // One flit step moves every movable flit once, under the same conservative
@@ -121,7 +121,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 		case telemetry.CtrStallSharedPool:
 			holds = si.flitFree[e] <= 0
 		default:
-			holds = si.laneFree[e] <= 0 || (si.shared && si.flitFree[e] <= 0)
+			holds = si.edges[e].laneFree <= 0 || (si.shared && si.flitFree[e] <= 0)
 		}
 		if holds {
 			// A cached re-fail is a proven park-eligible verdict: the
@@ -172,9 +172,8 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 		stamp     = si.crossStamp()
 		cap32     = si.capI32
 		depth     = si.depth
-		laneFree  = si.laneFree
+		edges     = si.edges
 		flitFree  = si.flitFree
-		relLane   = si.relLane
 		relFlit   = si.relFlit
 		crossings = si.crossings
 		shared    = si.shared
@@ -216,7 +215,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 					}
 				} else {
 					// First flit of the worm on this edge: acquire a lane.
-					if laneFree[e] <= 0 {
+					if edges[e].laneFree <= 0 {
 						fits = false
 						foreign = e
 					} else if shared && flitFree[e] <= 0 {
@@ -243,7 +242,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 				if c <= bodyCap && !shift {
 					flitFree[e]--
 					if groupProg != c+1 {
-						laneFree[e]-- // lane acquisition
+						edges[e].laneFree-- // lane acquisition
 					}
 					si.touchMax(e)
 				}
@@ -261,7 +260,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 		if pendingRel >= 0 {
 			if !adv {
 				relFlit[pendingRel]++
-				relLane[pendingRel]++
+				edges[pendingRel].relLane++
 				si.touch(pendingRel)
 			}
 			pendingRel = -1
@@ -284,7 +283,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 					pendingRel = s
 				default:
 					relFlit[s]++
-					relLane[s]++
+					edges[s].relLane++
 					si.touch(s)
 				}
 			} else {
@@ -310,7 +309,7 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 	if pendingRel >= 0 {
 		// The tail flit advanced with no successor to shift through.
 		relFlit[pendingRel]++
-		relLane[pendingRel]++
+		edges[pendingRel].relLane++
 		si.touch(pendingRel)
 	}
 	if !moved {
@@ -391,7 +390,7 @@ func (si *Sim) tryAdvanceStretched(w *worm) bool {
 	// in a stretched worm the predecessor group sits one edge ahead.
 	if c <= w.d-2 {
 		e := path[c]
-		if si.laneFree[e] <= 0 || (si.shared && si.flitFree[e] <= 0) {
+		if si.edges[e].laneFree <= 0 || (si.shared && si.flitFree[e] <= 0) {
 			return false
 		}
 	}
@@ -420,7 +419,7 @@ func (si *Sim) tryAdvanceStretched(w *worm) bool {
 	if c <= w.d-2 {
 		e := path[c]
 		si.flitFree[e]--
-		si.laneFree[e]--
+		si.edges[e].laneFree--
 		si.touchMax(e)
 	}
 	if !injecting {
@@ -429,7 +428,7 @@ func (si *Sim) tryAdvanceStretched(w *worm) bool {
 		// entering flit instead and no credit moves.
 		s := path[lo-1]
 		si.relFlit[s]++
-		si.relLane[s]++
+		si.edges[s].relLane++
 		si.touch(s)
 	}
 	for j := h; j <= last; j++ {
@@ -482,7 +481,7 @@ func (si *Sim) releaseDeepWorm(w *worm) {
 		s := w.path[c-1]
 		si.relFlit[s]++
 		if j == int(w.lastInj) || prog[j+1] != c {
-			si.relLane[s]++ // last own flit on the edge: lane frees too
+			si.edges[s].relLane++ // last own flit on the edge: lane frees too
 		}
 		si.touch(s)
 	}
@@ -531,7 +530,7 @@ func (si *Sim) checkInvariantsDeep() {
 	// Dense per-edge counters, walked in edge order: maps here would pick
 	// the first panic by randomized iteration order (see checkInvariants).
 	flitOcc := make([]int32, len(si.flitFree))
-	laneOcc := make([]int32, len(si.laneFree))
+	laneOcc := make([]int32, len(si.edges))
 	for i := 0; i < si.numWorms; i++ {
 		w := si.worm(i)
 		if w.status == StatusDropped || w.status == StatusDelivered || w.status == StatusAborted {

@@ -1,6 +1,7 @@
 package vcsim
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -42,6 +43,9 @@ func TestValidationTypedErrors(t *testing.T) {
 		{"no lanes", nil, Config{VirtualChannels: 0}, ErrBadConfig},
 		{"bad depth", nil, Config{VirtualChannels: 2, LaneDepth: -1}, ErrBadConfig},
 		{"bad park streak", nil, Config{VirtualChannels: 2, ParkStreak: -1}, ErrBadConfig},
+		{"lanes over MaxLanes", nil, Config{VirtualChannels: MaxLanes + 1}, ErrBadConfig},
+		{"lanes far over MaxLanes", nil, Config{VirtualChannels: 1 << 30, LaneDepth: 4}, ErrBadConfig},
+		{"flit pool over 32 bits", nil, Config{VirtualChannels: MaxLanes, LaneDepth: MaxHorizon/MaxLanes + 1}, ErrBadConfig},
 		{"horizon over MaxHorizon", nil, Config{VirtualChannels: 2, MaxSteps: MaxHorizon + 1}, ErrOverHorizon},
 		{"release count", []int{1}, good, ErrBadMessage},
 		{"negative release", []int{0, -1, 0}, good, ErrBadMessage},
@@ -66,6 +70,13 @@ func TestValidationTypedErrors(t *testing.T) {
 		}
 		if !errors.Is(err, tc.want) {
 			t.Errorf("incremental %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		// RestoreSim holds the caller's Config to the same statement before
+		// it reads a byte.
+		if tc.release == nil {
+			if _, err := RestoreSim(set.G, cfg, bytes.NewReader(nil)); !errors.Is(err, tc.want) {
+				t.Errorf("restore %s: err = %v, want %v", tc.name, err, tc.want)
+			}
 		}
 	}
 

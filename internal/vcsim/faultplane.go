@@ -16,15 +16,18 @@ package vcsim
 // attempt, every event with Step ≤ t has been applied. Two application
 // paths maintain it:
 //
-//   - fold mode, at the top of applyStepEnd (events with Step ≤ now+1):
-//     kills debit credits directly; revives go through relLane/relFlit
-//     so they fold — and wake waiters — exactly like credit releases,
-//     which is what keeps the naive scan and the wakeup engine
-//     byte-identical (a revive IS a slot event);
-//   - direct mode, at the top of step() (events with Step ≤ now): only
-//     reachable after a StepTo/Drain fast-forward jumped the clock past
-//     scheduled events. Jumps only happen with nothing in flight, so
-//     there are no waiters to wake and credits are adjusted in place.
+//   - at the top of applyStepEnd (events with Step ≤ now+1), ahead of the
+//     credit fold: kills and revives adjust the counters in place and put
+//     the edge on the dirty list, so a revive is folded — and wakes
+//     waiters — exactly like a credit release, which is what keeps the
+//     naive scan and the wakeup engine byte-identical (a revive IS a slot
+//     event). Revives deliberately bypass relLane: a schedule may kill and
+//     revive the same lane any number of times in one step, and the 16-bit
+//     release counter is sized for worm releases only (see edgeRec);
+//   - at the top of step() (events with Step ≤ now): only reachable after
+//     a StepTo/Drain fast-forward jumped the clock past scheduled events.
+//     Jumps only happen with nothing in flight, so there are no waiters
+//     to wake.
 //
 // Events scheduled inside a trailing idle span that no step ever
 // executes (a truncated run, or a horizon past the last worm) stay
@@ -38,7 +41,7 @@ package vcsim
 // heap woken only by that edge's revival (slot events cannot change a
 // deadness verdict). Kill-starved live edges are ordinary credit
 // blocks: worms park on the regular wait queues and revives wake them
-// through the relLane fold.
+// through the step-end fold.
 //
 // Deadlock honesty: while any scheduled revive lies at or beyond the
 // current step, an apparently frozen configuration may still be broken
@@ -80,13 +83,12 @@ func validateFaults(numEdges int, cfg Config) error {
 	return nil
 }
 
-// applyFaults consumes schedule events with Step ≤ upTo. In fold mode
-// (direct=false, called from applyStepEnd) revives are deferred through
-// relLane/relFlit so the fold wakes waiters; in direct mode (a
-// StepTo/Drain jump, nothing in flight) credits move in place.
+// applyFaults consumes schedule events with Step ≤ upTo, moving credits in
+// place and marking the edge dirty so the step-end fold probes it and wakes
+// its waiters.
 //
 //wormvet:hotpath
-func (si *Sim) applyFaults(upTo int, direct bool) {
+func (si *Sim) applyFaults(upTo int) {
 	m := si.met
 	for si.faultIdx < len(si.faults) {
 		ev := si.faults[si.faultIdx]
@@ -97,7 +99,7 @@ func (si *Sim) applyFaults(upTo int, direct bool) {
 		e := int32(ev.Edge) //wormvet:allow horizon -- validateFaults bounds Edge < numEdges
 		switch ev.Kind {
 		case fault.KillLane:
-			si.laneFree[e]--
+			si.edges[e].laneFree--
 			si.killedLanes[e]++
 			si.killedTotal++
 			if si.deepMode {
@@ -107,16 +109,9 @@ func (si *Sim) applyFaults(upTo int, direct bool) {
 		case fault.ReviveLane:
 			si.killedLanes[e]--
 			si.killedTotal--
-			if direct {
-				si.laneFree[e]++
-				if si.deepMode {
-					si.flitFree[e] += si.depth
-				}
-			} else {
-				si.relLane[e]++
-				if si.deepMode {
-					si.relFlit[e] += si.depth
-				}
+			si.edges[e].laneFree++
+			if si.deepMode {
+				si.flitFree[e] += si.depth
 			}
 			si.touch(e)
 		case fault.KillEdge:

@@ -35,6 +35,7 @@ import (
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
+	"wormhole/internal/telemetry"
 	"wormhole/internal/topology"
 )
 
@@ -181,6 +182,109 @@ func TestMixedFinalFlipFlushesParked(t *testing.T) {
 	}
 }
 
+// TestStaleWaitersBit covers the three ways an edge's waiters bit (see
+// edgeRec) parts company with its wait queues: flushParked and deadlock
+// stamping empty the queues without visiting the records, leaving the bit
+// set over nothing, and Reset drops queues and bits together under worms
+// that were still parked. In each case the run that follows must match the
+// naive scan — Result and per-message stats every step, stall counters at
+// the end — with CheckInvariants asserting "parked ⇒ bit set" throughout.
+func TestStaleWaitersBit(t *testing.T) {
+	line := topology.NewLinearArray(7)
+	route := message.ShortestPathRouter(line)
+	long := message.Message{Src: 0, Dst: 6, Length: 5, Path: route(0, 6)}
+	flip := message.Message{Src: 0, Dst: 5, Length: 2, Path: route(0, 5)}
+	cycle := deadlockSet()
+
+	// staleBits counts edges whose bit is set over empty queues.
+	staleBits := func(si *Sim) (n int) {
+		for e, r := range si.edges {
+			if r.waiters != 0 && len(si.waitQ[e]) == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	// backlog parks most of ten long worms behind one lane.
+	backlog := func(t *testing.T, p *simPair, label string) {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			p.inject(t, long, p.wake.Now())
+		}
+		for i := 0; i < 30; i++ {
+			p.step(t, label)
+		}
+		if p.wake.parked == 0 {
+			t.Fatalf("%s: fixture never parked a worm", label)
+		}
+	}
+	// reset starts both engines over, registries included: a worm dropped
+	// while parked takes its unstamped stall span with it.
+	reset := func(p *simPair) {
+		for _, si := range []*Sim{p.wake, p.naive} {
+			si.Reset()
+			*si.met = telemetry.Metrics{}
+			si.met.EnsureEdges(len(si.edges))
+		}
+	}
+
+	for _, pol := range []Policy{ArbByID, ArbAge} {
+		cfg := Config{VirtualChannels: 1, Arbitration: pol, MaxSteps: 4096, CheckInvariants: true}
+
+		t.Run(pol.String()+"/flush", func(t *testing.T) {
+			p := newSimPair(t, line, cfg)
+			backlog(t, p, "flush")
+			p.inject(t, flip, p.wake.Now()) // mixes the roles: flushParked
+			if p.wake.parked != 0 || staleBits(p.wake) == 0 {
+				t.Fatalf("after the flush: %d parked, %d stale bits; want 0 and > 0", p.wake.parked, staleBits(p.wake))
+			}
+			p.drain(t, "flush")
+			p.requireSameStalls(t, "flush")
+			if n := staleBits(p.wake); n != 0 {
+				t.Errorf("%d bits still set over empty queues after the drain folded every edge", n)
+			}
+		})
+
+		t.Run(pol.String()+"/deadlock", func(t *testing.T) {
+			dcfg := cfg
+			dcfg.ParkStreak = 1 // park on the first failure, so the freeze finds parked worms
+			p := newSimPair(t, cycle.G, dcfg)
+			for i := 0; i < cycle.Len(); i++ {
+				p.inject(t, cycle.Get(message.ID(i)), 0)
+			}
+			p.drain(t, "deadlock")
+			if !p.wake.Deadlocked() || staleBits(p.wake) == 0 {
+				t.Fatalf("deadlocked %v with %d stale bits; want true and > 0", p.wake.Deadlocked(), staleBits(p.wake))
+			}
+			// The next run over the same Sim: one of the two worms alone.
+			reset(p)
+			p.inject(t, cycle.Get(0), 0)
+			p.drain(t, "after deadlock")
+			p.requireSameStalls(t, "after deadlock")
+			if res := p.wake.Result(); !res.AllDelivered() {
+				t.Errorf("run after the deadlock did not deliver: %+v", res)
+			}
+		})
+
+		t.Run(pol.String()+"/reset", func(t *testing.T) {
+			p := newSimPair(t, line, cfg)
+			backlog(t, p, "before reset")
+			reset(p)
+			for e, r := range p.wake.edges {
+				if r.waiters != 0 || len(p.wake.waitQ[e]) != 0 {
+					t.Fatalf("edge %d after Reset: waiters %d, %d queued", e, r.waiters, len(p.wake.waitQ[e]))
+				}
+			}
+			backlog(t, p, "after reset")
+			p.drain(t, "after reset")
+			p.requireSameStalls(t, "after reset")
+			if res := p.wake.Result(); !res.AllDelivered() {
+				t.Errorf("run after Reset did not deliver: %+v", res)
+			}
+		})
+	}
+}
+
 func FuzzSimInvariants(f *testing.F) {
 	// Seed corpus: one entry per topology family crossed with the
 	// interesting config corners (deep lanes, shared pool, restricted
@@ -241,7 +345,7 @@ func FuzzSimInvariants(f *testing.F) {
 				t.Fatalf("conservation: %d delivered + %d dropped ≠ %d messages",
 					wakeRes.Delivered, wakeRes.Dropped, m)
 			}
-			for e := range wake.laneFree {
+			for e := range wake.edges {
 				if used := wake.lanesInUse(e); used != 0 {
 					t.Fatalf("edge %d still holds %d lanes after completion", e, used)
 				}

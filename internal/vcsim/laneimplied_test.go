@@ -184,8 +184,8 @@ func TestLaneImpliedLaneKillDebt(t *testing.T) {
 			}
 			debt := false
 			for p.wake.Active() > 0 && p.step(t, pol.String()) {
-				for _, free := range p.wake.laneFree {
-					debt = debt || free < 0
+				for _, r := range p.wake.edges {
+					debt = debt || r.laneFree < 0
 				}
 			}
 			p.requireSameStalls(t, pol.String())
@@ -233,27 +233,45 @@ func TestLaneImpliedFinalEdgeContention(t *testing.T) {
 }
 
 // BenchmarkRigidAdvance measures the rigid kernel's cost per worm advance
-// on the knee workloads' network (n = 64 butterfly, B = 2, ArbAge,
-// Bernoulli arrivals, uniform destinations) at message lengths 2, 6 and
-// 24. The offered flit load is held at 0.8 of the L = 6 knee (0.306
+// on butterflies at B = 2, ArbAge, Bernoulli arrivals, uniform
+// destinations, along two axes.
+//
+// Length, on the knee workloads' n = 64 network at message lengths 2, 6
+// and 24: the offered flit load is held at 0.8 of the L = 6 knee (0.306
 // messages, i.e. 1.84 flits, per input per step), so the network is busy
 // but keeps up at every length. An advance crosses up to min(L, 6) edges;
 // with lane-implied bandwidth it meters at most one of them, so ns/advance
 // should not grow with L.
+//
+// Width, at L = 4 and 0.02 messages per input per step (the sparse-wide
+// operating point) on n = 64 and n = 4096: the load per edge is the same,
+// but the narrow network's per-edge state is L1-resident and the wide
+// one's 98 304 edges are not, so the gap between the two is what an
+// advance pays in cache misses on edge state (see edgeRec).
 func BenchmarkRigidAdvance(b *testing.B) {
-	const n, steps = 64, 2048
-	bf := topology.NewButterfly(n)
-	for _, l := range []int{2, 6, 24} {
-		b.Run(fmt.Sprintf("L=%d", l), func(b *testing.B) {
-			p := 0.8 * 0.306 * 6 / float64(l)
+	knee := func(l int) float64 { return 0.8 * 0.306 * 6 / float64(l) }
+	for _, c := range []struct {
+		name     string
+		n, l     int
+		p        float64 // arrival probability per input per step
+		arrivals int     // steps of arrivals
+	}{
+		{"L=2", 64, 2, knee(2), 2048},
+		{"L=6", 64, 6, knee(6), 2048},
+		{"L=24", 64, 24, knee(24), 2048},
+		{"sparse/n=64", 64, 4, 0.02, 16384},
+		{"sparse/n=4096", 4096, 4, 0.02, 512},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			bf := topology.NewButterfly(c.n)
 			r := rng.New(17)
 			var msgs []message.Message
 			var releases []int
-			for t := 0; t < steps; t++ {
-				for src := 0; src < n; src++ {
-					if r.Float64() < p {
-						dst := r.Intn(n)
-						msgs = append(msgs, message.Message{Src: bf.Input(src), Dst: bf.Output(dst), Length: l, Path: bf.Route(src, dst)})
+			for t := 0; t < c.arrivals; t++ {
+				for src := 0; src < c.n; src++ {
+					if r.Float64() < c.p {
+						dst := r.Intn(c.n)
+						msgs = append(msgs, message.Message{Src: bf.Input(src), Dst: bf.Output(dst), Length: c.l, Path: bf.Route(src, dst)})
 						releases = append(releases, t)
 					}
 				}
@@ -263,7 +281,7 @@ func BenchmarkRigidAdvance(b *testing.B) {
 				b.Fatal(err)
 			}
 			// Every delivered worm advances D+L−1 times (frontier 0 → D+L−1).
-			advances := len(msgs) * (bf.Levels + l - 1)
+			advances := len(msgs) * (bf.Levels + c.l - 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

@@ -34,7 +34,8 @@ var (
 	// with errors.Is to map a tenant's bad workload to a client error
 	// instead of crashing the job.
 
-	// ErrBadConfig wraps every Config rejection: VirtualChannels < 1,
+	// ErrBadConfig wraps every Config rejection: VirtualChannels < 1 or
+	// above MaxLanes, a VirtualChannels × LaneDepth pool past 32 bits,
 	// negative LaneDepth or ParkStreak.
 	ErrBadConfig = errors.New("vcsim: invalid configuration")
 	// ErrOverHorizon wraps every rejection of a time or size above

@@ -161,6 +161,13 @@ type RetryPolicy struct {
 // an up-front error instead of silent corruption.)
 const MaxHorizon = math.MaxInt32 - 1
 
+// MaxLanes is the largest supported Config.VirtualChannels. An edge's
+// per-step lane releases — at most one per worm holding a lane there, so at
+// most B — accumulate in a 16-bit counter (see edgeRec); the bound keeps
+// that an up-front error too. (Hardware routers carry a handful of lanes
+// per channel; the paper's experiments stop at B = 64.)
+const MaxLanes = 1 << 14
+
 // Status describes a message's final (or current) state.
 type Status int8
 
@@ -279,6 +286,14 @@ func (r *Result) DroppedIDs() []message.ID {
 // per advance attempt, so the struct's cache footprint is a first-order
 // term in ns/step. All time-valued fields are 32-bit (see MaxHorizon).
 //
+// Field order is layout, not taste: the struct is 128 bytes — two cache
+// lines, chunks being page-aligned — and everything a rigid advance attempt
+// and the wakeup stepper around it read or write sits in the first 64, so
+// an attempt on a cold worm misses once. The second line holds the deep
+// engine's state and what only injection, completion and parking touch.
+// TestHotLayout pins the offsets; the codec writes field by field, so the
+// order has no wire effect.
+//
 // Because rigid worms cannot stretch, the entire flit configuration is
 // captured by a single counter: frontier = the number of edges the header
 // has crossed. Flit j has crossed clamp(frontier−j, 0, D) edges; an
@@ -288,27 +303,23 @@ func (r *Result) DroppedIDs() []message.ID {
 // prog instead; its fHead/lastInj cursors live here too, inline, so a deep
 // advance attempt touches one struct instead of three arrays.
 type worm struct {
+	// --- first cache line: the rigid kernel and the stepper loop ---
+
 	path []int32 // edge IDs, arena-backed
-	// prog is the deep engine's per-flit progress (nil on the rigid path):
-	// prog[j] = edges flit j has crossed, non-increasing in j.
-	prog []int32
 	// key is the arbitration-order key: id for ArbByID, release<<32 | id
 	// for ArbAge. Sorts, merges, and wait-queue heaps compare keys instead
 	// of chasing (release, id) field pairs through cold worm structs.
 	key      uint64
-	id       int32
 	d, l     int32 // path length, message length
 	frontier int32
-	release  int32
-
-	// Compact per-message stats, assembled into MessageStats on demand
-	// (Result snapshots, OnComplete).
-	injectTime  int32 // -1 if never injected
-	deliverTime int32 // -1 if not delivered
-	dropTime    int32 // -1 if not dropped
-	stalls      int32
-	status      Status
-
+	// injectTime and stalls are the two stats an attempt moves; the rest
+	// of the compact per-message stats are on the second line.
+	injectTime int32 // -1 if never injected
+	stalls     int32
+	// streak counts consecutive failed steps since the last advance or
+	// wake; parking waits out a short probation (parkStreak) so brief
+	// blocked episodes never pay the park/wake machinery.
+	streak int32
 	// Wakeup-engine state (idle under Config.NaiveScan). A worm whose
 	// header finds its next edge's buffer full is parked on that edge's
 	// wait queue and skipped until a slot event there — the only event
@@ -317,26 +328,38 @@ type worm struct {
 	// credit for the parked span is stamped lazily on wake, deadlock, or
 	// result snapshot.
 	parkedAt int32
-	waitEdge int32
-	// streak counts consecutive failed steps since the last advance or
-	// wake; parking waits out a short probation (parkStreak) so brief
-	// blocked episodes never pay the park/wake machinery.
-	streak int32
+	status   Status
 	// woken marks a worm between a wake and its next advance, so telemetry
 	// can classify a re-park without progress as a spurious wake. Pure
 	// observation — never consulted by the engine itself.
 	woken bool
-
-	// Deep-engine cursors: fHead is the first undelivered flit, lastInj
-	// the last injected one (−1 before the header enters the network).
-	fHead   int32
-	lastInj int32
 	// stretched marks a deep worm whose in-flight flits sit at strictly
 	// consecutive progress values — the rigid-equivalent configuration, in
 	// which an unobstructed step advances every flit via shift-through.
 	// The deep engine takes a one-pass fast path while it holds (see
 	// tryAdvanceStretched) and re-derives it after any compressing step.
 	stretched bool
+
+	// --- second cache line: deep engine, birth, completion, parking ---
+
+	// prog is the deep engine's per-flit progress (nil on the rigid path):
+	// prog[j] = edges flit j has crossed, non-increasing in j.
+	prog    []int32
+	id      int32
+	release int32
+
+	// The rest of the compact per-message stats, assembled into
+	// MessageStats on demand (Result snapshots, OnComplete).
+	deliverTime int32 // -1 if not delivered
+	dropTime    int32 // -1 if not dropped
+
+	// waitEdge is the park target a parked worm waits on (see park).
+	waitEdge int32
+
+	// Deep-engine cursors: fHead is the first undelivered flit, lastInj
+	// the last injected one (−1 before the header enters the network).
+	fHead   int32
+	lastInj int32
 	// blockedOn caches a deep worm's fully-blocked verdict (the park
 	// target, kind bit included; -1 when clear). A fully blocked worm's
 	// verdict is stable until the blocking credit frees — the park
@@ -405,7 +428,7 @@ func (w *worm) crossed() (lo, hi int32) {
 
 // --- arena storage -----------------------------------------------------------
 
-// wormShift sizes worm chunks: 4096 worms ≈ 0.5 MB per chunk. Chunked
+// wormShift sizes worm chunks: 4096 worms = 0.5 MB per chunk. Chunked
 // storage keeps worm addresses stable and append cost O(1): a long
 // open-loop run injects hundreds of thousands of messages, and growing a
 // flat []worm re-copies the whole population every ~25% growth — the
@@ -482,6 +505,48 @@ func (a *i32Arena) alloc(n int) []int32 {
 // reset rewinds the arena; previously allocated slices become reusable
 // storage and must no longer be referenced.
 func (a *i32Arena) reset() { a.cur, a.off = 0, 0 }
+
+// edgeRec is everything a lane event needs to know about one edge, in one
+// naturally aligned 8-byte word: a header grant (laneFree-- and the
+// dirtyMax bit), a tail release (relLane++ and the dirty bit) and the
+// step-end fold each touch one cache line instead of one per parallel
+// array. On a wide network at light load an edge is touched about once a
+// step and none of this state is L1-resident (sparse-wide: 98 304 edges),
+// so with one array per field those first-touch loads were 35% of the run.
+//
+//   - laneFree is the number of lane grants still available on the edge
+//     this step: B minus persistent occupancy minus this step's uncommitted
+//     grants minus fault kill debt (which may drive it negative while
+//     occupants drain) — the quantity every capacity check actually wants,
+//     one counter instead of a slotsUsed+grants pair.
+//   - relLane accumulates this step's lane releases, which stay invisible
+//     until applyStepEnd folds them into laneFree (two-phase model). A worm
+//     holds at most one lane per edge and releases it at most once a step,
+//     so relLane ≤ B ≤ MaxLanes and 16 bits are plenty. Zero between steps.
+//   - dirtyFlag: bit 1, the edge is on Sim.dirty; bit 2, on Sim.dirtyMax.
+//   - waiters: low bit set while some worm may be parked on the edge's
+//     lane or flit wait queue. park sets it; applyStepEnd clears it once
+//     wakeEdge has left both queues empty; Reset zeroes it and RestoreSim
+//     rebuilds it from the heaps it read. So "queue non-empty ⇒ bit set"
+//     always holds (CheckInvariants asserts it) and the fold reads no
+//     wait-queue slice header — 24 bytes per edge, 2.3 MB of them on
+//     sparse-wide — for an edge nobody waits on. The converse may fail:
+//     flushParked and deadlock stamping empty queues without visiting the
+//     record, and the stale bit then costs one wakeEdge over empty queues.
+//     Dead-edge waits (faultQ) have their own wake path and never set it.
+//
+// The layout is measured, not guessed (sparse-wide wall_s against the
+// six-array parent, ISSUE 20): this record −13%; a 12-byte record with a
+// 32-bit relLane −9%; a 32-byte record that also holds crossings, flitFree
+// and relFlit +10% (the per-edge working set grows from 0.9 MB to 3.1 MB);
+// the finalSeen/bodySeen bits moved in: nothing on sparse-wide, +1.8% on
+// knee-rigid. TestHotLayout pins the size.
+type edgeRec struct {
+	laneFree  int32
+	relLane   int16
+	dirtyFlag uint8
+	waiters   uint8
+}
 
 // Run simulates the message set under the given per-message release times
 // (release[i] is the earliest flit step at which message i may start; nil
@@ -564,17 +629,14 @@ type Sim struct {
 	byID []uint64
 	now  int
 
-	// Per-edge credit state, updated in place. laneFree[e] is the number
-	// of lane grants still available on e this step: B minus persistent
-	// occupancy minus this step's uncommitted grants — the quantity every
-	// capacity check actually wants, maintained as one counter instead of
-	// slotsUsed+grants pairs. Releases stay deferred (two-phase model):
-	// relLane[e] accumulates this step's lane releases and folds into
-	// laneFree at step end. In deep mode laneFree counts lanes (distinct
-	// worms buffered) and flitFree/relFlit do the same for the B·d flit
-	// credits.
-	laneFree []int32
-	relLane  []int32
+	// Per-edge credit state, updated in place: edges[e] packs the lane
+	// counters, the dirty-list membership bits and the waiters bit into one
+	// 8-byte record (see edgeRec). In deep mode edges[e].laneFree counts
+	// lanes (distinct worms buffered) and flitFree/relFlit do the same for
+	// the B·d flit credits, as their own arrays — only the deep engine
+	// reads them, and widening the record costs the rigid kernel more than
+	// it saves the deep one (edgeRec has the numbers).
+	edges    []edgeRec
 	flitFree []int32 // deep mode only
 	relFlit  []int32 // deep mode only
 	// crossings is the per-edge bandwidth meter, epoch-stamped so it
@@ -612,11 +674,10 @@ type Sim struct {
 	// wake (free credit rises exclusively through releases; an edge that
 	// saw only grants this step is at or below the level every parked
 	// worm already failed against). dirtyMax lists grant-only edges,
-	// which owe nothing at step end but a MaxOccupied probe. dirtyFlag
-	// holds both membership bits.
-	dirty     []int32
-	dirtyMax  []int32
-	dirtyFlag []uint8 // bit 1: on dirty; bit 2: on dirtyMax
+	// which owe nothing at step end but a MaxOccupied probe. Both
+	// membership bits live in edgeRec.dirtyFlag.
+	dirty    []int32
+	dirtyMax []int32
 
 	// Wakeup-engine state (nil/zero under Config.NaiveScan). waitQ[e]
 	// holds the worms parked on edge e as a min-heap in key order, so
@@ -717,7 +778,9 @@ type Sim struct {
 }
 
 // emptySim builds a Sim with no messages over a network of numEdges
-// physical channels. Both constructors (batch and incremental) share it.
+// physical channels. Both constructors (batch and incremental) and
+// RestoreSim share it; each has put cfg through validateConfig first, which
+// is where every range the narrowings below rely on is enforced.
 func emptySim(numEdges int, cfg Config) *Sim {
 	depth := cfg.LaneDepth
 	if depth == 0 {
@@ -727,9 +790,6 @@ func emptySim(numEdges int, cfg Config) *Sim {
 	if parkStreak == 0 {
 		parkStreak = defaultParkStreak
 	}
-	if cfg.VirtualChannels*depth > MaxHorizon {
-		panic(fmt.Sprintf("vcsim: VirtualChannels %d × LaneDepth %d overflows the 32-bit pool layout", cfg.VirtualChannels, depth))
-	}
 	si := &Sim{
 		cfg:        cfg,
 		b:          cfg.VirtualChannels,
@@ -737,22 +797,20 @@ func emptySim(numEdges int, cfg Config) *Sim {
 		depth:      int32(depth),
 		shared:     cfg.SharedPool,
 		deepMode:   depth > 1 || cfg.SharedPool,
-		poolCap:    int32(cfg.VirtualChannels * depth),
 		naive:      cfg.NaiveScan,
 		parkStreak: int32(parkStreak),
-		laneFree:   make([]int32, numEdges),
-		relLane:    make([]int32, numEdges),
+		edges:      make([]edgeRec, numEdges),
 		crossings:  make([]uint64, numEdges),
-		dirtyFlag:  make([]uint8, numEdges),
 		maxSteps:   cfg.MaxSteps,
 	}
 	if cfg.RestrictedBandwidth {
 		si.cap = 1
 	}
-	si.bI32 = int32(si.b)     //wormvet:allow horizon -- b = VirtualChannels ≤ VirtualChannels·depth, bounded above
-	si.capI32 = int32(si.cap) //wormvet:allow horizon -- cap ∈ {1, b}
-	for e := range si.laneFree {
-		si.laneFree[e] = si.bI32
+	si.bI32 = int32(si.b)           //wormvet:allow horizon -- validateConfig bounds VirtualChannels ≤ MaxLanes
+	si.capI32 = int32(si.cap)       //wormvet:allow horizon -- cap ∈ {1, b}
+	si.poolCap = si.bI32 * si.depth // ≤ MaxHorizon by validateConfig
+	for e := range si.edges {
+		si.edges[e].laneFree = si.bI32
 	}
 	if si.deepMode {
 		si.flitFree = make([]int32, numEdges)
@@ -814,11 +872,9 @@ func emptySim(numEdges int, cfg Config) *Sim {
 // benchmark suite rely on this). Results are byte-identical to a fresh
 // NewSim with the same Config — the shuffler is reseeded from Config.Seed.
 func (si *Sim) Reset() {
-	for e := range si.laneFree {
-		si.laneFree[e] = si.bI32
-		si.relLane[e] = 0
+	for e := range si.edges {
+		si.edges[e] = edgeRec{laneFree: si.bI32}
 		si.crossings[e] = 0
-		si.dirtyFlag[e] = 0
 	}
 	if si.deepMode {
 		for e := range si.flitFree {
@@ -888,6 +944,13 @@ func (si *Sim) Reset() {
 		si.shuffler.Reseed(si.cfg.Seed)
 	}
 }
+
+// SetSeed replaces Config.Seed for the runs that follow: the next Reset
+// reseeds the ArbRandom shuffle from it, and snapshots record it. It lets a
+// driver that replays one configuration under a series of seeds (the
+// saturation search's probes) keep one Sim. The run in progress, if any,
+// is not disturbed — call it before Reset.
+func (si *Sim) SetSeed(seed uint64) { si.cfg.Seed = seed }
 
 // pendLen, pendFirst, pendPush and the admit loop manage the pending
 // window [pendHead:len(pending)).
@@ -992,8 +1055,16 @@ func validateConfig(numEdges int, cfg Config) error {
 	if cfg.VirtualChannels < 1 {
 		return fmt.Errorf("%w: VirtualChannels %d < 1", ErrBadConfig, cfg.VirtualChannels)
 	}
+	if cfg.VirtualChannels > MaxLanes {
+		return fmt.Errorf("%w: VirtualChannels %d exceeds MaxLanes %d", ErrBadConfig, cfg.VirtualChannels, MaxLanes)
+	}
 	if cfg.LaneDepth < 0 {
 		return fmt.Errorf("%w: LaneDepth %d < 0", ErrBadConfig, cfg.LaneDepth)
+	}
+	// The B·d flit pool is a 32-bit counter per edge. B ≤ MaxLanes, so the
+	// quotient test cannot itself overflow.
+	if cfg.LaneDepth > MaxHorizon/cfg.VirtualChannels {
+		return fmt.Errorf("%w: VirtualChannels %d × LaneDepth %d overflows the 32-bit pool layout", ErrBadConfig, cfg.VirtualChannels, cfg.LaneDepth)
 	}
 	if cfg.ParkStreak < 0 {
 		return fmt.Errorf("%w: ParkStreak %d < 0", ErrBadConfig, cfg.ParkStreak)
@@ -1024,8 +1095,8 @@ func (si *Sim) spawn(msg message.Message, release int) (*worm, error) {
 		return nil, fmt.Errorf("%w: message length %d / path %d exceeds MaxHorizon %d", ErrOverHorizon, msg.Length, len(msg.Path), MaxHorizon)
 	}
 	for _, e := range msg.Path {
-		if int(e) < 0 || int(e) >= len(si.laneFree) {
-			return nil, fmt.Errorf("%w: path edge %d out of range [0,%d)", ErrBadMessage, e, len(si.laneFree))
+		if int(e) < 0 || int(e) >= len(si.edges) {
+			return nil, fmt.Errorf("%w: path edge %d out of range [0,%d)", ErrBadMessage, e, len(si.edges))
 		}
 	}
 	p := si.newPath(len(msg.Path))
@@ -1180,7 +1251,7 @@ func (si *Sim) step() {
 	if si.faults != nil && si.faultIdx < len(si.faults) && si.faults[si.faultIdx].Step <= si.now {
 		// A StepTo/Drain jump skipped scheduled fault events; apply them
 		// directly before any advance attempt sees this step's state.
-		si.applyFaults(si.now, true)
+		si.applyFaults(si.now)
 	}
 	if m := si.met; m != nil {
 		m.Inc(telemetry.CtrSteps)
@@ -1328,7 +1399,7 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 	needSlot := int32(-1)
 	if w.frontier < w.d-1 {
 		e := path[w.frontier]
-		if si.laneFree[e] <= 0 {
+		if si.edges[e].laneFree <= 0 {
 			if m := si.met; m != nil {
 				m.EdgeStall(telemetry.CtrStallLaneCredit, e)
 			}
@@ -1361,7 +1432,7 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 	}
 	// Commit.
 	if needSlot >= 0 {
-		si.laneFree[needSlot]--
+		si.edges[needSlot].laneFree--
 		si.touchMax(needSlot)
 	}
 	for i := mlo; i <= hi; i++ {
@@ -1377,7 +1448,7 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 	// leaves it (visible next step).
 	if rel := w.frontier - w.l; rel >= 0 && rel <= w.d-2 {
 		e := path[rel]
-		si.relLane[e]++
+		si.edges[e].relLane++
 		si.touch(e)
 	}
 	if w.injectTime < 0 {
@@ -1478,7 +1549,7 @@ func (si *Sim) drop(w *worm) {
 	} else if lo, hi, ok := w.span(); ok {
 		for i := lo; i <= hi; i++ {
 			e := w.path[i]
-			si.relLane[e]++
+			si.edges[e].relLane++
 			si.touch(e)
 		}
 	}
@@ -1513,8 +1584,8 @@ func (si *Sim) newPath(n int) []int32 {
 //
 //wormvet:hotpath
 func (si *Sim) touch(e int32) {
-	if si.dirtyFlag[e]&1 == 0 {
-		si.dirtyFlag[e] |= 1
+	if r := &si.edges[e]; r.dirtyFlag&1 == 0 {
+		r.dirtyFlag |= 1
 		si.dirty = append(si.dirty, e)
 	}
 }
@@ -1527,8 +1598,8 @@ func (si *Sim) touch(e int32) {
 //
 //wormvet:hotpath
 func (si *Sim) touchMax(e int32) {
-	if si.dirtyFlag[e]&2 == 0 {
-		si.dirtyFlag[e] |= 2
+	if r := &si.edges[e]; r.dirtyFlag&2 == 0 {
+		r.dirtyFlag |= 2
 		si.dirtyMax = append(si.dirtyMax, e)
 	}
 }
@@ -1549,14 +1620,15 @@ func (si *Sim) applyStepEnd() {
 		m.StepGauges(len(si.dirty), si.parked)
 	}
 	if si.faults != nil {
-		// Fold fault events first: kills debit credits before waiters are
-		// counted, revives ride the relLane fold below like any release.
-		si.applyFaults(si.now+1, false)
+		// Fold fault events first: kills and revives move credits before
+		// waiters are counted, and put their edge on the dirty list.
+		si.applyFaults(si.now + 1)
 	}
 	for _, e := range si.dirty {
-		si.dirtyFlag[e] = 0
-		si.laneFree[e] += si.relLane[e]
-		si.relLane[e] = 0
+		r := &si.edges[e]
+		r.dirtyFlag = 0
+		r.laneFree += int32(r.relLane)
+		r.relLane = 0
 		if si.deepMode {
 			si.flitFree[e] += si.relFlit[e]
 			si.relFlit[e] = 0
@@ -1567,19 +1639,25 @@ func (si *Sim) applyStepEnd() {
 		if tr := si.trc; tr != nil {
 			tr.Credit(si.now+1, e, occ)
 		}
-		if si.waitQ != nil && (len(si.waitQ[e]) > 0 ||
-			(si.waitQFlit != nil && len(si.waitQFlit[e]) > 0)) {
+		if r.waiters != 0 {
+			// Only park sets the bit, so the wakeup engine is running and
+			// waitQ exists. The queues are read here, after the wake, and
+			// only for an edge somebody was parked on.
 			si.wakeEdge(e)
+			if !si.queued(int(e)) {
+				r.waiters = 0
+			}
 		}
 	}
 	si.dirty = si.dirty[:0]
 	// Grant-only edges: occupancy may have peaked, nothing else owed.
 	// (An edge also on the release list was fully handled above.)
 	for _, e := range si.dirtyMax {
-		if si.dirtyFlag[e] == 0 {
+		r := &si.edges[e]
+		if r.dirtyFlag == 0 {
 			continue
 		}
-		si.dirtyFlag[e] = 0
+		r.dirtyFlag = 0
 		si.probeOccupancy(e)
 	}
 	si.dirtyMax = si.dirtyMax[:0]
@@ -1636,7 +1714,7 @@ func (si *Sim) finishAsDeadlocked() {
 //
 //wormvet:hotpath
 func (si *Sim) lanesInUse(e int) int32 {
-	n := si.bI32 - si.laneFree[e]
+	n := si.bI32 - si.edges[e].laneFree
 	if si.killedLanes != nil {
 		n -= si.killedLanes[e]
 	}
@@ -1679,6 +1757,7 @@ func (si *Sim) probeOccupancy(e int32) int32 {
 // checkInvariants asserts model invariants; it panics on violation so test
 // failures pinpoint the first bad step.
 func (si *Sim) checkInvariants() {
+	si.checkEdgeRecs()
 	if si.deepMode {
 		si.checkInvariantsDeep()
 		return
@@ -1686,7 +1765,7 @@ func (si *Sim) checkInvariants() {
 	// Dense per-edge counters, walked in edge order: with a map here a
 	// multi-edge violation would surface whichever panic Go's randomized
 	// map iteration reached first, making failure output flap run to run.
-	occ := make([]int32, len(si.laneFree))
+	occ := make([]int32, len(si.edges))
 	for i := 0; i < si.numWorms; i++ {
 		w := si.worm(i)
 		if w.status == StatusDropped || w.status == StatusDelivered || w.status == StatusAborted {
@@ -1707,6 +1786,23 @@ func (si *Sim) checkInvariants() {
 		}
 		if c > si.bI32 {
 			panic(fmt.Sprintf("vcsim: step %d: edge %d holds %d > B=%d flits", si.now, e, c, si.b))
+		}
+	}
+}
+
+// checkEdgeRecs asserts the between-steps contract of every edgeRec, for
+// both engines: the fold left no release or dirty bit behind (the codec
+// relies on it — neither is serialized), and a non-empty lane or flit wait
+// queue has its waiters bit set, without which applyStepEnd would never
+// wake it.
+func (si *Sim) checkEdgeRecs() {
+	for e := range si.edges {
+		r := si.edges[e]
+		if r.relLane != 0 || r.dirtyFlag != 0 {
+			panicf("vcsim: step %d: edge %d left the fold with relLane %d, dirtyFlag %d", si.now, e, r.relLane, r.dirtyFlag)
+		}
+		if r.waiters == 0 && si.waitQ != nil && si.queued(e) {
+			panicf("vcsim: step %d: edge %d has parked worms but a clear waiters bit", si.now, e)
 		}
 	}
 }

@@ -13,7 +13,7 @@ package vcsim
 //   - free lane credit only rises when a release on e folds in at a
 //     step end, and
 //   - a within-step grant on e (which could consume headroom ahead of a
-//     later-ordered contender) requires laneFree[e] > 0, so once e is
+//     later-ordered contender) requires laneFree > 0 on e, so once e is
 //     full — which it is from the parking step onward, unless the
 //     parking step itself saw a grant or release — no further grant can
 //     occur before a release.
@@ -184,6 +184,11 @@ func (si *Sim) park(w *worm, k uint64, e int32) {
 	if tr := si.trc; tr != nil {
 		tr.Park(si.now+1, w.id, e)
 	}
+	if cause, edge := parkTarget(e); cause != telemetry.CtrStallFault {
+		// Lane and shared-pool waits are woken from the step-end fold, which
+		// looks at this bit, not at the queues (see edgeRec).
+		si.edges[edge].waiters = 1
+	}
 	si.heapPush(si.waitQueue(e), k)
 	si.parked++
 }
@@ -219,6 +224,15 @@ func (si *Sim) waitQueue(t int32) *[]uint64 {
 	default:
 		return &si.waitQ[e]
 	}
+}
+
+// queued reports whether any worm sits on edge e's lane or flit wait queue
+// (wakeup engine only). The hot path asks edgeRec.waiters first and comes
+// here only to retire the bit.
+//
+//wormvet:hotpath
+func (si *Sim) queued(e int) bool {
+	return len(si.waitQ[e]) > 0 || (si.waitQFlit != nil && len(si.waitQFlit[e]) > 0)
 }
 
 // wakeAll unparks every waiter on q, stamping stalls through the current
@@ -290,7 +304,7 @@ func (si *Sim) wakeEdge(e int32) {
 		si.wakeAll(&si.waitQ[e])
 		return
 	}
-	si.wakeBest(&si.waitQ[e], si.laneFree[e])
+	si.wakeBest(&si.waitQ[e], si.edges[e].laneFree)
 }
 
 // wakeEdgeDeep wakes edge e's deep-mode waiters whose resume condition
@@ -318,8 +332,8 @@ func (si *Sim) wakeEdge(e int32) {
 //
 //wormvet:hotpath
 func (si *Sim) wakeEdgeDeep(e int32) {
-	if q := &si.waitQ[e]; len(*q) > 0 && si.laneFree[e] > 0 && (!si.shared || si.flitFree[e] > 0) {
-		si.wakeBest(q, si.laneFree[e])
+	if q := &si.waitQ[e]; len(*q) > 0 && si.edges[e].laneFree > 0 && (!si.shared || si.flitFree[e] > 0) {
+		si.wakeBest(q, si.edges[e].laneFree)
 	}
 	if si.waitQFlit == nil {
 		return
