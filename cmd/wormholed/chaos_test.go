@@ -26,7 +26,9 @@ import (
 // check lives with the frame, in internal/snap.)
 func TestCheckpointFrame(t *testing.T) {
 	payload := []byte("WRUNSNAP-stand-in payload bytes, long enough to cut at many points")
-	sealed := snap.Seal(payload)
+	var frame snap.Frame
+	frame.Write(payload) //nolint:errcheck
+	sealed := frame.Seal()
 
 	got, err := snap.Open(sealed, errCorruptCheckpoint)
 	if err != nil || !bytes.Equal(got, payload) {
@@ -166,8 +168,12 @@ func TestFaultedSweepMatchesDirectRun(t *testing.T) {
 	spec.RetryBackoffCap = 64
 
 	st := decodeStatus(t, postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
-	waitStateURL(t, srv, st.ID, stateDone)
+	done := waitStateURL(t, srv, st.ID, stateDone)
 	got := fetchURL(t, srv+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
+
+	if done.Checkpoints != nil {
+		t.Fatalf("a job that never checkpointed reports checkpoints %+v; want the object absent", done.Checkpoints)
+	}
 
 	net, err := spec.network()
 	if err != nil {
@@ -222,8 +228,13 @@ func TestChaoticManagerStillCompletes(t *testing.T) {
 
 	spec := testSweepSpec()
 	st := decodeStatus(t, postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
-	waitStateURL(t, srv, st.ID, stateDone)
+	done := waitStateURL(t, srv, st.ID, stateDone)
 	got := fetchURL(t, srv+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
+
+	// The injected ENOSPCs are on the job's record, not only in stderr.
+	if ck := done.Checkpoints; ck == nil || ck.Failed == 0 || ck.Written == 0 || !strings.Contains(ck.LastError, errDiskFull.Error()) {
+		t.Fatalf("chaotic job reports checkpoints %+v; want failures counted and the last error kept", ck)
+	}
 
 	net, err := spec.network()
 	if err != nil {

@@ -8,16 +8,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"wormhole/internal/core"
+	"wormhole/internal/snap"
 	"wormhole/internal/stats"
 	"wormhole/internal/traffic"
 )
@@ -298,14 +301,107 @@ func TestGracefulShutdownResumes(t *testing.T) {
 	if persisted.State != stateQueued {
 		t.Fatalf("interrupted job persisted as %q, want queued", persisted.State)
 	}
+	// The shutdown checkpoint, at least, was taken and is on the record.
+	ck := persisted.Checkpoints
+	if ck == nil || ck.Written < 1 || ck.Failed != 0 || ck.LastBytes == 0 || ck.LastError != "" {
+		t.Fatalf("interrupted job persisted checkpoints %+v, want written >= 1 and none failed", ck)
+	}
 
-	// Restart over the same state dir: the job resumes and completes.
+	// What a kill -9 inside snap.WriteFile leaves behind: temp files that
+	// were never renamed, in the job directory and its ckpt/ store.
+	jobDir := filepath.Join(dir, "jobs", st.ID)
+	if err := os.Mkdir(filepath.Join(jobDir, "ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	orphans := []string{"point-000.snap.tmp2718281828", "job.json.tmp31415", filepath.Join("ckpt", "s000-j000000.json.tmp1")}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(jobDir, name), bytes.Repeat([]byte("torn"), 1<<10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Restart over the same state dir: the orphans are swept before the
+	// job is re-queued, and the job resumes and completes.
 	srv2, m2 := startTestServer(t, dir, 100)
 	defer m2.Shutdown()
-	waitState(t, srv2, st.ID, stateDone)
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(jobDir, name)); !os.IsNotExist(err) {
+			t.Errorf("orphaned temp file %s survived the restart (stat: %v)", name, err)
+		}
+	}
+	done := waitState(t, srv2, st.ID, stateDone)
 	got := fetch(t, srv2.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("resumed sweep diverged from uninterrupted oracle\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	// The tally carries over the restart and keeps counting.
+	if dk := done.Checkpoints; dk == nil || dk.Written <= ck.Written || dk.Failed != 0 || dk.TotalMs <= ck.TotalMs {
+		t.Fatalf("finished job reports checkpoints %+v after %+v at the restart", dk, ck)
+	}
+}
+
+// TestCheckpointReusesWorkerBuffer: a worker's second checkpoint encodes
+// and seals in the buffer its first one grew — it allocates no buffer of
+// checkpoint size — and what lands on disk opens and restores.
+func TestCheckpointReusesWorkerBuffer(t *testing.T) {
+	m, err := newManager(t.TempDir(), 1, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+
+	spec := testSweepSpec()
+	spec.Size, spec.Measure = 64, 4000
+	net, err := spec.network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.config(net, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paused := cfg
+	paused.OnStep = func(step int) error {
+		if step == 3000 {
+			return errShutdown
+		}
+		return nil
+	}
+	r, err := traffic.NewRunner(paused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); !errors.Is(err, errShutdown) {
+		t.Fatalf("run did not pause: %v", err)
+	}
+
+	path := filepath.Join(t.TempDir(), "point-000.snap")
+	var frame snap.Frame
+	size, err := m.checkpointRunner(r, path, &frame)
+	if err != nil || size < 1<<20 {
+		t.Fatalf("first checkpoint: %d bytes, %v; want a multi-MB one", size, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	size2, err := m.checkpointRunner(r, path, &frame)
+	runtime.ReadMemStats(&after)
+	if err != nil || size2 != size {
+		t.Fatalf("second checkpoint: %d bytes, %v; first was %d", size2, err, size)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("second checkpoint of %d bytes allocated %d bytes; want under 64 KiB", size, grew)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil || len(raw) != size {
+		t.Fatalf("checkpoint file: %d bytes, %v", len(raw), err)
+	}
+	blob, err := snap.Open(raw, errCorruptCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traffic.RestoreRunner(cfg, bytes.NewReader(blob)); err != nil {
+		t.Fatalf("checkpoint does not restore: %v", err)
 	}
 }
 

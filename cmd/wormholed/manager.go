@@ -290,7 +290,21 @@ type JobStatus struct {
 	PointsDone  int      `json:"points_done,omitempty"`
 	PointsTotal int      `json:"points_total,omitempty"`
 	CreatedUnix int64    `json:"created_unix"`
-	Spec        JobSpec  `json:"spec"`
+	// Checkpoints is absent until the job's first checkpoint attempt.
+	Checkpoints *CheckpointStats `json:"checkpoints,omitempty"`
+	Spec        JobSpec          `json:"spec"`
+}
+
+// CheckpointStats is what a sweep job's checkpointing has done so far,
+// across restarts (it is persisted with the rest of the status). A
+// failed checkpoint costs the job nothing but resume granularity, so it
+// is counted here instead of failing the job.
+type CheckpointStats struct {
+	Written   int     `json:"written"`
+	Failed    int     `json:"failed"`
+	LastBytes int     `json:"last_bytes"` // size on disk of the last one written
+	TotalMs   float64 `json:"total_ms"`   // wall time spent encoding, sealing and writing
+	LastError string  `json:"last_error,omitempty"`
 }
 
 // pointResult memoizes one completed sweep point.
@@ -373,6 +387,9 @@ func newManager(stateDir string, workers, ckptEvery, maxQueued int, chaosSeed ui
 // recover scans the state directory and reloads every persisted job.
 // Jobs that were queued or running when the previous process died are
 // returned for re-queueing; their checkpoints make the re-run a resume.
+// A process killed inside snap.WriteFile left a temp file (as large as
+// the checkpoint it was writing) that nothing would ever rename or read:
+// those are swept first, while no worker is writing.
 func (m *manager) recover() ([]*job, error) {
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
@@ -387,6 +404,11 @@ func (m *manager) recover() ([]*job, error) {
 	sort.Strings(names)
 	var requeue []*job
 	for _, name := range names {
+		for _, dir := range []string{m.jobDir(name), filepath.Join(m.jobDir(name), "ckpt")} {
+			if err := snap.RemoveTemps(dir); err != nil {
+				fmt.Fprintln(os.Stderr, "wormholed: recover:", err)
+			}
+		}
 		blob, err := os.ReadFile(filepath.Join(m.dir, name, "job.json"))
 		if err != nil {
 			continue // half-created dir: ignore
@@ -520,19 +542,23 @@ func (m *manager) persist(j *job) error {
 	return err
 }
 
+// worker runs queued jobs one at a time. It owns the one buffer every
+// checkpoint it takes is encoded and sealed in: retained across jobs, so
+// memory held for checkpointing is bounded by the worker count.
 func (m *manager) worker() {
 	defer m.wg.Done()
+	var ckpt snap.Frame
 	for {
 		select {
 		case <-m.stop:
 			return
 		case j := <-m.queue:
-			m.runJob(j)
+			m.runJob(j, &ckpt)
 		}
 	}
 }
 
-func (m *manager) runJob(j *job) {
+func (m *manager) runJob(j *job, ckpt *snap.Frame) {
 	if j.cancel.Load() {
 		m.setState(j, stateCanceled, "")
 		return
@@ -541,7 +567,7 @@ func (m *manager) runJob(j *job) {
 	var err error
 	switch j.status.Spec.Type {
 	case "sweep":
-		err = m.runSweep(j)
+		err = m.runSweep(j, ckpt)
 	case "experiment":
 		err = m.runExperiment(j)
 	default:
@@ -562,7 +588,7 @@ func (m *manager) runJob(j *job) {
 
 // --- sweep jobs --------------------------------------------------------------
 
-func (m *manager) runSweep(j *job) error {
+func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
 	st := j.snapshotStatus()
 	spec := st.Spec.Sweep
 	net, err := spec.network()
@@ -573,7 +599,7 @@ func (m *manager) runSweep(j *job) error {
 	for k, rate := range spec.Rates {
 		pr, ok := m.loadPoint(st.ID, k)
 		if !ok {
-			pr, err = m.runPoint(j, net, spec, k, rate)
+			pr, err = m.runPoint(j, net, spec, k, rate, ckpt)
 			if err != nil {
 				return err
 			}
@@ -593,7 +619,7 @@ func (m *manager) runSweep(j *job) error {
 // itself every ckptEvery steps; on shutdown/cancel the pause error
 // surfaces through Run/Resume with the runner state intact, and one
 // final checkpoint is taken before handing the point back to the queue.
-func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int, rate float64) (pointResult, error) {
+func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int, rate float64, ckpt *snap.Frame) (pointResult, error) {
 	cfg, err := spec.config(net, rate)
 	if err != nil {
 		return pointResult{}, err
@@ -615,9 +641,7 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 		default:
 		}
 		if m.ckptEvery > 0 && step > 0 && step%m.ckptEvery == 0 {
-			if err := m.checkpointRunner(r, snapPath); err != nil {
-				fmt.Fprintln(os.Stderr, "wormholed: checkpoint:", err)
-			}
+			m.checkpoint(j, r, snapPath, ckpt)
 		}
 		return nil
 	}
@@ -653,9 +677,7 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 	}
 	if errors.Is(err, errShutdown) || errors.Is(err, errCanceled) {
 		// Paused with state intact: take the final checkpoint now.
-		if cerr := m.checkpointRunner(r, snapPath); cerr != nil {
-			fmt.Fprintln(os.Stderr, "wormholed: checkpoint:", cerr)
-		}
+		m.checkpoint(j, r, snapPath, ckpt)
 		return pointResult{}, err
 	}
 	if err != nil {
@@ -668,25 +690,52 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 	}, nil
 }
 
-// checkpointRunner snapshots a live runner to path, atomically, inside
-// the CRC integrity frame. With -chaos armed, the write may be failed,
-// torn, flipped, or dropped — the restore path must absorb all of it.
-func (m *manager) checkpointRunner(r *traffic.Runner, path string) error {
-	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
-		return err
+// checkpoint takes one checkpoint of j's live runner and records the
+// outcome in the job's status, which the next persist writes out. A
+// failure is the job's to report, not the daemon's log's: the run carries
+// on and resumes from an older checkpoint, or from scratch.
+func (m *manager) checkpoint(j *job, r *traffic.Runner, path string, buf *snap.Frame) {
+	start := time.Now()
+	n, err := m.checkpointRunner(r, path, buf)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var cs CheckpointStats // copied, never updated in place: served statuses share the pointer
+	if j.status.Checkpoints != nil {
+		cs = *j.status.Checkpoints
 	}
-	blob := snap.Seal(buf.Bytes())
+	cs.TotalMs += float64(time.Since(start).Microseconds()) / 1e3
+	if err != nil {
+		cs.Failed++
+		cs.LastError = err.Error()
+	} else {
+		cs.Written++
+		cs.LastBytes = n
+	}
+	j.status.Checkpoints = &cs
+}
+
+// checkpointRunner snapshots a live runner to path, atomically, inside
+// the CRC integrity frame, and returns the file's size. The snapshot is
+// encoded into buf behind the frame header's reserved room and sealed
+// there, so the bytes written are the bytes encoded — no intermediate
+// copy. With -chaos armed, the write may be failed, torn, flipped, or
+// dropped — the restore path must absorb all of it.
+func (m *manager) checkpointRunner(r *traffic.Runner, path string, buf *snap.Frame) (int, error) {
+	buf.Reset()
+	if err := r.Snapshot(buf); err != nil {
+		return 0, err
+	}
+	blob := buf.Seal()
 	if m.chaos != nil {
 		var err error
 		if blob, err = m.chaos.mangleWrite(path, blob); err != nil {
-			return err
+			return 0, err
 		}
 		if blob == nil {
-			return nil // write silently lost
+			return 0, nil // write silently lost
 		}
 	}
-	return snap.WriteFile(path, blob)
+	return len(blob), snap.WriteFile(path, blob)
 }
 
 func (m *manager) pointSnapPath(id string, k int) string {

@@ -3,12 +3,14 @@ package snap
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wormhole/internal/snap/snaptest"
@@ -20,7 +22,9 @@ const testMagic = "SNAPTEST"
 
 // record exercises every primitive once, in a miniature of the real
 // formats' shape: magic, scalars, length-prefixed payloads, a bitset whose
-// length the reader fixes, a trailer, end of stream.
+// length the reader fixes, a fixed-size record decoded from one Window,
+// runs longer than the Reader's buffer (so every bulk read refills
+// mid-run), a trailer, end of stream.
 type record struct {
 	U8    uint8
 	Flag  bool
@@ -35,16 +39,43 @@ type record struct {
 	Keys  []uint64
 	Blob  []byte
 	Bits  [11]bool
+	Pair  packed
+	Long  []int32
+	Many  []uint64
+	Table [bufSize/8 + 3]int64
 	Tail  uint64
 }
 
+// packed is written as three scalars and read back from one Window.
+type packed struct {
+	A int32
+	B uint8
+	C uint64
+}
+
+const packedBytes = 4 + 1 + 8
+
 func sample() record {
+	long := make([]int32, bufSize/4+77)
+	for i := range long {
+		long[i] = int32(i*i - 5000)
+	}
+	many := make([]uint64, bufSize/8+9)
+	for i := range many {
+		many[i] = uint64(i) << 40
+	}
+	var table [bufSize/8 + 3]int64
+	for i := range table {
+		table[i] = int64(-i)
+	}
 	return record{
+		Pair: packed{A: -3, B: 0x7F, C: 1 << 50},
+		Long: long, Many: many, Table: table,
 		U8: 0xA5, Flag: true, U32: 0xDEADBEEF, U64: 0x0123456789ABCDEF,
 		I32: -7, I64: math.MinInt64, F64: math.Float64bits(-0.125),
 		Fixed: [3]int32{1, -2, 3}, Wide: [2]int64{-1, 1 << 40},
 		I32s: []int32{5, -6, 7, 8}, Keys: []uint64{1 << 63, 2, 3},
-		Blob: bytes.Repeat([]byte("blob"), 50),
+		Blob: bytes.Repeat([]byte("blob"), bufSize/4+50),
 		Bits: [11]bool{true, false, true, true, false, false, false, true, false, true, true},
 		Tail: 0x534E4150454E4453,
 	}
@@ -71,6 +102,14 @@ func (rec *record) encode(w io.Writer) error {
 	s.U32(uint32(len(rec.Blob)))
 	s.Raw(rec.Blob)
 	s.Bits(rec.Bits[:])
+	s.I32(rec.Pair.A)
+	s.U8(rec.Pair.B)
+	s.U64(rec.Pair.C)
+	s.I32s(rec.Long)
+	s.U64s(rec.Many)
+	for _, v := range rec.Table {
+		s.I64(v)
+	}
 	s.U64(rec.Tail)
 	return s.Flush()
 }
@@ -94,6 +133,12 @@ func decode(rd io.Reader) (record, error) {
 	rec.Keys = s.U64Slice(s.Len(1<<20, "key"))
 	rec.Blob = s.Blob(s.Len(1<<30, "blob"))
 	s.BitsInto(rec.Bits[:])
+	if b := s.Window(packedBytes); b != nil {
+		rec.Pair = packed{A: int32(le.Uint32(b)), B: b[4], C: le.Uint64(b[5:])}
+	}
+	rec.Long = s.I32Slice(s.Len(1<<20, "long"))
+	rec.Many = s.U64Slice(s.Len(1<<20, "many"))
+	s.I64sInto(rec.Table[:])
 	rec.Tail = s.U64()
 	s.End()
 	return rec, s.Err()
@@ -219,22 +264,46 @@ func TestFirstFailureSticks(t *testing.T) {
 	}
 }
 
-type failingWriter struct{ left int }
-
-func (f *failingWriter) Write(p []byte) (int, error) {
-	if f.left -= len(p); f.left < 0 {
-		return 0, io.ErrShortWrite
-	}
-	return len(p), nil
+// failingWriter accepts ok Write calls, fails the next, and counts every
+// call it sees.
+type failingWriter struct {
+	ok, calls int
+	got       bytes.Buffer
 }
 
-func TestWriterReportsFirstWriteError(t *testing.T) {
-	s := NewWriter(&failingWriter{left: 8192})
-	for i := 0; i < 4096; i++ {
-		s.U64(uint64(i))
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if f.calls++; f.calls > f.ok {
+		return 0, io.ErrShortWrite
 	}
-	if err := s.Flush(); !errors.Is(err, io.ErrShortWrite) {
-		t.Fatalf("Flush = %v, want the write error", err)
+	return f.got.Write(p)
+}
+
+// TestWriterReportsFirstWriteError: whichever of the destination's Write
+// calls fails — a spill of the owned buffer or an oversize Raw handed
+// straight through — Flush reports that error, the destination holds
+// exactly the stream's prefix up to it, and it is never written to again.
+func TestWriterReportsFirstWriteError(t *testing.T) {
+	valid := encoded(t)
+	rec := sample()
+	var clean failingWriter
+	clean.ok = math.MaxInt
+	if err := rec.encode(&clean); err != nil || !bytes.Equal(clean.got.Bytes(), valid) {
+		t.Fatalf("clean destination: %v", err)
+	}
+	if clean.calls < 4 {
+		t.Fatalf("the sample reached its destination in %d writes; too few to test the seams", clean.calls)
+	}
+	for k := 0; k < clean.calls; k++ {
+		dst := failingWriter{ok: k}
+		if err := rec.encode(&dst); !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("write %d fails: Flush = %v, want the write error", k+1, err)
+		}
+		if dst.calls != k+1 {
+			t.Fatalf("write %d fails: destination saw %d calls", k+1, dst.calls)
+		}
+		if !bytes.HasPrefix(valid, dst.got.Bytes()) {
+			t.Fatalf("write %d fails: destination holds something other than a prefix of the stream", k+1)
+		}
 	}
 }
 
@@ -249,6 +318,54 @@ func TestRestHandsOverTheBuffer(t *testing.T) {
 	if got, err := decode(outer.Rest()); err != nil || !reflect.DeepEqual(got, sample()) {
 		t.Fatalf("embedded stream: %v", err)
 	}
+	// The same through Rest as a plain io.Reader, which a consumer that is
+	// not this package's Reader sees.
+	outer = NewReader(bytes.NewReader(append([]byte{7, 0, 0, 0}, valid...)), errTest)
+	outer.U32()
+	if got, err := io.ReadAll(outer.Rest()); err != nil || !bytes.Equal(got, valid) {
+		t.Fatalf("Rest read %d bytes, %v; want the %d behind the header", len(got), err, len(valid))
+	}
+}
+
+// TestReaderAtEveryRefillBoundary: every way a stream can arrive
+// (snaptest.Sources) decodes the same record, and the same stream one
+// byte short is the sentinel through each.
+func TestReaderAtEveryRefillBoundary(t *testing.T) {
+	valid := encoded(t)
+	for name, wrap := range snaptest.Sources {
+		got, err := decode(wrap(bytes.NewReader(valid)))
+		if err != nil || !reflect.DeepEqual(got, sample()) {
+			t.Errorf("%s reader: %v", name, err)
+		}
+		if _, err := decode(wrap(bytes.NewReader(valid[:len(valid)-1]))); !errors.Is(err, errTest) {
+			t.Errorf("%s reader, truncated: err = %v, want the sentinel", name, err)
+		}
+	}
+	// A source that stops making progress is an error, not a spin.
+	if _, err := decode(io.MultiReader(bytes.NewReader(valid[:100]), stalled{})); !errors.Is(err, errTest) {
+		t.Errorf("stalled reader: err = %v, want the sentinel", err)
+	}
+}
+
+type stalled struct{}
+
+func (stalled) Read([]byte) (int, error) { return 0, nil }
+
+// TestScalarReadsDoNotAllocate: a scalar, a Magic and a Window are views
+// of the Reader's buffer.
+func TestScalarReadsDoNotAllocate(t *testing.T) {
+	valid := encoded(t)
+	src := bytes.NewReader(valid)
+	s := NewReader(src, errTest)
+	if got := testing.AllocsPerRun(100, func() {
+		src.Reset(valid)
+		s.r, s.w = 0, 0
+		if !s.Magic(testMagic) || s.U8() != 0xA5 || !s.Bool() || s.U32() != 0xDEADBEEF || s.Window(8) == nil {
+			t.Fatal("misread")
+		}
+	}); got != 0 {
+		t.Fatalf("%v allocations per header read, want 0", got)
+	}
 }
 
 // TestFrame: the CRC frame round-trips, and every corruption class a
@@ -256,11 +373,11 @@ func TestRestHandsOverTheBuffer(t *testing.T) {
 // single-bit flip of any byte, garbage — is rejected before a codec runs.
 func TestFrame(t *testing.T) {
 	payload := encoded(t)
-	sealed := Seal(payload)
+	sealed := seal(payload)
 	if got, err := Open(sealed, errTest); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: %v", err)
 	}
-	if got, err := Open(Seal(nil), errTest); err != nil || len(got) != 0 {
+	if got, err := Open(seal(nil), errTest); err != nil || len(got) != 0 {
 		t.Fatalf("empty payload: %v", err)
 	}
 	for cut := 0; cut < len(sealed); cut++ {
@@ -280,6 +397,58 @@ func TestFrame(t *testing.T) {
 	}
 	if _, err := Open([]byte("not a checkpoint at all"), errTest); !errors.Is(err, errTest) {
 		t.Fatalf("garbage: err = %v", err)
+	}
+}
+
+// seal frames payload through a fresh Frame.
+func seal(payload []byte) []byte {
+	var f Frame
+	f.Write(payload) //nolint:errcheck
+	return f.Seal()
+}
+
+// TestFrameSealsInPlace: a Frame's output is, byte for byte, the copying
+// construction it replaced — magic, CRC-32 of the payload, payload —
+// however the payload arrived and whatever the Frame held before; and a
+// Frame that has seen its largest payload seals without allocating.
+func TestFrameSealsInPlace(t *testing.T) {
+	payload := encoded(t)
+	want := append([]byte(frameMagic), 0, 0, 0, 0)
+	le.PutUint32(want[len(frameMagic):], crc32.ChecksumIEEE(payload))
+	want = append(want, payload...)
+
+	var f Frame
+	for _, piece := range []int{len(payload), 1, 7, bufSize, len(payload) + 1} {
+		f.Reset()
+		for rest := payload; len(rest) > 0; {
+			n := min(piece, len(rest))
+			if m, err := f.Write(rest[:n]); m != n || err != nil {
+				t.Fatalf("Write = %d, %v", m, err)
+			}
+			rest = rest[n:]
+		}
+		if got := f.Seal(); !bytes.Equal(got, want) {
+			t.Fatalf("payload written %d bytes at a time: sealed bytes differ from magic+CRC+payload", piece)
+		}
+	}
+	// Through the codec, as the daemon uses it.
+	f.Reset()
+	rec := sample()
+	if err := rec.encode(&f); err != nil || !bytes.Equal(f.Seal(), want) {
+		t.Fatalf("encoded into the frame: %v", err)
+	}
+	// A shorter payload after a longer one carries nothing over.
+	f.Reset()
+	f.Write([]byte("short")) //nolint:errcheck
+	if got, err := Open(f.Seal(), errTest); err != nil || string(got) != "short" {
+		t.Fatalf("reused frame: %q, %v", got, err)
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		f.Reset()
+		f.Write(payload) //nolint:errcheck
+		f.Seal()
+	}); got != 0 {
+		t.Fatalf("a grown Frame allocated %v times per checkpoint", got)
 	}
 }
 
@@ -317,6 +486,45 @@ func TestWriteFileIsAtomic(t *testing.T) {
 	}
 }
 
+// TestRemoveTemps: what a WriteFile killed before its rename leaves
+// behind is swept; finished files, directories and names that only look
+// similar are not.
+func TestRemoveTemps(t *testing.T) {
+	dir := t.TempDir()
+	orphan, err := os.CreateTemp(dir, "point-000.snap"+tmpMark+"*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan.Close()
+	keep := []string{"point-000.snap", "job.json", "notes.tmpl", "x.tmp", "x.tmp12a"}
+	for _, name := range keep {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "ckpt.tmp123"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := RemoveTemps(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		left = append(left, e.Name())
+	}
+	slices.Sort(keep)
+	if want := append([]string{"ckpt.tmp123"}, keep...); !slices.Equal(left, want) {
+		t.Fatalf("after the sweep: %v, want %v", left, want)
+	}
+	if err := RemoveTemps(filepath.Join(dir, "missing")); err != nil {
+		t.Fatalf("missing directory: %v", err)
+	}
+}
+
 // FuzzReader attacks the record stream with the shared mutation engine.
 // A mutation either fails with the sentinel, or landed in a value and
 // decodes to a record that re-encodes and decodes to itself.
@@ -334,6 +542,19 @@ func FuzzReader(f *testing.F) {
 	f.Add(uint8(2), uint32(len(valid)-1), uint8(0))  // trailer
 	f.Add(uint8(3), uint32(len(valid)/2), uint8(17)) // inflate
 	f.Add(uint8(3), uint32(len(valid)), uint8(255))  // append garbage
+	// The Window-decoded record, and the counts and bodies of the runs
+	// longer than the Reader's buffer.
+	const pairAt = blobAt + 4 + 4*(bufSize/4+50) + 2
+	const longAt = pairAt + packedBytes
+	const manyAt = longAt + 4 + 4*(bufSize/4+77)
+	f.Add(uint8(2), uint32(pairAt+4), uint8(0xFF))        // inside the window
+	f.Add(uint8(1), uint32(pairAt+6), uint8(0))           // truncate inside it
+	f.Add(uint8(2), uint32(longAt), uint8(0x01))          // long run one short
+	f.Add(uint8(2), uint32(longAt+2), uint8(0x01))        // long run 64 k over
+	f.Add(uint8(1), uint32(longAt+4+bufSize), uint8(0))   // truncate at a chunk seam
+	f.Add(uint8(2), uint32(manyAt+1), uint8(0x40))        // key run far over
+	f.Add(uint8(3), uint32(manyAt+4+bufSize), uint8(200)) // inflate mid-run
+	f.Add(uint8(1), uint32(len(valid)-9), uint8(0))       // truncate inside the fixed table
 
 	f.Fuzz(func(t *testing.T, mode uint8, pos uint32, val uint8) {
 		rec, err := decode(bytes.NewReader(snaptest.Mutate(valid, mode, pos, val)))

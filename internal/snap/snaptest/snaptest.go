@@ -1,10 +1,28 @@
 // Package snaptest is the one corruption engine the checkpoint fuzzers
 // share: FuzzReader (snap), FuzzRestoreSim (vcsim) and FuzzRestoreRunner
 // (traffic) all attack a valid stream through Mutate, so their committed
-// corpora mean the same thing everywhere.
+// corpora mean the same thing everywhere. Sources is the other thing the
+// three packages' restore tests share.
 package snaptest
 
-import "bytes"
+import (
+	"bytes"
+	"io"
+	"testing/iotest"
+)
+
+// Sources are the ways a stream can reach a snap.Reader: all at once,
+// one byte a Read, half of what each Read asks for, and the last bytes
+// together with io.EOF. A restore must build the same state through each
+// — a value or record straddling a buffer refill is reassembled, and an
+// error that arrives with enough data does not fail the read it came
+// with.
+var Sources = map[string]func(io.Reader) io.Reader{
+	"whole":    func(r io.Reader) io.Reader { return r },
+	"one byte": iotest.OneByteReader,
+	"half":     iotest.HalfReader,
+	"data+EOF": iotest.DataErrReader,
+}
 
 // Mutate returns a corrupted copy of valid, steered by three fuzz
 // inputs. mode%4 picks the class: 0 leaves the stream untouched, 1

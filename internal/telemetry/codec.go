@@ -47,16 +47,28 @@ func (m *Metrics) edges() [][]int64 {
 // gauges and per-edge accumulators — as a little-endian binary blob.
 // It never fails; the error return satisfies encoding.BinaryMarshaler.
 func (m *Metrics) MarshalBinary() ([]byte, error) {
-	n := len(m.edgeStall)
 	var buf bytes.Buffer
-	buf.Grow(8 * (int(NumCounters) + jumpBuckets + 12 + 5*n))
+	buf.Grow(m.BinarySize())
 	w := snap.NewWriter(&buf)
+	m.WriteBinary(w)
+	w.Flush() //nolint:errcheck // a bytes.Buffer write cannot fail
+	return buf.Bytes(), nil
+}
+
+// BinarySize is the exact length of the blob WriteBinary writes, so a
+// format that embeds the registry can length-prefix it and stream it
+// without marshalling it first.
+func (m *Metrics) BinarySize() int {
+	return 8 * (4 + int(NumCounters) + jumpBuckets + len(m.gauges()) + len(m.edges())*len(m.edgeStall))
+}
+
+// WriteBinary writes MarshalBinary's blob to w.
+func (m *Metrics) WriteBinary(w *snap.Writer) {
 	i64s := func(s []int64) {
 		for _, v := range s {
 			w.I64(v)
 		}
 	}
-
 	w.U64(metricsCodecVersion)
 	w.U64(uint64(NumCounters))
 	i64s(m.ctr[:])
@@ -65,12 +77,10 @@ func (m *Metrics) MarshalBinary() ([]byte, error) {
 	for _, p := range m.gauges() {
 		w.I64(*p)
 	}
-	w.U64(uint64(n))
+	w.U64(uint64(len(m.edgeStall)))
 	for _, s := range m.edges() {
 		i64s(s)
 	}
-	w.Flush() //nolint:errcheck // a bytes.Buffer write cannot fail
-	return buf.Bytes(), nil
 }
 
 // UnmarshalBinary replaces m's state with the blob's, all or nothing: a

@@ -35,6 +35,10 @@ func TestMetricsCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The size an embedding format length-prefixes the streamed blob with.
+	if m.BinarySize() != len(blob) || NewMetrics().BinarySize() >= len(blob) {
+		t.Fatalf("BinarySize %d (empty registry %d), blob is %d bytes", m.BinarySize(), NewMetrics().BinarySize(), len(blob))
+	}
 
 	got := NewMetrics()
 	// Pre-dirty the destination: Unmarshal must replace, not merge.
@@ -56,8 +60,8 @@ func TestMetricsCodecRoundTripNoEdges(t *testing.T) {
 	m := NewMetrics()
 	m.Inc(CtrParks)
 	blob, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || m.BinarySize() != len(blob) {
+		t.Fatalf("blob of %d bytes, BinarySize %d, err %v", len(blob), m.BinarySize(), err)
 	}
 	got := NewMetrics()
 	if err := got.UnmarshalBinary(blob); err != nil {

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wormhole/internal/snap/snaptest"
 	"wormhole/internal/telemetry"
 )
 
@@ -283,5 +284,86 @@ func TestRunnerSnapshotCheckpointContinue(t *testing.T) {
 	}
 	if math.IsNaN(res.MeanLatency) {
 		t.Fatal("NaN latency after restore")
+	}
+}
+
+// TestRestoreRunnerAtEveryRefillBoundary: a WRUNSNAP stream (faulted,
+// telemetry attached, so every section is present) restores to the same
+// Runner however its source delivers it (snaptest.Sources) — the seam
+// between the runner's fields and the embedded WORMSNAP included —
+// and a stream cut anywhere in the runner's own fields is
+// ErrRunnerSnapshot.
+func TestRestoreRunnerAtEveryRefillBoundary(t *testing.T) {
+	want, err := Run(wireGoldenCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := pausedAt(t, wireGoldenCfg(), 60).Snapshot(&blob); err != nil {
+		t.Fatal(err)
+	}
+	valid := blob.Bytes()
+	simAt := bytes.Index(valid, []byte("WORMSNAP"))
+	if simAt < 0 || len(valid) < 2*4096 {
+		t.Fatalf("%d-byte stream, embedded simulator at %d: want one that spans reader buffers", len(valid), simAt)
+	}
+	for name, wrap := range snaptest.Sources {
+		restored, err := RestoreRunner(wireGoldenCfg(), wrap(bytes.NewReader(valid)))
+		if err != nil {
+			t.Fatalf("%s reader: %v", name, err)
+		}
+		var again bytes.Buffer
+		if err := restored.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), valid) {
+			t.Fatalf("%s reader: the restored Runner snapshots differently from the stream it was built from", name)
+		}
+		got, err := restored.Resume()
+		if err != nil || !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s reader: continuation diverged (%v)\nwant %+v\n got %+v", name, err, want, got)
+		}
+	}
+	// Every byte of the scalar fields at either end; a stride through the
+	// sketch arrays between them, which are one bulk read each.
+	for cut := 0; cut < simAt; cut++ {
+		if cut >= 256 && cut < simAt-256 && cut%17 != 0 {
+			continue
+		}
+		if _, err := RestoreRunner(wireGoldenCfg(), bytes.NewReader(valid[:cut])); !errors.Is(err, ErrRunnerSnapshot) {
+			t.Fatalf("cut at %d of the runner's %d bytes: err = %v, want ErrRunnerSnapshot", cut, simAt, err)
+		}
+	}
+}
+
+// TestSnapshotAllocationsAreConstant: encoding allocates the two codec
+// writers, their buffers and the two field lists — nothing per message,
+// so a run eight times as long (eight times the worm records) allocates
+// exactly as many objects per snapshot.
+func TestSnapshotAllocationsAreConstant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the knee point for 4 k steps")
+	}
+	allocs := func(at int) (float64, int) {
+		r := kneePaused(t, 0, at)
+		var buf bytes.Buffer
+		if err := r.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(2, func() {
+			buf.Reset()
+			if err := r.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}), buf.Len()
+	}
+	short, shortBytes := allocs(512)
+	long, longBytes := allocs(4096)
+	if longBytes < 6*shortBytes {
+		t.Fatalf("snapshots of %d and %d bytes: the long run is not long enough to tell", shortBytes, longBytes)
+	}
+	if short != long || long > 16 {
+		t.Fatalf("%v allocations per snapshot at step 512 (%d bytes), %v at step 4096 (%d bytes); want equal and small",
+			short, shortBytes, long, longBytes)
 	}
 }

@@ -88,7 +88,12 @@ func TestSnapshotWireGolden(t *testing.T) {
 	}
 	check("WORMSNAP v2 (deep shared pool)", digest(deep.Bytes()), wireGoldenDeep)
 
-	check("WHCKPT01 frame", digest(snap.Seal(runner.Bytes())), wireGoldenSealed)
+	// Sealed the way the daemon does it: encoded straight into the frame.
+	var frame snap.Frame
+	if err := pausedAt(t, wireGoldenCfg(), 60).Snapshot(&frame); err != nil {
+		t.Fatal(err)
+	}
+	check("WHCKPT01 frame", digest(frame.Seal()), wireGoldenSealed)
 
 	// The parent-written blob restores on this build and resumes to the
 	// uninterrupted run's Result.

@@ -40,6 +40,7 @@ package vcsim
 // (the ring is diagnostics, not schedule state).
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -65,6 +66,11 @@ const (
 	snapMagic   = "WORMSNAP"
 	snapTrailer = uint64(0x574F524D454E4453) // "WORMENDS"
 )
+
+// wormFixedBytes is the wire size of a worm record's fixed part — key,
+// fifteen i32s, the status byte and two bools, in the order Snapshot
+// writes them — which RestoreSim decodes from one snap.Reader window.
+const wormFixedBytes = 8 + 15*4 + 1 + 2
 
 var (
 	// ErrSnapshotFormat is wrapped when the stream is not a snapshot
@@ -181,11 +187,10 @@ func (si *Sim) Snapshot(w io.Writer) error {
 	// Per-edge credit state. The wire form is a plain counter array; the
 	// rest of edgeRec is empty between steps (relLane, dirtyFlag) or
 	// rebuilt from the wait heaps on restore (waiters).
-	laneFree := make([]int32, len(si.edges))
+	sw.U32(uint32(len(si.edges)))
 	for e := range si.edges {
-		laneFree[e] = si.edges[e].laneFree
+		sw.I32(si.edges[e].laneFree)
 	}
-	sw.I32s(laneFree)
 	if si.deepMode {
 		sw.I32s(si.flitFree)
 	}
@@ -263,9 +268,8 @@ func (si *Sim) Snapshot(w io.Writer) error {
 	// registry can skip it.
 	if si.met != nil {
 		sw.Bool(true)
-		blob, _ := si.met.MarshalBinary()
-		sw.U32(uint32(len(blob)))
-		sw.Raw(blob)
+		sw.U32(uint32(si.met.BinarySize()))
+		si.met.WriteBinary(sw)
 	} else {
 		sw.Bool(false)
 	}
@@ -349,25 +353,31 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 	for id := 0; id < numWorms && r.Err() == nil; id++ {
 		w, _ := si.addWorm()
 		w.id = int32(id) //wormvet:allow horizon -- bounded by the MaxHorizon length check above
-		w.key = r.U64()
-		w.d = r.I32()
-		w.l = r.I32()
-		w.frontier = r.I32()
-		w.release = r.I32()
-		w.injectTime = r.I32()
-		w.deliverTime = r.I32()
-		w.dropTime = r.I32()
-		w.stalls = r.I32()
-		w.status = Status(r.U8())
-		w.parkedAt = r.I32()
-		w.waitEdge = r.I32()
-		w.streak = r.I32()
-		w.woken = r.Bool()
-		w.fHead = r.I32()
-		w.lastInj = r.I32()
-		w.stretched = r.Bool()
-		w.blockedOn = r.I32()
-		w.retries = r.I32()
+		// The fixed part of the record, in Snapshot's field order, decoded
+		// from one window; a stream that ends inside it leaves the worm
+		// zeroed and the loop's Err check ends the restore.
+		if b := r.Window(wormFixedBytes); b != nil {
+			i32 := func(off int) int32 { return int32(binary.LittleEndian.Uint32(b[off:])) }
+			w.key = binary.LittleEndian.Uint64(b)
+			w.d = i32(8)
+			w.l = i32(12)
+			w.frontier = i32(16)
+			w.release = i32(20)
+			w.injectTime = i32(24)
+			w.deliverTime = i32(28)
+			w.dropTime = i32(32)
+			w.stalls = i32(36)
+			w.status = Status(b[40])
+			w.parkedAt = i32(41)
+			w.waitEdge = i32(45)
+			w.streak = i32(49)
+			w.woken = b[53] != 0
+			w.fHead = i32(54)
+			w.lastInj = i32(58)
+			w.stretched = b[62] != 0
+			w.blockedOn = i32(63)
+			w.retries = i32(67)
+		}
 		if keyID(w.key) != id {
 			r.Fail("worm %d: key %#x does not reference it", id, w.key)
 		}
