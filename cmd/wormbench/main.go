@@ -37,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -225,7 +226,7 @@ func runOne(id string, cfg core.Config, csvOut bool, ckptDir string) int {
 		cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(ckptDir, id)}}
 	}
 	start := time.Now()
-	tables, err := core.Run(id, cfg)
+	tables, err := core.Run(context.Background(), id, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wormbench:", err)
 		return 1

@@ -13,9 +13,11 @@ package main
 //	GET  /healthz                 liveness               → 200 {"ok":true}
 //	GET  /metrics                 daemon gauges          → 200 JSON
 //
-// Invalid submissions — including workloads the engine rejects with its
-// typed errors (vcsim.ErrBadConfig, ErrBadMessage, ErrOverHorizon) —
-// are 400s carrying the engine's message, never worker-side failures.
+// Invalid submissions — an enum spelling the engine does not know, a
+// network past traffic.MaxEndpoints, and workloads the engine rejects
+// with its typed errors (vcsim.ErrBadConfig, ErrBadMessage,
+// ErrOverHorizon) — are 400s carrying the engine's message, never
+// worker-side failures.
 // Submissions over the -max-queued admission cap are 429s with a
 // Retry-After header; bodies over 1 MiB are 413s (MaxBytesReader).
 
@@ -44,7 +46,7 @@ func newAPI(m *manager) http.Handler {
 				httpError(w, http.StatusRequestEntityTooLarge, err.Error())
 				return
 			}
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+			httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 			return
 		}
 		st, err := m.Submit(spec)

@@ -28,46 +28,25 @@ import (
 	"wormhole/internal/wormclient"
 )
 
-func chaosSweepSpec() *SweepSpec {
+func chaosSweepSpec(t *testing.T) *SweepSpec {
 	return &SweepSpec{
-		Topology:         "butterfly",
-		Size:             8,
-		VirtualChannels:  2,
-		MessageLength:    4,
-		Process:          "bernoulli",
+		Topology: "butterfly",
+		Size:     8,
+		Config: traffic.Config{
+			VirtualChannels: 2,
+			MessageLength:   4,
+			Process:         traffic.Bernoulli,
+			Warmup:          100,
+			Measure:         3_000_000, // long enough to checkpoint and die mid-run
+			Drain:           1000,
+			Seed:            23,
+			Faults:          mustFaults(t, "lane:1@500-2500 edge:6@1000-4000"),
+		},
 		Rates:            []float64{0.05},
-		Warmup:           100,
-		Measure:          3_000_000, // long enough to checkpoint and die mid-run
-		Drain:            1000,
-		Seed:             23,
-		Faults:           "lane:1@500-2500 edge:6@1000-4000",
 		RetryMaxAttempts: 4,
 		RetryBackoff:     8,
 		RetryBackoffCap:  128,
 	}
-}
-
-// chaosOracle renders the spec's expected CSV from direct in-process
-// runs.
-func chaosOracle(t *testing.T, spec *SweepSpec) string {
-	t.Helper()
-	net, err := spec.network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []pointResult
-	for _, rate := range spec.Rates {
-		cfg, err := spec.config(net, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := traffic.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points = append(points, pointResult{Rate: rate, Result: res})
-	}
-	return renderSweepCSV(points)
 }
 
 func chaosClient(base string) *wormclient.Client {
@@ -105,8 +84,8 @@ func TestDaemonChaosE2E(t *testing.T) {
 	}
 	tmp := t.TempDir()
 	bin := buildBinary(t, tmp, "wormhole/cmd/wormholed", "wormholed")
-	spec := chaosSweepSpec()
-	want := chaosOracle(t, spec)
+	spec := chaosSweepSpec(t)
+	want := directRunCSV(t, spec)
 	rnd := rand.New(rand.NewSource(time.Now().UnixNano()))
 	stateRoot := os.Getenv("WORMHOLED_STATE_ROOT")
 	if stateRoot == "" {
@@ -192,6 +171,14 @@ func TestDaemonChaosE2E(t *testing.T) {
 			var health map[string]any
 			if err := cli2.GetJSON(context.Background(), "/healthz", &health); err != nil {
 				t.Fatalf("healthz after recovery: %v", err)
+			}
+			// And the job says so itself: the rejection is on its record.
+			var final JobStatus
+			if err := cli2.GetJSON(context.Background(), "/api/v1/jobs/"+st.ID, &final); err != nil {
+				t.Fatal(err)
+			}
+			if ck := final.Checkpoints; ck == nil || ck.RestoreRejected < 1 || ck.LastRestoreError == "" {
+				t.Errorf("job recovered over a %s checkpoint reports %+v; want restore_rejected >= 1 with a reason", tc.name, ck)
 			}
 
 			// The harness corruption (or chaos's own) must have been seen

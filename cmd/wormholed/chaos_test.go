@@ -12,12 +12,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"wormhole/internal/snap"
-	"wormhole/internal/traffic"
 )
 
 // TestCheckpointFrame: what checkpointRunner seals, runPoint opens, and
@@ -162,36 +162,20 @@ func TestFaultedSweepMatchesDirectRun(t *testing.T) {
 	srv := newTestHTTP(t, m)
 
 	spec := testSweepSpec()
-	spec.Faults = "lane:0@10-60 edge:3@20-80 lane:5@40-90"
+	spec.Faults = mustFaults(t, "lane:0@10-60 edge:3@20-80 lane:5@40-90")
 	spec.RetryMaxAttempts = 3
 	spec.RetryBackoff = 8
 	spec.RetryBackoffCap = 64
 
 	st := decodeStatus(t, postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
 	done := waitStateURL(t, srv, st.ID, stateDone)
-	got := fetchURL(t, srv+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
+	got := fetch(t, srv+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
 
 	if done.Checkpoints != nil {
 		t.Fatalf("a job that never checkpointed reports checkpoints %+v; want the object absent", done.Checkpoints)
 	}
 
-	net, err := spec.network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []pointResult
-	for _, rate := range spec.Rates {
-		cfg, err := spec.config(net, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := traffic.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points = append(points, pointResult{Rate: rate, Result: res})
-	}
-	if want := renderSweepCSV(points); string(got) != want {
+	if want := directRunCSV(t, spec); string(got) != want {
 		t.Fatalf("faulted sweep CSV diverged from direct runs\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
@@ -206,9 +190,12 @@ func TestBadFaultGrammarRejected(t *testing.T) {
 	defer m.Shutdown()
 	srv := newTestHTTP(t, m)
 
-	spec := testSweepSpec()
-	spec.Faults = "lane3@nonsense"
-	resp := postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec})
+	body := `{"type":"sweep","sweep":{"topology":"butterfly","size":8,"virtual_channels":2,
+		"message_length":4,"rates":[0.02],"measure":160,"faults":"lane3@nonsense"}}`
+	resp, err := http.Post(srv+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad fault grammar = %d, want 400", resp.StatusCode)
@@ -229,78 +216,69 @@ func TestChaoticManagerStillCompletes(t *testing.T) {
 	spec := testSweepSpec()
 	st := decodeStatus(t, postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
 	done := waitStateURL(t, srv, st.ID, stateDone)
-	got := fetchURL(t, srv+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
+	got := fetch(t, srv+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
 
 	// The injected ENOSPCs are on the job's record, not only in stderr.
 	if ck := done.Checkpoints; ck == nil || ck.Failed == 0 || ck.Written == 0 || !strings.Contains(ck.LastError, errDiskFull.Error()) {
 		t.Fatalf("chaotic job reports checkpoints %+v; want failures counted and the last error kept", ck)
 	}
 
-	net, err := spec.network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []pointResult
-	for _, rate := range spec.Rates {
-		cfg, err := spec.config(net, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := traffic.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points = append(points, pointResult{Rate: rate, Result: res})
-	}
-	if want := renderSweepCSV(points); string(got) != want {
+	if want := directRunCSV(t, spec); string(got) != want {
 		t.Fatalf("chaotic sweep CSV diverged from direct runs\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
-// --- helpers bridging to daemon_test.go's style ------------------------------
+// TestRejectedRestoreIsOnTheRecord: a checkpoint the integrity frame
+// refuses costs the point its resume, not its correctness — and the job's
+// status, not only stderr, says a restore was rejected and why.
+func TestRejectedRestoreIsOnTheRecord(t *testing.T) {
+	spec := testSweepSpec()
+	spec.Measure, spec.Drain = 2000, 800 // long enough to catch mid-run
 
+	dir := t.TempDir()
+	m1, err := newManager(dir, 1, 100, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := newTestHTTP(t, m1)
+	st := decodeStatus(t, postJSON(t, srv1+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
+	waitStateURL(t, srv1, st.ID, stateRunning)
+	m1.Shutdown() // takes the final checkpoint of whichever point was live
+
+	snaps, err := filepath.Glob(filepath.Join(dir, "jobs", st.ID, "point-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("shutdown left checkpoints %v (%v), want exactly one", snaps, err)
+	}
+	raw, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(snaps[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := newManager(dir, 1, 100, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Shutdown()
+	srv2 := newTestHTTP(t, m2)
+	done := waitStateURL(t, srv2, st.ID, stateDone)
+	ck := done.Checkpoints
+	if ck == nil || ck.RestoreRejected < 1 || ck.Restored != 0 ||
+		!strings.Contains(ck.LastRestoreError, errCorruptCheckpoint.Error()) || !strings.Contains(ck.LastRestoreError, "checksum mismatch") {
+		t.Fatalf("job resumed over a flipped checkpoint reports %+v; want the rejection counted with the frame's reason", ck)
+	}
+	if got, want := fetch(t, srv2+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK), directRunCSV(t, spec); string(got) != want {
+		t.Fatalf("sweep re-run after a rejected restore diverged from direct runs\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// newTestHTTP serves m for tests that build their own manager.
 func newTestHTTP(t *testing.T, m *manager) string {
 	t.Helper()
 	srv := httptest.NewServer(newAPI(m))
 	t.Cleanup(srv.Close)
 	return srv.URL
-}
-
-func waitStateURL(t *testing.T, base, id string, want jobState) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/api/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := decodeStatus(t, resp)
-		switch st.State {
-		case want:
-			return st
-		case stateFailed:
-			if want != stateFailed {
-				t.Fatalf("job %s failed: %s", id, st.Error)
-			}
-			return st
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("job %s never reached %s", id, want)
-	return JobStatus{}
-}
-
-func fetchURL(t *testing.T, url string, wantCode int) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body) //nolint:errcheck
-	if resp.StatusCode != wantCode {
-		t.Fatalf("GET %s = %d, want %d: %s", url, resp.StatusCode, wantCode, buf.String())
-	}
-	return buf.Bytes()
 }

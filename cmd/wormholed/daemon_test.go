@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"wormhole/internal/core"
+	"wormhole/internal/fault"
 	"wormhole/internal/snap"
 	"wormhole/internal/stats"
 	"wormhole/internal/traffic"
@@ -27,18 +29,50 @@ import (
 
 func testSweepSpec() *SweepSpec {
 	return &SweepSpec{
-		Topology:        "butterfly",
-		Size:            8,
-		VirtualChannels: 2,
-		MessageLength:   4,
-		Process:         "bernoulli",
-		Rates:           []float64{0.02, 0.05},
-		Warmup:          40,
-		Measure:         160,
-		Drain:           400,
-		Window:          50,
-		Seed:            17,
+		Topology: "butterfly",
+		Size:     8,
+		Config: traffic.Config{
+			VirtualChannels: 2,
+			MessageLength:   4,
+			Process:         traffic.Bernoulli,
+			Warmup:          40,
+			Measure:         160,
+			Drain:           400,
+			Window:          50,
+			Seed:            17,
+		},
+		Rates: []float64{0.02, 0.05},
 	}
+}
+
+// directRunCSV renders the spec's expected CSV from direct in-process
+// traffic.Run calls: the oracle every daemon-served sweep is diffed
+// against.
+func directRunCSV(t *testing.T, spec *SweepSpec) string {
+	t.Helper()
+	net, err := spec.network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []pointResult
+	for _, rate := range spec.Rates {
+		res, err := traffic.Run(spec.config(net, rate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, pointResult{Rate: rate, Result: res})
+	}
+	return renderSweepCSV(points)
+}
+
+// mustFaults parses a fault schedule for a spec literal.
+func mustFaults(t *testing.T, text string) fault.Schedule {
+	t.Helper()
+	s, err := fault.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func startTestServer(t *testing.T, stateDir string, ckptEvery int) (*httptest.Server, *manager) {
@@ -77,9 +111,14 @@ func decodeStatus(t *testing.T, resp *http.Response) JobStatus {
 
 func waitState(t *testing.T, srv *httptest.Server, id string, want jobState) JobStatus {
 	t.Helper()
+	return waitStateURL(t, srv.URL, id, want)
+}
+
+func waitStateURL(t *testing.T, base, id string, want jobState) JobStatus {
+	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(srv.URL + "/api/v1/jobs/" + id)
+		resp, err := http.Get(base + "/api/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +173,6 @@ func TestSubmitValidation(t *testing.T) {
 		"bad topology": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
 			s := testSweepSpec()
 			s.Topology = "hypercube"
-			return s
-		}()}, ""},
-		"bad arbitration": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
-			s := testSweepSpec()
-			s.Arbitration = "fifo"
 			return s
 		}()}, ""},
 		"zero virtual channels": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
@@ -209,23 +243,7 @@ func TestSweepJobMatchesDirectRun(t *testing.T) {
 	}
 	got := fetch(t, srv.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
 
-	var points []pointResult
-	net, err := spec.network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rate := range spec.Rates {
-		cfg, err := spec.config(net, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := traffic.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points = append(points, pointResult{Rate: rate, Result: res})
-	}
-	if want := renderSweepCSV(points); string(got) != want {
+	if want := directRunCSV(t, spec); string(got) != want {
 		t.Fatalf("sweep CSV diverged from direct runs\nwant:\n%s\ngot:\n%s", want, got)
 	}
 
@@ -247,7 +265,7 @@ func TestExperimentJobMatchesWormbenchCSV(t *testing.T) {
 	waitState(t, srv, st.ID, stateDone)
 	got := fetch(t, srv.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
 
-	tables, err := core.Run("T12", core.Config{Seed: 42, Quick: true})
+	tables, err := core.Run(context.Background(), "T12", core.Config{Seed: 42, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +352,14 @@ func TestGracefulShutdownResumes(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("resumed sweep diverged from uninterrupted oracle\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	// The tally carries over the restart and keeps counting.
-	if dk := done.Checkpoints; dk == nil || dk.Written <= ck.Written || dk.Failed != 0 || dk.TotalMs <= ck.TotalMs {
+	// The tally carries over the restart and keeps counting, the clean
+	// resume included.
+	dk := done.Checkpoints
+	if dk == nil || dk.Written <= ck.Written || dk.Failed != 0 || dk.TotalMs <= ck.TotalMs {
 		t.Fatalf("finished job reports checkpoints %+v after %+v at the restart", dk, ck)
+	}
+	if dk.Restored < 1 || dk.RestoreRejected != 0 || dk.LastRestoreError != "" {
+		t.Fatalf("a clean resume reports %+v, want restored >= 1 and nothing rejected", dk)
 	}
 }
 
@@ -356,10 +379,7 @@ func TestCheckpointReusesWorkerBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.config(net, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := spec.config(net, 0.2)
 	paused := cfg
 	paused.OnStep = func(step int) error {
 		if step == 3000 {
@@ -423,6 +443,136 @@ func TestCancelJob(t *testing.T) {
 	}
 	waitState(t, srv, st.ID, stateCanceled)
 	fetch(t, srv.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusConflict)
+}
+
+// TestCancelWhileQueued: a job cancelled before any worker picks it up is
+// canceled at pickup without running a step, and a cancel is final — the
+// job's context keeps its first cause through the shutdown that follows.
+func TestCancelWhileQueued(t *testing.T) {
+	m, err := newManager(t.TempDir(), 1, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newAPI(m))
+	defer srv.Close()
+
+	long := testSweepSpec()
+	long.Measure = 200_000_000 // occupies the lone worker until cancel
+	first := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: long}))
+	waitState(t, srv, first.ID, stateRunning)
+	second := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: testSweepSpec()}))
+
+	if !m.Cancel(second.ID) || m.Cancel("nope") {
+		t.Fatal("Cancel did not report which job exists")
+	}
+	if st := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs/"+second.ID+"/cancel", struct{}{})); st.State != stateQueued {
+		t.Fatalf("cancelled-while-queued job is %q before pickup, want still queued", st.State)
+	}
+	m.Cancel(first.ID)
+	waitState(t, srv, first.ID, stateCanceled)
+	st := waitState(t, srv, second.ID, stateCanceled)
+	if st.PointsDone != 0 {
+		t.Fatalf("cancelled-while-queued job ran %d point(s)", st.PointsDone)
+	}
+	if _, err := os.Stat(filepath.Join(m.jobDir(second.ID), "point-000.json")); !os.IsNotExist(err) {
+		t.Fatalf("cancelled-while-queued job left a finished point behind (stat: %v)", err)
+	}
+	m.Shutdown()
+	for _, id := range []string{first.ID, second.ID} {
+		if j, _ := m.Get(id); j.snapshotStatus().State != stateCanceled {
+			t.Errorf("job %s is %q after shutdown, want canceled", id, j.snapshotStatus().State)
+		}
+	}
+}
+
+// TestCancelRunningExperiment: cancelling a running experiment stops it
+// at its next harness job — through core.Run's error return, no panic —
+// keeps what it finished in its checkpoint store, and leaves the daemon
+// running other work.
+func TestCancelRunningExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full-scale experiment until cancelled")
+	}
+	srv, m := startTestServer(t, t.TempDir(), 0)
+	defer m.Shutdown()
+
+	st := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs",
+		JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T12", Seed: 42}}))
+	waitState(t, srv, st.ID, stateRunning)
+	ckpt := filepath.Join(m.jobDir(st.ID), "ckpt")
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if stored, _ := os.ReadDir(ckpt); len(stored) > 0 {
+			break // mid-fan-out: some harness jobs done, most not
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the experiment never finished a harness job")
+		}
+	}
+	resp := postJSON(t, srv.URL+"/api/v1/jobs/"+st.ID+"/cancel", struct{}{})
+	resp.Body.Close()
+	canceled := waitState(t, srv, st.ID, stateCanceled)
+	if canceled.Error != "" {
+		t.Fatalf("canceled experiment carries error %q", canceled.Error)
+	}
+	fetch(t, srv.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusConflict)
+
+	next := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs",
+		JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T1", Seed: 42, Quick: true}}))
+	waitState(t, srv, next.ID, stateDone)
+}
+
+// TestStalePointMemoRecomputed: a point-K.json is replayed only if it is
+// a faithful pointResult as the type is now. A memo written before
+// traffic.Result changed shape (a daemon restarted over a live state dir
+// after an upgrade) used to decode into zeroed fields and be served as a
+// finished point; it is recomputed and overwritten. A memo this build
+// wrote still replays without re-running the point.
+func TestStalePointMemoRecomputed(t *testing.T) {
+	spec := testSweepSpec()
+	want := directRunCSV(t, spec)
+	specJSON, err := json.Marshal(JobSpec{Type: "sweep", Sweep: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := `{"id":"j000000","type":"sweep","state":"queued","points_total":2,"created_unix":1,"spec":` + string(specJSON) + `}`
+
+	const stale = `{"rate":0.02,"result":{"OfferedLoad":0.02}}`
+	dir := plantJob(t, "j000000", map[string]string{"job.json": queued, "point-000.json": stale})
+	srv, m := startTestServer(t, dir, 0)
+	waitState(t, srv, "j000000", stateDone)
+	if got := fetch(t, srv.URL+"/api/v1/jobs/j000000/result", http.StatusOK); string(got) != want {
+		t.Fatalf("a stale point memo was served as a finished point\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	memoPath := filepath.Join(m.jobDir("j000000"), "point-000.json")
+	memo, err := os.ReadFile(memoPath)
+	if err != nil || string(memo) == stale {
+		t.Fatalf("the stale memo was not overwritten (%v): %s", err, memo)
+	}
+	m.Shutdown()
+	srv.Close()
+
+	// Replay: mark the fresh memo so a replayed point is told from a
+	// recomputed one, re-queue the job, and look for the mark.
+	var pr pointResult
+	if err := json.Unmarshal(memo, &pr); err != nil {
+		t.Fatal(err)
+	}
+	pr.Result.Steps = 987654321
+	if memo, err = json.Marshal(pr); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{"point-000.json": string(memo), "job.json": queued} {
+		if err := os.WriteFile(filepath.Join(m.jobDir("j000000"), name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv2, m2 := startTestServer(t, dir, 0)
+	defer m2.Shutdown()
+	waitState(t, srv2, "j000000", stateDone)
+	rows := strings.Split(string(fetch(t, srv2.URL+"/api/v1/jobs/j000000/result", http.StatusOK)), "\n")
+	if !strings.Contains(rows[1], ",987654321,") || rows[2] != strings.Split(want, "\n")[2] {
+		t.Fatalf("a faithful memo was not replayed (or the other point moved):\n%s", strings.Join(rows, "\n"))
+	}
 }
 
 // TestSubmitPersistFailureLeavesNoPhantom: a submission whose job
@@ -489,11 +639,11 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 func TestPanickingExperimentFailsJobNotDaemon(t *testing.T) {
 	orig := runCore
 	defer func() { runCore = orig }()
-	runCore = func(id string, cfg core.Config) ([]*stats.Table, error) {
+	runCore = func(ctx context.Context, id string, cfg core.Config) ([]*stats.Table, error) {
 		if id == "T2" {
 			panic("T2: injected test panic")
 		}
-		return core.Run(id, cfg)
+		return core.Run(ctx, id, cfg)
 	}
 
 	dir := t.TempDir()
@@ -529,16 +679,8 @@ func TestPanickingExperimentFailsJobNotDaemon(t *testing.T) {
 // not may still carry one. Recovery must fail that job through
 // core.Run's error return — no panic, no recover.
 func TestPersistedBadScaleFailsJob(t *testing.T) {
-	dir := t.TempDir()
-	jobDir := filepath.Join(dir, "jobs", "j000000")
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	persisted := `{"id":"j000000","type":"experiment","state":"queued","created_unix":1,
-		"spec":{"type":"experiment","experiment":{"id":"T15","scale":100}}}`
-	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(persisted), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := plantJob(t, "j000000", map[string]string{"job.json": `{"id":"j000000","type":"experiment","state":"queued","created_unix":1,
+		"spec":{"type":"experiment","experiment":{"id":"T15","scale":100}}}`})
 	srv, m := startTestServer(t, dir, 0)
 	defer m.Shutdown()
 	st := waitState(t, srv, "j000000", stateFailed)
@@ -552,21 +694,13 @@ func TestPersistedBadScaleFailsJob(t *testing.T) {
 // in job.json. The knob is gone, the decoders are lenient, and both a
 // request body and a recovered state dir that still carry it must run.
 func TestRetiredSpecFieldAccepted(t *testing.T) {
-	dir := t.TempDir()
 	const oldSweep = `{"type":"sweep","sweep":{"topology":"butterfly","size":8,
 		"virtual_channels":2,"message_length":4,"process":"bernoulli",
 		"rates":[0.02],"warmup":40,"measure":160,"drain":400,"seed":17,"shards":4}}`
 
 	// A job an older daemon left queued, shard_note and all.
-	jobDir := filepath.Join(dir, "jobs", "j000000")
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	persisted := `{"id":"j000000","type":"sweep","state":"queued","points_total":1,
-		"shard_note":"shards=4 requested but no step ran sharded","created_unix":1,"spec":` + oldSweep + `}`
-	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(persisted), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := plantJob(t, "j000000", map[string]string{"job.json": `{"id":"j000000","type":"sweep","state":"queued","points_total":1,
+		"shard_note":"shards=4 requested but no step ran sharded","created_unix":1,"spec":` + oldSweep + `}`})
 
 	srv, m := startTestServer(t, dir, 0)
 	defer m.Shutdown()

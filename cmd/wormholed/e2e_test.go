@@ -115,17 +115,19 @@ func TestDaemonE2E(t *testing.T) {
 	stateDir := filepath.Join(tmp, "state")
 
 	sweep := &SweepSpec{
-		Topology:        "butterfly",
-		Size:            8,
-		VirtualChannels: 2,
-		MessageLength:   4,
-		Process:         "bernoulli",
-		Rates:           []float64{0.05},
-		Warmup:          100,
-		Measure:         4_000_000, // seconds of wall clock: the kill window
-		Drain:           1000,
-		Window:          100_000,
-		Seed:            17,
+		Topology: "butterfly",
+		Size:     8,
+		Config: traffic.Config{
+			VirtualChannels: 2,
+			MessageLength:   4,
+			Process:         traffic.Bernoulli,
+			Warmup:          100,
+			Measure:         4_000_000, // seconds of wall clock: the kill window
+			Drain:           1000,
+			Window:          100_000,
+			Seed:            17,
+		},
+		Rates: []float64{0.05},
 	}
 
 	cmd, base := startDaemon(t, daemonBin, stateDir)
@@ -185,23 +187,7 @@ func TestDaemonE2E(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("sweep result: %d", code)
 	}
-	net, err := sweep.network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []pointResult
-	for _, rate := range sweep.Rates {
-		cfg, err := sweep.config(net, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := traffic.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points = append(points, pointResult{Rate: rate, Result: res})
-	}
-	if want := renderSweepCSV(points); want != string(gotSweep) {
+	if want := directRunCSV(t, sweep); want != string(gotSweep) {
 		t.Errorf("killed-and-restored sweep diverged from direct runs\nwant:\n%s\ngot:\n%s", want, gotSweep)
 	}
 
@@ -219,6 +205,25 @@ func TestDaemonE2E(t *testing.T) {
 	}
 	if !bytes.Equal(benchOut.Bytes(), gotExp) {
 		t.Errorf("daemon experiment CSV diverged from wormbench\nwant:\n%s\ngot:\n%s", benchOut.Bytes(), gotExp)
+	}
+
+	// The CLI shares the daemon's size bound: an absurd -scale is one line
+	// and exit 1, not a 180 GB allocation.
+	huge := exec.Command(benchBin, "-run", "T15", "-scale", "1073741824")
+	out, err := huge.CombinedOutput()
+	if huge.ProcessState == nil || huge.ProcessState.ExitCode() != 1 || bytes.Count(out, []byte("\n")) != 1 {
+		t.Errorf("wormbench -run T15 -scale 1073741824: %v, output:\n%s\nwant one line and exit 1", err, out)
+	}
+
+	// And the running daemon answers the same spec with a 400.
+	resp, err := http.Post(base2+"/api/v1/jobs", "application/json",
+		bytes.NewReader([]byte(`{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized experiment scale: status %d, want 400", resp.StatusCode)
 	}
 
 	// The daemon stays healthy after all of it.

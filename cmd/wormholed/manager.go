@@ -17,9 +17,14 @@ package main
 // core.Checkpoint job memoization. Either way a resumed job produces
 // output byte-identical to an uninterrupted run — the e2e test
 // kill -9s the daemon mid-sweep and diffs.
+//
+// The manager re-describes nothing the engine owns: a sweep spec embeds
+// traffic.Config, a finished point goes through core's memo halves, and
+// a pause — cancel or shutdown — is one cancel-cause context per job.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,11 +34,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wormhole/internal/core"
-	"wormhole/internal/fault"
 	"wormhole/internal/snap"
 	"wormhole/internal/stats"
 	"wormhole/internal/telemetry"
@@ -51,8 +54,8 @@ const (
 	stateCanceled jobState = "canceled"
 )
 
-// Pause sentinels returned through Config.OnStep / recovered from
-// core.ErrInterrupted. They are daemon control flow, never job failures.
+// Pause causes: what Cancel and Shutdown cancel a job's context with.
+// They are daemon control flow, never job failures.
 var (
 	errShutdown = errors.New("wormholed: shutting down")
 	errCanceled = errors.New("wormholed: job canceled")
@@ -62,60 +65,44 @@ var (
 )
 
 // SweepSpec declares an open-loop rate sweep: one traffic run per entry
-// of Rates on a fixed network and traffic configuration.
+// of Rates on a fixed network. Everything about the run itself is the
+// embedded traffic.Config, whose struct tags are the wire schema, so a
+// sweep point is traffic.Run of that Config by construction.
 type SweepSpec struct {
 	Topology string `json:"topology"`       // butterfly | mesh | torus
 	Size     int    `json:"size,omitempty"` // butterfly input count
 	Dims     []int  `json:"dims,omitempty"` // mesh / torus extents
 
-	VirtualChannels     int    `json:"virtual_channels"`
-	LaneDepth           int    `json:"lane_depth,omitempty"`
-	SharedPool          bool   `json:"shared_pool,omitempty"`
-	MessageLength       int    `json:"message_length"`
-	Arbitration         string `json:"arbitration,omitempty"` // byid | age | random
-	RestrictedBandwidth bool   `json:"restricted_bandwidth,omitempty"`
+	traffic.Config
+	Rates []float64 `json:"rates"` // Config.Rate, one point each
 
-	Process string    `json:"process,omitempty"` // bernoulli | poisson | onoff
-	Rates   []float64 `json:"rates"`
-	OnMean  float64   `json:"on_mean,omitempty"`
-	OffMean float64   `json:"off_mean,omitempty"`
-
-	Pattern         string  `json:"pattern,omitempty"` // uniform | transpose | bitreverse | hotspot
-	HotspotCount    int     `json:"hotspot_count,omitempty"`
-	HotspotFraction float64 `json:"hotspot_fraction,omitempty"`
-
-	Warmup     int    `json:"warmup,omitempty"`
-	Measure    int    `json:"measure"`
-	Drain      int    `json:"drain,omitempty"`
-	Window     int    `json:"window,omitempty"`
-	MaxBacklog int    `json:"max_backlog,omitempty"`
-	Seed       uint64 `json:"seed,omitempty"`
-
-	// Faults is a fault schedule in the internal/fault grammar
-	// ("lane:EDGE@START-END edge:EDGE@START-END ...") applied to every
-	// sweep point; the retry fields map onto vcsim.RetryPolicy for
-	// messages whose injection edge is dead.
-	Faults           string `json:"faults,omitempty"`
-	RetryMaxAttempts int    `json:"retry_max_attempts,omitempty"`
-	RetryBackoff     int    `json:"retry_backoff,omitempty"`
-	RetryBackoffCap  int    `json:"retry_backoff_cap,omitempty"`
+	// Config.Retry, flat on the wire: the vcsim.RetryPolicy for messages
+	// whose injection edge is dead.
+	RetryMaxAttempts int `json:"retry_max_attempts,omitempty"`
+	RetryBackoff     int `json:"retry_backoff,omitempty"`
+	RetryBackoffCap  int `json:"retry_backoff_cap,omitempty"`
 }
 
+// network builds the spec's topology. Sizes come from outside, so the
+// endpoint count is checked against traffic.MaxEndpoints before anything
+// is allocated in proportion to it.
 func (s *SweepSpec) network() (*traffic.Network, error) {
 	switch s.Topology {
 	case "butterfly":
-		if s.Size < 2 {
-			return nil, fmt.Errorf("butterfly size %d < 2", s.Size)
+		if n := s.Size; n < 2 || n&(n-1) != 0 || n > traffic.MaxEndpoints {
+			return nil, fmt.Errorf("butterfly size %d is not a power of two in [2, %d]", n, traffic.MaxEndpoints)
 		}
 		return traffic.NewButterflyNet(s.Size), nil
 	case "mesh", "torus":
 		if len(s.Dims) == 0 {
 			return nil, fmt.Errorf("%s needs dims", s.Topology)
 		}
+		nodes := 1
 		for _, d := range s.Dims {
-			if d < 2 {
-				return nil, fmt.Errorf("%s dim %d < 2", s.Topology, d)
+			if d < 2 || d > traffic.MaxEndpoints/nodes {
+				return nil, fmt.Errorf("%s dims %v: each must be ≥ 2 and their product ≤ %d", s.Topology, s.Dims, traffic.MaxEndpoints)
 			}
+			nodes *= d
 		}
 		if s.Topology == "mesh" {
 			return traffic.NewMeshNet(s.Dims...), nil
@@ -126,93 +113,14 @@ func (s *SweepSpec) network() (*traffic.Network, error) {
 	}
 }
 
-func parseArbitration(s string) (vcsim.Policy, error) {
-	switch s {
-	case "", "byid":
-		return vcsim.ArbByID, nil
-	case "age":
-		return vcsim.ArbAge, nil
-	case "random":
-		return vcsim.ArbRandom, nil
-	}
-	return 0, fmt.Errorf("unknown arbitration %q (want byid, age, or random)", s)
-}
-
-func parseProcess(s string) (traffic.Process, error) {
-	switch s {
-	case "", "bernoulli":
-		return traffic.Bernoulli, nil
-	case "poisson":
-		return traffic.Poisson, nil
-	case "onoff":
-		return traffic.OnOff, nil
-	}
-	return 0, fmt.Errorf("unknown process %q (want bernoulli, poisson, or onoff)", s)
-}
-
-func parsePattern(s string) (traffic.Pattern, error) {
-	switch s {
-	case "", "uniform":
-		return traffic.Uniform, nil
-	case "transpose":
-		return traffic.Transpose, nil
-	case "bitreverse":
-		return traffic.BitReverse, nil
-	case "hotspot":
-		return traffic.Hotspot, nil
-	}
-	return 0, fmt.Errorf("unknown pattern %q (want uniform, transpose, bitreverse, or hotspot)", s)
-}
-
-// config builds the traffic.Config for one sweep point. net is shared
+// config is the traffic.Config of one sweep point: the spec's own, plus
+// the three things the wire does not carry inside it. net is shared
 // across points (it is read-only); rate varies per point.
-func (s *SweepSpec) config(net *traffic.Network, rate float64) (traffic.Config, error) {
-	arb, err := parseArbitration(s.Arbitration)
-	if err != nil {
-		return traffic.Config{}, err
-	}
-	proc, err := parseProcess(s.Process)
-	if err != nil {
-		return traffic.Config{}, err
-	}
-	pat, err := parsePattern(s.Pattern)
-	if err != nil {
-		return traffic.Config{}, err
-	}
-	var sched fault.Schedule
-	if s.Faults != "" {
-		if sched, err = fault.Parse(s.Faults); err != nil {
-			return traffic.Config{}, err
-		}
-	}
-	return traffic.Config{
-		Net:                 net,
-		VirtualChannels:     s.VirtualChannels,
-		LaneDepth:           s.LaneDepth,
-		SharedPool:          s.SharedPool,
-		MessageLength:       s.MessageLength,
-		Arbitration:         arb,
-		RestrictedBandwidth: s.RestrictedBandwidth,
-		Process:             proc,
-		Rate:                rate,
-		OnMean:              s.OnMean,
-		OffMean:             s.OffMean,
-		Pattern:             pat,
-		HotspotCount:        s.HotspotCount,
-		HotspotFraction:     s.HotspotFraction,
-		Warmup:              s.Warmup,
-		Measure:             s.Measure,
-		Drain:               s.Drain,
-		Window:              s.Window,
-		MaxBacklog:          s.MaxBacklog,
-		Seed:                s.Seed,
-		Faults:              sched,
-		Retry: vcsim.RetryPolicy{
-			MaxAttempts: s.RetryMaxAttempts,
-			Backoff:     s.RetryBackoff,
-			BackoffCap:  s.RetryBackoffCap,
-		},
-	}, nil
+func (s *SweepSpec) config(net *traffic.Network, rate float64) traffic.Config {
+	cfg := s.Config
+	cfg.Net, cfg.Rate = net, rate
+	cfg.Retry = vcsim.RetryPolicy{MaxAttempts: s.RetryMaxAttempts, Backoff: s.RetryBackoff, BackoffCap: s.RetryBackoffCap}
+	return cfg
 }
 
 // validate builds and immediately retires a Runner for the first rate,
@@ -227,10 +135,7 @@ func (s *SweepSpec) validate() error {
 	if err != nil {
 		return err
 	}
-	cfg, err := s.config(net, s.Rates[0])
-	if err != nil {
-		return err
-	}
+	cfg := s.config(net, s.Rates[0])
 	if _, err := traffic.NewRunner(cfg); err != nil {
 		return err
 	}
@@ -252,7 +157,7 @@ type ExperimentSpec struct {
 }
 
 // config is the core.Config the spec asks for, before the daemon
-// attaches its checkpoint store and interrupt hook.
+// attaches its checkpoint store.
 func (e *ExperimentSpec) config() core.Config {
 	return core.Config{Seed: e.Seed, Quick: e.Quick, Trials: e.Trials, Scale: e.Scale}
 }
@@ -297,14 +202,20 @@ type JobStatus struct {
 
 // CheckpointStats is what a sweep job's checkpointing has done so far,
 // across restarts (it is persisted with the rest of the status). A
-// failed checkpoint costs the job nothing but resume granularity, so it
-// is counted here instead of failing the job.
+// failed checkpoint or a rejected restore costs the job nothing but
+// resume granularity, so it is counted here instead of failing the job.
 type CheckpointStats struct {
 	Written   int     `json:"written"`
 	Failed    int     `json:"failed"`
 	LastBytes int     `json:"last_bytes"` // size on disk of the last one written
 	TotalMs   float64 `json:"total_ms"`   // wall time spent encoding, sealing and writing
 	LastError string  `json:"last_error,omitempty"`
+	// Restores: a checkpoint found on disk either resumed its point or
+	// was rejected (the integrity frame or the runner codec refused it)
+	// and the point re-ran from scratch.
+	Restored         int    `json:"restored"`
+	RestoreRejected  int    `json:"restore_rejected"`
+	LastRestoreError string `json:"last_restore_error,omitempty"`
 }
 
 // pointResult memoizes one completed sweep point.
@@ -318,7 +229,24 @@ type job struct {
 	mu     sync.Mutex
 	status JobStatus
 	pub    *telemetry.Publisher // per-window series feed for this job
-	cancel atomic.Bool
+	// ctx pauses the job at its next poll once cancelled: by Cancel with
+	// errCanceled, or by Shutdown — through the manager's context, its
+	// parent — with errShutdown.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+}
+
+// tally applies f to the job's checkpoint tally, which the next persist
+// writes out. Served statuses share the pointer, so f edits a copy.
+func (j *job) tally(f func(*CheckpointStats)) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var cs CheckpointStats
+	if j.status.Checkpoints != nil {
+		cs = *j.status.Checkpoints
+	}
+	f(&cs)
+	j.status.Checkpoints = &cs
 }
 
 func (j *job) snapshotStatus() JobStatus {
@@ -332,8 +260,10 @@ type manager struct {
 	dir       string // STATE/jobs
 	ckptEvery int    // checkpoint a live sweep runner every N steps
 	queue     chan *job
-	stop      chan struct{}  // closed on graceful shutdown
 	chaos     *chaosInjector // nil unless -chaos armed the write path
+	// ctx is every job context's parent; Shutdown cancels it.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -354,10 +284,10 @@ func newManager(stateDir string, workers, ckptEvery, maxQueued int, chaosSeed ui
 	m := &manager{
 		dir:       filepath.Join(stateDir, "jobs"),
 		ckptEvery: ckptEvery,
-		stop:      make(chan struct{}),
 		jobs:      map[string]*job{},
 		start:     time.Now(),
 	}
+	m.ctx, m.cancel = context.WithCancelCause(context.Background())
 	if chaosSeed != 0 {
 		m.chaos = newChaosInjector(chaosSeed)
 	}
@@ -417,7 +347,7 @@ func (m *manager) recover() ([]*job, error) {
 		if json.Unmarshal(blob, &st) != nil || st.ID != name {
 			continue
 		}
-		j := &job{status: st, pub: &telemetry.Publisher{}}
+		j := m.newJob(st)
 		m.jobs[st.ID] = j
 		m.order = append(m.order, st.ID)
 		if n, err := strconv.Atoi(strings.TrimPrefix(st.ID, "j")); err == nil && n >= m.nextID {
@@ -426,6 +356,8 @@ func (m *manager) recover() ([]*job, error) {
 		if st.State == stateQueued || st.State == stateRunning {
 			m.setState(j, stateQueued, "")
 			requeue = append(requeue, j)
+		} else {
+			j.cancel(nil) // terminal: nothing left to pause
 		}
 	}
 	return requeue, nil
@@ -444,16 +376,13 @@ func (m *manager) Submit(spec JobSpec) (JobStatus, error) {
 	m.mu.Lock()
 	id := fmt.Sprintf("j%06d", m.nextID)
 	m.nextID++
-	j := &job{
-		status: JobStatus{
-			ID:          id,
-			Type:        spec.Type,
-			State:       stateQueued,
-			CreatedUnix: time.Now().Unix(),
-			Spec:        spec,
-		},
-		pub: &telemetry.Publisher{},
-	}
+	j := m.newJob(JobStatus{
+		ID:          id,
+		Type:        spec.Type,
+		State:       stateQueued,
+		CreatedUnix: time.Now().Unix(),
+		Spec:        spec,
+	})
 	if spec.Type == "sweep" {
 		j.status.PointsTotal = len(spec.Sweep.Rates)
 	}
@@ -474,10 +403,16 @@ func (m *manager) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	select {
 	case m.queue <- j:
-	case <-m.stop:
+	case <-m.ctx.Done():
 		return JobStatus{}, errShutdown
 	}
 	return j.snapshotStatus(), nil
+}
+
+func (m *manager) newJob(st JobStatus) *job {
+	j := &job{status: st, pub: &telemetry.Publisher{}}
+	j.ctx, j.cancel = context.WithCancelCause(m.ctx)
+	return j
 }
 
 func (m *manager) Get(id string) (*job, bool) {
@@ -498,22 +433,22 @@ func (m *manager) List() []JobStatus {
 	return out
 }
 
-// Cancel flags a job; a queued job is canceled at pickup, a running one
-// at its next OnStep / Interrupt poll.
+// Cancel cancels a job's context; a queued job is canceled at pickup, a
+// running one at its next poll (a flit step, or the start of an
+// experiment's next harness job).
 func (m *manager) Cancel(id string) bool {
 	j, ok := m.Get(id)
-	if !ok {
-		return false
+	if ok {
+		j.cancel(errCanceled)
 	}
-	j.cancel.Store(true)
-	return true
+	return ok
 }
 
 // Shutdown begins a graceful stop: running jobs pause at their next
 // step poll, checkpoint, and go back to queued; workers then exit.
 // Blocks until the pool is drained.
 func (m *manager) Shutdown() {
-	close(m.stop)
+	m.cancel(errShutdown)
 	m.wg.Wait()
 }
 
@@ -550,7 +485,7 @@ func (m *manager) worker() {
 	var ckpt snap.Frame
 	for {
 		select {
-		case <-m.stop:
+		case <-m.ctx.Done():
 			return
 		case j := <-m.queue:
 			m.runJob(j, &ckpt)
@@ -559,20 +494,24 @@ func (m *manager) worker() {
 }
 
 func (m *manager) runJob(j *job, ckpt *snap.Frame) {
-	if j.cancel.Load() {
-		m.setState(j, stateCanceled, "")
-		return
+	err := j.ctx.Err()
+	if err == nil {
+		m.setState(j, stateRunning, "")
+		switch j.status.Spec.Type {
+		case "sweep":
+			err = m.runSweep(j, ckpt)
+		case "experiment":
+			err = m.runExperiment(j)
+		default:
+			err = fmt.Errorf("unknown job type %q", j.status.Spec.Type)
+		}
 	}
-	m.setState(j, stateRunning, "")
-	var err error
-	switch j.status.Spec.Type {
-	case "sweep":
-		err = m.runSweep(j, ckpt)
-	case "experiment":
-		err = m.runExperiment(j)
-	default:
-		err = fmt.Errorf("unknown job type %q", j.status.Spec.Type)
+	if err != nil && j.ctx.Err() != nil {
+		// Paused, at pickup or mid-run. Which pause — a tenant's cancel or
+		// the daemon's shutdown — is the context's cause, read only here.
+		err = context.Cause(j.ctx)
 	}
+	j.cancel(nil) // releases the context of a job that ran to its end
 	switch {
 	case err == nil:
 		m.setState(j, stateDone, "")
@@ -595,15 +534,20 @@ func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
 	if err != nil {
 		return err
 	}
+	// A finished point is memoized as point-K.json under core's memo
+	// contract: replayed only if it is a faithful pointResult as the type
+	// is now, stored only if proven to round-trip.
+	memo := core.DirStore{Dir: m.jobDir(st.ID)}
 	results := make([]pointResult, 0, len(spec.Rates))
 	for k, rate := range spec.Rates {
-		pr, ok := m.loadPoint(st.ID, k)
+		key := fmt.Sprintf("point-%03d.json", k)
+		pr, ok := core.LoadMemo[pointResult](memo, key)
 		if !ok {
 			pr, err = m.runPoint(j, net, spec, k, rate, ckpt)
 			if err != nil {
 				return err
 			}
-			m.savePoint(st.ID, k, pr)
+			core.StoreMemo(memo, key, pr)
 			os.Remove(m.pointSnapPath(st.ID, k))
 		}
 		results = append(results, pr)
@@ -616,14 +560,11 @@ func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
 }
 
 // runPoint runs (or resumes) one sweep point. The runner checkpoints
-// itself every ckptEvery steps; on shutdown/cancel the pause error
-// surfaces through Run/Resume with the runner state intact, and one
-// final checkpoint is taken before handing the point back to the queue.
+// itself every ckptEvery steps; once the job's context is cancelled its
+// error surfaces through Run/Resume with the runner state intact, and
+// one final checkpoint is taken before handing the point back.
 func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int, rate float64, ckpt *snap.Frame) (pointResult, error) {
-	cfg, err := spec.config(net, rate)
-	if err != nil {
-		return pointResult{}, err
-	}
+	cfg := spec.config(net, rate)
 	if cfg.Window > 0 {
 		cfg.Metrics = telemetry.NewMetrics()
 		cfg.Publish = j.pub
@@ -631,13 +572,11 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 	snapPath := m.pointSnapPath(j.snapshotStatus().ID, k)
 
 	var r *traffic.Runner
+	done := j.ctx.Done()
 	cfg.OnStep = func(step int) error {
-		if j.cancel.Load() {
-			return errCanceled
-		}
 		select {
-		case <-m.stop:
-			return errShutdown
+		case <-done:
+			return j.ctx.Err()
 		default:
 		}
 		if m.ckptEvery > 0 && step > 0 && step%m.ckptEvery == 0 {
@@ -646,41 +585,41 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 		return nil
 	}
 
-	resume := false
 	if raw, err := os.ReadFile(snapPath); err == nil {
 		// The integrity frame catches torn writes, truncations, and bit
 		// flips before the runner codec sees the bytes; either failure
-		// falls back to a fresh run rather than resuming corrupt state.
+		// falls back to a fresh run rather than resuming corrupt state,
+		// and says why on the job's record.
 		blob, err := snap.Open(raw, errCorruptCheckpoint)
 		if err == nil {
 			r, err = traffic.RestoreRunner(cfg, bytes.NewReader(blob))
 		}
+		j.tally(func(cs *CheckpointStats) {
+			if err != nil {
+				cs.RestoreRejected++
+				cs.LastRestoreError = err.Error()
+			} else {
+				cs.Restored++
+			}
+		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wormholed: restore:", err)
 			os.Remove(snapPath)
 			r = nil
-		} else {
-			resume = true
-		}
-	}
-	if r == nil {
-		if r, err = traffic.NewRunner(cfg); err != nil {
-			return pointResult{}, err
 		}
 	}
 
 	var res traffic.Result
-	if resume {
+	var err error
+	if r != nil {
 		res, err = r.Resume()
-	} else {
+	} else if r, err = traffic.NewRunner(cfg); err == nil {
 		res, err = r.Run()
 	}
-	if errors.Is(err, errShutdown) || errors.Is(err, errCanceled) {
-		// Paused with state intact: take the final checkpoint now.
-		m.checkpoint(j, r, snapPath, ckpt)
-		return pointResult{}, err
-	}
 	if err != nil {
+		if errors.Is(err, context.Canceled) {
+			// Paused with state intact: take the final checkpoint now.
+			m.checkpoint(j, r, snapPath, ckpt)
+		}
 		return pointResult{}, err
 	}
 	return pointResult{
@@ -697,21 +636,16 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 func (m *manager) checkpoint(j *job, r *traffic.Runner, path string, buf *snap.Frame) {
 	start := time.Now()
 	n, err := m.checkpointRunner(r, path, buf)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var cs CheckpointStats // copied, never updated in place: served statuses share the pointer
-	if j.status.Checkpoints != nil {
-		cs = *j.status.Checkpoints
-	}
-	cs.TotalMs += float64(time.Since(start).Microseconds()) / 1e3
-	if err != nil {
-		cs.Failed++
-		cs.LastError = err.Error()
-	} else {
-		cs.Written++
-		cs.LastBytes = n
-	}
-	j.status.Checkpoints = &cs
+	j.tally(func(cs *CheckpointStats) {
+		cs.TotalMs += float64(time.Since(start).Microseconds()) / 1e3
+		if err != nil {
+			cs.Failed++
+			cs.LastError = err.Error()
+		} else {
+			cs.Written++
+			cs.LastBytes = n
+		}
+	})
 }
 
 // checkpointRunner snapshots a live runner to path, atomically, inside
@@ -742,32 +676,6 @@ func (m *manager) pointSnapPath(id string, k int) string {
 	return filepath.Join(m.jobDir(id), fmt.Sprintf("point-%03d.snap", k))
 }
 
-func (m *manager) pointPath(id string, k int) string {
-	return filepath.Join(m.jobDir(id), fmt.Sprintf("point-%03d.json", k))
-}
-
-func (m *manager) loadPoint(id string, k int) (pointResult, bool) {
-	blob, err := os.ReadFile(m.pointPath(id, k))
-	if err != nil {
-		return pointResult{}, false
-	}
-	var pr pointResult
-	if json.Unmarshal(blob, &pr) != nil {
-		return pointResult{}, false
-	}
-	return pr, true
-}
-
-func (m *manager) savePoint(id string, k int, pr pointResult) {
-	blob, err := json.Marshal(pr)
-	if err != nil {
-		return
-	}
-	if err := snap.WriteFile(m.pointPath(id, k), blob); err != nil {
-		fmt.Fprintln(os.Stderr, "wormholed: point save:", err)
-	}
-}
-
 // renderSweepCSV renders the sweep's final output. Only schedule-
 // determined fields appear, so a resumed sweep renders byte-identically
 // to an uninterrupted one.
@@ -795,45 +703,24 @@ var runCore = core.Run
 
 // runExperiment runs a core registry experiment under checkpoint
 // memoization and renders its tables with the renderer `wormbench -csv`
-// uses, so daemon output byte-diffs cleanly against the CLI.
+// uses, so daemon output byte-diffs cleanly against the CLI. A cancelled
+// context comes back as core.Run's error with the finished harness jobs
+// stored; the re-run resumes from them.
 func (m *manager) runExperiment(j *job) (err error) {
 	st := j.snapshotStatus()
 	spec := st.Spec.Experiment
 	cfg := spec.config()
 	cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}}
-	cfg.Interrupt = func() bool {
-		if j.cancel.Load() {
-			return true
+	defer func() {
+		// Experiments panic on states they take for bugs. That is this
+		// job's failure, not the daemon's: a panic escaping this worker
+		// goroutine kills the process, and startup recovery would
+		// re-queue the job and kill every restart too.
+		if r := recover(); r != nil {
+			err = fmt.Errorf("experiment %s panicked: %v", spec.ID, r)
 		}
-		select {
-		case <-m.stop:
-			return true
-		default:
-			return false
-		}
-	}
-	var tables []*stats.Table
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if e, ok := r.(error); ok && errors.Is(e, core.ErrInterrupted) {
-					if j.cancel.Load() {
-						err = errCanceled
-					} else {
-						err = errShutdown
-					}
-					return
-				}
-				// Experiments panic on states they take for bugs. That
-				// is this job's failure, not the daemon's: a panic
-				// escaping this worker goroutine kills the process, and
-				// startup recovery would re-queue the job and kill every
-				// restart too.
-				err = fmt.Errorf("experiment %s panicked: %v", spec.ID, r)
-			}
-		}()
-		tables, err = runCore(spec.ID, cfg)
 	}()
+	tables, err := runCore(j.ctx, spec.ID, cfg)
 	if err != nil {
 		return err
 	}

@@ -26,16 +26,15 @@ package core
 // in every run of the same experiment. A Checkpoint must be fresh per
 // run — reusing one across runs misaligns the stage counter.
 //
-// Config.Interrupt is the cooperative half of graceful shutdown: the
-// harness polls it before starting each job and panics with
-// ErrInterrupted once it reports true. In-flight jobs finish, completed
-// jobs are already in the store, and the caller recovers the sentinel —
-// the daemon's SIGTERM path — then re-runs after restart to resume.
+// Cancellation is the cooperative half of graceful shutdown: Run takes
+// a context, the harness checks it before starting each job, and once
+// it is cancelled Run returns context.Cause(ctx). In-flight jobs finish,
+// completed jobs are already in the store, and the caller — the
+// daemon's SIGTERM path — re-runs after restart to resume.
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,11 +43,6 @@ import (
 
 	"wormhole/internal/snap"
 )
-
-// ErrInterrupted is the panic value forEachJob raises when
-// Config.Interrupt reports true. Callers that set Interrupt recover it;
-// everyone else never sees it.
-var ErrInterrupted = errors.New("core: experiment interrupted")
 
 // BlobStore persists checkpoint blobs. Save must be atomic (a partial
 // blob must never be observable under its key) and both methods must be
@@ -78,29 +72,41 @@ func (c *Checkpoint) nextStage() int {
 // memoJob wraps one job with load-else-compute-and-prove semantics.
 func memoJob[T any](cp *Checkpoint, stage, i int, job func(i int) T) T {
 	key := fmt.Sprintf("s%03d-j%06d.json", stage, i)
-	if blob, ok := cp.Store.Load(key); ok {
-		// Replay only a blob that is a faithful encoding of T as it is
-		// now. Unmarshal tolerates unknown and missing fields, so a blob
-		// written before the result type changed (a re-invocation after
-		// an upgrade, a daemon restarted over a live state dir) decodes
-		// "successfully" into zeroed fields; re-encoding exposes that.
-		var cached T
-		if json.Unmarshal(blob, &cached) == nil {
-			if again, err := json.Marshal(cached); err == nil && bytes.Equal(again, blob) {
-				return cached
-			}
-		}
+	if cached, ok := LoadMemo[T](cp.Store, key); ok {
+		return cached
 	}
 	out := job(i)
-	if blob, err := json.Marshal(out); err == nil {
-		// Store only blobs proven faithful: unmarshal into a fresh value
-		// and require deep equality with the live result.
-		var check T
-		if json.Unmarshal(blob, &check) == nil && reflect.DeepEqual(out, check) {
-			cp.Store.Save(key, blob)
-		}
-	}
+	StoreMemo(cp.Store, key, out)
 	return out
+}
+
+// LoadMemo is the load half of the memo: it replays the value stored
+// under key only if the blob is a faithful encoding of T as it is now.
+// Unmarshal tolerates unknown and missing fields, so a blob written
+// before the result type changed (a re-invocation after an upgrade, a
+// daemon restarted over a live state dir) decodes "successfully" into
+// zeroed fields; re-encoding exposes that.
+func LoadMemo[T any](s BlobStore, key string) (cached T, ok bool) {
+	blob, found := s.Load(key)
+	if !found || json.Unmarshal(blob, &cached) != nil {
+		return cached, false
+	}
+	again, err := json.Marshal(cached)
+	return cached, err == nil && bytes.Equal(again, blob)
+}
+
+// StoreMemo is the store half: it saves v under key only if the blob is
+// proven faithful — unmarshalled into a fresh value, it must deep-equal
+// v. A value that does not round-trip is never stored.
+func StoreMemo[T any](s BlobStore, key string, v T) {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	var check T
+	if json.Unmarshal(blob, &check) == nil && reflect.DeepEqual(v, check) {
+		s.Save(key, blob)
+	}
 }
 
 // DirStore is a BlobStore over one directory: each key is a file,

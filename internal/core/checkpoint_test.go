@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -107,54 +108,55 @@ func TestCheckpointSkipsUnfaithfulTypes(t *testing.T) {
 	}
 }
 
-// TestInterruptAbortsAndResumes is the graceful-shutdown round trip:
-// an interrupted run panics with ErrInterrupted after persisting the
-// jobs that completed, and the re-run resumes from the store to the
+// TestInterruptAbortsAndResumes is the graceful-shutdown round trip: a
+// run whose context is cancelled mid-fan-out returns the context's cause
+// — no panic reaches the caller, at one worker or several — with the jobs
+// that completed stored, and the re-run resumes from the store to the
 // exact result of an uninterrupted run.
 func TestInterruptAbortsAndResumes(t *testing.T) {
 	oracle := mapJobs(Config{Workers: 1}, 40, func(i int) int { return i * 11 })
+	errStop := errors.New("test: stop after 13 jobs")
 
-	store := newMemStore()
-	var done atomic.Int64
-	run := func() (out []int, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				e, ok := r.(error)
-				if !ok || !errors.Is(e, ErrInterrupted) {
-					panic(r)
+	for _, workers := range []int{1, 4} {
+		store := newMemStore()
+		var done atomic.Int64
+		var out []int
+		ctx, cancel := context.WithCancelCause(context.Background())
+		// A probe experiment, registered for this test only: Run is where
+		// a cancelled fan-out is caught, so the test goes through Run.
+		registry["cancel-probe"] = Experiment{ID: "cancel-probe", Run: func(cfg Config) []*stats.Table {
+			out = mapJobs(cfg, 40, func(i int) int {
+				if done.Add(1) == 13 {
+					cancel(errStop)
 				}
-				err = e
-			}
-		}()
-		cfg := Config{
-			Workers:    1,
-			Checkpoint: &Checkpoint{Store: store},
-			Interrupt:  func() bool { return done.Load() >= 13 },
+				return i * 11
+			})
+			return nil
+		}}
+		defer delete(registry, "cancel-probe")
+		run := func(ctx context.Context) error {
+			_, err := Run(ctx, "cancel-probe", Config{Workers: workers, Checkpoint: &Checkpoint{Store: store}})
+			return err
 		}
-		return mapJobs(cfg, 40, func(i int) int {
-			done.Add(1)
-			return i * 11
-		}), nil
-	}
 
-	if _, err := run(); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	stored := len(store.blobs)
-	if stored == 0 || stored >= 40 {
-		t.Fatalf("interrupted run stored %d of 40 jobs", stored)
-	}
+		if err := run(ctx); err != errStop {
+			t.Fatalf("workers=%d: cancelled run returned %v, want the context's cause %v", workers, err, errStop)
+		}
+		stored := len(store.blobs)
+		if stored < 13 || stored >= 40 {
+			t.Fatalf("workers=%d: cancelled run stored %d of 40 jobs, want the 13 that ran (plus any in flight)", workers, stored)
+		}
 
-	done.Store(-1 << 30) // disarm the interrupt; the re-run resumes
-	out, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oracle, out) {
-		t.Fatal("resumed run diverged from the uninterrupted oracle")
-	}
-	if n := done.Load(); n > -1<<30+40-int64(stored) {
-		t.Fatalf("resume recomputed too much: %d jobs re-ran with %d stored", n+1<<30, stored)
+		ran := done.Load()
+		if err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(oracle, out) {
+			t.Fatalf("workers=%d: resumed run diverged from the uninterrupted oracle", workers)
+		}
+		if n := done.Load() - ran; n != int64(40-stored) {
+			t.Fatalf("workers=%d: resume ran %d jobs with %d of 40 stored", workers, n, stored)
+		}
 	}
 }
 
@@ -169,13 +171,13 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 		}
 		return s
 	}
-	plain, err := Run("T12", Config{Seed: 42, Quick: true})
+	plain, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	first, err := Run("T12", Config{Seed: 42, Quick: true,
+	first, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true,
 		Checkpoint: &Checkpoint{Store: DirStore{Dir: dir}}})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +189,7 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("checkpointed run stored nothing; T12 rows no longer round-trip JSON")
 	}
-	resumed, err := Run("T12", Config{Seed: 42, Quick: true,
+	resumed, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true,
 		Checkpoint: &Checkpoint{Store: DirStore{Dir: dir}}})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +215,7 @@ func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
 		if store != nil {
 			cfg.Checkpoint = &Checkpoint{Store: store}
 		}
-		tables, err := Run("T12", cfg)
+		tables, err := Run(context.Background(), "T12", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

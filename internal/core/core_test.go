@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -90,7 +91,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("T99", quickCfg); err == nil {
+	if _, err := Run(context.Background(), "T99", quickCfg); err == nil {
 		t.Error("unknown ID must error")
 	}
 }
@@ -101,7 +102,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := Run(e.ID, quickCfg)
+			tables, err := Run(context.Background(), e.ID, quickCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +127,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 func TestExperimentsLeakNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, id := range []string{"T12", "T15"} {
-		if _, err := Run(id, quickCfg); err != nil {
+		if _, err := Run(context.Background(), id, quickCfg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -37,11 +38,10 @@ type Config struct {
 	// recomputing (see checkpoint.go). Must be fresh per run. Tables
 	// stay byte-identical with or without it.
 	Checkpoint *Checkpoint
-	// Interrupt, when non-nil, is polled before each harness job; once
-	// it reports true the run aborts by panicking with ErrInterrupted,
-	// which the caller recovers. Combined with Checkpoint this is
-	// graceful shutdown: completed jobs are stored, the re-run resumes.
-	Interrupt func() bool
+
+	// ctx is the context Run was given; mapJobs stops starting jobs once
+	// it is cancelled. Nil (an Experiment.Run called directly) never is.
+	ctx context.Context
 }
 
 func (c Config) trials(def int) int {
@@ -104,11 +104,23 @@ func Validate(id string, cfg Config) error {
 	return nil
 }
 
-// Run validates cfg and executes the experiment with the given ID.
-func Run(id string, cfg Config) ([]*stats.Table, error) {
+// Run validates cfg and executes the experiment with the given ID. Once
+// ctx is cancelled no further harness job starts and Run returns
+// context.Cause(ctx); with Config.Checkpoint set, the jobs that finished
+// are stored and a re-run resumes from them.
+func Run(ctx context.Context, id string, cfg Config) (tables []*stats.Table, err error) {
 	if err := Validate(id, cfg); err != nil {
 		return nil, err
 	}
+	cfg.ctx = ctx
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errCanceled {
+				panic(r) // a genuine failure: the caller's to see
+			}
+			tables, err = nil, context.Cause(ctx)
+		}
+	}()
 	return registry[id].Run(cfg), nil
 }
 

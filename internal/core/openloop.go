@@ -127,8 +127,8 @@ type point struct {
 func (st *study) geometry(cfg Config) (geometry, error) {
 	g := st.full
 	if cfg.Scale > 0 && st.minScale > 0 {
-		if n := cfg.Scale; n&(n-1) != 0 || n < st.minScale {
-			return geometry{}, fmt.Errorf("%s: -scale %d is not a power-of-two butterfly size ≥ %d", st.id, n, st.minScale)
+		if n := cfg.Scale; n&(n-1) != 0 || n < st.minScale || n > traffic.MaxEndpoints {
+			return geometry{}, fmt.Errorf("%s: -scale %d is not a power-of-two butterfly size in [%d, %d]", st.id, n, st.minScale, traffic.MaxEndpoints)
 		}
 		g.n = cfg.Scale
 	}

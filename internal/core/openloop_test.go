@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
@@ -86,7 +87,7 @@ func checkMonotoneInDepth(t *testing.T, sat []point) {
 func checkWorkersByteIdentity(t *testing.T, st *study) {
 	t.Helper()
 	render := func(workers int) string {
-		tables, err := Run(st.id, Config{Seed: 42, Quick: true, Workers: workers})
+		tables, err := Run(context.Background(), st.id, Config{Seed: 42, Quick: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,8 +184,10 @@ func TestT15QuickShapes(t *testing.T) {
 }
 
 // TestT15ScaleValidation pins the -scale guard of both scale studies:
-// only power-of-two butterflies at least minScale wide are accepted,
-// anything else is an error (from the study, from Validate and from Run
+// only power-of-two butterflies at least minScale and at most
+// traffic.MaxEndpoints wide are accepted (the upper bound is checked
+// before anything is sized by it: 1<<30 inputs is an error here, not a
+// 180 GB allocation), anything else is an error (from the study, from Validate and from Run
 // alike — never a panic), and a study without a scale axis ignores it.
 func TestT15ScaleValidation(t *testing.T) {
 	for _, tc := range []struct {
@@ -196,12 +199,15 @@ func TestT15ScaleValidation(t *testing.T) {
 		{t15, Config{Scale: 100}, 0},
 		{t15, Config{Scale: 128}, 0},
 		{t15, Config{Scale: 100, Quick: true}, 0},
+		{t15, Config{Scale: 1 << 30}, 0},
+		{t15, Config{Scale: 2 * traffic.MaxEndpoints, Quick: true}, 0},
 		{t15, Config{Scale: 2048}, 2048},
 		{t15, Config{Scale: 512, Quick: true}, 512}, // quick keeps the network
 		{t15, Config{Quick: true}, 1024},
 		{t14, Config{Scale: 4}, 0},
 		{t14, Config{Scale: 100}, 0},
 		{t14, Config{Scale: 100, Quick: true}, 0},
+		{t14, Config{Scale: 1 << 30}, 0},
 		{t14, Config{Scale: 8}, 8},
 		{t14, Config{Scale: 1024}, 1024},
 		{t14, Config{Scale: 1024, Quick: true}, 64}, // quick overrides the scale
@@ -222,7 +228,7 @@ func TestT15ScaleValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "power-of-two") {
 			t.Errorf("%s: err = %v, want a power-of-two error", name, err)
 		}
-		if _, rerr := Run(tc.st.id, tc.cfg); rerr == nil {
+		if _, rerr := Run(context.Background(), tc.st.id, tc.cfg); rerr == nil {
 			t.Errorf("%s: Run accepted the config", name)
 		}
 	}
@@ -370,7 +376,7 @@ const openLoopQuickSHA256 = "fb32f2356f7e6af810c99952d862ee83b4dc9b328c1b7be4b48
 func TestOpenLoopQuickGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, st := range openLoopStudies {
-		tables, err := Run(st.id, Config{Seed: 42, Quick: true})
+		tables, err := Run(context.Background(), st.id, Config{Seed: 42, Quick: true})
 		if err != nil {
 			t.Fatal(err)
 		}

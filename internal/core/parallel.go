@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,11 +92,15 @@ func runJob(job func(i int), i int, once *sync.Once, val *any, flag *atomic.Bool
 	return true
 }
 
+// errCanceled is how mapJobs unwinds an experiment whose context was
+// cancelled: thrown here, caught in Run, seen by nobody else.
+var errCanceled = errors.New("core: run canceled")
+
 // mapJobs runs n independent jobs under cfg's worker budget and collects
 // their results in index order. With Config.Checkpoint set, completed
-// jobs are memoized and replayed across runs; with Config.Interrupt
-// set, the fan-out aborts with an ErrInterrupted panic once it reports
-// true (see checkpoint.go for both contracts).
+// jobs are memoized and replayed across runs; once the context Run was
+// given is cancelled, no further job starts (see checkpoint.go for both
+// contracts).
 func mapJobs[T any](cfg Config, n int, job func(i int) T) []T {
 	run := job
 	if cp := cfg.Checkpoint; cp != nil && cp.Store != nil {
@@ -104,8 +109,8 @@ func mapJobs[T any](cfg Config, n int, job func(i int) T) []T {
 	}
 	out := make([]T, n)
 	forEachJob(cfg.workers(), n, func(i int) {
-		if f := cfg.Interrupt; f != nil && f() {
-			panic(ErrInterrupted)
+		if cfg.ctx != nil && cfg.ctx.Err() != nil {
+			panic(errCanceled)
 		}
 		out[i] = run(i)
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			render := func(workers int) string {
-				tables, err := Run(e.ID, Config{Seed: 11, Quick: true, Workers: workers})
+				tables, err := Run(context.Background(), e.ID, Config{Seed: 11, Quick: true, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

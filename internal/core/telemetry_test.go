@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"wormhole/internal/telemetry"
@@ -18,7 +19,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			render := func(agg *telemetry.Aggregate) string {
-				tables, err := Run(e.ID, Config{Seed: 11, Quick: true, Telemetry: agg})
+				tables, err := Run(context.Background(), e.ID, Config{Seed: 11, Quick: true, Telemetry: agg})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +45,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 // must fold into one deterministic snapshot.
 func TestTelemetryAggregateCollects(t *testing.T) {
 	agg := telemetry.NewAggregate()
-	if _, err := Run("A3", Config{Seed: 11, Quick: true, Telemetry: agg}); err != nil {
+	if _, err := Run(context.Background(), "A3", Config{Seed: 11, Quick: true, Telemetry: agg}); err != nil {
 		t.Fatal(err)
 	}
 	if agg.Len() == 0 {

@@ -249,6 +249,15 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
+// MarshalText and UnmarshalText carry a schedule through JSON as its
+// String / Parse grammar (wormholed's "faults").
+func (s Schedule) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+func (s *Schedule) UnmarshalText(text []byte) (err error) {
+	*s, err = Parse(string(text))
+	return err
+}
+
 // GenConfig parameterizes Generate.
 type GenConfig struct {
 	// Seed drives the outage process. The candidate outage set is a

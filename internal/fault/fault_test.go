@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -32,6 +33,31 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reparsed, s) {
 		t.Fatalf("String round trip changed the schedule:\n%+v\n%+v", s, reparsed)
+	}
+}
+
+// TestScheduleJSON: in JSON a schedule is a string in the Parse grammar,
+// an empty one is omitted under omitempty, and a bad one is a decode
+// error wrapping ErrBadSchedule.
+func TestScheduleJSON(t *testing.T) {
+	type spec struct {
+		Faults Schedule `json:"faults,omitempty"`
+	}
+	var in spec
+	if err := json.Unmarshal([]byte(`{"faults":"lane:7@60 edge:3@5-6"}`), &in); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Parse("edge:3@5-6 lane:7@60"); !reflect.DeepEqual(in.Faults, want) {
+		t.Fatalf("decoded %+v, want %+v", in.Faults, want)
+	}
+	if blob, err := json.Marshal(in); err != nil || string(blob) != `{"faults":"edge:3@5-6 lane:7@60"}` {
+		t.Fatalf("Marshal = %s, %v", blob, err)
+	}
+	if blob, err := json.Marshal(spec{}); err != nil || string(blob) != `{}` {
+		t.Fatalf("empty schedule marshalled as %s, %v", blob, err)
+	}
+	if err := json.Unmarshal([]byte(`{"faults":"lane3@nonsense"}`), &in); !errors.Is(err, ErrBadSchedule) {
+		t.Fatalf("bad grammar decoded with %v, want ErrBadSchedule", err)
 	}
 }
 

@@ -61,7 +61,7 @@ func readSketch(r *snap.Reader, sk *Sketch) {
 
 // digest lists every schedule-relevant numeric Config field, in a fixed
 // order shared by the snapshot writer and the restore verifier. The
-// hook fields (Metrics, Trace, OnWindow, OnStep, Publish, the Network
+// hook fields (Metrics, Trace, OnStep, Publish, the Network
 // closures) are absent by design: a restored run may swap them freely.
 func (c *Config) digest() []struct {
 	name string

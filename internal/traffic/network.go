@@ -44,6 +44,16 @@ type Network struct {
 	Label string
 }
 
+// MaxEndpoints bounds the endpoint count of a network sized by outside
+// input (a wormholed sweep's size or dims, wormbench -scale): whoever
+// holds such a number checks it against this before building anything,
+// so an absurd size is an error up front instead of an allocation the
+// process cannot survive. A simulator on the costliest topology at the
+// bound — a 65536-input butterfly, 2.1 M edges — holds ≈ 230 MB before
+// it carries a message (≈ 110 bytes per edge, whatever B and d); the
+// largest documented scale is 4096 (≈ 11 MB).
+const MaxEndpoints = 1 << 16
+
 // NewButterflyNet adapts an n-input butterfly: endpoint i injects at
 // input column i and delivers at output column i, routed on the unique
 // bit-fixing path. The leveled DAG structure makes greedy wormhole

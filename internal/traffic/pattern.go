@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"wormhole/internal/enum"
 	"wormhole/internal/rng"
 )
 
@@ -39,6 +40,15 @@ func (p Pattern) String() string {
 		return "hotspot"
 	}
 	return fmt.Sprintf("pattern(%d)", int8(p))
+}
+
+// MarshalText and UnmarshalText spell a Pattern as its String() form in
+// JSON; see enum.Parse for what is accepted.
+func (p Pattern) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Pattern) UnmarshalText(text []byte) (err error) {
+	*p, err = enum.Parse("pattern", string(text), Hotspot)
+	return err
 }
 
 // needsPow2 reports whether the pattern permutes endpoint bit strings.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"wormhole/internal/enum"
 	"wormhole/internal/rng"
 )
 
@@ -34,6 +35,15 @@ func (p Process) String() string {
 		return "on-off"
 	}
 	return fmt.Sprintf("process(%d)", int8(p))
+}
+
+// MarshalText and UnmarshalText spell a Process as its String() form in
+// JSON; see enum.Parse for what is accepted.
+func (p Process) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Process) UnmarshalText(text []byte) (err error) {
+	*p, err = enum.Parse("process", string(text), OnOff)
+	return err
 }
 
 // injector is one endpoint's injection-process state. Each endpoint owns

@@ -41,103 +41,107 @@ import (
 // declared saturated: the network is refusing ≥ 5% of the offered load.
 const saturationShortfall = 0.95
 
-// Config parameterizes one open-loop run.
+// Config parameterizes one open-loop run. The struct tags are the wire
+// schema: wormholed's sweep spec embeds Config, so a tagged field is
+// settable by a tenant under that JSON name and a `json:"-"` field
+// (hooks, and what the daemon derives per point) is not.
 type Config struct {
 	// Net is the network adapter (required).
-	Net *Network
+	Net *Network `json:"-"`
 	// VirtualChannels is B ≥ 1, as in vcsim.Config.
-	VirtualChannels int
+	VirtualChannels int `json:"virtual_channels"`
 	// LaneDepth is the flit capacity d of each virtual-channel lane
 	// (0 means 1, the paper's single-flit buffers), as in vcsim.Config.
-	LaneDepth int
+	LaneDepth int `json:"lane_depth,omitempty"`
 	// SharedPool pools each edge's B·d flit credits dynamically across
 	// its lanes, as in vcsim.Config.
-	SharedPool bool
+	SharedPool bool `json:"shared_pool,omitempty"`
 	// MessageLength is the worm length L in flits (required ≥ 1).
-	MessageLength int
+	MessageLength int `json:"message_length"`
 	// Arbitration orders contending messages; default ArbByID.
-	Arbitration vcsim.Policy
+	Arbitration vcsim.Policy `json:"arbitration,omitempty"`
 	// RestrictedBandwidth selects the Section 1.4 remark model.
-	RestrictedBandwidth bool
+	RestrictedBandwidth bool `json:"restricted_bandwidth,omitempty"`
 
 	// Process is the temporal injection process; default Bernoulli.
-	Process Process
+	Process Process `json:"process,omitempty"`
 	// Rate is the offered load in messages per endpoint per flit step.
 	// Bernoulli and OnOff cap it at 1 and the on/off duty cycle
 	// respectively; Poisson accepts any rate up to 8.
-	Rate float64
+	Rate float64 `json:"-"`
 	// OnMean and OffMean are the OnOff process's mean burst and idle
 	// lengths in steps (defaults 8 and 24).
-	OnMean, OffMean float64
+	OnMean  float64 `json:"on_mean,omitempty"`
+	OffMean float64 `json:"off_mean,omitempty"`
 
 	// Pattern is the spatial destination pattern; default Uniform.
-	Pattern Pattern
+	Pattern Pattern `json:"pattern,omitempty"`
 	// HotspotCount is the number of hot endpoints (default 1).
-	HotspotCount int
+	HotspotCount int `json:"hotspot_count,omitempty"`
 	// HotspotFraction is the probability a message targets a hot endpoint
 	// (default 0.5).
-	HotspotFraction float64
+	HotspotFraction float64 `json:"hotspot_fraction,omitempty"`
 
 	// Warmup, Measure, Drain are the window lengths in flit steps.
 	// Measure is required ≥ 1; Warmup and Drain may be 0.
-	Warmup, Measure, Drain int
+	Warmup  int `json:"warmup,omitempty"`
+	Measure int `json:"measure"`
+	Drain   int `json:"drain,omitempty"`
 	// MaxBacklog, when > 0, stops the run early (marking it Saturated) as
 	// soon as more than MaxBacklog messages are simultaneously in flight.
 	// Saturated open-loop runs accumulate unbounded backlog by
 	// definition, so a cap turns a hopeless run into a cheap verdict —
 	// essential inside the saturation search.
-	MaxBacklog int
+	MaxBacklog int `json:"max_backlog,omitempty"`
 
 	// Seed makes the run deterministic.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 
 	// NaiveScan runs the simulator's retained naive stepper instead of
 	// the blocked-worm wakeup engine. Results are byte-identical (that
 	// equivalence is what the differential tests assert with this knob);
 	// the naive scan just re-attempts every blocked worm every step, so
 	// saturated runs cost far more wall clock.
-	NaiveScan bool
+	NaiveScan bool `json:"-"`
 
 	// Faults attaches a deterministic kill/revive schedule to the
 	// underlying simulator (vcsim.Config.Faults). Runs with a schedule
 	// are byte-identical across engines; accepted throughput and latency
-	// then measure graceful degradation.
-	Faults fault.Schedule
+	// then measure graceful degradation. On the wire it is a string in
+	// the fault.Parse grammar.
+	Faults fault.Schedule `json:"faults,omitempty"`
 	// Retry is the fault retry policy for messages whose first edge is
 	// dead before injection (vcsim.Config.Retry). Meaningful only with
 	// Faults; the zero value disables retries.
-	Retry vcsim.RetryPolicy
+	Retry vcsim.RetryPolicy `json:"-"`
 
 	// Metrics, when non-nil, attaches a flight-recorder counter registry
 	// to the underlying simulator (vcsim.Config.Metrics): stall-cause
 	// attribution, park/wake totals, per-edge heatmap accumulators. Every
 	// hot-path site is nil-gated, so a nil Metrics costs nothing and
 	// results are byte-identical either way.
-	Metrics *telemetry.Metrics
+	Metrics *telemetry.Metrics `json:"-"`
 	// Trace, when non-nil, attaches the structured event stream
 	// (vcsim.Config.Trace) to the underlying simulator.
-	Trace *telemetry.Trace
+	Trace *telemetry.Trace `json:"-"`
 	// Window, when > 0, splits a run into fixed-length windows of that
 	// many flit steps and records a per-window time series: accepted
 	// throughput, latency quantiles (over deliveries completing in the
 	// window, whatever their release time), and backlog at window close.
 	// A final partial window flushes when the run ends. Windowing
 	// allocates only at window boundaries, never per step.
-	Window int
+	Window int `json:"window,omitempty"`
 	// OnStep, when non-nil, fires after every completed flit step of a
 	// run — injection and drain phases alike — with the simulator's
 	// current step. Returning a non-nil error pauses the run with all
 	// state intact: Run (or Resume) returns that error verbatim, and
 	// Resume continues the run where it stopped. Runner.Snapshot is
 	// legal inside OnStep; that is how a driver checkpoints a live run.
-	OnStep func(step int) error
-	// OnWindow, when non-nil (requires Window > 0), fires at every window
-	// boundary with that window's stats.
-	OnWindow func(telemetry.WindowStats)
+	OnStep func(step int) error `json:"-"`
 	// Publish, when non-nil (requires Window > 0), receives a metrics
 	// snapshot — with the window series attached — at every window
 	// boundary: the live feed behind wormbench -http.
-	Publish *telemetry.Publisher
+	Publish *telemetry.Publisher `json:"-"`
 }
 
 func (c *Config) onOffMeans() (on, off float64) {
@@ -233,8 +237,8 @@ func (c *Config) validate() error {
 	if c.Window < 0 {
 		return fmt.Errorf("traffic: Window %d < 0", c.Window)
 	}
-	if c.Window == 0 && (c.OnWindow != nil || c.Publish != nil) {
-		return errors.New("traffic: OnWindow/Publish require Window > 0")
+	if c.Window == 0 && c.Publish != nil {
+		return errors.New("traffic: Publish requires Window > 0")
 	}
 	return nil
 }
@@ -599,9 +603,9 @@ func (r *Runner) finish() Result {
 	return res
 }
 
-// flushWindow closes the window [start, end): records its stats, fires
-// OnWindow, and — when a Publisher is configured — publishes a metrics
-// snapshot with the series attached. Runs at window boundaries only; this
+// flushWindow closes the window [start, end): records its stats and —
+// when a Publisher is configured — publishes a metrics snapshot with the
+// series attached. Runs at window boundaries only; this
 // is where all windowing allocation happens.
 func (r *Runner) flushWindow(start, end int) {
 	ws := telemetry.WindowStats{
@@ -624,9 +628,6 @@ func (r *Runner) flushWindow(start, end int) {
 	r.winInjBase = r.sim.Injected()
 	r.winDelivered = 0
 	r.winSketch = Sketch{}
-	if cb := r.cfg.OnWindow; cb != nil {
-		cb(ws)
-	}
 	if p := r.cfg.Publish; p != nil {
 		var s telemetry.Snapshot
 		if r.cfg.Metrics != nil {

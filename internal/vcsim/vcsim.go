@@ -30,6 +30,7 @@ import (
 	"slices"
 	"sort"
 
+	"wormhole/internal/enum"
 	"wormhole/internal/fault"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
@@ -60,6 +61,15 @@ func (p Policy) String() string {
 		return "age"
 	}
 	return fmt.Sprintf("policy(%d)", int8(p))
+}
+
+// MarshalText and UnmarshalText spell a Policy as its String() form in
+// JSON (wormholed's "arbitration"); see enum.Parse for what is accepted.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Policy) UnmarshalText(text []byte) (err error) {
+	*p, err = enum.Parse("arbitration", string(text), ArbAge)
+	return err
 }
 
 // Config parameterizes a simulation run.

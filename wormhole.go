@@ -34,6 +34,8 @@
 package wormhole
 
 import (
+	"context"
+
 	"wormhole/internal/analysis"
 	"wormhole/internal/baseline"
 	"wormhole/internal/butterfly"
@@ -352,7 +354,7 @@ type ResultTable = stats.Table
 // independent jobs across a worker pool; tables are byte-identical for
 // any worker count.
 func RunExperiment(id string, cfg ExperimentConfig) ([]*ResultTable, error) {
-	return core.Run(id, cfg)
+	return core.Run(context.Background(), id, cfg)
 }
 
 // Experiments lists the available experiment IDs and titles.
