@@ -64,41 +64,64 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var g *graph.Graph
-	name := *topo
-	switch *topo {
-	case "butterfly":
-		g = topology.NewButterfly(*n).G
-	case "twopass":
-		g = topology.NewTwoPassButterfly(*n).G
-	case "mesh":
-		g = topology.NewMesh(*n, *n).G
-	case "torus":
-		g = topology.NewTorus(*n, *n).G
-	case "hypercube":
-		g = topology.NewHypercube(*n).G
-	case "linear":
-		g = topology.NewLinearArray(*n)
-	case "adversary":
-		con := lowerbound.Build(lowerbound.Params{B: *b, TargetD: *d, TargetC: *c, L: 2 * *d})
-		g = con.G
-		fmt.Fprintf(stdout, "adversary: M'=%d replicas=%d C=%d D=%d primary-edges=%d\n",
-			con.MPrime, con.Replicas, con.C, con.D, len(con.Primary))
-	default:
-		fmt.Fprintf(stderr, "netviz: unknown topology %q\n", *topo)
+	if *top < 0 {
+		fmt.Fprintf(stderr, "netviz: -top %d: want 0 or more rows\n", *top)
+		return 2
+	}
+	g, err := build(*topo, *n, *b, *d, *c, stdout)
+	if err != nil {
+		fmt.Fprintf(stderr, "netviz: %v\n", err)
 		return 2
 	}
 
 	if *heat != "" {
-		return runHeatmap(g, name, *heat, *met, *top, *dot, stdout, stderr)
+		return runHeatmap(g, *topo, *heat, *met, *top, *dot, stdout, stderr)
 	}
 	if *dot {
-		fmt.Fprint(stdout, g.DOT(name))
+		fmt.Fprint(stdout, g.DOT(*topo))
 		return 0
 	}
 	fmt.Fprintf(stdout, "%s: %d nodes, %d edges, max degree %d, DAG=%v, diameter=%d\n",
-		name, g.NumNodes(), g.NumEdges(), g.MaxDegree(), graph.IsDAG(g), graph.Diameter(g))
+		*topo, g.NumNodes(), g.NumEdges(), g.MaxDegree(), graph.IsDAG(g), graph.Diameter(g))
 	return 0
+}
+
+// build constructs the named topology. The constructors state their own
+// preconditions — a power-of-two size, a dimension of at least 2, B ≥ 1 —
+// by panicking with a one-line message; a size typed on the command line
+// is a usage error, so that line comes back as the error instead of a
+// goroutine trace.
+func build(topo string, n, b, d, c int, stdout io.Writer) (g *graph.Graph, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok {
+				panic(r)
+			}
+			err = errors.New(msg)
+		}
+	}()
+	switch topo {
+	case "butterfly":
+		return topology.NewButterfly(n).G, nil
+	case "twopass":
+		return topology.NewTwoPassButterfly(n).G, nil
+	case "mesh":
+		return topology.NewMesh(n, n).G, nil
+	case "torus":
+		return topology.NewTorus(n, n).G, nil
+	case "hypercube":
+		return topology.NewHypercube(n).G, nil
+	case "linear":
+		return topology.NewLinearArray(n), nil
+	case "adversary":
+		con := lowerbound.Build(lowerbound.Params{B: b, TargetD: d, TargetC: c, L: 2 * d})
+		fmt.Fprintf(stdout, "adversary: M'=%d replicas=%d C=%d D=%d primary-edges=%d\n",
+			con.MPrime, con.Replicas, con.C, con.D, len(con.Primary))
+		return con.G, nil
+	default:
+		return nil, fmt.Errorf("unknown topology %q", topo)
+	}
 }
 
 // runHeatmap overlays the per-edge telemetry from snapshot file path onto g:

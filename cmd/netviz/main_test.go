@@ -139,6 +139,29 @@ func TestUnknownTopologyFails(t *testing.T) {
 	}
 }
 
+// TestBadFlagValuesExitTwo: a size the topology cannot be built at, or a
+// negative -top, is a usage error on one line — each of these used to
+// dump a goroutine trace (a constructor's panic, or a slice bound).
+func TestBadFlagValuesExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-topo", "butterfly", "-n", "7"},
+		{"-topo", "twopass", "-n", "3"},
+		{"-topo", "mesh", "-n", "0"},
+		{"-topo", "torus", "-n", "1"},
+		{"-topo", "hypercube", "-n", "12"},
+		{"-topo", "linear", "-n", "0"},
+		{"-topo", "adversary", "-b", "0"},
+		{"-topo", "adversary", "-d", "0"},
+		{"-topo", "linear", "-n", "5", "-heatmap", heatSnapshot(t), "-top", "-1"},
+	} {
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 ||
+			!strings.HasPrefix(stderr, "netviz: ") || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%v: code=%d stdout=%q stderr=%q, want exit 2 with one netviz: line", args, code, stdout, stderr)
+		}
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	_, stderr, code := runCLI(t, "-h")
 	if code != 0 || !strings.Contains(stderr, "Usage") {

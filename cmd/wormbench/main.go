@@ -38,11 +38,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
+	httppprof "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -60,48 +62,63 @@ func main() {
 	// Defers (the profile writers below) must run before the process
 	// exits, including on failures — os.Exit skips them — so the real
 	// work happens in run() and main only converts its code.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the testable entry point: it parses args, writes tables to
+// stdout and diagnostics to stderr, and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wormbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list available experiments")
-		run      = flag.String("run", "", "experiment ID to run (e.g. T1)")
-		all      = flag.Bool("all", false, "run every experiment")
-		seed     = flag.Uint64("seed", 42, "experiment seed")
-		quick    = flag.Bool("quick", false, "shrink sweeps to smoke-test scale")
-		trials   = flag.Int("trials", 0, "override trial count (0 = default)")
-		workers  = flag.Int("workers", 0, "parallel harness workers (0 = GOMAXPROCS)")
-		scale    = flag.Int("scale", 0, "network-size override for scale experiments (T14, T15; 0 = default)")
-		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write an allocation profile of the run to this file")
-		telOut   = flag.String("telemetry", "", "write a telemetry snapshot JSON to this file (attaches counters to whatever runs; alone it runs the knee smoke workload)")
-		httpAddr = flag.String("http", "", "serve live telemetry (/metrics) and net/http/pprof (/debug/pprof) on this address")
-		ckptDir  = flag.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes on re-invocation (long offline sweeps; tables are byte-identical with or without it)")
+		list     = fs.Bool("list", false, "list available experiments")
+		runID    = fs.String("run", "", "experiment ID to run (e.g. T1)")
+		all      = fs.Bool("all", false, "run every experiment")
+		seed     = fs.Uint64("seed", 42, "experiment seed")
+		quick    = fs.Bool("quick", false, "shrink sweeps to smoke-test scale")
+		trials   = fs.Int("trials", 0, "override trial count (0 = default)")
+		workers  = fs.Int("workers", 0, "parallel harness workers (0 = GOMAXPROCS)")
+		scale    = fs.Int("scale", 0, "network-size override for scale experiments (T14, T15; 0 = default)")
+		csvOut   = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile of the run to this file")
+		telOut   = fs.String("telemetry", "", "write a telemetry snapshot JSON to this file (attaches counters to whatever runs; alone it runs the knee smoke workload)")
+		httpAddr = fs.String("http", "", "serve live telemetry (/metrics) and net/http/pprof (/debug/pprof) on this address")
+		ckptDir  = fs.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes on re-invocation (long offline sweeps; tables are byte-identical with or without it)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // match flag.ExitOnError: -h prints usage and succeeds
+		}
+		return 2
+	}
 
 	if *httpAddr != "" {
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wormbench: http:", err)
+			fmt.Fprintln(stderr, "wormbench: http:", err)
 			return 1
 		}
 		defer ln.Close()
-		http.Handle("/metrics", telemetry.Default)
-		fmt.Fprintf(os.Stderr, "wormbench: serving /metrics and /debug/pprof on http://%s\n", ln.Addr())
-		go http.Serve(ln, nil) //nolint:errcheck -- best-effort diagnostics server
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", telemetry.Default)
+		mux.HandleFunc("/debug/pprof/", httppprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+		fmt.Fprintf(stderr, "wormbench: serving /metrics and /debug/pprof on http://%s\n", ln.Addr())
+		go http.Serve(ln, mux) //nolint:errcheck -- best-effort diagnostics server
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wormbench: cpuprofile:", err)
+			fmt.Fprintln(stderr, "wormbench: cpuprofile:", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "wormbench: cpuprofile:", err)
+			fmt.Fprintln(stderr, "wormbench: cpuprofile:", err)
 			return 1
 		}
 		defer func() {
@@ -113,13 +130,13 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "wormbench: memprofile:", err)
+				fmt.Fprintln(stderr, "wormbench: memprofile:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // flush the final allocation state
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "wormbench: memprofile:", err)
+				fmt.Fprintln(stderr, "wormbench: memprofile:", err)
 			}
 		}()
 	}
@@ -129,58 +146,55 @@ func run() int {
 		cfg.Telemetry = telemetry.NewAggregate()
 	}
 
+	var ids []string
 	switch {
 	case *list:
 		for _, e := range core.Experiments() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
+		return 0
 	case *all:
 		for _, e := range core.Experiments() {
-			if code := runOne(e.ID, cfg, *csvOut, *ckptDir); code != 0 {
-				return code
-			}
+			ids = append(ids, e.ID)
 		}
-		return writeTelemetry(*telOut, cfg.Telemetry)
-	case *run != "":
-		if code := runOne(*run, cfg, *csvOut, *ckptDir); code != 0 {
-			return code
-		}
-		return writeTelemetry(*telOut, cfg.Telemetry)
+	case *runID != "":
+		ids = []string{*runID}
 	case *telOut != "":
 		// Standalone -telemetry: run the knee smoke workload with the full
 		// observability surface and export its snapshot (the CI smoke step).
 		snap, err := telemetrySmoke()
+		if err == nil {
+			err = telemetry.WriteSnapshotFile(*telOut, snap)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wormbench: telemetry:", err)
+			fmt.Fprintln(stderr, "wormbench: telemetry:", err)
 			return 1
 		}
-		if err := telemetry.WriteSnapshotFile(*telOut, snap); err != nil {
-			fmt.Fprintln(os.Stderr, "wormbench: telemetry:", err)
-			return 1
-		}
-		fmt.Printf("telemetry: knee smoke snapshot (steps=%d, %d windows) written to %s\n",
+		fmt.Fprintf(stdout, "telemetry: knee smoke snapshot (steps=%d, %d windows) written to %s\n",
 			snap.Counter("steps"), len(snap.Windows), *telOut)
+		return 0
 	default:
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
-	return 0
-}
-
-// writeTelemetry publishes and exports the aggregate collected across the
-// experiments just run. A nil aggregate (no -telemetry flag) is a no-op.
-func writeTelemetry(path string, agg *telemetry.Aggregate) int {
-	if agg == nil {
-		return 0
+	for _, id := range ids {
+		if err := runOne(stdout, id, cfg, *csvOut, *ckptDir); err != nil {
+			fmt.Fprintln(stderr, "wormbench:", err)
+			return 1
+		}
 	}
-	snap := agg.Snapshot()
-	telemetry.Default.Publish(snap)
-	if err := telemetry.WriteSnapshotFile(path, snap); err != nil {
-		fmt.Fprintln(os.Stderr, "wormbench: telemetry:", err)
-		return 1
+	if agg := cfg.Telemetry; agg != nil {
+		// Publish and export the aggregate collected across the
+		// experiments just run.
+		snap := agg.Snapshot()
+		telemetry.Default.Publish(snap)
+		if err := telemetry.WriteSnapshotFile(*telOut, snap); err != nil {
+			fmt.Fprintln(stderr, "wormbench: telemetry:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "telemetry: aggregate of %d registries (steps=%d) written to %s\n",
+			agg.Len(), snap.Counter("steps"), *telOut)
 	}
-	fmt.Printf("telemetry: aggregate of %d registries (steps=%d) written to %s\n",
-		agg.Len(), snap.Counter("steps"), path)
 	return 0
 }
 
@@ -219,7 +233,8 @@ func telemetrySmoke() (telemetry.Snapshot, error) {
 	return s, nil
 }
 
-func runOne(id string, cfg core.Config, csvOut bool, ckptDir string) int {
+// runOne runs one experiment and renders its tables to stdout.
+func runOne(stdout io.Writer, id string, cfg core.Config, csvOut bool, ckptDir string) error {
 	if ckptDir != "" {
 		// A Checkpoint must be fresh per experiment run; keying the store
 		// by experiment ID keeps -all runs resumable per experiment.
@@ -228,19 +243,17 @@ func runOne(id string, cfg core.Config, csvOut bool, ckptDir string) int {
 	start := time.Now()
 	tables, err := core.Run(context.Background(), id, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wormbench:", err)
-		return 1
+		return err
 	}
 	if csvOut {
-		if err := stats.WriteTablesCSV(os.Stdout, tables); err != nil {
-			fmt.Fprintln(os.Stderr, "wormbench: csv:", err)
-			return 1
+		if err := stats.WriteTablesCSV(stdout, tables); err != nil {
+			return fmt.Errorf("csv: %w", err)
 		}
-		return 0
+		return nil
 	}
 	for _, t := range tables {
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
-	fmt.Printf("[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	return 0
+	fmt.Fprintf(stdout, "[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+	return nil
 }

@@ -192,6 +192,16 @@ func TestSubmitValidation(t *testing.T) {
 			s.Drain = 1 << 30
 			return s
 		}()}, "over_horizon"},
+		"a later rate past the process maximum": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
+			s := testSweepSpec()
+			s.Rates = []float64{0.02, 2.0}
+			return s
+		}()}, ""},
+		"fault on an edge the network lacks": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
+			s := testSweepSpec()
+			s.Faults = mustFaults(t, "edge:48@10-20") // an 8-input butterfly has edges 0..47
+			return s
+		}()}, "bad_config"},
 		"unknown experiment":   {JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T99"}}, ""},
 		"bad experiment scale": {JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T15", Scale: 100}}, ""},
 	} {
@@ -208,6 +218,47 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	// Every rejection left the daemon serving.
 	fetch(t, srv.URL+"/api/v1/jobs", http.StatusOK)
+}
+
+// TestMaxSizeSubmissionBuildsNothing: the POST handler judges a sweep
+// with the engine's validators, not by building the job. At the size
+// bound the network is 140 MB of allocation and a Runner's simulator
+// 230 MB more; the handler used to build both — per request, before
+// answering even a plain bad rate with its 400, and again for a valid
+// spec that a worker would then build a second time.
+func TestMaxSizeSubmissionBuildsNothing(t *testing.T) {
+	srv, m := startTestServer(t, t.TempDir(), 0)
+	defer m.Shutdown()
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	spec := JobSpec{Type: "sweep", Sweep: testSweepSpec()}
+	spec.Sweep.Size = traffic.MaxEndpoints
+
+	spec.Sweep.Rates = []float64{2.0}
+	if n := allocated(func() {
+		resp := postJSON(t, srv.URL+"/api/v1/jobs", spec)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad rate at the size bound: status %d, want 400", resp.StatusCode)
+		}
+	}); n > 1<<20 {
+		t.Errorf("refusing a bad rate at the size bound allocated %d bytes, want < 1 MiB", n)
+	}
+
+	// Judged, not submitted: a worker would go on to run it.
+	spec.Sweep.Rates = []float64{0.02}
+	if n := allocated(func() {
+		if err := spec.validate(); err != nil {
+			t.Errorf("valid spec at the size bound: %v", err)
+		}
+	}); n > 1<<20 {
+		t.Errorf("accepting a valid spec at the size bound allocated %d bytes, want < 1 MiB", n)
+	}
 }
 
 // TestSweepJobMatchesDirectRun: a completed sweep job's CSV must equal

@@ -83,33 +83,46 @@ type SweepSpec struct {
 	RetryBackoffCap  int `json:"retry_backoff_cap,omitempty"`
 }
 
-// network builds the spec's topology. Sizes come from outside, so the
-// endpoint count is checked against traffic.MaxEndpoints before anything
-// is allocated in proportion to it.
-func (s *SweepSpec) network() (*traffic.Network, error) {
+// endpoints checks the spec's topology and returns its endpoint count.
+// Sizes come from outside, so this is what stands between a submission
+// and an allocation in proportion to it: the count is bounded by
+// traffic.MaxEndpoints, by arithmetic alone.
+func (s *SweepSpec) endpoints() (int, error) {
 	switch s.Topology {
 	case "butterfly":
 		if n := s.Size; n < 2 || n&(n-1) != 0 || n > traffic.MaxEndpoints {
-			return nil, fmt.Errorf("butterfly size %d is not a power of two in [2, %d]", n, traffic.MaxEndpoints)
+			return 0, fmt.Errorf("butterfly size %d is not a power of two in [2, %d]", n, traffic.MaxEndpoints)
 		}
-		return traffic.NewButterflyNet(s.Size), nil
+		return s.Size, nil
 	case "mesh", "torus":
 		if len(s.Dims) == 0 {
-			return nil, fmt.Errorf("%s needs dims", s.Topology)
+			return 0, fmt.Errorf("%s needs dims", s.Topology)
 		}
 		nodes := 1
 		for _, d := range s.Dims {
 			if d < 2 || d > traffic.MaxEndpoints/nodes {
-				return nil, fmt.Errorf("%s dims %v: each must be ≥ 2 and their product ≤ %d", s.Topology, s.Dims, traffic.MaxEndpoints)
+				return 0, fmt.Errorf("%s dims %v: each must be ≥ 2 and their product ≤ %d", s.Topology, s.Dims, traffic.MaxEndpoints)
 			}
 			nodes *= d
 		}
-		if s.Topology == "mesh" {
-			return traffic.NewMeshNet(s.Dims...), nil
-		}
-		return traffic.NewTorusNet(s.Dims...), nil
+		return nodes, nil
 	default:
-		return nil, fmt.Errorf("unknown topology %q (want butterfly, mesh, or torus)", s.Topology)
+		return 0, fmt.Errorf("unknown topology %q (want butterfly, mesh, or torus)", s.Topology)
+	}
+}
+
+// network builds the spec's topology, once endpoints has passed it.
+func (s *SweepSpec) network() (*traffic.Network, error) {
+	if _, err := s.endpoints(); err != nil {
+		return nil, err
+	}
+	switch s.Topology {
+	case "butterfly":
+		return traffic.NewButterflyNet(s.Size), nil
+	case "mesh":
+		return traffic.NewMeshNet(s.Dims...), nil
+	default:
+		return traffic.NewTorusNet(s.Dims...), nil
 	}
 }
 
@@ -123,28 +136,38 @@ func (s *SweepSpec) config(net *traffic.Network, rate float64) traffic.Config {
 	return cfg
 }
 
-// validate builds and immediately retires a Runner for the first rate,
-// so a bad submission is rejected at POST time with the engine's typed
-// error (vcsim.ErrBadConfig / ErrBadMessage / ErrOverHorizon or the
-// traffic validation) instead of failing later in a worker.
+// validate puts every point of the sweep through the checks the engine's
+// own constructors make (traffic.Config.Validate), so a bad submission is
+// rejected at POST time with the engine's typed error (vcsim.ErrBadConfig
+// / ErrOverHorizon or the traffic validation) instead of failing later in
+// a worker — and without building what it describes: the handler holds
+// no simulator, and no network unless the spec carries a fault schedule,
+// whose edge IDs only the built topology can bound. That is judged last,
+// after everything arithmetic has passed.
 func (s *SweepSpec) validate() error {
 	if len(s.Rates) == 0 {
 		return errors.New("sweep has no rates")
+	}
+	endpoints, err := s.endpoints()
+	if err != nil {
+		return err
+	}
+	cfg := s.config(nil, 0)
+	cfg.Faults = nil
+	for _, cfg.Rate = range s.Rates {
+		if err := cfg.Validate(endpoints, 0); err != nil {
+			return err
+		}
+	}
+	if len(s.Faults) == 0 {
+		return nil
 	}
 	net, err := s.network()
 	if err != nil {
 		return err
 	}
-	cfg := s.config(net, s.Rates[0])
-	if _, err := traffic.NewRunner(cfg); err != nil {
-		return err
-	}
-	for _, rate := range s.Rates[1:] {
-		if rate <= 0 || rate > cfg.MaxRate() {
-			return fmt.Errorf("rate %g outside (0, %g]", rate, cfg.MaxRate())
-		}
-	}
-	return nil
+	cfg.Faults = s.Faults
+	return cfg.Validate(endpoints, net.G.NumEdges())
 }
 
 // ExperimentSpec names a core registry experiment to run.

@@ -47,7 +47,7 @@ func main() {
 			fmt.Printf("   speedup over B=1: %.2fx (%.2fx per channel)\n", sp, sp/float64(b))
 		}
 		if !res.AllDelivered {
-			fmt.Println("   WARNING: some messages undelivered — increase Beta or Rounds")
+			fmt.Println("   WARNING: some messages undelivered — increase Rounds")
 		}
 		fmt.Println()
 	}

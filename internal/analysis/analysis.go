@@ -70,22 +70,6 @@ func MultiplexSize(s *message.Set, color []int) int {
 	return max
 }
 
-// MultiplexSizeOf returns the multiplex size of a single class given as a
-// list of message IDs (all treated as one color).
-func MultiplexSizeOf(s *message.Set, ids []message.ID) int {
-	counts := make(map[graph.EdgeID]int)
-	max := 0
-	for _, id := range ids {
-		for _, e := range s.Msgs[id].Path {
-			counts[e]++
-			if counts[e] > max {
-				max = counts[e]
-			}
-		}
-	}
-	return max
-}
-
 // ConflictGraph returns the adjacency lists of the worm conflict graph: one
 // vertex per message, an edge between two messages whose paths share a
 // network edge. This is the graph behind the naive coloring bound: its
@@ -156,19 +140,6 @@ func GreedyColor(adj [][]int32) ([]int, int) {
 		}
 	}
 	return color, maxColor
-}
-
-// ValidColoring reports whether no two conflict-graph neighbours share a
-// color.
-func ValidColoring(adj [][]int32, color []int) bool {
-	for v := range adj {
-		for _, u := range adj[v] {
-			if color[v] == color[u] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ChannelDependencyAcyclic reports whether the channel dependency graph of

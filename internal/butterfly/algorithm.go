@@ -14,39 +14,15 @@ type Params struct {
 	Q int // messages per input / per output
 	L int // flits per message
 	B int // virtual channels per edge
-	// Beta scales the number of colors Δ = ⌈Beta·q'·(log n)^(1/B)/B⌉,
-	// q' = max(q, log n). The paper requires a sufficiently large
-	// constant; 0 means 1.0.
-	Beta float64
 	// Rounds overrides the round count; 0 means the paper's
 	// 2·⌈log log(nq)⌉ + 1.
 	Rounds int
 	// Arb picks the subround tie-break (default ArbRandom, as the
 	// algorithm is randomized).
 	Arb Arb
-	// Engine selects the subround executor. EngineLockstep (default)
-	// uses the bucket-per-stage shortcut; EngineFlitLevel routes every
-	// subround through the full vcsim flit simulator on the unrolled
-	// two-pass butterfly. The two produce identical survivor sets under
-	// deterministic arbitration (ArbFirst) — asserted by tests — so the
-	// lockstep engine is a verified optimization, not an approximation.
-	Engine Engine
 }
 
-// Engine selects how subrounds are simulated.
-type Engine int8
-
-const (
-	// EngineLockstep is the fast bucket-per-stage executor.
-	EngineLockstep Engine = iota
-	// EngineFlitLevel runs each subround on the flit-level simulator.
-	EngineFlitLevel
-)
-
 func (p Params) withDefaults() Params {
-	if p.Beta == 0 {
-		p.Beta = 1.0
-	}
 	if p.Rounds == 0 {
 		p.Rounds = 2*ceilLogLog(p.N*p.Q) + 1
 	}
@@ -90,7 +66,9 @@ func Bound(n, q, l, b int) float64 {
 //  1. each round, every undelivered message doubles its copies (round 0
 //     starts with ⌈log n / q⌉ copies when q < log n, per the theorem's
 //     final remark, else 1);
-//  2. every copy picks a color uniformly from Δ = ⌈β·q'·log^(1/B) n / B⌉;
+//  2. every copy picks a color uniformly from Δ = ⌈q'·log^(1/B) n / B⌉,
+//     q' = max(q, log n) (the paper's sufficiently large constant taken
+//     as 1);
 //  3. the Δ subrounds are routed one per color, pipelined L+1 flit steps
 //     apart; each copy makes two passes through the butterfly via a fresh
 //     random intermediate column;
@@ -107,6 +85,19 @@ func Bound(n, q, l, b int) float64 {
 // subrounds never interact; tests validate this against the full
 // flit-level simulator.
 func RunQRelation(pairs []ColPair, p Params, r *rng.Source) Result {
+	return runQRelation(pairs, p, r, RunLockstepSubround)
+}
+
+// subroundFunc routes one color's copies through the two-pass butterfly
+// and returns the indices of the survivors, ascending: the signature of
+// RunLockstepSubround.
+type subroundFunc func(n, b int, routes []TwoPassRoute, arb Arb, r *rng.Source) []int
+
+// runQRelation is RunQRelation over a given subround executor, so the
+// tests can run the whole algorithm on the flit-level simulator and
+// require the same trajectory: the lockstep buckets are a verified
+// optimization, not an approximation.
+func runQRelation(pairs []ColPair, p Params, r *rng.Source, subround subroundFunc) Result {
 	p = p.withDefaults()
 	k := log2(p.N)
 	validateQRelation(pairs, p.N, p.Q)
@@ -118,7 +109,7 @@ func RunQRelation(pairs []ColPair, p Params, r *rng.Source) Result {
 		initCopies = (k + p.Q - 1) / p.Q
 		qEff = k
 	}
-	delta := int(math.Ceil(p.Beta * float64(qEff) * math.Pow(float64(k), 1/float64(p.B)) / float64(p.B)))
+	delta := int(math.Ceil(float64(qEff) * math.Pow(float64(k), 1/float64(p.B)) / float64(p.B)))
 	if delta < 1 {
 		delta = 1
 	}
@@ -180,16 +171,7 @@ func RunQRelation(pairs []ColPair, p Params, r *rng.Source) Result {
 			for j, ci := range idxs {
 				routes[j] = copies[ci].route
 			}
-			var survivors []int
-			switch p.Engine {
-			case EngineLockstep:
-				survivors = RunLockstepSubround(p.N, p.B, routes, p.Arb, r)
-			case EngineFlitLevel:
-				survivors = runFlitLevelSubround(p.N, p.B, p.L, routes, p.Arb, r)
-			default:
-				panic(fmt.Sprintf("butterfly: unknown engine %d", p.Engine))
-			}
-			for _, surv := range survivors {
+			for _, surv := range subround(p.N, p.B, routes, p.Arb, r) {
 				orig := copies[idxs[surv]].orig
 				if !delivered[orig] {
 					delivered[orig] = true

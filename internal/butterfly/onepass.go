@@ -2,7 +2,6 @@ package butterfly
 
 import (
 	"math"
-	"sort"
 
 	"wormhole/internal/analysis"
 	"wormhole/internal/message"
@@ -145,17 +144,6 @@ func PhasePartition(res vcsim.Result, l, L int) (largest int, phases map[int]int
 		}
 	}
 	return largest, phases
-}
-
-// SortedPhaseSizes returns the phase occupancy counts in descending order
-// (diagnostic helper for the experiment tables).
-func SortedPhaseSizes(phases map[int]int) []int {
-	out := make([]int, 0, len(phases))
-	for _, c := range phases {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }
 
 // TwoPassPathEndpoints builds the message set for one subround on the

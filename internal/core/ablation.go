@@ -75,7 +75,7 @@ func A2Resample(cfg Config) []*stats.Table {
 	outs := mapJobs(cfg, len(jobs), func(i int) out {
 		sched, err := schedule.Build(p.Set, schedule.Options{
 			B:             jobs[i].b,
-			ConstantScale: DefaultConstantScale,
+			ConstantScale: constantScale,
 			ResampleWhole: jobs[i].whole,
 		}, rng.New(cfg.Seed))
 		if err != nil {

@@ -70,14 +70,8 @@ func (p *Problem) RouteGreedy(opts GreedyOptions) vcsim.Result {
 
 // ScheduleOptions configures offline Theorem 2.1.6 scheduling.
 type ScheduleOptions struct {
-	B int
-	// ConstantScale scales the paper's refinement constants; see
-	// schedule.Options. The experiments default to 0.05, which keeps the
-	// (D·log D)^(1/B) shape while avoiding the paper's astronomically
-	// conservative class counts.
-	ConstantScale float64
-	ResampleWhole bool
-	Seed          uint64
+	B    int
+	Seed uint64
 	// SpacingFactor stretches inter-class release spacing (≥ 1; used by
 	// the restricted-bandwidth experiment, where draining a class takes
 	// up to B times longer). 0 means 1.
@@ -89,22 +83,17 @@ type ScheduleOptions struct {
 	Metrics *telemetry.Metrics
 }
 
-// DefaultConstantScale is the experiments' refinement-constant scale.
-const DefaultConstantScale = 0.05
+// constantScale scales the paper's refinement constants (see
+// schedule.Options) in every experiment: 0.05 keeps the (D·log D)^(1/B)
+// shape while avoiding the paper's astronomically conservative class
+// counts.
+const constantScale = 0.05
 
 // RouteScheduled builds a Theorem 2.1.6 schedule and executes it on the
 // simulator. With SpacingFactor == 1 and Restricted == false the execution
 // is also verified against the theorem's zero-stall guarantee.
 func (p *Problem) RouteScheduled(opts ScheduleOptions) (*schedule.Schedule, vcsim.Result, error) {
-	cs := opts.ConstantScale
-	if cs == 0 {
-		cs = DefaultConstantScale
-	}
-	sched, err := schedule.Build(p.Set, schedule.Options{
-		B:             opts.B,
-		ConstantScale: cs,
-		ResampleWhole: opts.ResampleWhole,
-	}, rng.New(opts.Seed))
+	sched, err := schedule.Build(p.Set, schedule.Options{B: opts.B, ConstantScale: constantScale}, rng.New(opts.Seed))
 	if err != nil {
 		return nil, vcsim.Result{}, err
 	}

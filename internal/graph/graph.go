@@ -120,9 +120,6 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // Out returns the IDs of edges leaving v. Owned by the graph; read-only.
 func (g *Graph) Out(v NodeID) []EdgeID { return g.out[v] }
 
-// In returns the IDs of edges entering v. Owned by the graph; read-only.
-func (g *Graph) In(v NodeID) []EdgeID { return g.in[v] }
-
 // OutDegree returns the number of edges leaving v.
 func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
 
@@ -131,9 +128,6 @@ func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
 
 // Label returns the label assigned to v at creation ("" if none).
 func (g *Graph) Label(v NodeID) string { return g.names[v] }
-
-// SetLabel replaces the label of v.
-func (g *Graph) SetLabel(v NodeID, label string) { g.names[v] = label }
 
 // FindEdge returns the ID of some edge tail → head, or None if no such edge
 // exists. With parallel edges the lowest ID wins.

@@ -53,10 +53,6 @@ func TestLabels(t *testing.T) {
 	if g.Label(v) != "hello" {
 		t.Error("label lost")
 	}
-	g.SetLabel(v, "bye")
-	if g.Label(v) != "bye" {
-		t.Error("SetLabel")
-	}
 }
 
 func TestAddEdgePanicsOnUnknownNode(t *testing.T) {

@@ -83,17 +83,6 @@ func (s *Set) MaxLength() int {
 	return max
 }
 
-// Clone returns a deep copy of the set sharing the same graph. Paths are
-// copied so the clone can be mutated independently.
-func (s *Set) Clone() *Set {
-	out := &Set{G: s.G, Msgs: make([]Message, len(s.Msgs))}
-	copy(out.Msgs, s.Msgs)
-	for i := range out.Msgs {
-		out.Msgs[i].Path = append(graph.Path(nil), out.Msgs[i].Path...)
-	}
-	return out
-}
-
 // Subset returns a new Set containing the messages with the given IDs, in
 // order, renumbered densely. The mapping from new to original IDs is
 // returned alongside.

@@ -2,10 +2,8 @@ package message
 
 import (
 	"testing"
-	"testing/quick"
 
 	"wormhole/internal/graph"
-	"wormhole/internal/rng"
 	"wormhole/internal/topology"
 )
 
@@ -58,18 +56,6 @@ func TestEdgeSimple(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := lineGraph(4)
-	s := NewSet(g)
-	route := ShortestPathRouter(g)
-	s.Add(0, 3, 2, route(0, 3))
-	c := s.Clone()
-	c.Msgs[0].Path[0] = 999 // corrupt the clone only
-	if s.Msgs[0].Path[0] == 999 {
-		t.Error("clone shares path storage")
-	}
-}
-
 func TestSubset(t *testing.T) {
 	g := lineGraph(5)
 	s := NewSet(g)
@@ -89,80 +75,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestPermutationWorkload(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 2 + int(seed%20)
-		srcs := make([]graph.NodeID, n)
-		dsts := make([]graph.NodeID, n)
-		for i := range srcs {
-			srcs[i] = graph.NodeID(i)
-			dsts[i] = graph.NodeID(100 + i)
-		}
-		pairs := Permutation(srcs, dsts, r)
-		if len(pairs) != n {
-			return false
-		}
-		seen := make(map[graph.NodeID]bool)
-		for i, p := range pairs {
-			if p.Src != srcs[i] || seen[p.Dst] {
-				return false
-			}
-			seen[p.Dst] = true
-		}
-		return len(seen) == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQRelationCounts(t *testing.T) {
-	r := rng.New(3)
-	n, q := 8, 3
-	srcs := make([]graph.NodeID, n)
-	dsts := make([]graph.NodeID, n)
-	for i := range srcs {
-		srcs[i] = graph.NodeID(i)
-		dsts[i] = graph.NodeID(50 + i)
-	}
-	pairs := QRelation(srcs, dsts, q, r)
-	if len(pairs) != n*q {
-		t.Fatalf("%d pairs", len(pairs))
-	}
-	perSrc := map[graph.NodeID]int{}
-	perDst := map[graph.NodeID]int{}
-	for _, p := range pairs {
-		perSrc[p.Src]++
-		perDst[p.Dst]++
-	}
-	for _, c := range perSrc {
-		if c != q {
-			t.Fatalf("per-source count %d, want %d", c, q)
-		}
-	}
-	for _, c := range perDst {
-		if c != q {
-			t.Fatalf("per-dest count %d, want %d", c, q)
-		}
-	}
-}
-
-func TestRandomDestinations(t *testing.T) {
-	r := rng.New(4)
-	srcs := []graph.NodeID{0, 1}
-	dsts := []graph.NodeID{10, 11, 12}
-	pairs := RandomDestinations(srcs, dsts, 5, r)
-	if len(pairs) != 10 {
-		t.Fatalf("%d pairs", len(pairs))
-	}
-	for _, p := range pairs {
-		if p.Dst < 10 || p.Dst > 12 {
-			t.Fatalf("dst %d outside pool", p.Dst)
-		}
-	}
-}
-
 func TestTransposeWorkload(t *testing.T) {
 	pairs := Transpose(3, func(x, y int) graph.NodeID { return graph.NodeID(3*x + y) })
 	// 9 cells minus 3 diagonal = 6 messages.
@@ -175,22 +87,6 @@ func TestTransposeWorkload(t *testing.T) {
 			t.Fatalf("pair %v is not a transpose", p)
 		}
 	}
-}
-
-func TestBitReversalWorkload(t *testing.T) {
-	n := 8
-	srcs := make([]graph.NodeID, n)
-	dsts := make([]graph.NodeID, n)
-	for i := range srcs {
-		srcs[i] = graph.NodeID(i)
-		dsts[i] = graph.NodeID(i)
-	}
-	pairs := BitReversal(srcs, dsts)
-	// 3-bit reversals: 1 (001) ↔ 4 (100), 3 (011) ↔ 6 (110).
-	if pairs[1].Dst != 4 || pairs[3].Dst != 6 || pairs[0].Dst != 0 || pairs[7].Dst != 7 {
-		t.Fatalf("bit reversal wrong: %v", pairs)
-	}
-	assertPanics(t, "non power of two", func() { BitReversal(srcs[:3], dsts[:3]) })
 }
 
 func TestBuild(t *testing.T) {

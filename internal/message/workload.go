@@ -1,11 +1,6 @@
 package message
 
-import (
-	"fmt"
-
-	"wormhole/internal/graph"
-	"wormhole/internal/rng"
-)
+import "wormhole/internal/graph"
 
 // Endpoints names a source/destination pair before path selection.
 type Endpoints struct {
@@ -23,51 +18,6 @@ func Build(g *graph.Graph, pairs []Endpoints, length int, route Router) *Set {
 	return s
 }
 
-// Permutation returns endpoint pairs realizing a uniform random permutation
-// from srcs[i] to dsts[π(i)]. srcs and dsts must have equal length.
-func Permutation(srcs, dsts []graph.NodeID, r *rng.Source) []Endpoints {
-	if len(srcs) != len(dsts) {
-		panic(fmt.Sprintf("message: permutation arity mismatch %d vs %d", len(srcs), len(dsts)))
-	}
-	pi := r.Perm(len(dsts))
-	out := make([]Endpoints, len(srcs))
-	for i := range srcs {
-		out[i] = Endpoints{Src: srcs[i], Dst: dsts[pi[i]]}
-	}
-	return out
-}
-
-// QRelation returns endpoint pairs for a random q-relation: exactly q
-// messages originate at each source and exactly q are destined for each
-// destination (a random q-to-q matching, built from q independent random
-// permutations).
-func QRelation(srcs, dsts []graph.NodeID, q int, r *rng.Source) []Endpoints {
-	if q < 1 {
-		panic("message: q-relation needs q ≥ 1")
-	}
-	out := make([]Endpoints, 0, q*len(srcs))
-	for rep := 0; rep < q; rep++ {
-		out = append(out, Permutation(srcs, dsts, r)...)
-	}
-	return out
-}
-
-// RandomDestinations returns endpoint pairs in which each source
-// independently sends q messages to uniformly chosen destinations — the
-// paper's "random routing problem with q messages per input".
-func RandomDestinations(srcs, dsts []graph.NodeID, q int, r *rng.Source) []Endpoints {
-	if q < 1 {
-		panic("message: random workload needs q ≥ 1")
-	}
-	out := make([]Endpoints, 0, q*len(srcs))
-	for _, s := range srcs {
-		for rep := 0; rep < q; rep++ {
-			out = append(out, Endpoints{Src: s, Dst: dsts[r.Intn(len(dsts))]})
-		}
-	}
-	return out
-}
-
 // Transpose returns endpoint pairs for the matrix-transpose permutation on
 // a square mesh side×side: node (x, y) sends to node (y, x). nodeAt maps
 // coordinates to node IDs. Transpose traffic is a classic congestion
@@ -81,31 +31,6 @@ func Transpose(side int, nodeAt func(x, y int) graph.NodeID) []Endpoints {
 			}
 			out = append(out, Endpoints{Src: nodeAt(x, y), Dst: nodeAt(y, x)})
 		}
-	}
-	return out
-}
-
-// BitReversal returns endpoint pairs for the bit-reversal permutation on n
-// (power of two) endpoints: source w sends to reverse(w). Bit reversal is
-// the canonical worst case for dimension-ordered butterflies.
-func BitReversal(srcs, dsts []graph.NodeID) []Endpoints {
-	n := len(srcs)
-	if n != len(dsts) || n&(n-1) != 0 || n == 0 {
-		panic("message: bit reversal needs power-of-two matching endpoint slices")
-	}
-	k := 0
-	for v := n; v > 1; v >>= 1 {
-		k++
-	}
-	out := make([]Endpoints, n)
-	for w := 0; w < n; w++ {
-		rev := 0
-		for b := 0; b < k; b++ {
-			if w&(1<<b) != 0 {
-				rev |= 1 << (k - 1 - b)
-			}
-		}
-		out[w] = Endpoints{Src: srcs[w], Dst: dsts[rev]}
 	}
 	return out
 }

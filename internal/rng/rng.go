@@ -81,13 +81,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.boundedUint64(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-//
-//wormvet:nonalloc
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // boundedUint64 returns a uniform value in [0, n) using Lemire's
 // multiply-shift rejection method, which avoids modulo bias without
 // divisions in the common case.

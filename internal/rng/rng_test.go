@@ -218,15 +218,6 @@ func TestBoolBalance(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(2)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var s Source
 	_ = s.Uint64()

@@ -145,16 +145,6 @@ func Plan(c, d, b int, scale float64) []StepSpec {
 	return steps
 }
 
-// PlannedClasses returns the total number of color classes the plan yields
-// (the product of the per-step subclass counts).
-func PlannedClasses(steps []StepSpec) int {
-	k := 1
-	for _, s := range steps {
-		k *= s.R
-	}
-	return k
-}
-
 // --- closed-form bound evaluators -------------------------------------------
 //
 // These evaluate the theorem statements (without their hidden constants) so

@@ -77,16 +77,6 @@ func TestPlanCase2TargetsRespectB(t *testing.T) {
 	}
 }
 
-func TestPlannedClasses(t *testing.T) {
-	p := []StepSpec{{R: 3}, {R: 5}}
-	if PlannedClasses(p) != 15 {
-		t.Error("PlannedClasses")
-	}
-	if PlannedClasses(nil) != 1 {
-		t.Error("empty plan = 1 class")
-	}
-}
-
 func TestBoundEvaluators(t *testing.T) {
 	// Monotone decreasing in B.
 	prevU, prevL := math.Inf(1), math.Inf(1)

@@ -49,9 +49,6 @@ import (
 // passes through it.
 const bufSize = 4096
 
-// MaxWindow is the largest n Reader.Window accepts.
-const MaxWindow = bufSize
-
 var le = binary.LittleEndian
 
 // Writer serializes fixed-width little-endian values into a buffer it
@@ -261,7 +258,7 @@ func (s *Reader) fail(err error) {
 	s.r, s.w = 0, 0
 }
 
-// Window returns the next n bytes of the stream, n ≤ MaxWindow, or nil
+// Window returns the next n bytes of the stream, n ≤ bufSize, or nil
 // after any failure (a short stream included). The slice aliases the
 // Reader's buffer and is valid until the next read. Every other read is
 // spelled in it; a format decodes a fixed-size record from one Window
@@ -282,7 +279,7 @@ func (s *Reader) refill(n int) bool {
 		return false
 	}
 	if n > len(s.buf) {
-		panic("snap: window larger than MaxWindow")
+		panic("snap: window larger than the buffer")
 	}
 	if err := s.fetch(n); err != nil {
 		if err == io.EOF && s.w > 0 {

@@ -1,6 +1,6 @@
 // Package topology constructs the networks used throughout the paper:
 // butterflies (plain, wrapped, and back-to-back two-pass), meshes, toruses,
-// hypercubes, linear arrays, complete graphs, and random regular digraphs.
+// hypercubes, linear arrays, and random regular digraphs.
 //
 // Constructors return both the graph and a coordinate scheme so that
 // algorithms can translate between (column, level) positions and node IDs
@@ -151,9 +151,6 @@ func (t *TwoPassButterfly) Node(w, lvl int) graph.NodeID {
 // Column returns the column of node id.
 func (t *TwoPassButterfly) Column(id graph.NodeID) int { return int(id) % t.Inputs }
 
-// Level returns the level of node id.
-func (t *TwoPassButterfly) Level(id graph.NodeID) int { return int(id) / t.Inputs }
-
 // Input returns the ID of input w (level 0).
 func (t *TwoPassButterfly) Input(w int) graph.NodeID { return t.Node(w, 0) }
 
@@ -174,13 +171,6 @@ func (t *TwoPassButterfly) Route(src, mid, dst int) graph.Path {
 func (t *TwoPassButterfly) RandomRoute(src, dst int, r *rng.Source) (graph.Path, int) {
 	mid := r.Intn(t.Inputs)
 	return t.Route(src, mid, dst), mid
-}
-
-// EdgeLevel returns the stage (0-based) an edge of a leveled network spans,
-// derived from its tail's level. It works for both Butterfly and
-// TwoPassButterfly graphs when given the respective level function.
-func EdgeLevel(g *graph.Graph, levelOf func(graph.NodeID) int, e graph.EdgeID) int {
-	return levelOf(g.Edge(e).Tail)
 }
 
 // --- bit helpers -----------------------------------------------------------

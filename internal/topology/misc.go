@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math/bits"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/rng"
@@ -15,16 +14,12 @@ type Hypercube struct {
 	G    *graph.Graph
 	Dim  int // log n
 	Size int // n
-	// step[v·Dim+d] is the edge from corner v across dimension d, recorded
-	// as AddBiEdge hands it out.
-	step []graph.EdgeID
 }
 
 // NewHypercube builds the hypercube on n = 2^k nodes.
 func NewHypercube(n int) *Hypercube {
 	k := log2Exact(n)
 	g := graph.New(n, n*k)
-	h := &Hypercube{G: g, Dim: k, Size: n, step: make([]graph.EdgeID, n*k)}
 	for v := 0; v < n; v++ {
 		g.AddNode(fmt.Sprintf("%0*b", k, v))
 	}
@@ -32,24 +27,11 @@ func NewHypercube(n int) *Hypercube {
 		for d := 0; d < k; d++ {
 			u := v ^ (1 << d)
 			if u > v {
-				h.step[v*k+d], h.step[u*k+d] = g.AddBiEdge(graph.NodeID(v), graph.NodeID(u))
+				g.AddBiEdge(graph.NodeID(v), graph.NodeID(u))
 			}
 		}
 	}
-	return h
-}
-
-// Route returns the dimension-order (e-cube) path from src to dst: bits are
-// corrected from the lowest dimension upward.
-func (h *Hypercube) Route(src, dst graph.NodeID) graph.Path {
-	var p graph.Path
-	cur := int(src)
-	for diff := cur ^ int(dst); diff != 0; diff &= diff - 1 {
-		d := bits.TrailingZeros(uint(diff))
-		p = append(p, h.step[cur*h.Dim+d])
-		cur ^= 1 << d
-	}
-	return p
+	return &Hypercube{G: g, Dim: k, Size: n}
 }
 
 // NewLinearArray builds a path graph on n nodes with antiparallel edges.
@@ -65,24 +47,6 @@ func NewLinearArray(n int) *graph.Graph {
 	}
 	for v := 0; v+1 < n; v++ {
 		g.AddBiEdge(graph.NodeID(v), graph.NodeID(v+1))
-	}
-	return g
-}
-
-// NewComplete builds the complete directed graph on n nodes (every ordered
-// pair joined by an edge). The Theorem 2.2.1 adversarial construction
-// embeds into a complete graph of primary-edge endpoints.
-func NewComplete(n int) *graph.Graph {
-	g := graph.New(n, n*(n-1))
-	for v := 0; v < n; v++ {
-		g.AddNode(fmt.Sprintf("%d", v))
-	}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v {
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v))
-			}
-		}
 	}
 	return g
 }

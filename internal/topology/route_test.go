@@ -126,26 +126,6 @@ func TestMeshRouteMatchesGraph(t *testing.T) {
 	}
 }
 
-func TestHypercubeRouteMatchesGraph(t *testing.T) {
-	for _, n := range []int{2, 8, 32} {
-		h := NewHypercube(n)
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				nodes := []graph.NodeID{graph.NodeID(src)}
-				for cur, d := src, 0; d < h.Dim; d++ {
-					if (cur^dst)>>d&1 == 1 {
-						cur ^= 1 << d
-						nodes = append(nodes, graph.NodeID(cur))
-					}
-				}
-				checkRoute(t, fmt.Sprintf("hypercube(%d) %d→%d", n, src, dst), h.G,
-					h.Route(graph.NodeID(src), graph.NodeID(dst)), searchWalk(t, h.G, nodes),
-					graph.NodeID(src), graph.NodeID(dst))
-			}
-		}
-	}
-}
-
 // TestAppendRouteContract pins the append form the traffic Runner leans on:
 // it writes after the buffer's existing contents, allocates nothing when
 // the capacity is there, and a Route result is never aliased by a later

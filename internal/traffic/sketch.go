@@ -119,22 +119,3 @@ func (s *Sketch) Quantile(p float64) float64 {
 	}
 	return float64(s.max)
 }
-
-// Merge folds other into s; the result is identical to having Added both
-// sample streams into one sketch.
-func (s *Sketch) Merge(other *Sketch) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 || other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	for b := range s.counts {
-		s.counts[b] += other.counts[b]
-	}
-	s.n += other.n
-	s.sum += other.sum
-}

@@ -94,27 +94,3 @@ func TestSketchBucketRoundTrip(t *testing.T) {
 			b, numBuckets, bucketOf(bucketValue(b)))
 	}
 }
-
-func TestSketchMerge(t *testing.T) {
-	r := rng.New(4)
-	var a, b, both Sketch
-	for i := 0; i < 10_000; i++ {
-		v := r.Intn(500)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		both.Add(v)
-	}
-	a.Merge(&b)
-	if a.Count() != both.Count() || a.Mean() != both.Mean() ||
-		a.Min() != both.Min() || a.Max() != both.Max() {
-		t.Fatal("merge aggregates differ from single-stream sketch")
-	}
-	for _, p := range []float64{0.1, 0.5, 0.95} {
-		if a.Quantile(p) != both.Quantile(p) {
-			t.Fatalf("p=%g: merged %g != single %g", p, a.Quantile(p), both.Quantile(p))
-		}
-	}
-}

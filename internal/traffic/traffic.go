@@ -183,22 +183,43 @@ func (c *Config) MaxRate() float64 {
 	}
 }
 
-func (c *Config) validate() error {
-	if c.Net == nil {
-		return errors.New("traffic: Config.Net is required")
+// Validate reports what NewRunner and RestoreRunner would refuse about c
+// on a network of the given endpoint and edge counts, without one: c.Net
+// is not consulted and nothing is allocated in proportion to the network.
+// It is the two checks the constructors themselves make — validate here,
+// vcsim.ValidateConfig inside NewSim and RestoreSim — so a service that
+// refuses a submission with it and the engine that runs an accepted one
+// cannot disagree.
+func (c *Config) Validate(endpoints, numEdges int) error {
+	if err := c.validate(endpoints); err != nil {
+		return err
 	}
-	if c.Net.Endpoints < 1 {
-		return fmt.Errorf("traffic: network %q has no endpoints", c.Net.Label)
+	return vcsim.ValidateConfig(numEdges, c.simConfig())
+}
+
+// simConfig is the simulator configuration c describes (less OnComplete,
+// which belongs to a Runner).
+func (c *Config) simConfig() vcsim.Config {
+	return vcsim.Config{
+		VirtualChannels:     c.VirtualChannels,
+		LaneDepth:           c.LaneDepth,
+		SharedPool:          c.SharedPool,
+		RestrictedBandwidth: c.RestrictedBandwidth,
+		Arbitration:         c.Arbitration,
+		Seed:                c.Seed,
+		MaxSteps:            c.Warmup + c.Measure + c.Drain,
+		NaiveScan:           c.NaiveScan,
+		Faults:              c.Faults,
+		Retry:               c.Retry,
+		Metrics:             c.Metrics,
+		Trace:               c.Trace,
 	}
-	if c.Net.Route == nil && c.Net.AppendRoute == nil {
-		return fmt.Errorf("traffic: network %q has no router", c.Net.Label)
-	}
-	if c.VirtualChannels < 1 {
-		return fmt.Errorf("traffic: VirtualChannels %d < 1", c.VirtualChannels)
-	}
-	if c.LaneDepth < 0 {
-		return fmt.Errorf("traffic: LaneDepth %d < 0", c.LaneDepth)
-	}
+}
+
+// validate checks what is traffic's own to state — the windows, the
+// injection process and the pattern — and is all a retarget can break;
+// the lanes, the horizon and the fault plane are vcsim.ValidateConfig's.
+func (c *Config) validate(endpoints int) error {
 	if c.MessageLength < 1 {
 		return fmt.Errorf("traffic: MessageLength %d < 1", c.MessageLength)
 	}
@@ -228,11 +249,8 @@ func (c *Config) validate() error {
 	if max := c.MaxRate(); c.Rate > max {
 		return fmt.Errorf("traffic: Rate %g exceeds the %s process maximum %g", c.Rate, c.Process, max)
 	}
-	if c.Pattern.needsPow2() {
-		n := c.Net.Endpoints
-		if n&(n-1) != 0 {
-			return fmt.Errorf("traffic: %s pattern needs a power-of-two endpoint count, have %d", c.Pattern, n)
-		}
+	if c.Pattern.needsPow2() && endpoints&(endpoints-1) != 0 {
+		return fmt.Errorf("traffic: %s pattern needs a power-of-two endpoint count, have %d", c.Pattern, endpoints)
 	}
 	if c.Window < 0 {
 		return fmt.Errorf("traffic: Window %d < 0", c.Window)
@@ -340,7 +358,16 @@ const (
 // the runner, its measurement closures, and the vcsim.Config the caller
 // feeds to NewSim (NewRunner) or RestoreSim (RestoreRunner).
 func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
-	if err := cfg.validate(); err != nil {
+	if cfg.Net == nil {
+		return nil, vcsim.Config{}, errors.New("traffic: Config.Net is required")
+	}
+	if cfg.Net.Endpoints < 1 {
+		return nil, vcsim.Config{}, fmt.Errorf("traffic: network %q has no endpoints", cfg.Net.Label)
+	}
+	if cfg.Net.Route == nil && cfg.Net.AppendRoute == nil {
+		return nil, vcsim.Config{}, fmt.Errorf("traffic: network %q has no router", cfg.Net.Label)
+	}
+	if err := cfg.validate(cfg.Net.Endpoints); err != nil {
 		return nil, vcsim.Config{}, err
 	}
 	r := &Runner{
@@ -375,21 +402,9 @@ func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
 			r.winSketch.Add(st.Latency())
 		}
 	}
-	return r, vcsim.Config{
-		VirtualChannels:     cfg.VirtualChannels,
-		LaneDepth:           cfg.LaneDepth,
-		SharedPool:          cfg.SharedPool,
-		RestrictedBandwidth: cfg.RestrictedBandwidth,
-		Arbitration:         cfg.Arbitration,
-		Seed:                cfg.Seed,
-		MaxSteps:            r.horizon + cfg.Drain,
-		OnComplete:          onComplete,
-		NaiveScan:           cfg.NaiveScan,
-		Faults:              cfg.Faults,
-		Retry:               cfg.Retry,
-		Metrics:             cfg.Metrics,
-		Trace:               cfg.Trace,
-	}, nil
+	simCfg := cfg.simConfig()
+	simCfg.OnComplete = onComplete
+	return r, simCfg, nil
 }
 
 // NewRunner validates cfg and builds a reusable open-loop runner.
@@ -413,7 +428,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 func (r *Runner) retarget(rate float64, seed uint64) error {
 	cfg := r.cfg
 	cfg.Rate, cfg.Seed = rate, seed
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(cfg.Net.Endpoints); err != nil {
 		return err
 	}
 	r.cfg = cfg

@@ -97,7 +97,7 @@ var (
 type cfgField struct {
 	name  string
 	width int
-	val   uint64 // non-negative by validateConfig, so zero-extension is exact
+	val   uint64 // non-negative by ValidateConfig, so zero-extension is exact
 	adopt func(uint64)
 }
 
@@ -289,7 +289,7 @@ func (si *Sim) Snapshot(w io.Writer) error {
 // contents are replaced with the snapshot's registry state, so resumed
 // runs report cumulative totals; a failed restore leaves it untouched.
 func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
-	if err := validateConfig(g.NumEdges(), cfg); err != nil {
+	if err := ValidateConfig(g.NumEdges(), cfg); err != nil {
 		return nil, err
 	}
 	r := snap.NewReader(rd, ErrSnapshotCorrupt)

@@ -21,12 +21,6 @@ func TestResultHelpersAndStrings(t *testing.T) {
 	if got := len(res.DeliveredIDs()); got != 6 {
 		t.Fatalf("DeliveredIDs = %d, want 6", got)
 	}
-	if got := len(res.DroppedIDs()); got != 0 {
-		t.Fatalf("DroppedIDs = %d, want 0", got)
-	}
-	if res.MaxLatency() <= 0 {
-		t.Fatal("MaxLatency must be positive on a delivered workload")
-	}
 	if res.PerMessage[0].Latency() < 0 {
 		t.Fatal("delivered message must have a latency")
 	}

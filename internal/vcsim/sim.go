@@ -29,7 +29,7 @@ var (
 
 	// The validation family below is one error contract for both ways in:
 	// NewSim and Inject return these wrapped with context, and the batch
-	// Run panics with the same wrapped values (validateConfig and spawn
+	// Run panics with the same wrapped values (ValidateConfig and spawn
 	// produce them for both). Services in front of the simulator match
 	// with errors.Is to map a tenant's bad workload to a client error
 	// instead of crashing the job.
@@ -56,7 +56,7 @@ var (
 // messages streaming in there is no workload to derive a safe bound from,
 // so a zero horizon is rejected with ErrNoHorizon rather than guessed at.
 func NewSim(g *graph.Graph, cfg Config) (*Sim, error) {
-	if err := validateConfig(g.NumEdges(), cfg); err != nil {
+	if err := ValidateConfig(g.NumEdges(), cfg); err != nil {
 		return nil, err
 	}
 	if cfg.MaxSteps <= 0 {

@@ -257,34 +257,11 @@ func (r *Result) AllDelivered() bool {
 	return r.Delivered == len(r.PerMessage)
 }
 
-// MaxLatency returns the largest per-message latency among delivered
-// messages (0 when none were delivered).
-func (r *Result) MaxLatency() int {
-	max := 0
-	for i := range r.PerMessage {
-		if l := r.PerMessage[i].Latency(); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // DeliveredIDs returns the IDs of delivered messages in ID order.
 func (r *Result) DeliveredIDs() []message.ID {
 	var out []message.ID
 	for i := range r.PerMessage {
 		if r.PerMessage[i].Status == StatusDelivered {
-			out = append(out, message.ID(i))
-		}
-	}
-	return out
-}
-
-// DroppedIDs returns the IDs of dropped messages in ID order.
-func (r *Result) DroppedIDs() []message.ID {
-	var out []message.ID
-	for i := range r.PerMessage {
-		if r.PerMessage[i].Status == StatusDropped {
 			out = append(out, message.ID(i))
 		}
 	}
@@ -374,7 +351,11 @@ type worm struct {
 	// target, kind bit included; -1 when clear). A fully blocked worm's
 	// verdict is stable until the blocking credit frees — the park
 	// invariant — so probation re-attempts re-fail on a two-load check
-	// instead of rescanning every flit (see tryAdvanceDeep).
+	// instead of rescanning every flit (see tryAdvanceDeep). Rent (PR 23,
+	// the cache never consulted): knee-deep wall_s +4.2%, medians 0.726 →
+	// 0.757 s, slower in 9 of 10 alternating pairs — the size of that
+	// hour's spread, so the smallest of the three shortcuts; it stays for
+	// the 4 bytes it costs in a record WORMSNAP already carries.
 	blockedOn int32
 	// retries counts fault-policy re-injections performed (see
 	// Config.Retry); it only moves for worms whose first edge died while
@@ -789,7 +770,7 @@ type Sim struct {
 
 // emptySim builds a Sim with no messages over a network of numEdges
 // physical channels. Both constructors (batch and incremental) and
-// RestoreSim share it; each has put cfg through validateConfig first, which
+// RestoreSim share it; each has put cfg through ValidateConfig first, which
 // is where every range the narrowings below rely on is enforced.
 func emptySim(numEdges int, cfg Config) *Sim {
 	depth := cfg.LaneDepth
@@ -816,9 +797,9 @@ func emptySim(numEdges int, cfg Config) *Sim {
 	if cfg.RestrictedBandwidth {
 		si.cap = 1
 	}
-	si.bI32 = int32(si.b)           //wormvet:allow horizon -- validateConfig bounds VirtualChannels ≤ MaxLanes
+	si.bI32 = int32(si.b)           //wormvet:allow horizon -- ValidateConfig bounds VirtualChannels ≤ MaxLanes
 	si.capI32 = int32(si.cap)       //wormvet:allow horizon -- cap ∈ {1, b}
-	si.poolCap = si.bI32 * si.depth // ≤ MaxHorizon by validateConfig
+	si.poolCap = si.bI32 * si.depth // ≤ MaxHorizon by ValidateConfig
 	for e := range si.edges {
 		si.edges[e].laneFree = si.bI32
 	}
@@ -1056,12 +1037,15 @@ func (si *Sim) markPathRoles(p []int32) {
 	}
 }
 
-// validateConfig is the one statement of what a Config must satisfy
+// ValidateConfig is the one statement of what a Config must satisfy
 // before a Sim is built over numEdges channels; NewSim and RestoreSim
 // return its error, the batch loader panics with it. Every rejection
 // wraps ErrBadConfig or — for the 32-bit time-counter bound —
-// ErrOverHorizon, so callers can errors.Is-classify it.
-func validateConfig(numEdges int, cfg Config) error {
+// ErrOverHorizon, so callers can errors.Is-classify it. It allocates
+// nothing in proportion to the network (numEdges only bounds a fault
+// schedule's edge IDs), so a service calls it to refuse a submission
+// before building what the submission describes.
+func ValidateConfig(numEdges int, cfg Config) error {
 	if cfg.VirtualChannels < 1 {
 		return fmt.Errorf("%w: VirtualChannels %d < 1", ErrBadConfig, cfg.VirtualChannels)
 	}
@@ -1143,7 +1127,7 @@ func (si *Sim) spawn(msg message.Message, release int) (*worm, error) {
 // ErrBadConfig / ErrBadMessage / ErrOverHorizon family NewSim and Inject
 // return.
 func newBatchSim(s *message.Set, release []int, cfg Config) *Sim {
-	if err := validateConfig(s.G.NumEdges(), cfg); err != nil {
+	if err := ValidateConfig(s.G.NumEdges(), cfg); err != nil {
 		panic(err)
 	}
 	n := s.Len()

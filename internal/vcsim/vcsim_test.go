@@ -249,9 +249,6 @@ func TestDropOnDelay(t *testing.T) {
 	if res.PerMessage[1].DropTime != 1 {
 		t.Errorf("drop time = %d, want 1 (dropped at first step)", res.PerMessage[1].DropTime)
 	}
-	if got := len(res.DroppedIDs()); got != 1 {
-		t.Errorf("DroppedIDs has %d entries", got)
-	}
 }
 
 func TestTruncation(t *testing.T) {

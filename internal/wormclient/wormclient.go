@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -214,10 +213,4 @@ func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 // Get GETs path and returns the raw body.
 func (c *Client) Get(ctx context.Context, path string) ([]byte, error) {
 	return c.Do(ctx, http.MethodGet, path, nil)
-}
-
-// IsStatus reports whether err is a *StatusError with the given code.
-func IsStatus(err error, code int) bool {
-	var se *StatusError
-	return errors.As(err, &se) && se.Code == code
 }

@@ -2,6 +2,7 @@ package wormclient
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,12 @@ import (
 	"testing"
 	"time"
 )
+
+// isStatus reports whether err is a *StatusError with the given code.
+func isStatus(err error, code int) bool {
+	var se *StatusError
+	return errors.As(err, &se) && se.Code == code
+}
 
 func testClient(base string) *Client {
 	return New(base,
@@ -49,7 +56,7 @@ func TestNoRetryOnClientError(t *testing.T) {
 	defer srv.Close()
 
 	_, err := testClient(srv.URL).Get(context.Background(), "/x")
-	if !IsStatus(err, http.StatusBadRequest) {
+	if !isStatus(err, http.StatusBadRequest) {
 		t.Fatalf("want StatusError 400, got %v", err)
 	}
 	if calls.Load() != 1 {
@@ -69,7 +76,7 @@ func TestNoRetryOn429(t *testing.T) {
 	defer srv.Close()
 
 	_, err := testClient(srv.URL).Do(context.Background(), http.MethodPost, "/jobs", []byte(`{}`))
-	if !IsStatus(err, http.StatusTooManyRequests) {
+	if !isStatus(err, http.StatusTooManyRequests) {
 		t.Fatalf("want StatusError 429, got %v", err)
 	}
 	if calls.Load() != 1 {
@@ -91,7 +98,7 @@ func TestRetriesConnectionRefused(t *testing.T) {
 	start := time.Now()
 	_, err = testClient("http://"+addr).Get(context.Background(), "/x")
 	if err != nil {
-		if IsStatus(err, 0) {
+		if isStatus(err, 0) {
 			t.Fatalf("transport failure produced a StatusError: %v", err)
 		}
 	} else {
