@@ -28,12 +28,12 @@
 //	go run ./cmd/wormbench -run T12 -cpuprofile cpu.prof
 //	go tool pprof -top cpu.prof
 //
-// -telemetry FILE attaches hot-path counters to whatever the invocation
-// runs and writes the resulting snapshot as JSON: with -run/-all every
-// simulator feeds one aggregate; alone it runs the knee smoke workload
-// with counters and a windowed time series. -http ADDR additionally
-// serves the latest published snapshot at /metrics and the standard
-// net/http/pprof handlers at /debug/pprof for live inspection.
+// -telemetry FILE attaches hot-path counters to every simulator -run or
+// -all drives, folds them into one aggregate and writes its snapshot as
+// JSON once the last experiment is done (cmd/netviz reads it back). The
+// file is created before anything runs, so a path that cannot be written
+// costs no simulation. A live per-window feed is wormholed's
+// /api/v1/jobs/{id}/metrics.
 package main
 
 import (
@@ -42,9 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	httppprof "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -54,8 +51,6 @@ import (
 	"wormhole/internal/core"
 	"wormhole/internal/stats"
 	"wormhole/internal/telemetry"
-	"wormhole/internal/traffic"
-	"wormhole/internal/vcsim"
 )
 
 func main() {
@@ -71,44 +66,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wormbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list     = fs.Bool("list", false, "list available experiments")
-		runID    = fs.String("run", "", "experiment ID to run (e.g. T1)")
-		all      = fs.Bool("all", false, "run every experiment")
-		seed     = fs.Uint64("seed", 42, "experiment seed")
-		quick    = fs.Bool("quick", false, "shrink sweeps to smoke-test scale")
-		trials   = fs.Int("trials", 0, "override trial count (0 = default)")
-		workers  = fs.Int("workers", 0, "parallel harness workers (0 = GOMAXPROCS)")
-		scale    = fs.Int("scale", 0, "network-size override for scale experiments (T14, T15; 0 = default)")
-		csvOut   = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = fs.String("memprofile", "", "write an allocation profile of the run to this file")
-		telOut   = fs.String("telemetry", "", "write a telemetry snapshot JSON to this file (attaches counters to whatever runs; alone it runs the knee smoke workload)")
-		httpAddr = fs.String("http", "", "serve live telemetry (/metrics) and net/http/pprof (/debug/pprof) on this address")
-		ckptDir  = fs.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes on re-invocation (long offline sweeps; tables are byte-identical with or without it)")
+		list    = fs.Bool("list", false, "list available experiments")
+		runID   = fs.String("run", "", "experiment ID to run (e.g. T1)")
+		all     = fs.Bool("all", false, "run every experiment")
+		seed    = fs.Uint64("seed", 42, "experiment seed")
+		quick   = fs.Bool("quick", false, "shrink sweeps to smoke-test scale")
+		trials  = fs.Int("trials", 0, "override trial count (0 = default)")
+		workers = fs.Int("workers", 0, "parallel harness workers (0 = GOMAXPROCS)")
+		scale   = fs.Int("scale", 0, "network-size override for scale experiments (T14, T15; 0 = default)")
+		csvOut  = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile of the run to this file")
+		telOut  = fs.String("telemetry", "", "with -run or -all: attach counters to every simulator and write their aggregate snapshot as JSON to this file")
+		ckptDir = fs.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes on re-invocation (long offline sweeps; tables are byte-identical with or without it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0 // match flag.ExitOnError: -h prints usage and succeeds
 		}
 		return 2
-	}
-
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "wormbench: http:", err)
-			return 1
-		}
-		defer ln.Close()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Default)
-		mux.HandleFunc("/debug/pprof/", httppprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-		fmt.Fprintf(stderr, "wormbench: serving /metrics and /debug/pprof on http://%s\n", ln.Addr())
-		go http.Serve(ln, mux) //nolint:errcheck -- best-effort diagnostics server
 	}
 
 	if *cpuProf != "" {
@@ -141,11 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale}
-	if *telOut != "" {
-		cfg.Telemetry = telemetry.NewAggregate()
-	}
-
 	var ids []string
 	switch {
 	case *list:
@@ -159,23 +130,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case *runID != "":
 		ids = []string{*runID}
-	case *telOut != "":
-		// Standalone -telemetry: run the knee smoke workload with the full
-		// observability surface and export its snapshot (the CI smoke step).
-		snap, err := telemetrySmoke()
-		if err == nil {
-			err = telemetry.WriteSnapshotFile(*telOut, snap)
-		}
+	default:
+		fs.Usage()
+		return 2
+	}
+
+	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale}
+	if *telOut != "" {
+		// Like -cpuprofile: a path that cannot be written fails here, not
+		// after the experiments have run.
+		f, err := os.Create(*telOut)
 		if err != nil {
 			fmt.Fprintln(stderr, "wormbench: telemetry:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "telemetry: knee smoke snapshot (steps=%d, %d windows) written to %s\n",
-			snap.Counter("steps"), len(snap.Windows), *telOut)
-		return 0
-	default:
-		fs.Usage()
-		return 2
+		f.Close()
+		cfg.Telemetry = telemetry.NewAggregate()
 	}
 	for _, id := range ids {
 		if err := runOne(stdout, id, cfg, *csvOut, *ckptDir); err != nil {
@@ -184,10 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if agg := cfg.Telemetry; agg != nil {
-		// Publish and export the aggregate collected across the
-		// experiments just run.
 		snap := agg.Snapshot()
-		telemetry.Default.Publish(snap)
 		if err := telemetry.WriteSnapshotFile(*telOut, snap); err != nil {
 			fmt.Fprintln(stderr, "wormbench: telemetry:", err)
 			return 1
@@ -196,41 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			agg.Len(), snap.Counter("steps"), *telOut)
 	}
 	return 0
-}
-
-// telemetrySmoke runs the knee workload — the 64-input butterfly at the
-// near-saturation operating point (B=2, rate 0.3; the d=1 knee is
-// ~0.306) — once with the full observability surface attached: hot-path
-// counters plus a windowed time series published to telemetry.Default.
-// Standalone wormbench -telemetry (the CI telemetry smoke step) uses it.
-func telemetrySmoke() (telemetry.Snapshot, error) {
-	met := telemetry.NewMetrics()
-	r, err := traffic.NewRunner(traffic.Config{
-		Net:             traffic.NewButterflyNet(64),
-		VirtualChannels: 2,
-		MessageLength:   6,
-		Arbitration:     vcsim.ArbAge,
-		Process:         traffic.Poisson,
-		Rate:            0.3,
-		Pattern:         traffic.Uniform,
-		Warmup:          2048,
-		Measure:         8192,
-		Drain:           32768,
-		MaxBacklog:      65536,
-		Seed:            17,
-		Metrics:         met,
-		Window:          1024,
-		Publish:         telemetry.Default,
-	})
-	if err != nil {
-		return telemetry.Snapshot{}, err
-	}
-	if _, err := r.Run(); err != nil {
-		return telemetry.Snapshot{}, err
-	}
-	s := met.Snapshot()
-	s.Windows = append([]telemetry.WindowStats(nil), r.Windows()...)
-	return s, nil
 }
 
 // runOne runs one experiment and renders its tables to stdout.

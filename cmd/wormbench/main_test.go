@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"wormhole/internal/core"
 	"wormhole/internal/stats"
+	"wormhole/internal/telemetry"
 )
 
 func runCLI(t *testing.T, args ...string) (string, string, int) {
@@ -18,22 +20,49 @@ func runCLI(t *testing.T, args ...string) (string, string, int) {
 }
 
 // TestBadInvocations: an experiment that does not exist or cannot run at
-// the requested scale is one line on stderr and exit 1, before anything
-// runs; no mode at all is the usage text and exit 2.
+// the requested scale, or a -telemetry file that cannot be created, is
+// one line on stderr and exit 1, before anything runs; no mode at all —
+// -telemetry only modifies -run and -all — or a flag that is gone is the
+// usage text and exit 2.
 func TestBadInvocations(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "T99"},
 		{"-run", "T15", "-scale", "100"},
 		{"-run", "T15", "-scale", "1073741824"},
+		{"-run", "T15", "-telemetry", filepath.Join(t.TempDir(), "no", "such", "dir", "x.json")},
 	} {
 		stdout, stderr, code := runCLI(t, args...)
 		if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "wormbench: ") {
 			t.Errorf("%v: code=%d stdout=%q stderr=%q, want exit 1 with one wormbench: line", args, code, stdout, stderr)
 		}
 	}
-	stdout, stderr, code := runCLI(t)
-	if code != 2 || stdout != "" || !strings.Contains(stderr, "Usage of wormbench") {
-		t.Errorf("no mode: code=%d stdout=%q stderr=%q, want exit 2 with the usage text", code, stdout, stderr)
+	for _, args := range [][]string{
+		nil,
+		{"-telemetry", filepath.Join(t.TempDir(), "f.json")},
+		{"-http", "x"},
+	} {
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "Usage of wormbench") {
+			t.Errorf("%v: code=%d stdout=%q stderr=%q, want exit 2 with the usage text", args, code, stdout, stderr)
+		}
+	}
+}
+
+// TestTelemetryModifiesRun: -telemetry on a -run leaves the tables alone
+// and writes the aggregate snapshot of the simulators that ran.
+func TestTelemetryModifiesRun(t *testing.T) {
+	plain, _, _ := runCLI(t, "-run", "T12", "-quick", "-csv")
+	path := filepath.Join(t.TempDir(), "snap.json")
+	stdout, stderr, code := runCLI(t, "-run", "T12", "-quick", "-csv", "-telemetry", path)
+	if code != 0 || stderr != "" || !strings.HasPrefix(stdout, plain) {
+		t.Fatalf("-telemetry changed the run: code=%d stderr=%q", code, stderr)
+	}
+	snap, err := telemetry.ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counter("steps") == 0 || len(snap.EdgeStalls) == 0 {
+		t.Errorf("snapshot has %d steps and %d edge accumulators, want both non-zero", snap.Counter("steps"), len(snap.EdgeStalls))
 	}
 }
 

@@ -14,7 +14,8 @@ package main
 //	GET  /metrics                 daemon gauges          → 200 JSON
 //
 // Invalid submissions — an enum spelling the engine does not know, a
-// network past traffic.MaxEndpoints, and workloads the engine rejects
+// network past traffic.MaxEndpoints, a message past
+// traffic.MaxMessageLength, and workloads the engine rejects
 // with its typed errors (vcsim.ErrBadConfig, ErrBadMessage,
 // ErrOverHorizon) — are 400s carrying the engine's message, never
 // worker-side failures.

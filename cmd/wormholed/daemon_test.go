@@ -220,6 +220,15 @@ func TestSubmitValidation(t *testing.T) {
 	fetch(t, srv.URL+"/api/v1/jobs", http.StatusOK)
 }
 
+// allocated returns the bytes the process allocated while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestMaxSizeSubmissionBuildsNothing: the POST handler judges a sweep
 // with the engine's validators, not by building the job. At the size
 // bound the network is 140 MB of allocation and a Runner's simulator
@@ -229,13 +238,6 @@ func TestSubmitValidation(t *testing.T) {
 func TestMaxSizeSubmissionBuildsNothing(t *testing.T) {
 	srv, m := startTestServer(t, t.TempDir(), 0)
 	defer m.Shutdown()
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
 	spec := JobSpec{Type: "sweep", Sweep: testSweepSpec()}
 	spec.Sweep.Size = traffic.MaxEndpoints
 

@@ -151,16 +151,22 @@ func TestUnknownEnumIs400(t *testing.T) {
 }
 
 // TestOversizedSpecIs400: sizes come from outside, so they are bounded
-// (traffic.MaxEndpoints) before anything is allocated in proportion to
-// them. Each of these bodies used to reach the allocation: the sweeps
-// died with a fatal, unrecoverable out-of-memory error inside the POST
-// handler; the experiment was persisted, killed its worker, and was
-// re-queued by every restart.
+// (traffic.MaxEndpoints, traffic.MaxMessageLength, vcsim.MaxHorizon)
+// before anything is allocated in proportion to them. Each of these
+// bodies used to reach the allocation or the worker: the oversized
+// networks died with a fatal, unrecoverable out-of-memory error inside
+// the POST handler; the experiment and the 2·10⁹-flit message were
+// persisted, killed their worker the same way, and were re-queued by
+// every restart; the window sum that wraps negative was accepted and
+// failed in the worker.
 func TestOversizedSpecIs400(t *testing.T) {
 	srv, m := startTestServer(t, t.TempDir(), 0)
 	defer m.Shutdown()
 	const sweep = `{"type":"sweep","sweep":{"topology":%s,"virtual_channels":2,"message_length":4,"rates":[0.02],"measure":160}}`
+	const run = `{"type":"sweep","sweep":{"topology":"butterfly","size":16,"virtual_channels":2,"lane_depth":2,%s,"rates":[0.1]}}`
 	for name, body := range map[string]string{
+		"message length":  strings.Replace(run, "%s", `"message_length":2000000000,"measure":100`, 1),
+		"windows wrap":    strings.Replace(run, "%s", `"message_length":4,"warmup":4611686018427387904,"measure":4611686018427387904`, 1),
 		"butterfly size":  strings.Replace(sweep, "%s", `"butterfly","size":268435456`, 1),
 		"one huge dim":    strings.Replace(sweep, "%s", `"mesh","dims":[268435456]`, 1),
 		"dims product":    strings.Replace(sweep, "%s", `"torus","dims":[4096,4096]`, 1),
@@ -170,8 +176,12 @@ func TestOversizedSpecIs400(t *testing.T) {
 		"T15 scale":       `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`,
 		"T14 quick scale": `{"type":"experiment","experiment":{"id":"T14","scale":1073741824,"quick":true}}`,
 	} {
-		if code, msg := postRaw(t, srv.URL, body); code != http.StatusBadRequest || msg["error"] != "bad_request" {
-			t.Errorf("%s: %d %v, want 400 bad_request", name, code, msg)
+		if n := allocated(func() {
+			if code, msg := postRaw(t, srv.URL, body); code != http.StatusBadRequest || msg["error"] != "bad_request" {
+				t.Errorf("%s: %d %v, want 400 bad_request", name, code, msg)
+			}
+		}); n > 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes, want < 1 MiB", name, n)
 		}
 		fetch(t, srv.URL+"/healthz", http.StatusOK)
 	}
@@ -188,16 +198,18 @@ func TestOversizedSpecIs400(t *testing.T) {
 // the bound persisted must fail its job on recovery — not kill the
 // process, which startup recovery would repeat on every restart.
 func TestPersistedOversizedSpecFailsJob(t *testing.T) {
-	for name, spec := range map[string]string{
-		"sweep": `{"type":"sweep","sweep":{"topology":"butterfly","size":268435456,
-			"virtual_channels":2,"message_length":4,"rates":[0.02],"measure":160}}`,
-		"experiment": `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`,
+	for name, tc := range map[string]struct{ typ, spec, bound string }{
+		"network": {"sweep", `{"type":"sweep","sweep":{"topology":"butterfly","size":268435456,
+			"virtual_channels":2,"message_length":4,"rates":[0.02],"measure":160}}`, "65536"},
+		"message length": {"sweep", `{"type":"sweep","sweep":{"topology":"butterfly","size":16,
+			"virtual_channels":2,"lane_depth":2,"message_length":2000000000,"rates":[0.1],"measure":100}}`, "4096"},
+		"experiment": {"experiment", `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`, "65536"},
 	} {
 		dir := plantJob(t, "j000000", map[string]string{
-			"job.json": `{"id":"j000000","type":"` + name + `","state":"running","created_unix":1,"spec":` + spec + `}`})
+			"job.json": `{"id":"j000000","type":"` + tc.typ + `","state":"running","created_unix":1,"spec":` + tc.spec + `}`})
 		srv, m := startTestServer(t, dir, 0)
 		st := waitState(t, srv, "j000000", stateFailed)
-		if !strings.Contains(st.Error, "65536") || strings.Contains(st.Error, "panicked") {
+		if !strings.Contains(st.Error, tc.bound) || strings.Contains(st.Error, "panicked") {
 			t.Errorf("%s: job error %q, want the size bound's message", name, st.Error)
 		}
 		fetch(t, srv.URL+"/healthz", http.StatusOK)

@@ -97,7 +97,7 @@ func ExampleRouteMinMax() {
 	g.AddEdge(b, t)
 
 	pairs := []wormhole.Endpoints{{Src: s, Dst: t}, {Src: s, Dst: t}}
-	set := wormhole.RouteMinMax(g, pairs, 4, wormhole.RouteOptions{})
+	set := wormhole.RouteMinMax(g, pairs, 4)
 	fmt.Printf("congestion=%d\n", wormhole.Congestion(set))
 	// Output:
 	// congestion=1

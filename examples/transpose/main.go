@@ -49,7 +49,7 @@ func main() {
 		}
 		fmt.Printf("virtual cut-through buf=%-2d %-11d %d\n", b, b, res.Steps)
 	}
-	saf := wormhole.RunStoreAndForward(prob.Set, wormhole.SAFConfig{Seed: 1})
+	saf := wormhole.RunStoreAndForward(prob.Set)
 	fmt.Printf("store-and-forward          %-11d %d\n", saf.MaxQueue*l, saf.FlitSteps)
 
 	fmt.Println("\nOn this benign workload the two buffer organizations track each")

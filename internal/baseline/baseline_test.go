@@ -26,7 +26,7 @@ func lineSet(msgs, span, l int) *message.Set {
 
 func TestSAFSingleMessage(t *testing.T) {
 	set := lineSet(1, 5, 4)
-	res := RunStoreAndForward(set, SAFConfig{})
+	res := RunStoreAndForward(set)
 	if res.Steps != 5 {
 		t.Errorf("steps = %d, want D = 5 message steps", res.Steps)
 	}
@@ -43,7 +43,7 @@ func TestSAFSerializesOnSharedEdge(t *testing.T) {
 	// step, so makespan = D + k − 1 message steps.
 	const k, d = 4, 5
 	set := lineSet(k, d, 3)
-	res := RunStoreAndForward(set, SAFConfig{})
+	res := RunStoreAndForward(set)
 	if want := d + k - 1; res.Steps != want {
 		t.Errorf("steps = %d, want C+D-1 = %d", res.Steps, want)
 	}
@@ -52,17 +52,9 @@ func TestSAFSerializesOnSharedEdge(t *testing.T) {
 	}
 }
 
-func TestSAFRandomDelaysStillDeliver(t *testing.T) {
-	set := lineSet(6, 4, 3)
-	res := RunStoreAndForward(set, SAFConfig{RandomDelayBound: 10, Seed: 3})
-	if res.Delivered != 6 {
-		t.Errorf("delivered %d/6", res.Delivered)
-	}
-}
-
 func TestSAFMaxQueueTracksContention(t *testing.T) {
 	set := lineSet(8, 3, 2)
-	res := RunStoreAndForward(set, SAFConfig{})
+	res := RunStoreAndForward(set)
 	if res.MaxQueue < 8 {
 		t.Errorf("max queue %d should reflect the 8 messages waiting at the source", res.MaxQueue)
 	}
@@ -80,7 +72,7 @@ func TestSAFButterflyWorkload(t *testing.T) {
 			set.Add(bf.Input(src), bf.Output(dst), 4, bf.Route(src, dst))
 		}
 	}
-	res := RunStoreAndForward(set, SAFConfig{})
+	res := RunStoreAndForward(set)
 	if res.Delivered != set.Len() {
 		t.Fatalf("delivered %d/%d", res.Delivered, set.Len())
 	}
@@ -94,7 +86,7 @@ func TestSAFEmptyPathMessages(t *testing.T) {
 	g := topology.NewLinearArray(3)
 	set := message.NewSet(g)
 	set.Add(1, 1, 4, graph.Path{})
-	res := RunStoreAndForward(set, SAFConfig{})
+	res := RunStoreAndForward(set)
 	if res.Delivered != 1 {
 		t.Error("self-addressed message lost")
 	}
@@ -103,18 +95,18 @@ func TestSAFEmptyPathMessages(t *testing.T) {
 // --- virtual cut-through -----------------------------------------------------
 
 func TestVCTSingleMessagePipelines(t *testing.T) {
-	// At wire speed (bandwidth 1) an unblocked cut-through worm behaves
-	// exactly like a wormhole worm: D+L−1 flit steps.
+	// With buffer (and so bandwidth) 1 an unblocked cut-through worm
+	// behaves exactly like a wormhole worm: D+L−1 flit steps.
 	set := lineSet(1, 5, 4)
-	res := RunVirtualCutThrough(set, VCTConfig{BufferFlits: 2, BandwidthFlits: 1})
+	res := RunVirtualCutThrough(set, VCTConfig{BufferFlits: 1})
 	if want := 5 + 4 - 1; res.Steps != want {
-		t.Errorf("bw=1: steps = %d, want %d", res.Steps, want)
+		t.Errorf("buf=1: steps = %d, want %d", res.Steps, want)
 	}
 	// In the paper's normalization (bandwidth = B) the worm moves as
 	// ⌈L/B⌉ superflits: D + L/B − 1 steps.
 	res = RunVirtualCutThrough(set, VCTConfig{BufferFlits: 2})
 	if want := 5 + 4/2 - 1; res.Steps != want {
-		t.Errorf("bw=2: steps = %d, want %d", res.Steps, want)
+		t.Errorf("buf=2: steps = %d, want %d", res.Steps, want)
 	}
 }
 
@@ -149,16 +141,14 @@ func TestVCTDeliversUnderContention(t *testing.T) {
 
 func TestVCTSerializationFloor(t *testing.T) {
 	// k worms of L flits over one path: the first edge carries k·L flits
-	// at BandwidthFlits per step, so makespan ≥ k·L/bw.
+	// at BufferFlits per step, so makespan ≥ k·L/BufferFlits.
 	const k, d, l = 3, 4, 5
 	set := lineSet(k, d, l)
-	res := RunVirtualCutThrough(set, VCTConfig{BufferFlits: 4, BandwidthFlits: 1})
-	if res.Steps < k*l {
-		t.Errorf("bw=1: steps = %d below bandwidth floor %d", res.Steps, k*l)
-	}
-	res = RunVirtualCutThrough(set, VCTConfig{BufferFlits: 4})
-	if res.Steps < k*l/4 {
-		t.Errorf("bw=4: steps = %d below bandwidth floor %d", res.Steps, k*l/4)
+	for _, b := range []int{1, 4} {
+		res := RunVirtualCutThrough(set, VCTConfig{BufferFlits: b})
+		if res.Steps < k*l/b {
+			t.Errorf("buf=%d: steps = %d below bandwidth floor %d", b, res.Steps, k*l/b)
+		}
 	}
 }
 
@@ -176,7 +166,7 @@ func TestVCTCompressionAbsorbsBlockage(t *testing.T) {
 	set.Add(0, 3, 6, graph.Path{eA, eT})
 	set.Add(1, 3, 6, graph.Path{eB, eT})
 	shallow := RunVirtualCutThrough(set, VCTConfig{BufferFlits: 1})
-	deep := RunVirtualCutThrough(set, VCTConfig{BufferFlits: 6, BandwidthFlits: 1})
+	deep := RunVirtualCutThrough(set, VCTConfig{BufferFlits: 6})
 	if shallow.Delivered != 2 || deep.Delivered != 2 {
 		t.Fatal("undelivered")
 	}
@@ -288,7 +278,7 @@ func TestSAFBeatsBlockedWormholeOnLongWorms(t *testing.T) {
 		d := 4 + r.Intn(4) // path length
 		l := 3 * d         // long worms
 		set := lineSet(k, d, l)
-		saf := RunStoreAndForward(set, SAFConfig{Seed: seed})
+		saf := RunStoreAndForward(set)
 		wh := vcsim.Run(set, nil, vcsim.Config{VirtualChannels: 1})
 		if saf.Delivered != k || !wh.AllDelivered() {
 			return false

@@ -32,10 +32,8 @@ type LMRSchedule struct {
 // certified ones whose makespan ≤ window + D, with windows that stay
 // Θ(C) on every workload exercised in the tests. The result is stronger
 // than the theorem needs: messages never stop at all, so no queue forms.
-func BuildLMRSchedule(s *message.Set, r *rng.Source, maxAttempts int) (*LMRSchedule, error) {
-	if maxAttempts <= 0 {
-		maxAttempts = 64
-	}
+func BuildLMRSchedule(s *message.Set, r *rng.Source) (*LMRSchedule, error) {
+	const maxAttempts = 64 // draws per message before its window widens
 	c := analysis.Congestion(s)
 	d := analysis.Dilation(s)
 	n := s.Len()

@@ -12,7 +12,7 @@ import (
 
 func TestLMRSingleMessage(t *testing.T) {
 	set := lineSet(1, 5, 4)
-	sched, err := BuildLMRSchedule(set, rng.New(1), 0)
+	sched, err := BuildLMRSchedule(set, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestLMRDisjointMessagesZeroDelayPossible(t *testing.T) {
 	for src, dst := range r.Perm(32) {
 		set.Add(bf.Input(src), bf.Output(dst), 4, bf.Route(src, dst))
 	}
-	sched, err := BuildLMRSchedule(set, r, 0)
+	sched, err := BuildLMRSchedule(set, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestLMRHotspotNeedsWideWindow(t *testing.T) {
 	// spread: window must grow to ≈ C and makespan to ≈ C+D.
 	const k, d = 12, 5
 	set := lineSet(k, d, 3)
-	sched, err := BuildLMRSchedule(set, rng.New(7), 0)
+	sched, err := BuildLMRSchedule(set, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLMRMakespanNearCPlusD(t *testing.T) {
 				set.Add(bf.Input(src), bf.Output(dst), 3, bf.Route(src, dst))
 			}
 		}
-		sched, err := BuildLMRSchedule(set, r, 0)
+		sched, err := BuildLMRSchedule(set, r)
 		if err != nil {
 			return false
 		}
@@ -116,7 +116,7 @@ func TestLMRFlitSteps(t *testing.T) {
 func TestLMREmptySet(t *testing.T) {
 	g := topology.NewLinearArray(2)
 	set := message.NewSet(g)
-	sched, err := BuildLMRSchedule(set, rng.New(1), 0)
+	sched, err := BuildLMRSchedule(set, rng.New(1))
 	if err != nil || sched.Makespan != 0 {
 		t.Fatalf("empty set: %v %d", err, sched.Makespan)
 	}

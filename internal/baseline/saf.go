@@ -11,20 +11,7 @@ import (
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
-	"wormhole/internal/rng"
 )
-
-// SAFConfig parameterizes the store-and-forward simulator.
-type SAFConfig struct {
-	// RandomDelayBound, when positive, delays each message's injection by
-	// a uniform value in [0, bound) — the classic Leighton–Maggs–Rao
-	// randomization that smooths congestion. 0 injects everything at 0.
-	RandomDelayBound int
-	// Seed drives the random delays and tie-breaking.
-	Seed uint64
-	// MaxSteps bounds the run (0 = derive from workload).
-	MaxSteps int
-}
 
 // SAFResult reports a store-and-forward run. Time is counted in message
 // steps (one message crosses one edge per step); FlitSteps = L·Steps per
@@ -39,35 +26,25 @@ type SAFResult struct {
 // RunStoreAndForward simulates greedy FIFO store-and-forward routing: each
 // message occupies a whole-node buffer, and in every message step each edge
 // transmits the longest-waiting message queued at its tail that wants it
-// (ties by message ID). Buffers are unbounded; the observed peak occupancy
-// is reported so experiments can compare buffer budgets against wormhole
-// routers (the paper's point: SAF needs Ω(L)-flit buffers).
-func RunStoreAndForward(s *message.Set, cfg SAFConfig) SAFResult {
+// (ties by message ID). Every message is injected at step 0 (delay
+// smoothing is BuildLMRSchedule's job), so each step moves at least one
+// message and the run is total. Buffers are unbounded; the observed peak
+// occupancy is reported so experiments can compare buffer budgets against
+// wormhole routers (the paper's point: SAF needs Ω(L)-flit buffers).
+func RunStoreAndForward(s *message.Set) SAFResult {
 	n := s.Len()
-	r := rng.New(cfg.Seed)
 
 	type msgState struct {
-		hop     int // edges already crossed
-		ready   int // message step at which it may move next
-		done    bool
-		atNode  graph.NodeID
-		path    graph.Path
-		release int
+		hop    int // edges already crossed
+		ready  int // message step at which it arrived where it waits
+		done   bool
+		atNode graph.NodeID
+		path   graph.Path
 	}
 	ms := make([]msgState, n)
-	work := 0
 	for i := 0; i < n; i++ {
 		m := s.Get(message.ID(i))
-		rel := 0
-		if cfg.RandomDelayBound > 0 {
-			rel = r.Intn(cfg.RandomDelayBound)
-		}
-		ms[i] = msgState{atNode: m.Src, path: m.Path, release: rel, ready: rel}
-		work += len(m.Path) + 1
-	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = work + cfg.RandomDelayBound + n + 16
+		ms[i] = msgState{atNode: m.Src, path: m.Path}
 	}
 
 	// Node occupancy for MaxQueue accounting.
@@ -92,21 +69,17 @@ func RunStoreAndForward(s *message.Set, cfg SAFConfig) SAFResult {
 	}
 
 	res := SAFResult{MaxQueue: maxQueue}
-	step := 0
 	type claim struct {
 		wait int // ready time (earlier = longer waiting)
 		id   int
 	}
 	var winners []graph.EdgeID
-	for remaining > 0 {
-		if step >= maxSteps {
-			break
-		}
+	for step := 0; remaining > 0; step++ {
 		// Collect the best claimant per edge.
 		claims := make(map[graph.EdgeID]claim)
 		for i := range ms {
 			st := &ms[i]
-			if st.done || st.ready > step {
+			if st.done {
 				continue
 			}
 			e := st.path[st.hop]
@@ -114,20 +87,6 @@ func RunStoreAndForward(s *message.Set, cfg SAFConfig) SAFResult {
 			if !ok || st.ready < c.wait || (st.ready == c.wait && i < c.id) {
 				claims[e] = claim{wait: st.ready, id: i}
 			}
-		}
-		if len(claims) == 0 {
-			// Everything is waiting on random delays; skip ahead.
-			next := -1
-			for i := range ms {
-				if !ms[i].done && (next < 0 || ms[i].ready < next) {
-					next = ms[i].ready
-				}
-			}
-			if next <= step {
-				break // no claims yet nothing waiting: done or stuck
-			}
-			step = next
-			continue
 		}
 		// Move the winners in edge order. Iterating the map directly made
 		// MaxQueue depend on Go's randomized iteration order: the peak
@@ -160,7 +119,6 @@ func RunStoreAndForward(s *message.Set, cfg SAFConfig) SAFResult {
 				}
 			}
 		}
-		step++
 	}
 	for i := range ms {
 		if len(ms[i].path) == 0 {

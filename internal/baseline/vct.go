@@ -12,16 +12,10 @@ type VCTConfig struct {
 	// paper's Section 1.4 comparison, the buffer holds flits of a single
 	// message only — the same buffer budget as a wormhole router with
 	// B = BufferFlits virtual channels, but spent on depth instead of
-	// multiplexing.
+	// multiplexing. A physical edge also carries BufferFlits flits per
+	// flit step: the paper's normalization gives both contenders the same
+	// factor-B bandwidth (a flit step moves B flits across a channel).
 	BufferFlits int
-	// BandwidthFlits is the number of flits a physical edge can carry per
-	// flit step. The paper's normalization gives both contenders the same
-	// factor-B bandwidth (a flit step moves B flits across a channel), so
-	// 0 defaults to BufferFlits. Set 1 to model a fixed-speed wire (the
-	// restricted regime).
-	BandwidthFlits int
-	// MaxSteps bounds the run (0 = derive from workload).
-	MaxSteps int
 }
 
 // VCTResult reports a virtual cut-through run.
@@ -36,7 +30,7 @@ type VCTResult struct {
 // worms: a worm's flits pipeline forward, and when the front blocks,
 // trailing flits continue into the buffers behind it — up to BufferFlits
 // per edge — before the worm stalls. Each edge buffer is owned by one
-// message at a time; each physical edge moves at most BandwidthFlits
+// message at a time; each physical edge moves at most BufferFlits
 // flits per step (several consecutive flits of one worm may cross the
 // same link in one step, which is what makes a B-deep buffer behave like
 // a worm of L/B superflits — the paper's linear-speedup equivalence).
@@ -50,13 +44,6 @@ func RunVirtualCutThrough(s *message.Set, cfg VCTConfig) VCTResult {
 		panic(fmt.Sprintf("baseline: BufferFlits %d < 1", cfg.BufferFlits))
 	}
 	b := cfg.BufferFlits
-	bw := cfg.BandwidthFlits
-	if bw == 0 {
-		bw = b
-	}
-	if bw < 1 {
-		panic(fmt.Sprintf("baseline: BandwidthFlits %d < 1", bw))
-	}
 	n := s.Len()
 	type msgState struct {
 		path      []int32
@@ -87,10 +74,7 @@ func RunVirtualCutThrough(s *message.Set, cfg VCTConfig) VCTResult {
 		}
 		work += m.Length + len(p)
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = work + n + 16
-	}
+	maxSteps := work + n + 16
 
 	used := make(map[int32]int) // flits carried per edge this step
 
@@ -131,7 +115,7 @@ func RunVirtualCutThrough(s *message.Set, cfg VCTConfig) VCTResult {
 				}
 				nxt := j + 1
 				e := st.path[nxt]
-				move := bw - used[e]
+				move := b - used[e]
 				if move > have {
 					move = have
 				}

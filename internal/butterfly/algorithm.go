@@ -14,19 +14,6 @@ type Params struct {
 	Q int // messages per input / per output
 	L int // flits per message
 	B int // virtual channels per edge
-	// Rounds overrides the round count; 0 means the paper's
-	// 2·⌈log log(nq)⌉ + 1.
-	Rounds int
-	// Arb picks the subround tie-break (default ArbRandom, as the
-	// algorithm is randomized).
-	Arb Arb
-}
-
-func (p Params) withDefaults() Params {
-	if p.Rounds == 0 {
-		p.Rounds = 2*ceilLogLog(p.N*p.Q) + 1
-	}
-	return p
 }
 
 // RoundStats records one round of the algorithm.
@@ -85,22 +72,24 @@ func Bound(n, q, l, b int) float64 {
 // subrounds never interact; tests validate this against the full
 // flit-level simulator.
 func RunQRelation(pairs []ColPair, p Params, r *rng.Source) Result {
-	return runQRelation(pairs, p, r, RunLockstepSubround)
+	// The algorithm is randomized, and so is its subround tie-break.
+	return runQRelation(pairs, p, r, func(n, b int, routes []TwoPassRoute, r *rng.Source) []int {
+		return RunLockstepSubround(n, b, routes, ArbRandom, r)
+	})
 }
 
 // subroundFunc routes one color's copies through the two-pass butterfly
-// and returns the indices of the survivors, ascending: the signature of
-// RunLockstepSubround.
-type subroundFunc func(n, b int, routes []TwoPassRoute, arb Arb, r *rng.Source) []int
+// and returns the indices of the survivors, ascending.
+type subroundFunc func(n, b int, routes []TwoPassRoute, r *rng.Source) []int
 
 // runQRelation is RunQRelation over a given subround executor, so the
 // tests can run the whole algorithm on the flit-level simulator and
 // require the same trajectory: the lockstep buckets are a verified
 // optimization, not an approximation.
 func runQRelation(pairs []ColPair, p Params, r *rng.Source, subround subroundFunc) Result {
-	p = p.withDefaults()
 	k := log2(p.N)
 	validateQRelation(pairs, p.N, p.Q)
+	rounds := 2*ceilLogLog(p.N*p.Q) + 1 // the paper's round count
 
 	qEff := p.Q
 	initCopies := 1
@@ -119,7 +108,7 @@ func runQRelation(pairs []ColPair, p Params, r *rng.Source, subround subroundFun
 	undelivered := len(pairs)
 
 	copiesPer := initCopies
-	for round := 0; round < p.Rounds && undelivered > 0; round++ {
+	for round := 0; round < rounds && undelivered > 0; round++ {
 		// Step 1: duplication (skip in round 0).
 		if round > 0 {
 			copiesPer *= 2
@@ -171,7 +160,7 @@ func runQRelation(pairs []ColPair, p Params, r *rng.Source, subround subroundFun
 			for j, ci := range idxs {
 				routes[j] = copies[ci].route
 			}
-			for _, surv := range subround(p.N, p.B, routes, p.Arb, r) {
+			for _, surv := range subround(p.N, p.B, routes, r) {
 				orig := copies[idxs[surv]].orig
 				if !delivered[orig] {
 					delivered[orig] = true

@@ -260,7 +260,10 @@ func TestInvariant312(t *testing.T) {
 func TestEnginesAgree(t *testing.T) {
 	const n, q, b, l = 32, 4, 2, 5
 	tp := topology.NewTwoPassButterfly(n)
-	flitLevel := func(n, b int, routes []TwoPassRoute, _ Arb, _ *rng.Source) []int {
+	lockstep := func(n, b int, routes []TwoPassRoute, r *rng.Source) []int {
+		return RunLockstepSubround(n, b, routes, ArbFirst, r)
+	}
+	flitLevel := func(n, b int, routes []TwoPassRoute, _ *rng.Source) []int {
 		res := vcsim.Run(TwoPassPathEndpoints(tp, routes, l), nil, vcsim.Config{
 			VirtualChannels: b,
 			DropOnDelay:     true,
@@ -276,9 +279,9 @@ func TestEnginesAgree(t *testing.T) {
 	run := func(subround subroundFunc) Result {
 		r := rng.New(77)
 		pairs := RandomQRelation(n, q, r)
-		return runQRelation(pairs, Params{N: n, Q: q, L: l, B: b, Arb: ArbFirst}, r, subround)
+		return runQRelation(pairs, Params{N: n, Q: q, L: l, B: b}, r, subround)
 	}
-	lock := run(RunLockstepSubround)
+	lock := run(lockstep)
 	flit := run(flitLevel)
 	if lock.DeliveredMsgs != flit.DeliveredMsgs || lock.FlitSteps != flit.FlitSteps {
 		t.Fatalf("engines disagree: lockstep %d/%d steps %d, flit-level %d/%d steps %d",

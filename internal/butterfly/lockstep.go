@@ -29,8 +29,8 @@ type TwoPassRoute struct {
 type Arb int8
 
 const (
-	// ArbRandom keeps B uniformly chosen claimants (the algorithm's
-	// default; it is the zero value).
+	// ArbRandom keeps B uniformly chosen claimants (what the randomized
+	// algorithms run under).
 	ArbRandom Arb = iota
 	// ArbFirst keeps the B claimants with the lowest indices
 	// (deterministic; matches vcsim's ArbByID for cross-validation).

@@ -251,11 +251,11 @@ func A5PathSelection(cfg Config) []*stats.Table {
 			return message.Build(m.G, pairs, l, message.ShortestPathRouter(m.G))
 		}},
 		{"greedy min-max", func() *message.Set {
-			return routeopt.GreedyMinMax(m.G, pairs, l, routeopt.Options{})
+			return routeopt.GreedyMinMax(m.G, pairs, l)
 		}},
 		{"BFS + rebalance", func() *message.Set {
 			set := message.Build(m.G, pairs, l, message.ShortestPathRouter(m.G))
-			routeopt.Rebalance(set, routeopt.Options{}, 0)
+			routeopt.Rebalance(set)
 			return set
 		}},
 	}

@@ -48,10 +48,8 @@ func NewProblem(label string, set *message.Set) *Problem {
 
 // GreedyOptions configures direct (online, blocking) wormhole routing.
 type GreedyOptions struct {
-	B          int
-	Policy     vcsim.Policy
-	Seed       uint64
-	Restricted bool // restricted-bandwidth model (Section 1.4 remark)
+	B      int
+	Policy vcsim.Policy
 	// Metrics optionally collects hot-path telemetry from the run; nil
 	// leaves telemetry off (zero cost).
 	Metrics *telemetry.Metrics
@@ -60,11 +58,9 @@ type GreedyOptions struct {
 // RouteGreedy injects every message at time 0 and routes greedily.
 func (p *Problem) RouteGreedy(opts GreedyOptions) vcsim.Result {
 	return vcsim.Run(p.Set, nil, vcsim.Config{
-		VirtualChannels:     opts.B,
-		Arbitration:         opts.Policy,
-		Seed:                opts.Seed,
-		RestrictedBandwidth: opts.Restricted,
-		Metrics:             opts.Metrics,
+		VirtualChannels: opts.B,
+		Arbitration:     opts.Policy,
+		Metrics:         opts.Metrics,
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"wormhole/internal/stats"
 	"wormhole/internal/vcsim"
 )
 
@@ -316,6 +317,28 @@ func TestT7FractionMonotoneInB(t *testing.T) {
 				t.Errorf("n=%d: fraction fell from B=%d to B=%d (%v → %v)",
 					n, rs[i-1].B, rs[i].B, rs[i-1].Fraction, rs[i].Fraction)
 			}
+		}
+	}
+}
+
+// TestQuickKeepsTrials: Quick changes the default trial count, not a
+// count the caller asked for (-quick used to overwrite -trials in T3, T4
+// and T7, so `-quick -trials 9` ran the quick default).
+func TestQuickKeepsTrials(t *testing.T) {
+	for _, id := range []string{"T3", "T4", "T7"} {
+		render := func(trials int) string {
+			tables, err := Run(context.Background(), id, Config{Seed: 11, Quick: true, Trials: trials})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			if err := stats.WriteTablesCSV(&sb, tables); err != nil {
+				t.Fatal(err)
+			}
+			return sb.String()
+		}
+		if render(1) == render(0) {
+			t.Errorf("%s: Quick with Trials 1 rendered the same table as Quick alone", id)
 		}
 	}
 }

@@ -44,11 +44,16 @@ type Config struct {
 	ctx context.Context
 }
 
-func (c Config) trials(def int) int {
-	if c.Trials > 0 {
+// trials is the experiment's trial count: Trials when set, otherwise its
+// default for the scale it runs at.
+func (c Config) trials(full, quick int) int {
+	switch {
+	case c.Trials > 0:
 		return c.Trials
+	case c.Quick:
+		return quick
 	}
-	return def
+	return full
 }
 
 // metrics returns a fresh child registry of the experiment's telemetry

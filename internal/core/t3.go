@@ -26,11 +26,10 @@ func T3QRelation(cfg Config) []T3Row {
 	type cell struct{ n, q int }
 	cells := []cell{{256, 1}, {256, 8}, {1024, 1}, {1024, 10}}
 	bs := []int{1, 2, 3, 4}
-	trials := cfg.trials(3)
+	trials := cfg.trials(3, 2)
 	if cfg.Quick {
 		cells = []cell{{64, 6}}
 		bs = []int{1, 2, 4}
-		trials = 2
 	}
 	// Full fan-out: one job per (cell, B, trial). Each trial reseeds from
 	// (Seed, trial) alone, so the job grid is embarrassingly parallel.

@@ -31,11 +31,10 @@ func T4OnePass(cfg Config) []T4Row {
 	type cell struct{ n, q int }
 	cells := []cell{{256, 8}, {1024, 10}}
 	bs := []int{1, 2, 3, 4}
-	trials := cfg.trials(3)
+	trials := cfg.trials(3, 2)
 	if cfg.Quick {
 		cells = []cell{{64, 6}}
 		bs = []int{1, 2, 4}
-		trials = 2
 	}
 	// One job per (cell, B, trial); the expensive collision/phase probes
 	// ride on the trial-0 job of each cell, exactly as before.

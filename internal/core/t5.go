@@ -67,7 +67,7 @@ func T5RouterComparison(cfg Config) []T5Row {
 
 	// Store-and-forward: greedy FIFO; buffer budget is whole messages.
 	jobs = append(jobs, func() []T5Row {
-		saf := baseline.RunStoreAndForward(p.Set, baseline.SAFConfig{Seed: cfg.Seed})
+		saf := baseline.RunStoreAndForward(p.Set)
 		return []T5Row{{
 			Method:    "store-and-forward greedy",
 			BufFlits:  baseline.SAFFlitBufferBudget(saf, l),
@@ -80,7 +80,7 @@ func T5RouterComparison(cfg Config) []T5Row {
 	// Store-and-forward with LMR delay smoothing: the certified-collision-
 	// free O(C+D) schedule the paper's comparison assumes.
 	jobs = append(jobs, func() []T5Row {
-		lmr, err := baseline.BuildLMRSchedule(p.Set, rng.New(cfg.Seed), 0)
+		lmr, err := baseline.BuildLMRSchedule(p.Set, rng.New(cfg.Seed))
 		if err != nil {
 			panic(fmt.Sprintf("T5: LMR schedule: %v", err))
 		}

@@ -22,11 +22,10 @@ type T7Row struct {
 func T7CircuitSwitch(cfg Config) []T7Row {
 	ns := []int{256, 1024, 4096}
 	bs := []int{1, 2, 3, 4}
-	trials := cfg.trials(5)
+	trials := cfg.trials(5, 3)
 	if cfg.Quick {
 		ns = []int{64, 256}
 		bs = []int{1, 2, 4}
-		trials = 3
 	}
 	// One job per (n, B, trial); each reseeds from (Seed, n, B, trial).
 	grid := len(ns) * len(bs)

@@ -27,42 +27,24 @@ import (
 	"wormhole/internal/message"
 )
 
-// Options tunes the selectors.
-type Options struct {
-	// Stretch bounds path length: candidate paths may be at most
-	// Stretch × (shortest-path length), rounded up. 0 means 1.5.
-	Stretch float64
-	// Penalty is the extra weight per unit of existing load on an edge.
-	// Larger values avoid hot edges more aggressively. 0 means 8.
-	Penalty int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Stretch == 0 {
-		o.Stretch = 1.5
-	}
-	if o.Stretch < 1 {
-		panic(fmt.Sprintf("routeopt: stretch %v < 1", o.Stretch))
-	}
-	if o.Penalty == 0 {
-		o.Penalty = 8
-	}
-	if o.Penalty < 0 {
-		panic("routeopt: negative penalty")
-	}
-	return o
-}
+const (
+	// stretch bounds path length: candidate paths may be at most
+	// stretch × (shortest-path length), rounded up.
+	stretch = 1.5
+	// basePenalty is the extra weight per unit of existing load on an
+	// edge; larger values avoid hot edges more aggressively.
+	basePenalty = 8
+)
 
 // GreedyMinMax routes each endpoint pair in order on a load-penalized
 // shortest path, updating loads as it goes, and returns the message set.
 // Paths are guaranteed within the stretch bound of shortest; messages
 // whose destination is unreachable cause a panic.
-func GreedyMinMax(g *graph.Graph, pairs []message.Endpoints, length int, opts Options) *message.Set {
-	opts = opts.withDefaults()
+func GreedyMinMax(g *graph.Graph, pairs []message.Endpoints, length int) *message.Set {
 	load := make([]int, g.NumEdges())
 	set := message.NewSet(g)
 	for _, ep := range pairs {
-		p := penalizedPath(g, ep.Src, ep.Dst, load, opts)
+		p := penalizedPath(g, ep.Src, ep.Dst, load)
 		if p == nil {
 			panic(fmt.Sprintf("routeopt: no path %d→%d", ep.Src, ep.Dst))
 		}
@@ -78,11 +60,8 @@ func GreedyMinMax(g *graph.Graph, pairs []message.Endpoints, length int, opts Op
 // message crossing a maximum-load edge and reroute it if some alternate
 // path strictly lowers the set's congestion. It mutates the set in place
 // and returns the number of reroutes applied and the final congestion.
-func Rebalance(set *message.Set, opts Options, maxRounds int) (reroutes, congestion int) {
-	opts = opts.withDefaults()
-	if maxRounds <= 0 {
-		maxRounds = 4 * set.Len()
-	}
+func Rebalance(set *message.Set) (reroutes, congestion int) {
+	maxRounds := 4 * set.Len()
 	g := set.G
 	load := analysis.EdgeLoads(set)
 
@@ -115,7 +94,7 @@ func Rebalance(set *message.Set, opts Options, maxRounds int) (reroutes, congest
 			for _, e := range m.Path {
 				load[e]--
 			}
-			alt := penalizedPath(g, m.Src, m.Dst, load, opts)
+			alt := penalizedPath(g, m.Src, m.Dst, load)
 			better := alt != nil && pathBottleneck(load, alt) < maxLoad
 			if better {
 				m.Path = alt
@@ -148,17 +127,17 @@ func pathBottleneck(load []int, p graph.Path) int {
 	return max
 }
 
-// penalizedPath runs Dijkstra with weight 1 + Penalty·load per edge and
+// penalizedPath runs Dijkstra with weight 1 + penalty·load per edge and
 // rejects results longer than the stretch bound; on rejection it retries
 // with halved penalties until the bound is met (penalty 0 degenerates to
 // BFS, which meets any stretch ≥ 1).
-func penalizedPath(g *graph.Graph, src, dst graph.NodeID, load []int, opts Options) graph.Path {
+func penalizedPath(g *graph.Graph, src, dst graph.NodeID, load []int) graph.Path {
 	base, ok := graph.ShortestPath(g, src, dst)
 	if !ok {
 		return nil
 	}
-	limit := int(opts.Stretch*float64(len(base)) + 0.999)
-	for penalty := opts.Penalty; ; penalty /= 2 {
+	limit := int(stretch*float64(len(base)) + 0.999)
+	for penalty := basePenalty; ; penalty /= 2 {
 		p := dijkstra(g, src, dst, load, penalty)
 		if p != nil && len(p) <= limit {
 			return p

@@ -42,7 +42,7 @@ func TestGreedyMinMaxSpreadsParallelPaths(t *testing.T) {
 		t.Fatalf("plain congestion = %d, want 8", c)
 	}
 	// Congestion-aware: spread over 4 lanes → C = 2.
-	smart := GreedyMinMax(g, pairs, 4, Options{})
+	smart := GreedyMinMax(g, pairs, 4)
 	if c := analysis.Congestion(smart); c != 2 {
 		t.Fatalf("greedy min-max congestion = %d, want 2", c)
 	}
@@ -54,26 +54,37 @@ func TestGreedyMinMaxSpreadsParallelPaths(t *testing.T) {
 }
 
 func TestGreedyMinMaxRespectsStretch(t *testing.T) {
-	// Stretch 1.0 forbids detours: on the parallel graph all lanes are
-	// equal length so spreading still works, but on a graph where the
-	// alternates are longer it must fall back to the shortest path.
-	g := graph.New(4, 4)
-	g.AddNodes(4)
-	g.AddEdge(0, 3) // direct: length 1
-	g.AddEdge(0, 1) // detour: length 3
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	pairs := []message.Endpoints{{Src: 0, Dst: 3}, {Src: 0, Dst: 3}}
-	set := GreedyMinMax(g, pairs, 2, Options{Stretch: 1.0})
+	// Two messages 0→dst with one shortest path and one longer alternate
+	// of `detour` hops. The alternate may be taken only while it is within
+	// stretch × the shortest length, rounded up; past that the selector
+	// must fall back to the shortest path however loaded it is.
+	build := func(direct, detour int) *message.Set {
+		g := graph.New(direct+detour, direct+detour)
+		g.AddNodes(direct + detour)
+		dst := graph.NodeID(direct)
+		chain := func(hops, firstInner int) {
+			at := graph.NodeID(0)
+			for h := 1; h < hops; h++ {
+				next := graph.NodeID(firstInner + h - 1)
+				g.AddEdge(at, next)
+				at = next
+			}
+			g.AddEdge(at, dst)
+		}
+		chain(direct, 1)
+		chain(detour, direct+1)
+		return GreedyMinMax(g, []message.Endpoints{{Src: 0, Dst: dst}, {Src: 0, Dst: dst}}, 2)
+	}
+	// 1 hop direct, 3 hops around: over the ⌈1.5·1⌉ = 2-hop limit.
+	set := build(1, 3)
 	for i := range set.Msgs {
 		if len(set.Msgs[i].Path) != 1 {
-			t.Fatalf("stretch 1.0 must keep the direct path, got %d hops", len(set.Msgs[i].Path))
+			t.Fatalf("a 3-hop detour around a 1-hop path must be refused, got %d hops", len(set.Msgs[i].Path))
 		}
 	}
-	// With stretch 3 the second message may take the detour.
-	set = GreedyMinMax(g, pairs, 2, Options{Stretch: 3.0})
-	if c := analysis.Congestion(set); c != 1 {
-		t.Fatalf("stretch 3: congestion %d, want 1 (detour taken)", c)
+	// 2 hops direct, 3 around: inside the 3-hop limit, so it is taken.
+	if c := analysis.Congestion(build(2, 3)); c != 1 {
+		t.Fatalf("a 3-hop detour around a 2-hop path: congestion %d, want 1 (detour taken)", c)
 	}
 }
 
@@ -85,7 +96,7 @@ func TestRebalanceReducesCongestion(t *testing.T) {
 	}
 	set := message.Build(g, pairs, 4, message.ShortestPathRouter(g))
 	before := analysis.Congestion(set)
-	reroutes, after := Rebalance(set, Options{}, 0)
+	reroutes, after := Rebalance(set)
 	if after >= before {
 		t.Fatalf("rebalance: %d → %d (reroutes %d)", before, after, reroutes)
 	}
@@ -110,7 +121,7 @@ func TestGreedyMinMaxOnButterflyMatchesUniquePaths(t *testing.T) {
 	for src, dst := range r.Perm(16) {
 		pairs = append(pairs, message.Endpoints{Src: bf.Input(src), Dst: bf.Output(dst)})
 	}
-	set := GreedyMinMax(bf.G, pairs, 4, Options{})
+	set := GreedyMinMax(bf.G, pairs, 4)
 	for i, ep := range pairs {
 		want := bf.Route(bf.Column(ep.Src), bf.Column(ep.Dst))
 		got := set.Msgs[i].Path
@@ -137,7 +148,7 @@ func TestGreedyMinMaxNeverWorseThanBFS(t *testing.T) {
 			return true
 		}
 		plain := message.Build(m.G, pairs, 3, message.ShortestPathRouter(m.G))
-		smart := GreedyMinMax(m.G, pairs, 3, Options{})
+		smart := GreedyMinMax(m.G, pairs, 3)
 		// The selector must not increase congestion beyond BFS routing
 		// (it can always fall back to shortest paths), modulo the +1
 		// slack of greedy sequential placement.
@@ -145,21 +156,5 @@ func TestGreedyMinMaxNeverWorseThanBFS(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOptionsValidation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"stretch<1":    func() { Options{Stretch: 0.5}.withDefaults() },
-		"neg. penalty": func() { Options{Penalty: -1}.withDefaults() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }

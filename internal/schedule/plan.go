@@ -57,10 +57,11 @@ type Options struct {
 	// only the violated classes (ablation knob; violated-only is default
 	// and much faster).
 	ResampleWhole bool
-	// MaxAttempts bounds resampling iterations per refinement step before
-	// R is escalated by 25%. 0 means 64.
-	MaxAttempts int
 }
+
+// maxAttempts bounds resampling iterations per refinement step before R
+// is escalated by 25%.
+const maxAttempts = 64
 
 func (o Options) withDefaults() Options {
 	if o.B < 1 {
@@ -71,9 +72,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ConstantScale < 0 {
 		panic("schedule: negative ConstantScale")
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 64
 	}
 	return o
 }

@@ -68,7 +68,7 @@ func (rf *refiner) refine(color []int, spec StepSpec) (RefineResult, error) {
 		if rf.markViolated(oldDense, newColor, r, spec.Mf) == 0 {
 			break
 		}
-		if attempts >= rf.opts.MaxAttempts {
+		if attempts >= maxAttempts {
 			// Escalate: more subclasses make the condition easier. The
 			// paper's constants satisfy the LLL so escalation should not
 			// trigger with ConstantScale = 1; with aggressive scaling it

@@ -173,7 +173,7 @@ func TestBuildAggressiveScaleEscalates(t *testing.T) {
 	// A ridiculously small scale forces escalation but must still
 	// terminate with a valid schedule.
 	set := butterflyWorkload(16, 6, 8, 3)
-	sched, err := Build(set, Options{B: 1, ConstantScale: 0.001, MaxAttempts: 4}, rng.New(2))
+	sched, err := Build(set, Options{B: 1, ConstantScale: 0.001}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,17 +23,14 @@ type WindowStats struct {
 }
 
 // Publisher holds the latest published Snapshot behind a mutex so a serving
-// goroutine (wormbench -http) can read while a run publishes at window
-// boundaries. Publishing copies the snapshot; the hot path never touches the
+// goroutine (wormholed's per-job /metrics) can read while a run publishes
+// at window boundaries. Publishing copies the snapshot; the hot path never touches the
 // mutex.
 type Publisher struct {
 	mu      sync.Mutex
 	snap    Snapshot
 	hasSnap bool
 }
-
-// Default is the process-wide publisher served by wormbench -http.
-var Default = &Publisher{}
 
 // Publish replaces the latest snapshot.
 func (p *Publisher) Publish(s Snapshot) {

@@ -11,7 +11,7 @@
 //     inject/advance/park/wake/deliver/drop/credit events with a Chrome
 //     trace-event exporter (chrome.go).
 //  3. Live export (Publisher): mutex-guarded snapshot publication consumed by
-//     wormbench's -http endpoint (publish.go).
+//     wormholed's per-job /metrics endpoint (publish.go).
 //
 // All Metrics methods called from the simulator hot path are marked
 // //wormvet:hotpath and stay allocation-free; snapshots are the only

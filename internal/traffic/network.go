@@ -54,6 +54,16 @@ type Network struct {
 // largest documented scale is 4096 (≈ 11 MB).
 const MaxEndpoints = 1 << 16
 
+// MaxMessageLength bounds Config.MessageLength, which also arrives from
+// outside (a wormholed sweep's message_length). On deep lanes every worm
+// in flight carries one 4-byte progress counter per flit, allocated in
+// one piece when it is injected: 16 KiB per worm at the bound, so the
+// thousand-odd worms a knee-load run keeps in flight hold ≈ 16 MB, where
+// an unbounded length is a single allocation the process cannot survive
+// (2·10⁹ flits asked for 8 GB and died in the worker, fatally, again on
+// every restart). The largest documented length is 20.
+const MaxMessageLength = 1 << 12
+
 // NewButterflyNet adapts an n-input butterfly: endpoint i injects at
 // input column i and delivers at output column i, routed on the unique
 // bit-fixing path. The leveled DAG structure makes greedy wormhole

@@ -4,12 +4,11 @@ import "fmt"
 
 // SearchOptions tunes the saturation-rate bisection.
 type SearchOptions struct {
-	// Lo is a rate assumed sustainable (default 0, trivially so).
-	Lo float64
-	// Hi is the upper bracket (default: the process's MaxRate).
+	// Hi is the upper bracket (default: the process's MaxRate); the lower
+	// one is 0, trivially sustainable.
 	Hi float64
 	// Iters is the number of bisection steps (default 10). Each halves
-	// the bracket, so the knee is located to (Hi−Lo)/2^Iters.
+	// the bracket, so the knee is located to Hi/2^Iters.
 	Iters int
 }
 
@@ -43,19 +42,12 @@ type SearchResult struct {
 // stop as soon as the backlog proves unsustainable instead of simulating
 // the whole collapse).
 func SaturationRate(cfg Config, opts SearchOptions) (SearchResult, error) {
-	lo := opts.Lo
-	hi := opts.Hi
-	if !finite(lo) || !finite(hi) {
-		return SearchResult{}, fmt.Errorf("traffic: saturation bracket [%g, %g] is not finite", lo, hi)
+	lo, hi := 0.0, opts.Hi
+	if !finite(hi) {
+		return SearchResult{}, fmt.Errorf("traffic: saturation bracket [0, %g] is not finite", hi)
 	}
-	if hi <= 0 {
-		hi = cfg.MaxRate()
-	}
-	if max := cfg.MaxRate(); hi > max {
+	if max := cfg.MaxRate(); hi <= 0 || hi > max {
 		hi = max
-	}
-	if lo < 0 || lo >= hi {
-		return SearchResult{}, fmt.Errorf("traffic: bad saturation bracket [%g, %g]", lo, hi)
 	}
 	iters := opts.Iters
 	if iters <= 0 {

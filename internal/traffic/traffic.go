@@ -140,7 +140,7 @@ type Config struct {
 	OnStep func(step int) error `json:"-"`
 	// Publish, when non-nil (requires Window > 0), receives a metrics
 	// snapshot — with the window series attached — at every window
-	// boundary: the live feed behind wormbench -http.
+	// boundary: the live feed behind wormholed's per-job /metrics.
 	Publish *telemetry.Publisher `json:"-"`
 }
 
@@ -216,18 +216,26 @@ func (c *Config) simConfig() vcsim.Config {
 	}
 }
 
-// validate checks what is traffic's own to state — the windows, the
-// injection process and the pattern — and is all a retarget can break;
-// the lanes, the horizon and the fault plane are vcsim.ValidateConfig's.
+// validate checks what is traffic's own to state — the message length,
+// the windows, the injection process and the pattern — and is all a
+// retarget can break; the lanes, the horizon and the fault plane are
+// vcsim.ValidateConfig's.
 func (c *Config) validate(endpoints int) error {
-	if c.MessageLength < 1 {
-		return fmt.Errorf("traffic: MessageLength %d < 1", c.MessageLength)
+	if c.MessageLength < 1 || c.MessageLength > MaxMessageLength {
+		return fmt.Errorf("traffic: MessageLength %d outside [1, %d]", c.MessageLength, MaxMessageLength)
 	}
 	if c.Measure < 1 {
 		return fmt.Errorf("traffic: Measure window %d < 1", c.Measure)
 	}
 	if c.Warmup < 0 || c.Drain < 0 {
 		return fmt.Errorf("traffic: negative window (warmup %d, drain %d)", c.Warmup, c.Drain)
+	}
+	// The horizon is the windows' sum. Each term is bounded before it is
+	// added, or a sum that wraps negative would pass the simulator's own
+	// MaxSteps ≤ MaxHorizon test and fail only when a worker runs it.
+	if c.Warmup > vcsim.MaxHorizon || c.Measure > vcsim.MaxHorizon-c.Warmup ||
+		c.Drain > vcsim.MaxHorizon-c.Warmup-c.Measure {
+		return fmt.Errorf("%w: windows %d + %d + %d exceed MaxHorizon %d", vcsim.ErrOverHorizon, c.Warmup, c.Measure, c.Drain, vcsim.MaxHorizon)
 	}
 	// NaN compares false against every bound below and an infinite mean
 	// turns the OnOff maximum into NaN, so non-finite values are refused

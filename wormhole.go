@@ -140,20 +140,17 @@ func Dilation(s *MessageSet) int { return analysis.Dilation(s) }
 // acyclic (Dally–Seitz condition for greedy wormhole routing).
 func DeadlockFree(s *MessageSet) bool { return analysis.ChannelDependencyAcyclic(s) }
 
-// RouteOptions tunes congestion-aware path selection.
-type RouteOptions = routeopt.Options
-
 // RouteMinMax selects near-shortest paths that avoid hot edges
 // (Srinivasan–Teo-style congestion-aware selection).
-func RouteMinMax(g *Graph, pairs []Endpoints, length int, opts RouteOptions) *MessageSet {
-	return routeopt.GreedyMinMax(g, pairs, length, opts)
+func RouteMinMax(g *Graph, pairs []Endpoints, length int) *MessageSet {
+	return routeopt.GreedyMinMax(g, pairs, length)
 }
 
 // Rebalance locally reroutes messages off bottleneck edges until no
 // single reroute reduces congestion; it returns the reroute count and
 // the final congestion.
-func Rebalance(s *MessageSet, opts RouteOptions, maxRounds int) (int, int) {
-	return routeopt.Rebalance(s, opts, maxRounds)
+func Rebalance(s *MessageSet) (int, int) {
+	return routeopt.Rebalance(s)
 }
 
 // --- random source -----------------------------------------------------------
@@ -400,8 +397,6 @@ var QRelationBound = butterfly.Bound
 
 // Baseline router types.
 type (
-	// SAFConfig configures store-and-forward routing.
-	SAFConfig = baseline.SAFConfig
 	// SAFResult reports a store-and-forward run.
 	SAFResult = baseline.SAFResult
 	// VCTConfig configures virtual cut-through routing.
@@ -413,8 +408,8 @@ type (
 )
 
 // RunStoreAndForward simulates greedy FIFO store-and-forward routing.
-func RunStoreAndForward(s *MessageSet, cfg SAFConfig) SAFResult {
-	return baseline.RunStoreAndForward(s, cfg)
+func RunStoreAndForward(s *MessageSet) SAFResult {
+	return baseline.RunStoreAndForward(s)
 }
 
 // LMRSchedule is a certified delay-smoothed store-and-forward schedule
@@ -423,8 +418,8 @@ type LMRSchedule = baseline.LMRSchedule
 
 // BuildLMRSchedule rejection-samples initial delays until no edge is
 // double-booked; the result moves every message without stopping.
-func BuildLMRSchedule(s *MessageSet, r *Rand, maxAttempts int) (*LMRSchedule, error) {
-	return baseline.BuildLMRSchedule(s, r, maxAttempts)
+func BuildLMRSchedule(s *MessageSet, r *Rand) (*LMRSchedule, error) {
+	return baseline.BuildLMRSchedule(s, r)
 }
 
 // RunVirtualCutThrough simulates cut-through routing with B-flit buffers.

@@ -170,7 +170,7 @@ func TestQRelationFacade(t *testing.T) {
 
 func TestBaselineFacades(t *testing.T) {
 	prob := wormhole.ButterflyQRelation(32, 2, 8, 3)
-	saf := wormhole.RunStoreAndForward(prob.Set, wormhole.SAFConfig{})
+	saf := wormhole.RunStoreAndForward(prob.Set)
 	if saf.Delivered != prob.Set.Len() {
 		t.Error("SAF")
 	}
