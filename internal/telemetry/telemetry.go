@@ -235,8 +235,8 @@ func (m *Metrics) Jump(d int64) {
 	m.jump[b]++
 }
 
-// Arena records arena occupancy (used chunks out of capacity), sampled at
-// snapshot boundaries by the simulator.
+// Arena records arena occupancy (int32 elements used out of capacity),
+// sampled at snapshot boundaries by the simulator.
 func (m *Metrics) Arena(used, capacity int64) {
 	m.arenaChunks = used
 	m.arenaCapacity = capacity

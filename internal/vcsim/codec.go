@@ -18,10 +18,10 @@ package vcsim
 // accumulators (relLane/relFlit fold into the credit counters at
 // applyStepEnd), the dirty lists and flags (cleared there too), the
 // epoch-stamped crossings meters (a stale stamp reads as zero), and
-// all per-step scratch buffers. The path/prog recycling freelists are
-// also skipped: a restored Sim simply bump-allocates its next paths
-// from the arena, which is observably identical because recycled
-// buffers are always fully overwritten before use.
+// all per-step scratch buffers. The worm-buffer freelist is also
+// skipped: a restored Sim simply bump-allocates its next buffers from
+// the arena, which is observably identical because recycled buffers are
+// always fully overwritten before use.
 //
 // What IS serialized, verbatim: every worm record (completed ones
 // included — IDs index worms for the life of the run), the live
@@ -71,6 +71,19 @@ const (
 // fifteen i32s, the status byte and two bools, in the order Snapshot
 // writes them — which RestoreSim decodes from one snap.Reader window.
 const wormFixedBytes = 8 + 15*4 + 1 + 2
+
+// buffers returns what the wire carries for w's path and prog: the arena
+// buffer's two parts while the worm is in flight, nothing once it finished
+// (and no prog on the rigid engine).
+func (si *Sim) buffers(w *worm) (path, prog []int32) {
+	if w.off < 0 {
+		return nil, nil
+	}
+	if si.deepMode {
+		prog = si.prog(w)
+	}
+	return si.path(w), prog
+}
 
 var (
 	// ErrSnapshotFormat is wrapped when the stream is not a snapshot
@@ -155,14 +168,16 @@ func (si *Sim) Snapshot(w io.Writer) error {
 	sw.U32(uint32(si.numWorms))
 	for i := 0; i < si.numWorms; i++ {
 		w := si.worm(i)
+		deliver, drop := w.endTimes()
+		path, prog := si.buffers(w)
 		sw.U64(w.key)
 		sw.I32(w.d)
 		sw.I32(w.l)
 		sw.I32(w.frontier)
 		sw.I32(w.release)
 		sw.I32(w.injectTime)
-		sw.I32(w.deliverTime)
-		sw.I32(w.dropTime)
+		sw.I32(deliver)
+		sw.I32(drop)
 		sw.I32(w.stalls)
 		sw.U8(uint8(w.status))
 		sw.I32(w.parkedAt)
@@ -174,8 +189,8 @@ func (si *Sim) Snapshot(w io.Writer) error {
 		sw.Bool(w.stretched)
 		sw.I32(w.blockedOn)
 		sw.I32(w.retries)
-		sw.I32s(w.path)
-		sw.I32s(w.prog)
+		sw.I32s(path)
+		sw.I32s(prog)
 	}
 
 	// Key lists. The pending window is normalized to start at 0; the
@@ -351,79 +366,97 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 	numWorms := r.Len(MaxHorizon, "worm")
 	var sawDelivered, sawDropped, sawAborted int
 	for id := 0; id < numWorms && r.Err() == nil; id++ {
-		w, _ := si.addWorm()
-		w.id = int32(id) //wormvet:allow horizon -- bounded by the MaxHorizon length check above
 		// The fixed part of the record, in Snapshot's field order, decoded
-		// from one window; a stream that ends inside it leaves the worm
+		// from one window; a stream that ends inside it leaves the record
 		// zeroed and the loop's Err check ends the restore.
+		var rec worm
+		var deliver, drop int32
 		if b := r.Window(wormFixedBytes); b != nil {
 			i32 := func(off int) int32 { return int32(binary.LittleEndian.Uint32(b[off:])) }
-			w.key = binary.LittleEndian.Uint64(b)
-			w.d = i32(8)
-			w.l = i32(12)
-			w.frontier = i32(16)
-			w.release = i32(20)
-			w.injectTime = i32(24)
-			w.deliverTime = i32(28)
-			w.dropTime = i32(32)
-			w.stalls = i32(36)
-			w.status = Status(b[40])
-			w.parkedAt = i32(41)
-			w.waitEdge = i32(45)
-			w.streak = i32(49)
-			w.woken = b[53] != 0
-			w.fHead = i32(54)
-			w.lastInj = i32(58)
-			w.stretched = b[62] != 0
-			w.blockedOn = i32(63)
-			w.retries = i32(67)
+			rec.key = binary.LittleEndian.Uint64(b)
+			rec.d = i32(8)
+			rec.l = i32(12)
+			rec.frontier = i32(16)
+			rec.release = i32(20)
+			rec.injectTime = i32(24)
+			deliver = i32(28)
+			drop = i32(32)
+			rec.stalls = i32(36)
+			rec.status = Status(b[40])
+			rec.parkedAt = i32(41)
+			rec.waitEdge = i32(45)
+			rec.streak = i32(49)
+			rec.woken = b[53] != 0
+			rec.fHead = i32(54)
+			rec.lastInj = i32(58)
+			rec.stretched = b[62] != 0
+			rec.blockedOn = i32(63)
+			rec.retries = i32(67)
 		}
-		if keyID(w.key) != id {
-			r.Fail("worm %d: key %#x does not reference it", id, w.key)
+		if keyID(rec.key) != id {
+			r.Fail("worm %d: key %#x does not reference it", id, rec.key)
 		}
-		if w.status < StatusWaiting || w.status > StatusAborted {
-			r.Fail("worm %d: status %d", id, w.status)
+		if rec.status < StatusWaiting || rec.status > StatusAborted {
+			r.Fail("worm %d: status %d", id, rec.status)
 		}
-		if w.d < 0 || w.l < 0 {
-			r.Fail("worm %d: path length %d / message length %d", id, w.d, w.l)
+		// The record keeps one end time, which status reads as a delivery
+		// or a drop; a record whose other time is set is not one Snapshot
+		// writes, so it is rejected rather than silently losing the time.
+		rec.end = deliver
+		if rec.status != StatusDelivered {
+			rec.end = drop
 		}
-		if w.frontier < 0 || (w.d >= 0 && w.l >= 0 && w.frontier > w.d+w.l) {
-			r.Fail("worm %d: frontier %d out of range [0,%d]", id, w.frontier, w.d+w.l)
+		if d, p := rec.endTimes(); d != deliver || p != drop {
+			r.Fail("worm %d: %v with deliver time %d and drop time %d", id, rec.status, deliver, drop)
 		}
-		if w.retries < 0 {
-			r.Fail("worm %d: negative retry count %d", id, w.retries)
+		if rec.d < 0 || rec.l < 0 {
+			r.Fail("worm %d: path length %d / message length %d", id, rec.d, rec.l)
 		}
-		if p := r.I32Slice(r.Len(MaxHorizon, "path")); len(p) > 0 {
-			if int32(len(p)) != w.d { //wormvet:allow horizon -- bounded by the MaxHorizon length check
-				r.Fail("worm %d: path length %d, d %d", id, len(p), w.d)
+		if rec.frontier < 0 || (rec.d >= 0 && rec.l >= 0 && rec.frontier > rec.d+rec.l) {
+			r.Fail("worm %d: frontier %d out of range [0,%d]", id, rec.frontier, rec.d+rec.l)
+		}
+		if rec.retries < 0 {
+			r.Fail("worm %d: negative retry count %d", id, rec.retries)
+		}
+		path := r.I32Slice(r.Len(MaxHorizon, "path"))
+		if len(path) > 0 {
+			if int32(len(path)) != rec.d { //wormvet:allow horizon -- bounded by the MaxHorizon length check
+				r.Fail("worm %d: path length %d, d %d", id, len(path), rec.d)
 				continue
 			}
-			for _, e := range p {
+			for _, e := range path {
 				if e < 0 || int(e) >= numEdges {
 					r.Fail("worm %d: path edge %d out of range [0,%d)", id, e, numEdges)
 				}
 			}
-			w.path = si.arena.alloc(len(p))
-			copy(w.path, p)
 		}
-		if pr := r.I32Slice(r.Len(MaxHorizon, "prog")); len(pr) > 0 {
-			if !si.deepMode || int32(len(pr)) != w.l { //wormvet:allow horizon -- bounded by the MaxHorizon length check
-				r.Fail("worm %d: prog length %d, l %d, deep %v", id, len(pr), w.l, si.deepMode)
-				continue
-			}
-			w.prog = si.arena.alloc(len(pr))
-			copy(w.prog, pr)
+		prog := r.I32Slice(r.Len(MaxHorizon, "prog"))
+		if len(prog) > 0 && (!si.deepMode || int32(len(prog)) != rec.l) { //wormvet:allow horizon -- bounded by the MaxHorizon length check
+			r.Fail("worm %d: prog length %d, l %d, deep %v", id, len(prog), rec.l, si.deepMode)
+			continue
 		}
 		// An in-flight worm walks its path (and, deep mode, its prog
-		// array) on the next step; only finished worms have them freed.
-		if inFlight := w.status == StatusWaiting || w.status == StatusActive; inFlight && r.Err() == nil {
-			if w.d > 0 && w.path == nil {
+		// array) on the next step, from one arena buffer; a finished worm
+		// has let go of its buffer, so whatever the stream carried for one
+		// is checked above and dropped.
+		rec.off = -1
+		if inFlight := rec.status == StatusWaiting || rec.status == StatusActive; inFlight && r.Err() == nil {
+			if rec.d > 0 && path == nil {
 				r.Fail("worm %d: in flight with no path", id)
 			}
-			if si.deepMode && w.l > 0 && w.prog == nil {
+			if si.deepMode && rec.l > 0 && prog == nil {
 				r.Fail("worm %d: in flight with no prog", id)
 			}
+			if r.Err() == nil {
+				rec.off = si.newBuf(len(path) + len(prog))
+				copy(si.path(&rec), path)
+				if si.deepMode {
+					copy(si.prog(&rec), prog)
+				}
+			}
 		}
+		w, _ := si.addWorm()
+		*w = rec
 		switch w.status {
 		case StatusDelivered:
 			sawDelivered++
@@ -486,10 +519,12 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		slices.Sort(si.byID)
 	}
 
-	laneFree := make([]int32, numEdges)
-	r.I32sInto(skipLen(r, laneFree, "laneFree"))
+	// laneFree is decoded straight into the edge records.
+	if n := r.U32(); int(n) != numEdges {
+		r.Fail("laneFree length %d, want %d", n, numEdges)
+	}
 	for e := range si.edges {
-		si.edges[e].laneFree = laneFree[e]
+		si.edges[e].laneFree = r.I32()
 	}
 	if si.deepMode {
 		r.I32sInto(skipLen(r, si.flitFree, "flitFree"))

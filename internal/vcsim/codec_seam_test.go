@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"wormhole/internal/fault"
@@ -107,26 +109,12 @@ func TestRestoreTruncatedInsideWormRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		valid := blob.Bytes()
-
-		// Where each record starts: behind the magic, version, config
-		// section, fault schedule, clock and worm count.
-		off := len(snapMagic) + 4
-		for _, f := range c.si.configFields() {
-			off += f.width
-		}
-		off += 4 + 13*len(c.si.faults) + 8 + 4
-		starts := make([]int, c.si.numWorms+1)
-		for id := 0; id < c.si.numWorms; id++ {
-			starts[id] = off
-			w := c.si.worm(id)
-			off += wormFixedBytes + 4 + 4*len(w.path) + 4 + 4*len(w.prog)
-		}
-		starts[c.si.numWorms] = off
+		starts := recordStarts(c.si)
 
 		// An in-flight record near the middle, so path (and prog) bodies
 		// are cut too.
 		mid := c.si.numWorms / 2
-		for c.si.worm(mid).path == nil {
+		for c.si.worm(mid).off < 0 {
 			mid++
 		}
 		for _, id := range []int{0, mid, c.si.numWorms - 1} {
@@ -139,6 +127,80 @@ func TestRestoreTruncatedInsideWormRecord(t *testing.T) {
 					t.Fatalf("%s: cut at byte %d of worm %d's %d: Sim %v, err %v; want ErrSnapshotCorrupt",
 						c.name, cut-starts[id], id, starts[id+1]-starts[id], si != nil, err)
 				}
+			}
+		}
+	}
+}
+
+// recordStarts returns where each worm record of si's snapshot starts —
+// behind the magic, version, config section, fault schedule, clock and
+// worm count — plus, last, where the record after the final one would.
+func recordStarts(si *Sim) []int {
+	off := len(snapMagic) + 4
+	for _, f := range si.configFields() {
+		off += f.width
+	}
+	off += 4 + 13*len(si.faults) + 8 + 4
+	starts := make([]int, si.numWorms+1)
+	for id := 0; id < si.numWorms; id++ {
+		starts[id] = off
+		path, prog := si.buffers(si.worm(id))
+		off += wormFixedBytes + 4 + 4*len(path) + 4 + 4*len(prog)
+	}
+	starts[si.numWorms] = off
+	return starts
+}
+
+// Offsets of the two end times inside a worm record's fixed part, and the
+// snaptest.Mutate inputs that flip one of them from -1 to a real step: XOR
+// 0xFF into its high byte turns 0xFFFFFFFF into 0x00FFFFFF.
+const (
+	recDeliverTime = 28
+	recDropTime    = 32
+)
+
+// setEndTime is the Mutate call that gives the worm record at start a
+// deliver (or drop) time it did not have.
+func setEndTime(valid []byte, start, field int) []byte {
+	return snaptest.Mutate(valid, 2, uint32(start+field+3), 0xFF)
+}
+
+// TestRestoreRejectsEndTimeAgainstStatus: the worm record keeps one end
+// time, which its status reads as a delivery or a drop, so a stream whose
+// other time is set — a delivered worm with a drop time, a worm in flight
+// with either — describes a record the Sim cannot hold. Each is
+// ErrSnapshotCorrupt, never a Sim that reports times the stream did not say.
+func TestRestoreRejectsEndTimeAgainstStatus(t *testing.T) {
+	for _, c := range seamCases(t) {
+		var blob bytes.Buffer
+		if err := c.si.Snapshot(&blob); err != nil {
+			t.Fatal(err)
+		}
+		valid := blob.Bytes()
+		starts := recordStarts(c.si)
+		find := func(want ...Status) int {
+			for id := 0; id < c.si.numWorms; id++ {
+				if slices.Contains(want, c.si.worm(id).status) {
+					return id
+				}
+			}
+			t.Fatalf("%s: no %v worm at the cut", c.name, want)
+			return -1
+		}
+		delivered, flying := find(StatusDelivered), find(StatusWaiting, StatusActive)
+		for _, m := range []struct {
+			what      string
+			id, field int
+		}{
+			{"delivered with a drop time", delivered, recDropTime},
+			{"in flight with a deliver time", flying, recDeliverTime},
+			{"in flight with a drop time", flying, recDropTime},
+		} {
+			mut := setEndTime(valid, starts[m.id], m.field)
+			si, err := RestoreSim(c.set.G, c.cfg, bytes.NewReader(mut))
+			if !errors.Is(err, ErrSnapshotCorrupt) || si != nil || !strings.Contains(err.Error(), "deliver time") {
+				t.Errorf("%s: worm %d %s: Sim %v, err %v; want ErrSnapshotCorrupt naming the times",
+					c.name, m.id, m.what, si != nil, err)
 			}
 		}
 	}

@@ -31,15 +31,16 @@ package vcsim
 // means delivered, progress 0 means still in the unbounded injection
 // buffer.
 //
-// Storage. The flit state lives inline in the worm struct — the arena-
-// backed prog buffer plus the fHead/lastInj cursors — so an advance
-// attempt touches exactly one worm record; the pre-overhaul engine kept a
-// parallel deepWorms array whose extra cache miss per attempt was a
-// measurable slice of deep-knee step cost. Edge credits are the shared
-// in-place counters of vcsim.go: edgeRec.laneFree (lanes = distinct worms
-// buffered), flitFree (the B·d flit credits), with releases deferred
-// through edgeRec.relLane/relFlit under the two-phase discipline, and the
-// epoch-stamped crossings meter for bandwidth.
+// Storage. The flit state hangs off the worm record — prog sits in the
+// worm's arena buffer right behind its path, and the fHead/lastInj cursors
+// are inline — so an advance attempt touches one record and one contiguous
+// buffer; the pre-overhaul engine kept a parallel deepWorms array whose
+// extra cache miss per attempt was a measurable slice of deep-knee step
+// cost. Edge credits are the shared in-place counters of vcsim.go:
+// edgeRec.laneFree (lanes = distinct worms buffered), flitFree (the B·d
+// flit credits), with releases deferred through edgeRec.relLane/relFlit
+// under the two-phase discipline, and the epoch-stamped crossings meter
+// for bandwidth.
 //
 // One flit step moves every movable flit once, under the same conservative
 // two-phase discipline as the rigid engine (credits released during a step
@@ -165,8 +166,8 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 		// and this step's crossing epoch, hoisted so the per-flit body
 		// stays load-light (method calls in the loop would otherwise
 		// force the slice headers to reload from si each iteration).
-		prog      = w.prog
-		path      = w.path
+		prog      = si.prog(w)
+		path      = si.path(w)
 		bodyCap   = w.d - 2
 		lastFlit  = int(w.l) - 1
 		stamp     = si.crossStamp()
@@ -370,8 +371,8 @@ func (si *Sim) tryAdvanceDeep(w *worm) (bool, int32) {
 //wormvet:hotpath
 func (si *Sim) tryAdvanceStretched(w *worm) bool {
 	var (
-		prog = w.prog
-		path = w.path
+		prog = si.prog(w)
+		path = si.path(w)
 		h    = int(w.fHead)
 		last = int(w.lastInj)
 		c    int32 // header progress: the header crosses path[c]
@@ -460,7 +461,7 @@ func (si *Sim) finishDeepMove(w *worm) (bool, int32) {
 		m.Inc(telemetry.CtrAdvances)
 	}
 	if tr := si.trc; tr != nil {
-		tr.Advance(si.now+1, w.id, w.prog[0])
+		tr.Advance(si.now+1, w.id(), si.prog(w)[0])
 	}
 	if w.fHead >= w.l {
 		si.retire(w, StatusDelivered)
@@ -476,52 +477,19 @@ func (si *Sim) finishDeepMove(w *worm) (bool, int32) {
 //
 //wormvet:hotpath
 func (si *Sim) releaseDeepWorm(w *worm) {
-	prog := w.prog
+	prog, path := si.prog(w), si.path(w)
 	for j := int(w.fHead); j <= int(w.lastInj); j++ {
 		c := prog[j]
 		if c < 1 || c > w.d-1 {
 			continue
 		}
-		s := w.path[c-1]
+		s := path[c-1]
 		si.relFlit[s]++
 		if j == int(w.lastInj) || prog[j+1] != c {
 			si.edges[s].relLane++ // last own flit on the edge: lane frees too
 		}
 		si.touch(s)
 	}
-}
-
-// freeProg retires a finished deep worm's progress buffer, mirroring
-// freePath's recycle policy. A no-op on the rigid path, which has no
-// deep state at all.
-//
-//wormvet:hotpath
-func (si *Sim) freeProg(w *worm) {
-	if !si.deepMode {
-		return
-	}
-	if si.recycle && cap(w.prog) > 0 {
-		si.progFree = append(si.progFree, w.prog[:0])
-	}
-	w.prog = nil
-}
-
-// newProg returns a zeroed buffer for l flit-progress counters, reusing a
-// retired buffer when one fits and bumping the arena otherwise. Arena
-// memory is recycled across Reset, so the buffer is zeroed explicitly in
-// every case.
-func (si *Sim) newProg(l int) []int32 {
-	var p []int32
-	if k := len(si.progFree); k > 0 && l > 0 && cap(si.progFree[k-1]) >= l {
-		p = si.progFree[k-1][:l]
-		si.progFree = si.progFree[:k-1]
-	} else {
-		p = si.arena.alloc(l)
-	}
-	for i := range p {
-		p[i] = 0
-	}
-	return p
 }
 
 // checkInvariantsDeep asserts the deep model's invariants: per-edge flit
@@ -540,9 +508,10 @@ func (si *Sim) checkInvariantsDeep() {
 		if w.status == StatusDropped || w.status == StatusDelivered || w.status == StatusAborted {
 			continue
 		}
+		prog, path := si.prog(w), si.path(w)
 		prev := w.d
 		for j := 0; j < int(w.l); j++ {
-			c := w.prog[j]
+			c := prog[j]
 			if c > prev {
 				panicf("vcsim: step %d: worm %d flit %d progress %d ahead of flit %d (%d)", si.now, i, j, c, j-1, prev)
 			}
@@ -550,16 +519,16 @@ func (si *Sim) checkInvariantsDeep() {
 				panicf("vcsim: step %d: worm %d flit %d progress %d out of range [0,%d]", si.now, i, j, c, w.d)
 			}
 			if c >= 1 && c <= w.d-1 {
-				e := w.path[c-1]
+				e := path[c-1]
 				flitOcc[e]++
-				if j == 0 || w.prog[j-1] != c {
+				if j == 0 || prog[j-1] != c {
 					laneOcc[e]++ // first flit of this worm's group on e
 				}
 				if !si.shared {
 					// Group size = own flits at this progress; count via the
 					// run of equal values ending here.
 					run := int32(1)
-					for k := j - 1; k >= 0 && w.prog[k] == c; k-- {
+					for k := j - 1; k >= 0 && prog[k] == c; k-- {
 						run++
 					}
 					if run > si.depth {

@@ -185,12 +185,12 @@ func (si *Sim) faultRetry(w *worm) {
 		rel = MaxHorizon
 	}
 	w.release = int32(rel) //wormvet:allow horizon -- clamped to MaxHorizon above
-	w.key = si.policyKey(rel, int(w.id))
+	w.key = si.policyKey(rel, int(w.id()))
 	w.status = StatusWaiting
 	w.streak = 0
 	w.woken = false
 	w.blockedOn = -1
-	si.pendPush(relKey(rel, int(w.id)))
+	si.pendPush(relKey(rel, int(w.id())))
 	if m := si.met; m != nil {
 		m.Inc(telemetry.CtrFaultRetries)
 	}

@@ -19,6 +19,7 @@ package vcsim
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"wormhole/internal/fault"
@@ -69,6 +70,25 @@ func FuzzRestoreSim(f *testing.F) {
 	f.Add(uint8(1), uint32(0), uint8(0))                    // empty input
 	f.Add(uint8(2), uint32(len(snapMagic)+20), uint8(0x40)) // corrupt config section
 	f.Add(uint8(1), uint32(3*len(valid)/4), uint8(0))       // truncate in worm state
+	// A record's end times against its status (see setEndTime): a delivered
+	// worm given a drop time, a worm in flight given a deliver time.
+	starts := recordStarts(si)
+	for _, seed := range []struct {
+		want  []Status
+		field int
+	}{
+		{[]Status{StatusDelivered}, recDropTime},
+		{[]Status{StatusWaiting, StatusActive}, recDeliverTime},
+	} {
+		id := 0
+		for id < si.numWorms && !slices.Contains(seed.want, si.worm(id).status) {
+			id++
+		}
+		if id == si.numWorms {
+			f.Fatalf("no %v worm in the reference snapshot", seed.want)
+		}
+		f.Add(uint8(2), uint32(starts[id]+seed.field+3), uint8(0xFF))
+	}
 
 	f.Fuzz(func(t *testing.T, mode uint8, pos uint32, val uint8) {
 		mut := snaptest.Mutate(valid, mode, pos, val)

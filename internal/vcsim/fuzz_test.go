@@ -3,7 +3,7 @@ package vcsim
 // Native Go fuzz harness over the simulator's whole configuration space:
 // random (topology, schedule, Config) tuples — including the buffer-
 // architecture axes — executed under both steppers with per-step
-// invariant checking. Four properties are asserted on every input:
+// invariant checking. Seven properties are asserted on every input:
 //
 //  1. model invariants hold at every step (flit conservation between the
 //     worms' configurations and the per-edge credit accounting, occupancy
@@ -21,7 +21,11 @@ package vcsim
 //     incremental Sim driven by StepTo jumps — and once more through the
 //     same Sim after Reset — reproduces the batch Result exactly, so
 //     fast-forward never skips a step in which any worm could move and
-//     Reset leaks nothing between runs.
+//     Reset leaks nothing between runs;
+//  6. checkpoint transparency: a snapshot/restore cut mid-run changes
+//     nothing;
+//  7. release shift: every release k steps later shifts every event time
+//     by exactly k and nothing else, on rigid and deep lanes alike.
 //
 // CI runs this as a short -fuzztime smoke on every push; `go test` always
 // replays the seed corpus below.
@@ -29,6 +33,7 @@ package vcsim
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wormhole/internal/deadlock"
@@ -436,5 +441,50 @@ func FuzzSimInvariants(f *testing.F) {
 				t.Fatalf("checkpoint/restore replay diverged from batch\n   batch: %+v\nrestored: %+v", wakeRes, rcRes)
 			}
 		}
+
+		// Property 7: release shift (ROADMAP 4(b)), a relation no mode of
+		// the engine states about itself. Every release k steps later moves
+		// every inject, deliver and drop time — and the run's last step — by
+		// exactly k and changes no status, stall count or arbitration
+		// outcome (which worms a deadlock froze), on this input's engine and
+		// on the other one: rigid lanes go deep, deep lanes go rigid.
+		k := 1 + int(seed>>3%997)
+		shifted := make([]int, m)
+		for i, rel := range releases {
+			shifted[i] = rel + k
+		}
+		other := cfg
+		if other.LaneDepth > 1 || other.SharedPool {
+			other.LaneDepth, other.SharedPool = 1, false
+		} else {
+			other.LaneDepth = 2
+		}
+		for _, c := range []struct {
+			cfg  Config
+			base Result
+		}{{cfg, wakeRes}, {other, Run(set, releases, other)}} {
+			if got, want := Run(set, shifted, c.cfg), shiftResult(c.base, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("LaneDepth %d shared %v: releases shifted by %d did not shift the result by %d\nwant: %+v\n got: %+v",
+					c.cfg.LaneDepth, c.cfg.SharedPool, k, k, want, got)
+			}
+		}
 	})
+}
+
+// shiftResult is r as it reads when every event happened k steps later:
+// releases, inject/deliver/drop times that happened (-1 stays -1) and the
+// last step move; counts, statuses, stalls and blocked sets do not.
+func shiftResult(r Result, k int) Result {
+	r.Steps += k
+	r.PerMessage = slices.Clone(r.PerMessage)
+	for i := range r.PerMessage {
+		m := &r.PerMessage[i]
+		m.Release += k
+		for _, t := range []*int{&m.InjectTime, &m.DeliverTime, &m.DropTime} {
+			if *t >= 0 {
+				*t += k
+			}
+		}
+	}
+	return r
 }

@@ -17,7 +17,7 @@ import (
 // end does, hook by hook: OnComplete exactly once with the final stats,
 // which counters move, which trace events name the message (runs of one
 // kind collapsed: "advance advance deliver" reads "advance deliver"), and
-// that its path/prog buffers go back to the freelists. The asymmetries
+// that its arena buffer goes back to the freelist. The asymmetries
 // are deliberate and load-bearing for byte-identical telemetry: a
 // zero-length delivery is no advance, a fault abort is silent on the
 // trace, and a drop reports where the header stood on either engine.
@@ -139,13 +139,13 @@ func TestTerminalEventContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				paths := 0
+				bufs := 0 // messages given a buffer: all on deep lanes, rigid ones with a path
 				for _, m := range tc.msgs {
 					if _, err := sim.Inject(m, 0); err != nil {
 						t.Fatal(err)
 					}
-					if len(m.Path) > 0 {
-						paths++
+					if tc.deep || len(m.Path) > 0 {
+						bufs++
 					}
 				}
 				sim.Drain()
@@ -187,18 +187,13 @@ func TestTerminalEventContract(t *testing.T) {
 					t.Errorf("trace events %q, want %q", got, tc.trace)
 				}
 
-				// Buffers: the worm lets go of both, and every buffer that
-				// was handed out is back on its freelist.
-				if w := sim.worm(int(target)); w.path != nil || w.prog != nil {
-					t.Errorf("finished worm still holds path %v / prog %v", w.path, w.prog)
+				// Buffers: the worm lets go of its one arena buffer, and every
+				// buffer that was handed out is back on the freelist.
+				if w := sim.worm(int(target)); w.off >= 0 {
+					t.Errorf("finished worm still holds the buffer at arena offset %d", w.off)
 				}
-				wantProg := 0
-				if tc.deep {
-					wantProg = len(tc.msgs)
-				}
-				if len(sim.pathFree) != paths || len(sim.progFree) != wantProg {
-					t.Errorf("freelists hold %d paths / %d progs, want %d / %d",
-						len(sim.pathFree), len(sim.progFree), paths, wantProg)
+				if len(sim.bufFree) != bufs {
+					t.Errorf("freelist holds %d buffers, want %d", len(sim.bufFree), bufs)
 				}
 			})
 		}
@@ -261,9 +256,9 @@ func TestRejectedInjectLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.Drain()
-		paths, progs, cur, off, worms := len(sim.pathFree), len(sim.progFree), sim.arena.cur, sim.arena.off, sim.Injected()
-		if paths != 1 {
-			t.Fatalf("d=%d shared=%v: %d recycled paths after one delivery, want 1", arch.depth, arch.shared, paths)
+		bufs, used, worms := len(sim.bufFree), len(sim.arena.buf), sim.Injected()
+		if bufs != 1 {
+			t.Fatalf("d=%d shared=%v: %d recycled buffers after one delivery, want 1", arch.depth, arch.shared, bufs)
 		}
 		bad := good
 		bad.Path = graph.Path{good.Path[0], graph.EdgeID(g.NumEdges())}
@@ -272,11 +267,9 @@ func TestRejectedInjectLeaksNothing(t *testing.T) {
 				t.Fatalf("out-of-range edge: err = %v, want ErrBadMessage", err)
 			}
 		}
-		if len(sim.pathFree) != paths || len(sim.progFree) != progs ||
-			sim.arena.cur != cur || sim.arena.off != off || sim.Injected() != worms {
-			t.Errorf("d=%d shared=%v: 50 rejected injects moved freelists %d/%d→%d/%d, arena %d:%d→%d:%d, worms %d→%d",
-				arch.depth, arch.shared, paths, progs, len(sim.pathFree), len(sim.progFree),
-				cur, off, sim.arena.cur, sim.arena.off, worms, sim.Injected())
+		if len(sim.bufFree) != bufs || len(sim.arena.buf) != used || sim.Injected() != worms {
+			t.Errorf("d=%d shared=%v: 50 rejected injects moved the freelist %d→%d, arena %d→%d, worms %d→%d",
+				arch.depth, arch.shared, bufs, len(sim.bufFree), used, len(sim.arena.buf), worms, sim.Injected())
 		}
 	}
 }

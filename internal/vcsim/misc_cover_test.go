@@ -91,21 +91,40 @@ func TestPendingWindowCompaction(t *testing.T) {
 	}
 }
 
-// TestArenaLargeAlloc covers the oversized-request path: a message
-// longer than an arena chunk must still get contiguous storage.
+// TestArenaLargeAlloc covers the arena's corners: a buffer larger than all
+// the storage so far is still contiguous, reset reuses the storage from the
+// front, and a recycled buffer goes back to the freelist at its whole
+// capacity however little of it its last worm used.
 func TestArenaLargeAlloc(t *testing.T) {
 	var a i32Arena
 	small := a.alloc(8)
-	big := a.alloc(arenaChunk + 100)
-	if len(small) != 8 || len(big) != arenaChunk+100 {
-		t.Fatalf("alloc sizes: %d, %d", len(small), len(big))
+	big := a.alloc(1<<16 + 100)
+	if small != 0 || big != 8 || len(a.buf) != 8+1<<16+100 {
+		t.Fatalf("alloc offsets %d, %d over %d elements", small, big, len(a.buf))
 	}
-	if a.alloc(0) != nil {
-		t.Fatal("zero alloc must be nil")
-	}
+	base := &a.buf[0]
 	a.reset()
-	again := a.alloc(8)
-	if &again[0] != &small[0] {
-		t.Fatal("reset must reuse the first chunk")
+	if again := a.alloc(8); again != 0 || &a.buf[0] != base {
+		t.Fatal("reset must reuse the storage from the front")
+	}
+
+	si, err := NewSim(topology.NewLinearArray(3), Config{VirtualChannels: 1, MaxSteps: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off := si.newBuf(0); off != 0 {
+		t.Fatalf("empty buffer at offset %d, want 0", off)
+	}
+	w := worm{off: si.newBuf(10)}
+	si.freeBuf(&w)
+	w = worm{off: si.newBuf(4)}
+	if len(si.bufFree) != 0 {
+		t.Fatalf("the 10-element buffer was not reused for 4: freelist %v", si.bufFree)
+	}
+	si.freeBuf(&w)
+	empty := worm{off: si.newBuf(0)}
+	si.freeBuf(&empty)
+	if len(si.bufFree) != 1 || si.bufFree[0].cap != 10 || w.off != -1 || empty.off != -1 {
+		t.Fatalf("freelist %v after freeing the reused buffer and an empty one, want one 10-element span", si.bufFree)
 	}
 }

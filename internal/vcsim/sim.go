@@ -74,12 +74,12 @@ func NewSim(g *graph.Graph, cfg Config) (*Sim, error) {
 // the first step at or after its release, exactly like a batch release
 // list entry.
 func (si *Sim) Inject(msg message.Message, release int) (message.ID, error) {
-	w, err := si.spawn(msg, release)
+	id, err := si.spawn(msg, release)
 	if err != nil {
 		return -1, err
 	}
-	si.pendPush(relKey(release, int(w.id)))
-	return message.ID(w.id), nil
+	si.pendPush(relKey(release, id))
+	return message.ID(id), nil
 }
 
 // tick is the one way the clock moves, behind Step, StepTo and Drain: a

@@ -269,17 +269,24 @@ func (r *Result) DeliveredIDs() []message.ID {
 }
 
 // worm is the per-message simulation state, held in chunked arena storage
-// (see wormChunk) and kept deliberately small: the steppers touch one worm
-// per advance attempt, so the struct's cache footprint is a first-order
-// term in ns/step. All time-valued fields are 32-bit (see MaxHorizon).
+// (see wormChunk). A long-lived open-loop Sim keeps one for every message
+// it ever injected, so the record, not the kernel, is the host memory: a
+// scratch copy with 64 bytes of padding on it raised knee-deep's peak RSS
+// by 24.3 MB (≈ 0.38 MB per byte) and every other simulator workload's by
+// 6–39 MB. Hence 72 bytes and no pointers: the path and the deep engine's
+// per-flit progress live in the Sim's int32 arena behind one offset, the
+// message ID is the low half of key, and one end time serves delivery and
+// drop because status says which it is. With no pointer in it a wormChunk
+// is allocated noscan, and the GC never walks per-message records. All
+// time-valued fields are 32-bit (see MaxHorizon).
 //
-// Field order is layout, not taste: the struct is 128 bytes — two cache
-// lines, chunks being page-aligned — and everything a rigid advance attempt
-// and the wakeup stepper around it read or write sits in the first 64, so
-// an attempt on a cold worm misses once. The second line holds the deep
-// engine's state and what only injection, completion and parking touch.
-// TestHotLayout pins the offsets; the codec writes field by field, so the
-// order has no wire effect.
+// Field order is layout, not taste: everything a rigid advance attempt and
+// the wakeup stepper around it read or write sits in the first 32 bytes, so
+// on the page-aligned 72-byte stride five worms in eight take one cache
+// line for an attempt and the rest two. Behind key come parking, birth,
+// completion and the deep engine's cursors. TestHotLayout pins the size,
+// the hot offsets and the absence of pointers; the codec writes the same
+// 71-byte record field by field, so the order has no wire effect.
 //
 // Because rigid worms cannot stretch, the entire flit configuration is
 // captured by a single counter: frontier = the number of edges the header
@@ -288,34 +295,25 @@ func (r *Result) DeliveredIDs() []message.ID {
 // head of path[c−1], and a flit with c = D has been removed into the
 // delivery buffer. The deep engine (deep.go) tracks per-flit progress in
 // prog instead; its fHead/lastInj cursors live here too, inline, so a deep
-// advance attempt touches one struct instead of three arrays.
+// advance attempt touches one record plus its arena buffer.
 type worm struct {
-	// --- first cache line: the rigid kernel and the stepper loop ---
+	// --- hot prefix: the rigid kernel and the stepper loop ---
 
-	path []int32 // edge IDs, arena-backed
-	// key is the arbitration-order key: id for ArbByID, release<<32 | id
-	// for ArbAge. Sorts, merges, and wait-queue heaps compare keys instead
-	// of chasing (release, id) field pairs through cold worm structs.
-	key      uint64
+	// off is where this worm's buffer starts in Sim.arena: the d path edge
+	// IDs, then in deep mode the l flit-progress counters (see path, prog).
+	// -1 once the worm has finished and the buffer went back to the arena.
+	off      int32
 	d, l     int32 // path length, message length
 	frontier int32
 	// injectTime and stalls are the two stats an attempt moves; the rest
-	// of the compact per-message stats are on the second line.
+	// of the compact per-message stats sit behind key.
 	injectTime int32 // -1 if never injected
 	stalls     int32
 	// streak counts consecutive failed steps since the last advance or
 	// wake; parking waits out a short probation (parkStreak) so brief
 	// blocked episodes never pay the park/wake machinery.
 	streak int32
-	// Wakeup-engine state (idle under Config.NaiveScan). A worm whose
-	// header finds its next edge's buffer full is parked on that edge's
-	// wait queue and skipped until a slot event there — the only event
-	// that can change the verdict — wakes it in applyStepEnd. parkedAt
-	// is the step of the failed attempt (-1 when not parked); stall
-	// credit for the parked span is stamped lazily on wake, deadlock, or
-	// result snapshot.
-	parkedAt int32
-	status   Status
+	status Status
 	// woken marks a worm between a wake and its next advance, so telemetry
 	// can classify a re-park without progress as a spurious wake. Pure
 	// observation — never consulted by the engine itself.
@@ -327,18 +325,25 @@ type worm struct {
 	// tryAdvanceStretched) and re-derives it after any compressing step.
 	stretched bool
 
-	// --- second cache line: deep engine, birth, completion, parking ---
+	// --- behind the hot prefix: ordering, parking, birth, completion ---
 
-	// prog is the deep engine's per-flit progress (nil on the rigid path):
-	// prog[j] = edges flit j has crossed, non-increasing in j.
-	prog    []int32
-	id      int32
-	release int32
-
-	// The rest of the compact per-message stats, assembled into
-	// MessageStats on demand (Result snapshots, OnComplete).
-	deliverTime int32 // -1 if not delivered
-	dropTime    int32 // -1 if not dropped
+	// key is the arbitration-order key: id for ArbByID, release<<32 | id
+	// for ArbAge. Sorts, merges, and wait-queue heaps compare keys instead
+	// of chasing (release, id) field pairs through cold worm structs. Its
+	// low half is the worm's message ID (see id).
+	key uint64
+	// Wakeup-engine state (idle under Config.NaiveScan). A worm whose
+	// header finds its next edge's buffer full is parked on that edge's
+	// wait queue and skipped until a slot event there — the only event
+	// that can change the verdict — wakes it in applyStepEnd. parkedAt
+	// is the step of the failed attempt (-1 when not parked); stall
+	// credit for the parked span is stamped lazily on wake, deadlock, or
+	// result snapshot.
+	parkedAt int32
+	release  int32
+	// end is the step the message ended — delivered, or dropped/aborted, as
+	// status says — and -1 while it is in flight (see endTimes).
+	end int32
 
 	// waitEdge is the park target a parked worm waits on (see park).
 	waitEdge int32
@@ -363,16 +368,37 @@ type worm struct {
 	retries int32
 }
 
+// id is the worm's message ID, the low half of its key under every policy.
+//
+//wormvet:keypack
+//wormvet:hotpath
+func (w *worm) id() int32 { return int32(uint32(w.key)) }
+
+// endTimes splits the one end time into MessageStats' delivery and drop
+// times: the one status names, and -1 for the other (both while in flight).
+//
+//wormvet:hotpath
+func (w *worm) endTimes() (deliver, drop int32) {
+	switch w.status {
+	case StatusDelivered:
+		return w.end, -1
+	case StatusDropped, StatusAborted:
+		return -1, w.end
+	}
+	return -1, -1
+}
+
 // messageStats assembles the public MessageStats view of a worm.
 //
 //wormvet:hotpath
 func (w *worm) messageStats() MessageStats {
+	deliver, drop := w.endTimes()
 	return MessageStats{
 		Status:      w.status,
 		Release:     int(w.release),
 		InjectTime:  int(w.injectTime),
-		DeliverTime: int(w.deliverTime),
-		DropTime:    int(w.dropTime),
+		DeliverTime: int(deliver),
+		DropTime:    int(drop),
 		Stalls:      int(w.stalls),
 		Retries:     int(w.retries),
 	}
@@ -419,7 +445,7 @@ func (w *worm) crossed() (lo, hi int32) {
 
 // --- arena storage -----------------------------------------------------------
 
-// wormShift sizes worm chunks: 4096 worms = 0.5 MB per chunk. Chunked
+// wormShift sizes worm chunks: 4096 worms = 288 KB per chunk. Chunked
 // storage keeps worm addresses stable and append cost O(1): a long
 // open-loop run injects hundreds of thousands of messages, and growing a
 // flat []worm re-copies the whole population every ~25% growth — the
@@ -440,8 +466,8 @@ func (si *Sim) worm(idx int) *worm {
 
 // addWorm appends a zeroed worm slot and returns it with its id. Ids are
 // bounded by MaxHorizon so they always fit the 32-bit halves of packed
-// keys and the worm.id field; hitting the bound means ~2³¹ injected
-// messages, far past any memory budget, so it panics rather than errors.
+// keys; hitting the bound means ~2³¹ injected messages, far past any
+// memory budget, so it panics rather than errors.
 func (si *Sim) addWorm() (*worm, int) {
 	id := si.numWorms
 	if id >= MaxHorizon {
@@ -454,48 +480,83 @@ func (si *Sim) addWorm() (*worm, int) {
 	return &si.wormChunks[id>>wormShift][id&wormMask], id
 }
 
-// arenaChunk sizes i32Arena chunks (64 Ki int32 = 256 KB).
-const arenaChunk = 1 << 16
-
-// i32Arena is a bump allocator for the int32 buffers worms carry (paths
-// and deep-mode flit progress). Allocations never span chunks, so a
-// returned slice is contiguous; reset rewinds the cursor and reuses every
-// chunk, which is what makes a Reset-reused Sim allocation-free.
+// i32Arena is the one int32 store behind every worm's buffer, addressed by
+// offset so a worm holds 4 bytes instead of two slice headers. It is a bump
+// allocator over one slice: len(buf) is the cursor, growth re-copies the
+// store (under recycling, as many buffers as were ever in flight at once;
+// in a batch run, the whole workload's), and reset rewinds the cursor over
+// the storage it keeps, which is what makes a Reset-reused Sim
+// allocation-free. Offsets are int32, so the store is capped at MaxHorizon
+// elements — 8 GB of buffers, far past any memory budget, so like addWorm
+// it panics rather than errors.
 type i32Arena struct {
-	chunks [][]int32
-	cur    int // chunk being filled
-	off    int // fill offset within it
+	buf []int32
 }
 
-// alloc returns an n-element slice (cap == n) of arena memory. Contents
-// are unspecified — callers overwrite every element or zero it themselves.
-func (a *i32Arena) alloc(n int) []int32 {
-	if n == 0 {
-		return nil
+// alloc returns the offset of n fresh elements. Contents are unspecified —
+// callers overwrite every element or zero it themselves.
+func (a *i32Arena) alloc(n int) int32 {
+	off := len(a.buf)
+	if n > MaxHorizon-off {
+		panic(fmt.Sprintf("vcsim: worm buffers need %d int32s past MaxHorizon", off+n-MaxHorizon))
 	}
-	for {
-		if a.cur < len(a.chunks) {
-			c := a.chunks[a.cur]
-			if a.off+n <= len(c) {
-				s := c[a.off : a.off+n : a.off+n]
-				a.off += n
-				return s
-			}
-			a.cur++
-			a.off = 0
-			continue
-		}
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		a.chunks = append(a.chunks, make([]int32, size))
-	}
+	a.buf = slices.Grow(a.buf, n)[:off+n]
+	return int32(off)
 }
 
-// reset rewinds the arena; previously allocated slices become reusable
+// reset rewinds the arena; previously allocated offsets become reusable
 // storage and must no longer be referenced.
-func (a *i32Arena) reset() { a.cur, a.off = 0, 0 }
+func (a *i32Arena) reset() { a.buf = a.buf[:0] }
+
+// bufSpan is a retired worm buffer on Sim.bufFree: its arena offset and
+// capacity, which can exceed what its last worm used.
+type bufSpan struct{ off, cap int32 }
+
+// newBuf returns the offset of a buffer for n int32s. A buffer's capacity
+// is kept in the arena element just before it, so freeBuf can recycle it
+// whole however little of it its worm used; the empty buffer (a zero-edge
+// rigid path) is offset 0, which no real buffer has, and is never recycled.
+// Retired buffers are reused when the most recent one fits (at steady state
+// open-loop workloads produce near-uniform sizes, so injection allocates
+// nothing), else the arena is bumped.
+func (si *Sim) newBuf(n int) int32 {
+	if n == 0 {
+		return 0
+	}
+	if k := len(si.bufFree); k > 0 && int(si.bufFree[k-1].cap) >= n {
+		off := si.bufFree[k-1].off
+		si.bufFree = si.bufFree[:k-1]
+		return off
+	}
+	off := si.arena.alloc(n+1) + 1
+	si.arena.buf[off-1] = int32(n)
+	return off
+}
+
+// freeBuf retires a finished worm's buffer: recycled through bufFree in
+// incremental mode, left to the arena otherwise (batch runs load everything
+// up front, so recycling would just pin the whole workload's paths).
+//
+//wormvet:hotpath
+func (si *Sim) freeBuf(w *worm) {
+	if si.recycle && w.off > 0 {
+		si.bufFree = append(si.bufFree, bufSpan{w.off, si.arena.buf[w.off-1]})
+	}
+	w.off = -1
+}
+
+// path returns an in-flight worm's path edges; prog returns a deep worm's
+// per-flit progress, behind them: prog[j] = edges flit j has crossed,
+// non-increasing in j. Both alias the arena; a finished worm has neither.
+//
+//wormvet:hotpath
+func (si *Sim) path(w *worm) []int32 { return si.arena.buf[w.off : w.off+w.d] }
+
+//wormvet:hotpath
+func (si *Sim) prog(w *worm) []int32 {
+	o := w.off + w.d
+	return si.arena.buf[o : o+w.l]
+}
 
 // edgeRec is everything a lane event needs to know about one edge, in one
 // naturally aligned 8-byte word: a header grant (laneFree-- and the
@@ -583,12 +644,16 @@ type Sim struct {
 	deepMode bool
 	poolCap  int32 // B·d flit credits per edge (deep mode)
 
-	// Worm storage: chunked arena (stable addresses, O(1) growth) plus a
-	// shared int32 arena backing path and flit-progress buffers. worms
-	// are indexed by dense message ID; numWorms is the count.
+	// Worm storage: chunked arena (stable addresses, O(1) growth) plus the
+	// int32 arena holding every path and flit-progress buffer. worms are
+	// indexed by dense message ID; numWorms is the count. bufFree recycles
+	// finished worms' buffers into later Injects (incremental mode only,
+	// see freeBuf).
 	wormChunks []*wormChunk
 	numWorms   int
 	arena      i32Arena
+	recycle    bool
+	bufFree    []bufSpan
 
 	// pending holds release keys (release<<32 | id, a policy-independent
 	// encoding whose uint64 order IS (release, id) order) for worms whose
@@ -713,16 +778,6 @@ type Sim struct {
 	blockedScratch []message.ID
 	wokenScratch   []uint64
 	mergeScratch   []uint64
-
-	// pathFree recycles completed worms' path buffers into later Injects
-	// (incremental mode only — batch runs load everything up front, so
-	// recycling would just pin the whole workload's paths in memory).
-	// At steady state this makes injection allocation-free for the
-	// near-uniform path lengths open-loop workloads produce. progFree
-	// does the same for deep-mode flit-progress buffers.
-	recycle  bool
-	pathFree [][]int32
-	progFree [][]int32
 
 	shuffler *rng.Source
 
@@ -919,8 +974,7 @@ func (si *Sim) Reset() {
 	si.blockedScratch = si.blockedScratch[:0]
 	si.wokenScratch = si.wokenScratch[:0]
 	si.mergeScratch = si.mergeScratch[:0]
-	si.pathFree = si.pathFree[:0]
-	si.progFree = si.progFree[:0]
+	si.bufFree = si.bufFree[:0]
 	si.parked = 0
 	si.now = 0
 	si.totalStalls = 0
@@ -1070,54 +1124,62 @@ func ValidateConfig(numEdges int, cfg Config) error {
 }
 
 // spawn is where a worm is born, for the batch loader and Inject alike:
-// it checks the message and its release time, copies the path and returns
-// the new worm. Everything is validated before a buffer is taken, so a
+// it checks the message and its release time, copies the path (and, deep
+// mode, zeroes the progress counters behind it) into one buffer and returns
+// the new worm's id. Everything is validated before a buffer is taken, so a
 // rejected message costs no freelist entry and no arena space. Queueing
 // the release key is the caller's job — Inject inserts in order, the
 // batch loader appends everything and sorts once.
-func (si *Sim) spawn(msg message.Message, release int) (*worm, error) {
+func (si *Sim) spawn(msg message.Message, release int) (int, error) {
 	switch {
 	case release < 0:
-		return nil, fmt.Errorf("%w: negative release time %d", ErrBadMessage, release)
+		return -1, fmt.Errorf("%w: negative release time %d", ErrBadMessage, release)
 	case release < si.now:
-		return nil, fmt.Errorf("%w: release %d is before the current step %d", ErrPastRelease, release, si.now)
+		return -1, fmt.Errorf("%w: release %d is before the current step %d", ErrPastRelease, release, si.now)
 	case release > MaxHorizon:
-		return nil, fmt.Errorf("%w: release %d exceeds MaxHorizon %d", ErrOverHorizon, release, MaxHorizon)
+		return -1, fmt.Errorf("%w: release %d exceeds MaxHorizon %d", ErrOverHorizon, release, MaxHorizon)
 	case msg.Length < 1:
-		return nil, fmt.Errorf("%w: message length %d < 1", ErrBadMessage, msg.Length)
+		return -1, fmt.Errorf("%w: message length %d < 1", ErrBadMessage, msg.Length)
 	case msg.Length > MaxHorizon || len(msg.Path) > MaxHorizon:
-		return nil, fmt.Errorf("%w: message length %d / path %d exceeds MaxHorizon %d", ErrOverHorizon, msg.Length, len(msg.Path), MaxHorizon)
+		return -1, fmt.Errorf("%w: message length %d / path %d exceeds MaxHorizon %d", ErrOverHorizon, msg.Length, len(msg.Path), MaxHorizon)
 	}
 	for _, e := range msg.Path {
 		if int(e) < 0 || int(e) >= len(si.edges) {
-			return nil, fmt.Errorf("%w: path edge %d out of range [0,%d)", ErrBadMessage, e, len(si.edges))
+			return -1, fmt.Errorf("%w: path edge %d out of range [0,%d)", ErrBadMessage, e, len(si.edges))
 		}
 	}
-	p := si.newPath(len(msg.Path))
+	// The buffer is filled, and the path's edge roles folded in, before the
+	// record is written to its fresh slot: writing the record first cost
+	// sparse-wide's injection-heavy run ≈ 8% in-process.
+	d := int32(len(msg.Path))
+	n := len(msg.Path)
+	if si.deepMode {
+		n += msg.Length
+	}
+	off := si.newBuf(n)
+	p := si.arena.buf[off : off+d]
 	for j, e := range msg.Path {
 		p[j] = int32(e)
 	}
-	w, id := si.addWorm()
-	*w = worm{
-		id:          int32(id), //wormvet:allow horizon -- addWorm pins id < MaxHorizon
-		path:        p,
-		d:           int32(len(msg.Path)),
-		l:           int32(msg.Length),
-		release:     int32(release),
-		key:         si.policyKey(release, id),
-		injectTime:  -1,
-		deliverTime: -1,
-		dropTime:    -1,
-		parkedAt:    -1,
-		lastInj:     -1,
-		stretched:   true,
-		blockedOn:   -1,
-	}
 	if si.deepMode {
-		w.prog = si.newProg(msg.Length)
+		clear(si.arena.buf[off+d:][:msg.Length])
 	}
 	si.markPathRoles(p)
-	return w, nil
+	w, id := si.addWorm()
+	*w = worm{
+		off:        off,
+		d:          d,
+		l:          int32(msg.Length),
+		release:    int32(release),
+		key:        si.policyKey(release, id),
+		injectTime: -1,
+		end:        -1,
+		parkedAt:   -1,
+		lastInj:    -1,
+		stretched:  true,
+		blockedOn:  -1,
+	}
+	return id, nil
 }
 
 // newBatchSim loads a complete message set, deriving the MaxSteps safety
@@ -1148,7 +1210,7 @@ func newBatchSim(s *message.Set, release []int, cfg Config) *Sim {
 		if rel > maxRelease {
 			maxRelease = rel
 		}
-		w, err := si.spawn(msg, rel)
+		id, err := si.spawn(msg, rel)
 		if err != nil {
 			panic(fmt.Errorf("message %d: %w", i, err))
 		}
@@ -1159,7 +1221,7 @@ func newBatchSim(s *message.Set, release []int, cfg Config) *Sim {
 		} else {
 			work += len(msg.Path) + msg.Length
 		}
-		si.pending = append(si.pending, relKey(rel, int(w.id)))
+		si.pending = append(si.pending, relKey(rel, id))
 	}
 	if si.maxSteps == 0 {
 		// Any non-deadlocked run advances at least one worm per step, so
@@ -1301,7 +1363,7 @@ func (si *Sim) stepNaive() {
 			faultActed = true
 			continue
 		}
-		blocked = append(blocked, message.ID(w.id))
+		blocked = append(blocked, message.ID(w.id()))
 	}
 	si.blockedScratch = blocked
 
@@ -1377,7 +1439,10 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 		si.retire(w, StatusDelivered)
 		return true, -1
 	}
-	path := w.path
+	// The path, left open-ended: every index below is under d by the test
+	// that guards it, and the one bounds check fewer than si.path(w) is
+	// ≈ 1.5% of knee-rigid's in-process time.
+	path := si.arena.buf[w.off:]
 	// Fault plane: a dead edge grants no new reservations — the header
 	// may not extend onto it. Flits behind the header are established
 	// reservations and keep draining through the bandwidth loop below.
@@ -1416,7 +1481,7 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 	for i := mlo; i <= hi; i++ {
 		if cw := si.crossings[path[i]]; cw >= stamp && int32(cw-stamp) >= si.capI32 {
 			if implied && i < w.d-1 {
-				panic(fmt.Sprintf("vcsim: step %d: worm %d refused bandwidth on body edge %d (lane-implied bandwidth violated)", si.now, w.id, path[i]))
+				panic(fmt.Sprintf("vcsim: step %d: worm %d refused bandwidth on body edge %d (lane-implied bandwidth violated)", si.now, w.id(), path[i]))
 			}
 			if m := si.met; m != nil {
 				m.EdgeStall(telemetry.CtrStallBandwidth, path[i])
@@ -1453,7 +1518,7 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 		m.Inc(telemetry.CtrAdvances)
 	}
 	if tr := si.trc; tr != nil {
-		tr.Advance(si.now+1, w.id, w.frontier)
+		tr.Advance(si.now+1, w.id(), w.frontier)
 	}
 	if w.complete() {
 		si.retire(w, StatusDelivered)
@@ -1473,7 +1538,7 @@ func (si *Sim) stampInject(w *worm) {
 		m.Inc(telemetry.CtrInjects)
 	}
 	if tr := si.trc; tr != nil {
-		tr.Inject(si.now+1, w.id, w.d)
+		tr.Inject(si.now+1, w.id(), w.d)
 	}
 }
 
@@ -1493,45 +1558,42 @@ func (si *Sim) retire(w *worm, status Status) {
 	now := int(stamp)
 	m, tr := si.met, si.trc
 	w.status = status
+	w.end = stamp
 	switch status {
 	case StatusDelivered:
-		w.deliverTime = stamp
 		si.delivered++
 		if m != nil {
 			m.Inc(telemetry.CtrDelivers)
 		}
 		if tr != nil {
-			tr.Deliver(now, w.id, w.deliverTime-w.injectTime)
+			tr.Deliver(now, w.id(), stamp-w.injectTime)
 		}
 	case StatusDropped:
-		w.dropTime = stamp
 		si.dropped++
 		if m != nil {
 			m.Inc(telemetry.CtrDrops)
 		}
 		if tr != nil {
 			head := w.frontier
-			if w.prog != nil {
-				head = w.prog[0] // the deep engine keeps the header here, never in frontier
+			if si.deepMode {
+				head = si.prog(w)[0] // the deep engine keeps the header here, never in frontier
 			}
-			tr.Drop(now, w.id, head)
+			tr.Drop(now, w.id(), head)
 		}
 	case StatusAborted:
-		w.dropTime = stamp
 		si.aborted++
 		if m != nil {
 			m.Inc(telemetry.CtrFaultAborts)
 		}
 	}
-	// The path and progress buffers are never consulted again; freeing
-	// them shrinks a finished worm to its fixed-size struct and stats.
-	// (The struct itself is retained so IDs keep indexing worms and Result
-	// can report per-message stats; a long-lived open-loop Sim therefore
-	// still grows by ~one small struct per message.)
-	si.freePath(w)
-	si.freeProg(w)
+	// The buffer is never consulted again; freeing it leaves a finished
+	// worm its 72-byte record. (The record itself is retained so IDs keep
+	// indexing worms and Result can report per-message stats; a long-lived
+	// open-loop Sim therefore still grows by 72 bytes per message, ≈ 83% of
+	// knee-deep's peak RSS — TestRetainedBytesPerMessage gates it.)
+	si.freeBuf(w)
 	if cb := si.cfg.OnComplete; cb != nil {
-		cb(message.ID(w.id), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
+		cb(message.ID(w.id()), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
 	}
 }
 
@@ -1541,35 +1603,14 @@ func (si *Sim) drop(w *worm) {
 	if si.deepMode {
 		si.releaseDeepWorm(w)
 	} else if lo, hi, ok := w.span(); ok {
+		path := si.path(w)
 		for i := lo; i <= hi; i++ {
-			e := w.path[i]
+			e := path[i]
 			si.edges[e].relLane++
 			si.touch(e)
 		}
 	}
 	si.retire(w, StatusDropped)
-}
-
-// freePath retires a finished worm's path buffer: recycled through the
-// freelist in incremental mode, left to the arena otherwise.
-//
-//wormvet:hotpath
-func (si *Sim) freePath(w *worm) {
-	if si.recycle && cap(w.path) > 0 {
-		si.pathFree = append(si.pathFree, w.path[:0])
-	}
-	w.path = nil
-}
-
-// newPath returns a buffer for n path edges, reusing a retired buffer
-// when one fits and bumping the arena otherwise.
-func (si *Sim) newPath(n int) []int32 {
-	if k := len(si.pathFree); k > 0 && n > 0 && cap(si.pathFree[k-1]) >= n {
-		p := si.pathFree[k-1][:n]
-		si.pathFree = si.pathFree[:k-1]
-		return p
-	}
-	return si.arena.alloc(n)
 }
 
 // touch records an edge with a credit release for end-of-step folding
@@ -1766,8 +1807,9 @@ func (si *Sim) checkInvariants() {
 			continue
 		}
 		if lo, hi, ok := w.span(); ok {
+			path := si.path(w)
 			for j := lo; j <= hi; j++ {
-				occ[w.path[j]]++
+				occ[path[j]]++
 			}
 		}
 	}
@@ -1806,19 +1848,9 @@ func (si *Sim) checkEdgeRecs() {
 // appear with their current (partial) values.
 func (si *Sim) Result() Result {
 	if m := si.met; m != nil {
-		// Result calls are snapshot boundaries: sample arena occupancy here
-		// rather than on the hot path.
-		var used, total int64
-		for i, c := range si.arena.chunks {
-			total += int64(len(c))
-			if i < si.arena.cur {
-				used += int64(len(c))
-			}
-		}
-		if si.arena.cur < len(si.arena.chunks) {
-			used += int64(si.arena.off)
-		}
-		m.Arena(used, total)
+		// Result calls are snapshot boundaries: sample arena occupancy (in
+		// int32s) here rather than on the hot path.
+		m.Arena(int64(len(si.arena.buf)), int64(cap(si.arena.buf)))
 	}
 	si.FoldFaultTime()
 	res := Result{

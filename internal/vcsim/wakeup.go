@@ -182,7 +182,7 @@ func (si *Sim) park(w *worm, k uint64, e int32) {
 	}
 	w.woken = false
 	if tr := si.trc; tr != nil {
-		tr.Park(si.now+1, w.id, e)
+		tr.Park(si.now+1, w.id(), e)
 	}
 	if cause, edge := parkTarget(e); cause != telemetry.CtrStallFault {
 		// Lane and shared-pool waits are woken from the step-end fold, which
@@ -437,7 +437,7 @@ func (si *Sim) stampParked(k uint64, through int32) {
 		m.StallSpan(cause, e, int64(stall)-1)
 	}
 	if tr := si.trc; tr != nil {
-		tr.Wake(int(through)+1, w.id, w.waitEdge)
+		tr.Wake(int(through)+1, w.id(), w.waitEdge)
 	}
 	w.woken = true
 	w.parkedAt = -1
