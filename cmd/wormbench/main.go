@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = fs.String("memprofile", "", "write an allocation profile of the run to this file")
 		telOut  = fs.String("telemetry", "", "with -run or -all: attach counters to every simulator and write their aggregate snapshot as JSON to this file")
-		ckptDir = fs.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes on re-invocation (long offline sweeps; tables are byte-identical with or without it)")
+		ckptDir = fs.String("checkpoint", "", "memoize completed harness jobs under this directory so an interrupted run resumes when re-invoked with the same -seed, -quick, -trials and -scale (long offline sweeps; other flags recompute, and tables are byte-identical with or without it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -168,8 +168,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runOne runs one experiment and renders its tables to stdout.
 func runOne(stdout io.Writer, id string, cfg core.Config, csvOut bool, ckptDir string) error {
 	if ckptDir != "" {
-		// A Checkpoint must be fresh per experiment run; keying the store
-		// by experiment ID keeps -all runs resumable per experiment.
+		// One subdirectory per experiment; core.Run scopes the keys inside
+		// to -seed, -quick, -trials and -scale, so a directory reused
+		// under other flags recomputes instead of replaying.
 		cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(ckptDir, id)}}
 	}
 	start := time.Now()

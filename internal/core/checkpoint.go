@@ -1,12 +1,21 @@
 package core
 
 // Optional experiment checkpointing: when Config.Checkpoint is set,
-// every job the harness fans out is memoized in a BlobStore keyed by
-// its (stage, index) coordinates. A re-run of the same experiment —
-// same ID, same Config — replays completed jobs from the store and
-// computes only the rest, so a long sweep (the offline T15/scale
-// studies, a daemon-hosted run) survives a process kill at the cost of
-// re-running at most the jobs that were in flight.
+// every job the harness fans out is memoized in a BlobStore. A re-run
+// of the same experiment — same ID, same Config — replays completed
+// jobs from the store and computes only the rest, so a long sweep (the
+// offline T15/scale studies, a daemon-hosted run) survives a process
+// kill at the cost of re-running at most the jobs that were in flight.
+//
+// A key names the run and the job: Run scopes it by the experiment ID
+// and every Config field a table depends on (Seed, Quick, Trials,
+// Scale), then mapJobs adds the fan-out's stage, its length and the
+// job's index. One store can therefore hold several runs — a
+// -checkpoint directory reused with another -seed, or a -quick one
+// reused at full scale — and a job replays only into the run that
+// computed it; a key from another run, or from a build that laid its
+// fan-outs out differently, is simply never looked up. Workers and
+// Telemetry stay out of the key: tables do not depend on them.
 //
 // Correctness over reuse: a memoized job result must be EXACTLY the
 // value the job would compute, or tables silently corrupt. Job results
@@ -22,9 +31,9 @@ package core
 // The stage counter assigns each mapJobs/flatJobs call within one
 // experiment run a sequence number. Experiments issue their fan-outs in
 // deterministic program order (concurrency lives inside a fan-out,
-// never across fan-outs), so (stage, index) names the same logical job
-// in every run of the same experiment. A Checkpoint must be fresh per
-// run — reusing one across runs misaligns the stage counter.
+// never across fan-outs), so (stage, length, index) names the same
+// logical job in every run of the same experiment. Run gives each run
+// a fresh counter, so the caller's Checkpoint may be reused.
 //
 // Cancellation is the cooperative half of graceful shutdown: Run takes
 // a context, the harness checks it before starting each job, and once
@@ -52,13 +61,22 @@ type BlobStore interface {
 	Save(key string, blob []byte)
 }
 
-// Checkpoint memoizes harness jobs in a BlobStore. Create one fresh per
-// experiment run and set it as Config.Checkpoint.
+// Checkpoint memoizes harness jobs in a BlobStore. Set it as
+// Config.Checkpoint; Run scopes it to the run.
 type Checkpoint struct {
 	Store BlobStore
 
+	scope string // key prefix naming the run; set by scoped
 	mu    sync.Mutex
 	stage int
+}
+
+// scoped returns a fresh Checkpoint over c's store whose keys name run
+// id under cfg: the experiment and every Config field its tables
+// depend on.
+func (c *Checkpoint) scoped(id string, cfg Config) *Checkpoint {
+	return &Checkpoint{Store: c.Store, scope: fmt.Sprintf("%s-seed%d-quick%t-trials%d-scale%d-",
+		id, cfg.Seed, cfg.Quick, cfg.Trials, cfg.Scale)}
 }
 
 func (c *Checkpoint) nextStage() int {
@@ -69,9 +87,14 @@ func (c *Checkpoint) nextStage() int {
 	return s
 }
 
+// key names job i of the n-job fan-out at stage.
+func (c *Checkpoint) key(stage, n, i int) string {
+	return fmt.Sprintf("%ss%03d-n%06d-j%06d.json", c.scope, stage, n, i)
+}
+
 // memoJob wraps one job with load-else-compute-and-prove semantics.
-func memoJob[T any](cp *Checkpoint, stage, i int, job func(i int) T) T {
-	key := fmt.Sprintf("s%03d-j%06d.json", stage, i)
+func memoJob[T any](cp *Checkpoint, stage, n, i int, job func(i int) T) T {
+	key := cp.key(stage, n, i)
 	if cached, ok := LoadMemo[T](cp.Store, key); ok {
 		return cached
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,21 +15,26 @@ import (
 	"wormhole/internal/stats"
 )
 
-// memStore is an in-memory BlobStore for tests.
+// memStore is an in-memory BlobStore for tests. It logs every key it is
+// asked for, in order, and counts the asks it could answer.
 type memStore struct {
-	mu    sync.Mutex
-	blobs map[string][]byte
-	loads atomic.Int64
-	saves atomic.Int64
+	mu     sync.Mutex
+	blobs  map[string][]byte
+	loaded []string
+	hits   int
+	saves  atomic.Int64
 }
 
 func newMemStore() *memStore { return &memStore{blobs: map[string][]byte{}} }
 
 func (m *memStore) Load(key string) ([]byte, bool) {
-	m.loads.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.loaded = append(m.loaded, key)
 	b, ok := m.blobs[key]
+	if ok {
+		m.hits++
+	}
 	return b, ok
 }
 
@@ -202,35 +208,49 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 	}
 }
 
+// renderCSV runs experiment id under cfg, checkpointed into store when
+// it is non-nil, and returns its CSV.
+func renderCSV(t *testing.T, id string, cfg Config, store BlobStore) string {
+	t.Helper()
+	if store != nil {
+		cfg.Checkpoint = &Checkpoint{Store: store}
+	}
+	tables, err := Run(context.Background(), id, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := stats.WriteTablesCSV(&b, tables); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestCheckpointStaleBlobsRecomputed is the upgrade-safety contract of
 // the load side. testdata/ckpt_parent_T12 holds two blobs a build from
 // before T12's row type changed wrote for `-run T12 -quick -seed 42`
-// (curve job 0 and bisection job 0). Both still json.Unmarshal into the
-// current type without error — into zeroed fields — so replaying them
-// would silently corrupt the tables. They must be recomputed and
-// overwritten; blobs this build wrote must still replay.
+// (curve row 0 and the B = 1 bisection, its stage 0 and stage 1 job 0).
+// Planted under the keys this build looks those jobs up by, both still
+// json.Unmarshal into the current type without error — into zeroed
+// fields — so replaying them would silently corrupt the tables. They
+// must be recomputed and overwritten; blobs this build wrote must still
+// replay.
 func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
-	render := func(store BlobStore) string {
-		cfg := Config{Seed: 42, Quick: true}
-		if store != nil {
-			cfg.Checkpoint = &Checkpoint{Store: store}
-		}
-		tables, err := Run(context.Background(), "T12", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		if err := stats.WriteTablesCSV(&b, tables); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
+	cfg := Config{Seed: 42, Quick: true}
+	render := func(store BlobStore) string { return renderCSV(t, "T12", cfg, store) }
 	plain := render(nil)
 
+	// T12 quick is one fan-out of 6 curve rows and 2 bisections, issued
+	// in reverse table order: curve row 0 is job 7, the B = 1 bisection
+	// job 1.
+	cp := (&Checkpoint{}).scoped("T12", cfg)
 	store := newMemStore()
 	stale := map[string][]byte{}
-	for _, key := range []string{"s000-j000000.json", "s001-j000000.json"} {
-		blob, err := os.ReadFile(filepath.Join("testdata", "ckpt_parent_T12", key))
+	for file, key := range map[string]string{
+		"s000-j000000.json": cp.key(0, 8, 7),
+		"s001-j000000.json": cp.key(0, 8, 1),
+	} {
+		blob, err := os.ReadFile(filepath.Join("testdata", "ckpt_parent_T12", file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,6 +275,60 @@ func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
 	}
 	if n := store.saves.Load(); n != jobs {
 		t.Errorf("resume recomputed %d jobs; blobs written by this build must replay", n-jobs)
+	}
+}
+
+// TestCheckpointKeysScopedToRun: a store reused by a run under another
+// Config — another seed, quick then full, another scale — or written
+// by a build that laid T12 out as two fan-outs (curve rows at stage 0,
+// bisections at stage 1) replays nothing into the run: it recomputes
+// every job and prints what a plain run prints.
+func TestCheckpointKeysScopedToRun(t *testing.T) {
+	quick42 := Config{Seed: 42, Quick: true}
+	for _, tc := range []struct {
+		name  string
+		prime func(t *testing.T, store *memStore) // fills the store
+		id    string                              // then runs id under cfg
+		cfg   Config
+	}{
+		{"seed", func(t *testing.T, s *memStore) {
+			renderCSV(t, "T12", Config{Seed: 1, Quick: true}, s)
+		}, "T12", Config{Seed: 2, Quick: true}},
+		// T16 is the study whose full scale costs milliseconds.
+		{"quick then full", func(t *testing.T, s *memStore) {
+			renderCSV(t, "T16", Config{Seed: 1, Quick: true}, s)
+		}, "T16", Config{Seed: 1}},
+		{"scale", func(t *testing.T, s *memStore) {
+			renderCSV(t, "T15", Config{Seed: 1, Quick: true, Scale: 256}, s)
+		}, "T15", Config{Seed: 1, Quick: true, Scale: 512}},
+		{"two-stage T12 layout", func(t *testing.T, s *memStore) {
+			g, err := t12.geometry(quick42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			curve, sat := t12.measure(quick42, g)
+			for stage, pts := range [][]point{curve, sat} {
+				for j, p := range pts {
+					StoreMemo(s, fmt.Sprintf("s%03d-j%06d.json", stage, j), p)
+				}
+			}
+		}, "T12", quick42},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := newMemStore()
+			tc.prime(t, store)
+			if len(store.blobs) == 0 {
+				t.Fatal("priming stored nothing")
+			}
+			store.hits = 0
+			plain := renderCSV(t, tc.id, tc.cfg, nil)
+			if got := renderCSV(t, tc.id, tc.cfg, store); got != plain {
+				t.Errorf("run over a reused store diverged from a plain run\nwant:\n%s\ngot:\n%s", plain, got)
+			}
+			if store.hits != 0 {
+				t.Errorf("%d jobs replayed from another run's blobs", store.hits)
+			}
+		})
 	}
 }
 

@@ -34,8 +34,9 @@ type Config struct {
 	// Telemetry.Snapshot(). Tables stay byte-identical either way.
 	Telemetry *telemetry.Aggregate
 	// Checkpoint, when non-nil, memoizes completed harness jobs in its
-	// BlobStore so a re-run of the same experiment resumes instead of
-	// recomputing (see checkpoint.go). Must be fresh per run. Tables
+	// BlobStore so a re-run of the same experiment with the same Seed,
+	// Quick, Trials and Scale resumes instead of recomputing (see
+	// checkpoint.go); a run under any other Config recomputes. Tables
 	// stay byte-identical with or without it.
 	Checkpoint *Checkpoint
 
@@ -112,12 +113,15 @@ func Validate(id string, cfg Config) error {
 // Run validates cfg and executes the experiment with the given ID. Once
 // ctx is cancelled no further harness job starts and Run returns
 // context.Cause(ctx); with Config.Checkpoint set, the jobs that finished
-// are stored and a re-run resumes from them.
+// are stored and a re-run with the same Config resumes from them.
 func Run(ctx context.Context, id string, cfg Config) (tables []*stats.Table, err error) {
 	if err := Validate(id, cfg); err != nil {
 		return nil, err
 	}
 	cfg.ctx = ctx
+	if cfg.Checkpoint != nil {
+		cfg.Checkpoint = cfg.Checkpoint.scoped(id, cfg)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if r != errCanceled {

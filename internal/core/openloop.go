@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"wormhole/internal/fault"
 	"wormhole/internal/stats"
@@ -19,9 +20,8 @@ import (
 // windows, plus (where the study asks for it) a deterministic bisection
 // of each architecture's saturation rate. A study (studies.go) is data;
 // everything that executes lives here, once: the traffic.Config builder,
-// the two mapJobs fan-outs (curve first, bisection second, so checkpoint
-// stage numbers are stable), the -scale check, the seed rule, the
-// latency guard and the baseline lookup.
+// the study's one mapJobs fan-out (measure), the -scale check, the seed
+// rule, the latency guard and the baseline lookup.
 
 // arch is one router buffer architecture of the study grid.
 type arch struct {
@@ -108,10 +108,10 @@ type study struct {
 // faultSeed offsets the outage process from the arrival processes.
 const faultSeed = 16001
 
-// point is one measured grid point. The curve fan-out fills the
-// embedded Result (and the fault fields on a fault axis); the bisection
-// fan-out fills SatRate and Probes. Fields are exported because points
-// are what the checkpoint layer stores.
+// point is one measured grid point. A curve job fills the embedded
+// Result (and the fault fields on a fault axis); a bisection job fills
+// SatRate and Probes. Fields are exported because points are what the
+// checkpoint layer stores.
 type point struct {
 	N         int
 	Arch      arch
@@ -174,39 +174,63 @@ func (st *study) traffic(cfg Config, g geometry, a arch, rate float64, stride ui
 	}
 }
 
-// points sweeps the (architecture, axis) grid, one job per point.
-func (st *study) points(cfg Config, g geometry) []point {
-	return mapJobs(cfg, len(g.archs)*len(g.axis), func(i int) point {
-		a, x := g.archs[i/len(g.axis)], g.axis[i%len(g.axis)]
-		p := point{N: g.n, Arch: a}
-		load := x
-		if st.fixedLoad > 0 {
-			load = st.fixedLoad
+// measure runs the study as one fan-out and returns its curve points
+// and saturation rows, each in table order. The job list is the two
+// tables read backwards — the bisections first, last architecture
+// first, then the curve from its last row up — so the costliest jobs
+// start first: a bisection is Iters+1 runs where a curve point is one,
+// and archGrid grows B and d along the table, and with them the knee
+// and every probe's message count. In table order the longest
+// bisection would start last and run alone.
+func (st *study) measure(cfg Config, g geometry) (curve, sat []point) {
+	nCurve := len(g.archs) * len(g.axis)
+	n := nCurve
+	if len(st.sat.cols) > 0 {
+		n += len(g.archs)
+	}
+	pts := mapJobs(cfg, n, func(j int) point {
+		i := n - 1 - j
+		if i < nCurve {
+			return st.curvePoint(cfg, g, i)
 		}
-		tc := st.traffic(cfg, g, a, load, st.stride)
-		if st.fixedLoad > 0 {
-			// Everything but the rate is fixed — seed, edge count,
-			// horizon, mean outage — so the outage sets are nested
-			// across fault rates and shared across B.
-			tc.Faults = fault.Generate(fault.GenConfig{
-				Seed:       cfg.Seed + faultSeed,
-				NumEdges:   tc.Net.G.NumEdges(),
-				Horizon:    g.warmup + g.measure,
-				Rate:       x,
-				MeanOutage: g.meanOutage,
-				Lanes:      1,
-			})
-			p.FaultRate, p.Outages = x, outages(tc.Faults)
-		} else {
-			tc.Seed += uint64(x * 1e6)
-		}
-		res, err := traffic.Run(tc)
-		if err != nil {
-			panic(fmt.Sprintf("%s: %s at %g: %v", st.id, a.label(), x, err))
-		}
-		p.Result = res
-		return p
+		return st.bisection(cfg, g, g.archs[i-nCurve])
 	})
+	slices.Reverse(pts)
+	return pts[:nCurve], pts[nCurve:]
+}
+
+// curvePoint runs row i of the curve table: one (architecture, axis)
+// grid point.
+func (st *study) curvePoint(cfg Config, g geometry, i int) point {
+	a, x := g.archs[i/len(g.axis)], g.axis[i%len(g.axis)]
+	p := point{N: g.n, Arch: a}
+	load := x
+	if st.fixedLoad > 0 {
+		load = st.fixedLoad
+	}
+	tc := st.traffic(cfg, g, a, load, st.stride)
+	if st.fixedLoad > 0 {
+		// Everything but the rate is fixed — seed, edge count,
+		// horizon, mean outage — so the outage sets are nested
+		// across fault rates and shared across B.
+		tc.Faults = fault.Generate(fault.GenConfig{
+			Seed:       cfg.Seed + faultSeed,
+			NumEdges:   tc.Net.G.NumEdges(),
+			Horizon:    g.warmup + g.measure,
+			Rate:       x,
+			MeanOutage: g.meanOutage,
+			Lanes:      1,
+		})
+		p.FaultRate, p.Outages = x, outages(tc.Faults)
+	} else {
+		tc.Seed += uint64(x * 1e6)
+	}
+	res, err := traffic.Run(tc)
+	if err != nil {
+		panic(fmt.Sprintf("%s: %s at %g: %v", st.id, a.label(), x, err))
+	}
+	p.Result = res
+	return p
 }
 
 // outages counts the edges a schedule afflicts (each edge draws at most
@@ -221,22 +245,19 @@ func outages(s fault.Schedule) int {
 	return n
 }
 
-// saturation bisects the saturation rate, one job per architecture. The
-// probes of one search run sequentially inside its job.
-func (st *study) saturation(cfg Config, g geometry) []point {
+// bisection bisects architecture a's saturation rate. The probes of
+// one search run sequentially inside its job.
+func (st *study) bisection(cfg Config, g geometry, a arch) point {
 	stride := st.satStride
 	if stride == 0 {
 		stride = st.stride
 	}
-	return mapJobs(cfg, len(g.archs), func(i int) point {
-		a := g.archs[i]
-		sr, err := traffic.SaturationRate(
-			st.traffic(cfg, g, a, 1 /* overwritten per probe */, stride), g.search)
-		if err != nil {
-			panic(fmt.Sprintf("%s: saturation search %s: %v", st.id, a.label(), err))
-		}
-		return point{N: g.n, Arch: a, SatRate: sr.Rate, Probes: len(sr.Probes)}
-	})
+	sr, err := traffic.SaturationRate(
+		st.traffic(cfg, g, a, 1 /* overwritten per probe */, stride), g.search)
+	if err != nil {
+		panic(fmt.Sprintf("%s: saturation search %s: %v", st.id, a.label(), err))
+	}
+	return point{N: g.n, Arch: a, SatRate: sr.Rate, Probes: len(sr.Probes)}
 }
 
 // run executes the study and renders its tables. core.Run has already
@@ -246,9 +267,9 @@ func (st *study) run(cfg Config) []*stats.Table {
 	if err != nil {
 		panic(err)
 	}
-	pts := st.points(cfg, g)
-	rows := make([]row, len(pts))
-	for i, p := range pts {
+	curve, sat := st.measure(cfg, g)
+	rows := make([]row, len(curve))
+	for i, p := range curve {
 		// A point that collapsed before any tracked message completed
 		// has no latency sample; render "-" rather than a misleading 0.
 		blank := p.TrackedDone == 0
@@ -262,13 +283,12 @@ func (st *study) run(cfg Config) []*stats.Table {
 		return tables
 	}
 
-	pts = st.saturation(cfg, g)
-	rate := make(map[arch]float64, len(pts))
-	for _, p := range pts {
+	rate := make(map[arch]float64, len(sat))
+	for _, p := range sat {
 		rate[p.Arch] = p.SatRate
 	}
-	rows = make([]row, len(pts))
-	for i, p := range pts {
+	rows = make([]row, len(sat))
+	for i, p := range sat {
 		// The baseline is the same router with the swept lane parameter
 		// at 1: d = 1 where the study sweeps depth, B = 1 where it
 		// sweeps only B.

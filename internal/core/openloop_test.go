@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -15,20 +16,22 @@ import (
 
 var openLoopStudies = []*study{t12, t13, t14, t15, t16}
 
-// sweep resolves cfg's geometry and runs the study's curve fan-out,
-// checking what every study promises of it: a point per (architecture,
-// axis value), in grid order, each with traffic actually flowing.
-func sweep(t *testing.T, st *study, cfg Config) (geometry, []point) {
+// measure resolves cfg's geometry and runs the study's fan-out,
+// checking what every study promises of it: a curve point per
+// (architecture, axis value), in grid order, each with traffic actually
+// flowing, and — where the study bisects — one saturation row per
+// architecture, in grid order.
+func measure(t *testing.T, st *study, cfg Config) (g geometry, curve, sat []point) {
 	t.Helper()
 	g, err := st.geometry(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := st.points(cfg, g)
-	if want := len(g.archs) * len(g.axis); len(pts) != want {
-		t.Fatalf("%s: %d curve points, want %d", st.id, len(pts), want)
+	curve, sat = st.measure(cfg, g)
+	if want := len(g.archs) * len(g.axis); len(curve) != want {
+		t.Fatalf("%s: %d curve points, want %d", st.id, len(curve), want)
 	}
-	for i, p := range pts {
+	for i, p := range curve {
 		if a := g.archs[i/len(g.axis)]; p.Arch != a || p.N != g.n {
 			t.Errorf("%s point %d: ran n=%d %s, want n=%d %s", st.id, i, p.N, p.Arch.label(), g.n, a.label())
 		}
@@ -36,21 +39,21 @@ func sweep(t *testing.T, st *study, cfg Config) (geometry, []point) {
 			t.Errorf("%s: %s at %g: no messages injected", st.id, p.Arch.label(), g.axis[i%len(g.axis)])
 		}
 	}
-	return g, pts
-}
-
-// bisect runs the study's saturation fan-out: one row per architecture.
-func bisect(t *testing.T, st *study, cfg Config) []point {
-	t.Helper()
-	g, err := st.geometry(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if len(st.sat.cols) == 0 {
+		if len(sat) != 0 {
+			t.Fatalf("%s: %d saturation rows from a study without a bisection", st.id, len(sat))
+		}
+		return g, curve, sat
 	}
-	sat := st.saturation(cfg, g)
 	if len(sat) != len(g.archs) {
 		t.Fatalf("%s: %d saturation rows, want %d", st.id, len(sat), len(g.archs))
 	}
-	return sat
+	for i, p := range sat {
+		if p.Arch != g.archs[i] || p.N != g.n || p.Probes == 0 {
+			t.Errorf("%s saturation row %d: n=%d %s after %d probes, want n=%d %s", st.id, i, p.N, p.Arch.label(), p.Probes, g.n, g.archs[i].label())
+		}
+	}
+	return g, curve, sat
 }
 
 // checkMonotoneInDepth is the T13/T14 acceptance criterion: at fixed B
@@ -110,6 +113,63 @@ func checkWorkersByteIdentity(t *testing.T, st *study) {
 	}
 }
 
+// TestStudyJobLayout pins the study engine's schedule: each of T12–T16
+// issues exactly one fan-out, and it hands out the costliest jobs first
+// — the bisections, last architecture first, then the curve from its
+// last row up. One worker runs the jobs in the order they are handed
+// out, so a checkpoint store is asked for them in that order.
+func TestStudyJobLayout(t *testing.T) {
+	for _, st := range openLoopStudies {
+		cfg := Config{Seed: 42, Quick: true, Workers: 1}
+		g, err := st.geometry(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := newMemStore()
+		cfg.Checkpoint = &Checkpoint{Store: store}
+		if _, err := Run(context.Background(), st.id, cfg); err != nil {
+			t.Fatal(err)
+		}
+		nCurve, nSat := len(g.archs)*len(g.axis), 0
+		if len(st.sat.cols) > 0 {
+			nSat = len(g.archs)
+		}
+		n := nCurve + nSat
+		cp := (&Checkpoint{}).scoped(st.id, cfg)
+		want := make([]string, n)
+		for j := range want {
+			want[j] = cp.key(0, n, j)
+		}
+		if !reflect.DeepEqual(store.loaded, want) {
+			t.Errorf("%s: jobs asked for as\n%v\nwant one fan-out of %d, in order:\n%v", st.id, store.loaded, n, want)
+			continue
+		}
+		for j, key := range want {
+			blob, ok := store.blobs[key]
+			if !ok {
+				if j < nSat {
+					t.Errorf("%s job %d: bisection result not stored", st.id, j)
+				}
+				continue // a curve point JSON cannot carry (a NaN latency)
+			}
+			var p point
+			if err := json.Unmarshal(blob, &p); err != nil {
+				t.Fatal(err)
+			}
+			var a arch
+			bisected := j < nSat
+			if bisected {
+				a = g.archs[nSat-1-j]
+			} else {
+				a = g.archs[(n-1-j)/len(g.axis)] // curve row n-1-j
+			}
+			if p.Arch != a || (p.Probes > 0) != bisected {
+				t.Errorf("%s job %d: ran %s (%d probes), want %s (bisection %v)", st.id, j, p.Arch.label(), p.Probes, a.label(), bisected)
+			}
+		}
+	}
+}
+
 func TestT12WorkersByteIdentity(t *testing.T) { checkWorkersByteIdentity(t, t12) }
 func TestT13WorkersByteIdentity(t *testing.T) { checkWorkersByteIdentity(t, t13) }
 func TestT14WorkerByteIdentity(t *testing.T)  { checkWorkersByteIdentity(t, t14) }
@@ -117,9 +177,7 @@ func TestT14WorkerByteIdentity(t *testing.T)  { checkWorkersByteIdentity(t, t14)
 // TestT12QuickShape: curve points for every (B, rate) pair and one
 // saturation row per B, with the saturation rate not decreasing in B.
 func TestT12QuickShape(t *testing.T) {
-	cfg := Config{Seed: 7, Quick: true}
-	sweep(t, t12, cfg)
-	sat := bisect(t, t12, cfg)
+	_, _, sat := measure(t, t12, Config{Seed: 7, Quick: true})
 	for i := 1; i < len(sat); i++ {
 		if sat[i].SatRate < sat[i-1].SatRate {
 			t.Errorf("saturation rate decreasing: %s → %g, %s → %g",
@@ -132,7 +190,7 @@ func TestT12QuickShape(t *testing.T) {
 // d=1 static rows agreeing with a direct rigid-engine run would be
 // redundant with the vcsim gate tests.)
 func TestT13QuickShape(t *testing.T) {
-	sweep(t, t13, Config{Seed: 7, Quick: true})
+	measure(t, t13, Config{Seed: 7, Quick: true})
 	for a, want := range map[arch]string{
 		{B: 2, D: 4, Shared: true}: "B=2 d=4 shared",
 		{B: 4, D: 1}:               "B=4 d=1",
@@ -146,7 +204,7 @@ func TestT13QuickShape(t *testing.T) {
 }
 
 func TestT13SaturationMonotoneInDepth(t *testing.T) {
-	sat := bisect(t, t13, Config{Seed: 42, Quick: true})
+	_, _, sat := measure(t, t13, Config{Seed: 42, Quick: true})
 	if len(sat) != 6 { // one B × three depths × two pools
 		t.Fatalf("saturation rows = %d, want 6", len(sat))
 	}
@@ -158,22 +216,21 @@ func TestT13SaturationMonotoneInDepth(t *testing.T) {
 // architecture, and at fixed B the bisected saturation rate is
 // non-decreasing in lane depth.
 func TestT14QuickShape(t *testing.T) {
-	cfg := Config{Seed: 42, Quick: true}
-	g, pts := sweep(t, t14, cfg)
-	for _, p := range pts {
+	g, curve, sat := measure(t, t14, Config{Seed: 42, Quick: true})
+	for _, p := range curve {
 		if p.Offered == g.axis[0] && p.Saturated {
 			t.Errorf("%s: light load %.2f reported saturated", p.Arch.label(), p.Offered)
 		}
 	}
-	checkMonotoneInDepth(t, bisect(t, t14, cfg))
+	checkMonotoneInDepth(t, sat)
 }
 
 // TestT15QuickShapes: the quick sweep keeps the full 1024-input
 // butterfly, and the overloaded points carry the standing backlog the
 // experiment exists to exercise.
 func TestT15QuickShapes(t *testing.T) {
-	_, pts := sweep(t, t15, quickCfg)
-	for _, p := range pts {
+	_, curve, _ := measure(t, t15, quickCfg)
+	for _, p := range curve {
 		if p.N != 1024 {
 			t.Errorf("quick row ran n=%d; T15 must keep the full network", p.N)
 		}
@@ -238,8 +295,8 @@ func TestT15ScaleValidation(t *testing.T) {
 // no aborts, unsaturated), and faulted points actually see outages —
 // otherwise the sweep is measuring nothing.
 func TestT16QuickShapes(t *testing.T) {
-	_, pts := sweep(t, t16, quickCfg)
-	for _, p := range pts {
+	_, curve, _ := measure(t, t16, quickCfg)
+	for _, p := range curve {
 		if p.N != 64 {
 			t.Errorf("quick row ran n=%d, want 64", p.N)
 		}
@@ -278,10 +335,10 @@ func TestT16GracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale sweep")
 	}
-	g, pts := sweep(t, t16, Config{Seed: quickCfg.Seed})
+	g, curve, _ := measure(t, t16, Config{Seed: quickCfg.Seed})
 
 	accepted := map[int]map[float64]float64{}
-	for _, p := range pts {
+	for _, p := range curve {
 		if accepted[p.Arch.B] == nil {
 			accepted[p.Arch.B] = map[float64]float64{}
 		}

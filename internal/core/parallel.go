@@ -21,6 +21,13 @@ import (
 // collected result slice — and hence every rendered table — is
 // byte-identical for any worker count, which TestParallelDeterminism
 // verifies across the whole experiment registry.
+//
+// Jobs start in index order, so a fan-out chooses its schedule by how it
+// numbers its jobs, never by what it computes: the open-loop studies
+// number theirs costliest first (openloop.go, measure) and store each
+// result back in table order. The contract above is unchanged by that,
+// and so is checkpointing, whose memo key (checkpoint.go) is scoped to
+// the run, the fan-out's stage and length, and the job's index.
 
 // workers resolves Config.Workers: 0 means GOMAXPROCS.
 func (c Config) workers() int {
@@ -31,9 +38,9 @@ func (c Config) workers() int {
 }
 
 // forEachJob executes job(0..n-1), fanning across up to workers
-// goroutines. Indices are handed out through an atomic counter, so
-// scheduling is work-stealing-ish and the worker count never affects
-// which jobs run — only where.
+// goroutines. Indices are handed out in ascending order through an
+// atomic counter, so scheduling is work-stealing-ish and the worker
+// count never affects which jobs run — only where.
 //
 // The experiments use panic as their failure convention, so a panicking
 // job must stay recoverable by the caller exactly as in a sequential
@@ -105,7 +112,7 @@ func mapJobs[T any](cfg Config, n int, job func(i int) T) []T {
 	run := job
 	if cp := cfg.Checkpoint; cp != nil && cp.Store != nil {
 		stage := cp.nextStage()
-		run = func(i int) T { return memoJob(cp, stage, i, job) }
+		run = func(i int) T { return memoJob(cp, stage, n, i, job) }
 	}
 	out := make([]T, n)
 	forEachJob(cfg.workers(), n, func(i int) {

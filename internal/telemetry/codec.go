@@ -30,8 +30,8 @@ const metricsCodecVersion = 3
 // (*Metrics).UnmarshalBinary.
 var ErrMetricsCodec = errors.New("telemetry: bad metrics encoding")
 
-// gauges and edges list the scalar gauges and the per-edge accumulators
-// in wire order, for the writer and the reader alike.
+// gauges lists the scalar gauges in wire order, for the writer and the
+// reader alike.
 func (m *Metrics) gauges() []*int64 {
 	return []*int64{
 		&m.gaugeSteps, &m.dirtySum, &m.dirtyMax, &m.parkedSum,
@@ -39,8 +39,16 @@ func (m *Metrics) gauges() []*int64 {
 	}
 }
 
-func (m *Metrics) edges() [][]int64 {
-	return [][]int64{m.edgeStall, m.occInt, m.lastOcc, m.lastT, m.edgeFault}
+// The per-edge accumulators go on the wire as edgeArrays arrays of one
+// int64 per edge: edgeStall, then one array per occFields entry, then
+// edgeFault. The edgeOcc records are written field by field, so the
+// bytes are those of three parallel arrays.
+const edgeArrays = 2 + len(occFields)
+
+var occFields = [...]func(*edgeOcc) *int64{
+	func(o *edgeOcc) *int64 { return &o.occInt },
+	func(o *edgeOcc) *int64 { return &o.lastOcc },
+	func(o *edgeOcc) *int64 { return &o.lastT },
 }
 
 // MarshalBinary encodes the full registry state — counters, histogram,
@@ -59,7 +67,7 @@ func (m *Metrics) MarshalBinary() ([]byte, error) {
 // format that embeds the registry can length-prefix it and stream it
 // without marshalling it first.
 func (m *Metrics) BinarySize() int {
-	return 8 * (4 + int(NumCounters) + jumpBuckets + len(m.gauges()) + len(m.edges())*len(m.edgeStall))
+	return 8 * (4 + int(NumCounters) + jumpBuckets + len(m.gauges()) + edgeArrays*len(m.edgeStall))
 }
 
 // WriteBinary writes MarshalBinary's blob to w.
@@ -78,9 +86,13 @@ func (m *Metrics) WriteBinary(w *snap.Writer) {
 		w.I64(*p)
 	}
 	w.U64(uint64(len(m.edgeStall)))
-	for _, s := range m.edges() {
-		i64s(s)
+	i64s(m.edgeStall)
+	for _, field := range occFields {
+		for e := range m.occ {
+			w.I64(*field(&m.occ[e]))
+		}
 	}
+	i64s(m.edgeFault)
 }
 
 // UnmarshalBinary replaces m's state with the blob's, all or nothing: a
@@ -112,9 +124,13 @@ func (m *Metrics) UnmarshalBinary(data []byte) error {
 		ne = 0
 	}
 	got.EnsureEdges(int(ne))
-	for _, s := range got.edges() {
-		r.I64sInto(s)
+	r.I64sInto(got.edgeStall)
+	for _, field := range occFields {
+		for e := range got.occ {
+			*field(&got.occ[e]) = r.I64()
+		}
 	}
+	r.I64sInto(got.edgeFault)
 	r.End()
 	if r.Err() != nil {
 		return r.Err()
