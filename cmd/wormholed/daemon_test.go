@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,9 @@ import (
 	"wormhole/internal/stats"
 	"wormhole/internal/traffic"
 )
+
+// raceDetector is set by race_test.go when the race detector is on.
+var raceDetector bool
 
 func testSweepSpec() *SweepSpec {
 	return &SweepSpec{
@@ -778,5 +782,61 @@ func TestRetiredSpecFieldAccepted(t *testing.T) {
 				t.Fatalf("submitted and recovered sweeps diverged\nrecovered:\n%s\nsubmitted:\n%s", want, got)
 			}
 		}
+	}
+}
+
+// TestStatusPollsWhileJobsRun: a status poll must not wait for a running
+// job to give up its P. With every P stepping a job, a runnable handler
+// has none to run on, and Go takes one back only by preempting a goroutine
+// 10 ms into its slice — so without the jobs' own yields each poll waited
+// out that slice. GOMAXPROCS(1) makes one running job hold every P. The
+// poll wakes from a 1 ms sleep and serves GET /api/v1/jobs/<id> through
+// the API handler; in the median of 21 polls it must be done within 5 ms
+// of the moment it was due. (Over a socket a poll also waits for the
+// runtime to notice the request, which with every P busy only sysmon
+// does, every 10 ms; no yield removes that part.)
+func TestStatusPollsWhileJobsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("polls two long jobs")
+	}
+	if raceDetector {
+		t.Skip("the race detector slows a flit step about tenfold, so 64 steps outlast the 5 ms budget")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sweep := testSweepSpec()
+	sweep.Size, sweep.Rates, sweep.Measure = 64, []float64{0.25}, 1<<22
+	for _, spec := range []JobSpec{
+		{Type: "sweep", Sweep: sweep},
+		{Type: "experiment", Experiment: &ExperimentSpec{ID: "T12", Seed: 42}},
+	} {
+		t.Run(spec.Type, func(t *testing.T) {
+			srv, m := startTestServer(t, t.TempDir(), 0)
+			defer m.Shutdown()
+			st := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs", spec))
+			waitState(t, srv, st.ID, stateRunning)
+			api := newAPI(m)
+			var lat []time.Duration
+			for range 21 {
+				due := time.Now().Add(time.Millisecond)
+				time.Sleep(time.Millisecond)
+				rec := httptest.NewRecorder()
+				api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+st.ID, nil))
+				lat = append(lat, time.Since(due))
+				var polled JobStatus
+				if err := json.Unmarshal(rec.Body.Bytes(), &polled); err != nil {
+					t.Fatal(err)
+				}
+				if polled.State != stateRunning {
+					t.Fatalf("the job was %s before the polls ended", polled.State)
+				}
+			}
+			postJSON(t, srv.URL+"/api/v1/jobs/"+st.ID+"/cancel", struct{}{}).Body.Close()
+			waitState(t, srv, st.ID, stateCanceled)
+			slices.Sort(lat)
+			t.Logf("status poll while the job runs: median %v, max %v past due", lat[len(lat)/2], lat[len(lat)-1])
+			if med := lat[len(lat)/2]; med > 5*time.Millisecond {
+				t.Errorf("the median status poll finished %v past due while a job ran, want < 5ms: the job does not yield its P", med)
+			}
+		})
 	}
 }

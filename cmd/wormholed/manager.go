@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,6 +46,13 @@ import (
 )
 
 type jobState string
+
+// yieldSteps is how often, in flit steps, a running sweep point hands its
+// P to whatever else is runnable — a status poll, most often. On a 64-input
+// butterfly at 0.25 load, yielding every 64 steps brought a GOMAXPROCS(1)
+// poll from ≈ 19 ms past due to ≈ 0.4 ms (TestStatusPollsWhileJobsRun).
+// Experiment jobs yield the same way inside core (Config.onStep).
+const yieldSteps = 64
 
 const (
 	stateQueued   jobState = "queued"
@@ -601,6 +609,11 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 		case <-done:
 			return j.ctx.Err()
 		default:
+		}
+		if step%yieldSteps == 0 {
+			// With every P stepping a job, a status GET has none to run on
+			// until Go preempts a goroutine 10 ms into its slice; yield sooner.
+			runtime.Gosched()
 		}
 		if m.ckptEvery > 0 && step > 0 && step%m.ckptEvery == 0 {
 			m.checkpoint(j, r, snapPath, ckpt)

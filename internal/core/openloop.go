@@ -171,6 +171,7 @@ func (st *study) traffic(cfg Config, g geometry, a arch, rate float64, stride ui
 		Seed:            seed,
 		Retry:           st.retry,
 		Metrics:         cfg.metrics(),
+		OnStep:          cfg.onStep(),
 	}
 }
 

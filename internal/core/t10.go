@@ -66,6 +66,7 @@ func T10Continuous(cfg Config) []T10Row {
 			Drain:           horizon * 16,
 			Seed:            cfg.Seed + uint64(b)*1009 + uint64(rate*1e6),
 			Metrics:         cfg.metrics(),
+			OnStep:          cfg.onStep(),
 		})
 		if err != nil {
 			panic(fmt.Sprintf("T10: %v", err))

@@ -67,10 +67,56 @@ const (
 	snapTrailer = uint64(0x574F524D454E4453) // "WORMENDS"
 )
 
-// wormFixedBytes is the wire size of a worm record's fixed part — key,
-// fifteen i32s, the status byte and two bools, in the order Snapshot
-// writes them — which RestoreSim decodes from one snap.Reader window.
-const wormFixedBytes = 8 + 15*4 + 1 + 2
+// A worm record's fixed part on the wire — key, fifteen i32s, the status
+// byte and two bools — by byte offset. Snapshot fills it in one array and
+// writes it whole; RestoreSim decodes it from one snap.Reader window.
+const (
+	recKey         = 0
+	recD           = 8
+	recL           = 12
+	recFrontier    = 16
+	recRelease     = 20
+	recInject      = 24
+	recDeliver     = 28
+	recDrop        = 32
+	recStalls      = 36
+	recStatus      = 40
+	recParkedAt    = 41
+	recWaitEdge    = 45
+	recStreak      = 49
+	recWoken       = 53
+	recFHead       = 54
+	recLastInj     = 58
+	recStretched   = 62
+	recBlockedOn   = 63
+	recRetries     = 67
+	wormFixedBytes = 71
+)
+
+// putRecord fills rec with w's fixed part.
+func putRecord(rec *[wormFixedBytes]byte, w *worm) {
+	le := binary.LittleEndian
+	deliver, drop := w.endTimes()
+	le.PutUint64(rec[recKey:], w.key)
+	le.PutUint32(rec[recD:], uint32(w.d))
+	le.PutUint32(rec[recL:], uint32(w.l))
+	le.PutUint32(rec[recFrontier:], uint32(w.frontier))
+	le.PutUint32(rec[recRelease:], uint32(w.release))
+	le.PutUint32(rec[recInject:], uint32(w.injectTime))
+	le.PutUint32(rec[recDeliver:], uint32(deliver))
+	le.PutUint32(rec[recDrop:], uint32(drop))
+	le.PutUint32(rec[recStalls:], uint32(w.stalls))
+	rec[recStatus] = uint8(w.status)
+	le.PutUint32(rec[recParkedAt:], uint32(w.parkedAt))
+	le.PutUint32(rec[recWaitEdge:], uint32(w.waitEdge))
+	le.PutUint32(rec[recStreak:], uint32(w.streak))
+	rec[recWoken] = uint8(bit(w.woken))
+	le.PutUint32(rec[recFHead:], uint32(w.fHead))
+	le.PutUint32(rec[recLastInj:], uint32(w.lastInj))
+	rec[recStretched] = uint8(bit(w.stretched))
+	le.PutUint32(rec[recBlockedOn:], uint32(w.blockedOn))
+	le.PutUint32(rec[recRetries:], uint32(w.retries))
+}
 
 // buffers returns what the wire carries for w's path and prog: the arena
 // buffer's two parts while the worm is in flight, nothing once it finished
@@ -163,34 +209,23 @@ func (si *Sim) Snapshot(w io.Writer) error {
 
 	// Worm records, in ID order. Completed worms ride along with empty
 	// path/prog — their stats must survive for Result and the dense ID
-	// index.
+	// index — transcoded from their sealed chunks where they have one.
 	sw.U64(uint64(si.now))
 	sw.U32(uint32(si.numWorms))
-	for i := 0; i < si.numWorms; i++ {
-		w := si.worm(i)
-		deliver, drop := w.endTimes()
-		path, prog := si.buffers(w)
-		sw.U64(w.key)
-		sw.I32(w.d)
-		sw.I32(w.l)
-		sw.I32(w.frontier)
-		sw.I32(w.release)
-		sw.I32(w.injectTime)
-		sw.I32(deliver)
-		sw.I32(drop)
-		sw.I32(w.stalls)
-		sw.U8(uint8(w.status))
-		sw.I32(w.parkedAt)
-		sw.I32(w.waitEdge)
-		sw.I32(w.streak)
-		sw.Bool(w.woken)
-		sw.I32(w.fHead)
-		sw.I32(w.lastInj)
-		sw.Bool(w.stretched)
-		sw.I32(w.blockedOn)
-		sw.I32(w.retries)
-		sw.I32s(path)
-		sw.I32s(prog)
+	var rec [wormFixedBytes + 8]byte // Raw's argument escapes: one buffer per Snapshot
+	for ci, c := range si.wormChunks {
+		if c == nil {
+			si.writeSealed(sw, ci, &rec)
+			continue
+		}
+		for i := range si.chunkLen(ci) {
+			w := &c[i]
+			putRecord((*[wormFixedBytes]byte)(rec[:]), w)
+			sw.Raw(rec[:wormFixedBytes])
+			path, prog := si.buffers(w)
+			sw.I32s(path)
+			sw.I32s(prog)
+		}
 	}
 
 	// Key lists. The pending window is normalized to start at 0; the
@@ -293,6 +328,49 @@ func (si *Sim) Snapshot(w io.Writer) error {
 	return sw.Flush()
 }
 
+// writeSealed writes sealed chunk ci's records as Snapshot writes any
+// finished record, without building each one: a record of the chunk's
+// shape is the chunk's own wire record with its key and times written in,
+// and a record of its own shape goes through putRecord whole. Each is
+// built in rec: its fixed part, then a finished record's empty path and
+// prog.
+func (si *Sim) writeSealed(sw *snap.Writer, ci int, rec *[wormFixedBytes + 8]byte) {
+	var w worm
+	u := si.unseal(ci, &w)
+	var tmpl [wormFixedBytes + 8]byte
+	putRecord((*[wormFixedBytes]byte)(tmpl[:]), &w)
+	endAt := -1 // the slot endTimes puts the end time in, if any
+	switch w.status {
+	case StatusDelivered:
+		endAt = recDeliver
+	case StatusDropped, StatusAborted:
+		endAt = recDrop
+	}
+	le := binary.LittleEndian
+	for range 1 << wormShift {
+		u.read()
+		r := &u.rec
+		*rec = tmpl
+		if r.odd {
+			own := w
+			setShape(&own, &r.s)
+			own.key, own.release, own.injectTime, own.end = r.key, r.release, r.inject, r.end
+			own.stalls, own.waitEdge = r.stalls, r.waitEdge
+			putRecord((*[wormFixedBytes]byte)(rec[:]), &own)
+		} else {
+			le.PutUint64(rec[recKey:], r.key)
+			le.PutUint32(rec[recRelease:], uint32(r.release))
+			le.PutUint32(rec[recInject:], uint32(r.inject))
+			if endAt >= 0 {
+				le.PutUint32(rec[endAt:], uint32(r.end))
+			}
+			le.PutUint32(rec[recStalls:], uint32(r.stalls))
+			le.PutUint32(rec[recWaitEdge:], uint32(r.waitEdge))
+		}
+		sw.Raw(rec[:])
+	}
+}
+
 // RestoreSim rebuilds a Sim from a Snapshot stream over the network g.
 // cfg supplies everything a snapshot cannot carry — the callback hooks
 // (OnComplete, Metrics, Trace) and the mechanism-only
@@ -373,25 +451,25 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		var deliver, drop int32
 		if b := r.Window(wormFixedBytes); b != nil {
 			i32 := func(off int) int32 { return int32(binary.LittleEndian.Uint32(b[off:])) }
-			rec.key = binary.LittleEndian.Uint64(b)
-			rec.d = i32(8)
-			rec.l = i32(12)
-			rec.frontier = i32(16)
-			rec.release = i32(20)
-			rec.injectTime = i32(24)
-			deliver = i32(28)
-			drop = i32(32)
-			rec.stalls = i32(36)
-			rec.status = Status(b[40])
-			rec.parkedAt = i32(41)
-			rec.waitEdge = i32(45)
-			rec.streak = i32(49)
-			rec.woken = b[53] != 0
-			rec.fHead = i32(54)
-			rec.lastInj = i32(58)
-			rec.stretched = b[62] != 0
-			rec.blockedOn = i32(63)
-			rec.retries = i32(67)
+			rec.key = binary.LittleEndian.Uint64(b[recKey:])
+			rec.d = i32(recD)
+			rec.l = i32(recL)
+			rec.frontier = i32(recFrontier)
+			rec.release = i32(recRelease)
+			rec.injectTime = i32(recInject)
+			deliver = i32(recDeliver)
+			drop = i32(recDrop)
+			rec.stalls = i32(recStalls)
+			rec.status = Status(b[recStatus])
+			rec.parkedAt = i32(recParkedAt)
+			rec.waitEdge = i32(recWaitEdge)
+			rec.streak = i32(recStreak)
+			rec.woken = b[recWoken] != 0
+			rec.fHead = i32(recFHead)
+			rec.lastInj = i32(recLastInj)
+			rec.stretched = b[recStretched] != 0
+			rec.blockedOn = i32(recBlockedOn)
+			rec.retries = i32(recRetries)
 		}
 		if keyID(rec.key) != id {
 			r.Fail("worm %d: key %#x does not reference it", id, rec.key)
@@ -464,7 +542,14 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 			sawDropped++
 		case StatusAborted:
 			sawAborted++
+		default:
+			continue
 		}
+		// A finished record is retired as it lands, so a chunk seals the
+		// moment its last record is decoded and the restore never holds more
+		// than one full chunk of finished records.
+		si.finishRecord(id)
+		si.sealQueued()
 	}
 
 	if r.Err() != nil {
@@ -489,6 +574,10 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 			id := keyID(k)
 			if id >= numWorms {
 				r.Fail("%s key %#x references worm %d of %d", what, k, id, numWorms)
+				return
+			}
+			if si.wormChunks[id>>wormShift] == nil {
+				r.Fail("%s key %#x references worm %d, which finished in a sealed chunk", what, k, id)
 				return
 			}
 			w := si.worm(id)

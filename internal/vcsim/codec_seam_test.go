@@ -151,16 +151,9 @@ func recordStarts(si *Sim) []int {
 	return starts
 }
 
-// Offsets of the two end times inside a worm record's fixed part, and the
-// snaptest.Mutate inputs that flip one of them from -1 to a real step: XOR
-// 0xFF into its high byte turns 0xFFFFFFFF into 0x00FFFFFF.
-const (
-	recDeliverTime = 28
-	recDropTime    = 32
-)
-
 // setEndTime is the Mutate call that gives the worm record at start a
-// deliver (or drop) time it did not have.
+// deliver (or drop) time it did not have: XOR 0xFF into the high byte of
+// the time at field (recDeliver or recDrop) turns -1 into 0x00FFFFFF.
 func setEndTime(valid []byte, start, field int) []byte {
 	return snaptest.Mutate(valid, 2, uint32(start+field+3), 0xFF)
 }
@@ -192,9 +185,9 @@ func TestRestoreRejectsEndTimeAgainstStatus(t *testing.T) {
 			what      string
 			id, field int
 		}{
-			{"delivered with a drop time", delivered, recDropTime},
-			{"in flight with a deliver time", flying, recDeliverTime},
-			{"in flight with a drop time", flying, recDropTime},
+			{"delivered with a drop time", delivered, recDrop},
+			{"in flight with a deliver time", flying, recDeliver},
+			{"in flight with a drop time", flying, recDrop},
 		} {
 			mut := setEndTime(valid, starts[m.id], m.field)
 			si, err := RestoreSim(c.set.G, c.cfg, bytes.NewReader(mut))

@@ -503,8 +503,7 @@ func (si *Sim) checkInvariantsDeep() {
 	// the first panic by randomized iteration order (see checkInvariants).
 	flitOcc := make([]int32, len(si.flitFree))
 	laneOcc := make([]int32, len(si.edges))
-	for i := 0; i < si.numWorms; i++ {
-		w := si.worm(i)
+	for i, w := range si.records(true) {
 		if w.status == StatusDropped || w.status == StatusDelivered || w.status == StatusAborted {
 			continue
 		}

@@ -77,8 +77,8 @@ func FuzzRestoreSim(f *testing.F) {
 		want  []Status
 		field int
 	}{
-		{[]Status{StatusDelivered}, recDropTime},
-		{[]Status{StatusWaiting, StatusActive}, recDeliverTime},
+		{[]Status{StatusDelivered}, recDrop},
+		{[]Status{StatusWaiting, StatusActive}, recDeliver},
 	} {
 		id := 0
 		for id < si.numWorms && !slices.Contains(seed.want, si.worm(id).status) {

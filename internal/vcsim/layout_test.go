@@ -16,12 +16,12 @@ func TestHotLayout(t *testing.T) {
 			"(sparse-wide wall_s: 8 bytes −13%%, 12 bytes −9%%, 32 bytes with crossings/flitFree/relFlit +10%%; see edgeRec)", got)
 	}
 
-	// A long-lived Sim keeps one worm per message ever injected, so its
-	// size is host memory: 64 bytes of padding raised knee-deep's peak RSS
-	// by 24.3 MB, ≈ 0.38 MB per byte (see worm).
+	// Every message in flight, and every finished one whose chunk is not
+	// yet sealed, holds one worm, so its size is host memory and cache
+	// footprint (see worm).
 	if got := unsafe.Sizeof(worm{}); got > 72 {
-		t.Errorf("worm is %d bytes, want ≤ 72: every message ever injected keeps one, "+
-			"≈ 0.38 MB of knee-deep peak RSS per byte (+24.3 MB at 64 bytes of padding)", got)
+		t.Errorf("worm is %d bytes, want ≤ 72: every message in flight and every chunk not yet "+
+			"sealed pays it per message, and the kernels' cache behaviour was measured on 72", got)
 	}
 	var pointerFree func(path string, typ reflect.Type)
 	pointerFree = func(path string, typ reflect.Type) {
@@ -36,8 +36,7 @@ func TestHotLayout(t *testing.T) {
 		case reflect.Slice, reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.String,
 			reflect.Interface, reflect.Chan, reflect.Func:
 			t.Errorf("%s is a %s: a pointer in worm makes every wormChunk a scanned allocation and "+
-				"costs its header in every record, ≈ 0.38 MB of knee-deep peak RSS per byte; "+
-				"put buffers in Sim.arena behind an int32 offset", path, typ.Kind())
+				"costs its header in every record; put buffers in Sim.arena behind an int32 offset", path, typ.Kind())
 		}
 	}
 	pointerFree("worm", reflect.TypeOf(worm{}))

@@ -269,24 +269,26 @@ func (r *Result) DeliveredIDs() []message.ID {
 }
 
 // worm is the per-message simulation state, held in chunked arena storage
-// (see wormChunk). A long-lived open-loop Sim keeps one for every message
-// it ever injected, so the record, not the kernel, is the host memory: a
-// scratch copy with 64 bytes of padding on it raised knee-deep's peak RSS
-// by 24.3 MB (≈ 0.38 MB per byte) and every other simulator workload's by
-// 6–39 MB. Hence 72 bytes and no pointers: the path and the deep engine's
-// per-flit progress live in the Sim's int32 arena behind one offset, the
-// message ID is the low half of key, and one end time serves delivery and
-// drop because status says which it is. With no pointer in it a wormChunk
-// is allocated noscan, and the GC never walks per-message records. All
-// time-valued fields are 32-bit (see MaxHorizon).
+// (see wormChunk). A message holds one from injection until every worm of
+// its chunk has finished; then the chunk is sealed to ≈ 5 bytes a record
+// (seal.go). So the record is what a message costs in flight, and what a
+// long run keeps is the sealed form: before sealing, these records were
+// 62–77% of every open-loop workload's live heap. Hence 72 bytes and no
+// pointers: the path and the deep engine's per-flit progress live in the
+// Sim's int32 arena behind one offset, the message ID is the low half of
+// key, and one end time serves delivery and drop because status says which
+// it is. With no pointer in it a wormChunk is allocated noscan, and the GC
+// never walks per-message records. All time-valued fields are 32-bit (see
+// MaxHorizon).
 //
 // Field order is layout, not taste: everything a rigid advance attempt and
 // the wakeup stepper around it read or write sits in the first 32 bytes, so
 // on the page-aligned 72-byte stride five worms in eight take one cache
 // line for an attempt and the rest two. Behind key come parking, birth,
 // completion and the deep engine's cursors. TestHotLayout pins the size,
-// the hot offsets and the absence of pointers; the codec writes the same
-// 71-byte record field by field, so the order has no wire effect.
+// the hot offsets and the absence of pointers; the codec writes the
+// 71-byte wire record by offset (putRecord), so the order has no wire
+// effect.
 //
 // Because rigid worms cannot stretch, the entire flit configuration is
 // captured by a single counter: frontier = the number of edges the header
@@ -464,22 +466,6 @@ func (si *Sim) worm(idx int) *worm {
 	return &si.wormChunks[idx>>wormShift][idx&wormMask]
 }
 
-// addWorm appends a zeroed worm slot and returns it with its id. Ids are
-// bounded by MaxHorizon so they always fit the 32-bit halves of packed
-// keys; hitting the bound means ~2³¹ injected messages, far past any
-// memory budget, so it panics rather than errors.
-func (si *Sim) addWorm() (*worm, int) {
-	id := si.numWorms
-	if id >= MaxHorizon {
-		panic(fmt.Sprintf("vcsim: worm count %d reached MaxHorizon", id))
-	}
-	if ci := id >> wormShift; ci == len(si.wormChunks) {
-		si.wormChunks = append(si.wormChunks, new(wormChunk))
-	}
-	si.numWorms++
-	return &si.wormChunks[id>>wormShift][id&wormMask], id
-}
-
 // i32Arena is the one int32 store behind every worm's buffer, addressed by
 // offset so a worm holds 4 bytes instead of two slice headers. It is a bump
 // allocator over one slice: len(buf) is the cursor, growth re-copies the
@@ -648,12 +634,23 @@ type Sim struct {
 	// int32 arena holding every path and flit-progress buffer. worms are
 	// indexed by dense message ID; numWorms is the count. bufFree recycles
 	// finished worms' buffers into later Injects (incremental mode only,
-	// see freeBuf).
-	wormChunks []*wormChunk
-	numWorms   int
-	arena      i32Arena
-	recycle    bool
-	bufFree    []bufSpan
+	// see freeBuf). A chunk whose worms have all finished is sealed
+	// (seal.go): its wormChunks entry goes nil, its records are encoded
+	// into chunks[i].sealed, a piece of one of the blocks in sealed (the
+	// first sealedInUse of them hold records; Reset keeps the rest), and
+	// the chunk itself goes onto spare for addWorm to reuse. toSeal queues
+	// chunks for applyStepEnd; sealScratch is where one is encoded.
+	wormChunks  []*wormChunk
+	chunks      []chunkMeta
+	numWorms    int
+	arena       i32Arena
+	recycle     bool
+	bufFree     []bufSpan
+	sealed      [][]byte
+	sealedInUse int
+	sealScratch []byte
+	toSeal      []int
+	spare       []*wormChunk
 
 	// pending holds release keys (release<<32 | id, a policy-independent
 	// encoding whose uint64 order IS (release, id) order) for worms whose
@@ -962,6 +959,18 @@ func (si *Sim) Reset() {
 		si.aborted = 0
 		si.faultDead = false
 	}
+	for _, c := range si.wormChunks {
+		if c != nil {
+			si.spare = append(si.spare, c)
+		}
+	}
+	si.wormChunks = si.wormChunks[:0]
+	si.chunks = si.chunks[:0]
+	for i := range si.sealed[:si.sealedInUse] {
+		si.sealed[i] = si.sealed[i][:0]
+	}
+	si.sealedInUse = 0
+	si.toSeal = si.toSeal[:0]
 	si.numWorms = 0
 	si.arena.reset()
 	si.pending = si.pending[:0]
@@ -1367,9 +1376,11 @@ func (si *Sim) stepNaive() {
 	}
 	si.blockedScratch = blocked
 
+	// Reap before the step-end fold, which may seal the chunks of the worms
+	// reap looks up — where the wakeup stepper's ArbRandom path reaps too.
+	si.reap()
 	si.applyStepEnd()
 	si.now++
-	si.reap()
 
 	if si.cfg.CheckInvariants {
 		si.checkInvariants() //wormvet:allow hotalloc -- debug-gated by Config.CheckInvariants
@@ -1587,14 +1598,15 @@ func (si *Sim) retire(w *worm, status Status) {
 		}
 	}
 	// The buffer is never consulted again; freeing it leaves a finished
-	// worm its 72-byte record. (The record itself is retained so IDs keep
-	// indexing worms and Result can report per-message stats; a long-lived
-	// open-loop Sim therefore still grows by 72 bytes per message, ≈ 83% of
-	// knee-deep's peak RSS — TestRetainedBytesPerMessage gates it.)
+	// worm its record, which stays in place — a step may still hold it —
+	// until the worm's chunk has no unfinished worm left and applyStepEnd
+	// seals it to a few bytes (seal.go; TestRetainedBytesPerMessage gates
+	// what a long-lived Sim keeps per message).
 	si.freeBuf(w)
 	if cb := si.cfg.OnComplete; cb != nil {
 		cb(message.ID(w.id()), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook
 	}
+	si.finishRecord(int(w.id()))
 }
 
 // drop discards worm w, releasing all buffer credits it occupies (visible
@@ -1648,6 +1660,8 @@ func (si *Sim) touchMax(e int32) {
 // later-ordered contender) can only exist in the very step the worm
 // parked. Body-flit crossings move no credit state — and, epoch-stamped,
 // need no reset — so a worm queue is not re-scanned on every transit.
+// Last come the chunks whose final worm finished this step: they are
+// sealed here, once the advance loop has let go of every *worm (seal.go).
 //
 //wormvet:hotpath
 func (si *Sim) applyStepEnd() {
@@ -1697,6 +1711,9 @@ func (si *Sim) applyStepEnd() {
 	}
 	si.dirtyMax = si.dirtyMax[:0]
 	si.mergeWoken()
+	if len(si.toSeal) > 0 {
+		si.sealQueued()
+	}
 }
 
 // reap removes completed and dropped worms from the active list (and the
@@ -1801,8 +1818,7 @@ func (si *Sim) checkInvariants() {
 	// multi-edge violation would surface whichever panic Go's randomized
 	// map iteration reached first, making failure output flap run to run.
 	occ := make([]int32, len(si.edges))
-	for i := 0; i < si.numWorms; i++ {
-		w := si.worm(i)
+	for _, w := range si.records(true) {
 		if w.status == StatusDropped || w.status == StatusDelivered || w.status == StatusAborted {
 			continue
 		}
@@ -1867,8 +1883,7 @@ func (si *Sim) Result() Result {
 		BlockedIDs:      si.blockedIDs,
 	}
 	last := 0
-	for i := 0; i < si.numWorms; i++ {
-		w := si.worm(i)
+	for i, w := range si.records(false) {
 		st := w.messageStats()
 		// A parked worm's stall credit is stamped lazily; fold the span
 		// it has sat parked (it would have failed every one of those

@@ -519,8 +519,8 @@ func (si *Sim) stampDeadlock(order []uint64) {
 		// list plus every parked worm, in policy (= key) order.
 		blocked = make([]uint64, 0, len(si.active)+si.parked)
 		blocked = append(blocked, si.active...)
-		for i := 0; i < si.numWorms; i++ {
-			if w := si.worm(i); w.parkedAt >= 0 {
+		for _, w := range si.records(true) {
+			if w.parkedAt >= 0 {
 				blocked = append(blocked, w.key)
 			}
 		}
