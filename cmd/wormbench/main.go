@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"wormhole/internal/core"
+	"wormhole/internal/snap"
 	"wormhole/internal/stats"
 	"wormhole/internal/telemetry"
 )
@@ -171,7 +172,7 @@ func runOne(stdout io.Writer, id string, cfg core.Config, csvOut bool, ckptDir s
 		// One subdirectory per experiment; core.Run scopes the keys inside
 		// to -seed, -quick, -trials and -scale, so a directory reused
 		// under other flags recomputes instead of replaying.
-		cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(ckptDir, id)}}
+		cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{FS: snap.OS, Dir: filepath.Join(ckptDir, id)}}
 	}
 	start := time.Now()
 	tables, err := core.Run(context.Background(), id, cfg)

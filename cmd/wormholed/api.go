@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"os"
 	"time"
 
 	"wormhole/internal/vcsim"
@@ -101,7 +100,7 @@ func newAPI(m *manager) http.Handler {
 			httpError(w, http.StatusConflict, "job is "+string(st.State))
 			return
 		}
-		blob, err := os.ReadFile(m.ResultPath(st.ID))
+		blob, err := m.fsys.ReadFile(m.ResultPath(st.ID))
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -1,9 +1,11 @@
 package main
 
 // In-process daemon tests: the API contract (including the typed 400s
-// for engine-rejected workloads), the sweep/experiment job lifecycle,
+// for engine-rejected workloads, the admission and body caps), the
+// sweep/experiment job lifecycle, faulted sweeps, the checkpoint frame,
 // and graceful-shutdown resume — all against real managers over real
 // state directories, with the HTTP layer exercised through httptest.
+// Crash consistency has its own enumeration, in crash_test.go.
 
 import (
 	"bytes"
@@ -81,7 +83,7 @@ func mustFaults(t *testing.T, text string) fault.Schedule {
 
 func startTestServer(t *testing.T, stateDir string, ckptEvery int) (*httptest.Server, *manager) {
 	t.Helper()
-	m, err := newManager(stateDir, 2, ckptEvery, 0, 0)
+	m, err := newManager(stateDir, 2, ckptEvery, 0, snap.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +426,7 @@ func TestGracefulShutdownResumes(t *testing.T) {
 // and seals in the buffer its first one grew — it allocates no buffer of
 // checkpoint size — and what lands on disk opens and restores.
 func TestCheckpointReusesWorkerBuffer(t *testing.T) {
-	m, err := newManager(t.TempDir(), 1, 0, 0, 0)
+	m, err := newManager(t.TempDir(), 1, 0, 0, snap.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +508,7 @@ func TestCancelJob(t *testing.T) {
 // canceled at pickup without running a step, and a cancel is final — the
 // job's context keeps its first cause through the shutdown that follows.
 func TestCancelWhileQueued(t *testing.T) {
-	m, err := newManager(t.TempDir(), 1, 0, 0, 0)
+	m, err := newManager(t.TempDir(), 1, 0, 0, snap.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,7 +802,7 @@ func TestStatusPollsWhileJobsRun(t *testing.T) {
 		t.Skip("polls two long jobs")
 	}
 	if raceDetector {
-		t.Skip("the race detector slows a flit step about tenfold, so 64 steps outlast the 5 ms budget")
+		t.Skip("the race detector slows a flit step about tenfold, so a yield interval outlasts the 5 ms budget")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sweep := testSweepSpec()
@@ -839,4 +841,204 @@ func TestStatusPollsWhileJobsRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointFrame: what checkpointRunner seals, runPoint opens, and
+// the two corruptions a crash or a bad disk leaves — a torn write, a flipped
+// byte — come back as errCorruptCheckpoint. (The exhaustive every-offset
+// check lives with the frame, in internal/snap.)
+func TestCheckpointFrame(t *testing.T) {
+	payload := []byte("WRUNSNAP-stand-in payload bytes, long enough to cut at many points")
+	var frame snap.Frame
+	frame.Write(payload) //nolint:errcheck
+	sealed := frame.Seal()
+
+	got, err := snap.Open(sealed, errCorruptCheckpoint)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("roundtrip: %v (%q)", err, got)
+	}
+	flipped := append([]byte(nil), sealed...)
+	flipped[len(flipped)/2] ^= 0x20
+	for name, raw := range map[string][]byte{
+		"torn":    sealed[:len(sealed)/2],
+		"flipped": flipped,
+		"garbage": []byte("not a checkpoint at all"),
+	} {
+		if _, err := snap.Open(raw, errCorruptCheckpoint); !errors.Is(err, errCorruptCheckpoint) {
+			t.Errorf("%s checkpoint: err = %v, want errCorruptCheckpoint", name, err)
+		}
+	}
+}
+
+// TestAdmissionCap: submissions over -max-queued get 429 with
+// Retry-After, and nothing is persisted for the rejected job.
+func TestAdmissionCap(t *testing.T) {
+	dir := t.TempDir()
+	m, err := newManager(dir, 1, 0, 1, snap.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	srv := newTestHTTP(t, m)
+
+	long := testSweepSpec()
+	long.Rates = []float64{0.05}
+	long.Measure = 200_000_000 // occupies the lone worker until cancel
+
+	submit := func() *http.Response {
+		return postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: long})
+	}
+	first := decodeStatus(t, submit())           // picked up by the worker
+	waitStateURL(t, srv, first.ID, stateRunning) // queue is empty again
+	second := decodeStatus(t, submit())          // sits in the queue
+
+	resp := submit()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-cap submit = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+	var body map[string]string
+	json.NewDecoder(resp.Body).Decode(&body) //nolint:errcheck
+	if body["error"] != "overloaded" {
+		t.Fatalf("error kind %q, want overloaded", body["error"])
+	}
+
+	// Unblock the pool so Shutdown doesn't wait on a 200M-step run.
+	m.Cancel(first.ID)
+	m.Cancel(second.ID)
+}
+
+// TestJobBodyCap: a submission over maxJobBody is a 413, not an
+// unbounded read.
+func TestJobBodyCap(t *testing.T) {
+	m, err := newManager(t.TempDir(), 1, 0, 0, snap.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	srv := newTestHTTP(t, m)
+
+	// Syntactically valid JSON, so the decoder keeps reading until the
+	// byte cap trips rather than bailing on the first token.
+	huge := append([]byte(`{"type":"`), bytes.Repeat([]byte("x"), maxJobBody+1024)...)
+	huge = append(huge, []byte(`"}`)...)
+	resp, err := http.Post(srv+"/api/v1/jobs", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit = %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestFaultedSweepMatchesDirectRun: a sweep job with a fault schedule
+// and retry policy renders byte-identically to direct traffic.Run calls
+// with the same config — the service layer adds nothing and loses
+// nothing around the fault plane.
+func TestFaultedSweepMatchesDirectRun(t *testing.T) {
+	m, err := newManager(t.TempDir(), 2, 0, 0, snap.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	srv := newTestHTTP(t, m)
+
+	spec := testSweepSpec()
+	spec.Faults = mustFaults(t, "lane:0@10-60 edge:3@20-80 lane:5@40-90")
+	spec.RetryMaxAttempts = 3
+	spec.RetryBackoff = 8
+	spec.RetryBackoffCap = 64
+
+	st := decodeStatus(t, postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
+	done := waitStateURL(t, srv, st.ID, stateDone)
+	got := fetch(t, srv+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK)
+
+	if done.Checkpoints != nil {
+		t.Fatalf("a job that never checkpointed reports checkpoints %+v; want the object absent", done.Checkpoints)
+	}
+
+	if want := directRunCSV(t, spec); string(got) != want {
+		t.Fatalf("faulted sweep CSV diverged from direct runs\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestBadFaultGrammarRejected: an unparseable schedule is a 400 at
+// submission, not a worker-side failure.
+func TestBadFaultGrammarRejected(t *testing.T) {
+	m, err := newManager(t.TempDir(), 1, 0, 0, snap.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	srv := newTestHTTP(t, m)
+
+	body := `{"type":"sweep","sweep":{"topology":"butterfly","size":8,"virtual_channels":2,
+		"message_length":4,"rates":[0.02],"measure":160,"faults":"lane3@nonsense"}}`
+	resp, err := http.Post(srv+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad fault grammar = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRejectedRestoreIsOnTheRecord: a checkpoint the integrity frame
+// refuses costs the point its resume, not its correctness — and the job's
+// status, not only stderr, says a restore was rejected and why.
+func TestRejectedRestoreIsOnTheRecord(t *testing.T) {
+	spec := testSweepSpec()
+	spec.Measure, spec.Drain = 2000, 800 // long enough to catch mid-run
+
+	dir := t.TempDir()
+	m1, err := newManager(dir, 1, 100, 0, snap.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := newTestHTTP(t, m1)
+	st := decodeStatus(t, postJSON(t, srv1+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
+	waitStateURL(t, srv1, st.ID, stateRunning)
+	m1.Shutdown() // takes the final checkpoint of whichever point was live
+
+	snaps, err := filepath.Glob(filepath.Join(dir, "jobs", st.ID, "point-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("shutdown left checkpoints %v (%v), want exactly one", snaps, err)
+	}
+	raw, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(snaps[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := newManager(dir, 1, 100, 0, snap.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Shutdown()
+	srv2 := newTestHTTP(t, m2)
+	done := waitStateURL(t, srv2, st.ID, stateDone)
+	ck := done.Checkpoints
+	if ck == nil || ck.RestoreRejected < 1 || ck.Restored != 0 ||
+		!strings.Contains(ck.LastRestoreError, errCorruptCheckpoint.Error()) || !strings.Contains(ck.LastRestoreError, "checksum mismatch") {
+		t.Fatalf("job resumed over a flipped checkpoint reports %+v; want the rejection counted with the frame's reason", ck)
+	}
+	if got, want := fetch(t, srv2+"/api/v1/jobs/"+st.ID+"/result", http.StatusOK), directRunCSV(t, spec); string(got) != want {
+		t.Fatalf("sweep re-run after a rejected restore diverged from direct runs\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// newTestHTTP serves m for tests that build their own manager.
+func newTestHTTP(t *testing.T, m *manager) string {
+	t.Helper()
+	srv := httptest.NewServer(newAPI(m))
+	t.Cleanup(srv.Close)
+	return srv.URL
 }

@@ -9,16 +9,18 @@
 //
 //	wormholed -state DIR [-http :8080] [-workers N]
 //	          [-checkpoint-interval STEPS] [-addr-file FILE]
-//	          [-max-queued N] [-chaos SEED]
+//	          [-max-queued N]
 //
 // Every job persists under -state and every live simulation checkpoints
 // itself every -checkpoint-interval flit steps (vcsim's versioned
 // binary snapshot format via traffic.Runner.Snapshot), so the daemon
-// survives both graceful restarts and kill -9: on SIGTERM running jobs
-// pause at their next step, checkpoint, and re-queue; on startup the
-// state directory is scanned and interrupted jobs resume from their
-// checkpoints. Resumed runs are byte-identical to uninterrupted ones —
-// the CI e2e test kills the daemon mid-run and diffs.
+// survives graceful restarts, kill -9 and machine crashes: on SIGTERM
+// running jobs pause at their next step, checkpoint, and re-queue; on
+// startup the state directory is scanned and interrupted jobs resume
+// from their checkpoints. Resumed runs are byte-identical to
+// uninterrupted ones — the CI e2e test kills the daemon mid-run and
+// diffs, and TestCrashPoints restarts it after each file operation of a
+// run, under process death and under machine death.
 //
 // -addr-file writes the resolved listen address (useful with -http :0)
 // once the socket is bound, which is how tests rendezvous with the
@@ -51,7 +53,6 @@ func run() int {
 		ckptEvery = flag.Int("checkpoint-interval", 1_000_000, "checkpoint live runs every N flit steps (0 = only on graceful shutdown); a checkpoint encodes at about 2 GB/s and restores at about 1 GB/s (0.5 and 1 ms per MB), but its size is still ~81 bytes per message injected so far, so on long runs very small intervals spend their time writing ever larger files")
 		addrFile  = flag.String("addr-file", "", "write the resolved listen address to this file once bound")
 		maxQueued = flag.Int("max-queued", 1024, "admission cap: submissions beyond this many queued jobs get 429 + Retry-After")
-		chaosSeed = flag.Uint64("chaos", 0, "testing hook: deterministically injure checkpoint writes (disk-full, torn writes, bit flips) from this seed; 0 = off")
 	)
 	flag.Parse()
 	if *stateDir == "" {
@@ -59,7 +60,7 @@ func run() int {
 		return 2
 	}
 
-	m, err := newManager(*stateDir, *workers, *ckptEvery, *maxQueued, *chaosSeed)
+	m, err := newManager(*stateDir, *workers, *ckptEvery, *maxQueued, snap.OS)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wormholed:", err)
 		return 1
@@ -71,7 +72,7 @@ func run() int {
 		return 1
 	}
 	if *addrFile != "" {
-		if err := snap.WriteFile(*addrFile, []byte(ln.Addr().String())); err != nil {
+		if err := snap.WriteFile(snap.OS, *addrFile, []byte(ln.Addr().String())); err != nil {
 			fmt.Fprintln(os.Stderr, "wormholed:", err)
 			return 1
 		}

@@ -5,7 +5,7 @@ package main
 // under one state directory so a daemon restart — graceful or kill -9 —
 // reconstructs the queue and resumes interrupted work from checkpoints:
 //
-//	STATE/jobs/<id>/job.json      job spec + status (atomic writes)
+//	STATE/jobs/<id>/job.json      job spec + status
 //	STATE/jobs/<id>/point-K.snap  live Runner checkpoint for sweep point K
 //	STATE/jobs/<id>/point-K.json  completed sweep point (memoized)
 //	STATE/jobs/<id>/ckpt/         core.Checkpoint store for experiment jobs
@@ -48,11 +48,12 @@ import (
 type jobState string
 
 // yieldSteps is how often, in flit steps, a running sweep point hands its
-// P to whatever else is runnable — a status poll, most often. On a 64-input
-// butterfly at 0.25 load, yielding every 64 steps brought a GOMAXPROCS(1)
-// poll from ≈ 19 ms past due to ≈ 0.4 ms (TestStatusPollsWhileJobsRun).
-// Experiment jobs yield the same way inside core (Config.onStep).
-const yieldSteps = 64
+// P to whatever else is runnable — a status poll, most often. Every 8
+// steps keeps a GOMAXPROCS(1) poll under 1 ms past due even behind T12's
+// slow saturated bisection probes, where every 64 left it ≈ 8 ms and no
+// yield ≈ 19 ms (TestStatusPollsWhileJobsRun). Experiment jobs yield the
+// same way inside core (Config.onStep).
+const yieldSteps = 8
 
 const (
 	stateQueued   jobState = "queued"
@@ -70,6 +71,9 @@ var (
 	// errQueueFull rejects submissions over the -max-queued admission
 	// cap; the API layer renders it as 429 with Retry-After.
 	errQueueFull = errors.New("wormholed: job queue is full")
+	// errCorruptCheckpoint is what snap.Open wraps when a checkpoint file
+	// fails its integrity frame.
+	errCorruptCheckpoint = errors.New("wormholed: corrupt checkpoint")
 )
 
 // SweepSpec declares an open-loop rate sweep: one traffic run per entry
@@ -288,10 +292,11 @@ func (j *job) snapshotStatus() JobStatus {
 
 // manager owns the state directory and the worker pool.
 type manager struct {
-	dir       string // STATE/jobs
-	ckptEvery int    // checkpoint a live sweep runner every N steps
+	fsys      snap.FS // every file operation but the caches' writes
+	cache     snap.FS // fsys without the syncs: see unsynced
+	dir       string  // STATE/jobs
+	ckptEvery int     // checkpoint a live sweep runner every N steps
 	queue     chan *job
-	chaos     *chaosInjector // nil unless -chaos armed the write path
 	// ctx is every job context's parent; Shutdown cancels it.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -305,7 +310,7 @@ type manager struct {
 	start time.Time
 }
 
-func newManager(stateDir string, workers, ckptEvery, maxQueued int, chaosSeed uint64) (*manager, error) {
+func newManager(stateDir string, workers, ckptEvery, maxQueued int, fsys snap.FS) (*manager, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -313,16 +318,19 @@ func newManager(stateDir string, workers, ckptEvery, maxQueued int, chaosSeed ui
 		maxQueued = 1024
 	}
 	m := &manager{
+		fsys:      fsys,
+		cache:     unsynced{fsys},
 		dir:       filepath.Join(stateDir, "jobs"),
 		ckptEvery: ckptEvery,
 		jobs:      map[string]*job{},
 		start:     time.Now(),
 	}
 	m.ctx, m.cancel = context.WithCancelCause(context.Background())
-	if chaosSeed != 0 {
-		m.chaos = newChaosInjector(chaosSeed)
+	// STATE/jobs must outlive a machine death before any job in it can.
+	if err := fsys.MkdirAll(m.dir); err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
+	if err := fsys.SyncDir(stateDir); err != nil {
 		return nil, err
 	}
 	requeue, err := m.recover()
@@ -352,7 +360,7 @@ func newManager(stateDir string, workers, ckptEvery, maxQueued int, chaosSeed ui
 // the checkpoint it was writing) that nothing would ever rename or read:
 // those are swept first, while no worker is writing.
 func (m *manager) recover() ([]*job, error) {
-	entries, err := os.ReadDir(m.dir)
+	entries, err := m.fsys.ReadDir(m.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -366,11 +374,11 @@ func (m *manager) recover() ([]*job, error) {
 	var requeue []*job
 	for _, name := range names {
 		for _, dir := range []string{m.jobDir(name), filepath.Join(m.jobDir(name), "ckpt")} {
-			if err := snap.RemoveTemps(dir); err != nil {
+			if err := snap.RemoveTemps(m.fsys, dir); err != nil {
 				fmt.Fprintln(os.Stderr, "wormholed: recover:", err)
 			}
 		}
-		blob, err := os.ReadFile(filepath.Join(m.dir, name, "job.json"))
+		blob, err := m.fsys.ReadFile(filepath.Join(m.dir, name, "job.json"))
 		if err != nil {
 			continue // half-created dir: ignore
 		}
@@ -419,10 +427,15 @@ func (m *manager) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	// Directory and first job.json before the job becomes visible: a
 	// submission that cannot be persisted must not leave List and /metrics
-	// showing a queued job no worker will ever run.
-	err := os.MkdirAll(m.jobDir(id), 0o755)
+	// showing a queued job no worker will ever run. Syncing STATE/jobs
+	// makes the directory outlive a machine death; persist does the same
+	// for job.json inside it, so a 202 is never taken back.
+	err := m.fsys.MkdirAll(m.jobDir(id))
 	if err == nil {
-		err = m.persist(j)
+		err = m.fsys.SyncDir(m.dir)
+	}
+	if err == nil {
+		err = m.persist(j.snapshotStatus())
 	}
 	if err == nil {
 		m.jobs[id] = j
@@ -485,22 +498,24 @@ func (m *manager) Shutdown() {
 
 func (m *manager) jobDir(id string) string { return filepath.Join(m.dir, id) }
 
+// setState moves j to state s. The new state is on disk before any status
+// reports it, so a tenant is never shown a state a crash would take back.
 func (m *manager) setState(j *job, s jobState, errMsg string) {
+	st := j.snapshotStatus()
+	st.State, st.Error = s, errMsg
+	m.persist(st)
 	j.mu.Lock()
-	j.status.State = s
-	j.status.Error = errMsg
+	j.status.State, j.status.Error = s, errMsg
 	j.mu.Unlock()
-	m.persist(j)
 }
 
-// persist atomically rewrites the job's job.json. A failure is logged
-// here; only Submit, which must not admit an unpersisted job, also acts
-// on the returned error.
-func (m *manager) persist(j *job) error {
-	st := j.snapshotStatus()
+// persist atomically and durably rewrites st's job.json. A failure is
+// logged here; only Submit, which must not admit an unpersisted job, also
+// acts on the returned error.
+func (m *manager) persist(st JobStatus) error {
 	blob, err := json.MarshalIndent(st, "", "  ")
 	if err == nil {
-		err = snap.WriteFile(filepath.Join(m.jobDir(st.ID), "job.json"), blob)
+		err = snap.WriteFile(m.fsys, filepath.Join(m.jobDir(st.ID), "job.json"), blob)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wormholed: persist:", err)
@@ -568,7 +583,7 @@ func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
 	// A finished point is memoized as point-K.json under core's memo
 	// contract: replayed only if it is a faithful pointResult as the type
 	// is now, stored only if proven to round-trip.
-	memo := core.DirStore{Dir: m.jobDir(st.ID)}
+	memo := core.DirStore{FS: m.cache, Dir: m.jobDir(st.ID)}
 	results := make([]pointResult, 0, len(spec.Rates))
 	for k, rate := range spec.Rates {
 		key := fmt.Sprintf("point-%03d.json", k)
@@ -579,15 +594,17 @@ func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
 				return err
 			}
 			core.StoreMemo(memo, key, pr)
-			os.Remove(m.pointSnapPath(st.ID, k))
 		}
+		// On a replayed memo too: a crash between the memo and this removal
+		// leaves a finished point's checkpoint that nothing else deletes.
+		m.fsys.Remove(m.pointSnapPath(st.ID, k))
 		results = append(results, pr)
 		j.mu.Lock()
 		j.status.PointsDone = k + 1
 		j.mu.Unlock()
-		m.persist(j)
+		m.persist(j.snapshotStatus())
 	}
-	return snap.WriteFile(filepath.Join(m.jobDir(st.ID), "result.csv"), []byte(renderSweepCSV(results)))
+	return snap.WriteFile(m.fsys, filepath.Join(m.jobDir(st.ID), "result.csv"), []byte(renderSweepCSV(results)))
 }
 
 // runPoint runs (or resumes) one sweep point. The runner checkpoints
@@ -621,7 +638,7 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 		return nil
 	}
 
-	if raw, err := os.ReadFile(snapPath); err == nil {
+	if raw, err := m.fsys.ReadFile(snapPath); err == nil {
 		// The integrity frame catches torn writes, truncations, and bit
 		// flips before the runner codec sees the bytes; either failure
 		// falls back to a fresh run rather than resuming corrupt state,
@@ -639,7 +656,7 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 			}
 		})
 		if err != nil {
-			os.Remove(snapPath)
+			m.fsys.Remove(snapPath)
 			r = nil
 		}
 	}
@@ -688,25 +705,38 @@ func (m *manager) checkpoint(j *job, r *traffic.Runner, path string, buf *snap.F
 // the CRC integrity frame, and returns the file's size. The snapshot is
 // encoded into buf behind the frame header's reserved room and sealed
 // there, so the bytes written are the bytes encoded — no intermediate
-// copy. With -chaos armed, the write may be failed, torn, flipped, or
-// dropped — the restore path must absorb all of it.
+// copy.
 func (m *manager) checkpointRunner(r *traffic.Runner, path string, buf *snap.Frame) (int, error) {
 	buf.Reset()
 	if err := r.Snapshot(buf); err != nil {
 		return 0, err
 	}
 	blob := buf.Seal()
-	if m.chaos != nil {
-		var err error
-		if blob, err = m.chaos.mangleWrite(path, blob); err != nil {
-			return 0, err
-		}
-		if blob == nil {
-			return 0, nil // write silently lost
-		}
-	}
-	return len(blob), snap.WriteFile(path, blob)
+	return len(blob), snap.WriteFile(m.cache, path, blob)
 }
+
+// unsynced is an FS whose syncs do nothing. The manager writes its caches
+// through it: checkpoints and finished-point memos, which a machine death
+// may lose or tear because the reader rejects either — a checkpoint on its
+// CRC frame, a memo (a JSON object, so no proper prefix of it decodes)
+// under core's memo contract — and recomputes. Syncing them too put the
+// benchmark's daemon-sweep wall_s at +21% on a 2-vCPU ext4 VM: its jobs
+// checkpoint every 2048 steps.
+type unsynced struct{ snap.FS }
+
+func (unsynced) SyncDir(string) error { return nil }
+
+func (u unsynced) CreateTemp(dir, pattern string) (snap.File, error) {
+	f, err := u.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return unsyncedFile{f}, nil
+}
+
+type unsyncedFile struct{ snap.File }
+
+func (unsyncedFile) Sync() error { return nil }
 
 func (m *manager) pointSnapPath(id string, k int) string {
 	return filepath.Join(m.jobDir(id), fmt.Sprintf("point-%03d.snap", k))
@@ -746,7 +776,7 @@ func (m *manager) runExperiment(j *job) (err error) {
 	st := j.snapshotStatus()
 	spec := st.Spec.Experiment
 	cfg := spec.config()
-	cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}}
+	cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{FS: m.fsys, Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}}
 	defer func() {
 		// Experiments panic on states they take for bugs. That is this
 		// job's failure, not the daemon's: a panic escaping this worker
@@ -764,7 +794,7 @@ func (m *manager) runExperiment(j *job) (err error) {
 	if err := stats.WriteTablesCSV(&b, tables); err != nil {
 		return err
 	}
-	return snap.WriteFile(filepath.Join(m.jobDir(st.ID), "result.csv"), b.Bytes())
+	return snap.WriteFile(m.fsys, filepath.Join(m.jobDir(st.ID), "result.csv"), b.Bytes())
 }
 
 // ResultPath returns the final output path for a done job.

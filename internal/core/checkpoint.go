@@ -45,7 +45,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -132,16 +131,17 @@ func StoreMemo[T any](s BlobStore, key string, v T) {
 	}
 }
 
-// DirStore is a BlobStore over one directory: each key is a file,
-// written atomically (temp file + rename). Load tolerates a missing
-// directory; Save creates it on first use.
+// DirStore is a BlobStore over one directory of FS: each key is a file,
+// written atomically (snap.WriteFile), and durably where FS syncs. Load
+// tolerates a missing directory; Save creates it on first use.
 type DirStore struct {
+	FS  snap.FS
 	Dir string
 }
 
 // Load implements BlobStore.
 func (d DirStore) Load(key string) ([]byte, bool) {
-	blob, err := os.ReadFile(filepath.Join(d.Dir, key))
+	blob, err := d.FS.ReadFile(filepath.Join(d.Dir, key))
 	if err != nil {
 		return nil, false
 	}
@@ -152,7 +152,7 @@ func (d DirStore) Load(key string) ([]byte, bool) {
 // checkpoint store that cannot write degrades to re-running jobs, which
 // is always correct.
 func (d DirStore) Save(key string, blob []byte) {
-	if os.MkdirAll(d.Dir, 0o755) == nil {
-		snap.WriteFile(filepath.Join(d.Dir, key), blob) //nolint:errcheck // see above
+	if d.FS.MkdirAll(d.Dir) == nil {
+		snap.WriteFile(d.FS, filepath.Join(d.Dir, key), blob) //nolint:errcheck // see above
 	}
 }

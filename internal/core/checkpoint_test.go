@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"wormhole/internal/snap"
 	"wormhole/internal/stats"
 )
 
@@ -184,7 +185,7 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 
 	dir := t.TempDir()
 	first, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true,
-		Checkpoint: &Checkpoint{Store: DirStore{Dir: dir}}})
+		Checkpoint: &Checkpoint{Store: DirStore{FS: snap.OS, Dir: dir}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 		t.Fatal("checkpointed run stored nothing; T12 rows no longer round-trip JSON")
 	}
 	resumed, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true,
-		Checkpoint: &Checkpoint{Store: DirStore{Dir: dir}}})
+		Checkpoint: &Checkpoint{Store: DirStore{FS: snap.OS, Dir: dir}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestCheckpointKeysScopedToRun(t *testing.T) {
 
 // TestDirStoreAtomicRoundTrip covers the filesystem BlobStore.
 func TestDirStoreAtomicRoundTrip(t *testing.T) {
-	d := DirStore{Dir: t.TempDir() + "/nested/store"}
+	d := DirStore{FS: snap.OS, Dir: t.TempDir() + "/nested/store"}
 	if _, ok := d.Load("missing.json"); ok {
 		t.Fatal("Load invented a blob")
 	}
@@ -358,7 +359,7 @@ func TestDirStoreSaveFailureIsSilent(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := DirStore{Dir: filepath.Join(file, "store")}
+	d := DirStore{FS: snap.OS, Dir: filepath.Join(file, "store")}
 	d.Save("a.json", []byte(`{"x":1}`))
 	if _, ok := d.Load("a.json"); ok {
 		t.Fatal("Load found a blob the failed Save should have dropped")

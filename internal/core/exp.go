@@ -71,18 +71,18 @@ func (c Config) metrics() *telemetry.Metrics {
 // onStep is the OnStep hook of the experiment's open-loop runs. Under a
 // context that can be cancelled — a service's, as in wormholed's
 // experiment jobs — it hands the P to any other runnable goroutine every
-// 64 flit steps, so the service's status polls do not wait out Go's 10 ms
+// 8 flit steps, so the service's status polls do not wait out Go's 10 ms
 // preemption slice while every P steps a job. A run nothing can cancel
 // (the command line) has nothing to yield to and gets no hook.
 func (c Config) onStep() func(int) error {
 	if c.ctx == nil || c.ctx.Done() == nil {
 		return nil
 	}
-	return yieldEvery64
+	return yieldEvery8
 }
 
-func yieldEvery64(step int) error {
-	if step%64 == 0 {
+func yieldEvery8(step int) error {
+	if step%8 == 0 {
 		runtime.Gosched()
 	}
 	return nil

@@ -76,37 +76,98 @@ func Open(raw []byte, bad error) ([]byte, error) {
 	return payload, nil
 }
 
+// FS is the filesystem everything the daemon persists goes through. OS is
+// the production implementation; snaptest.FS records every mutating
+// operation in memory, so a test can restart on what a process death or
+// a machine death after each one would have left. Only the two syncs make
+// anything durable: a file's data once its Sync returned, a directory
+// entry (a creation, a rename, a removal) once SyncDir of its parent did.
+type FS interface {
+	CreateTemp(dir, pattern string) (File, error)
+	Rename(from, to string) error
+	Remove(name string) error
+	MkdirAll(dir string) error
+	SyncDir(dir string) error
+	ReadFile(name string) ([]byte, error)
+	ReadDir(dir string) ([]fs.DirEntry, error)
+}
+
+// File is a file CreateTemp opened for writing. It is an alias of an
+// unnamed interface, so snaptest can declare the identical type without
+// importing this package (whose own tests import snaptest).
+type File = interface {
+	Name() string
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// OS is the FS of the operating system.
+var OS FS = osFS{}
+
+type osFS struct{}
+
+func (osFS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) Rename(from, to string) error              { return os.Rename(from, to) }
+func (osFS) Remove(name string) error                  { return os.Remove(name) }
+func (osFS) MkdirAll(dir string) error                 { return os.MkdirAll(dir, 0o755) }
+func (osFS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
+func (osFS) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // opened only to sync: its Close reports nothing
+	return d.Sync()
+}
+
 // tmpMark is what every WriteFile temp name carries after its target's.
 const tmpMark = ".tmp"
 
-// WriteFile writes blob to path atomically — a temp file in path's
-// directory, then a rename — so neither a concurrent reader nor a crash
-// ever observes a partial file under path. A process killed between the
-// two leaves the temp file behind; RemoveTemps sweeps those.
-func WriteFile(path string, blob []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tmpMark+"*")
+// WriteFile writes blob to path atomically and durably: a temp file in
+// path's directory, synced, renamed over path, then the directory synced.
+// Neither a concurrent reader nor a crash ever observes a partial file
+// under path, and once WriteFile returns nil the file survives a machine
+// death too, if fsys's syncs are real. A process killed before the rename
+// leaves the temp file behind; RemoveTemps sweeps those.
+func WriteFile(fsys FS, path string, blob []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+tmpMark+"*")
 	if err != nil {
 		return err
 	}
 	_, err = tmp.Write(blob)
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+		err = fsys.Rename(tmp.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
+		fsys.Remove(tmp.Name())
+		return err
 	}
-	return err
+	return fsys.SyncDir(dir)
 }
 
 // RemoveTemps deletes the temp files interrupted WriteFile calls left in
 // dir. Only a directory's owner may call it, and only while no WriteFile
 // into dir is in flight (the daemon does, at startup). A missing dir is
 // not an error.
-func RemoveTemps(dir string) error {
-	entries, err := os.ReadDir(dir)
+func RemoveTemps(fsys FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
@@ -114,10 +175,10 @@ func RemoveTemps(dir string) error {
 		return err
 	}
 	for _, e := range entries {
-		// os.CreateTemp put a decimal number where WriteFile's pattern ends.
+		// CreateTemp put a decimal number where WriteFile's pattern ends.
 		_, serial, isTemp := strings.Cut(e.Name(), tmpMark)
 		if isTemp && serial != "" && strings.Trim(serial, "0123456789") == "" && e.Type().IsRegular() {
-			if rerr := os.Remove(filepath.Join(dir, e.Name())); rerr != nil && err == nil {
+			if rerr := fsys.Remove(filepath.Join(dir, e.Name())); rerr != nil && err == nil {
 				err = rerr
 			}
 		}

@@ -369,7 +369,7 @@ func TestScalarReadsDoNotAllocate(t *testing.T) {
 }
 
 // TestFrame: the CRC frame round-trips, and every corruption class a
-// disk or the daemon's chaos plane produces — truncation anywhere, any
+// disk or an interrupted write produces — truncation anywhere, any
 // single-bit flip of any byte, garbage — is rejected before a codec runs.
 func TestFrame(t *testing.T) {
 	payload := encoded(t)
@@ -456,7 +456,7 @@ func TestWriteFileIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.bin")
 	for _, blob := range [][]byte{[]byte("first"), []byte("second, longer"), {}} {
-		if err := WriteFile(path, blob); err != nil {
+		if err := WriteFile(OS, path, blob); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, blob) {
@@ -471,10 +471,10 @@ func TestWriteFileIsAtomic(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "taken", "x"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(filepath.Join(dir, "taken"), []byte("blob")); err == nil {
+	if err := WriteFile(OS, filepath.Join(dir, "taken"), []byte("blob")); err == nil {
 		t.Fatal("rename over a non-empty directory succeeded")
 	}
-	if err := WriteFile(filepath.Join(dir, "missing", "state.bin"), nil); err == nil {
+	if err := WriteFile(OS, filepath.Join(dir, "missing", "state.bin"), nil); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
 	entries, err := os.ReadDir(dir)
@@ -505,7 +505,7 @@ func TestRemoveTemps(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "ckpt.tmp123"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := RemoveTemps(dir); err != nil {
+	if err := RemoveTemps(OS, dir); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -520,7 +520,7 @@ func TestRemoveTemps(t *testing.T) {
 	if want := append([]string{"ckpt.tmp123"}, keep...); !slices.Equal(left, want) {
 		t.Fatalf("after the sweep: %v, want %v", left, want)
 	}
-	if err := RemoveTemps(filepath.Join(dir, "missing")); err != nil {
+	if err := RemoveTemps(OS, filepath.Join(dir, "missing")); err != nil {
 		t.Fatalf("missing directory: %v", err)
 	}
 }

@@ -1,5 +1,6 @@
 // Package wormclient is a small retrying HTTP client for the wormholed
-// API, used by the e2e and chaos harnesses (and usable by any tenant).
+// API, used by the benchmark's daemon workload (benchmark/daemon.go) and
+// usable by any tenant.
 //
 // The retry discipline is deliberately narrow:
 //
@@ -55,7 +56,7 @@ type Client struct {
 	backoffCap  time.Duration
 
 	mu  sync.Mutex
-	rnd *rand.Rand // jitter source; seeded for reproducible harnesses
+	rnd *rand.Rand // jitter source
 }
 
 // Option adjusts a Client.
@@ -72,12 +73,6 @@ func WithRetry(attempts int, backoff, cap time.Duration) Option {
 		c.backoff = backoff
 		c.backoffCap = cap
 	}
-}
-
-// WithJitterSeed fixes the jitter RNG, making backoff sequences
-// reproducible in tests.
-func WithJitterSeed(seed int64) Option {
-	return func(c *Client) { c.rnd = rand.New(rand.NewSource(seed)) }
 }
 
 // New returns a client for the wormholed at base (e.g.

@@ -3,6 +3,7 @@ package wormclient
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,9 +19,14 @@ func isStatus(err error, code int) bool {
 }
 
 func testClient(base string) *Client {
-	return New(base,
-		WithRetry(4, time.Millisecond, 8*time.Millisecond),
-		WithJitterSeed(1))
+	return seeded(New(base, WithRetry(4, time.Millisecond, 8*time.Millisecond)), 1)
+}
+
+// seeded fixes c's jitter source, so its backoff sequence is the same on
+// every run.
+func seeded(c *Client, seed int64) *Client {
+	c.rnd = rand.New(rand.NewSource(seed))
+	return c
 }
 
 // TestRetriesServerErrors: 5xx responses are retried until the server
@@ -111,9 +117,9 @@ func TestRetriesConnectionRefused(t *testing.T) {
 	}
 }
 
-// TestRecoversAcrossRestart: the refused-then-alive sequence the chaos
-// harness depends on — first attempts hit a dead port, a later one
-// succeeds once the "daemon" is back.
+// TestRecoversAcrossRestart: the refused-then-alive sequence a client
+// sees across a daemon restart — first attempts hit a dead port, a later
+// one succeeds once the "daemon" is back.
 func TestRecoversAcrossRestart(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -139,9 +145,7 @@ func TestRecoversAcrossRestart(t *testing.T) {
 		srv.Close()
 	}()
 
-	c := New("http://"+addr,
-		WithRetry(20, 2*time.Millisecond, 10*time.Millisecond),
-		WithJitterSeed(2))
+	c := seeded(New("http://"+addr, WithRetry(20, 2*time.Millisecond, 10*time.Millisecond)), 2)
 	blob, err := c.Get(context.Background(), "/x")
 	close(stop)
 	<-done
@@ -161,9 +165,7 @@ func TestContextDeadlineBoundsRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL,
-		WithRetry(1000, 20*time.Millisecond, 100*time.Millisecond),
-		WithJitterSeed(3))
+	c := seeded(New(srv.URL, WithRetry(1000, 20*time.Millisecond, 100*time.Millisecond)), 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

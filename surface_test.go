@@ -31,7 +31,6 @@ var surfaceKept = map[string]string{
 	"internal/topology.Mesh.Coord":             "oracle: route_test.go walks dimension-order routes coordinate by coordinate",
 	"internal/trace.Recorder.OccupancyAt":      "oracle: the structured form of what Render draws; trace_test.go checks the replay through it",
 	"internal/vcsim.Result.DeliveredIDs":       "oracle: butterfly's lockstep engine is checked against the flit-level survivor set",
-	"internal/wormclient.WithJitterSeed":       "fixture: cmd/wormholed's chaos e2e pins the client's backoff with it",
 }
 
 // implicitlyCalled are method names the standard library calls through an
