@@ -266,49 +266,52 @@ func TestCrashPoints(t *testing.T) {
 	})
 
 	// The checkpoints as they reach the disk: torn, flipped, or dropped (the
-	// rename never happens), then a process death right after.
+	// rename never happens), then a process death right after. One subtest
+	// per mutation, each over every checkpoint of the sweep.
 	t.Run("checkpoint-mutations", func(t *testing.T) {
-		mutations := 0
-		for w, op := range log {
-			if op.Kind != snaptest.OpWrite || !strings.Contains(op.Path, ".snap.tmp") {
-				continue
-			}
-			r := w + 1
-			for log[r].Kind != snaptest.OpRename || log[r].Path != op.Path {
-				r++
-			}
-			end := r + 1 // through the rename
-			for _, mut := range []string{"torn", "flipped", "dropped"} {
-				past := append([]snaptest.Op(nil), log[:end]...)
-				switch mut {
-				case "torn":
-					past[w].Data = op.Data[:len(op.Data)/2]
-				case "flipped":
-					past[w].Data = append([]byte(nil), op.Data...)
-					past[w].Data[len(op.Data)/2] ^= 0x10
-				case "dropped":
-					past = append(past[:r], past[r+1:]...)
-				}
-				required := map[string]bool{}
-				for i, id := range rec.ids {
-					required[id] = end >= rec.acked[i]
-				}
-				problems, statuses := restartOn(t, &snaptest.FS{Past: past}, jobs, rec.ids, required)
-				if mut != "dropped" {
-					sweep := statuses[rec.ids[0]]
-					if ck := sweep.Checkpoints; ck == nil || ck.RestoreRejected < 1 || !strings.Contains(ck.LastRestoreError, errCorruptCheckpoint.Error()) {
-						problems = append(problems, fmt.Sprintf("the sweep reports checkpoints %+v, want the rejected restore counted with its reason", ck))
+		for _, mut := range []string{"torn", "flipped", "dropped"} {
+			t.Run(mut, func(t *testing.T) {
+				restarts := 0
+				for w, op := range log {
+					if op.Kind != snaptest.OpWrite || !strings.Contains(op.Path, ".snap.tmp") {
+						continue
 					}
+					r := w + 1
+					for log[r].Kind != snaptest.OpRename || log[r].Path != op.Path {
+						r++
+					}
+					end := r + 1 // through the rename
+					past := append([]snaptest.Op(nil), log[:end]...)
+					switch mut {
+					case "torn":
+						past[w].Data = op.Data[:len(op.Data)/2]
+					case "flipped":
+						past[w].Data = append([]byte(nil), op.Data...)
+						past[w].Data[len(op.Data)/2] ^= 0x10
+					case "dropped":
+						past = append(past[:r], past[r+1:]...)
+					}
+					required := map[string]bool{}
+					for i, id := range rec.ids {
+						required[id] = end >= rec.acked[i]
+					}
+					problems, statuses := restartOn(t, &snaptest.FS{Past: past}, jobs, rec.ids, required)
+					if mut != "dropped" {
+						sweep := statuses[rec.ids[0]]
+						if ck := sweep.Checkpoints; ck == nil || ck.RestoreRejected < 1 || !strings.Contains(ck.LastRestoreError, errCorruptCheckpoint.Error()) {
+							problems = append(problems, fmt.Sprintf("the sweep reports checkpoints %+v, want the rejected restore counted with its reason", ck))
+						}
+					}
+					if len(problems) > 0 {
+						t.Fatalf("%s %s:\n%s", mut, op, strings.Join(problems, "\n"))
+					}
+					restarts++
 				}
-				if len(problems) > 0 {
-					t.Fatalf("%s %s:\n%s", mut, op, strings.Join(problems, "\n"))
+				if restarts == 0 {
+					t.Fatal("the sweep wrote no checkpoint")
 				}
-				mutations++
-			}
+				t.Logf("%s checkpoints: %d restarts", mut, restarts)
+			})
 		}
-		if mutations == 0 {
-			t.Fatal("the sweep wrote no checkpoint")
-		}
-		t.Logf("checkpoint mutations: %d restarts", mutations)
 	})
 }
