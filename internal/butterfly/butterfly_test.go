@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"wormhole/internal/message"
 	"wormhole/internal/rng"
 	"wormhole/internal/topology"
 	"wormhole/internal/vcsim"
@@ -325,7 +324,7 @@ func TestOnePassDeliversAll(t *testing.T) {
 	r := rng.New(6)
 	pairs := RandomDestinations(32, 4, r)
 	for _, b := range []int{1, 2, 4} {
-		res := RunOnePass(bf, pairs, 5, b, vcsim.ArbByID, 1)
+		res := RunOnePass(bf, pairs, 5, vcsim.Config{VirtualChannels: b})
 		if res.Delivered != res.Messages {
 			t.Fatalf("B=%d: %d/%d delivered", b, res.Delivered, res.Messages)
 		}
@@ -341,7 +340,7 @@ func TestOnePassFasterWithMoreChannels(t *testing.T) {
 	pairs := RandomDestinations(64, 8, r)
 	prev := 1 << 30
 	for _, b := range []int{1, 2, 4} {
-		res := RunOnePass(bf, pairs, 6, b, vcsim.ArbByID, 1)
+		res := RunOnePass(bf, pairs, 6, vcsim.Config{VirtualChannels: b})
 		if res.Steps > prev {
 			t.Fatalf("B=%d slower (%d) than smaller B (%d)", b, res.Steps, prev)
 		}
@@ -381,9 +380,8 @@ func TestPhasePartition(t *testing.T) {
 	bf := topology.NewButterfly(32)
 	r := rng.New(3)
 	pairs := RandomDestinations(32, 4, r)
-	msgSet := onePassSet(bf, pairs, 5)
-	res := vcsim.Run(msgSet, nil, vcsim.Config{VirtualChannels: 2})
-	largest, phases := PhasePartition(res, 5, 5)
+	res := RunOnePass(bf, pairs, 5, vcsim.Config{VirtualChannels: 2})
+	largest, phases := PhasePartition(res.Result, 5, 5)
 	total := 0
 	for _, c := range phases {
 		total += c
@@ -395,7 +393,7 @@ func TestPhasePartition(t *testing.T) {
 		t.Error("largest phase must be positive")
 	}
 	// The Theorem 3.2.6 floor: some phase holds ≥ messages·L/T.
-	floor := float64(msgSet.Len()) * 5 / float64(res.Steps)
+	floor := float64(res.Messages) * 5 / float64(res.Steps)
 	if float64(largest) < floor-1 {
 		t.Errorf("largest phase %d below nqL/T floor %v", largest, floor)
 	}
@@ -435,14 +433,4 @@ func TestTheoreticalCollisionSizePositive(t *testing.T) {
 			t.Fatalf("B=%d: nonpositive collision size", b)
 		}
 	}
-}
-
-// onePassSet builds the message set of one-pass bit-fixing paths (test
-// helper mirroring core.butterflySet).
-func onePassSet(bf *topology.Butterfly, pairs []ColPair, l int) *message.Set {
-	set := message.NewSet(bf.G)
-	for _, p := range pairs {
-		set.Add(bf.Input(p.Src), bf.Output(p.Dst), l, bf.Route(p.Src, p.Dst))
-	}
-	return set
 }

@@ -11,41 +11,30 @@ import (
 )
 
 // OnePassResult reports a run of the greedy one-pass router — the class of
-// algorithms the Section 3.2 lower bound covers.
+// algorithms the Section 3.2 lower bound covers: the simulator's Result
+// (Steps is the flit step that delivers everything) and the bound.
 type OnePassResult struct {
-	Steps       int // flit steps to deliver everything
-	Delivered   int
-	Messages    int
-	TotalStalls int
-	Bound       float64 // Theorem 3.2.1 form L·q·l^(1/B)/B
+	vcsim.Result
+	Messages int
+	Bound    float64 // Theorem 3.2.1 form L·q·l^(1/B)/B
 }
 
 // RunOnePass routes the demands down an n-input butterfly along their
-// unique bit-fixing paths using greedy blocking wormhole routing with B
-// virtual channels, all messages injected at time 0. The butterfly is a
-// leveled DAG, so the run is deadlock-free; it terminates when every worm
-// has drained.
-func RunOnePass(bf *topology.Butterfly, pairs []ColPair, l, b int, policy vcsim.Policy, seed uint64) OnePassResult {
+// unique bit-fixing paths using greedy blocking wormhole routing under cfg
+// (B = cfg.VirtualChannels), all messages injected at time 0. The
+// butterfly is a leveled DAG, so the run is deadlock-free; it terminates
+// when every worm has drained.
+func RunOnePass(bf *topology.Butterfly, pairs []ColPair, l int, cfg vcsim.Config) OnePassResult {
 	set := message.NewSet(bf.G)
 	for _, p := range pairs {
 		set.Add(bf.Input(p.Src), bf.Output(p.Dst), l, bf.Route(p.Src, p.Dst))
 	}
-	res := vcsim.Run(set, nil, vcsim.Config{
-		VirtualChannels: b,
-		Arbitration:     policy,
-		Seed:            seed,
-	})
+	res := vcsim.Run(set, nil, cfg)
 	if res.Deadlocked {
 		panic("butterfly: one-pass routing deadlocked on a leveled DAG")
 	}
 	q := (len(pairs) + bf.Inputs - 1) / bf.Inputs
-	return OnePassResult{
-		Steps:       res.Steps,
-		Delivered:   res.Delivered,
-		Messages:    set.Len(),
-		TotalStalls: res.TotalStalls,
-		Bound:       OnePassBound(bf.Inputs, q, l, b),
-	}
+	return OnePassResult{Result: res, Messages: set.Len(), Bound: OnePassBound(bf.Inputs, q, l, cfg.VirtualChannels)}
 }
 
 // OnePassBound evaluates the Theorem 3.2.1 lower-bound form

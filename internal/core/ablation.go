@@ -40,7 +40,7 @@ func A1Arbitration(cfg Config) []*stats.Table {
 		steps, stalls int
 	}
 	outs := mapJobs(cfg, len(jobs), func(i int) out {
-		res := butterfly.RunOnePass(bf, pairs, l, jobs[i].b, jobs[i].pol, cfg.Seed)
+		res := butterfly.RunOnePass(bf, pairs, l, vcsim.Config{VirtualChannels: jobs[i].b, Arbitration: jobs[i].pol, Seed: cfg.Seed})
 		return out{steps: res.Steps, stalls: res.TotalStalls}
 	})
 	t := stats.NewTable(

@@ -2,7 +2,6 @@ package core
 
 import (
 	"wormhole/internal/butterfly"
-	"wormhole/internal/message"
 	"wormhole/internal/rng"
 	"wormhole/internal/stats"
 	"wormhole/internal/topology"
@@ -58,7 +57,13 @@ func T4OnePass(cfg Config) []T4Row {
 		l := topology.Log2(c.n)
 		r := rng.New(cfg.Seed + uint64(t)*104729)
 		pairs := butterfly.RandomDestinations(c.n, c.q, r)
-		res := butterfly.RunOnePass(bf, pairs, l, b, vcsim.ArbByID, cfg.Seed)
+		// The first trial's run carries the telemetry and feeds the phase
+		// probe below.
+		sim := vcsim.Config{VirtualChannels: b}
+		if t == 0 {
+			sim.Metrics = cfg.metrics()
+		}
+		res := butterfly.RunOnePass(bf, pairs, l, sim)
 		out := trialOut{steps: float64(res.Steps), collide: -1}
 		if t == 0 {
 			// Collision threshold and phase stats on the first trial
@@ -67,10 +72,7 @@ func T4OnePass(cfg Config) []T4Row {
 				out.collide = butterfly.CollisionThreshold(bf, pairs, l, b, 24, 0.95, r)
 			}
 			out.collidePre = butterfly.TheoreticalCollisionSize(c.n, c.q, l, b)
-			set := butterflySet(bf, pairs, l)
-			sim := vcsim.Run(set, nil, vcsim.Config{VirtualChannels: b, Metrics: cfg.metrics()})
-			mp, _ := butterfly.PhasePartition(sim, min(l, topology.Log2(c.n)), l)
-			out.maxPhase = mp
+			out.maxPhase, _ = butterfly.PhasePartition(res.Result, min(l, topology.Log2(c.n)), l)
 		}
 		return out
 	})
@@ -97,15 +99,6 @@ func T4OnePass(cfg Config) []T4Row {
 		}
 	}
 	return rows
-}
-
-// butterflySet materializes bit-fixing one-pass paths as a message set.
-func butterflySet(bf *topology.Butterfly, pairs []butterfly.ColPair, l int) *message.Set {
-	set := message.NewSet(bf.G)
-	for _, p := range pairs {
-		set.Add(bf.Input(p.Src), bf.Output(p.Dst), l, bf.Route(p.Src, p.Dst))
-	}
-	return set
 }
 
 func t4Table(rows []T4Row) *stats.Table {

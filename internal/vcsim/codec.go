@@ -148,8 +148,8 @@ var (
 // holds it: its wire width in bytes and its value. Snapshot writes the
 // list; RestoreSim walks the same list on the Sim emptySim built from
 // the caller's Config, so writer and verifier cannot drift, and the
-// 0-means-default aliases (LaneDepth, ParkStreak, the retry policy)
-// compare equal because emptySim normalized both sides. A named slot is
+// 0-means-default aliases (LaneDepth, the retry policy) compare equal
+// because emptySim normalized both sides. A slot without adopt is
 // verified — the stream must carry this Sim's value, else
 // ErrSnapshotConfig names it; a slot with adopt set is run state that
 // rides in the section and is taken from the stream.
@@ -177,7 +177,7 @@ func (si *Sim) configFields() []cfgField {
 		{"NaiveScan", 1, bit(si.naive), nil},
 		{"", 1, bit(si.recycle), func(v uint64) { si.recycle = v != 0 }},
 		{"Arbitration", 1, uint64(si.cfg.Arbitration), nil},
-		{"ParkStreak", 4, uint64(si.parkStreak), nil},
+		{"park streak", 4, uint64(si.parkStreak), func(v uint64) { si.parkStreak = int32(v) }},
 		{"Seed", 8, si.cfg.Seed, nil},
 		{"MaxSteps", 8, uint64(si.cfg.MaxSteps), nil},
 		{"", 8, uint64(si.maxSteps), func(v uint64) { si.maxSteps = int(v) }},
@@ -377,7 +377,7 @@ func (si *Sim) writeSealed(sw *snap.Writer, ci int, rec *[wormFixedBytes + 8]byt
 // CheckInvariants knob — and must match the snapshot on every
 // schedule-relevant field: VirtualChannels, LaneDepth, SharedPool,
 // RestrictedBandwidth, DropOnDelay, Arbitration, Seed, MaxSteps,
-// NaiveScan, ParkStreak, Faults, Retry. The restored Sim continues the run
+// NaiveScan, Faults, Retry. The restored Sim continues the run
 // byte-identically to the original. When cfg.Metrics is non-nil its
 // contents are replaced with the snapshot's registry state, so resumed
 // runs report cumulative totals; a failed restore leaves it untouched.
@@ -440,6 +440,9 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 	}
 	if r.Err() == nil && (si.now < 0 || si.now > si.maxSteps) {
 		r.Fail("clock %d out of range [0, %d]", si.now, si.maxSteps)
+	}
+	if r.Err() == nil && si.parkStreak < 1 { // past 2^31 it reads negative
+		r.Fail("park streak %d < 1", si.parkStreak)
 	}
 	numWorms := r.Len(MaxHorizon, "worm")
 	var sawDelivered, sawDropped, sawAborted int
@@ -530,6 +533,9 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 				copy(si.path(&rec), path)
 				if si.deepMode {
 					copy(si.prog(&rec), prog)
+					if rec.d > 0 {
+						si.finalIn[path[rec.d-1]]++
+					}
 				}
 			}
 		}
@@ -604,7 +610,7 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		// The naive scan's lazily materialized ID-ordered view. Under
 		// ArbByID keys are bare worm indices, so a sorted copy of the
 		// active list reconstructs it exactly.
-		si.byID = append([]uint64(nil), si.active...)
+		si.byID = append(make([]uint64, 0, len(si.active)), si.active...) // non-nil even when empty
 		slices.Sort(si.byID)
 	}
 

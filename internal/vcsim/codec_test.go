@@ -1,11 +1,11 @@
 package vcsim
 
-// Checkpoint/restore differentials: a Sim snapshotted mid-run, restored
-// into a fresh process-equivalent Sim, must continue the run
-// byte-identically to the uninterrupted original — across both steppers
-// (the uninterrupted oracle runs on the other one), every policy, deep
-// lanes and shared pools. The decode path is additionally held to never
-// panic on corrupt or truncated input.
+// Checkpoint/restore: a Sim snapshotted mid-run, restored into a fresh
+// process-equivalent Sim, must continue the run byte-identically to the
+// uninterrupted original — checkSim (fuzz_test.go) cuts both steppers on
+// every row of TestSimEquivalences; the tests here pin injection after a
+// restore, telemetry, the config verifier and the decode path, which must
+// never panic on corrupt or truncated input.
 
 import (
 	"bytes"
@@ -39,141 +39,6 @@ func snapDrain(si *Sim) {
 			return
 		}
 	}
-}
-
-// roundTrip drives the full differential: oracle runs uninterrupted
-// under oracleCfg (which may select the other stepper — NaiveScan is a
-// verified snapshot field, so the cross-mechanism leg is the oracle, not
-// the restore); victim runs to snapStep under cfg, snapshots, and its
-// restoration finishes the run. Both finals must be deeply equal, and a
-// second snapshot taken at the end must be byte-identical between the
-// victim's original and its restoration — the strongest statement that
-// no schedule state was lost.
-func roundTrip(t *testing.T, name string, set *message.Set, releases []int, oracleCfg, cfg Config, snapStep int) {
-	t.Helper()
-
-	oracle, err := NewSim(set.G, oracleCfg)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	snapInject(t, oracle, set, releases)
-	snapDrain(oracle)
-	want := oracle.Result()
-
-	victim, err := NewSim(set.G, cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	snapInject(t, victim, set, releases)
-	for victim.Now() < snapStep && victim.Active() > 0 {
-		if victim.Step() != nil {
-			break
-		}
-	}
-	var blob bytes.Buffer
-	if err := victim.Snapshot(&blob); err != nil {
-		t.Fatalf("%s: snapshot: %v", name, err)
-	}
-
-	restored, err := RestoreSim(set.G, cfg, bytes.NewReader(blob.Bytes()))
-	if err != nil {
-		t.Fatalf("%s: restore: %v", name, err)
-	}
-	if restored.Now() != victim.Now() || restored.Active() != victim.Active() {
-		t.Fatalf("%s: restored at step %d with %d active, victim at %d with %d",
-			name, restored.Now(), restored.Active(), victim.Now(), victim.Active())
-	}
-
-	// Lockstep continuation: victim and its restoration must agree on
-	// every subsequent observable step, and end equal to the oracle.
-	for restored.Active() > 0 {
-		errV := victim.Step()
-		errR := restored.Step()
-		if (errV == nil) != (errR == nil) {
-			t.Fatalf("%s: step %d: victim err %v, restored err %v", name, restored.Now(), errV, errR)
-		}
-		if errR != nil {
-			break
-		}
-		if victim.Now()%5 == 0 {
-			rv, rr := victim.Result(), restored.Result()
-			if !reflect.DeepEqual(rv, rr) {
-				t.Fatalf("%s: step %d: restored run diverged\nvictim:   %+v\nrestored: %+v", name, restored.Now(), rv, rr)
-			}
-		}
-	}
-	got := restored.Result()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s: restored final diverged from uninterrupted oracle\noracle:   %+v\nrestored: %+v", name, want, got)
-	}
-
-	var endV, endR bytes.Buffer
-	if err := victim.Snapshot(&endV); err != nil {
-		t.Fatalf("%s: victim end snapshot: %v", name, err)
-	}
-	if err := restored.Snapshot(&endR); err != nil {
-		t.Fatalf("%s: restored end snapshot: %v", name, err)
-	}
-	if !bytes.Equal(endV.Bytes(), endR.Bytes()) {
-		t.Fatalf("%s: end-of-run snapshots differ between the original and its restoration", name)
-	}
-}
-
-// TestSnapshotRoundTripDifferential fuzzes the snapshot step across the
-// (policy × LaneDepth × SharedPool × stepper) grid, holding each
-// restored run to an uninterrupted oracle on the other stepper — a
-// checkpoint cut must be as invisible as the stepping mechanism.
-func TestSnapshotRoundTripDifferential(t *testing.T) {
-	r := rng.New(0xC0DEC)
-	caseID := 0
-	for _, pol := range []Policy{ArbByID, ArbAge, ArbRandom} {
-		for _, depth := range []int{1, 2} {
-			for _, shared := range []bool{false, true} {
-				for _, naive := range []bool{false, true} {
-					topo := uint8(caseID % 3)
-					seed := uint64(1000 + caseID)
-					set, releases := fuzzWorkload(seed, topo, 18)
-					cfg := Config{
-						VirtualChannels:     1 + caseID%3,
-						LaneDepth:           depth,
-						SharedPool:          shared,
-						RestrictedBandwidth: caseID%4 == 1,
-						DropOnDelay:         caseID%5 == 2,
-						Arbitration:         pol,
-						Seed:                seed,
-						MaxSteps:            1 << 16,
-						NaiveScan:           naive,
-						CheckInvariants:     true,
-					}
-					oracleCfg := cfg
-					oracleCfg.NaiveScan = !naive // naive↔wakeup: cross-mechanism oracle
-					snapStep := 1 + r.Intn(40)
-					roundTrip(t, pol.String(), set, releases, oracleCfg, cfg, snapStep)
-					caseID++
-				}
-			}
-		}
-	}
-}
-
-// TestSnapshotNaiveAndEdgeStates covers the serialization branches the
-// main grid misses: the naive scan (no wait heaps, materialized byID
-// view) and a snapshot taken before any worm is released.
-func TestSnapshotNaiveAndEdgeStates(t *testing.T) {
-	set, releases := fuzzWorkload(7, 1, 12)
-	for _, pol := range []Policy{ArbByID, ArbAge} {
-		cfg := Config{
-			VirtualChannels: 2,
-			Arbitration:     pol,
-			NaiveScan:       true,
-			Seed:            7,
-			MaxSteps:        1 << 16,
-			CheckInvariants: true,
-		}
-		roundTrip(t, "naive-"+pol.String(), set, releases, cfg, cfg, 6)
-	}
-	cfg := Config{VirtualChannels: 1, Seed: 7, MaxSteps: 1 << 16, CheckInvariants: true}
-	roundTrip(t, "pre-release", set, releases, cfg, cfg, 0)
 }
 
 // TestSnapshotResumesInjection pins the post-restore injection path: a
@@ -364,7 +229,6 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		"DropOnDelay":         func(c *Config) { c.DropOnDelay = true },
 		"NaiveScan":           func(c *Config) { c.NaiveScan = true },
 		"Arbitration":         func(c *Config) { c.Arbitration = ArbRandom },
-		"ParkStreak":          func(c *Config) { c.ParkStreak = 3 },
 		"Seed":                func(c *Config) { c.Seed = 99 },
 		"MaxSteps":            func(c *Config) { c.MaxSteps = 123 },
 		"Retry.MaxAttempts":   func(c *Config) { c.Retry.MaxAttempts = 4 },
@@ -399,13 +263,6 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		t.Errorf("%d mismatch cases for %d verified fields", len(mutations)+1, len(fields))
 	}
 
-	// The 0-means-default aliases restore: the verifier compares what
-	// emptySim normalized, not what the caller spelled.
-	alias := cfg
-	alias.ParkStreak = defaultParkStreak
-	if _, err := RestoreSim(set.G, alias, bytes.NewReader(blob.Bytes())); err != nil {
-		t.Errorf("explicit default ParkStreak should match the zero alias: %v", err)
-	}
 	// The mechanism-only field restores freely.
 	free := cfg
 	free.CheckInvariants = true
@@ -448,6 +305,62 @@ func TestRestoreIgnoresReservedSlot(t *testing.T) {
 	snapDrain(restored)
 	if want, got := si.Result(), restored.Result(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("restored run diverged\noriginal: %+v\nrestored: %+v", want, got)
+	}
+}
+
+// streakSlot is the offset of the park-streak slot in si's snapshots.
+func streakSlot(si *Sim) int {
+	off := len(snapMagic) + 4
+	for _, f := range si.configFields() {
+		if f.name == "park streak" {
+			return off
+		}
+		off += f.width
+	}
+	panic("no park streak slot in the config section")
+}
+
+// TestRestoreAdoptsParkStreak pins the park-streak slot, which RestoreSim
+// adopts instead of verifying: a snapshot cut with parked worms at streak 1
+// restores at streak 1 and finishes exactly like the uninterrupted run, and
+// a slot of 0 — a streak no Sim runs at — is corrupt.
+func TestRestoreAdoptsParkStreak(t *testing.T) {
+	set, releases := fuzzWorkload(13, 0, 24)
+	cfg := Config{VirtualChannels: 1, Arbitration: ArbAge, Seed: 13, MaxSteps: 1 << 16}
+	si, err := NewSim(set.G, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si.parkStreak = 1
+	snapInject(t, si, set, releases)
+	if err := si.StepTo(10); err != nil {
+		t.Fatal(err)
+	}
+	if si.parked == 0 {
+		t.Fatal("no worm parked at the cut; the streak is not under test")
+	}
+	var blob bytes.Buffer
+	if err := si.Snapshot(&blob); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSim(set.G, cfg, bytes.NewReader(blob.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.parkStreak != 1 {
+		t.Fatalf("restored at park streak %d, want the snapshot's 1", restored.parkStreak)
+	}
+	snapDrain(si)
+	snapDrain(restored)
+	if want, got := si.Result(), restored.Result(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("restored run diverged\noriginal: %+v\nrestored: %+v", want, got)
+	}
+
+	zero := append([]byte(nil), blob.Bytes()...)
+	off := streakSlot(si)
+	copy(zero[off:off+4], make([]byte, 4))
+	if _, err := RestoreSim(set.G, cfg, bytes.NewReader(zero)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("park streak 0: got %v, want ErrSnapshotCorrupt", err)
 	}
 }
 

@@ -1,65 +1,35 @@
 package vcsim
 
 // Tests for the buffer-architecture layer (deep.go): directed semantic
-// checks of the multi-flit-lane and shared-pool models, the gating
-// guarantee that LaneDepth=1 static is the untouched rigid engine, and
-// differential NaiveScan-vs-wakeup sweeps across the whole
-// (LaneDepth, SharedPool) grid — the deep analogue of wakeup_test.go.
+// checks of the multi-flit-lane and shared-pool models. The gating
+// guarantee that LaneDepth=1 static is the untouched rigid engine, and the
+// NaiveScan-vs-wakeup differential across the whole (LaneDepth, SharedPool)
+// grid, are checkSim's (fuzz_test.go) on the rows of TestSimEquivalences.
 
 import (
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
-	"wormhole/internal/rng"
 	"wormhole/internal/topology"
 )
 
-// deepGrid is the buffer-architecture sweep the differential tests cover;
-// the first entry is the rigid gate (covered elsewhere but kept here so
-// grid loops also pin it).
-var deepGrid = []struct {
+// arch is a buffer architecture: lane depth d and whether an edge pools
+// its B·d flit credits.
+type arch struct {
 	depth  int
 	shared bool
-}{
+}
+
+// deepGrid is the buffer-architecture sweep the tests cover; the first
+// entry is the rigid gate.
+var deepGrid = []arch{
 	{1, false},
 	{1, true},
 	{2, false},
 	{2, true},
 	{4, false},
 	{4, true},
-}
-
-// TestDeepGateMatchesDefault pins the acceptance criterion that
-// LaneDepth=1 && !SharedPool is the pre-existing simulator, byte for
-// byte: an explicit {LaneDepth: 1} config must produce a Result deeply
-// equal to the zero-value default on randomized workloads.
-func TestDeepGateMatchesDefault(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		bf := topology.NewButterfly(8)
-		set := message.NewSet(bf.G)
-		var releases []int
-		for i := 0; i < 2+r.Intn(24); i++ {
-			src, dst := r.Intn(8), r.Intn(8)
-			set.Add(bf.Input(src), bf.Output(dst), 1+r.Intn(6), bf.Route(src, dst))
-			releases = append(releases, r.Intn(20))
-		}
-		cfg := Config{
-			VirtualChannels: 1 + r.Intn(3),
-			Arbitration:     Policy(r.Intn(3)),
-			Seed:            seed,
-			CheckInvariants: true,
-		}
-		explicit := cfg
-		explicit.LaneDepth = 1
-		return reflect.DeepEqual(Run(set, releases, cfg), Run(set, releases, explicit))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDeepSingleMessageLatency checks that buffer depth is invisible to
@@ -156,199 +126,6 @@ func TestDeepCompression(t *testing.T) {
 	}
 }
 
-// TestDeepWakeupMatchesNaiveRandomized is the broad differential
-// property check over the buffer-architecture grid: every policy, both
-// models, drop-on-delay, staggered releases — wakeup and naive must stay
-// byte-identical, exactly as the rigid engine's tests demand.
-func TestDeepWakeupMatchesNaiveRandomized(t *testing.T) {
-	for _, pol := range []Policy{ArbByID, ArbRandom, ArbAge} {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			f := func(seed uint64) bool {
-				r := rng.New(seed)
-				n := 8 << (seed % 2)
-				bf := topology.NewButterfly(n)
-				set := message.NewSet(bf.G)
-				var releases []int
-				m := 2 + r.Intn(4*n)
-				for i := 0; i < m; i++ {
-					src, dst := r.Intn(n), r.Intn(n)
-					set.Add(bf.Input(src), bf.Output(dst), 1+r.Intn(8), bf.Route(src, dst))
-					releases = append(releases, r.Intn(30))
-				}
-				arch := deepGrid[1:][seed%uint64(len(deepGrid)-1)] // skip the rigid gate
-				for _, restricted := range []bool{false, true} {
-					for _, drop := range []bool{false, true} {
-						cfg := Config{
-							VirtualChannels:     1 + r.Intn(3),
-							LaneDepth:           arch.depth,
-							SharedPool:          arch.shared,
-							RestrictedBandwidth: restricted,
-							DropOnDelay:         drop,
-							Arbitration:         pol,
-							Seed:                seed,
-							CheckInvariants:     true,
-						}
-						naiveCfg := cfg
-						naiveCfg.NaiveScan = true
-						wake := Run(set, releases, cfg)
-						naive := Run(set, releases, naiveCfg)
-						if !reflect.DeepEqual(wake, naive) {
-							t.Logf("seed %d d=%d shared=%v restricted=%v drop=%v:\nwakeup %+v\n naive %+v",
-								seed, arch.depth, arch.shared, restricted, drop, wake, naive)
-							return false
-						}
-					}
-				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestDeepWakeupMatchesNaiveContention drives the deep engine's parking
-// path hard — far more worms than lanes on a shared line, parked spans
-// much longer than the probation streak — across the grid and all
-// policies.
-func TestDeepWakeupMatchesNaiveContention(t *testing.T) {
-	for _, arch := range deepGrid {
-		for _, b := range []int{1, 2} {
-			for _, restricted := range []bool{false, true} {
-				for _, pol := range []Policy{ArbByID, ArbRandom, ArbAge} {
-					set := lineSet(t, 30, 5, 7)
-					runBoth(t, pol.String(), set, nil, Config{
-						VirtualChannels:     b,
-						LaneDepth:           arch.depth,
-						SharedPool:          arch.shared,
-						RestrictedBandwidth: restricted,
-						Arbitration:         pol,
-						Seed:                11,
-						CheckInvariants:     true,
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestDeepWakeupMatchesNaiveRestrictedDecline replays the directed
-// restricted-bandwidth decline construction under every deep
-// architecture: a woken worm whose body edge is saturated declines its
-// credit, which the whole-queue deep wake rule must survive with
-// byte-identical results.
-func TestDeepWakeupMatchesNaiveRestrictedDecline(t *testing.T) {
-	set, releases := restrictedBodyBlockSet()
-	for _, arch := range deepGrid {
-		for _, pol := range []Policy{ArbByID, ArbAge, ArbRandom} {
-			runBoth(t, pol.String(), set, releases, Config{
-				VirtualChannels:     2,
-				LaneDepth:           arch.depth,
-				SharedPool:          arch.shared,
-				RestrictedBandwidth: true,
-				Arbitration:         pol,
-				Seed:                3,
-				CheckInvariants:     true,
-			})
-		}
-	}
-}
-
-// TestDeepWakeupMatchesNaiveDeadlock pins the terminal path under deep
-// buffers: ring workloads that deadlock at low B must freeze both
-// engines at the same step with the same blocked set and stalls.
-// Deeper buffers delay the freeze (worms compress before wedging) but
-// cannot prevent it — the cyclic wait is structural.
-func TestDeepWakeupMatchesNaiveDeadlock(t *testing.T) {
-	set := deadlockSet()
-	for _, arch := range deepGrid {
-		for _, pol := range []Policy{ArbByID, ArbRandom, ArbAge} {
-			cfg := Config{
-				VirtualChannels: 1,
-				LaneDepth:       arch.depth,
-				SharedPool:      arch.shared,
-				Arbitration:     pol,
-				Seed:            5,
-				CheckInvariants: true,
-			}
-			runBoth(t, pol.String(), set, nil, cfg)
-			naive := cfg
-			naive.NaiveScan = true
-			if res := Run(set, nil, naive); !res.Deadlocked {
-				t.Errorf("d=%d shared=%v %s: ring did not deadlock (steps=%d)",
-					arch.depth, arch.shared, pol, res.Steps)
-			}
-		}
-	}
-}
-
-// TestDeepLockstepSnapshots steps the two engines side by side through
-// the incremental API under a deep architecture and compares Result
-// snapshots — which must fold in lazily stamped stall credit — after
-// every single step.
-func TestDeepLockstepSnapshots(t *testing.T) {
-	r := rng.New(29)
-	bf := topology.NewButterfly(8)
-	msgs := make([]message.Message, 0, 30)
-	releases := make([]int, 0, 30)
-	for i := 0; i < 30; i++ {
-		src, dst := r.Intn(8), r.Intn(8)
-		msgs = append(msgs, message.Message{
-			Src: bf.Input(src), Dst: bf.Output(dst), Length: 3 + r.Intn(4), Path: bf.Route(src, dst),
-		})
-		releases = append(releases, r.Intn(40))
-	}
-	for _, arch := range deepGrid[1:] {
-		for _, pol := range []Policy{ArbByID, ArbRandom, ArbAge} {
-			cfg := Config{
-				VirtualChannels: 1,
-				LaneDepth:       arch.depth,
-				SharedPool:      arch.shared,
-				Arbitration:     pol,
-				Seed:            5,
-				MaxSteps:        4096,
-				CheckInvariants: true,
-			}
-			naiveCfg := cfg
-			naiveCfg.NaiveScan = true
-			wake, err := NewSim(bf.G, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			naive, err := NewSim(bf.G, naiveCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range msgs {
-				if _, err := wake.Inject(m, releases[i]); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := naive.Inject(m, releases[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for step := 0; wake.Active() > 0 && step < 4096; step++ {
-				errW := wake.Step()
-				errN := naive.Step()
-				if (errW == nil) != (errN == nil) {
-					t.Fatalf("d=%d shared=%v %s step %d: error mismatch: wakeup %v, naive %v",
-						arch.depth, arch.shared, pol, step, errW, errN)
-				}
-				rw, rn := wake.Result(), naive.Result()
-				if !reflect.DeepEqual(rw, rn) {
-					t.Fatalf("d=%d shared=%v %s step %d: snapshots differ\nwakeup: %+v\n naive: %+v",
-						arch.depth, arch.shared, pol, step, rw, rn)
-				}
-				if errW != nil {
-					break
-				}
-			}
-		}
-	}
-}
-
 // TestDeepConfigValidation pins the constructor contracts for the new
 // Config fields on both lifecycles: the incremental constructor returns
 // an error, the batch wrapper panics.
@@ -356,7 +133,6 @@ func TestDeepConfigValidation(t *testing.T) {
 	g := topology.NewLinearArray(3)
 	for _, cfg := range []Config{
 		{VirtualChannels: 1, LaneDepth: -1, MaxSteps: 16},
-		{VirtualChannels: 1, ParkStreak: -2, MaxSteps: 16},
 	} {
 		if _, err := NewSim(g, cfg); err == nil {
 			t.Errorf("NewSim accepted %+v", cfg)

@@ -42,7 +42,6 @@ func TestValidationTypedErrors(t *testing.T) {
 	}{
 		{"no lanes", nil, Config{VirtualChannels: 0}, ErrBadConfig},
 		{"bad depth", nil, Config{VirtualChannels: 2, LaneDepth: -1}, ErrBadConfig},
-		{"bad park streak", nil, Config{VirtualChannels: 2, ParkStreak: -1}, ErrBadConfig},
 		{"lanes over MaxLanes", nil, Config{VirtualChannels: MaxLanes + 1}, ErrBadConfig},
 		{"lanes far over MaxLanes", nil, Config{VirtualChannels: 1 << 30, LaneDepth: 4}, ErrBadConfig},
 		{"flit pool over 32 bits", nil, Config{VirtualChannels: MaxLanes, LaneDepth: MaxHorizon/MaxLanes + 1}, ErrBadConfig},

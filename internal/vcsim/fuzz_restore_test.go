@@ -53,6 +53,9 @@ func FuzzRestoreSim(f *testing.F) {
 	if err := si.StepTo(9); err != nil {
 		f.Fatal(err)
 	}
+	// Streak 1 from here on (pure mechanism, so the state stays valid): a
+	// flip of its low bit zeroes the slot, which the seed below aims at.
+	si.parkStreak = 1
 	var buf bytes.Buffer
 	if err := si.Snapshot(&buf); err != nil {
 		f.Fatal(err)
@@ -70,6 +73,7 @@ func FuzzRestoreSim(f *testing.F) {
 	f.Add(uint8(1), uint32(0), uint8(0))                    // empty input
 	f.Add(uint8(2), uint32(len(snapMagic)+20), uint8(0x40)) // corrupt config section
 	f.Add(uint8(1), uint32(3*len(valid)/4), uint8(0))       // truncate in worm state
+	f.Add(uint8(2), uint32(streakSlot(si)), uint8(1))       // park streak 1 → 0
 	// A record's end times against its status (see setEndTime): a delivered
 	// worm given a drop time, a worm in flight given a deliver time.
 	starts := recordStarts(si)

@@ -183,7 +183,7 @@ func TestLaneImpliedLaneKillDebt(t *testing.T) {
 				p.inject(t, set.Get(message.ID(i)), releases[i])
 			}
 			debt := false
-			for p.wake.Active() > 0 && p.step(t, pol.String()) {
+			for p.wake.Active() > 0 && p.step(t, pol.String()) == nil {
 				for _, r := range p.wake.edges {
 					debt = debt || r.laneFree < 0
 				}

@@ -36,7 +36,7 @@ var (
 
 	// ErrBadConfig wraps every Config rejection: VirtualChannels < 1 or
 	// above MaxLanes, a VirtualChannels × LaneDepth pool past 32 bits,
-	// negative LaneDepth or ParkStreak.
+	// a negative LaneDepth.
 	ErrBadConfig = errors.New("vcsim: invalid configuration")
 	// ErrOverHorizon wraps every rejection of a time or size above
 	// MaxHorizon: release times, message lengths, path lengths, and

@@ -1,106 +1,21 @@
 package vcsim
 
-// Tests for the incremental Sim lifecycle. The central property is the
-// batch/incremental equivalence: feeding a pre-generated release list to
-// an incremental Sim one Inject at a time and stepping it manually must
-// produce step-for-step identical per-message delivery times to the batch
-// Run wrapper, for every arbitration policy. That equivalence is what
-// lets the open-loop traffic engine reuse every correctness guarantee the
-// batch engine's differential reference tests establish.
+// Tests for the incremental Sim lifecycle. Its central property, the
+// batch/incremental equivalence — the same release list injected up front
+// and stepped by hand reproduces the batch Run's Result exactly, under
+// every policy — is what lets the open-loop traffic engine reuse every
+// correctness guarantee the batch engine's differential tests establish;
+// checkSim (fuzz_test.go) asserts it on every row of TestSimEquivalences.
 
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
 	"wormhole/internal/topology"
 )
-
-// incrementalRun replays a batch workload through the incremental API:
-// inject everything up front, then single-step until done.
-func incrementalRun(t *testing.T, set *message.Set, releases []int, cfg Config) Result {
-	t.Helper()
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 1 << 20
-	}
-	sim, err := NewSim(set.G, cfg)
-	if err != nil {
-		t.Fatalf("NewSim: %v", err)
-	}
-	for i := 0; i < set.Len(); i++ {
-		rel := 0
-		if releases != nil {
-			rel = releases[i]
-		}
-		if _, err := sim.Inject(set.Get(message.ID(i)), rel); err != nil {
-			t.Fatalf("Inject %d: %v", i, err)
-		}
-	}
-	for sim.Active() > 0 {
-		if err := sim.Step(); err != nil {
-			break
-		}
-	}
-	return sim.Result()
-}
-
-// TestIncrementalMatchesBatchAllPolicies is the differential test the
-// refactor is pinned by: random butterfly workloads with staggered
-// releases, across all three arbitration policies (including ArbRandom,
-// whose shuffle stream must be identical in both modes because idle
-// steps draw nothing).
-func TestIncrementalMatchesBatchAllPolicies(t *testing.T) {
-	for _, pol := range []Policy{ArbByID, ArbRandom, ArbAge} {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			f := func(seed uint64) bool {
-				r := rng.New(seed)
-				n := 8 << (seed % 2)
-				bf := topology.NewButterfly(n)
-				set := message.NewSet(bf.G)
-				var releases []int
-				m := 2 + r.Intn(3*n)
-				for i := 0; i < m; i++ {
-					src, dst := r.Intn(n), r.Intn(n)
-					set.Add(bf.Input(src), bf.Output(dst), 1+r.Intn(8), bf.Route(src, dst))
-					releases = append(releases, r.Intn(30))
-				}
-				cfg := Config{
-					VirtualChannels:     1 + r.Intn(3),
-					RestrictedBandwidth: r.Bool(),
-					DropOnDelay:         r.Bool(),
-					Arbitration:         pol,
-					Seed:                seed,
-					CheckInvariants:     true,
-				}
-				batch := Run(set, releases, cfg)
-				inc := incrementalRun(t, set, releases, cfg)
-				if batch.Steps != inc.Steps || batch.Delivered != inc.Delivered ||
-					batch.Dropped != inc.Dropped || batch.Deadlocked != inc.Deadlocked ||
-					batch.TotalStalls != inc.TotalStalls || batch.FlitHops != inc.FlitHops {
-					t.Logf("seed %d: batch{steps %d del %d drop %d stalls %d hops %d} inc{steps %d del %d drop %d stalls %d hops %d}",
-						seed, batch.Steps, batch.Delivered, batch.Dropped, batch.TotalStalls, batch.FlitHops,
-						inc.Steps, inc.Delivered, inc.Dropped, inc.TotalStalls, inc.FlitHops)
-					return false
-				}
-				for i := range batch.PerMessage {
-					b, c := batch.PerMessage[i], inc.PerMessage[i]
-					if b != c {
-						t.Logf("seed %d msg %d: batch %+v inc %+v", seed, i, b, c)
-						return false
-					}
-				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
 
 // TestIncrementalLateInjection checks that messages injected mid-run (not
 // up front) behave identically to a batch run with the same release list:

@@ -1,103 +1,18 @@
 package vcsim
 
-// Differential tests for the event-horizon fast-forward API:
-// Sim.NextEventTime and Sim.StepTo. The contract under test is exact —
-// StepTo is byte-for-byte equivalent to calling Step in a loop, with the
-// idle spans it jumps being provably pure clock — so the tests run a
-// fast-forwarded simulator in lockstep with a Step-driven twin and demand
-// identical Result snapshots at every aligned intermediate time, across
-// all policies, both steppers, and the full buffer-architecture grid.
-// Any fast-forward that skipped a step in which some worm could have
-// moved would desynchronize the twins and fail the snapshot comparison.
+// Directed tests for the event-horizon fast-forward API: Sim.NextEventTime
+// and Sim.StepTo. The contract is exact — StepTo is byte-for-byte
+// equivalent to calling Step in a loop, with the idle spans it jumps being
+// provably pure clock — and checkSim holds StepTo-driven twins on both
+// steppers to a Step-driven pair at every aligned time on every row of
+// TestSimEquivalences; the tests below pin NextEventTime's regimes and
+// truncation parity.
 
 import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"wormhole/internal/message"
 )
-
-// injectAll feeds one fuzz workload into an incremental Sim up front,
-// spreading releases by stretch to carve idle gaps for StepTo to jump.
-func injectAll(t *testing.T, si *Sim, set *message.Set, releases []int, stretch int) {
-	t.Helper()
-	for i := 0; i < set.Len(); i++ {
-		msg := set.Get(message.ID(i))
-		if _, err := si.Inject(msg, releases[i]*stretch); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestStepToMatchesStepLockstep(t *testing.T) {
-	// Jump strides cycle through a mix of tiny and idle-gap-crossing
-	// targets so both the real-step and clock-jump paths are exercised.
-	strides := []int{1, 2, 7, 3, 1, 31, 5}
-	for seed := uint64(1); seed <= 6; seed++ {
-		for topo := uint8(0); topo < 3; topo++ {
-			for _, arch := range []struct {
-				depth  int
-				shared bool
-			}{{1, false}, {2, false}, {2, true}} {
-				for _, pol := range []Policy{ArbByID, ArbAge, ArbRandom} {
-					for _, naive := range []bool{false, true} {
-						set, releases := fuzzWorkload(seed, topo, 14)
-						cfg := Config{
-							VirtualChannels: 1 + int(seed%2),
-							LaneDepth:       arch.depth,
-							SharedPool:      arch.shared,
-							Arbitration:     pol,
-							Seed:            seed,
-							NaiveScan:       naive,
-							MaxSteps:        1 << 14,
-							CheckInvariants: true,
-						}
-						stepper, err := NewSim(set.G, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						jumper, err := NewSim(set.G, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						// Stretch 17 spreads the [0, 24) fuzz releases over
-						// ~400 steps: long idle gaps on light prefixes.
-						injectAll(t, stepper, set, releases, 17)
-						injectAll(t, jumper, set, releases, 17)
-
-						for i := 0; jumper.Active() > 0; i++ {
-							target := jumper.Now() + strides[i%len(strides)]
-							errJ := jumper.StepTo(target)
-							var errS error
-							for stepper.Now() < jumper.Now() {
-								if errS = stepper.Step(); errS != nil {
-									break
-								}
-							}
-							if stepper.Now() != jumper.Now() {
-								t.Fatalf("seed %d topo %d d=%d shared=%v %s naive=%v: clocks diverged: step %d vs jump %d",
-									seed, topo, arch.depth, arch.shared, pol, naive, stepper.Now(), jumper.Now())
-							}
-							if (errJ == nil) != (errS == nil) || (errJ != nil && !errors.Is(errS, errJ)) {
-								t.Fatalf("seed %d topo %d d=%d shared=%v %s naive=%v: error mismatch at %d: step %v vs jump %v",
-									seed, topo, arch.depth, arch.shared, pol, naive, jumper.Now(), errS, errJ)
-							}
-							rs, rj := stepper.Result(), jumper.Result()
-							if !reflect.DeepEqual(rs, rj) {
-								t.Fatalf("seed %d topo %d d=%d shared=%v %s naive=%v: snapshots diverged at step %d\nstep: %+v\njump: %+v",
-									seed, topo, arch.depth, arch.shared, pol, naive, jumper.Now(), rs, rj)
-							}
-							if errJ != nil {
-								break
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestNextEventTimeContract pins the three regimes of NextEventTime on a
 // hand-built scenario: work now, a pending release later, and nothing at

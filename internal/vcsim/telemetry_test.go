@@ -1,9 +1,7 @@
 package vcsim
 
 import (
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
@@ -12,46 +10,10 @@ import (
 	"wormhole/internal/topology"
 )
 
-// TestTelemetryDoesNotPerturbResults pins the flight-recorder contract:
-// attaching Metrics and a Trace must leave the simulation schedule
-// byte-identical. Randomized workloads across the architecture grid
-// (rigid, deep static, shared pool) are run bare and instrumented, and
-// the Results must be deeply equal.
-func TestTelemetryDoesNotPerturbResults(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		bf := topology.NewButterfly(8)
-		set := message.NewSet(bf.G)
-		var releases []int
-		for i := 0; i < 2+r.Intn(24); i++ {
-			src, dst := r.Intn(8), r.Intn(8)
-			set.Add(bf.Input(src), bf.Output(dst), 1+r.Intn(6), bf.Route(src, dst))
-			releases = append(releases, r.Intn(20))
-		}
-		for _, arch := range deepGrid {
-			cfg := Config{
-				VirtualChannels: 1 + r.Intn(3),
-				LaneDepth:       arch.depth,
-				SharedPool:      arch.shared,
-				Arbitration:     Policy(r.Intn(3)),
-				Seed:            seed,
-				CheckInvariants: true,
-			}
-			bare := Run(set, releases, cfg)
-			obs := cfg
-			obs.Metrics = telemetry.NewMetrics()
-			obs.Trace = telemetry.NewTrace(256)
-			if !reflect.DeepEqual(bare, Run(set, releases, obs)) {
-				t.Logf("d=%d shared=%v seed=%d: instrumented Result differs", arch.depth, arch.shared, seed)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
-	}
-}
+// The flight-recorder contract — attaching Metrics and a Trace leaves the
+// schedule byte-identical — is checkSim's (fuzz_test.go): its incremental
+// Sims carry telemetry and are compared against the bare batch run on every
+// row of TestSimEquivalences.
 
 // TestTelemetryCountersMatchResult cross-checks the counters against the
 // ground truth the engine already reports: delivers, steps and stall

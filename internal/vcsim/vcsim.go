@@ -113,12 +113,6 @@ type Config struct {
 	// pinned to this one by differential tests — so the naive scan
 	// survives purely as the slow, obviously correct oracle.
 	NaiveScan bool
-	// ParkStreak is the wakeup engine's park hysteresis: a slot-blocked
-	// worm parks on a wait queue only after this many consecutive failed
-	// steps, so brief blocked episodes never pay the park/wake machinery.
-	// 0 means the default of 8. The value is pure mechanism — results are
-	// byte-identical for every setting (pinned by regression tests).
-	ParkStreak int
 	// OnComplete, when non-nil, fires exactly once per message when it
 	// finishes — delivered or dropped — with its final MessageStats. Open-
 	// loop drivers use it to stream latencies without retaining per-message
@@ -692,6 +686,10 @@ type Sim struct {
 	edges    []edgeRec
 	flitFree []int32 // deep mode only
 	relFlit  []int32 // deep mode only
+	// finalIn (deep mode only) counts the unfinished worms whose final edge
+	// each edge is: crossers that spend its bandwidth without a lane (see
+	// wakeEdgeDeep). Derived — spawn and retire keep it, RestoreSim rebuilds it.
+	finalIn []int32
 	// crossings is the per-edge bandwidth meter, epoch-stamped so it
 	// never needs clearing: the upper 32 bits hold step+1, the lower the
 	// crossing count within that step. A stale stamp reads as zero, so
@@ -749,7 +747,7 @@ type Sim struct {
 	// queue's exact resume condition. Nil outside shared deep mode.
 	waitQFlit  [][]uint64
 	parked     int   // worms currently parked
-	parkStreak int32 // park hysteresis (Config.ParkStreak; default 8)
+	parkStreak int32 // park hysteresis: defaultParkStreak, or a snapshot's
 
 	// Edge-role classification behind the free-slot-count wake rule (see
 	// wakeEdge). A final-edge crossing consumes bandwidth without holding
@@ -829,10 +827,6 @@ func emptySim(numEdges int, cfg Config) *Sim {
 	if depth == 0 {
 		depth = 1
 	}
-	parkStreak := cfg.ParkStreak
-	if parkStreak == 0 {
-		parkStreak = defaultParkStreak
-	}
 	si := &Sim{
 		cfg:        cfg,
 		b:          cfg.VirtualChannels,
@@ -841,7 +835,7 @@ func emptySim(numEdges int, cfg Config) *Sim {
 		shared:     cfg.SharedPool,
 		deepMode:   depth > 1 || cfg.SharedPool,
 		naive:      cfg.NaiveScan,
-		parkStreak: int32(parkStreak),
+		parkStreak: defaultParkStreak,
 		edges:      make([]edgeRec, numEdges),
 		crossings:  make([]uint64, numEdges),
 		maxSteps:   cfg.MaxSteps,
@@ -858,6 +852,7 @@ func emptySim(numEdges int, cfg Config) *Sim {
 	if si.deepMode {
 		si.flitFree = make([]int32, numEdges)
 		si.relFlit = make([]int32, numEdges)
+		si.finalIn = make([]int32, numEdges)
 		for e := range si.flitFree {
 			si.flitFree[e] = si.poolCap
 		}
@@ -923,6 +918,7 @@ func (si *Sim) Reset() {
 		for e := range si.flitFree {
 			si.flitFree[e] = si.poolCap
 			si.relFlit[e] = 0
+			si.finalIn[e] = 0
 		}
 	}
 	if si.waitQ != nil {
@@ -1123,9 +1119,6 @@ func ValidateConfig(numEdges int, cfg Config) error {
 	if cfg.LaneDepth > MaxHorizon/cfg.VirtualChannels {
 		return fmt.Errorf("%w: VirtualChannels %d × LaneDepth %d overflows the 32-bit pool layout", ErrBadConfig, cfg.VirtualChannels, cfg.LaneDepth)
 	}
-	if cfg.ParkStreak < 0 {
-		return fmt.Errorf("%w: ParkStreak %d < 0", ErrBadConfig, cfg.ParkStreak)
-	}
 	if cfg.MaxSteps > MaxHorizon {
 		return fmt.Errorf("%w: MaxSteps %d exceeds MaxHorizon %d", ErrOverHorizon, cfg.MaxSteps, MaxHorizon)
 	}
@@ -1172,6 +1165,9 @@ func (si *Sim) spawn(msg message.Message, release int) (int, error) {
 	}
 	if si.deepMode {
 		clear(si.arena.buf[off+d:][:msg.Length])
+		if d > 0 {
+			si.finalIn[p[d-1]]++
+		}
 	}
 	si.markPathRoles(p)
 	w, id := si.addWorm()
@@ -1602,6 +1598,9 @@ func (si *Sim) retire(w *worm, status Status) {
 	// until the worm's chunk has no unfinished worm left and applyStepEnd
 	// seals it to a few bytes (seal.go; TestRetainedBytesPerMessage gates
 	// what a long-lived Sim keeps per message).
+	if si.deepMode && w.d > 0 {
+		si.finalIn[si.path(w)[w.d-1]]--
+	}
 	si.freeBuf(w)
 	if cb := si.cfg.OnComplete; cb != nil {
 		cb(message.ID(w.id()), w.messageStats()) //wormvet:allow hotalloc -- once-per-message completion hook

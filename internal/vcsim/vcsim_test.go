@@ -2,7 +2,6 @@ package vcsim
 
 import (
 	"testing"
-	"testing/quick"
 
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
@@ -389,46 +388,6 @@ func TestColorClassNeverBlocks(t *testing.T) {
 		if want := 4 + l - 1; res.Steps != want {
 			t.Fatalf("trial %d: steps %d, want unimpeded %d", trial, res.Steps, want)
 		}
-	}
-}
-
-// TestRandomWorkloadInvariants drives random butterfly workloads through
-// the simulator with invariant checking enabled and property-checks the
-// result structure.
-func TestRandomWorkloadInvariants(t *testing.T) {
-	f := func(seed uint64, bRaw uint8, qRaw uint8) bool {
-		b := int(bRaw%4) + 1
-		q := int(qRaw%3) + 1
-		r := rng.New(seed)
-		bf := topology.NewButterfly(8)
-		set := message.NewSet(bf.G)
-		for rep := 0; rep < q; rep++ {
-			for src, dst := range r.Perm(8) {
-				set.Add(bf.Input(src), bf.Output(dst), 1+int(seed%7), bf.Route(src, dst))
-			}
-		}
-		res := Run(set, nil, Config{VirtualChannels: b, CheckInvariants: true})
-		if res.Deadlocked || res.Truncated {
-			return false
-		}
-		if !res.AllDelivered() {
-			return false
-		}
-		if res.MaxOccupied > b {
-			return false
-		}
-		// Every message's latency is at least the unimpeded minimum.
-		for i := range res.PerMessage {
-			m := set.Get(message.ID(i))
-			minLat := len(m.Path) + m.Length - 1
-			if lat := res.PerMessage[i].Latency(); lat < minLat {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -32,9 +32,8 @@ package vcsim
 // one stall for every step in its parked span, stamped in bulk at
 // wake/deadlock/snapshot time. Every observable — MessageStats,
 // arbitration order, deadlock detection, Result — is byte-identical to
-// the naive scan under all three policies; the differential tests in
-// wakeup_test.go and the retained oracle behind Config.NaiveScan pin
-// that equivalence.
+// the naive scan under all three policies; checkSim (fuzz_test.go) pins
+// that equivalence against the retained oracle behind Config.NaiveScan.
 //
 // Ordering is everywhere driven by worm.key — the precomputed policy key
 // (ID, or release<<32|id for ArbAge) — so heap sift-downs, the woken-
@@ -55,14 +54,13 @@ import (
 	"wormhole/internal/telemetry"
 )
 
-// defaultParkStreak is the probation length when Config.ParkStreak is
-// zero: a worm parks only after this many consecutive failed steps. Short
-// blocked episodes — the common case away from deep saturation — then
-// cost exactly what they cost the naive scan (one cheap failed attempt
-// per step), while long episodes pay the park/wake machinery once and are
-// skipped for their whole remainder. The setting is pure mechanism:
-// results are byte-identical for every value (see park hysteresis
-// regression tests).
+// defaultParkStreak is the park probation: a worm parks only after this
+// many consecutive failed steps. Short blocked episodes — the common case
+// away from deep saturation — then cost exactly what they cost the naive
+// scan (one cheap failed attempt per step), while long episodes pay the
+// park/wake machinery once and are skipped for their whole remainder. The
+// setting is pure mechanism: results are byte-identical for every value,
+// which checkSim's park-streak axis pins by setting Sim.parkStreak.
 const defaultParkStreak = 8
 
 // stepWakeup advances the simulation by one flit step, attempting only
@@ -324,6 +322,15 @@ func (si *Sim) wakeEdge(e int32) {
 // credits ahead of flit-queue waiters, but that only turns woken
 // waiters into harmless re-parkers, never lets an un-woken one win.
 //
+// A decline takes a crossing of e that holds no credit on it: under
+// RestrictedBandwidth (cap 1 < B) any second crossing, otherwise a worm
+// whose final edge e is (finalIn; lane holders and acquirers number at
+// most B). Where one can happen, un-woken waiters fail on bandwidth with
+// credit to spare — steps the naive scan charges to bandwidth and a parked
+// span would charge to the credit — so the whole queue wakes and every
+// attempt is charged where it fails. The crosser outranks the waiter it
+// beats, so it was injected, and counted, before this wake.
+//
 // A queue whose resume condition is false post-fold (the lane, or pool,
 // is still exhausted) stays parked entirely: waking it on unrelated
 // credit traffic is what made contended deep edges thrash their whole
@@ -332,14 +339,18 @@ func (si *Sim) wakeEdge(e int32) {
 //
 //wormvet:hotpath
 func (si *Sim) wakeEdgeDeep(e int32) {
+	var all int32 // 0: wake up to the freed credits; MaxHorizon: everyone
+	if si.capI32 < si.bI32 || si.finalIn[e] > 0 {
+		all = MaxHorizon
+	}
 	if q := &si.waitQ[e]; len(*q) > 0 && si.edges[e].laneFree > 0 && (!si.shared || si.flitFree[e] > 0) {
-		si.wakeBest(q, si.edges[e].laneFree)
+		si.wakeBest(q, max(si.edges[e].laneFree, all))
 	}
 	if si.waitQFlit == nil {
 		return
 	}
 	if q := &si.waitQFlit[e]; len(*q) > 0 && si.flitFree[e] > 0 {
-		si.wakeBest(q, si.flitFree[e])
+		si.wakeBest(q, max(si.flitFree[e], all))
 	}
 }
 
@@ -447,9 +458,8 @@ func (si *Sim) stampParked(k uint64, through int32) {
 	// This is what keeps whole-queue wakes (deep mode, restricted
 	// bandwidth, mixed final/body edges) from thrashing — without it,
 	// every wake buys each non-winning waiter a full fresh probation of
-	// futile scans. Like ParkStreak itself, this is pure mechanism:
-	// results are byte-identical (pinned by the park-hysteresis and
-	// differential suites).
+	// futile scans. Like the streak itself, this is pure mechanism:
+	// results are byte-identical (pinned by checkSim).
 	w.streak = si.parkStreak - 1
 }
 

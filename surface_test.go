@@ -157,7 +157,6 @@ func parseTree(t *testing.T) []source {
 // axis of a differential suite — which the options rule never targets.
 var optionsKept = map[string]string{
 	"internal/vcsim.Config.CheckInvariants": "check: the per-step invariant audit every differential and fuzz suite runs under",
-	"internal/vcsim.Config.ParkStreak":      "oracle axis: the park-hysteresis suite proves results park-timing-invariant by varying it",
 	"internal/traffic.Config.NaiveScan":     "oracle: selects the retained naive stepper the open-loop differentials compare the wakeup engine against",
 	"internal/traffic.Config.Trace":         "hook: README \"Event tracing\" tells a reader to attach a telemetry.Trace ring to a traffic config; forwarded to vcsim.Config.Trace",
 }
