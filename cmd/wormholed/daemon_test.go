@@ -237,10 +237,10 @@ func allocated(f func()) uint64 {
 
 // TestMaxSizeSubmissionBuildsNothing: the POST handler judges a sweep
 // with the engine's validators, not by building the job. At the size
-// bound the network is 140 MB of allocation and a Runner's simulator
-// 230 MB more; the handler used to build both — per request, before
-// answering even a plain bad rate with its 400, and again for a valid
-// spec that a worker would then build a second time.
+// bound a network and a Runner's simulator over it hold ≈ 72 MB
+// (vcsim's TestRetainedBytesPerEdge); the handler used to build both —
+// per request, before answering even a plain bad rate with its 400, and
+// again for a valid spec that a worker would then build a second time.
 func TestMaxSizeSubmissionBuildsNothing(t *testing.T) {
 	srv, m := startTestServer(t, t.TempDir(), 0)
 	defer m.Shutdown()

@@ -150,9 +150,7 @@ func GreedyColor(adj [][]int32) ([]int, int) {
 func ChannelDependencyAcyclic(s *message.Set) bool {
 	m := s.G.NumEdges()
 	dep := graph.New(m, m)
-	for i := 0; i < m; i++ {
-		dep.AddNode("")
-	}
+	dep.AddNodes(m)
 	type arc struct{ a, b graph.EdgeID }
 	added := make(map[arc]struct{})
 	for i := range s.Msgs {

@@ -8,11 +8,22 @@
 // shortest-path machinery — that internal/topology instantiates into
 // butterflies, meshes, and adversarial constructions, and that
 // internal/vcsim animates.
+//
+// A graph stores what a network is: its edge list (12 bytes an edge) and a
+// node count. Adjacency is derived — a compressed index built on the first
+// Out, In, FindEdge or degree query and dropped again by the next AddNode
+// or AddEdge — and node labels are either stored for the nodes given one or
+// computed on demand (LabelWith). Nothing on the simulation path asks for
+// either: a simulator reads NumEdges, and routes are arithmetic or
+// precomputed. So a 4096-input butterfly costs 1.2 MB before a simulator
+// adds its per-edge credit state, and no traffic run builds the index
+// (vcsim's TestRetainedBytesPerEdge measures the whole budget).
 package graph
 
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. IDs are dense: a graph with N nodes uses IDs
@@ -37,44 +48,59 @@ type Edge struct {
 // Graph is a directed multigraph. The zero value is an empty graph ready to
 // use. Graphs are append-only: nodes and edges can be added but never
 // removed, which keeps IDs dense and lets simulators index per-edge state
-// with plain slices.
+// with plain slices. A graph that is no longer growing may be read from
+// any number of goroutines; adding to it is not safe alongside readers.
 type Graph struct {
 	edges []Edge
-	// out[v] and in[v] list edge IDs incident to node v.
-	out   [][]EdgeID
-	in    [][]EdgeID
-	names []string // optional node labels
+	nodes int
+	// labels holds the labels given to AddNode, indexed by node; it stops
+	// at the last labeled node, and stays nil while none was labeled.
+	labels  []string
+	labeler func(NodeID) string // LabelWith's namer for the unlabeled nodes
+	adj     atomic.Pointer[adjacency]
 }
 
-// New returns an empty graph with capacity hints for n nodes and m edges.
+// adjacency is the compressed (CSR) index behind Out and In: node v's
+// out-edges are out[outAt[v]:outAt[v+1]] in ID order, and likewise for
+// in-edges.
+type adjacency struct {
+	outAt, inAt []int32
+	out, in     []EdgeID
+}
+
+// New returns an empty graph with capacity for m edges. The node count n is
+// a hint kept for symmetry with the edge count: nodes cost nothing to add.
 func New(n, m int) *Graph {
-	g := &Graph{
-		edges: make([]Edge, 0, m),
-		out:   make([][]EdgeID, 0, n),
-		in:    make([][]EdgeID, 0, n),
-		names: make([]string, 0, n),
-	}
-	return g
+	return &Graph{edges: make([]Edge, 0, m)}
 }
 
 // AddNode creates a new node with an optional label and returns its ID.
 func (g *Graph) AddNode(label string) NodeID {
-	id := NodeID(len(g.out))
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.names = append(g.names, label)
+	id := NodeID(g.nodes)
+	g.nodes++
+	if label != "" {
+		for len(g.labels) < int(id) {
+			g.labels = append(g.labels, "")
+		}
+		g.labels = append(g.labels, label)
+	}
+	g.dropAdjacency()
 	return id
 }
 
 // AddNodes creates k unlabeled nodes and returns the ID of the first; the
 // remainder follow consecutively.
 func (g *Graph) AddNodes(k int) NodeID {
-	first := NodeID(len(g.out))
-	for i := 0; i < k; i++ {
-		g.AddNode("")
-	}
+	first := NodeID(g.nodes)
+	g.nodes += k
+	g.dropAdjacency()
 	return first
 }
+
+// LabelWith names every node AddNode was not given a label for by calling
+// name on demand, so a builder whose labels are arithmetic in the node ID
+// (a butterfly's (column, level)) stores none of them.
+func (g *Graph) LabelWith(name func(NodeID) string) { g.labeler = name }
 
 // AddEdge creates a directed edge tail → head and returns its ID. Parallel
 // edges and self-loops are permitted (the Theorem 2.2.1 construction uses
@@ -85,8 +111,7 @@ func (g *Graph) AddEdge(tail, head NodeID) EdgeID {
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, Tail: tail, Head: head})
-	g.out[tail] = append(g.out[tail], id)
-	g.in[head] = append(g.in[head], id)
+	g.dropAdjacency()
 	return id
 }
 
@@ -97,13 +122,13 @@ func (g *Graph) AddBiEdge(u, v NodeID) (uv, vu EdgeID) {
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.out) }
+func (g *Graph) NumNodes() int { return g.nodes }
 
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // HasNode reports whether id names an existing node.
-func (g *Graph) HasNode(id NodeID) bool { return id >= 0 && int(id) < len(g.out) }
+func (g *Graph) HasNode(id NodeID) bool { return id >= 0 && int(id) < g.nodes }
 
 // HasEdge reports whether id names an existing edge.
 func (g *Graph) HasEdge(id EdgeID) bool { return id >= 0 && int(id) < len(g.edges) }
@@ -117,22 +142,42 @@ func (g *Graph) Edge(id EdgeID) Edge {
 // not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// Out returns the IDs of edges leaving v. Owned by the graph; read-only.
-func (g *Graph) Out(v NodeID) []EdgeID { return g.out[v] }
+// Out returns the IDs of edges leaving v, in ID order. Owned by the graph;
+// read-only.
+func (g *Graph) Out(v NodeID) []EdgeID {
+	a := g.adjacency()
+	return a.out[a.outAt[v]:a.outAt[v+1]:a.outAt[v+1]]
+}
+
+// In returns the IDs of edges entering v, in ID order. Owned by the graph;
+// read-only.
+func (g *Graph) In(v NodeID) []EdgeID {
+	a := g.adjacency()
+	return a.in[a.inAt[v]:a.inAt[v+1]:a.inAt[v+1]]
+}
 
 // OutDegree returns the number of edges leaving v.
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
+func (g *Graph) OutDegree(v NodeID) int { return len(g.Out(v)) }
 
 // InDegree returns the number of edges entering v.
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
+func (g *Graph) InDegree(v NodeID) int { return len(g.In(v)) }
 
-// Label returns the label assigned to v at creation ("" if none).
-func (g *Graph) Label(v NodeID) string { return g.names[v] }
+// Label returns the label assigned to v at creation, else the LabelWith
+// namer's, else "".
+func (g *Graph) Label(v NodeID) string {
+	if int(v) < len(g.labels) && g.labels[v] != "" {
+		return g.labels[v]
+	}
+	if g.labeler != nil {
+		return g.labeler(v)
+	}
+	return ""
+}
 
 // FindEdge returns the ID of some edge tail → head, or None if no such edge
 // exists. With parallel edges the lowest ID wins.
 func (g *Graph) FindEdge(tail, head NodeID) EdgeID {
-	for _, e := range g.out[tail] {
+	for _, e := range g.Out(tail) {
 		if g.edges[e].Head == head {
 			return e
 		}
@@ -152,6 +197,51 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return max
+}
+
+// adjacency returns the graph's CSR index, building it on first use.
+// Concurrent first callers may each build one; the first to publish wins
+// and every caller returns that one, so all readers share the same slices.
+func (g *Graph) adjacency() *adjacency {
+	if a := g.adj.Load(); a != nil {
+		return a
+	}
+	a := &adjacency{
+		outAt: make([]int32, g.nodes+1),
+		inAt:  make([]int32, g.nodes+1),
+		out:   make([]EdgeID, len(g.edges)),
+		in:    make([]EdgeID, len(g.edges)),
+	}
+	for _, e := range g.edges {
+		a.outAt[e.Tail+1]++
+		a.inAt[e.Head+1]++
+	}
+	for v := 0; v < g.nodes; v++ {
+		a.outAt[v+1] += a.outAt[v]
+		a.inAt[v+1] += a.inAt[v]
+	}
+	// Fill in ID order, using outAt[v] itself as node v's cursor: it ends
+	// at v's end, which is v+1's start, so one shift restores the starts.
+	for _, e := range g.edges {
+		a.out[a.outAt[e.Tail]] = e.ID
+		a.outAt[e.Tail]++
+		a.in[a.inAt[e.Head]] = e.ID
+		a.inAt[e.Head]++
+	}
+	copy(a.outAt[1:], a.outAt[:g.nodes])
+	copy(a.inAt[1:], a.inAt[:g.nodes])
+	a.outAt[0], a.inAt[0] = 0, 0
+	if !g.adj.CompareAndSwap(nil, a) {
+		a = g.adj.Load()
+	}
+	return a
+}
+
+// dropAdjacency discards a built index after the graph grew.
+func (g *Graph) dropAdjacency() {
+	if g.adj.Load() != nil {
+		g.adj.Store(nil)
+	}
 }
 
 // String summarizes the graph for debugging.
@@ -174,7 +264,7 @@ func (g *Graph) DOTEdges(name string, attr func(EdgeID) string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", name)
 	for v := 0; v < g.NumNodes(); v++ {
-		label := g.names[v]
+		label := g.Label(NodeID(v))
 		if label == "" {
 			label = fmt.Sprintf("%d", v)
 		}

@@ -136,7 +136,7 @@ func (f *FS) image(n *node, death Death) *node {
 		kids = n.durable
 	}
 	out := newDir()
-	for name, kid := range kids {
+	for name, kid := range kids { //wormvet:allow determinism -- copies one map into another; order cannot show
 		out.kids[name] = f.image(kid, death)
 		out.durable[name] = out.kids[name]
 	}
@@ -249,7 +249,7 @@ func (f *FS) apply(op Op) error {
 			return &fs.PathError{Op: op.Kind, Path: op.Path, Err: fs.ErrNotExist}
 		}
 		n.durable = make(map[string]*node, len(n.kids))
-		for name, kid := range n.kids {
+		for name, kid := range n.kids { //wormvet:allow determinism -- copies one map into another; order cannot show
 			n.durable[name] = kid
 		}
 	default:
@@ -364,7 +364,7 @@ func (f *FS) ReadDir(dir string) ([]fs.DirEntry, error) {
 		return nil, &fs.PathError{Op: "open", Path: dir, Err: fs.ErrNotExist}
 	}
 	listing := fstest.MapFS{}
-	for name, kid := range n.kids {
+	for name, kid := range n.kids { //wormvet:allow determinism -- fills a MapFS, which fs.ReadDir lists sorted
 		mode := fs.FileMode(0o644)
 		if kid.dir {
 			mode = fs.ModeDir | 0o755

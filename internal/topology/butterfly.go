@@ -33,14 +33,8 @@ func NewButterfly(n int) *Butterfly {
 	k := log2Exact(n)
 	g := graph.New(n*(k+1), 2*n*k)
 	b := &Butterfly{G: g, Inputs: n, Levels: k}
-	for lvl := 0; lvl <= k; lvl++ {
-		for w := 0; w < n; w++ {
-			id := g.AddNode(fmt.Sprintf("(%0*b,%d)", k, w, lvl))
-			if id != b.Node(w, lvl) {
-				panic("topology: butterfly node numbering out of order")
-			}
-		}
-	}
+	g.AddNodes(n * (k + 1))
+	g.LabelWith(levelLabels(n, k))
 	for lvl := 0; lvl < k; lvl++ {
 		for w := 0; w < n; w++ {
 			// Straight edge: same column.
@@ -126,11 +120,8 @@ func NewTwoPassButterfly(n int) *TwoPassButterfly {
 	k := log2Exact(n)
 	g := graph.New(n*(2*k+1), 4*n*k)
 	t := &TwoPassButterfly{G: g, Inputs: n, Levels: k}
-	for lvl := 0; lvl <= 2*k; lvl++ {
-		for w := 0; w < n; w++ {
-			g.AddNode(fmt.Sprintf("(%0*b,%d)", k, w, lvl))
-		}
-	}
+	g.AddNodes(n * (2*k + 1))
+	g.LabelWith(levelLabels(n, k))
 	for lvl := 0; lvl < 2*k; lvl++ {
 		// Stage lvl fixes butterfly bit (lvl mod k) + 1: the first pass
 		// fixes bits 1..k, then the second pass fixes them again.
@@ -171,6 +162,15 @@ func (t *TwoPassButterfly) Route(src, mid, dst int) graph.Path {
 func (t *TwoPassButterfly) RandomRoute(src, dst int, r *rng.Source) (graph.Path, int) {
 	mid := r.Intn(t.Inputs)
 	return t.Route(src, mid, dst), mid
+}
+
+// levelLabels names the nodes of a leveled layout with n nodes a level, node
+// lvl·n + w being column w at level lvl, as "(w in k binary digits,lvl)".
+// The graph computes each label when asked instead of storing them all.
+func levelLabels(n, k int) func(graph.NodeID) string {
+	return func(v graph.NodeID) string {
+		return fmt.Sprintf("(%0*b,%d)", k, int(v)%n, int(v)/n)
+	}
 }
 
 // --- bit helpers -----------------------------------------------------------

@@ -78,31 +78,38 @@ func NewRandomRegular(n, d int, r *rng.Source) *graph.Graph {
 	return g
 }
 
-// StronglyConnected reports whether every node can reach every other node.
+// StronglyConnected reports whether every node can reach every other node:
+// node 0 reaches them all along out-edges and is reached by them all, which
+// is the same search along in-edges.
 func StronglyConnected(g *graph.Graph) bool {
 	n := g.NumNodes()
-	if n <= 1 {
-		return true
-	}
-	if reachCount(g, 0) != n {
-		return false
-	}
-	// Reverse reachability: build the transpose once.
-	rev := graph.New(n, g.NumEdges())
-	for v := 0; v < n; v++ {
-		rev.AddNode("")
-	}
-	for _, e := range g.Edges() {
-		rev.AddEdge(e.Head, e.Tail)
-	}
-	return reachCount(rev, 0) == n
+	return n <= 1 || reachCount(g, false) == n && reachCount(g, true) == n
 }
 
-func reachCount(g *graph.Graph, src graph.NodeID) int {
-	count := 0
-	for _, d := range graph.BFSDistances(g, src) {
-		if d >= 0 {
-			count++
+// reachCount counts the nodes a search from node 0 visits, following edges
+// forward or, when backward, against their direction.
+func reachCount(g *graph.Graph, backward bool) int {
+	next := g.Out
+	if backward {
+		next = g.In
+	}
+	seen := make([]bool, g.NumNodes())
+	seen[0] = true
+	stack := []graph.NodeID{0}
+	count := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, id := range next(v) {
+			u := g.Edge(id).Head
+			if backward {
+				u = g.Edge(id).Tail
+			}
+			if !seen[u] {
+				seen[u] = true
+				count++
+				stack = append(stack, u)
+			}
 		}
 	}
 	return count

@@ -48,10 +48,12 @@ type Network struct {
 // input (a wormholed sweep's size or dims, wormbench -scale): whoever
 // holds such a number checks it against this before building anything,
 // so an absurd size is an error up front instead of an allocation the
-// process cannot survive. A simulator on the costliest topology at the
-// bound — a 65536-input butterfly, 2.1 M edges — holds ≈ 230 MB before
-// it carries a message (≈ 110 bytes per edge, whatever B and d); the
-// largest documented scale is 4096 (≈ 11 MB).
+// process cannot survive. A rigid simulator on the costliest topology at
+// the bound — a 65536-input butterfly, 2.1 M edges — holds ≈ 72 MB before
+// it carries a message, network and Runner included (≈ 34 bytes per edge;
+// deep lanes add 12 more); the largest documented scale is 4096 (≈ 3.4
+// MB). vcsim's TestRetainedBytesPerEdge measures these figures and holds
+// them to 40 bytes an edge.
 const MaxEndpoints = 1 << 16
 
 // MaxMessageLength bounds Config.MessageLength, which also arrives from

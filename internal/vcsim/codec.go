@@ -247,30 +247,36 @@ func (si *Sim) Snapshot(w io.Writer) error {
 
 	// Wait heaps, sparsely: most edges have no waiters. The raw array
 	// layout is serialized — heap shape determines future pop order.
-	writeHeaps := func(qs [][]uint64) {
+	writeHeaps := func(k int32) {
+		queue := func(slot int32) []uint64 {
+			if slot == 0 {
+				return nil
+			}
+			return *si.waits.at(slot, k)
+		}
 		nonEmpty := 0
-		for _, q := range qs {
-			if len(q) > 0 {
+		for _, slot := range si.waits.slot {
+			if len(queue(slot)) > 0 {
 				nonEmpty++
 			}
 		}
 		sw.U32(uint32(nonEmpty))
-		for e, q := range qs {
-			if len(q) > 0 {
+		for e, slot := range si.waits.slot {
+			if q := queue(slot); len(q) > 0 {
 				sw.U32(uint32(e))
 				sw.U64s(q)
 			}
 		}
 	}
 	if !si.naive {
-		writeHeaps(si.waitQ)
-		if si.waitQFlit != nil {
-			writeHeaps(si.waitQFlit)
+		writeHeaps(0)
+		if si.waits.flit >= 0 {
+			writeHeaps(si.waits.flit)
 		}
 		sw.I64(int64(si.parked))
 		if si.finalSeen != nil {
-			sw.Bits(si.finalSeen)
-			sw.Bits(si.bodySeen)
+			sw.Raw(si.finalSeen)
+			sw.Raw(si.bodySeen)
 		}
 		sw.Bool(si.mixedFinal)
 	}
@@ -285,8 +291,8 @@ func (si *Sim) Snapshot(w io.Writer) error {
 		sw.Bits(si.deadEdge)
 		sw.I32s(si.killedLanes)
 		sw.I32s(si.faultSince)
-		if si.faultQ != nil {
-			writeHeaps(si.faultQ)
+		if si.waits.fault >= 0 {
+			writeHeaps(si.waits.fault)
 		}
 		sw.I64(int64(si.aborted))
 		sw.Bool(si.faultDead)
@@ -625,7 +631,7 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		r.I32sInto(skipLen(r, si.flitFree, "flitFree"))
 	}
 
-	readHeaps := func(qs [][]uint64, what string) {
+	readHeaps := func(k int32, what string) {
 		prev := -1
 		for n := r.Len(numEdges, what); n > 0; n-- {
 			e := int(r.U32())
@@ -639,13 +645,13 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 			if r.Err() != nil {
 				return
 			}
-			qs[e] = q
+			*si.waits.queue(int32(e), k) = q //wormvet:allow horizon -- e < numEdges, checked above
 		}
 	}
 	if !si.naive {
-		readHeaps(si.waitQ, "waitQ")
-		if si.waitQFlit != nil {
-			readHeaps(si.waitQFlit, "waitQFlit")
+		readHeaps(0, "waitQ")
+		if si.waits.flit >= 0 {
+			readHeaps(si.waits.flit, "waitQFlit")
 		}
 		// The waiters bits are not on the wire: they follow from the heaps.
 		for e := range si.edges {
@@ -655,8 +661,8 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		}
 		si.parked = int(r.I64())
 		if si.finalSeen != nil {
-			r.BitsInto(si.finalSeen)
-			r.BitsInto(si.bodySeen)
+			readEdgeBits(r, si.finalSeen, numEdges)
+			readEdgeBits(r, si.bodySeen, numEdges)
 		}
 		si.mixedFinal = r.Bool()
 	}
@@ -672,8 +678,8 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 		r.BitsInto(si.deadEdge)
 		r.I32sInto(skipLen(r, si.killedLanes, "killedLanes"))
 		r.I32sInto(skipLen(r, si.faultSince, "faultSince"))
-		if si.faultQ != nil {
-			readHeaps(si.faultQ, "faultQ")
+		if si.waits.fault >= 0 {
+			readHeaps(si.waits.fault, "faultQ")
 		}
 		si.aborted = int(r.I64())
 		si.faultDead = r.Bool()
@@ -749,4 +755,16 @@ func skipLen(r *snap.Reader, dst []int32, what string) []int32 {
 		return nil
 	}
 	return dst
+}
+
+// readEdgeBits reads a Writer.Bits bitset of numEdges bits into b, dropping
+// the padding bits of its last byte as Reader.BitsInto does, so a restored
+// Sim snapshots to the same bytes whatever the padding held.
+func readEdgeBits(r *snap.Reader, b edgeBits, numEdges int) {
+	for i := range b {
+		b[i] = r.U8()
+	}
+	if pad := numEdges & 7; pad != 0 {
+		b[len(b)-1] &= 1<<pad - 1
+	}
 }

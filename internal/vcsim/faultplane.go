@@ -37,9 +37,9 @@ package vcsim
 // source (nothing injected) and whose first edge is dead can abort the
 // attempt and re-enter the pending queue under Config.Retry — capped
 // exponential backoff in simulated time, StatusAborted when attempts
-// run out. Every other dead-edge block parks on faultQ, a per-edge wait
-// heap woken only by that edge's revival (slot events cannot change a
-// deadness verdict). Kill-starved live edges are ordinary credit
+// run out. Every other dead-edge block parks on the edge's fault queue, a
+// wait heap woken only by that edge's revival (slot events cannot change
+// a deadness verdict). Kill-starved live edges are ordinary credit
 // blocks: worms park on the regular wait queues and revives wake them
 // through the step-end fold.
 //
@@ -57,8 +57,8 @@ import (
 )
 
 // parkFaultBit tags a park target (worm.waitEdge, worm.blockedOn, the
-// stepper failure edge) as a dead-edge wait: the worm sits on
-// faultQ[edge] and only that edge's revival wakes it. Distinct from
+// stepper failure edge) as a dead-edge wait: the worm sits on the
+// edge's fault queue and only that edge's revival wakes it. Distinct from
 // deep.go's parkFlitBit (1<<30); edge IDs stay far below both.
 const parkFaultBit = int32(1) << 29
 
@@ -123,8 +123,8 @@ func (si *Sim) applyFaults(upTo int) {
 			// Revival is the only event that can change a dead-edge
 			// verdict: wake the whole fault queue. (Direct mode cannot
 			// have waiters — nothing is in flight during a jump.)
-			if si.faultQ != nil {
-				si.wakeAll(&si.faultQ[e])
+			if q := si.waits.find(e, si.waits.fault); q != nil {
+				si.wakeAll(q)
 			}
 		}
 		// Outage-span accounting for the per-edge fault-time heatmap.

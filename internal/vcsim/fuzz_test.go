@@ -388,9 +388,9 @@ func checkSim(t *testing.T, set *message.Set, releases []int, cc checkCfg) Resul
 	if wake.parked != 0 || len(wake.wokenScratch) != 0 {
 		fail("drained sim still has %d parked worms, %d woken-scratch entries", wake.parked, len(wake.wokenScratch))
 	}
-	for _, qs := range [][][]uint64{wake.waitQ, wake.waitQFlit} {
-		for e, q := range qs {
-			if len(q) != 0 {
+	for e, slot := range wake.waits.slot {
+		for k := int32(0); slot != 0 && k < wake.waits.kinds; k++ {
+			if q := *wake.waits.at(slot, k); len(q) != 0 {
 				fail("drained sim leaks %d wait-queue entries on edge %d", len(q), e)
 			}
 		}
@@ -554,7 +554,7 @@ func TestStaleWaitersBit(t *testing.T) {
 	// staleBits counts edges whose bit is set over empty queues.
 	staleBits := func(si *Sim) (n int) {
 		for e, r := range si.edges {
-			if r.waiters != 0 && len(si.waitQ[e]) == 0 {
+			if r.waiters != 0 && laneQueued(si, e) == 0 {
 				n++
 			}
 		}
@@ -625,8 +625,8 @@ func TestStaleWaitersBit(t *testing.T) {
 			backlog(t, p, "before reset")
 			reset(p)
 			for e, r := range p.wake.edges {
-				if r.waiters != 0 || len(p.wake.waitQ[e]) != 0 {
-					t.Fatalf("edge %d after Reset: waiters %d, %d queued", e, r.waiters, len(p.wake.waitQ[e]))
+				if r.waiters != 0 || laneQueued(p.wake, e) != 0 {
+					t.Fatalf("edge %d after Reset: waiters %d, %d queued", e, r.waiters, laneQueued(p.wake, e))
 				}
 			}
 			backlog(t, p, "after reset")
@@ -637,4 +637,12 @@ func TestStaleWaitersBit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// laneQueued is the length of edge e's lane wait queue.
+func laneQueued(si *Sim, e int) int {
+	if q := si.waits.find(int32(e), 0); q != nil {
+		return len(*q)
+	}
+	return 0
 }

@@ -81,3 +81,56 @@ func TestRetainedBytesPerMessage(t *testing.T) {
 		})
 	}
 }
+
+// TestRetainedBytesPerEdge turns "what a network costs before it carries a
+// message" into a gate. The paper's network is a set of channels, each
+// carrying B lanes, so a simulator's per-edge credit state is the model and
+// nothing else should cost memory per edge: the graph keeps only its edge
+// list (adjacency is an index built on the first query that needs it, and a
+// butterfly's labels are computed on demand), and a wait queue exists only
+// for an edge somebody has queued on. The live heap of a 4096-input
+// butterfly — 98 304 edges, the largest documented scale — plus an idle
+// Runner over it must stay within 40 bytes an edge, and still does after a
+// short sparse run, so no run builds the adjacency or labels either. This
+// is the source of the memory figures quoted at traffic.MaxEndpoints and in
+// README.
+func TestRetainedBytesPerEdge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 98 304-edge network")
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	h0 := live()
+	net := traffic.NewButterflyNet(4096)
+	r, err := traffic.NewRunner(traffic.Config{
+		Net: net, VirtualChannels: 2, MessageLength: 4, Arbitration: vcsim.ArbAge,
+		Rate: 0.02, Warmup: 8, Measure: 24, Drain: 256, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := float64(net.G.NumEdges())
+	const budget = 40.0
+	idle := (float64(live()) - float64(h0)) / edges
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ran := (float64(live()) - float64(h0)) / edges
+	runtime.KeepAlive(r) // or the last GC collects the Runner, Sim and network
+	t.Logf("%.0f edges: %.1f bytes per edge idle, %.1f after one run", edges, idle, ran)
+	for _, m := range []struct {
+		when string
+		per  float64
+	}{{"idle", idle}, {"after one run", ran}} {
+		if m.per > budget {
+			t.Errorf("a butterfly network and Runner hold %.1f bytes per edge %s, budget %.0f: something besides "+
+				"the edge list and per-edge credit state is kept per edge or per node (adjacency lists, stored "+
+				"labels, a slice header per edge) — every wormholed sweep at traffic.MaxEndpoints pays it",
+				m.per, m.when, budget)
+		}
+	}
+}

@@ -560,12 +560,12 @@ func (si *Sim) prog(w *worm) []int32 {
 //     lane or flit wait queue. park sets it; applyStepEnd clears it once
 //     wakeEdge has left both queues empty; Reset zeroes it and RestoreSim
 //     rebuilds it from the heaps it read. So "queue non-empty ⇒ bit set"
-//     always holds (CheckInvariants asserts it) and the fold reads no
-//     wait-queue slice header — 24 bytes per edge, 2.3 MB of them on
-//     sparse-wide — for an edge nobody waits on. The converse may fail:
+//     always holds (CheckInvariants asserts it) and the fold looks up no
+//     wait queue for an edge nobody waits on. The converse may fail:
 //     flushParked and deadlock stamping empty queues without visiting the
 //     record, and the stale bit then costs one wakeEdge over empty queues.
-//     Dead-edge waits (faultQ) have their own wake path and never set it.
+//     Dead-edge waits (the fault queue) have their own wake path and never
+//     set it.
 //
 // The layout is measured, not guessed (sparse-wide wall_s against the
 // six-array parent, ISSUE 20): this record −13%; a 12-byte record with a
@@ -579,6 +579,17 @@ type edgeRec struct {
 	dirtyFlag uint8
 	waiters   uint8
 }
+
+// edgeBits is a set of edges, one bit an edge, least significant bit
+// first within each byte: the layout snap.Writer.Bits puts on the wire, so
+// the codec copies it as it is.
+type edgeBits []uint8
+
+func newEdgeBits(numEdges int) edgeBits { return make(edgeBits, (numEdges+7)/8) }
+
+func (b edgeBits) has(e int32) bool { return b[e>>3]&(1<<(e&7)) != 0 }
+
+func (b edgeBits) set(e int32) { b[e>>3] |= 1 << (e & 7) }
 
 // Run simulates the message set under the given per-message release times
 // (release[i] is the earliest flit step at which message i may start; nil
@@ -730,22 +741,16 @@ type Sim struct {
 	dirty    []int32
 	dirtyMax []int32
 
-	// Wakeup-engine state (nil/zero under Config.NaiveScan). waitQ[e]
-	// holds the worms parked on edge e as a min-heap in key order, so
-	// a slot event wakes only the waiters that could actually win the
-	// freed slots. Under the deterministic policies parked worms leave
-	// the active list entirely, so a step costs O(worms that can
-	// plausibly move); under ArbRandom they stay in it — the shuffle must
-	// cover every active worm to keep the RNG stream identical to the
-	// naive scan — and are skipped without an advance attempt.
-	naive bool
-	waitQ [][]uint64
-	// waitQFlit is the deep shared-pool engine's second per-edge queue:
-	// worms whose blocked flit needs only a pool credit (resume condition
-	// flitFree > 0), kept apart from lane-acquisition waiters (laneFree,
-	// and under a shared pool flitFree, > 0) so wakeEdge can test each
-	// queue's exact resume condition. Nil outside shared deep mode.
-	waitQFlit  [][]uint64
+	// Wakeup-engine state (empty under Config.NaiveScan). waits holds
+	// the worms parked on each edge as min-heaps in key order, so a slot
+	// event wakes only the waiters that could actually win the freed
+	// slots. Under the deterministic policies parked worms leave the
+	// active list entirely, so a step costs O(worms that can plausibly
+	// move); under ArbRandom they stay in it — the shuffle must cover
+	// every active worm to keep the RNG stream identical to the naive
+	// scan — and are skipped without an advance attempt.
+	naive      bool
+	waits      waitPool
 	parked     int   // worms currently parked
 	parkStreak int32 // park hysteresis: defaultParkStreak, or a snapshot's
 
@@ -759,8 +764,8 @@ type Sim struct {
 	// both, downgrading slot events to whole-queue wakes. Butterfly
 	// workloads (every edge into an output is final for all paths through
 	// it) never flip and keep the optimized wake. Rigid wakeup mode only.
-	finalSeen  []bool
-	bodySeen   []bool
+	finalSeen  edgeBits
+	bodySeen   edgeBits
 	mixedFinal bool
 
 	// Reused per-step scratch so the hot loop is allocation-free at
@@ -789,16 +794,16 @@ type Sim struct {
 	// directly at the top of step() to catch up after a StepTo/Drain jump
 	// (safe: jumps only happen with nothing in flight). deadEdge marks
 	// dead edges; killedLanes counts kill debt per edge (laneFree may go
-	// negative while occupants drain); faultQ parks worms blocked on a
-	// dead edge (revival wakes the whole queue); faultSince tracks each
-	// edge's open outage start for the telemetry fault-time heatmap.
+	// negative while occupants drain); worms blocked on a dead edge park
+	// on its fault queue in waits (revival wakes the whole queue);
+	// faultSince tracks each edge's open outage start for the telemetry
+	// fault-time heatmap.
 	faults      fault.Schedule
 	faultIdx    int
 	lastRevive  int // largest revive step in the schedule; -1 when none
 	deadEdge    []bool
 	killedLanes []int32
 	faultSince  []int32
-	faultQ      [][]uint64
 	deadEdges   int // count of currently dead edges
 	killedTotal int // count of currently killed lanes, all edges
 	retryMax    int // normalized Config.Retry
@@ -836,6 +841,7 @@ func emptySim(numEdges int, cfg Config) *Sim {
 		deepMode:   depth > 1 || cfg.SharedPool,
 		naive:      cfg.NaiveScan,
 		parkStreak: defaultParkStreak,
+		waits:      waitPool{flit: -1, fault: -1},
 		edges:      make([]edgeRec, numEdges),
 		crossings:  make([]uint64, numEdges),
 		maxSteps:   cfg.MaxSteps,
@@ -866,13 +872,10 @@ func emptySim(numEdges int, cfg Config) *Sim {
 		si.met.EnsureEdges(numEdges)
 	}
 	if !si.naive {
-		si.waitQ = make([][]uint64, numEdges)
-		if si.deepMode && si.shared {
-			si.waitQFlit = make([][]uint64, numEdges)
-		}
+		si.waits = newWaitPool(numEdges, si.deepMode && si.shared, len(cfg.Faults) > 0)
 		if !si.deepMode {
-			si.finalSeen = make([]bool, numEdges)
-			si.bodySeen = make([]bool, numEdges)
+			si.finalSeen = newEdgeBits(numEdges)
+			si.bodySeen = newEdgeBits(numEdges)
 		}
 	}
 	si.lastRevive = -1
@@ -884,9 +887,6 @@ func emptySim(numEdges int, cfg Config) *Sim {
 		si.faultSince = make([]int32, numEdges)
 		for e := range si.faultSince {
 			si.faultSince[e] = -1
-		}
-		if !si.naive {
-			si.faultQ = make([][]uint64, numEdges)
 		}
 		si.retryMax = cfg.Retry.MaxAttempts
 		base, bcap := cfg.Retry.Backoff, cfg.Retry.BackoffCap
@@ -921,22 +921,9 @@ func (si *Sim) Reset() {
 			si.finalIn[e] = 0
 		}
 	}
-	if si.waitQ != nil {
-		for e := range si.waitQ {
-			si.waitQ[e] = si.waitQ[e][:0]
-		}
-	}
-	if si.waitQFlit != nil {
-		for e := range si.waitQFlit {
-			si.waitQFlit[e] = si.waitQFlit[e][:0]
-		}
-	}
-	if si.finalSeen != nil {
-		for e := range si.finalSeen {
-			si.finalSeen[e] = false
-			si.bodySeen[e] = false
-		}
-	}
+	si.waits.reset()
+	clear(si.finalSeen)
+	clear(si.bodySeen)
 	si.mixedFinal = false
 	if si.faults != nil {
 		si.faultIdx = 0
@@ -944,11 +931,6 @@ func (si *Sim) Reset() {
 			si.deadEdge[e] = false
 			si.killedLanes[e] = 0
 			si.faultSince[e] = -1
-		}
-		if si.faultQ != nil {
-			for e := range si.faultQ {
-				si.faultQ[e] = si.faultQ[e][:0]
-			}
 		}
 		si.deadEdges = 0
 		si.killedTotal = 0
@@ -1081,13 +1063,13 @@ func (si *Sim) markPathRoles(p []int32) {
 		return
 	}
 	last := p[len(p)-1]
-	si.finalSeen[last] = true
-	if si.bodySeen[last] {
+	si.finalSeen.set(last)
+	if si.bodySeen.has(last) {
 		si.mixedFinal = true
 	}
 	for _, e := range p[:len(p)-1] {
-		si.bodySeen[e] = true
-		if si.finalSeen[e] {
+		si.bodySeen.set(e)
+		if si.finalSeen.has(e) {
 			si.mixedFinal = true
 		}
 	}
@@ -1689,8 +1671,8 @@ func (si *Sim) applyStepEnd() {
 		}
 		if r.waiters != 0 {
 			// Only park sets the bit, so the wakeup engine is running and
-			// waitQ exists. The queues are read here, after the wake, and
-			// only for an edge somebody was parked on.
+			// the edge has its queues. They are read here, after the wake,
+			// and only for an edge somebody was parked on.
 			si.wakeEdge(e)
 			if !si.queued(int(e)) {
 				r.waiters = 0
@@ -1852,7 +1834,7 @@ func (si *Sim) checkEdgeRecs() {
 		if r.relLane != 0 || r.dirtyFlag != 0 {
 			panicf("vcsim: step %d: edge %d left the fold with relLane %d, dirtyFlag %d", si.now, e, r.relLane, r.dirtyFlag)
 		}
-		if r.waiters == 0 && si.waitQ != nil && si.queued(e) {
+		if r.waiters == 0 && !si.naive && si.queued(e) {
 			panicf("vcsim: step %d: edge %d has parked worms but a clear waiters bit", si.now, e)
 		}
 	}

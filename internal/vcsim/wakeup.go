@@ -208,20 +208,22 @@ func parkTarget(t int32) (cause telemetry.Counter, e int32) {
 	return telemetry.CtrStallLaneCredit, t
 }
 
-// waitQueue returns the wait queue park target t names. A dead-edge wait
-// sits on the fault queue, out of all slot traffic: only the edge's
-// revival changes that verdict.
+// waitQueue returns the wait queue park target t names, giving the edge
+// its queues if this is its first park. A dead-edge wait sits on the
+// fault queue, out of all slot traffic: only the edge's revival changes
+// that verdict.
 //
 //wormvet:hotpath
 func (si *Sim) waitQueue(t int32) *[]uint64 {
-	switch cause, e := parkTarget(t); cause {
+	cause, e := parkTarget(t)
+	k := int32(0) // the lane queue
+	switch cause {
 	case telemetry.CtrStallFault:
-		return &si.faultQ[e]
+		k = si.waits.fault
 	case telemetry.CtrStallSharedPool:
-		return &si.waitQFlit[e]
-	default:
-		return &si.waitQ[e]
+		k = si.waits.flit
 	}
+	return si.waits.queue(e, k)
 }
 
 // queued reports whether any worm sits on edge e's lane or flit wait queue
@@ -230,7 +232,92 @@ func (si *Sim) waitQueue(t int32) *[]uint64 {
 //
 //wormvet:hotpath
 func (si *Sim) queued(e int) bool {
-	return len(si.waitQ[e]) > 0 || (si.waitQFlit != nil && len(si.waitQFlit[e]) > 0)
+	p := &si.waits
+	s := p.slot[e]
+	return s != 0 && (len(*p.at(s, 0)) > 0 || p.flit > 0 && len(*p.at(s, p.flit)) > 0)
+}
+
+// waitPool is the wakeup engine's wait-queue store. Every edge has a lane
+// queue, in shared deep mode a flit queue (waiters whose blocked flit needs
+// only a pool credit, resume condition flitFree > 0, kept apart from lane
+// acquirers so wakeEdgeDeep can test each queue's exact resume condition),
+// and under a fault schedule a fault queue (waiters on a dead edge). Most
+// edges of a wide network never queue anyone, so an edge costs one 4-byte
+// slot until its first park, and only then gets its heaps, kinds of them
+// in a row: a slice header per edge and kind would cost 24 bytes an edge
+// each, more than the rest of the rigid engine's per-edge state.
+type waitPool struct {
+	// slot[e] numbers edge e's group of heaps from 1, in the order edges
+	// first parked; 0 until then. Reset keeps slots and heap storage alike.
+	slot  []int32
+	heaps [][]uint64
+	kinds int32
+	// flit and fault are the offsets of those queues in an edge's group
+	// (the lane queue is at 0); -1 where the Sim has none. The naive scan
+	// has no queues at all: no slots, and both offsets -1.
+	flit, fault int32
+}
+
+func newWaitPool(numEdges int, flit, fault bool) waitPool {
+	p := waitPool{slot: make([]int32, numEdges), kinds: 1, flit: -1, fault: -1}
+	if flit {
+		p.flit = p.kinds
+		p.kinds++
+	}
+	if fault {
+		p.fault = p.kinds
+		p.kinds++
+	}
+	return p
+}
+
+// at returns the queue at offset k in group s.
+//
+//wormvet:nonalloc
+func (p *waitPool) at(s, k int32) *[]uint64 {
+	return &p.heaps[int(s-1)*int(p.kinds)+int(k)]
+}
+
+// queue returns edge e's queue at offset k, giving e its heaps if it has
+// none yet. The pointer is valid until the next queue call.
+//
+//wormvet:hotpath
+func (p *waitPool) queue(e, k int32) *[]uint64 {
+	s := p.slot[e]
+	if s == 0 {
+		s = p.open(e) //wormvet:allow hotalloc -- an edge's first park only; Reset keeps the heaps
+	}
+	return p.at(s, k)
+}
+
+// open gives edge e its group of heaps and returns its slot; out of line,
+// so queue and the park path inline.
+//
+//go:noinline
+func (p *waitPool) open(e int32) int32 {
+	for range p.kinds {
+		p.heaps = append(p.heaps, nil)
+	}
+	p.slot[e] = int32(len(p.heaps) / int(p.kinds)) //wormvet:allow horizon -- one group per edge, and edge IDs are int32
+	return p.slot[e]
+}
+
+// find returns edge e's queue at offset k, or nil when the Sim has no such
+// queue kind or e never queued.
+//
+//wormvet:nonalloc
+func (p *waitPool) find(e, k int32) *[]uint64 {
+	if k < 0 || p.slot[e] == 0 {
+		return nil
+	}
+	return p.at(p.slot[e], k)
+}
+
+// reset empties every queue, keeping the slots and the heaps' storage.
+func (p *waitPool) reset() {
+	for i := range p.heaps {
+		p.heaps[i] = p.heaps[i][:0]
+	}
 }
 
 // wakeAll unparks every waiter on q, stamping stalls through the current
@@ -299,10 +386,10 @@ func (si *Sim) wakeEdge(e int32) {
 		// serves as one message's final edge and another's body edge, so a
 		// final-edge crossing (which holds no slot) can saturate a woken
 		// worm's body edge and fail it on bandwidth even at cap == B.
-		si.wakeAll(&si.waitQ[e])
+		si.wakeAll(si.waits.find(e, 0))
 		return
 	}
-	si.wakeBest(&si.waitQ[e], si.edges[e].laneFree)
+	si.wakeBest(si.waits.find(e, 0), si.edges[e].laneFree)
 }
 
 // wakeEdgeDeep wakes edge e's deep-mode waiters whose resume condition
@@ -343,13 +430,10 @@ func (si *Sim) wakeEdgeDeep(e int32) {
 	if si.capI32 < si.bI32 || si.finalIn[e] > 0 {
 		all = MaxHorizon
 	}
-	if q := &si.waitQ[e]; len(*q) > 0 && si.edges[e].laneFree > 0 && (!si.shared || si.flitFree[e] > 0) {
+	if q := si.waits.find(e, 0); len(*q) > 0 && si.edges[e].laneFree > 0 && (!si.shared || si.flitFree[e] > 0) {
 		si.wakeBest(q, max(si.edges[e].laneFree, all))
 	}
-	if si.waitQFlit == nil {
-		return
-	}
-	if q := &si.waitQFlit[e]; len(*q) > 0 && si.flitFree[e] > 0 {
+	if q := si.waits.find(e, si.waits.flit); q != nil && len(*q) > 0 && si.flitFree[e] > 0 {
 		si.wakeBest(q, max(si.flitFree[e], all))
 	}
 }
@@ -362,12 +446,12 @@ func (si *Sim) wakeEdgeDeep(e int32) {
 // last completed step (si.now already names the upcoming one); each
 // worm re-fails and re-parks naturally if it is still blocked.
 func (si *Sim) flushParked() {
-	for e := range si.waitQ {
-		q := si.waitQ[e]
-		if len(q) == 0 {
+	for _, slot := range si.waits.slot {
+		if slot == 0 {
 			continue
 		}
-		for _, k := range q {
+		q := si.waits.at(slot, 0)
+		for _, k := range *q {
 			si.stampParked(k, int32(si.now)-1)
 			if si.cfg.Arbitration != ArbRandom {
 				// ArbRandom waiters never left the active list; the
@@ -375,11 +459,11 @@ func (si *Sim) flushParked() {
 				si.insertActive(k)
 			}
 		}
-		si.waitQ[e] = q[:0]
+		*q = (*q)[:0]
 	}
 }
 
-// heapPush and heapPop maintain waitQ[e] as a binary min-heap of policy
+// heapPush and heapPop maintain a wait queue as a binary min-heap of policy
 // keys — pure integer sifts, no worm lookups — keeping park at
 // O(log queue) and a slot event at O(slots·log queue) instead of
 // O(queue).

@@ -21,7 +21,6 @@ import (
 // added here with its reason typed next to its name.
 var surfaceKept = map[string]string{
 	"internal/baseline.VerifyLMR":              "oracle: lmr_test.go re-checks every BuildLMR schedule with it",
-	"internal/graph.Graph.AddNodes":            "fixture: six packages' tests build their hand-made graphs with it",
 	"internal/graph.Graph.FindEdge":            "oracle: topology/route_test.go rebuilds every arithmetic route by graph search",
 	"internal/graph.Path.Nodes":                "oracle: topology's tests compare routes as node sequences",
 	"internal/snap/snaptest.Mutate":            "fixture: the one blob mutator behind FuzzReader, FuzzRestoreSim and FuzzRestoreRunner",
