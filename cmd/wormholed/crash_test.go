@@ -10,7 +10,8 @@ package main
 // every job that had its 202 by then must finish with a CSV
 // byte-identical to the oracle. The faults a bad disk adds become
 // mutations in the same loop: ENOSPC at each write of a live run, and a
-// checkpoint that reaches the disk torn, flipped, or not at all.
+// write of a checkpoint — its payload's or its header's — that reaches
+// the disk torn, flipped, or not at all.
 
 import (
 	"bytes"
@@ -80,7 +81,7 @@ func runCrashJobs(t *testing.T, jobs []crashJob, enospc int) *crashRun {
 	run.fsys = &snaptest.FS{Hook: func(op snaptest.Op) error {
 		run.mu.Lock()
 		defer run.mu.Unlock()
-		if op.Kind == snaptest.OpWrite {
+		if isWrite(op) {
 			if writes++; writes == enospc {
 				run.failed = op.Path
 				return &fs.PathError{Op: "write", Path: op.Path, Err: syscall.ENOSPC}
@@ -182,6 +183,12 @@ func restartOn(t *testing.T, img snap.FS, jobs []crashJob, ids []string, require
 	return problems, statuses
 }
 
+// isWrite reports whether op writes data: appended, or a frame's header
+// filled in at its offset.
+func isWrite(op snaptest.Op) bool {
+	return op.Kind == snaptest.OpWrite || op.Kind == snaptest.OpWriteAt
+}
+
 // leftoverTemp matches what an interrupted snap.WriteFile leaves.
 var leftoverTemp = regexp.MustCompile(`\.tmp[0-9]+$`)
 
@@ -224,7 +231,7 @@ func TestCrashPoints(t *testing.T) {
 	t.Run("ENOSPC", func(t *testing.T) {
 		writes := 0
 		for _, op := range log {
-			if op.Kind == snaptest.OpWrite {
+			if isWrite(op) {
 				writes++
 			}
 		}
@@ -265,16 +272,20 @@ func TestCrashPoints(t *testing.T) {
 		t.Logf("ENOSPC: %d writes failed, one run each", writes)
 	})
 
-	// The checkpoints as they reach the disk: torn, flipped, or dropped (the
-	// rename never happens), then a process death right after. One subtest
-	// per mutation, each over every checkpoint of the sweep.
+	// Each write of each checkpoint, the header's included, as it reaches
+	// the disk: torn, flipped, or dropped (lost while the rename that
+	// publishes the file is not), then a process death right after that
+	// rename. One subtest per mutation, each over every such write.
 	t.Run("checkpoint-mutations", func(t *testing.T) {
 		for _, mut := range []string{"torn", "flipped", "dropped"} {
 			t.Run(mut, func(t *testing.T) {
-				restarts := 0
+				restarts, headers := 0, 0
 				for w, op := range log {
-					if op.Kind != snaptest.OpWrite || !strings.Contains(op.Path, ".snap.tmp") {
+					if !isWrite(op) || !strings.Contains(op.Path, ".snap.tmp") {
 						continue
+					}
+					if op.Kind == snaptest.OpWriteAt {
+						headers++
 					}
 					r := w + 1
 					for log[r].Kind != snaptest.OpRename || log[r].Path != op.Path {
@@ -289,28 +300,26 @@ func TestCrashPoints(t *testing.T) {
 						past[w].Data = append([]byte(nil), op.Data...)
 						past[w].Data[len(op.Data)/2] ^= 0x10
 					case "dropped":
-						past = append(past[:r], past[r+1:]...)
+						past = append(past[:w], past[w+1:]...)
 					}
 					required := map[string]bool{}
 					for i, id := range rec.ids {
 						required[id] = end >= rec.acked[i]
 					}
 					problems, statuses := restartOn(t, &snaptest.FS{Past: past}, jobs, rec.ids, required)
-					if mut != "dropped" {
-						sweep := statuses[rec.ids[0]]
-						if ck := sweep.Checkpoints; ck == nil || ck.RestoreRejected < 1 || !strings.Contains(ck.LastRestoreError, errCorruptCheckpoint.Error()) {
-							problems = append(problems, fmt.Sprintf("the sweep reports checkpoints %+v, want the rejected restore counted with its reason", ck))
-						}
+					sweep := statuses[rec.ids[0]]
+					if ck := sweep.Checkpoints; ck == nil || ck.RestoreRejected < 1 || !strings.Contains(ck.LastRestoreError, errCorruptCheckpoint.Error()) {
+						problems = append(problems, fmt.Sprintf("the sweep reports checkpoints %+v, want the rejected restore counted with its reason", ck))
 					}
 					if len(problems) > 0 {
 						t.Fatalf("%s %s:\n%s", mut, op, strings.Join(problems, "\n"))
 					}
 					restarts++
 				}
-				if restarts == 0 {
-					t.Fatal("the sweep wrote no checkpoint")
+				if headers == 0 {
+					t.Fatal("the sweep wrote no checkpoint header")
 				}
-				t.Logf("%s checkpoints: %d restarts", mut, restarts)
+				t.Logf("%s checkpoint writes: %d restarts, %d of them headers", mut, restarts, headers)
 			})
 		}
 	})

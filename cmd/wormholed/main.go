@@ -50,7 +50,7 @@ func run() int {
 		httpAddr  = flag.String("http", ":8080", "listen address (use :0 with -addr-file for an ephemeral port)")
 		stateDir  = flag.String("state", "", "state directory for job specs, results, and checkpoints (required)")
 		workers   = flag.Int("workers", 2, "concurrent job workers")
-		ckptEvery = flag.Int("checkpoint-interval", 1_000_000, "checkpoint live runs every N flit steps (0 = only on graceful shutdown); a checkpoint encodes at about 2 GB/s and restores at about 1 GB/s (0.5 and 1 ms per MB), but its size is still ~81 bytes per message injected so far, so on long runs very small intervals spend their time writing ever larger files")
+		ckptEvery = flag.Int("checkpoint-interval", 1_000_000, "checkpoint live runs every N flit steps (0 = only on graceful shutdown); a checkpoint streams to disk through a fixed 512 KiB buffer at about 2 GB/s and a resume reads the whole file back at about 1 GB/s (0.5 and 1 ms per MB), but its size is still ~81 bytes per message injected so far, so on long runs very small intervals spend their time writing ever larger files")
 		addrFile  = flag.String("addr-file", "", "write the resolved listen address to this file once bound")
 		maxQueued = flag.Int("max-queued", 1024, "admission cap: submissions beyond this many queued jobs get 429 + Retry-After")
 	)

@@ -356,9 +356,9 @@ func newManager(stateDir string, workers, ckptEvery, maxQueued int, fsys snap.FS
 // recover scans the state directory and reloads every persisted job.
 // Jobs that were queued or running when the previous process died are
 // returned for re-queueing; their checkpoints make the re-run a resume.
-// A process killed inside snap.WriteFile left a temp file (as large as
-// the checkpoint it was writing) that nothing would ever rename or read:
-// those are swept first, while no worker is writing.
+// A process killed inside snap.WriteFile or WriteFramed left a temp file
+// (as large as the checkpoint it was writing) that nothing would ever
+// rename or read: those are swept first, while no worker is writing.
 func (m *manager) recover() ([]*job, error) {
 	entries, err := m.fsys.ReadDir(m.dir)
 	if err != nil {
@@ -523,29 +523,26 @@ func (m *manager) persist(st JobStatus) error {
 	return err
 }
 
-// worker runs queued jobs one at a time. It owns the one buffer every
-// checkpoint it takes is encoded and sealed in: retained across jobs, so
-// memory held for checkpointing is bounded by the worker count.
+// worker runs queued jobs one at a time.
 func (m *manager) worker() {
 	defer m.wg.Done()
-	var ckpt snap.Frame
 	for {
 		select {
 		case <-m.ctx.Done():
 			return
 		case j := <-m.queue:
-			m.runJob(j, &ckpt)
+			m.runJob(j)
 		}
 	}
 }
 
-func (m *manager) runJob(j *job, ckpt *snap.Frame) {
+func (m *manager) runJob(j *job) {
 	err := j.ctx.Err()
 	if err == nil {
 		m.setState(j, stateRunning, "")
 		switch j.status.Spec.Type {
 		case "sweep":
-			err = m.runSweep(j, ckpt)
+			err = m.runSweep(j)
 		case "experiment":
 			err = m.runExperiment(j)
 		default:
@@ -573,7 +570,7 @@ func (m *manager) runJob(j *job, ckpt *snap.Frame) {
 
 // --- sweep jobs --------------------------------------------------------------
 
-func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
+func (m *manager) runSweep(j *job) error {
 	st := j.snapshotStatus()
 	spec := st.Spec.Sweep
 	net, err := spec.network()
@@ -589,7 +586,7 @@ func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
 		key := fmt.Sprintf("point-%03d.json", k)
 		pr, ok := core.LoadMemo[pointResult](memo, key)
 		if !ok {
-			pr, err = m.runPoint(j, net, spec, k, rate, ckpt)
+			pr, err = m.runPoint(j, net, spec, k, rate)
 			if err != nil {
 				return err
 			}
@@ -611,7 +608,7 @@ func (m *manager) runSweep(j *job, ckpt *snap.Frame) error {
 // itself every ckptEvery steps; once the job's context is cancelled its
 // error surfaces through Run/Resume with the runner state intact, and
 // one final checkpoint is taken before handing the point back.
-func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int, rate float64, ckpt *snap.Frame) (pointResult, error) {
+func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int, rate float64) (pointResult, error) {
 	cfg := spec.config(net, rate)
 	if cfg.Window > 0 {
 		cfg.Metrics = telemetry.NewMetrics()
@@ -633,7 +630,7 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 			runtime.Gosched()
 		}
 		if m.ckptEvery > 0 && step > 0 && step%m.ckptEvery == 0 {
-			m.checkpoint(j, r, snapPath, ckpt)
+			m.checkpoint(j, r, snapPath)
 		}
 		return nil
 	}
@@ -671,7 +668,7 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			// Paused with state intact: take the final checkpoint now.
-			m.checkpoint(j, r, snapPath, ckpt)
+			m.checkpoint(j, r, snapPath)
 		}
 		return pointResult{}, err
 	}
@@ -686,9 +683,9 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 // outcome in the job's status, which the next persist writes out. A
 // failure is the job's to report, not the daemon's log's: the run carries
 // on and resumes from an older checkpoint, or from scratch.
-func (m *manager) checkpoint(j *job, r *traffic.Runner, path string, buf *snap.Frame) {
+func (m *manager) checkpoint(j *job, r *traffic.Runner, path string) {
 	start := time.Now()
-	n, err := m.checkpointRunner(r, path, buf)
+	n, err := m.checkpointRunner(r, path)
 	j.tally(func(cs *CheckpointStats) {
 		cs.TotalMs += float64(time.Since(start).Microseconds()) / 1e3
 		if err != nil {
@@ -703,16 +700,11 @@ func (m *manager) checkpoint(j *job, r *traffic.Runner, path string, buf *snap.F
 
 // checkpointRunner snapshots a live runner to path, atomically, inside
 // the CRC integrity frame, and returns the file's size. The snapshot is
-// encoded into buf behind the frame header's reserved room and sealed
-// there, so the bytes written are the bytes encoded — no intermediate
-// copy.
-func (m *manager) checkpointRunner(r *traffic.Runner, path string, buf *snap.Frame) (int, error) {
-	buf.Reset()
-	if err := r.Snapshot(buf); err != nil {
-		return 0, err
-	}
-	blob := buf.Seal()
-	return len(blob), snap.WriteFile(m.cache, path, blob)
+// encoded straight into the file (snap.WriteFramed), so what it holds
+// while writing is a fixed buffer, not the snapshot.
+func (m *manager) checkpointRunner(r *traffic.Runner, path string) (int, error) {
+	n, err := snap.WriteFramed(m.cache, path, r.Snapshot)
+	return int(n), err
 }
 
 // unsynced is an FS whose syncs do nothing. The manager writes its caches

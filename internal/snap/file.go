@@ -6,16 +6,24 @@ package snap
 // themselves, so any corruption — a torn write from a crash, a flipped
 // bit from a bad disk, a truncation from a full one — is detected before
 // a codec ever sees the payload.
+//
+// Writing a frame streams (WriteFramed): the payload goes to the temp
+// file through a fixed buffer while its CRC accumulates, and the header
+// is filled in last, in place. Reading one does not: Open checks the CRC
+// of the whole payload before a codec may decode a byte of it, so a
+// resume holds the file in memory once. Checksums inside each section of
+// the stream would let the read side stream too.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // frameMagic opens every framed file: magic, CRC-32 (IEEE) of the
@@ -25,41 +33,99 @@ const (
 	frameHeader = len(frameMagic) + 4
 )
 
-// Frame is a reusable buffer a checkpoint is encoded into and sealed in:
-// the header's room is reserved up front, the payload is written behind
-// it, and Seal fills the header in place — the bytes are produced once
-// and never copied. The zero value is ready; Reset keeps the capacity, so
-// a long-lived Frame (the daemon holds one per worker) stops allocating
-// once it has seen its largest checkpoint.
-type Frame struct {
-	buf []byte
+// frameBufSize is the write buffer a framed file streams through: a
+// multi-MB checkpoint is a few writes, and what a daemon holds for
+// checkpointing stays a few of these whatever a checkpoint's size. (A
+// 64 KiB buffer allocated per call cost system time; this one is pooled.)
+const frameBufSize = 512 << 10
+
+// framer streams a payload into a file behind the header's room, keeping
+// the CRC as it goes. Finished framers wait in framers for the next
+// WriteFramed: at most as many exist as framed writes ever ran at once.
+// (A sync.Pool would not do: it hands a buffer back only on the P that
+// returned it, and a daemon worker changes P across its file syscalls,
+// so most of its checkpoints would allocate a new buffer.)
+type framer struct {
+	f    File
+	buf  []byte // frameBufSize long; buf[:n] is pending
+	n    int
+	crc  uint32
+	size int64 // bytes handed to f
 }
 
-// Reset empties the frame for the next payload.
-func (f *Frame) Reset() { f.buf = f.buf[:0] }
+var framers struct {
+	sync.Mutex
+	free []*framer
+}
 
-// Write appends p to the payload; it never fails. Capacity at least
-// doubles when it must grow: a run's checkpoints only get larger, and
-// append's 1.25× for large slices would re-copy each of them several
-// times over.
-func (f *Frame) Write(p []byte) (int, error) {
-	if need := max(len(f.buf), frameHeader) + len(p); need > cap(f.buf) {
-		f.buf = append(make([]byte, 0, max(need, 2*cap(f.buf))), f.buf...)
+// Write adds p to the payload. The file sees only whole buffers, and
+// whatever is left when the payload ends.
+func (w *framer) Write(p []byte) (int, error) {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	for rest := p; len(rest) > 0; {
+		if w.n == len(w.buf) {
+			if err := w.flush(); err != nil {
+				return 0, err
+			}
+		}
+		k := copy(w.buf[w.n:], rest)
+		w.n += k
+		rest = rest[k:]
 	}
-	if len(f.buf) == 0 {
-		f.buf = f.buf[:frameHeader] // Seal fills it
-	}
-	f.buf = append(f.buf, p...)
 	return len(p), nil
 }
 
-// Seal fills in the header over the payload written so far and returns
-// the framed bytes, which alias the Frame until its next Reset.
-func (f *Frame) Seal() []byte {
-	f.Write(nil) //nolint:errcheck // reserves the header of an empty payload
-	copy(f.buf, frameMagic)
-	binary.LittleEndian.PutUint32(f.buf[len(frameMagic):], crc32.ChecksumIEEE(f.buf[frameHeader:]))
-	return f.buf
+func (w *framer) flush() error {
+	n, err := w.f.Write(w.buf[:w.n])
+	w.size += int64(n)
+	w.n = 0
+	return err
+}
+
+// frame writes f's framed file: the header's room (zeros), the payload
+// encode writes, then the header over the room with one positional write.
+func (w *framer) frame(f File, encode func(io.Writer) error) error {
+	w.f, w.crc, w.size = f, 0, 0
+	clear(w.buf[:frameHeader])
+	w.n = frameHeader
+	err := encode(w)
+	if err == nil {
+		err = w.flush()
+	}
+	if err != nil {
+		return err
+	}
+	var hdr [frameHeader]byte
+	copy(hdr[:], frameMagic)
+	le.PutUint32(hdr[len(frameMagic):], w.crc)
+	_, err = f.WriteAt(hdr[:], 0)
+	return err
+}
+
+// WriteFramed writes the payload encode produces to path inside the
+// integrity frame, as WriteFile writes a blob, and returns the file's
+// size. The payload is never held whole: it streams through a pooled
+// buffer of frameBufSize, so memory does not grow with the payload. The
+// bytes on disk are magic, the CRC-32 of the payload, the payload — what
+// Open verifies. A process killed before the header's write leaves an
+// unrenamed temp (RemoveTemps); a machine death that tears the file
+// leaves a frame Open refuses.
+func WriteFramed(fsys FS, path string, encode func(io.Writer) error) (int64, error) {
+	framers.Lock()
+	var w *framer
+	if k := len(framers.free); k > 0 {
+		w, framers.free = framers.free[k-1], framers.free[:k-1]
+	} else {
+		w = &framer{buf: make([]byte, frameBufSize)}
+	}
+	framers.Unlock()
+	err := writeAtomic(fsys, path, func(f File) error { return w.frame(f, encode) })
+	size := w.size
+	w.f = nil
+	framers.Lock()
+	framers.free = append(framers.free, w)
+	framers.Unlock()
+	return size, err
 }
 
 // Open verifies the frame and returns the payload (aliasing raw). Every
@@ -70,7 +136,7 @@ func Open(raw []byte, bad error) ([]byte, error) {
 		return nil, fmt.Errorf("%w: bad frame", bad)
 	}
 	payload := raw[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(raw[len(frameMagic):]) {
+	if crc32.ChecksumIEEE(payload) != le.Uint32(raw[len(frameMagic):]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", bad)
 	}
 	return payload, nil
@@ -98,6 +164,7 @@ type FS interface {
 type File = interface {
 	Name() string
 	Write(p []byte) (int, error)
+	WriteAt(p []byte, off int64) (int, error)
 	Sync() error
 	Close() error
 }
@@ -140,12 +207,22 @@ const tmpMark = ".tmp"
 // death too, if fsys's syncs are real. A process killed before the rename
 // leaves the temp file behind; RemoveTemps sweeps those.
 func WriteFile(fsys FS, path string, blob []byte) error {
+	return writeAtomic(fsys, path, func(f File) error {
+		_, err := f.Write(blob)
+		return err
+	})
+}
+
+// writeAtomic is WriteFile and WriteFramed: fill writes the temp file,
+// which is then synced, closed and renamed over path, and path's
+// directory synced. On any failure the temp file is removed.
+func writeAtomic(fsys FS, path string, fill func(File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+tmpMark+"*")
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(blob)
+	err = fill(tmp)
 	if err == nil {
 		err = tmp.Sync()
 	}

@@ -15,8 +15,8 @@
 //     payloads grow as bytes actually arrive — a corrupt count hits EOF
 //     after the stream's real length instead of driving a count-sized
 //     allocation;
-//   - the CRC-32 integrity frame and the atomic temp+rename file write
-//     (file.go).
+//   - the CRC-32 integrity frame, streamed to the file behind a header
+//     filled in last, and the atomic temp+rename file write (file.go).
 //
 // Both directions move records, not fields. A Writer owns a bufSize
 // buffer: every scalar is an inlined append with one out-of-line spill

@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"wormhole/internal/snap/snaptest"
@@ -368,16 +370,17 @@ func TestScalarReadsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestFrame: the CRC frame round-trips, and every corruption class a
-// disk or an interrupted write produces — truncation anywhere, any
-// single-bit flip of any byte, garbage — is rejected before a codec runs.
+// TestFrame: the CRC frame WriteFramed streams round-trips, and every
+// corruption class a disk or an interrupted write produces — truncation
+// anywhere, any single-bit flip of any byte, garbage — is rejected before
+// a codec runs.
 func TestFrame(t *testing.T) {
 	payload := encoded(t)
-	sealed := seal(payload)
+	sealed := seal(t, payload)
 	if got, err := Open(sealed, errTest); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: %v", err)
 	}
-	if got, err := Open(seal(nil), errTest); err != nil || len(got) != 0 {
+	if got, err := Open(seal(t, nil), errTest); err != nil || len(got) != 0 {
 		t.Fatalf("empty payload: %v", err)
 	}
 	for cut := 0; cut < len(sealed); cut++ {
@@ -400,55 +403,157 @@ func TestFrame(t *testing.T) {
 	}
 }
 
-// seal frames payload through a fresh Frame.
-func seal(payload []byte) []byte {
-	var f Frame
-	f.Write(payload) //nolint:errcheck
-	return f.Seal()
+// seal returns the file WriteFramed writes for payload.
+func seal(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	raw, _ := framed(t, &snaptest.FS{}, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+	return raw
 }
 
-// TestFrameSealsInPlace: a Frame's output is, byte for byte, the copying
-// construction it replaced — magic, CRC-32 of the payload, payload —
-// however the payload arrived and whatever the Frame held before; and a
-// Frame that has seen its largest payload seals without allocating.
-func TestFrameSealsInPlace(t *testing.T) {
-	payload := encoded(t)
-	want := append([]byte(frameMagic), 0, 0, 0, 0)
-	le.PutUint32(want[len(frameMagic):], crc32.ChecksumIEEE(payload))
-	want = append(want, payload...)
+// framed runs WriteFramed over fsys and returns the file it wrote, and
+// the operations it logged if fsys is a snaptest.FS.
+func framed(t *testing.T, fsys FS, encode func(io.Writer) error) ([]byte, []snaptest.Op) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "point.snap")
+	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
+	}
+	var log []snaptest.Op
+	if mem, ok := fsys.(*snaptest.FS); ok {
+		mem.Hook = func(op snaptest.Op) error { log = append(log, op); return nil }
+	}
+	size, err := WriteFramed(fsys, path, encode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := fsys.ReadFile(path)
+	if err != nil || int64(len(raw)) != size {
+		t.Fatalf("read back %d bytes of %d: %v", len(raw), size, err)
+	}
+	return raw, log
+}
 
-	var f Frame
-	for _, piece := range []int{len(payload), 1, 7, bufSize, len(payload) + 1} {
-		f.Reset()
-		for rest := payload; len(rest) > 0; {
-			n := min(piece, len(rest))
-			if m, err := f.Write(rest[:n]); m != n || err != nil {
-				t.Fatalf("Write = %d, %v", m, err)
+// TestWriteFramedBytes: the file WriteFramed streams is, byte for byte,
+// the copying construction it replaced — magic, CRC-32 of the payload,
+// payload — however the payload arrives, across the write buffer's
+// seams, whatever a pooled buffer held before, and on the OS as in
+// memory. The header is one positional write over zeros, the last write
+// before the sync; a failed encode or write leaves nothing behind.
+func TestWriteFramedBytes(t *testing.T) {
+	payload := bytes.Repeat(encoded(t), 2*frameBufSize/len(encoded(t))+2)
+	frame := func(payload []byte) []byte {
+		want := append([]byte(frameMagic), 0, 0, 0, 0)
+		le.PutUint32(want[len(frameMagic):], crc32.ChecksumIEEE(payload))
+		return append(want, payload...)
+	}
+	want := frame(payload)
+
+	for _, piece := range []int{len(payload), 1, 7, bufSize, frameBufSize - 1, frameBufSize, frameBufSize + 1} {
+		got, log := framed(t, &snaptest.FS{}, func(w io.Writer) error {
+			for rest := payload; len(rest) > 0; {
+				n := min(piece, len(rest))
+				if m, err := w.Write(rest[:n]); m != n || err != nil {
+					return fmt.Errorf("Write = %d, %v", m, err)
+				}
+				rest = rest[n:]
 			}
-			rest = rest[n:]
+			return nil
+		})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("payload written %d bytes at a time: file differs from magic+CRC+payload", piece)
 		}
-		if got := f.Seal(); !bytes.Equal(got, want) {
-			t.Fatalf("payload written %d bytes at a time: sealed bytes differ from magic+CRC+payload", piece)
+		var kinds []string
+		for _, op := range log {
+			if k := len(kinds); k == 0 || kinds[k-1] != op.Kind {
+				kinds = append(kinds, op.Kind)
+			}
+		}
+		if want := []string{snaptest.OpCreate, snaptest.OpWrite, snaptest.OpWriteAt, snaptest.OpSync, snaptest.OpRename, snaptest.OpSyncDir}; !slices.Equal(kinds, want) {
+			t.Fatalf("payload written %d bytes at a time: logged %v, want %v (runs collapsed)", piece, kinds, want)
+		}
+		if hdr := log[len(log)-4]; hdr.Off != 0 || !bytes.Equal(hdr.Data, want[:frameHeader]) || !bytes.Equal(log[1].Data[:frameHeader], make([]byte, frameHeader)) {
+			t.Fatalf("header: %v over %x, want %x at 0 over zeros", hdr, log[1].Data[:frameHeader], want[:frameHeader])
+		}
+		// However the payload arrives, it leaves in writes of the whole
+		// buffer.
+		if writes := len(log) - 5; writes != (len(want)+frameBufSize-1)/frameBufSize {
+			t.Fatalf("payload written %d bytes at a time: %d writes for %d bytes", piece, writes, len(want))
 		}
 	}
-	// Through the codec, as the daemon uses it.
-	f.Reset()
+	// Through the codec, as the daemon uses it, and on the real disk.
 	rec := sample()
-	if err := rec.encode(&f); err != nil || !bytes.Equal(f.Seal(), want) {
-		t.Fatalf("encoded into the frame: %v", err)
+	short := frame(encoded(t))
+	if got, _ := framed(t, &snaptest.FS{}, rec.encode); !bytes.Equal(got, short) {
+		t.Fatal("encoded into the frame: file differs from magic+CRC+payload")
+	}
+	if got, _ := framed(t, OS, rec.encode); !bytes.Equal(got, short) {
+		t.Fatal("encoded into a file on the OS: it differs from magic+CRC+payload")
 	}
 	// A shorter payload after a longer one carries nothing over.
-	f.Reset()
-	f.Write([]byte("short")) //nolint:errcheck
-	if got, err := Open(f.Seal(), errTest); err != nil || string(got) != "short" {
-		t.Fatalf("reused frame: %q, %v", got, err)
+	if got, err := Open(seal(t, []byte("short")), errTest); err != nil || string(got) != "short" {
+		t.Fatalf("reused buffer: %q, %v", got, err)
 	}
-	if got := testing.AllocsPerRun(10, func() {
-		f.Reset()
-		f.Write(payload) //nolint:errcheck
-		f.Seal()
-	}); got != 0 {
-		t.Fatalf("a grown Frame allocated %v times per checkpoint", got)
+
+	// An encode that fails, and a file that fails its write, leave no file.
+	full := errors.New("disk full")
+	for name, fsys := range map[string]*snaptest.FS{
+		"encode fails": {},
+		"write fails": {Hook: func(op snaptest.Op) error {
+			if op.Kind == snaptest.OpWriteAt {
+				return full
+			}
+			return nil
+		}},
+	} {
+		if err := fsys.MkdirAll("d"); err != nil {
+			t.Fatal(err)
+		}
+		_, err := WriteFramed(fsys, "d/point.snap", func(w io.Writer) error {
+			w.Write(payload) //nolint:errcheck // the write under test is the header's
+			if name == "encode fails" {
+				return full
+			}
+			return nil
+		})
+		if left, _ := fsys.ReadDir("d"); !errors.Is(err, full) || len(left) != 0 {
+			t.Fatalf("%s: err = %v, left %v", name, err, left)
+		}
+	}
+}
+
+// TestWriteFramedConcurrent: framed writes running at once each get a
+// buffer of their own from the pool, and each file holds its own payload.
+func TestWriteFramedConcurrent(t *testing.T) {
+	fsys := &snaptest.FS{}
+	if err := fsys.MkdirAll("d"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte(i)}, frameBufSize+i)
+			if _, err := WriteFramed(fsys, fmt.Sprintf("d/%d", i), func(w io.Writer) error {
+				_, err := w.Write(payload)
+				return err
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range 8 {
+		raw, err := fsys.ReadFile(fmt.Sprintf("d/%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Open(raw, errTest); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, frameBufSize+i)) {
+			t.Fatalf("file %d: %d bytes, %v", i, len(got), err)
+		}
 	}
 }
 

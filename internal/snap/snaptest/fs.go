@@ -17,6 +17,7 @@ import (
 type File = interface {
 	Name() string
 	Write(p []byte) (int, error)
+	WriteAt(p []byte, off int64) (int, error)
 	Sync() error
 	Close() error
 }
@@ -27,6 +28,7 @@ type File = interface {
 const (
 	OpCreate  = "create"  // Path created empty (CreateTemp)
 	OpWrite   = "write"   // Data appended to Path
+	OpWriteAt = "writeat" // Data written over Path at Off (a frame's header)
 	OpSync    = "sync"    // Path's data made durable
 	OpRename  = "rename"  // Path renamed to To
 	OpRemove  = "remove"  // Path removed
@@ -41,6 +43,7 @@ type Op struct {
 	Path string
 	To   string // a rename's target
 	Data []byte // a write's bytes (a copy)
+	Off  int64  // a positional write's offset
 }
 
 func (op Op) String() string {
@@ -49,6 +52,8 @@ func (op Op) String() string {
 		return fmt.Sprintf("rename %s → %s", op.Path, op.To)
 	case OpWrite:
 		return fmt.Sprintf("write %s (%d bytes)", op.Path, len(op.Data))
+	case OpWriteAt:
+		return fmt.Sprintf("write %s at %d (%d bytes)", op.Path, op.Off, len(op.Data))
 	}
 	return op.Kind + " " + op.Path
 }
@@ -63,8 +68,9 @@ const (
 	// MachineDeath keeps a file's data as of its last sync and a directory
 	// entry — a creation, rename or removal — as of the last sync of its
 	// directory; the root directory's entries are durable when made (it
-	// stands for the mount the state was prepared on). The last write not
-	// yet synced is also torn: half of what it appended survives.
+	// stands for the mount the state was prepared on). The file the last
+	// write went to is also torn: if it grew since its last sync, its live
+	// bytes survive through half of the growth; if not, it is as synced.
 	MachineDeath
 )
 
@@ -201,15 +207,23 @@ func (f *FS) apply(op Op) error {
 		} else {
 			p.kids[base] = &node{}
 		}
-	case OpWrite, OpSync:
+	case OpWrite, OpWriteAt, OpSync:
 		n := f.lookup(op.Path)
 		if n == nil || n.dir {
 			return &fs.PathError{Op: op.Kind, Path: op.Path, Err: fs.ErrNotExist}
 		}
-		if op.Kind == OpWrite {
+		switch op.Kind {
+		case OpWrite:
 			n.data = append(n.data, op.Data...)
 			f.lastWrite = n
-		} else {
+		case OpWriteAt:
+			// A fresh copy: the synced bytes may share n.data's array.
+			data := make([]byte, max(int64(len(n.data)), op.Off+int64(len(op.Data))))
+			copy(data, n.data)
+			copy(data[op.Off:], op.Data)
+			n.data = data
+			f.lastWrite = n
+		default:
 			n.synced = n.data[:len(n.data):len(n.data)]
 		}
 	case OpRename:
@@ -291,10 +305,21 @@ type file struct {
 func (h *file) Name() string { return h.name }
 func (h *file) Close() error { return nil }
 
-func (h *file) Write(p []byte) (int, error) {
+func (h *file) Write(p []byte) (int, error) { return h.write(OpWrite, p, 0) }
+
+// WriteAt writes p over the file at off, extending it with zeros if off
+// is past its end.
+func (h *file) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, &fs.PathError{Op: "writeat", Path: h.name, Err: fs.ErrInvalid}
+	}
+	return h.write(OpWriteAt, p, off)
+}
+
+func (h *file) write(kind string, p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if err := h.fs.do(Op{Kind: OpWrite, Path: h.name, Data: append([]byte(nil), p...)}); err != nil {
+	if err := h.fs.do(Op{Kind: kind, Path: h.name, Data: append([]byte(nil), p...), Off: off}); err != nil {
 		return 0, err
 	}
 	return len(p), nil

@@ -56,8 +56,9 @@ func files(t *testing.T, f *FS, dir string) map[string]string {
 
 // TestCrashModels: what each death keeps of one history. A process death
 // keeps everything; a machine death keeps synced data under entries whose
-// directory was synced since they were made, and half of the last write
-// if it was never synced.
+// directory was synced since they were made — not a positional write made
+// since the sync — and, of the file the last write went to, the live
+// bytes through half of what it grew since its sync.
 func TestCrashModels(t *testing.T) {
 	var log []Op
 	live := &FS{Hook: func(op Op) error { log = append(log, op); return nil }}
@@ -68,10 +69,20 @@ func TestCrashModels(t *testing.T) {
 	put(t, live, "s/jobs", "synced", "kept", true)
 	put(t, live, "s/jobs", "unsynced", "lost", false)
 	put(t, live, "s/other", "unlisted", "entry lost", true)
+	hdr, err := live.CreateTemp("s/jobs", "hdr.tmp*")
+	must(t, err)
+	_, err = hdr.Write([]byte("....body"))
+	must(t, err)
+	must(t, hdr.Sync())
+	_, err = hdr.WriteAt([]byte("HEAD"), 0)
+	must(t, err)
+	must(t, live.Rename(hdr.Name(), "s/jobs/hdr"))
 	h, err := live.CreateTemp("s/jobs", "torn.tmp*")
 	must(t, err)
 	must(t, live.SyncDir("s/jobs"))
 	_, err = h.Write([]byte("0123456789"))
+	must(t, err)
+	_, err = h.WriteAt([]byte("AB"), 0)
 	must(t, err)
 
 	kinds := make([]string, len(log))
@@ -82,7 +93,8 @@ func TestCrashModels(t *testing.T) {
 		OpCreate, OpWrite, OpSync, OpRename,
 		OpCreate, OpWrite, OpRename,
 		OpCreate, OpWrite, OpSync, OpRename,
-		OpCreate, OpSyncDir, OpWrite}; !slices.Equal(kinds, want) {
+		OpCreate, OpWrite, OpSync, OpWriteAt, OpRename,
+		OpCreate, OpSyncDir, OpWrite, OpWriteAt}; !slices.Equal(kinds, want) {
 		t.Fatalf("logged %v, want %v", kinds, want)
 	}
 	if got := log[4].Path; got != "s/jobs/synced.tmp1" {
@@ -95,10 +107,11 @@ func TestCrashModels(t *testing.T) {
 	}{
 		{ProcessDeath, map[string]string{
 			"s/jobs/synced": "kept", "s/jobs/unsynced": "lost",
-			"s/other/unlisted": "entry lost", "s/jobs/torn.tmp4": "0123456789"}},
+			"s/other/unlisted": "entry lost", "s/jobs/hdr": "HEADbody",
+			"s/jobs/torn.tmp5": "AB23456789"}},
 		{MachineDeath, map[string]string{
 			"s/jobs/synced": "kept", "s/jobs/unsynced": "",
-			"s/jobs/torn.tmp4": "01234"}},
+			"s/jobs/hdr": "....body", "s/jobs/torn.tmp5": "AB234"}},
 	} {
 		img := &FS{Past: log, Death: tc.death}
 		if got := files(t, img, "s"); !maps.Equal(got, tc.want) {
@@ -106,7 +119,7 @@ func TestCrashModels(t *testing.T) {
 		}
 		// A temp name the history left is not handed out again.
 		for range 4 {
-			if tmp := put(t, img, "s/jobs", "torn", "x", false); tmp == "s/jobs/torn.tmp4" {
+			if tmp := put(t, img, "s/jobs", "torn", "x", false); tmp == "s/jobs/torn.tmp5" {
 				t.Errorf("death %d: CreateTemp reused %s", tc.death, tmp)
 			}
 		}
@@ -132,6 +145,14 @@ func TestFSErrors(t *testing.T) {
 	}}
 	must(t, f.MkdirAll("/d/sub"))
 	put(t, f, "d", "file", "x", false)
+	h0, err := f.CreateTemp("d", "pos*")
+	must(t, err)
+	_, err = h0.WriteAt([]byte("ab"), 3)
+	must(t, err)
+	if data, _ := f.ReadFile(h0.Name()); string(data) != "\x00\x00\x00ab" {
+		t.Fatalf("a write past the end left %q, want the gap zeroed", data)
+	}
+	must(t, f.Remove(h0.Name()))
 
 	for _, tc := range []struct {
 		name string
@@ -151,6 +172,8 @@ func TestFSErrors(t *testing.T) {
 		{"sync a missing directory", f.SyncDir("d/missing"), fs.ErrNotExist},
 		{"mkdir over a file", f.apply(Op{Kind: OpMkdir, Path: "d/file"}), fs.ErrExist},
 		{"write a missing file", f.apply(Op{Kind: OpWrite, Path: "d/missing"}), fs.ErrNotExist},
+		{"write a missing file at 0", f.apply(Op{Kind: OpWriteAt, Path: "d/missing"}), fs.ErrNotExist},
+		{"write before the start", second(h0.WriteAt([]byte("x"), -1)), fs.ErrInvalid},
 	} {
 		if !errors.Is(tc.err, tc.want) {
 			t.Errorf("%s: %v, want %v", tc.name, tc.err, tc.want)
@@ -182,6 +205,7 @@ func TestFSErrors(t *testing.T) {
 	}{
 		{Op{Kind: OpRename, Path: "a", To: "b"}, "rename a → b"},
 		{Op{Kind: OpWrite, Path: "a", Data: []byte("xyz")}, "write a (3 bytes)"},
+		{Op{Kind: OpWriteAt, Path: "a", Data: []byte("xyz"), Off: 8}, "write a at 8 (3 bytes)"},
 		{Op{Kind: OpRemove, Path: "a"}, "remove a"},
 	} {
 		if got := tc.op.String(); got != tc.want {

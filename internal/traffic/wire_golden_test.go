@@ -20,6 +20,7 @@ import (
 
 	"wormhole/internal/fault"
 	"wormhole/internal/snap"
+	"wormhole/internal/snap/snaptest"
 	"wormhole/internal/telemetry"
 	"wormhole/internal/vcsim"
 )
@@ -88,12 +89,16 @@ func TestSnapshotWireGolden(t *testing.T) {
 	}
 	check("WORMSNAP v2 (deep shared pool)", digest(deep.Bytes()), wireGoldenDeep)
 
-	// Sealed the way the daemon does it: encoded straight into the frame.
-	var frame snap.Frame
-	if err := pausedAt(t, wireGoldenCfg(), 60).Snapshot(&frame); err != nil {
+	// Framed the way the daemon does it: streamed straight into the file.
+	ckpt := &snaptest.FS{}
+	if _, err := snap.WriteFramed(ckpt, "point.snap", pausedAt(t, wireGoldenCfg(), 60).Snapshot); err != nil {
 		t.Fatal(err)
 	}
-	check("WHCKPT01 frame", digest(frame.Seal()), wireGoldenSealed)
+	framed, err := ckpt.ReadFile("point.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("WHCKPT01 frame", digest(framed), wireGoldenSealed)
 
 	// The parent-written blob restores on this build and resumes to the
 	// uninterrupted run's Result.
