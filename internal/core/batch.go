@@ -1,0 +1,225 @@
+package core
+
+import (
+	"wormhole/internal/lowerbound"
+	"wormhole/internal/rng"
+	"wormhole/internal/stats"
+	"wormhole/internal/topology"
+)
+
+// This file is the batch study engine. The batch experiments are one
+// shape: a list of cells — workloads, network sizes, or the variants an
+// ablation compares — each crossed with a B axis and repeated over
+// trials; one job per (cell, B, trial) releases a finite workload and
+// measures named values; a table row per (cell, B) shows the cell, the
+// values (the mean over the trials, or one trial's) and what is derived
+// from them: the speedup against the cell's first B, the ratio a bound
+// predicts, speedup/B. A declaration (batches.go) is data plus its measure;
+// everything that executes lives here, once: the cross with B, the
+// trial count, the one mapJobs fan-out and the fold over trials. Every
+// job returns vals, so every job's result checkpoints.
+
+// vals is what one job measures: named numbers (a bool is 0 or 1). It
+// is the one result type of every batch job, and a float64 survives
+// JSON exactly, so checkpoint.go stores every job.
+type vals map[string]float64
+
+// cell is one row of a batch table before it is measured: what its
+// jobs read and its leading columns show. A declaration sets the fields
+// it uses.
+type cell struct {
+	label string // the row's name: a policy, mode, selector or discipline
+	B     int    // virtual channels; the engine sets it when it crosses a B axis
+	n, q  int    // network inputs, and messages (or worms) per input
+	l     int    // message length
+	mode  int    // which of the declaration's variants the row runs
+	// p is the workload, built before the fan-out; jobs only read it.
+	p *Problem
+	// adv is the adversarial construction a T2 row builds and routes.
+	adv lowerbound.Params
+	// r is the job's own source, split from the seed before the fan-out
+	// so its draws do not depend on which worker runs it.
+	r *rng.Source
+}
+
+// batch declares one batch table.
+type batch struct {
+	title string
+	// cells lists the table's cells in table order.
+	cells func(cfg Config) []cell
+	// bs, quickBs is the B axis crossed with every cell (B fastest). A
+	// declaration without one gives each cell its own B.
+	bs, quickBs []int
+	// trials, quickTrials are the default trial counts (Config.Trials
+	// overrides them); 0 means one trial, whatever Config.Trials says.
+	trials, quickTrials int
+	// measure runs trial t of cell c.
+	measure func(cfg Config, c cell, t int) vals
+	// cols is the table's column list, in order.
+	cols []column[*batchRow]
+}
+
+// batchRow is a measured row: its cell, what each trial measured, and
+// the row of its cell at the first B, which the derived columns divide
+// by.
+type batchRow struct {
+	cell
+	trials []vals
+	first  *batchRow
+}
+
+// mean is name averaged over the trials that measured it.
+func (r *batchRow) mean(name string) float64 {
+	var sum float64
+	n := 0
+	for _, v := range r.trials {
+		if x, ok := v[name]; ok {
+			sum += x
+			n++
+		}
+	}
+	return sum / float64(n)
+}
+
+// last is name from the last trial that measured it.
+func (r *batchRow) last(name string) float64 {
+	var x float64
+	for _, v := range r.trials {
+		if y, ok := v[name]; ok {
+			x = y
+		}
+	}
+	return x
+}
+
+// rows measures the table: it crosses the cells with the B axis, runs
+// one job per (row, trial) in table order, and hands each row its
+// trials.
+func (b *batch) rows(cfg Config) []*batchRow {
+	bs, trials := b.bs, 1
+	if cfg.Quick {
+		bs = b.quickBs
+	}
+	if b.trials > 0 {
+		trials = cfg.trials(b.trials, b.quickTrials)
+	}
+	var rows []*batchRow
+	for _, c := range b.cells(cfg) {
+		first := len(rows)
+		if bs == nil {
+			rows = append(rows, &batchRow{cell: c})
+		}
+		for _, B := range bs {
+			c.B = B
+			rows = append(rows, &batchRow{cell: c})
+		}
+		for _, r := range rows[first:] {
+			r.first = rows[first]
+		}
+	}
+	out := mapJobs(cfg, len(rows)*trials, func(j int) vals {
+		return b.measure(cfg, rows[j/trials].cell, j%trials)
+	})
+	for i, r := range rows {
+		r.trials = out[i*trials : (i+1)*trials]
+	}
+	return rows
+}
+
+// registerBatch adds an experiment whose tables are the given batches,
+// measured one after another.
+func registerBatch(id, title string, tables ...*batch) {
+	register(Experiment{ID: id, Title: title, Run: func(cfg Config) []*stats.Table {
+		out := make([]*stats.Table, len(tables))
+		for i, b := range tables {
+			out[i] = tableSpec[*batchRow]{b.title, b.cols}.render(b.rows(cfg))
+		}
+		return out
+	}})
+}
+
+// workloads builds one cell per problem, in parallel, before the
+// fan-out. Building a workload is not a measured job: it runs outside
+// mapJobs, so it is never checkpointed and a resumed run builds it
+// again.
+func workloads(cfg Config, builders ...func() *Problem) []cell {
+	cells := make([]cell, len(builders))
+	forEachJob(cfg.workers(), len(builders), func(i int) { cells[i] = cell{p: builders[i]()} })
+	return cells
+}
+
+type batchCol = column[*batchRow]
+
+// The column vocabulary of the batch tables. A measured value's column
+// is headed by the value's name: count renders it as an int, num as a
+// float, flag as a bool. The derived columns divide by the cell's row
+// at the first B.
+var (
+	colCellB    = batchCol{"B", func(r *batchRow) any { return r.B }}
+	colCellN    = batchCol{"n", func(r *batchRow) any { return r.n }}
+	colCellQ    = batchCol{"q", func(r *batchRow) any { return r.q }}
+	colLogN     = batchCol{"L", func(r *batchRow) any { return topology.Log2(r.n) }}
+	colProbC    = batchCol{"C", func(r *batchRow) any { return r.p.C }}
+	colProbD    = batchCol{"D", func(r *batchRow) any { return r.p.D }}
+	colProbL    = batchCol{"L", func(r *batchRow) any { return r.p.L }}
+	colWorkload = batchCol{"workload", func(r *batchRow) any { return r.p.Label }}
+)
+
+// colLabel heads the cells' labels.
+func colLabel(header string) batchCol {
+	return batchCol{header, func(r *batchRow) any { return r.label }}
+}
+
+func count(name string) batchCol {
+	return batchCol{name, func(r *batchRow) any { return int(r.mean(name)) }}
+}
+
+// lastCount is name from the last trial that measured it, as an int.
+func lastCount(name string) batchCol {
+	return batchCol{name, func(r *batchRow) any { return int(r.last(name)) }}
+}
+
+func num(name string) batchCol {
+	return batchCol{name, func(r *batchRow) any { return r.mean(name) }}
+}
+
+func flag(name string) batchCol {
+	return batchCol{name, func(r *batchRow) any { return r.mean(name) != 0 }}
+}
+
+// b2f is a measured bool as a value.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// ratio is the row's value num over its value den.
+func ratio(header, num, den string) batchCol {
+	return batchCol{header, func(r *batchRow) any { return stats.Ratio(r.mean(num), r.mean(den)) }}
+}
+
+// speedup is name at the cell's first B over name at the row's B.
+func speedup(header, name string) batchCol {
+	return batchCol{header, func(r *batchRow) any { return stats.Ratio(r.first.mean(name), r.mean(name)) }}
+}
+
+// perB is speedup per virtual channel: above 1, the benefit of B is
+// superlinear.
+func perB(header, name string) batchCol {
+	return batchCol{header, func(r *batchRow) any {
+		return stats.Ratio(r.first.mean(name), r.mean(name)) / float64(r.B)
+	}}
+}
+
+// shape is a closed form of the row's cell and B — a bound, or a
+// predicted shape; predicted is the speedup a bound predicts, its value
+// at the cell's first B over its value at the row's.
+func shape(header string, f func(r *batchRow) float64) batchCol {
+	return batchCol{header, func(r *batchRow) any { return f(r) }}
+}
+
+func predicted(header string, f func(r *batchRow) float64) batchCol {
+	return batchCol{header, func(r *batchRow) any { return stats.Ratio(f(r.first), f(r)) }}
+}

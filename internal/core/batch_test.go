@@ -37,3 +37,45 @@ func TestBatchQuickGolden(t *testing.T) {
 		t.Errorf("batch quick CSV digest %s, want %s; output:\n%s", got, batchQuickSHA256, out.String())
 	}
 }
+
+// tableRow is one row of a batch table: each column's value, by header.
+type tableRow map[string]any
+
+// tableRows measures b at quick scale, as core's shape tests read it.
+func tableRows(t *testing.T, b *batch) []tableRow {
+	t.Helper()
+	var out []tableRow
+	for _, r := range b.rows(quickCfg) {
+		row := tableRow{}
+		for _, c := range b.cols {
+			row[c.header] = c.cell(r)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// f is the numeric column header; a header the table lacks panics.
+func (r tableRow) f(header string) float64 {
+	switch v := r[header].(type) {
+	case int:
+		return float64(v)
+	case float64:
+		return v
+	case bool:
+		if v {
+			return 1
+		}
+		return 0
+	}
+	panic(fmt.Sprintf("no numeric column %q in %v", header, r))
+}
+
+// is is the boolean column header.
+func (r tableRow) is(header string) bool {
+	v, ok := r[header].(bool)
+	if !ok {
+		panic(fmt.Sprintf("no boolean column %q in %v", header, r))
+	}
+	return v
+}

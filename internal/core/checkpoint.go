@@ -7,10 +7,10 @@ package core
 // offline T15/scale studies, a daemon-hosted run) survives a process
 // kill at the cost of re-running at most the jobs that were in flight.
 //
-// A key names the run and the job: Run scopes it by the experiment ID
-// and every Config field a table depends on (Seed, Quick, Trials,
-// Scale), then mapJobs adds the fan-out's stage, its length and the
-// job's index. One store can therefore hold several runs — a
+// A key names the layout, the run and the job: Run scopes it by the
+// job layout's version, the experiment ID and every Config field a
+// table depends on (Seed, Quick, Trials, Scale), then mapJobs adds the
+// fan-out's stage, its length and the job's index. One store can therefore hold several runs — a
 // -checkpoint directory reused with another -seed, or a -quick one
 // reused at full scale — and a job replays only into the run that
 // computed it; a key from another run, or from a build that laid its
@@ -70,12 +70,21 @@ type Checkpoint struct {
 	stage int
 }
 
+// layout versions how experiments lay out their fan-outs. A build that
+// reorders a fan-out's jobs or changes a job's result type bumps it, so
+// a store an older build wrote — a reused -checkpoint directory, a
+// daemon's job state across an upgrade — replays nothing into the new
+// layout: its jobs are recomputed once. Keys without a layout are the
+// layout before 1; 1 is the batch engine (batch.go), whose every job
+// returns vals.
+const layout = 1
+
 // scoped returns a fresh Checkpoint over c's store whose keys name run
-// id under cfg: the experiment and every Config field its tables
-// depend on.
+// id under cfg: the layout, the experiment and every Config field its
+// tables depend on.
 func (c *Checkpoint) scoped(id string, cfg Config) *Checkpoint {
-	return &Checkpoint{Store: c.Store, scope: fmt.Sprintf("%s-seed%d-quick%t-trials%d-scale%d-",
-		id, cfg.Seed, cfg.Quick, cfg.Trials, cfg.Scale)}
+	return &Checkpoint{Store: c.Store, scope: fmt.Sprintf("%s-layout%d-seed%d-quick%t-trials%d-scale%d-",
+		id, layout, cfg.Seed, cfg.Quick, cfg.Trials, cfg.Scale)}
 }
 
 func (c *Checkpoint) nextStage() int {

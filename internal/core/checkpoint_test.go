@@ -167,45 +167,55 @@ func TestInterruptAbortsAndResumes(t *testing.T) {
 	}
 }
 
-// TestCheckpointExperimentByteIdentity runs a real experiment through a
-// DirStore checkpoint: the checkpointed run, the resumed run, and the
-// plain run must render byte-identical tables.
+// TestCheckpointExperimentByteIdentity runs real experiments through a
+// checkpoint: every job a run measures is stored, a resume over the
+// same store recomputes none of them, and the checkpointed run, the
+// resumed run and the plain run render byte-identical tables. It covers
+// T12 (once more through a DirStore) and every batch experiment but F2,
+// whose jobs return whole tables, which never round-trip JSON. Building
+// a workload (a *Problem) is not a job: it runs outside mapJobs,
+// unmemoized, so a resumed run builds it again.
 func TestCheckpointExperimentByteIdentity(t *testing.T) {
-	render := func(tables []*stats.Table) string {
-		var s string
-		for _, tab := range tables {
-			s += tab.String() + "\n"
+	quick42 := Config{Seed: 42, Quick: true}
+	t.Run("T12-DirStore", func(t *testing.T) {
+		dir := t.TempDir()
+		store := DirStore{FS: snap.OS, Dir: dir}
+		plain := renderCSV(t, "T12", quick42, nil)
+		if got := renderCSV(t, "T12", quick42, store); got != plain {
+			t.Fatalf("checkpointed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
 		}
-		return s
-	}
-	plain, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	first, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true,
-		Checkpoint: &Checkpoint{Store: DirStore{FS: snap.OS, Dir: dir}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("checkpointed run stored nothing; T12 rows no longer round-trip JSON")
-	}
-	resumed, err := Run(context.Background(), "T12", Config{Seed: 42, Quick: true,
-		Checkpoint: &Checkpoint{Store: DirStore{FS: snap.OS, Dir: dir}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, g := render(plain), render(first); w != g {
-		t.Fatalf("checkpointed run diverged\nwant:\n%s\ngot:\n%s", w, g)
-	}
-	if w, g := render(plain), render(resumed); w != g {
-		t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", w, g)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 {
+			t.Fatal("checkpointed run stored nothing; T12 rows no longer round-trip JSON")
+		}
+		if got := renderCSV(t, "T12", quick42, store); got != plain {
+			t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
+		}
+	})
+	for _, id := range append([]string{"T12"}, batchIDs...) {
+		if id == "F2" {
+			continue
+		}
+		t.Run(id, func(t *testing.T) {
+			plain := renderCSV(t, id, quick42, nil)
+			store := newMemStore()
+			if got := renderCSV(t, id, quick42, store); got != plain {
+				t.Fatalf("checkpointed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
+			}
+			jobs := len(store.loaded)
+			if jobs == 0 || store.saves.Load() != int64(jobs) {
+				t.Fatalf("checkpointed run stored %d blobs for %d jobs", store.saves.Load(), jobs)
+			}
+			if got := renderCSV(t, id, quick42, store); got != plain {
+				t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
+			}
+			if n := store.saves.Load() - int64(jobs); n != 0 || store.hits != jobs {
+				t.Errorf("resume recomputed %d of %d jobs (%d replayed)", n, jobs, store.hits)
+			}
+		})
 	}
 }
 
@@ -282,8 +292,9 @@ func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
 // TestCheckpointKeysScopedToRun: a store reused by a run under another
 // Config — another seed, quick then full, another scale — or written
 // by a build that laid T12 out as two fan-outs (curve rows at stage 0,
-// bisections at stage 1) replays nothing into the run: it recomputes
-// every job and prints what a plain run prints.
+// bisections at stage 1), or by the build before the batch engine,
+// replays nothing into the run: it recomputes every job and prints what
+// a plain run prints.
 func TestCheckpointKeysScopedToRun(t *testing.T) {
 	quick42 := Config{Seed: 42, Quick: true}
 	for _, tc := range []struct {
@@ -314,6 +325,13 @@ func TestCheckpointKeysScopedToRun(t *testing.T) {
 				}
 			}
 		}, "T12", quick42},
+		// What `wormbench -run T1 -quick -seed 42 -checkpoint DIR` and
+		// the same for T7 wrote before the batch engine, under the keys
+		// that build wrote: T1's rows are the old T1Row, T7's jobs bare
+		// float64s, and T7's one 18-job fan-out has the same stage and
+		// length as this build's.
+		{"parent T1 layout", plantParent("T1"), "T1", quick42},
+		{"parent T7 layout", plantParent("T7"), "T7", quick42},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := newMemStore()
@@ -330,6 +348,25 @@ func TestCheckpointKeysScopedToRun(t *testing.T) {
 				t.Errorf("%d jobs replayed from another run's blobs", store.hits)
 			}
 		})
+	}
+}
+
+// plantParent fills a store with testdata/ckpt_parent_<id>, each file
+// under its own name as the key.
+func plantParent(id string) func(t *testing.T, s *memStore) {
+	return func(t *testing.T, s *memStore) {
+		dir := filepath.Join("testdata", "ckpt_parent_"+id)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.blobs[e.Name()] = blob
+		}
 	}
 }
 

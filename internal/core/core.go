@@ -9,7 +9,10 @@
 //	res := prob.RouteGreedy(core.GreedyOptions{B: 4})
 //	sched, ver, err := prob.RouteScheduled(core.ScheduleOptions{B: 4})
 //
-// Experiments are addressed by ID (F1, F2, T1…T8, A1…A4) through Run.
+// Experiments are addressed by ID (F1, F2, T1…T16, A1…A5) through Run.
+// The batch experiments are declarations over one engine (batch.go,
+// batches.go), the open-loop studies T12–T16 over another (openloop.go,
+// studies.go); T5, T10 and F2 are written out by hand.
 package core
 
 import (

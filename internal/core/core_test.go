@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -148,71 +149,71 @@ func TestExperimentsLeakNoGoroutines(t *testing.T) {
 // --- per-experiment shape assertions -----------------------------------------
 
 func TestT1SuperlinearShape(t *testing.T) {
-	rows := T1ScheduleLength(quickCfg)
+	rows := tableRows(t, t1)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
 	for _, r := range rows {
-		if r.B == 1 {
-			if r.Speedup != 1 {
-				t.Errorf("%s B=1 speedup = %v", r.Workload, r.Speedup)
+		if r.f("B") == 1 {
+			if r.f("speedup") != 1 {
+				t.Errorf("%s B=1 speedup = %v", r["workload"], r.f("speedup"))
 			}
 			continue
 		}
 		// The LLL schedule must improve superlinearly: speedup > B.
-		if r.Superlin <= 1 {
-			t.Errorf("%s B=%d: speedup/B = %v ≤ 1 (classes %d)", r.Workload, r.B, r.Superlin, r.Classes)
+		if r.f("speedup/B") <= 1 {
+			t.Errorf("%s B=%v: speedup/B = %v ≤ 1 (classes %v)", r["workload"], r.f("B"), r.f("speedup/B"), r.f("classes"))
 		}
 	}
 }
 
 func TestT2FloorsHold(t *testing.T) {
-	for _, r := range T2LowerBound(quickCfg) {
-		if !r.GreedyOK || !r.SchedOK {
-			t.Errorf("B=%d: a measured run beat the impossible floor (greedy %v sched %v)",
-				r.B, r.GreedyOK, r.SchedOK)
+	for _, r := range tableRows(t, t2) {
+		floor := r.f("floor(L-D)M/B")
+		if r.f("greedy") < floor || r.f("scheduled") < floor {
+			t.Errorf("B=%v: a measured run beat the impossible floor %v (greedy %v sched %v)",
+				r.f("B"), floor, r.f("greedy"), r.f("scheduled"))
 		}
-		if r.FloorRatio < 1 {
-			t.Errorf("B=%d: floor ratio %v < 1", r.B, r.FloorRatio)
+		if r.f("best/floor") < 1 {
+			t.Errorf("B=%v: floor ratio %v < 1", r.f("B"), r.f("best/floor"))
 		}
 	}
 }
 
 func TestT2SuperlinearAtHighB(t *testing.T) {
-	rows := T2Superlinear(quickCfg)
+	rows := tableRows(t, t2b)
 	last := rows[len(rows)-1]
-	if last.Speedup < float64(last.VCs) {
-		t.Errorf("B=%d on the fixed adversary: speedup %v below linear", last.VCs, last.Speedup)
+	if last.f("speedup") < last.f("router B") {
+		t.Errorf("B=%v on the fixed adversary: speedup %v below linear", last.f("router B"), last.f("speedup"))
 	}
 	// Makespan must be non-increasing in B.
-	prev := 1 << 30
+	prev := math.Inf(1)
 	for _, r := range rows {
-		if r.Best > prev {
-			t.Errorf("B=%d best %d worse than previous %d", r.VCs, r.Best, prev)
+		if r.f("best") > prev {
+			t.Errorf("B=%v best %v worse than previous %v", r.f("router B"), r.f("best"), prev)
 		}
-		prev = r.Best
+		prev = r.f("best")
 	}
 }
 
 func TestT3AllDelivered(t *testing.T) {
-	for _, r := range T3QRelation(quickCfg) {
-		if r.Delivered < 1 {
-			t.Errorf("n=%d q=%d B=%d: delivered fraction %v", r.N, r.Q, r.B, r.Delivered)
+	for _, r := range tableRows(t, t3) {
+		if r.f("delivered") < 1 {
+			t.Errorf("n=%v q=%v B=%v: delivered fraction %v", r.f("n"), r.f("q"), r.f("B"), r.f("delivered"))
 		}
-		if r.B > 1 && r.Speedup <= 1 {
-			t.Errorf("B=%d: no speedup (%v)", r.B, r.Speedup)
+		if r.f("B") > 1 && r.f("speedup") <= 1 {
+			t.Errorf("B=%v: no speedup (%v)", r.f("B"), r.f("speedup"))
 		}
 	}
 }
 
 func TestT4StepsFallWithB(t *testing.T) {
-	rows := T4OnePass(quickCfg)
-	var prev float64 = 1 << 30
-	for _, r := range rows {
-		if r.Steps > prev {
-			t.Errorf("B=%d: one-pass steps %v rose from %v", r.B, r.Steps, prev)
+	prev := math.Inf(1)
+	for _, r := range tableRows(t, t4) {
+		if r.f("steps") > prev {
+			t.Errorf("B=%v: one-pass steps %v rose from %v", r.f("B"), r.f("steps"), prev)
 		}
-		prev = r.Steps
+		prev = r.f("steps")
 	}
 }
 
@@ -240,13 +241,13 @@ func TestT5Relationships(t *testing.T) {
 }
 
 func TestT9WaksmanOptimal(t *testing.T) {
-	for _, r := range T9Waksman(quickCfg) {
-		if !r.WaksmanOpt {
-			t.Errorf("n=%d L=%d: Beneš routing not stall-free optimal (steps %d, stalls %d)",
-				r.N, r.L, r.Waksman, r.Stalls)
+	for _, r := range tableRows(t, t9) {
+		if !r.is("optimal&stall-free") {
+			t.Errorf("n=%v L=%v: Beneš routing not stall-free optimal (steps %v, stalls %v)",
+				r.f("n"), r.f("L"), r.f("Beneš steps"), r.f("stalls"))
 		}
-		if r.SpeedupVsBF < 1 {
-			t.Errorf("n=%d: greedy butterfly should not beat edge-disjoint Waksman (%v)", r.N, r.SpeedupVsBF)
+		if r.f("speedup") < 1 {
+			t.Errorf("n=%v: greedy butterfly should not beat edge-disjoint Waksman (%v)", r.f("n"), r.f("speedup"))
 		}
 	}
 }
@@ -280,42 +281,44 @@ func TestT10LatencyRisesWithRate(t *testing.T) {
 }
 
 func TestT11DisciplineSeparation(t *testing.T) {
-	for _, r := range T11DallySeitz(quickCfg) {
-		switch r.Discipline {
+	for _, r := range tableRows(t, t11) {
+		waves := r.f("waves")
+		switch r["discipline"] {
 		case "dateline 2 classes":
-			if !r.DepAcyclic {
-				t.Errorf("dateline dependency graph must be acyclic (waves %d)", r.Waves)
+			if !r.is("dep. acyclic") {
+				t.Errorf("dateline dependency graph must be acyclic (waves %v)", waves)
 			}
-			if r.Deadlocked || r.Delivered != r.Messages {
-				t.Errorf("dateline must deliver everything (waves %d): deadlock=%v %d/%d",
-					r.Waves, r.Deadlocked, r.Delivered, r.Messages)
+			if r.is("deadlocked") || r.f("delivered") != r.f("messages") {
+				t.Errorf("dateline must deliver everything (waves %v): deadlock=%v %v/%v",
+					waves, r.is("deadlocked"), r.f("delivered"), r.f("messages"))
 			}
 		case "plain B=1":
-			if !r.Deadlocked {
-				t.Errorf("plain ring should deadlock (waves %d)", r.Waves)
+			if !r.is("deadlocked") {
+				t.Errorf("plain ring should deadlock (waves %v)", waves)
 			}
 		case "anonymous B=2":
-			if r.Waves == 0 && r.Deadlocked {
+			if waves == 0 && r.is("deadlocked") {
 				t.Error("anonymous B=2 should survive the sparse load")
 			}
-			if r.Waves >= 1 && !r.Deadlocked {
-				t.Errorf("anonymous B=2 should deadlock under full pressure (waves %d)", r.Waves)
+			if waves >= 1 && !r.is("deadlocked") {
+				t.Errorf("anonymous B=2 should deadlock under full pressure (waves %v)", waves)
 			}
+		default:
+			t.Errorf("unknown discipline %v", r["discipline"])
 		}
 	}
 }
 
 func TestT7FractionMonotoneInB(t *testing.T) {
-	rows := T7CircuitSwitch(quickCfg)
-	byN := map[int][]T7Row{}
-	for _, r := range rows {
-		byN[r.N] = append(byN[r.N], r)
+	byN := map[float64][]tableRow{}
+	for _, r := range tableRows(t, t7) {
+		byN[r.f("n")] = append(byN[r.f("n")], r)
 	}
 	for n, rs := range byN {
 		for i := 1; i < len(rs); i++ {
-			if rs[i].Fraction < rs[i-1].Fraction {
-				t.Errorf("n=%d: fraction fell from B=%d to B=%d (%v → %v)",
-					n, rs[i-1].B, rs[i].B, rs[i-1].Fraction, rs[i].Fraction)
+			if rs[i].f("locked fraction") < rs[i-1].f("locked fraction") {
+				t.Errorf("n=%v: fraction fell from B=%v to B=%v (%v → %v)",
+					n, rs[i-1].f("B"), rs[i].f("B"), rs[i-1].f("locked fraction"), rs[i].f("locked fraction"))
 			}
 		}
 	}
@@ -344,18 +347,19 @@ func TestQuickKeepsTrials(t *testing.T) {
 }
 
 func TestT8EmulationFactor(t *testing.T) {
-	for _, r := range T8RestrictedModel(quickCfg) {
+	for _, r := range tableRows(t, t8) {
+		b := r.f("B")
 		// Restricted runs can never beat the full VC model.
-		if r.RestrSteps < r.VCSteps {
-			t.Errorf("B=%d: restricted (%d) faster than VC model (%d)", r.B, r.RestrSteps, r.VCSteps)
+		if r.f("restricted-steps") < r.f("vc-steps") {
+			t.Errorf("B=%v: restricted (%v) faster than VC model (%v)", b, r.f("restricted-steps"), r.f("vc-steps"))
 		}
 		// The emulation overhead is at most ≈ B (paper's remark).
-		if r.EmuFactor > float64(r.B)+1 {
-			t.Errorf("B=%d: emulation factor %v far above B", r.B, r.EmuFactor)
+		if r.f("restricted/vc") > b+1 {
+			t.Errorf("B=%v: emulation factor %v far above B", b, r.f("restricted/vc"))
 		}
 		// Buffering alone still helps: gain grows with B.
-		if r.B > 1 && r.BufferGain <= 1 {
-			t.Errorf("B=%d: no buffering-only gain (%v)", r.B, r.BufferGain)
+		if b > 1 && r.f("gain vs B=1") <= 1 {
+			t.Errorf("B=%v: no buffering-only gain (%v)", b, r.f("gain vs B=1"))
 		}
 	}
 }

@@ -6,63 +6,9 @@ import (
 	"wormhole/internal/analysis"
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
-	"wormhole/internal/rng"
 	"wormhole/internal/stats"
 	"wormhole/internal/topology"
 )
-
-// F1Butterfly validates and describes the Figure 1 topology: the 8-input
-// butterfly (and larger sizes), checking the structural identities of
-// Section 1.2 — n(log n + 1) nodes, 2n·log n edges, out-degree 2 above the
-// outputs, and the uniqueness of bit-fixing paths.
-func F1Butterfly(cfg Config) []*stats.Table {
-	ns := []int{8, 64, 256}
-	if cfg.Quick {
-		ns = []int{8, 64}
-	}
-	// One job per butterfly size (Diameter on the larger sizes dominates).
-	type out struct {
-		nodes, edges, levels, diameter int
-		dag, unique                    bool
-	}
-	outs := mapJobs(cfg, len(ns), func(i int) out {
-		bf := topology.NewButterfly(ns[i])
-		return out{
-			nodes:    bf.G.NumNodes(),
-			edges:    bf.G.NumEdges(),
-			levels:   bf.Levels + 1,
-			diameter: graph.Diameter(bf.G),
-			dag:      graph.IsDAG(bf.G),
-			unique:   butterflyPathsUnique(bf, cfg.Seed),
-		}
-	})
-	t := stats.NewTable(
-		"F1 — Figure 1: butterfly structure (n inputs, log n + 1 levels)",
-		"n", "nodes", "edges", "levels", "diameter", "leveled DAG", "unique paths")
-	for i, o := range outs {
-		t.AddRow(ns[i], o.nodes, o.edges, o.levels, o.diameter, o.dag, o.unique)
-	}
-	return []*stats.Table{t}
-}
-
-// butterflyPathsUnique spot-checks that Route returns the only input→output
-// path (the butterfly has exactly one).
-func butterflyPathsUnique(bf *topology.Butterfly, seed uint64) bool {
-	r := rng.New(seed)
-	for trial := 0; trial < 8; trial++ {
-		src := r.Intn(bf.Inputs)
-		dst := r.Intn(bf.Inputs)
-		p := bf.Route(src, dst)
-		if len(p) != bf.Levels {
-			return false
-		}
-		sp, ok := graph.ShortestPath(bf.G, bf.Input(src), bf.Output(dst))
-		if !ok || len(sp) != len(p) {
-			return false
-		}
-	}
-	return true
-}
 
 // F2TwoPass traces the Figure 2 routing pattern: a message's two passes
 // through the butterfly via a random intermediate column, and summarizes
@@ -114,12 +60,9 @@ func columnsAlong(tp *topology.TwoPassButterfly, p graph.Path, srcCol int) []int
 	return cols
 }
 
+// F2 is not a batch declaration (batch.go): its jobs return whole
+// tables of strings — a column trace and an aggregate — not named numbers.
 func init() {
-	register(Experiment{
-		ID:    "F1",
-		Title: "Figure 1 — butterfly topology",
-		Run:   F1Butterfly,
-	})
 	register(Experiment{
 		ID:    "F2",
 		Title: "Figure 2 — two-pass routing",

@@ -101,8 +101,8 @@ type study struct {
 	// latencyIfInjected keeps a latency cell whenever the point injected
 	// anything; the default blanks it unless a tracked message completed.
 	latencyIfInjected bool
-	curve             tableSpec
-	sat               tableSpec // no columns = no bisection half
+	curve             tableSpec[row]
+	sat               tableSpec[row] // no columns = no bisection half
 }
 
 // faultSeed offsets the outage process from the arrival processes.
@@ -319,19 +319,20 @@ type row struct {
 	vsBase    float64 // saturation rate over the baseline architecture's
 }
 
-// column is one table column: a header and how to fill its cell.
-type column struct {
+// column is one table column: a header and how to fill its cell from
+// a row of type R. The batch engine (batch.go) shares it.
+type column[R any] struct {
 	header string
-	cell   func(r row) any
+	cell   func(r R) any
 }
 
 // tableSpec is a table as data: its title and column list.
-type tableSpec struct {
+type tableSpec[R any] struct {
 	title string
-	cols  []column
+	cols  []column[R]
 }
 
-func (ts tableSpec) render(rows []row) *stats.Table {
+func (ts tableSpec[R]) render(rows []R) *stats.Table {
 	headers := make([]string, len(ts.cols))
 	for i, c := range ts.cols {
 		headers[i] = c.header
@@ -347,8 +348,8 @@ func (ts tableSpec) render(rows []row) *stats.Table {
 	return t
 }
 
-func latencyCol(header string, v func(r row) float64) column {
-	return column{header, func(r row) any {
+func latencyCol(header string, v func(r row) float64) column[row] {
+	return column[row]{header, func(r row) any {
 		if r.noLatency {
 			return math.NaN()
 		}
@@ -358,32 +359,32 @@ func latencyCol(header string, v func(r row) float64) column {
 
 // The column vocabulary every study's tables draw from.
 var (
-	colN    = column{"n", func(r row) any { return r.N }}
-	colB    = column{"B", func(r row) any { return r.Arch.B }}
-	colD    = column{"d", func(r row) any { return r.Arch.D }}
-	colPool = column{"pool", func(r row) any {
+	colN    = column[row]{"n", func(r row) any { return r.N }}
+	colB    = column[row]{"B", func(r row) any { return r.Arch.B }}
+	colD    = column[row]{"d", func(r row) any { return r.Arch.D }}
+	colPool = column[row]{"pool", func(r row) any {
 		if r.Arch.Shared {
 			return "shared"
 		}
 		return "static"
 	}}
-	colFaultRate = column{"fault rate", func(r row) any { return r.FaultRate }}
-	colOutages   = column{"outages", func(r row) any { return r.Outages }}
-	colOffered   = column{"offered", func(r row) any { return r.Offered }}
-	colAccepted  = column{"accepted", func(r row) any { return r.Accepted }}
-	colMessages  = column{"messages", func(r row) any { return r.Injected }}
-	colAborted   = column{"aborted", func(r row) any { return r.Aborted }}
+	colFaultRate = column[row]{"fault rate", func(r row) any { return r.FaultRate }}
+	colOutages   = column[row]{"outages", func(r row) any { return r.Outages }}
+	colOffered   = column[row]{"offered", func(r row) any { return r.Offered }}
+	colAccepted  = column[row]{"accepted", func(r row) any { return r.Accepted }}
+	colMessages  = column[row]{"messages", func(r row) any { return r.Injected }}
+	colAborted   = column[row]{"aborted", func(r row) any { return r.Aborted }}
 	colMeanLat   = latencyCol("mean latency", func(r row) float64 { return r.MeanLatency })
 	colP50       = latencyCol("p50", func(r row) float64 { return r.P50 })
 	colP95       = latencyCol("p95", func(r row) float64 { return r.P95 })
 	colP99       = latencyCol("p99", func(r row) float64 { return r.P99 })
-	colBacklog   = column{"backlog", func(r row) any { return r.Backlog }}
-	colSaturated = column{"saturated", func(r row) any { return r.Saturated }}
+	colBacklog   = column[row]{"backlog", func(r row) any { return r.Backlog }}
+	colSaturated = column[row]{"saturated", func(r row) any { return r.Saturated }}
 
-	colSatRate       = column{"sat rate", func(r row) any { return r.SatRate }}
-	colVsB1          = column{"vs B=1", func(r row) any { return r.vsBase }}
-	colVsD1          = column{"vs d=1", func(r row) any { return r.vsBase }}
-	colPerChannel    = column{"per channel", func(r row) any { return r.SatRate / float64(r.Arch.B) }}
-	colPerFlitBuffer = column{"per flit buffer", func(r row) any { return r.SatRate / float64(r.Arch.B*r.Arch.D) }}
-	colProbes        = column{"probes", func(r row) any { return r.Probes }}
+	colSatRate       = column[row]{"sat rate", func(r row) any { return r.SatRate }}
+	colVsB1          = column[row]{"vs B=1", func(r row) any { return r.vsBase }}
+	colVsD1          = column[row]{"vs d=1", func(r row) any { return r.vsBase }}
+	colPerChannel    = column[row]{"per channel", func(r row) any { return r.SatRate / float64(r.Arch.B) }}
+	colPerFlitBuffer = column[row]{"per flit buffer", func(r row) any { return r.SatRate / float64(r.Arch.B*r.Arch.D) }}
+	colProbes        = column[row]{"probes", func(r row) any { return r.Probes }}
 )

@@ -136,18 +136,6 @@ func flatJobs[T any](cfg Config, n int, job func(i int) []T) []T {
 	return out
 }
 
-// grid3 decodes a flat job index into the (a, b, c) coordinates of an
-// (na × nb × nc) sweep grid with c varying fastest. index3 is its
-// inverse; sweeps that fan out over a grid use the pair so the encode
-// and decode cannot drift apart.
-func grid3(i, nb, nc int) (a, b, c int) {
-	return i / (nb * nc), i / nc % nb, i % nc
-}
-
-func index3(a, b, c, nb, nc int) int {
-	return (a*nb+b)*nc + c
-}
-
 // jobSources derives n independent child sources from seed by repeated
 // Split. The derivation happens up front, in index order, so the source
 // a job receives depends only on (seed, index) — never on which worker

@@ -84,24 +84,6 @@ func TestForEachJobPropagatesPanic(t *testing.T) {
 	}
 }
 
-func TestGrid3RoundTrips(t *testing.T) {
-	const na, nb, nc = 3, 4, 5
-	seen := map[[3]int]bool{}
-	for i := 0; i < na*nb*nc; i++ {
-		a, b, c := grid3(i, nb, nc)
-		if a < 0 || a >= na || b < 0 || b >= nb || c < 0 || c >= nc {
-			t.Fatalf("i=%d: (%d,%d,%d) out of range", i, a, b, c)
-		}
-		if got := index3(a, b, c, nb, nc); got != i {
-			t.Fatalf("index3(grid3(%d)) = %d", i, got)
-		}
-		seen[[3]int{a, b, c}] = true
-	}
-	if len(seen) != na*nb*nc {
-		t.Fatalf("only %d distinct coordinates", len(seen))
-	}
-}
-
 func TestMapJobsOrdersResultsByIndex(t *testing.T) {
 	out := mapJobs(Config{Workers: 8}, 100, func(i int) int { return i * i })
 	for i, v := range out {

@@ -34,14 +34,14 @@ var t12 = registerStudy(study{
 	},
 	stride:    1009,
 	satStride: 7919,
-	curve: tableSpec{
+	curve: tableSpec[row]{
 		"T12 — open-loop steady state: latency vs offered load (Poisson, uniform)",
-		[]column{colN, colB, colOffered, colAccepted, colMessages,
+		[]column[row]{colN, colB, colOffered, colAccepted, colMessages,
 			colMeanLat, colP50, colP95, colP99, colSaturated},
 	},
-	sat: tableSpec{
+	sat: tableSpec[row]{
 		"T12 — saturation rate vs B (bisection on offered load)",
-		[]column{colN, colB, colSatRate, colVsB1, colPerChannel, colProbes},
+		[]column[row]{colN, colB, colSatRate, colVsB1, colPerChannel, colProbes},
 	},
 })
 
@@ -69,14 +69,14 @@ var t13 = registerStudy(study{
 	},
 	stride:     2707,
 	sharedSeed: 7127,
-	curve: tableSpec{
+	curve: tableSpec[row]{
 		"T13 — buffer architectures: latency vs offered load (Poisson, uniform)",
-		[]column{colN, colB, colD, colPool, colOffered, colAccepted, colMessages,
+		[]column[row]{colN, colB, colD, colPool, colOffered, colAccepted, colMessages,
 			colMeanLat, colP95, colP99, colSaturated},
 	},
-	sat: tableSpec{
+	sat: tableSpec[row]{
 		"T13 — saturation rate over (B, lane depth, pool) (bisection on offered load)",
-		[]column{colN, colB, colD, colPool, colSatRate, colVsD1, colPerFlitBuffer, colProbes},
+		[]column[row]{colN, colB, colD, colPool, colSatRate, colVsD1, colPerFlitBuffer, colProbes},
 	},
 })
 
@@ -103,14 +103,14 @@ var t14 = registerStudy(study{
 	},
 	minScale: 8,
 	stride:   4099,
-	curve: tableSpec{
+	curve: tableSpec[row]{
 		"T14 — scale study: latency vs offered load on the wide butterfly (Poisson, uniform)",
-		[]column{colN, colB, colD, colOffered, colAccepted, colMessages,
+		[]column[row]{colN, colB, colD, colOffered, colAccepted, colMessages,
 			colMeanLat, colP95, colP99, colSaturated},
 	},
-	sat: tableSpec{
+	sat: tableSpec[row]{
 		"T14 — scale study: saturation rate over (B, lane depth) (bisection on offered load)",
-		[]column{colN, colB, colD, colSatRate, colVsD1, colProbes},
+		[]column[row]{colN, colB, colD, colSatRate, colVsD1, colProbes},
 	},
 })
 
@@ -136,13 +136,13 @@ var t15 = registerStudy(study{
 	},
 	minScale: 256,
 	stride:   8209,
-	curve: tableSpec{
+	curve: tableSpec[row]{
 		// The title is frozen verbatim: benchmark/'s tables-quick golden
 		// digest hashes `wormbench -all -quick -csv` stdout, title lines
 		// included. Reword it (the stepper it names is gone) at the next
 		// benchmark PR (ROADMAP, frozen-surface shims).
 		"T15 — parallel scale study: latency vs offered load on the sharded wide butterfly (Poisson, uniform)",
-		[]column{colN, colB, colOffered, colAccepted, colMessages,
+		[]column[row]{colN, colB, colOffered, colAccepted, colMessages,
 			colMeanLat, colP95, colP99, colBacklog, colSaturated},
 	},
 })
@@ -179,9 +179,9 @@ var t16 = registerStudy(study{
 	// exponential backoff in simulated time.
 	retry:             vcsim.RetryPolicy{MaxAttempts: 8, Backoff: 16, BackoffCap: 1024},
 	latencyIfInjected: true,
-	curve: tableSpec{
+	curve: tableSpec[row]{
 		"T16 — graceful degradation: accepted throughput and tail latency vs lane-fault rate (64-input butterfly, Poisson uniform, fixed offered load)",
-		[]column{colN, colB, colFaultRate, colOutages, colOffered, colAccepted,
+		[]column[row]{colN, colB, colFaultRate, colOutages, colOffered, colAccepted,
 			colMessages, colAborted, colMeanLat, colP95, colP99, colBacklog, colSaturated},
 	},
 })

@@ -109,6 +109,8 @@ func t10Table(rows []T10Row) *stats.Table {
 	return t
 }
 
+// T10 is not a batch declaration (batch.go): it drops the (B, rate)
+// points whose Poisson draw injected nothing, and the engine keeps every row.
 func init() {
 	register(Experiment{
 		ID:    "T10",

@@ -131,6 +131,8 @@ func t5Table(rows []T5Row) *stats.Table {
 	return t
 }
 
+// T5 is not a batch declaration (batch.go): each router family's job
+// makes its own rows, named and annotated with strings, not named numbers.
 func init() {
 	register(Experiment{
 		ID:    "T5",
