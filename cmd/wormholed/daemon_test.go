@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,6 +95,37 @@ func startTestServer(t *testing.T, stateDir string, ckptEvery int) (*httptest.Se
 	return srv, m
 }
 
+// holdFS is an FS whose first point-*.snap write waits until release
+// closes. A job that reaches its first checkpoint stays running until
+// then, however fast its sweep.
+type holdFS struct {
+	snap.FS
+	release <-chan struct{}
+	once    sync.Once
+}
+
+func (h *holdFS) CreateTemp(dir, pattern string) (snap.File, error) {
+	if ok, _ := filepath.Match("point-*.snap*", pattern); ok {
+		h.once.Do(func() { <-h.release })
+	}
+	return h.FS.CreateTemp(dir, pattern)
+}
+
+// startHeldServer is startTestServer over snap.OS with the first
+// checkpoint held until the manager shuts down: a test that sees its job
+// running and then calls Shutdown catches it mid-run, with a checkpoint
+// on disk.
+func startHeldServer(t *testing.T, stateDir string, workers, ckptEvery int) (string, *manager) {
+	t.Helper()
+	h := &holdFS{FS: snap.OS}
+	m, err := newManager(stateDir, workers, ckptEvery, 0, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.release = m.ctx.Done() // before the server: no job has started
+	return newTestHTTP(t, m), m
+}
+
 func postJSON(t *testing.T, url string, v any) *http.Response {
 	t.Helper()
 	blob, err := json.Marshal(v)
@@ -135,10 +167,9 @@ func waitStateURL(t *testing.T, base, id string, want jobState) JobStatus {
 		case want:
 			return st
 		case stateFailed:
-			if want != stateFailed {
-				t.Fatalf("job %s failed: %s", id, st.Error)
-			}
-			return st
+			t.Fatalf("job %s failed: %s", id, st.Error)
+		case stateDone, stateCanceled:
+			t.Fatalf("job %s is already %s; it will never be %s", id, st.State, want)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -349,7 +380,7 @@ func TestExperimentJobMatchesWormbenchCSV(t *testing.T) {
 // byte-identical to an uninterrupted job's.
 func TestGracefulShutdownResumes(t *testing.T) {
 	spec := testSweepSpec()
-	spec.Measure = 2000 // long enough to catch mid-run
+	spec.Measure = 2000 // checkpoints every 100 steps after the resume too
 	spec.Drain = 800
 
 	// Oracle: the same job, uninterrupted.
@@ -360,13 +391,12 @@ func TestGracefulShutdownResumes(t *testing.T) {
 	want := fetch(t, srvO.URL+"/api/v1/jobs/"+stO.ID+"/result", http.StatusOK)
 	mO.Shutdown()
 
-	// Victim: shut down while running.
+	// Victim: shut down while running, held at its first checkpoint.
 	dir := t.TempDir()
-	srv1, m1 := startTestServer(t, dir, 100)
-	st := decodeStatus(t, postJSON(t, srv1.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
-	waitState(t, srv1, st.ID, stateRunning)
+	srv1, m1 := startHeldServer(t, dir, 2, 100)
+	st := decodeStatus(t, postJSON(t, srv1+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
+	waitStateURL(t, srv1, st.ID, stateRunning)
 	m1.Shutdown()
-	srv1.Close()
 
 	// The interrupted job was re-queued with a checkpoint on disk.
 	blob, err := os.ReadFile(filepath.Join(dir, "jobs", st.ID, "job.json"))
@@ -1024,14 +1054,10 @@ func TestBadFaultGrammarRejected(t *testing.T) {
 // status, not only stderr, says a restore was rejected and why.
 func TestRejectedRestoreIsOnTheRecord(t *testing.T) {
 	spec := testSweepSpec()
-	spec.Measure, spec.Drain = 2000, 800 // long enough to catch mid-run
+	spec.Measure, spec.Drain = 2000, 800
 
 	dir := t.TempDir()
-	m1, err := newManager(dir, 1, 100, 0, snap.OS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := newTestHTTP(t, m1)
+	srv1, m1 := startHeldServer(t, dir, 1, 100)
 	st := decodeStatus(t, postJSON(t, srv1+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
 	waitStateURL(t, srv1, st.ID, stateRunning)
 	m1.Shutdown() // takes the final checkpoint of whichever point was live

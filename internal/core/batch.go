@@ -28,11 +28,12 @@ type vals map[string]float64
 // jobs read and its leading columns show. A declaration sets the fields
 // it uses.
 type cell struct {
-	label string // the row's name: a policy, mode, selector or discipline
-	B     int    // virtual channels; the engine sets it when it crosses a B axis
-	n, q  int    // network inputs, and messages (or worms) per input
-	l     int    // message length
-	mode  int    // which of the declaration's variants the row runs
+	label string  // the row's name: a policy, mode, selector or discipline
+	B     int     // virtual channels; the engine sets it when it crosses a B axis
+	n, q  int     // network inputs, and messages (or worms) per input
+	l     int     // message length
+	mode  int     // which of the declaration's variants the row runs
+	rate  float64 // offered messages per input per flit step
 	// p is the workload, built before the fan-out; jobs only read it.
 	p *Problem
 	// adv is the adversarial construction a T2 row builds and routes.

@@ -16,6 +16,7 @@ import (
 	"wormhole/internal/schedule"
 	"wormhole/internal/stats"
 	"wormhole/internal/topology"
+	"wormhole/internal/traffic"
 	"wormhole/internal/vcsim"
 )
 
@@ -29,10 +30,12 @@ func init() {
 	registerBatch("T2", "Theorem 2.2.1 — lower-bound construction & superlinear speedup", t2, t2b)
 	registerBatch("T3", "Theorem 3.1.1 — butterfly q-relation algorithm", t3)
 	registerBatch("T4", "Theorem 3.2.1 — one-pass butterfly lower bound", t4)
+	registerBatch("T5", "Section 1.4 — wormhole vs store-and-forward vs cut-through", t5)
 	registerBatch("T6", "Footnote 5 — naive coloring baseline vs LLL schedules", t6)
 	registerBatch("T7", "Koch — circuit switching on the butterfly", t7)
 	registerBatch("T8", "Section 1.4 — restricted-bandwidth model", t8)
 	registerBatch("T9", "Section 1.3.3 — Waksman permutation routing (Beneš/GF-11)", t9)
+	registerBatch("T10", "Section 1.3.1 context — continuous injection throughput", t10)
 	registerBatch("T11", "Section 1 — Dally–Seitz deadlock avoidance via VC classes", t11)
 	registerBatch("A1", "Ablation — arbitration policy", a1)
 	registerBatch("A2", "Ablation — LLL resampling granularity", a2)
@@ -291,6 +294,88 @@ var t4 = &batch{
 
 func t4Bound(r *batchRow) float64 { return butterfly.OnePassBound(r.n, r.q, topology.Log2(r.n), r.B) }
 
+// T5 — Section 1.4, on an L = q = log n butterfly workload: wormhole
+// routing with B virtual channels, greedy and scheduled; store-and-
+// forward, whose buffers hold whole messages; and virtual cut-through
+// spending the wormhole router's buffer budget on depth instead of
+// multiplexing. SAF is fast but needs whole-message buffers, VCT's
+// benefit is linear in B, and wormhole with B channels closes most of
+// the SAF gap with log-size buffers. A cell's mode is its router
+// family. Pinned: SAF beats scheduled wormhole at B = 1, with a larger
+// buffer budget.
+const (
+	t5Greedy = iota
+	t5Scheduled
+	t5SAF
+	t5LMR // store-and-forward with LMR delay smoothing: certified collision-free
+	t5VCT
+)
+
+var t5 = &batch{
+	title: "T5 — Section 1.4: router comparison at L = q = log n",
+	cells: func(cfg Config) []cell {
+		n := pick(cfg, 256, 64)
+		k := topology.Log2(n)
+		p := ButterflyQRelation(n, k, k, cfg.Seed)
+		bs := []int{1, 2, 2 * topology.Log2(k)}
+		var cells []cell
+		for _, b := range bs {
+			cells = append(cells,
+				cell{label: fmt.Sprintf("wormhole greedy B=%d", b), B: b, p: p, mode: t5Greedy},
+				cell{label: fmt.Sprintf("wormhole LLL-scheduled B=%d", b), B: b, p: p, mode: t5Scheduled})
+		}
+		cells = append(cells,
+			cell{label: "store-and-forward greedy", p: p, mode: t5SAF},
+			cell{label: "store-and-forward LMR-scheduled", p: p, mode: t5LMR})
+		for _, b := range bs[1:] {
+			cells = append(cells, cell{label: fmt.Sprintf("virtual cut-through buf=%d", b), B: b, p: p, mode: t5VCT})
+		}
+		return cells
+	},
+	measure: func(cfg Config, c cell, _ int) vals {
+		p, buf, v := c.p, c.B, vals{}
+		var steps int
+		var delivered bool
+		switch c.mode {
+		case t5Greedy:
+			res := p.RouteGreedy(GreedyOptions{B: c.B, Policy: vcsim.ArbAge, Metrics: cfg.metrics()})
+			steps, delivered = res.Steps, res.AllDelivered()
+		case t5Scheduled:
+			_, res, err := p.RouteScheduled(ScheduleOptions{B: c.B, Seed: cfg.Seed, Metrics: cfg.metrics()})
+			if err != nil {
+				panic(fmt.Sprintf("T5: scheduled B=%d: %v", c.B, err))
+			}
+			steps, delivered = res.Steps, res.AllDelivered()
+		case t5SAF:
+			res := baseline.RunStoreAndForward(p.Set)
+			buf, steps, delivered = baseline.SAFFlitBufferBudget(res, p.L), res.FlitSteps, res.Delivered == p.Set.Len()
+		case t5LMR:
+			lmr, err := baseline.BuildLMRSchedule(p.Set, rng.New(cfg.Seed))
+			if err != nil {
+				panic(fmt.Sprintf("T5: LMR schedule: %v", err))
+			}
+			// Unimpeded motion: one message per node at a time.
+			buf, steps, delivered = p.L, baseline.LMRFlitSteps(lmr, p.L), true
+			v["window"], v["attempts"] = float64(lmr.Window), float64(lmr.Attempts)
+		case t5VCT:
+			res := baseline.RunVirtualCutThrough(p.Set, baseline.VCTConfig{BufferFlits: c.B})
+			steps, delivered = res.Steps, res.Delivered == p.Set.Len() && !res.Deadlocked
+		}
+		v["buffer flits/edge"], v["flit steps"], v["all delivered"] = float64(buf), float64(steps), b2f(delivered)
+		return v
+	},
+	cols: []batchCol{colLabel("method"), count("buffer flits/edge"), count("flit steps"), flag("all delivered"),
+		{"note", func(r *batchRow) any {
+			switch r.mode {
+			case t5SAF:
+				return "bound L(C+D)=" + stats.FormatFloat(schedule.StoreAndForwardBound(r.p.L, r.p.C, r.p.D))
+			case t5LMR:
+				return fmt.Sprintf("window=%d attempts=%d", int(r.mean("window")), int(r.mean("attempts")))
+			}
+			return ""
+		}}},
+}
+
 // T6 — footnote 5: the naive conflict-graph coloring needs up to
 // D(C−1)+1 classes and O((L+D)·C·D) flit steps where the Theorem 2.1.6
 // refinement needs Θ(C(D log D)^(1/B)/B) classes; both schedules are
@@ -445,6 +530,70 @@ var t9 = &batch{
 	cols: []batchCol{colCellN, {"L", func(r *batchRow) any { return r.l }}, count("depth"),
 		count("Beneš steps"), flag("optimal&stall-free"), count("stalls"),
 		count("greedy butterfly B=1"), ratio("speedup", "greedy butterfly B=1", "Beneš steps")},
+}
+
+// T10 — the continuous-routing regime the paper cites (Scheideler–
+// Vöcking, Section 1.3.1): messages arrive at each butterfly input as a
+// Poisson process and are routed greedily on the internal/traffic
+// open-loop engine (uniform pattern, no warmup, full drain; T12 is the
+// steady-state treatment). Latency stays flat until the router
+// saturates, and the sustainable rate grows with B faster than
+// linearly, mirroring the D^(1/B) factor in the cited bound: context,
+// not a theorem. A cell is one (B, rate) point. Pinned: latency never
+// falls sharply as the rate rises, and B = 4 is never much slower than
+// B = 1.
+var t10 = &batch{
+	title: "T10 — continuous Poisson injection: latency vs rate vs B",
+	cells: func(cfg Config) []cell {
+		// Offered load per input in flits/step is rate·L; with L = log n
+		// the top rate pushes the B = 1 router past its knee.
+		n, rates := pick(cfg, 64, 32), pick(cfg, []float64{0.02, 0.05, 0.1, 0.15, 0.25}, []float64{0.02, 0.1})
+		var cells []cell
+		for _, b := range pick(cfg, []int{1, 2, 4}, []int{1, 4}) {
+			for _, rate := range rates {
+				cells = append(cells, cell{B: b, n: n, rate: rate})
+			}
+		}
+		return cells
+	},
+	measure: func(cfg Config, c cell, _ int) vals {
+		horizon, l := pick(cfg, 2048, 512), topology.Log2(c.n)
+		res, err := traffic.Run(traffic.Config{
+			Net:             traffic.NewButterflyNet(c.n),
+			VirtualChannels: c.B,
+			MessageLength:   l,
+			Arbitration:     vcsim.ArbAge,
+			Process:         traffic.Poisson,
+			Rate:            c.rate,
+			Pattern:         traffic.Uniform,
+			Measure:         horizon, // no warmup: every message is tracked
+			Drain:           horizon * 16,
+			Seed:            cfg.Seed + uint64(c.B)*1009 + uint64(c.rate*1e6),
+			Metrics:         cfg.metrics(),
+			OnStep:          cfg.onStep(),
+		})
+		if err != nil {
+			panic(fmt.Sprintf("T10: %v", err))
+		}
+		if res.Injected == 0 {
+			panic(fmt.Sprintf("T10: B=%d rate %v injected nothing", c.B, c.rate))
+		}
+		if res.Backlog > 0 {
+			panic("T10: open-loop run failed to drain")
+		}
+		// Makespan − last arrival − (D+L−1): the queueing backlog. Past a
+		// quarter of the horizon, the rate is unsustainable.
+		overrun := res.Steps - res.LastRelease - (l + l - 1)
+		return vals{
+			"messages":      float64(res.Injected),
+			"mean latency":  res.MeanLatency,
+			"p95 latency":   res.P95,
+			"drain overrun": float64(overrun),
+			"saturated":     b2f(overrun > horizon/4),
+		}
+	},
+	cols: []batchCol{colCellN, colCellB, {"rate/input", func(r *batchRow) any { return r.rate }},
+		count("messages"), num("mean latency"), num("p95 latency"), count("drain overrun"), flag("saturated")},
 }
 
 // T11 — the paper's Section 1 motivation: on a wormhole ring wrapping

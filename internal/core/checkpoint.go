@@ -28,7 +28,7 @@ package core
 // re-encodes to itself under the job's current result type; a stale
 // one is recomputed and overwritten.
 //
-// The stage counter assigns each mapJobs/flatJobs call within one
+// The stage counter assigns each mapJobs call within one
 // experiment run a sequence number. Experiments issue their fan-outs in
 // deterministic program order (concurrency lives inside a fan-out,
 // never across fan-outs), so (stage, length, index) names the same
@@ -76,8 +76,8 @@ type Checkpoint struct {
 // daemon's job state across an upgrade — replays nothing into the new
 // layout: its jobs are recomputed once. Keys without a layout are the
 // layout before 1; 1 is the batch engine (batch.go), whose every job
-// returns vals.
-const layout = 1
+// returns vals; 2 is T5 and T10 joining it.
+const layout = 2
 
 // scoped returns a fresh Checkpoint over c's store whose keys name run
 // id under cfg: the layout, the experiment and every Config field its

@@ -167,14 +167,13 @@ func TestInterruptAbortsAndResumes(t *testing.T) {
 	}
 }
 
-// TestCheckpointExperimentByteIdentity runs real experiments through a
-// checkpoint: every job a run measures is stored, a resume over the
-// same store recomputes none of them, and the checkpointed run, the
-// resumed run and the plain run render byte-identical tables. It covers
-// T12 (once more through a DirStore) and every batch experiment but F2,
-// whose jobs return whole tables, which never round-trip JSON. Building
-// a workload (a *Problem) is not a job: it runs outside mapJobs,
-// unmemoized, so a resumed run builds it again.
+// TestCheckpointExperimentByteIdentity runs every registered experiment
+// through a checkpoint: every job a run measures is stored, a resume
+// over the same store recomputes none of them, and the checkpointed
+// run, the resumed run and the plain run render byte-identical tables.
+// F2 runs no jobs, so it stores nothing; T12 also runs through a
+// DirStore. Building a workload (a *Problem) is not a job: it runs
+// outside mapJobs, unmemoized, so a resumed run builds it again.
 func TestCheckpointExperimentByteIdentity(t *testing.T) {
 	quick42 := Config{Seed: 42, Quick: true}
 	t.Run("T12-DirStore", func(t *testing.T) {
@@ -195,10 +194,8 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 			t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
 		}
 	})
-	for _, id := range append([]string{"T12"}, batchIDs...) {
-		if id == "F2" {
-			continue
-		}
+	for _, e := range Experiments() {
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
 			plain := renderCSV(t, id, quick42, nil)
 			store := newMemStore()
@@ -206,7 +203,7 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 				t.Fatalf("checkpointed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
 			}
 			jobs := len(store.loaded)
-			if jobs == 0 || store.saves.Load() != int64(jobs) {
+			if (jobs == 0) != (id == "F2") || store.saves.Load() != int64(jobs) {
 				t.Fatalf("checkpointed run stored %d blobs for %d jobs", store.saves.Load(), jobs)
 			}
 			if got := renderCSV(t, id, quick42, store); got != plain {
@@ -292,9 +289,9 @@ func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
 // TestCheckpointKeysScopedToRun: a store reused by a run under another
 // Config — another seed, quick then full, another scale — or written
 // by a build that laid T12 out as two fan-outs (curve rows at stage 0,
-// bisections at stage 1), or by the build before the batch engine,
-// replays nothing into the run: it recomputes every job and prints what
-// a plain run prints.
+// bisections at stage 1), or by a build before the batch engine or
+// before T10 joined it, replays nothing into the run: it recomputes
+// every job and prints what a plain run prints.
 func TestCheckpointKeysScopedToRun(t *testing.T) {
 	quick42 := Config{Seed: 42, Quick: true}
 	for _, tc := range []struct {
@@ -332,6 +329,10 @@ func TestCheckpointKeysScopedToRun(t *testing.T) {
 		// length as this build's.
 		{"parent T1 layout", plantParent("T1"), "T1", quick42},
 		{"parent T7 layout", plantParent("T7"), "T7", quick42},
+		// What the build before T10 joined the engine wrote for the same
+		// run: T10Row blobs, its one 4-job fan-out at the same stage and
+		// length as this build's.
+		{"parent T10 layout", plantParent("T10"), "T10", quick42},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := newMemStore()

@@ -218,25 +218,24 @@ func TestT4StepsFallWithB(t *testing.T) {
 }
 
 func TestT5Relationships(t *testing.T) {
-	rows := T5RouterComparison(quickCfg)
-	byMethod := map[string]T5Row{}
-	for _, r := range rows {
-		byMethod[r.Method] = r
-		if !r.Delivered {
-			t.Errorf("%s failed to deliver", r.Method)
+	byMethod := map[any]tableRow{}
+	for _, r := range tableRows(t, t5) {
+		byMethod[r["method"]] = r
+		if !r.is("all delivered") {
+			t.Errorf("%s failed to deliver", r["method"])
 		}
 	}
 	saf := byMethod["store-and-forward greedy"]
 	wh1 := byMethod["wormhole LLL-scheduled B=1"]
 	// The paper's Section 1.4 point: SAF beats scheduled wormhole at
 	// B = 1, but needs a much larger buffer budget.
-	if saf.FlitSteps >= wh1.FlitSteps {
-		t.Errorf("SAF (%d) should beat scheduled wormhole B=1 (%d) per Section 1.4",
-			saf.FlitSteps, wh1.FlitSteps)
+	if saf.f("flit steps") >= wh1.f("flit steps") {
+		t.Errorf("SAF (%v) should beat scheduled wormhole B=1 (%v) per Section 1.4",
+			saf.f("flit steps"), wh1.f("flit steps"))
 	}
-	if saf.BufFlits <= wh1.BufFlits {
-		t.Errorf("SAF buffer budget (%d) should exceed wormhole's (%d)",
-			saf.BufFlits, wh1.BufFlits)
+	if saf.f("buffer flits/edge") <= wh1.f("buffer flits/edge") {
+		t.Errorf("SAF buffer budget (%v) should exceed wormhole's (%v)",
+			saf.f("buffer flits/edge"), wh1.f("buffer flits/edge"))
 	}
 }
 
@@ -253,29 +252,27 @@ func TestT9WaksmanOptimal(t *testing.T) {
 }
 
 func TestT10LatencyRisesWithRate(t *testing.T) {
-	rows := T10Continuous(quickCfg)
-	byB := map[int][]T10Row{}
-	for _, r := range rows {
-		byB[r.B] = append(byB[r.B], r)
+	byB := map[float64][]tableRow{}
+	for _, r := range tableRows(t, t10) {
+		byB[r.f("B")] = append(byB[r.f("B")], r)
 	}
 	for b, rs := range byB {
 		for i := 1; i < len(rs); i++ {
-			if rs[i].MeanLat < rs[i-1].MeanLat*0.8 {
-				t.Errorf("B=%d: latency fell sharply with rate (%v → %v)",
-					b, rs[i-1].MeanLat, rs[i].MeanLat)
+			if rs[i].f("mean latency") < rs[i-1].f("mean latency")*0.8 {
+				t.Errorf("B=%v: latency fell sharply with rate (%v → %v)",
+					b, rs[i-1].f("mean latency"), rs[i].f("mean latency"))
 			}
 		}
 	}
 	// More channels must not hurt at equal rate.
-	if len(byB) >= 2 {
-		lo, hi := byB[1], byB[4]
-		if len(lo) == len(hi) {
-			for i := range lo {
-				if hi[i].MeanLat > lo[i].MeanLat*1.2+2 {
-					t.Errorf("rate %v: B=4 latency %v worse than B=1 %v",
-						lo[i].Rate, hi[i].MeanLat, lo[i].MeanLat)
-				}
-			}
+	lo, hi := byB[1], byB[4]
+	if len(lo) == 0 || len(lo) != len(hi) {
+		t.Fatalf("B=1 has %d rates, B=4 %d", len(lo), len(hi))
+	}
+	for i := range lo {
+		if hi[i].f("mean latency") > lo[i].f("mean latency")*1.2+2 {
+			t.Errorf("rate %v: B=4 latency %v worse than B=1 %v",
+				lo[i].f("rate/input"), hi[i].f("mean latency"), lo[i].f("mean latency"))
 		}
 	}
 }

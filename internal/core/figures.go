@@ -10,45 +10,40 @@ import (
 	"wormhole/internal/topology"
 )
 
-// F2TwoPass traces the Figure 2 routing pattern: a message's two passes
+// f2 traces the Figure 2 routing pattern: a message's two passes
 // through the butterfly via a random intermediate column, and summarizes
-// congestion/dilation of a two-pass workload.
-func F2TwoPass(cfg Config) []*stats.Table {
+// congestion/dilation of a two-pass workload. Each table draws from its
+// own source, split from the seed in table order.
+func f2(cfg Config) []*stats.Table {
 	n := 8
 	tp := topology.NewTwoPassButterfly(n)
-	// The two tables are independent jobs; each owns a pre-split child
-	// source so its random draws don't depend on the other's.
 	srcs := jobSources(cfg.Seed, 2)
 
-	tables := mapJobs(cfg, 2, func(i int) *stats.Table {
-		r := srcs[i]
-		if i == 0 {
-			trace := stats.NewTable(
-				"F2 — Figure 2: a message's two passes (column at each level)",
-				"message", "src", "mid", "dst", "column trace (level 0..2log n)")
-			for j := 0; j < 4; j++ {
-				src, dst := r.Intn(n), r.Intn(n)
-				path, mid := tp.RandomRoute(src, dst, r)
-				cols := fmt.Sprint(columnsAlong(tp, path, src))
-				trace.AddRow(fmt.Sprintf("p%d", j), src, mid, dst, cols)
-			}
-			return trace
-		}
-		// Aggregate: a full two-pass permutation workload's C and D.
-		set := message.NewSet(tp.G)
-		l := topology.Log2(n)
-		for src, dst := range r.Perm(n) {
-			p, _ := tp.RandomRoute(src, dst, r)
-			set.Add(tp.Input(src), tp.Output(dst), l, p)
-		}
-		agg := stats.NewTable(
-			"F2 — two-pass workload parameters",
-			"n", "messages", "C", "D", "edge-simple", "dependency acyclic")
-		agg.AddRow(n, set.Len(), analysis.Congestion(set), analysis.Dilation(set),
-			set.EdgeSimple(), analysis.ChannelDependencyAcyclic(set))
-		return agg
-	})
-	return tables
+	r := srcs[0]
+	trace := stats.NewTable(
+		"F2 — Figure 2: a message's two passes (column at each level)",
+		"message", "src", "mid", "dst", "column trace (level 0..2log n)")
+	for j := 0; j < 4; j++ {
+		src, dst := r.Intn(n), r.Intn(n)
+		path, mid := tp.RandomRoute(src, dst, r)
+		cols := fmt.Sprint(columnsAlong(tp, path, src))
+		trace.AddRow(fmt.Sprintf("p%d", j), src, mid, dst, cols)
+	}
+
+	// Aggregate: a full two-pass permutation workload's C and D.
+	r = srcs[1]
+	set := message.NewSet(tp.G)
+	l := topology.Log2(n)
+	for src, dst := range r.Perm(n) {
+		p, _ := tp.RandomRoute(src, dst, r)
+		set.Add(tp.Input(src), tp.Output(dst), l, p)
+	}
+	agg := stats.NewTable(
+		"F2 — two-pass workload parameters",
+		"n", "messages", "C", "D", "edge-simple", "dependency acyclic")
+	agg.AddRow(n, set.Len(), analysis.Congestion(set), analysis.Dilation(set),
+		set.EdgeSimple(), analysis.ChannelDependencyAcyclic(set))
+	return []*stats.Table{trace, agg}
 }
 
 // columnsAlong lists the column of each node visited by a two-pass path.
@@ -60,12 +55,8 @@ func columnsAlong(tp *topology.TwoPassButterfly, p graph.Path, srcCol int) []int
 	return cols
 }
 
-// F2 is not a batch declaration (batch.go): its jobs return whole
-// tables of strings — a column trace and an aggregate — not named numbers.
+// F2 is not a batch declaration (batch.go): it is two tables of an
+// 8-input network, a column trace and an aggregate, which run no jobs.
 func init() {
-	register(Experiment{
-		ID:    "F2",
-		Title: "Figure 2 — two-pass routing",
-		Run:   F2TwoPass,
-	})
+	register(Experiment{ID: "F2", Title: "Figure 2 — two-pass routing", Run: f2})
 }

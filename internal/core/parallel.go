@@ -124,18 +124,6 @@ func mapJobs[T any](cfg Config, n int, job func(i int) T) []T {
 	return out
 }
 
-// flatJobs runs n independent jobs that each produce a row slice and
-// concatenates the slices in index order — the shape used by experiments
-// whose sweep points emit a variable number of table rows.
-func flatJobs[T any](cfg Config, n int, job func(i int) []T) []T {
-	parts := mapJobs(cfg, n, job)
-	var out []T
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // jobSources derives n independent child sources from seed by repeated
 // Split. The derivation happens up front, in index order, so the source
 // a job receives depends only on (seed, index) — never on which worker

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,30 +88,6 @@ func TestMapJobsOrdersResultsByIndex(t *testing.T) {
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("slot %d = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestFlatJobsConcatenatesInOrder(t *testing.T) {
-	out := flatJobs(Config{Workers: 8}, 10, func(i int) []string {
-		var part []string
-		for j := 0; j <= i%3; j++ {
-			part = append(part, fmt.Sprintf("%d/%d", i, j))
-		}
-		return part
-	})
-	want := []string{}
-	for i := 0; i < 10; i++ {
-		for j := 0; j <= i%3; j++ {
-			want = append(want, fmt.Sprintf("%d/%d", i, j))
-		}
-	}
-	if len(out) != len(want) {
-		t.Fatalf("len = %d, want %d", len(out), len(want))
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("slot %d = %q, want %q", i, out[i], want[i])
 		}
 	}
 }

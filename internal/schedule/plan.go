@@ -182,10 +182,3 @@ func StoreAndForwardBound(l, c, d int) float64 {
 func PredictedSpeedup(d, b int) float64 {
 	return float64(b) * math.Pow(float64(d), 1-1/float64(b))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
