@@ -35,6 +35,8 @@ func New(seed uint64) *Source {
 // on a fresh Source reproduces the remaining stream exactly; together
 // they let checkpoint codecs persist a mid-run source across process
 // restarts.
+//
+//wormvet:nonalloc
 func (s *Source) State() uint64 { return s.state }
 
 // Reseed resets the source to the stream New(seed) would produce,
@@ -59,6 +61,14 @@ func (s *Source) Split() *Source {
 func (s *Source) SplitInto(child *Source) {
 	child.state = s.Uint64() ^ 0xA5A5A5A5A5A5A5A5
 }
+
+// Advance moves the stream past its next n outputs in O(1): the source
+// ends where n calls to Uint64 would have left it. Every method here
+// draws whole Uint64 outputs, so a caller that knows how many a stretch
+// of its stream consumed can skip it without drawing.
+//
+//wormvet:nonalloc
+func (s *Source) Advance(n uint64) { s.state += n * golden }
 
 // Uint64 returns the next 64 bits of the stream.
 //

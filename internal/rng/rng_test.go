@@ -15,6 +15,23 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestAdvanceSkipsOutputs: Advance(n) leaves a source where n draws
+// would, including across the wrap of the 64-bit state.
+func TestAdvanceSkipsOutputs(t *testing.T) {
+	for _, seed := range []uint64{0, 12345, math.MaxUint64 - 3} {
+		for _, n := range []uint64{0, 1, 2, 7, 1000} {
+			drawn, skipped := New(seed), New(seed)
+			for i := uint64(0); i < n; i++ {
+				drawn.Uint64()
+			}
+			skipped.Advance(n)
+			if drawn.State() != skipped.State() || drawn.Uint64() != skipped.Uint64() {
+				t.Fatalf("seed %d: Advance(%d) differs from %d draws", seed, n, n)
+			}
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

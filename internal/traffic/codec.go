@@ -174,8 +174,8 @@ func (r *Runner) Snapshot(w io.Writer) error {
 	for i := range r.sources {
 		sw.U64(r.sources[i].State())
 	}
-	// Injection-process state. The derived per-step probabilities are
-	// recomputed from cfg on restore; only the evolving state crosses.
+	// Injection-process state: only the evolving state crosses; the OnOff
+	// probabilities are derived from cfg.
 	for i := range r.inject {
 		sw.F64(r.inject[i].next)
 		sw.Bool(r.inject[i].on)
@@ -253,18 +253,12 @@ func RestoreRunner(cfg Config, rd io.Reader) (*Runner, error) {
 	for i := range r.sources {
 		r.sources[i].Reseed(sr.U64())
 	}
-	on, off := cfg.onOffMeans()
 	for i := range r.inject {
-		in := injector{r: &r.sources[i], next: sr.F64()}
-		osn := sr.Bool()
-		if cfg.Process == OnOff {
-			in.on = osn
-			in.pInject = cfg.Rate * (on + off) / on
-			in.pExitOn = 1 / on
-			in.pExitOff = 1 / off
+		in := injector{next: sr.F64()}
+		if on := sr.Bool(); cfg.Process == OnOff {
+			in.on = on
 		}
 		r.inject[i] = in
-		r.due[i] = in.next
 	}
 	if sr.Err() != nil {
 		return nil, sr.Err()

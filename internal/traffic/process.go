@@ -46,22 +46,65 @@ func (p *Process) UnmarshalText(text []byte) (err error) {
 	return err
 }
 
-// injector is one endpoint's injection-process state. Each endpoint owns
-// an independent pre-split rng child, so the arrival stream at endpoint i
-// depends only on (seed, i) — never on other endpoints or on execution
-// order — which is what keeps whole-table results byte-identical across
-// worker counts.
+// injector is one endpoint's evolving injection-process state. The
+// endpoint's rng source lives beside it at the same index
+// (Runner.sources); each endpoint owns an independent pre-split rng
+// child, so the arrival stream at endpoint i depends only on (seed, i) —
+// never on other endpoints or on execution order — which is what keeps
+// whole-table results byte-identical across worker counts.
 type injector struct {
-	r *rng.Source
-
-	// Poisson: absolute time of the next arrival.
+	// Poisson: absolute time of the next arrival, which is also the
+	// earliest step the endpoint can fire. The per-step processes keep 0
+	// here, so they are due on every step.
 	next float64
+	// OnOff: whether the endpoint is in an ON burst.
+	on bool
+}
 
-	// OnOff: current state and the per-step probabilities.
-	on       bool
-	pInject  float64 // injection probability while ON
-	pExitOn  float64 // ON → OFF transition probability
-	pExitOff float64 // OFF → ON transition probability
+// processParams are what every endpoint's injection process shares,
+// derived from Config.
+type processParams struct {
+	// OnOff: the injection probability while ON, and the ON → OFF and
+	// OFF → ON transition probabilities.
+	pInject, pExitOn, pExitOff float64
+	// quiet[1] and quiet[0] are how many rng outputs a due endpoint draws
+	// in a quiet step — no arrival, and no change to its process state —
+	// while ON and otherwise: once for Bernoulli, once more while ON for
+	// OnOff. A due Poisson endpoint always has an arrival, so its steps
+	// are never quiet.
+	quiet [2]uint64
+}
+
+func (c *Config) processParams() processParams {
+	var pp processParams
+	switch c.Process {
+	case Bernoulli:
+		pp.quiet = [2]uint64{1, 1}
+	case OnOff:
+		on, off := c.onOffMeans()
+		pp.pInject, pp.pExitOn, pp.pExitOff = c.Rate*(on+off)/on, 1/on, 1/off
+		pp.quiet = [2]uint64{1, 2}
+	}
+	return pp
+}
+
+// quietDraws is how many rng outputs the endpoint whose state is in
+// consumes in a quiet step that ends at end; an endpoint that is not due
+// draws nothing. The arrival producer records only the endpoints whose
+// step was not quiet, and the stepper advances every other source by this
+// count itself, so the two must agree on it. A count that missed would
+// cost records, not correctness: the producer records any endpoint whose
+// state differs from the quiet prediction.
+//
+//wormvet:nonalloc
+func (pp *processParams) quietDraws(in *injector, end float64) uint64 {
+	if in.next >= end {
+		return 0
+	}
+	if in.on {
+		return pp.quiet[1]
+	}
+	return pp.quiet[0]
 }
 
 // expDraw returns an exponential variate with mean 1/rate.
@@ -72,15 +115,12 @@ func expDraw(r *rng.Source, rate float64) float64 {
 }
 
 func newInjector(cfg *Config, r *rng.Source) injector {
-	in := injector{r: r}
+	var in injector
 	switch cfg.Process {
 	case Poisson:
 		in.next = expDraw(r, cfg.Rate)
 	case OnOff:
 		on, off := cfg.onOffMeans()
-		in.pInject = cfg.Rate * (on + off) / on
-		in.pExitOn = 1 / on
-		in.pExitOff = 1 / off
 		// Start in the stationary distribution so the warmup window does
 		// not have to absorb a cold-start bias on top of filling the
 		// network.
@@ -89,14 +129,15 @@ func newInjector(cfg *Config, r *rng.Source) injector {
 	return in
 }
 
-// arrivals returns how many messages this endpoint injects at step t.
-// Calls must be made once per step in increasing t order.
+// arrivals returns how many messages the endpoint whose state is in and
+// whose source is r injects at step t. Calls must be made once per step
+// in increasing t order.
 //
 //wormvet:hotpath
-func (in *injector) arrivals(cfg *Config, t int) int {
+func (in *injector) arrivals(cfg *Config, p *processParams, r *rng.Source, t int) int {
 	switch cfg.Process {
 	case Bernoulli:
-		if in.r.Float64() < cfg.Rate {
+		if r.Float64() < cfg.Rate {
 			return 1
 		}
 		return 0
@@ -104,20 +145,20 @@ func (in *injector) arrivals(cfg *Config, t int) int {
 		k := 0
 		for in.next < float64(t+1) {
 			k++
-			in.next += expDraw(in.r, cfg.Rate)
+			in.next += expDraw(r, cfg.Rate)
 		}
 		return k
 	case OnOff:
 		k := 0
-		if in.on && in.r.Float64() < in.pInject {
+		if in.on && r.Float64() < p.pInject {
 			k = 1
 		}
 		// State transition applies after this step's arrival draw.
 		if in.on {
-			if in.r.Float64() < in.pExitOn {
+			if r.Float64() < p.pExitOn {
 				in.on = false
 			}
-		} else if in.r.Float64() < in.pExitOff {
+		} else if r.Float64() < p.pExitOff {
 			in.on = true
 		}
 		return k

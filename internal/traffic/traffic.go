@@ -304,29 +304,35 @@ type Result struct {
 // Runner executes open-loop runs of one fixed Config, reusing every
 // engine allocation between runs: the vcsim.Sim (worm arena, wait
 // queues, per-step scratch — see vcsim.Sim.Reset), the per-endpoint
-// injectors and their rng sources, and the latency sketch. After the
-// first Run has sized the storage, subsequent Runs perform no heap
-// allocation at all, which is what the benchmark suite's 0 allocs/step
-// gate measures. Results are byte-identical to the one-shot Run — the
-// differential tests pin that — and a Runner, like the Sim inside it,
-// must not be shared across goroutines.
+// injectors and their rng sources, the arrival producer's chunks, and
+// the latency sketch. After the first Run has sized the storage,
+// subsequent Runs perform no heap allocation at all, which is what the
+// benchmark suite's 0 allocs/step gate measures.
+//
+// The simulator steps on the goroutine that calls Run or Resume. During
+// the injection window the arrival stream runs ahead of it on a second
+// goroutine (producer.go), which exits before Run or Resume returns.
+// Results cannot depend on that: the stepper commits each step's
+// arrival state in step order, and Results are byte-identical to the
+// one-shot Run whatever the producer's lead — the differential tests pin
+// both. A Runner, like the Sim inside it, must not be shared across
+// goroutines.
 type Runner struct {
 	cfg     Config
 	horizon int
 	sim     *vcsim.Sim
 	parent  rng.Source
+	// sources[e] and inject[e] are endpoint e's rng source and process
+	// state as of step t: what the stepper has committed, and what
+	// snapshots carry.
 	sources []rng.Source
 	inject  []injector
-	// due[e] mirrors inject[e].next — the earliest time endpoint e can
-	// fire: a Poisson endpoint's next arrival, 0 (always due) for the
-	// per-step processes. The injection scan reads this dense array and
-	// touches an injector only when it is due. Derived state: begin and
-	// RestoreRunner rebuild it, snapshots do not carry it.
-	due []float64
-	// route appends one message's path to a buffer; path is the scratch
-	// buffer it is re-sliced into, which Sim.Inject copies from.
+	// params are what every endpoint's process shares, derived from cfg
+	// when Resume starts the producer.
+	params processParams
+	// route appends one message's path to a buffer.
 	route func(buf graph.Path, src, dst int) graph.Path
-	path  graph.Path
+	prod  producer
 
 	// Per-run measurement state, reset at the top of Run; the Sim's
 	// OnComplete closure (built once) streams into these.
@@ -383,9 +389,10 @@ func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
 		horizon: cfg.Warmup + cfg.Measure,
 		sources: make([]rng.Source, cfg.Net.Endpoints),
 		inject:  make([]injector, cfg.Net.Endpoints),
-		due:     make([]float64, cfg.Net.Endpoints),
 		route:   cfg.Net.AppendRoute,
+		prod:    newProducer(cfg.Net.Endpoints),
 	}
+	r.prod.body = r.produce
 	if r.route == nil {
 		route := cfg.Net.Route
 		r.route = func(buf graph.Path, src, dst int) graph.Path {
@@ -471,7 +478,6 @@ func (r *Runner) begin() {
 	for i := range r.sources {
 		r.parent.SplitInto(&r.sources[i])
 		r.inject[i] = newInjector(cfg, &r.sources[i])
-		r.due[i] = r.inject[i].next
 	}
 	r.res = Result{Offered: cfg.Rate, LastRelease: -1}
 	r.t = 0
@@ -483,35 +489,46 @@ func (r *Runner) begin() {
 // RestoreRunner) until it completes or pauses again. Calling Resume
 // with no run in progress is an error.
 func (r *Runner) Resume() (Result, error) {
-	cfg := &r.cfg
-	sim := r.sim
 	if r.phase == phaseIdle {
 		return Result{}, errors.New("traffic: Resume with no run in progress")
 	}
-	injectors := r.inject
-	due := r.due[:len(injectors)]
+	if r.phase == phaseInject {
+		if res, done, err := r.injectWindow(); done {
+			return res, err
+		}
+	}
+	sim := r.sim
+	for sim.Active() > 0 {
+		if err := sim.Step(); err != nil {
+			r.res.Deadlocked = errors.Is(err, vcsim.ErrDeadlocked)
+			break
+		}
+		if cb := r.cfg.OnStep; cb != nil {
+			if err := cb(sim.Now()); err != nil {
+				return Result{}, err
+			}
+		}
+	}
+	return r.finish(), nil
+}
+
+// injectWindow runs the injection phase from step r.t, with the arrival
+// producer running ahead, until the window closes (done false: the drain
+// follows) or the run ends or pauses inside it (done true).
+func (r *Runner) injectWindow() (res Result, done bool, err error) {
+	r.startArrivals()
+	defer r.stopArrivals()
+	cfg := &r.cfg
+	sim := r.sim
 	msg := message.Message{Length: cfg.MessageLength}
 	for r.phase == phaseInject {
 		t := r.t
 		before := sim.Injected()
-		// Endpoints are visited in index order (message IDs depend on it),
-		// but only a due one costs more than a compare: at light load most
-		// Poisson endpoints are between arrivals on most steps.
-		end := float64(t + 1)
-		for e := range injectors {
-			if due[e] >= end {
-				continue
+		for last := false; !last; {
+			if last, err = r.injectSegment(&msg, t); err != nil {
+				r.phase = phaseIdle
+				return Result{}, true, fmt.Errorf("traffic: inject at step %d: %w", t, err)
 			}
-			in := &injectors[e]
-			for k := in.arrivals(cfg, t); k > 0; k-- {
-				r.path = r.route(r.path[:0], e, cfg.dest(e, in.r))
-				msg.Path = r.path
-				if _, err := sim.Inject(msg, t); err != nil {
-					r.phase = phaseIdle
-					return Result{}, fmt.Errorf("traffic: inject at step %d: %w", t, err)
-				}
-			}
-			due[e] = in.next
 		}
 		if n := sim.Injected() - before; n > 0 {
 			r.res.LastRelease = t
@@ -528,7 +545,7 @@ func (r *Runner) Resume() (Result, error) {
 			// A failed run skips the drain: the verdict is in, and a
 			// deadlocked network will not drain anyway.
 			r.res.Deadlocked = errors.Is(err, vcsim.ErrDeadlocked)
-			return r.finish(), nil
+			return r.finish(), true, nil
 		}
 		r.t++
 		r.injectSteps++
@@ -537,7 +554,7 @@ func (r *Runner) Resume() (Result, error) {
 		}
 		if cfg.MaxBacklog > 0 && sim.Active() > cfg.MaxBacklog {
 			r.res.EarlyStop = true
-			return r.finish(), nil
+			return r.finish(), true, nil
 		}
 		if r.t >= r.horizon {
 			// Injection off; in-flight messages finish inside the
@@ -546,22 +563,11 @@ func (r *Runner) Resume() (Result, error) {
 		}
 		if cb := cfg.OnStep; cb != nil {
 			if err := cb(r.t); err != nil {
-				return Result{}, err
+				return Result{}, true, err
 			}
 		}
 	}
-	for sim.Active() > 0 {
-		if err := sim.Step(); err != nil {
-			r.res.Deadlocked = errors.Is(err, vcsim.ErrDeadlocked)
-			break
-		}
-		if cb := cfg.OnStep; cb != nil {
-			if err := cb(sim.Now()); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	return r.finish(), nil
+	return Result{}, false, nil
 }
 
 // finish flushes the final partial window, derives the run's statistics
@@ -666,7 +672,7 @@ func (r *Runner) flushWindow(start, end int) {
 func (r *Runner) Windows() []telemetry.WindowStats { return r.windows }
 
 // Close is a no-op: a Runner holds no goroutines or other resources to
-// release. It survives only because benchmark/{bisect,ckpt,sim}.go call
+// release (its arrival producer lives only inside Resume). It survives only because benchmark/{bisect,ckpt,sim}.go call
 // it and benchmark/ is frozen outside benchmark PRs — delete it with
 // those calls at the next one (ROADMAP, frozen-surface shims).
 func (r *Runner) Close() {}
