@@ -172,7 +172,8 @@ func (r *Runner) Snapshot(w io.Writer) error {
 	}
 	sw.U64(r.parent.State())
 	for i := range r.sources {
-		sw.U64(r.sources[i].State())
+		src := r.source(i)
+		sw.U64(src.State())
 	}
 	// Injection-process state: only the evolving state crosses; the OnOff
 	// probabilities are derived from cfg.
@@ -259,6 +260,7 @@ func RestoreRunner(cfg Config, rd io.Reader) (*Runner, error) {
 			in.on = on
 		}
 		r.inject[i] = in
+		r.setSource(i, r.t, r.sources[i].State())
 	}
 	if sr.Err() != nil {
 		return nil, sr.Err()

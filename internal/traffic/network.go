@@ -21,7 +21,11 @@ import (
 // compute every route arithmetically and keep no cache — so one Network
 // is safe for concurrent use by multiple Runners. A caller-built Network
 // keeps that guarantee as long as its function fields are themselves safe
-// to call concurrently.
+// to call concurrently. Even a Network used by one Runner is called from
+// two goroutines: Route and AppendRoute run on the Runner's arrival
+// producer during the injection window, not on the goroutine that calls
+// Run or Resume, so a router must not write state that the caller's own
+// code (an OnStep hook, say) reads.
 type Network struct {
 	// G is the physical network.
 	G *graph.Graph

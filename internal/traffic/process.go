@@ -67,11 +67,11 @@ type processParams struct {
 	// OnOff: the injection probability while ON, and the ON → OFF and
 	// OFF → ON transition probabilities.
 	pInject, pExitOn, pExitOff float64
-	// quiet[1] and quiet[0] are how many rng outputs a due endpoint draws
+	// quiet[1] and quiet[0] are how many rng outputs an endpoint draws
 	// in a quiet step — no arrival, and no change to its process state —
 	// while ON and otherwise: once for Bernoulli, once more while ON for
-	// OnOff. A due Poisson endpoint always has an arrival, so its steps
-	// are never quiet.
+	// OnOff. A Poisson endpoint draws nothing while it is not due and
+	// always has an arrival when it is, so its quiet count is 0.
 	quiet [2]uint64
 }
 
@@ -89,18 +89,15 @@ func (c *Config) processParams() processParams {
 }
 
 // quietDraws is how many rng outputs the endpoint whose state is in
-// consumes in a quiet step that ends at end; an endpoint that is not due
-// draws nothing. The arrival producer records only the endpoints whose
-// step was not quiet, and the stepper advances every other source by this
-// count itself, so the two must agree on it. A count that missed would
-// cost records, not correctness: the producer records any endpoint whose
-// state differs from the quiet prediction.
+// consumes in a quiet step: one in which arrivals returns 0 and leaves
+// in.on as it was (next then cannot have moved either: only a Poisson
+// arrival moves it). The arrival producer records only the endpoints
+// whose step was not quiet, and the stepper keeps every source rewound by
+// this count a step (Runner.sources), so the count must be exact;
+// TestQuietDraws holds arrivals to it.
 //
 //wormvet:nonalloc
-func (pp *processParams) quietDraws(in *injector, end float64) uint64 {
-	if in.next >= end {
-		return 0
-	}
+func (pp *processParams) quietDraws(in *injector) uint64 {
 	if in.on {
 		return pp.quiet[1]
 	}

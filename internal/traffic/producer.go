@@ -7,23 +7,23 @@ package traffic
 // ahead of the stepper. The producer fills a small ring of reused chunks
 // from its own copy of the injection state. The stepper consumes them in
 // step order: it injects each step's messages in endpoint order, then
-// commits every endpoint's post-step state to the canonical
-// Runner.sources and Runner.inject. So at step r.t the stepper holds
-// exactly the state an inline arrival loop would have left there, and
-// snapshots, pauses, early stops and results cannot depend on how far
-// ahead the producer is. The simulator itself still steps on one
-// goroutine.
+// commits the endpoints' post-step state to the canonical Runner.sources
+// and Runner.inject. So at step r.t the stepper holds exactly the state
+// an inline arrival loop would have left there, and snapshots, pauses,
+// early stops and results cannot depend on how far ahead the producer
+// is. The simulator itself still steps on one goroutine.
 //
 // A chunk records the state of an endpoint only when its step was not
-// quiet (processParams.quietDraws); the stepper advances the source of
-// every other due endpoint by the quiet count itself. So a per-step
-// process costs the ring its arrivals and state changes, not a record
-// per endpoint per step.
+// quiet (processParams.quietDraws). The stepper keeps each canonical
+// source rewound by its quiet draws a step (Runner.source), so a quiet
+// step needs no commit at all: a per-step process costs the ring and the
+// stepper its arrivals and state changes, not work per endpoint per step.
 //
 // The producer lives only inside Resume's injection window: every way out
 // of it stops the producer and waits for its last word.
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"wormhole/internal/graph"
@@ -113,12 +113,11 @@ func newProducer(endpoints int) producer {
 // step r.t and starts it.
 func (r *Runner) startArrivals() {
 	p := &r.prod
-	copy(p.src, r.sources)
 	copy(p.inj, r.inject)
 	for e := range p.inj {
+		p.src[e] = r.source(e)
 		p.due[e] = p.inj[e].next
 	}
-	r.params = r.cfg.processParams()
 	p.t, p.e = r.t, 0
 	p.stop.Store(false)
 	p.panicked = nil
@@ -194,17 +193,11 @@ func (r *Runner) injectSegment(msg *message.Message, t int) (last bool, err erro
 			return false, err
 		}
 	}
-	// Quiet endpoints first, from their state before the step; then the
-	// recorded ones overwrite theirs. No Poisson step is quiet.
-	if r.cfg.Process != Poisson {
-		end := float64(t + 1)
-		for e := s.from; e < s.to; e++ {
-			r.sources[e].Advance(r.params.quietDraws(&r.inject[e], end))
-		}
-	}
+	// Only the recorded endpoints: a quiet one's rewound source already
+	// stands for its state after the step.
 	for _, vis := range c.visits[v:s.visits] {
-		r.sources[vis.e].Reseed(vis.rng)
 		r.inject[vis.e] = injector{next: vis.next, on: vis.on}
+		r.setSource(int(vis.e), t+1, vis.rng)
 	}
 	if p.seg == len(segs) {
 		p.free <- c
@@ -224,9 +217,24 @@ func (r *Runner) produce() {
 		p.full <- nil
 	}()
 	for {
-		c := <-p.free
+		var c *chunk
+		woke := false
+		select {
+		case c = <-p.free:
+		default:
+			c, woke = <-p.free, true
+		}
 		if p.stop.Load() {
 			return
+		}
+		if woke && r.cfg.OnStep != nil {
+			// The hand-back that woke the producer readied it on the
+			// stepper's P, and an OnStep hook may yield that P
+			// (wormholed's and core's jobs do, every 8 steps) before
+			// another P takes the producer. Filling there would make the
+			// stepper wait for the chunk, so the producer yields first:
+			// the stepper is ahead of it in the global run queue.
+			runtime.Gosched()
 		}
 		r.fill(c)
 		p.full <- c
@@ -239,9 +247,9 @@ func (r *Runner) produce() {
 // fill writes arrivals into c from step p.t, endpoint p.e on, and moves
 // p.t and p.e past them: always past at least one endpoint, and no
 // further than the end of the injection window or the chunk's budget.
-// Endpoints are visited in index order (message IDs depend on it), but
-// only a due one costs more than a compare: at light load most Poisson
-// endpoints are between arrivals on most steps.
+// Endpoints are visited in index order (message IDs depend on it);
+// skipQuiet runs the ones whose step is quiet, and fill routes and
+// records the rest.
 //
 //wormvet:hotpath
 func (r *Runner) fill(c *chunk) {
@@ -252,34 +260,30 @@ func (r *Runner) fill(c *chunk) {
 	// so an append that wrote them would bounce those lines between the
 	// two cores on every record.
 	segs, ends, paths, visits := c.segs[:0], c.ends[:0], c.paths[:0], c.visits[:0]
-	srcs, inj, due := p.src, p.inj, p.due[:len(p.inj)]
+	n := len(p.inj)
 	t, e := p.t, p.e
-steps:
 	for {
-		end := float64(t + 1)
 		first := e
-		for ; e < len(due); e++ {
-			if due[e] >= end {
-				continue
+		for {
+			var k int
+			if e, k = p.skipQuiet(cfg, &r.params, e, t); e == n {
+				break
 			}
-			if len(ends)+len(visits) >= chunkSlots {
-				// Full mid-step: the rest of step t goes in the next chunk.
-				segs = append(segs, segment{msgs: uint32(len(ends)), visits: uint32(len(visits)), from: uint32(first), to: uint32(e)})
-				break steps
-			}
-			src, in := &srcs[e], &inj[e]
-			quiet, was := *src, *in
-			quiet.Advance(r.params.quietDraws(in, end))
-			for k := in.arrivals(cfg, &r.params, src, t); k > 0; k-- {
+			src, in := &p.src[e], &p.inj[e]
+			for ; k > 0; k-- {
 				paths = r.route(paths, e, cfg.dest(e, src)) //wormvet:allow hotalloc -- the Network's router appends into the chunk's reused buffer
 				ends = append(ends, uint32(len(paths)))
 			}
-			if *src != quiet || *in != was {
-				visits = append(visits, visit{rng: src.State(), next: in.next, e: uint32(e), on: in.on})
+			visits = append(visits, visit{rng: src.State(), next: in.next, e: uint32(e), on: in.on})
+			p.due[e] = in.next
+			if e++; len(ends)+len(visits) >= chunkSlots {
+				break
 			}
-			due[e] = in.next
 		}
 		segs = append(segs, segment{msgs: uint32(len(ends)), visits: uint32(len(visits)), from: uint32(first), to: uint32(e)})
+		if e < n {
+			break // full mid-step: the rest of step t goes in the next chunk
+		}
 		t, e = t+1, 0
 		if t >= r.horizon || len(segs) == chunkSteps || len(ends)+len(visits) >= chunkSlots {
 			break
@@ -287,4 +291,30 @@ steps:
 	}
 	p.t, p.e = t, e
 	c.segs, c.ends, c.paths, c.visits = segs, ends, paths, visits
+}
+
+// skipQuiet runs the step-t process of endpoints e, e+1, … and returns
+// the first whose step was not quiet, with its arrival count, or the
+// endpoint count if the rest of the step is quiet (processParams.
+// quietDraws). Only a due endpoint costs more than a compare: at light
+// load most Poisson endpoints are between arrivals on most steps. It is
+// the loop a quiet endpoint costs, so it keeps few values live across
+// the arrivals call, which spills every register that holds one.
+//
+//wormvet:hotpath
+func (p *producer) skipQuiet(cfg *Config, pp *processParams, e, t int) (int, int) {
+	inj := p.inj
+	srcs, due := p.src[:len(inj)], p.due[:len(inj)]
+	end := float64(t + 1)
+	for ; e < len(due); e++ {
+		if due[e] >= end {
+			continue
+		}
+		in := &inj[e]
+		on := in.on
+		if k := in.arrivals(cfg, pp, &srcs[e], t); k != 0 || in.on != on {
+			return e, k
+		}
+	}
+	return len(due), 0
 }

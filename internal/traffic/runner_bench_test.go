@@ -11,6 +11,8 @@ package traffic
 //	go test -run '^$' -bench RunnerProcess ./internal/traffic
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"wormhole/internal/vcsim"
@@ -53,6 +55,47 @@ func BenchmarkRunnerProcess(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Steps), "ns/step")
+		})
+	}
+}
+
+// BenchmarkRunnerYield: wormholed's sweep shape — a 64-input butterfly,
+// Poisson at 0.1, 0.2 and 0.3, windows 512/2048/8192 — with the OnStep
+// hook wormholed and core give a cancellable job, a yield every 8 steps.
+// "one" runs one job, the warm-up case with a core to spare; "two" runs
+// two at once, so no core is idle. Small steps and frequent yields are
+// where the arrival producer's hand-offs cost the most.
+//
+//	go test -run '^$' -bench RunnerYield -cpu 2 ./internal/traffic
+func BenchmarkRunnerYield(b *testing.B) {
+	net := NewButterflyNet(64)
+	yield := func(step int) error {
+		if step%8 == 0 {
+			runtime.Gosched()
+		}
+		return nil
+	}
+	for _, jobs := range []int{1, 2} {
+		b.Run(map[int]string{1: "one", 2: "two"}[jobs], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for j := 0; j < jobs; j++ {
+					wg.Add(1)
+					go func(seed uint64) {
+						defer wg.Done()
+						for _, rate := range []float64{0.1, 0.2, 0.3} {
+							if _, err := Run(Config{
+								Net: net, VirtualChannels: 2, MessageLength: 6, Arbitration: vcsim.ArbAge,
+								Process: Poisson, Rate: rate, Warmup: 512, Measure: 2048, Drain: 8192,
+								Window: 512, Seed: seed, OnStep: yield,
+							}); err != nil {
+								b.Error(err)
+							}
+						}
+					}(uint64(17000 + j))
+				}
+				wg.Wait()
+			}
 		})
 	}
 }

@@ -305,9 +305,14 @@ type Result struct {
 // engine allocation between runs: the vcsim.Sim (worm arena, wait
 // queues, per-step scratch — see vcsim.Sim.Reset), the per-endpoint
 // injectors and their rng sources, the arrival producer's chunks, and
-// the latency sketch. After the first Run has sized the storage,
-// subsequent Runs perform no heap allocation at all, which is what the
-// benchmark suite's 0 allocs/step gate measures.
+// the latency sketch. After the first Run has sized the storage, the
+// Runner itself allocates nothing per Run: at one P (GOMAXPROCS 1)
+// subsequent Runs perform no heap allocation at all, which is what
+// TestRunnerSteadyStateZeroAlloc pins. At more than one P, starting the
+// arrival producer's goroutine can allocate a goroutine descriptor when
+// the runtime has no free one on the starting P (the last producer may
+// have exited on another); that count levels off as the runtime's free
+// lists fill, but a single Run's count is not always 0.
 //
 // The simulator steps on the goroutine that calls Run or Resume. During
 // the injection window the arrival stream runs ahead of it on a second
@@ -322,13 +327,15 @@ type Runner struct {
 	horizon int
 	sim     *vcsim.Sim
 	parent  rng.Source
-	// sources[e] and inject[e] are endpoint e's rng source and process
-	// state as of step t: what the stepper has committed, and what
-	// snapshots carry.
+	// inject[e] is endpoint e's process state as of step t, and its rng
+	// source as of step t is sources[e] advanced past t quiet steps
+	// (source): each source is kept rewound by its quiet draws. A step
+	// in which an endpoint only draws its quiet count then changes
+	// nothing here, so the stepper commits a step in time proportional
+	// to the endpoints whose step was not quiet, not to all of them.
 	sources []rng.Source
 	inject  []injector
-	// params are what every endpoint's process shares, derived from cfg
-	// when Resume starts the producer.
+	// params are what every endpoint's process shares, derived from cfg.
 	params processParams
 	// route appends one message's path to a buffer.
 	route func(buf graph.Path, src, dst int) graph.Path
@@ -389,6 +396,7 @@ func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
 		horizon: cfg.Warmup + cfg.Measure,
 		sources: make([]rng.Source, cfg.Net.Endpoints),
 		inject:  make([]injector, cfg.Net.Endpoints),
+		params:  cfg.processParams(),
 		route:   cfg.Net.AppendRoute,
 		prod:    newProducer(cfg.Net.Endpoints),
 	}
@@ -447,8 +455,50 @@ func (r *Runner) retarget(rate float64, seed uint64) error {
 		return err
 	}
 	r.cfg = cfg
+	r.params = cfg.processParams()
 	r.sim.SetSeed(seed)
 	return nil
+}
+
+// source returns endpoint e's rng source as of step r.t.
+//
+//wormvet:nonalloc
+func (r *Runner) source(e int) rng.Source {
+	src := r.sources[e]
+	src.Advance(r.quietShift(e, r.t))
+	return src
+}
+
+// setSource stores state as endpoint e's rng source as of step t, after
+// inject[e] has been set to its process state then.
+//
+//wormvet:nonalloc
+func (r *Runner) setSource(e, t int, state uint64) {
+	r.sources[e].Reseed(state)
+	r.sources[e].Advance(-r.quietShift(e, t))
+}
+
+// quietShift is how many rng outputs endpoint e would draw over steps
+// [0, t) if each step it is due on were quiet: what its stored source is
+// rewound by. It is due where the arrival producer's scan finds
+// next < step+1 — on every step for a per-step process, whose next is 0
+// in any run, though a restored snapshot may say otherwise.
+//
+//wormvet:nonalloc
+func (r *Runner) quietShift(e, t int) uint64 {
+	in := &r.inject[e]
+	q := r.params.quietDraws(in)
+	if q == 0 {
+		return 0
+	}
+	steps := uint64(t)
+	if in.next >= 1 { // false for NaN, which is due on every step
+		steps = 0
+		if d := float64(t) - math.Floor(in.next); d > 0 {
+			steps = uint64(d)
+		}
+	}
+	return steps * q
 }
 
 // Run executes one open-loop simulation and returns its measurements.
@@ -473,7 +523,8 @@ func (r *Runner) begin() {
 	r.winIndex = 0
 	r.windows = r.windows[:0]
 	// Per-endpoint sources are pre-split in index order, so endpoint i's
-	// arrival and destination stream depends only on (Seed, i).
+	// arrival and destination stream depends only on (Seed, i). At step 0
+	// there is nothing to rewind.
 	r.parent.Reseed(cfg.Seed)
 	for i := range r.sources {
 		r.parent.SplitInto(&r.sources[i])
@@ -670,6 +721,12 @@ func (r *Runner) flushWindow(start, end int) {
 // Windows returns the last Run's per-window time series (nil unless
 // Config.Window > 0). The slice is reused by the next Run.
 func (r *Runner) Windows() []telemetry.WindowStats { return r.windows }
+
+// Injected returns how many messages the run in progress (or the last
+// one) has injected so far. It reads the simulator, so inside OnStep it
+// counts exactly the messages of the steps completed, however far ahead
+// the arrival producer has routed.
+func (r *Runner) Injected() int { return r.sim.Injected() }
 
 // Close is a no-op: a Runner holds no goroutines or other resources to
 // release (its arrival producer lives only inside Resume). It survives only because benchmark/{bisect,ckpt,sim}.go call

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"wormhole/internal/graph"
 	"wormhole/internal/traffic"
 	"wormhole/internal/vcsim"
 )
@@ -31,20 +30,16 @@ func TestRetainedBytesPerMessage(t *testing.T) {
 		shared bool
 	}{{"rigid", 1, false}, {"deep shared pool", 4, true}} {
 		t.Run(arch.name, func(t *testing.T) {
-			net := *traffic.NewButterflyNet(64)
-			injected := 0
-			route := net.AppendRoute
-			net.AppendRoute = func(buf graph.Path, src, dst int) graph.Path {
-				injected++ // the Runner routes each message once, right before injecting it
-				return route(buf, src, dst)
-			}
 			errPause := errors.New("pause")
 			pauseAt := 2 * vcsim.WormsPerChunk
+			var r *traffic.Runner
 			r, err := traffic.NewRunner(traffic.Config{
-				Net: &net, VirtualChannels: 2, LaneDepth: arch.depth, SharedPool: arch.shared,
+				Net: traffic.NewButterflyNet(64), VirtualChannels: 2, LaneDepth: arch.depth, SharedPool: arch.shared,
 				MessageLength: 4, Rate: 0.25, Measure: 1 << 20, Seed: 17,
 				OnStep: func(int) error {
-					if injected > pauseAt {
+					// The simulator's count, read on the stepping goroutine:
+					// the Runner routes arrivals ahead on another one.
+					if r.Injected() > pauseAt {
 						return errPause
 					}
 					return nil
@@ -62,12 +57,12 @@ func TestRetainedBytesPerMessage(t *testing.T) {
 			if _, err := r.Run(); !errors.Is(err, errPause) {
 				t.Fatalf("warm-up did not pause: %v", err)
 			}
-			n0, h0 := injected, live()
+			n0, h0 := r.Injected(), live()
 			pauseAt += 12 * vcsim.WormsPerChunk
 			if _, err := r.Resume(); !errors.Is(err, errPause) {
 				t.Fatalf("measured stretch did not pause: %v", err)
 			}
-			n1, h1 := injected, live()
+			n1, h1 := r.Injected(), live()
 			runtime.KeepAlive(r) // or the last GC collects the Runner, Sim and all
 			perMsg := (float64(h1) - float64(h0)) / float64(n1-n0)
 			t.Logf("%d messages: live heap +%d bytes, %.1f bytes per message (a %d-byte worm record while in flight)",
