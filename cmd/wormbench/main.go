@@ -19,7 +19,8 @@
 // performance is measured by benchmark/ (see benchmark/README.md), not
 // by this command. -scale overrides the butterfly size of T14 and T15;
 // a size they cannot run (not a power of two, or too small) is reported
-// as a one-line error and exit status 1 before anything runs.
+// as a one-line error and exit status 1 before anything runs — under
+// -all too, where every experiment is checked before the first starts.
 //
 // -cpuprofile and -memprofile write pprof profiles covering whatever the
 // invocation ran, so performance work reproduces from the committed
@@ -137,6 +138,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale}
+	for _, id := range ids {
+		if err := core.Validate(id, cfg); err != nil {
+			fmt.Fprintln(stderr, "wormbench:", err)
+			return 1
+		}
+	}
 	if *telOut != "" {
 		// Like -cpuprofile: a path that cannot be written fails here, not
 		// after the experiments have run.

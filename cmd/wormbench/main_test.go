@@ -20,7 +20,8 @@ func runCLI(t *testing.T, args ...string) (string, string, int) {
 }
 
 // TestBadInvocations: an experiment that does not exist or cannot run at
-// the requested scale, or a -telemetry file that cannot be created, is
+// the requested scale or trial count (under -all, any one of them), or a
+// -telemetry file that cannot be created, is
 // one line on stderr and exit 1, before anything runs; no mode at all —
 // -telemetry only modifies -run and -all — or a flag that is gone is the
 // usage text and exit 2.
@@ -29,6 +30,8 @@ func TestBadInvocations(t *testing.T) {
 		{"-run", "T99"},
 		{"-run", "T15", "-scale", "100"},
 		{"-run", "T15", "-scale", "1073741824"},
+		{"-all", "-quick", "-scale", "100"},
+		{"-run", "T7", "-trials", "-1"},
 		{"-run", "T15", "-telemetry", filepath.Join(t.TempDir(), "no", "such", "dir", "x.json")},
 	} {
 		stdout, stderr, code := runCLI(t, args...)

@@ -175,6 +175,7 @@ func TestOversizedSpecIs400(t *testing.T) {
 		"odd butterfly":   strings.Replace(sweep, "%s", `"butterfly","size":12`, 1), // NewButterfly panics on it
 		"T15 scale":       `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`,
 		"T14 quick scale": `{"type":"experiment","experiment":{"id":"T14","scale":1073741824,"quick":true}}`,
+		"trials":          `{"type":"experiment","experiment":{"id":"T7","trials":1099511627776}}`,
 	} {
 		if n := allocated(func() {
 			if code, msg := postRaw(t, srv.URL, body); code != http.StatusBadRequest || msg["error"] != "bad_request" {
@@ -204,6 +205,7 @@ func TestPersistedOversizedSpecFailsJob(t *testing.T) {
 		"message length": {"sweep", `{"type":"sweep","sweep":{"topology":"butterfly","size":16,
 			"virtual_channels":2,"lane_depth":2,"message_length":2000000000,"rates":[0.1],"measure":100}}`, "4096"},
 		"experiment": {"experiment", `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`, "65536"},
+		"trials":     {"experiment", `{"type":"experiment","experiment":{"id":"T7","trials":1099511627776}}`, "1000"},
 	} {
 		dir := plantJob(t, "j000000", map[string]string{
 			"job.json": `{"id":"j000000","type":"` + tc.typ + `","state":"running","created_unix":1,"spec":` + tc.spec + `}`})

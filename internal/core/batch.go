@@ -1,39 +1,45 @@
 package core
 
 import (
+	"slices"
+
 	"wormhole/internal/lowerbound"
 	"wormhole/internal/rng"
 	"wormhole/internal/stats"
 	"wormhole/internal/topology"
 )
 
-// This file is the batch study engine. The batch experiments are one
-// shape: a list of cells — workloads, network sizes, or the variants an
-// ablation compares — each crossed with a B axis and repeated over
-// trials; one job per (cell, B, trial) releases a finite workload and
-// measures named values; a table row per (cell, B) shows the cell, the
-// values (the mean over the trials, or one trial's) and what is derived
-// from them: the speedup against the cell's first B, the ratio a bound
-// predicts, speedup/B. A declaration (batches.go) is data plus its measure;
-// everything that executes lives here, once: the cross with B, the
-// trial count, the one mapJobs fan-out and the fold over trials. Every
-// job returns vals, so every job's result checkpoints.
+// This file is the experiment engine. Every experiment but F2 is one
+// shape: a list of cells — workloads, network sizes, router
+// architectures, or the variants an ablation compares — each crossed
+// with a B or a lane-depth axis and repeated over trials; one job per
+// (cell, axis value, trial) measures named values; a table row per
+// (cell, axis value) shows the cell, the values (the mean over the
+// trials, or one trial's) and what is derived from them: the speedup
+// against the cell's first row, the ratio a bound predicts, speedup/B.
+// A declaration (batches.go, studies.go) is data plus its measure;
+// everything that executes lives here, once: the cross with the axis,
+// the trial count, the experiment's one mapJobs fan-out and the fold
+// over trials. Every job returns vals, so every job's result
+// checkpoints.
 
 // vals is what one job measures: named numbers (a bool is 0 or 1). It
-// is the one result type of every batch job, and a float64 survives
-// JSON exactly, so checkpoint.go stores every job.
+// is the one result type of every job, and a float64 survives JSON
+// exactly, so checkpoint.go stores every job. A value a job leaves out
+// is NaN in the mean, which a table renders as "-".
 type vals map[string]float64
 
-// cell is one row of a batch table before it is measured: what its
-// jobs read and its leading columns show. A declaration sets the fields
-// it uses.
+// cell is one row of a table before it is measured: what its jobs read
+// and its leading columns show. A declaration sets the fields it uses.
 type cell struct {
-	label string  // the row's name: a policy, mode, selector or discipline
+	label string  // the row's name: a policy, mode, selector, discipline or pool
 	B     int     // virtual channels; the engine sets it when it crosses a B axis
+	d     int     // lane depth; the engine sets it when it crosses a depth axis
 	n, q  int     // network inputs, and messages (or worms) per input
 	l     int     // message length
 	mode  int     // which of the declaration's variants the row runs
 	rate  float64 // offered messages per input per flit step
+	fault float64 // lane-fault rate
 	// p is the workload, built before the fan-out; jobs only read it.
 	p *Problem
 	// adv is the adversarial construction a T2 row builds and routes.
@@ -43,26 +49,31 @@ type cell struct {
 	r *rng.Source
 }
 
-// batch declares one batch table.
+// batch declares one table.
 type batch struct {
 	title string
 	// cells lists the table's cells in table order.
 	cells func(cfg Config) []cell
-	// bs, quickBs is the B axis crossed with every cell (B fastest). A
-	// declaration without one gives each cell its own B.
+	// bs, quickBs is the B axis crossed with every cell (fastest); ds,
+	// quickDs, where set, is a lane-depth axis crossed instead. A
+	// declaration with neither gives each cell its own B and depth.
 	bs, quickBs []int
+	ds, quickDs []int
 	// trials, quickTrials are the default trial counts (Config.Trials
 	// overrides them); 0 means one trial, whatever Config.Trials says.
 	trials, quickTrials int
 	// measure runs trial t of cell c.
 	measure func(cfg Config, c cell, t int) vals
 	// cols is the table's column list, in order.
-	cols []column[*batchRow]
+	cols []batchCol
+	// validate, when non-nil on an experiment's first table, rejects a
+	// Config the experiment cannot run (a bad -scale).
+	validate func(Config) error
 }
 
 // batchRow is a measured row: its cell, what each trial measured, and
-// the row of its cell at the first B, which the derived columns divide
-// by.
+// the row of its cell at the axis's first value, which the derived
+// columns divide by.
 type batchRow struct {
 	cell
 	trials []vals
@@ -93,50 +104,97 @@ func (r *batchRow) last(name string) float64 {
 	return x
 }
 
-// rows measures the table: it crosses the cells with the B axis, runs
-// one job per (row, trial) in table order, and hands each row its
-// trials.
+// rows lays the table out: it crosses the cells with the axis and gives
+// each row a slot per trial.
 func (b *batch) rows(cfg Config) []*batchRow {
-	bs, trials := b.bs, 1
-	if cfg.Quick {
-		bs = b.quickBs
-	}
+	bs, ds, trials := pick(cfg, b.bs, b.quickBs), pick(cfg, b.ds, b.quickDs), 1
 	if b.trials > 0 {
 		trials = cfg.trials(b.trials, b.quickTrials)
 	}
 	var rows []*batchRow
+	add := func(c cell) { rows = append(rows, &batchRow{cell: c, trials: make([]vals, trials)}) }
 	for _, c := range b.cells(cfg) {
 		first := len(rows)
-		if bs == nil {
-			rows = append(rows, &batchRow{cell: c})
-		}
-		for _, B := range bs {
-			c.B = B
-			rows = append(rows, &batchRow{cell: c})
+		switch {
+		case ds != nil:
+			for _, d := range ds {
+				c.d = d
+				add(c)
+			}
+		case bs != nil:
+			for _, B := range bs {
+				c.B = B
+				add(c)
+			}
+		default:
+			add(c)
 		}
 		for _, r := range rows[first:] {
 			r.first = rows[first]
 		}
 	}
-	out := mapJobs(cfg, len(rows)*trials, func(j int) vals {
-		return b.measure(cfg, rows[j/trials].cell, j%trials)
+	return rows
+}
+
+// measure lays out the tables and runs every (row, trial) job of all of
+// them as one fan-out, returning each table's measured rows. The jobs
+// are issued from the last one back, so the costliest start first: the
+// tables grow B, depth and network size along their rows, and a
+// saturation table's bisection (last in its experiment) is a dozen runs
+// where a curve point is one. In table order the longest job would
+// start last and run alone.
+func measure(cfg Config, tables []*batch) [][]*batchRow {
+	type job struct {
+		b *batch
+		r *batchRow
+		t int
+	}
+	var jobs []job
+	rows := make([][]*batchRow, len(tables))
+	for i, b := range tables {
+		rows[i] = b.rows(cfg)
+		for _, r := range rows[i] {
+			for t := range r.trials {
+				jobs = append(jobs, job{b, r, t})
+			}
+		}
+	}
+	slices.Reverse(jobs)
+	out := mapJobs(cfg, len(jobs), func(j int) vals {
+		return jobs[j].b.measure(cfg, jobs[j].r.cell, jobs[j].t)
 	})
-	for i, r := range rows {
-		r.trials = out[i*trials : (i+1)*trials]
+	for j, v := range out {
+		jobs[j].r.trials[jobs[j].t] = v
 	}
 	return rows
 }
 
-// registerBatch adds an experiment whose tables are the given batches,
-// measured one after another.
-func registerBatch(id, title string, tables ...*batch) {
-	register(Experiment{ID: id, Title: title, Run: func(cfg Config) []*stats.Table {
-		out := make([]*stats.Table, len(tables))
-		for i, b := range tables {
-			out[i] = tableSpec[*batchRow]{b.title, b.cols}.render(b.rows(cfg))
+func (b *batch) render(rows []*batchRow) *stats.Table {
+	headers := make([]string, len(b.cols))
+	for i, c := range b.cols {
+		headers[i] = c.header
+	}
+	t := stats.NewTable(b.title, headers...)
+	cells := make([]any, len(b.cols))
+	for _, r := range rows {
+		for i, c := range b.cols {
+			cells[i] = c.cell(r)
 		}
-		return out
-	}})
+		t.AddRow(cells...)
+	}
+	return t
+}
+
+// registerBatch adds an experiment whose tables are the given batches.
+func registerBatch(id, title string, tables ...*batch) {
+	register(Experiment{ID: id, Title: title, Validate: tables[0].validate,
+		Run: func(cfg Config) []*stats.Table {
+			out := make([]*stats.Table, len(tables))
+			for i, rows := range measure(cfg, tables) {
+				out[i] = tables[i].render(rows)
+			}
+			return out
+		}})
 }
 
 // workloads builds one cell per problem, in parallel, before the
@@ -149,14 +207,20 @@ func workloads(cfg Config, builders ...func() *Problem) []cell {
 	return cells
 }
 
-type batchCol = column[*batchRow]
+// batchCol is one table column: a header and how to fill its cell from
+// a measured row.
+type batchCol struct {
+	header string
+	cell   func(r *batchRow) any
+}
 
-// The column vocabulary of the batch tables. A measured value's column
+// The column vocabulary of the tables. A measured value's column
 // is headed by the value's name: count renders it as an int, num as a
 // float, flag as a bool. The derived columns divide by the cell's row
-// at the first B.
+// at the axis's first value.
 var (
 	colCellB    = batchCol{"B", func(r *batchRow) any { return r.B }}
+	colCellD    = batchCol{"d", func(r *batchRow) any { return r.d }}
 	colCellN    = batchCol{"n", func(r *batchRow) any { return r.n }}
 	colCellQ    = batchCol{"q", func(r *batchRow) any { return r.q }}
 	colLogN     = batchCol{"L", func(r *batchRow) any { return topology.Log2(r.n) }}
@@ -204,6 +268,11 @@ func ratio(header, num, den string) batchCol {
 // speedup is name at the cell's first B over name at the row's B.
 func speedup(header, name string) batchCol {
 	return batchCol{header, func(r *batchRow) any { return stats.Ratio(r.first.mean(name), r.mean(name)) }}
+}
+
+// gain is name at the row's B or depth over name at the cell's first.
+func gain(header, name string) batchCol {
+	return batchCol{header, func(r *batchRow) any { return stats.Ratio(r.mean(name), r.first.mean(name)) }}
 }
 
 // perB is speedup per virtual channel: above 1, the benefit of B is

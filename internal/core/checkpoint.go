@@ -76,8 +76,9 @@ type Checkpoint struct {
 // daemon's job state across an upgrade — replays nothing into the new
 // layout: its jobs are recomputed once. Keys without a layout are the
 // layout before 1; 1 is the batch engine (batch.go), whose every job
-// returns vals; 2 is T5 and T10 joining it.
-const layout = 2
+// returns vals; 2 is T5 and T10 joining it; 3 is T12–T16 joining it,
+// and every experiment's tables running as one fan-out.
+const layout = 3
 
 // scoped returns a fresh Checkpoint over c's store whose keys name run
 // id under cfg: the layout, the experiment and every Config field its

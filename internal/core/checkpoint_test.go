@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -288,10 +287,9 @@ func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
 
 // TestCheckpointKeysScopedToRun: a store reused by a run under another
 // Config — another seed, quick then full, another scale — or written
-// by a build that laid T12 out as two fan-outs (curve rows at stage 0,
-// bisections at stage 1), or by a build before the batch engine or
-// before T10 joined it, replays nothing into the run: it recomputes
-// every job and prints what a plain run prints.
+// by a build before the batch engine, before T10 joined it or before
+// T12 did, replays nothing into the run: it recomputes every job and
+// prints what a plain run prints.
 func TestCheckpointKeysScopedToRun(t *testing.T) {
 	quick42 := Config{Seed: 42, Quick: true}
 	for _, tc := range []struct {
@@ -310,18 +308,10 @@ func TestCheckpointKeysScopedToRun(t *testing.T) {
 		{"scale", func(t *testing.T, s *memStore) {
 			renderCSV(t, "T15", Config{Seed: 1, Quick: true, Scale: 256}, s)
 		}, "T15", Config{Seed: 1, Quick: true, Scale: 512}},
-		{"two-stage T12 layout", func(t *testing.T, s *memStore) {
-			g, err := t12.geometry(quick42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			curve, sat := t12.measure(quick42, g)
-			for stage, pts := range [][]point{curve, sat} {
-				for j, p := range pts {
-					StoreMemo(s, fmt.Sprintf("s%03d-j%06d.json", stage, j), p)
-				}
-			}
-		}, "T12", quick42},
+		// What the build before T12–T16 joined the engine wrote for the
+		// same run: point blobs, its one 8-job fan-out at the same stage
+		// and length as this build's, under layout 2.
+		{"parent T12 layout", plantParent("T12_layout2"), "T12", quick42},
 		// What `wormbench -run T1 -quick -seed 42 -checkpoint DIR` and
 		// the same for T7 wrote before the batch engine, under the keys
 		// that build wrote: T1's rows are the old T1Row, T7's jobs bare

@@ -10,10 +10,10 @@
 //	sched, ver, err := prob.RouteScheduled(core.ScheduleOptions{B: 4})
 //
 // Experiments are addressed by ID (F1, F2, T1…T16, A1…A5) through Run.
-// Every experiment but F2 is a declaration over one of two engines: the
-// batch experiments over batch.go (declared in batches.go), the open-loop
-// studies T12–T16 over openloop.go (declared in studies.go). F2 is one
-// plain function that runs no jobs.
+// Every experiment but F2 is a declaration over one engine, batch.go:
+// T1–T11, F1 and A1–A5 are declared in batches.go, the open-loop
+// studies T12–T16 in studies.go. F2 is one plain function that runs no
+// jobs.
 package core
 
 import (

@@ -149,7 +149,7 @@ func TestExperimentsLeakNoGoroutines(t *testing.T) {
 // --- per-experiment shape assertions -----------------------------------------
 
 func TestT1SuperlinearShape(t *testing.T) {
-	rows := tableRows(t, t1)
+	rows := tableRows(t, quickCfg, t1)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -168,7 +168,7 @@ func TestT1SuperlinearShape(t *testing.T) {
 }
 
 func TestT2FloorsHold(t *testing.T) {
-	for _, r := range tableRows(t, t2) {
+	for _, r := range tableRows(t, quickCfg, t2) {
 		floor := r.f("floor(L-D)M/B")
 		if r.f("greedy") < floor || r.f("scheduled") < floor {
 			t.Errorf("B=%v: a measured run beat the impossible floor %v (greedy %v sched %v)",
@@ -181,7 +181,7 @@ func TestT2FloorsHold(t *testing.T) {
 }
 
 func TestT2SuperlinearAtHighB(t *testing.T) {
-	rows := tableRows(t, t2b)
+	rows := tableRows(t, quickCfg, t2b)
 	last := rows[len(rows)-1]
 	if last.f("speedup") < last.f("router B") {
 		t.Errorf("B=%v on the fixed adversary: speedup %v below linear", last.f("router B"), last.f("speedup"))
@@ -197,7 +197,7 @@ func TestT2SuperlinearAtHighB(t *testing.T) {
 }
 
 func TestT3AllDelivered(t *testing.T) {
-	for _, r := range tableRows(t, t3) {
+	for _, r := range tableRows(t, quickCfg, t3) {
 		if r.f("delivered") < 1 {
 			t.Errorf("n=%v q=%v B=%v: delivered fraction %v", r.f("n"), r.f("q"), r.f("B"), r.f("delivered"))
 		}
@@ -209,7 +209,7 @@ func TestT3AllDelivered(t *testing.T) {
 
 func TestT4StepsFallWithB(t *testing.T) {
 	prev := math.Inf(1)
-	for _, r := range tableRows(t, t4) {
+	for _, r := range tableRows(t, quickCfg, t4) {
 		if r.f("steps") > prev {
 			t.Errorf("B=%v: one-pass steps %v rose from %v", r.f("B"), r.f("steps"), prev)
 		}
@@ -219,7 +219,7 @@ func TestT4StepsFallWithB(t *testing.T) {
 
 func TestT5Relationships(t *testing.T) {
 	byMethod := map[any]tableRow{}
-	for _, r := range tableRows(t, t5) {
+	for _, r := range tableRows(t, quickCfg, t5) {
 		byMethod[r["method"]] = r
 		if !r.is("all delivered") {
 			t.Errorf("%s failed to deliver", r["method"])
@@ -240,7 +240,7 @@ func TestT5Relationships(t *testing.T) {
 }
 
 func TestT9WaksmanOptimal(t *testing.T) {
-	for _, r := range tableRows(t, t9) {
+	for _, r := range tableRows(t, quickCfg, t9) {
 		if !r.is("optimal&stall-free") {
 			t.Errorf("n=%v L=%v: Beneš routing not stall-free optimal (steps %v, stalls %v)",
 				r.f("n"), r.f("L"), r.f("Beneš steps"), r.f("stalls"))
@@ -253,7 +253,7 @@ func TestT9WaksmanOptimal(t *testing.T) {
 
 func TestT10LatencyRisesWithRate(t *testing.T) {
 	byB := map[float64][]tableRow{}
-	for _, r := range tableRows(t, t10) {
+	for _, r := range tableRows(t, quickCfg, t10) {
 		byB[r.f("B")] = append(byB[r.f("B")], r)
 	}
 	for b, rs := range byB {
@@ -278,7 +278,7 @@ func TestT10LatencyRisesWithRate(t *testing.T) {
 }
 
 func TestT11DisciplineSeparation(t *testing.T) {
-	for _, r := range tableRows(t, t11) {
+	for _, r := range tableRows(t, quickCfg, t11) {
 		waves := r.f("waves")
 		switch r["discipline"] {
 		case "dateline 2 classes":
@@ -308,7 +308,7 @@ func TestT11DisciplineSeparation(t *testing.T) {
 
 func TestT7FractionMonotoneInB(t *testing.T) {
 	byN := map[float64][]tableRow{}
-	for _, r := range tableRows(t, t7) {
+	for _, r := range tableRows(t, quickCfg, t7) {
 		byN[r.f("n")] = append(byN[r.f("n")], r)
 	}
 	for n, rs := range byN {
@@ -344,7 +344,7 @@ func TestQuickKeepsTrials(t *testing.T) {
 }
 
 func TestT8EmulationFactor(t *testing.T) {
-	for _, r := range tableRows(t, t8) {
+	for _, r := range tableRows(t, quickCfg, t8) {
 		b := r.f("B")
 		// Restricted runs can never beat the full VC model.
 		if r.f("restricted-steps") < r.f("vc-steps") {

@@ -117,6 +117,13 @@ func Experiments() []Experiment {
 	return out
 }
 
+// maxTrials bounds Config.Trials, which a service takes from outside
+// (wormholed's "trials"). An experiment's fan-out allocates a result
+// slot per (row, trial) job before any job runs, so an unbounded count
+// is an allocation the input sizes; no experiment's default exceeds 5,
+// and 1000 trials of any of them is already hours of work.
+const maxTrials = 1000
+
 // Validate reports whether Run(id, cfg) can start: the experiment
 // exists and accepts cfg. Callers holding outside input (a command
 // line, a job submission) use it to reject the input up front.
@@ -124,6 +131,9 @@ func Validate(id string, cfg Config) error {
 	e, ok := registry[id]
 	if !ok {
 		return fmt.Errorf("core: unknown experiment %q (have %v)", id, ids())
+	}
+	if cfg.Trials < 0 || cfg.Trials > maxTrials {
+		return fmt.Errorf("core: %d trials is outside [0, %d]", cfg.Trials, maxTrials)
 	}
 	if e.Validate != nil {
 		return e.Validate(cfg)

@@ -23,11 +23,12 @@ import (
 // verifies across the whole experiment registry.
 //
 // Jobs start in index order, so a fan-out chooses its schedule by how it
-// numbers its jobs, never by what it computes: the open-loop studies
-// number theirs costliest first (openloop.go, measure) and store each
-// result back in table order. The contract above is unchanged by that,
-// and so is checkpointing, whose memo key (checkpoint.go) is scoped to
-// the run, the fan-out's stage and length, and the job's index.
+// numbers its jobs, never by what it computes: every experiment numbers
+// its one fan-out from the last job back, costliest first (batch.go,
+// measure), and stores each result in table order. The contract above
+// is unchanged by that, and so is checkpointing, whose memo key
+// (checkpoint.go) is scoped to the run, the fan-out's stage and length,
+// and the job's index.
 
 // workers resolves Config.Workers: 0 means GOMAXPROCS.
 func (c Config) workers() int {

@@ -9,8 +9,8 @@ import (
 
 // TestParallelDeterminism is the harness's central contract: for every
 // registered experiment, the rendered tables are byte-identical whether
-// the job-runner uses one worker or eight. Run with -race this also
-// exercises the fan-out for data races.
+// the job-runner uses one worker, four or eight. Run with -race this
+// also exercises the fan-out for data races.
 func TestParallelDeterminism(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -28,9 +28,10 @@ func TestParallelDeterminism(t *testing.T) {
 				return out
 			}
 			seq := render(1)
-			par := render(8)
-			if seq != par {
-				t.Errorf("tables differ between Workers=1 and Workers=8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+			for _, w := range []int{4, 8} {
+				if par := render(w); par != seq {
+					t.Errorf("tables differ between Workers=1 and Workers=%d:\n--- sequential ---\n%s\n--- parallel ---\n%s", w, seq, par)
+				}
 			}
 		})
 	}

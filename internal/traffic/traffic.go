@@ -522,6 +522,11 @@ func (r *Runner) begin() {
 	r.winInjBase = 0
 	r.winIndex = 0
 	r.windows = r.windows[:0]
+	if cfg.Publish != nil {
+		// The last run's series may still be what the Publisher holds
+		// (flushWindow shares it): start a fresh one, never rewrite it.
+		r.windows = nil
+	}
 	// Per-endpoint sources are pre-split in index order, so endpoint i's
 	// arrival and destination stream depends only on (Seed, i). At step 0
 	// there is nothing to rewind.
@@ -687,6 +692,12 @@ func (r *Runner) finish() Result {
 // when a Publisher is configured — publishes a metrics snapshot with the
 // series attached. Runs at window boundaries only; this
 // is where all windowing allocation happens.
+//
+// The series is published without a copy, which would make a run's
+// cost quadratic in its window count. It is capped at its length, and
+// a run only appends to it, so no element a Publisher holds is ever
+// rewritten; begin starts a publishing runner's next run on a fresh
+// series.
 func (r *Runner) flushWindow(start, end int) {
 	ws := telemetry.WindowStats{
 		Index:     r.winIndex,
@@ -713,7 +724,7 @@ func (r *Runner) flushWindow(start, end int) {
 		if r.cfg.Metrics != nil {
 			s = r.cfg.Metrics.Snapshot()
 		}
-		s.Windows = append([]telemetry.WindowStats(nil), r.windows...)
+		s.Windows = r.windows[:len(r.windows):len(r.windows)]
 		p.Publish(s)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"wormhole/internal/telemetry"
 	"wormhole/internal/vcsim"
 )
 
@@ -436,5 +438,46 @@ func TestNonFiniteRejected(t *testing.T) {
 		if res, err := SaturationRate(cfg, tc.opts); err == nil {
 			t.Errorf("SaturationRate %s: accepted, returned rate %g after %d probes", tc.name, res.Rate, len(res.Probes))
 		}
+	}
+}
+
+// TestPublishedWindowsCostLinear: publishing the per-window series at
+// every window boundary costs memory linear in the window count (a copy
+// per publication made it quadratic, and a tenant picks the count with
+// "window":1), and a published series is never rewritten, not even by
+// the runner's next run at another rate.
+func TestPublishedWindowsCostLinear(t *testing.T) {
+	run := func(r *Runner) {
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocated := func(windows int) uint64 {
+		cfg := smallCfg()
+		cfg.Warmup, cfg.Measure, cfg.Drain = 0, windows, 0
+		cfg.Window, cfg.Publish = 1, &telemetry.Publisher{}
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(r)
+		runtime.ReadMemStats(&after)
+
+		first, _ := cfg.Publish.Latest()
+		held := append([]telemetry.WindowStats(nil), first.Windows...)
+		if err := r.retarget(2*cfg.Rate, cfg.Seed+1); err != nil {
+			t.Fatal(err)
+		}
+		run(r)
+		if !reflect.DeepEqual(first.Windows, held) {
+			t.Errorf("%d windows: the next run rewrote a published series", windows)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := allocated(2000), allocated(4000)
+	if large >= 3*small {
+		t.Errorf("4000 windows allocated %d bytes, 2000 allocated %d: want under 3×", large, small)
 	}
 }
