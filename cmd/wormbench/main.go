@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -138,6 +137,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale}
+	if *ckptDir != "" {
+		// One store for every experiment: core.Run keys each job by its
+		// experiment, -seed, -quick, -trials and -scale, so a directory
+		// reused under other flags recomputes instead of replaying.
+		cfg.Checkpoint = core.DirStore{FS: snap.OS, Dir: *ckptDir}
+	}
 	for _, id := range ids {
 		if err := core.Validate(id, cfg); err != nil {
 			fmt.Fprintln(stderr, "wormbench:", err)
@@ -156,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Telemetry = telemetry.NewAggregate()
 	}
 	for _, id := range ids {
-		if err := runOne(stdout, id, cfg, *csvOut, *ckptDir); err != nil {
+		if err := runOne(stdout, id, cfg, *csvOut); err != nil {
 			fmt.Fprintln(stderr, "wormbench:", err)
 			return 1
 		}
@@ -174,13 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runOne runs one experiment and renders its tables to stdout.
-func runOne(stdout io.Writer, id string, cfg core.Config, csvOut bool, ckptDir string) error {
-	if ckptDir != "" {
-		// One subdirectory per experiment; core.Run scopes the keys inside
-		// to -seed, -quick, -trials and -scale, so a directory reused
-		// under other flags recomputes instead of replaying.
-		cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{FS: snap.OS, Dir: filepath.Join(ckptDir, id)}}
-	}
+func runOne(stdout io.Writer, id string, cfg core.Config, csvOut bool) error {
 	start := time.Now()
 	tables, err := core.Run(context.Background(), id, cfg)
 	if err != nil {

@@ -540,6 +540,7 @@ func TestCancelJob(t *testing.T) {
 	spec := testSweepSpec()
 	spec.Rates = []float64{0.05}
 	spec.Measure = 200_000_000 // effectively unbounded: only cancel ends it
+	spec.Window = 0            // 4 M windows would pass traffic.MaxWindows
 	st := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: spec}))
 	waitState(t, srv, st.ID, stateRunning)
 	resp := postJSON(t, srv.URL+"/api/v1/jobs/"+st.ID+"/cancel", struct{}{})
@@ -564,6 +565,7 @@ func TestCancelWhileQueued(t *testing.T) {
 
 	long := testSweepSpec()
 	long.Measure = 200_000_000 // occupies the lone worker until cancel
+	long.Window = 0            // 4 M windows would pass traffic.MaxWindows
 	first := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: long}))
 	waitState(t, srv, first.ID, stateRunning)
 	second := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: testSweepSpec()}))
@@ -853,7 +855,7 @@ func TestStatusPollsWhileJobsRun(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sweep := testSweepSpec()
-	sweep.Size, sweep.Rates, sweep.Measure = 64, []float64{0.25}, 1<<22
+	sweep.Size, sweep.Rates, sweep.Measure, sweep.Window = 64, []float64{0.25}, 1<<22, 0
 	for _, spec := range []JobSpec{
 		{Type: "sweep", Sweep: sweep},
 		{Type: "experiment", Experiment: &ExperimentSpec{ID: "T12", Seed: 42}},
@@ -945,6 +947,7 @@ func TestAdmissionCap(t *testing.T) {
 	long := testSweepSpec()
 	long.Rates = []float64{0.05}
 	long.Measure = 200_000_000 // occupies the lone worker until cancel
+	long.Window = 0            // 4 M windows would pass traffic.MaxWindows
 
 	submit := func() *http.Response {
 		return postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: long})
@@ -970,6 +973,77 @@ func TestAdmissionCap(t *testing.T) {
 	// Unblock the pool so Shutdown doesn't wait on a 200M-step run.
 	m.Cancel(first.ID)
 	m.Cancel(second.ID)
+}
+
+// slowSyncFS is snap.OS with a directory sync that takes 20 ms, as on a
+// slow disk: every submission spends that long persisting its job.
+type slowSyncFS struct{ snap.FS }
+
+func (f slowSyncFS) SyncDir(dir string) error {
+	time.Sleep(20 * time.Millisecond)
+	return f.FS.SyncDir(dir)
+}
+
+// TestAdmissionCapHoldsUnderConcurrentSubmits: with the lone worker busy
+// and -max-queued 1, eight concurrent submissions over a slow disk admit
+// one job and get seven prompt 429s. When the cap was read before the
+// submission lock, all eight passed it: one got its 202, and the other
+// seven persisted their jobs and then blocked on the full queue with no
+// answer, past the client's timeout.
+func TestAdmissionCapHoldsUnderConcurrentSubmits(t *testing.T) {
+	m, err := newManager(t.TempDir(), 1, 0, 1, slowSyncFS{snap.OS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	srv := newTestHTTP(t, m)
+
+	long := testSweepSpec()
+	long.Rates = []float64{0.05}
+	long.Measure = 200_000_000 // occupies the lone worker until cancel
+	long.Window = 0            // 4 M windows would pass traffic.MaxWindows
+	blob, err := json.Marshal(JobSpec{Type: "sweep", Sweep: long})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := decodeStatus(t, postJSON(t, srv+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: long}))
+	waitStateURL(t, srv, first.ID, stateRunning) // queue is empty again
+
+	client := &http.Client{Timeout: 3 * time.Second}
+	codes := make([]int, 8) // 0: no answer in time
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.Post(srv+"/api/v1/jobs", "application/json", bytes.NewReader(blob))
+			if err == nil {
+				resp.Body.Close()
+				codes[i] = resp.StatusCode
+			}
+		}()
+	}
+	wg.Wait()
+	admitted := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			admitted++
+		case http.StatusTooManyRequests:
+		default:
+			t.Errorf("submission %d: status %d, want 202 or 429 (0 is no answer within 3 s)", i, code)
+		}
+	}
+	if admitted != 1 {
+		t.Errorf("%d of 8 concurrent submissions admitted into a one-job queue, want 1", admitted)
+	}
+	jobs := m.List()
+	if len(jobs) != 2 {
+		t.Errorf("%d jobs listed, want 2: the running one and the one queued", len(jobs))
+	}
+	for _, st := range jobs { // unblock the pool so Shutdown does not wait
+		m.Cancel(st.ID)
+	}
 }
 
 // TestJobBodyCap: a submission over maxJobBody is a 413, not an

@@ -8,15 +8,16 @@ package main
 //	STATE/jobs/<id>/job.json      job spec + status
 //	STATE/jobs/<id>/point-K.snap  live Runner checkpoint for sweep point K
 //	STATE/jobs/<id>/point-K.json  completed sweep point (memoized)
-//	STATE/jobs/<id>/ckpt/         core.Checkpoint store for experiment jobs
+//	STATE/jobs/<id>/ckpt/         core.DirStore of an experiment's harness jobs
 //	STATE/jobs/<id>/result.csv    final rendered output
 //
 // Sweep jobs run one open-loop traffic.Runner per offered rate and
 // checkpoint it periodically via Runner.Snapshot (and once more on
-// graceful shutdown); experiment jobs run the core registry under
-// core.Checkpoint job memoization. Either way a resumed job produces
-// output byte-identical to an uninterrupted run — the e2e test
-// kill -9s the daemon mid-sweep and diffs.
+// graceful shutdown); experiment jobs run the core registry with that
+// ckpt/ store as core.Config.Checkpoint, which memoizes every harness
+// job. Either way a resumed job produces output byte-identical to an
+// uninterrupted run — the e2e test kill -9s the daemon mid-sweep and
+// diffs.
 //
 // The manager re-describes nothing the engine owns: a sweep spec embeds
 // traffic.Config, a finished point goes through core's memo halves, and
@@ -404,15 +405,23 @@ func (m *manager) recover() ([]*job, error) {
 
 // Submit validates a spec, persists the new job, and queues it. A full
 // queue rejects the submission up front (admission control, not
-// backpressure: nothing is persisted for a rejected job).
+// backpressure: nothing is persisted for a rejected job), and so does
+// a daemon shutting down. The checks, the persist and the send happen
+// under m.mu, so concurrent submissions cannot all pass the cap before
+// any of them is queued; and since only Submit sends after startup, a
+// send after a passed check never blocks.
 func (m *manager) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.validate(); err != nil {
 		return JobStatus{}, err
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ctx.Err() != nil {
+		return JobStatus{}, errShutdown
+	}
 	if len(m.queue) >= cap(m.queue) {
 		return JobStatus{}, errQueueFull
 	}
-	m.mu.Lock()
 	id := fmt.Sprintf("j%06d", m.nextID)
 	m.nextID++
 	j := m.newJob(JobStatus{
@@ -437,19 +446,12 @@ func (m *manager) Submit(spec JobSpec) (JobStatus, error) {
 	if err == nil {
 		err = m.persist(j.snapshotStatus())
 	}
-	if err == nil {
-		m.jobs[id] = j
-		m.order = append(m.order, id)
-	}
-	m.mu.Unlock()
 	if err != nil {
 		return JobStatus{}, err
 	}
-	select {
-	case m.queue <- j:
-	case <-m.ctx.Done():
-		return JobStatus{}, errShutdown
-	}
+	m.jobs[id] = j
+	m.order = append(m.order, id)
+	m.queue <- j
 	return j.snapshotStatus(), nil
 }
 
@@ -768,7 +770,7 @@ func (m *manager) runExperiment(j *job) (err error) {
 	st := j.snapshotStatus()
 	spec := st.Spec.Experiment
 	cfg := spec.config()
-	cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{FS: m.fsys, Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}}
+	cfg.Checkpoint = core.DirStore{FS: m.fsys, Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}
 	defer func() {
 		// Experiments panic on states they take for bugs. That is this
 		// job's failure, not the daemon's: a panic escaping this worker

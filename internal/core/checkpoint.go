@@ -1,20 +1,23 @@
 package core
 
 // Optional experiment checkpointing: when Config.Checkpoint is set,
-// every job the harness fans out is memoized in a BlobStore. A re-run
-// of the same experiment — same ID, same Config — replays completed
-// jobs from the store and computes only the rest, so a long sweep (the
-// offline T15/scale studies, a daemon-hosted run) survives a process
-// kill at the cost of re-running at most the jobs that were in flight.
+// every job the harness fans out is memoized in that BlobStore. A
+// re-run of the same experiment — same ID, same Config — replays
+// completed jobs from the store and computes only the rest, so a long
+// sweep (the offline T15/scale studies, a daemon-hosted run) survives a
+// process kill at the cost of re-running at most the jobs that were in
+// flight.
 //
-// A key names the layout, the run and the job: Run scopes it by the
+// A key names the layout, the run and the job: Run prefixes it with the
 // job layout's version, the experiment ID and every Config field a
 // table depends on (Seed, Quick, Trials, Scale), then mapJobs adds the
-// fan-out's stage, its length and the job's index. One store can therefore hold several runs — a
-// -checkpoint directory reused with another -seed, or a -quick one
-// reused at full scale — and a job replays only into the run that
+// fan-out's length and the job's index. An experiment issues exactly
+// one fan-out, so (length, index) names the same logical job in every
+// run of it. One store can therefore hold every experiment and several
+// runs — a -checkpoint directory reused with another -seed, or a -quick
+// one reused at full scale — and a job replays only into the run that
 // computed it; a key from another run, or from a build that laid its
-// fan-outs out differently, is simply never looked up. Workers and
+// fan-out out differently, is simply never looked up. Workers and
 // Telemetry stay out of the key: tables do not depend on them.
 //
 // Correctness over reuse: a memoized job result must be EXACTLY the
@@ -28,13 +31,6 @@ package core
 // re-encodes to itself under the job's current result type; a stale
 // one is recomputed and overwritten.
 //
-// The stage counter assigns each mapJobs call within one
-// experiment run a sequence number. Experiments issue their fan-outs in
-// deterministic program order (concurrency lives inside a fan-out,
-// never across fan-outs), so (stage, length, index) names the same
-// logical job in every run of the same experiment. Run gives each run
-// a fresh counter, so the caller's Checkpoint may be reused.
-//
 // Cancellation is the cooperative half of graceful shutdown: Run takes
 // a context, the harness checks it before starting each job, and once
 // it is cancelled Run returns context.Cause(ctx). In-flight jobs finish,
@@ -47,7 +43,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"sync"
 
 	"wormhole/internal/snap"
 )
@@ -60,16 +55,6 @@ type BlobStore interface {
 	Save(key string, blob []byte)
 }
 
-// Checkpoint memoizes harness jobs in a BlobStore. Set it as
-// Config.Checkpoint; Run scopes it to the run.
-type Checkpoint struct {
-	Store BlobStore
-
-	scope string // key prefix naming the run; set by scoped
-	mu    sync.Mutex
-	stage int
-}
-
 // layout versions how experiments lay out their fan-outs. A build that
 // reorders a fan-out's jobs or changes a job's result type bumps it, so
 // a store an older build wrote — a reused -checkpoint directory, a
@@ -77,39 +62,20 @@ type Checkpoint struct {
 // layout: its jobs are recomputed once. Keys without a layout are the
 // layout before 1; 1 is the batch engine (batch.go), whose every job
 // returns vals; 2 is T5 and T10 joining it; 3 is T12–T16 joining it,
-// and every experiment's tables running as one fan-out.
-const layout = 3
+// and every experiment's tables running as one fan-out; 4 drops the
+// fan-out's stage from the key, which that one fan-out left always 0.
+const layout = 4
 
-// scoped returns a fresh Checkpoint over c's store whose keys name run
-// id under cfg: the layout, the experiment and every Config field its
-// tables depend on.
-func (c *Checkpoint) scoped(id string, cfg Config) *Checkpoint {
-	return &Checkpoint{Store: c.Store, scope: fmt.Sprintf("%s-layout%d-seed%d-quick%t-trials%d-scale%d-",
-		id, layout, cfg.Seed, cfg.Quick, cfg.Trials, cfg.Scale)}
+// runPrefix is the key prefix of run id under cfg: the layout, the
+// experiment and every Config field its tables depend on.
+func runPrefix(id string, cfg Config) string {
+	return fmt.Sprintf("%s-layout%d-seed%d-quick%t-trials%d-scale%d-",
+		id, layout, cfg.Seed, cfg.Quick, cfg.Trials, cfg.Scale)
 }
 
-func (c *Checkpoint) nextStage() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stage
-	c.stage++
-	return s
-}
-
-// key names job i of the n-job fan-out at stage.
-func (c *Checkpoint) key(stage, n, i int) string {
-	return fmt.Sprintf("%ss%03d-n%06d-j%06d.json", c.scope, stage, n, i)
-}
-
-// memoJob wraps one job with load-else-compute-and-prove semantics.
-func memoJob[T any](cp *Checkpoint, stage, n, i int, job func(i int) T) T {
-	key := cp.key(stage, n, i)
-	if cached, ok := LoadMemo[T](cp.Store, key); ok {
-		return cached
-	}
-	out := job(i)
-	StoreMemo(cp.Store, key, out)
-	return out
+// key names job i of the run's n-job fan-out.
+func (c Config) key(n, i int) string {
+	return fmt.Sprintf("%sn%06d-j%06d.json", c.prefix, n, i)
 }
 
 // LoadMemo is the load half of the memo: it replays the value stored

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,7 +56,7 @@ func TestCheckpointReplaysJobs(t *testing.T) {
 		computed.Add(1)
 		return i*i + 7
 	}
-	cfg := Config{Workers: 4, Checkpoint: &Checkpoint{Store: store}}
+	cfg := Config{Workers: 4, Checkpoint: store}
 	first := mapJobs(cfg, 50, job)
 	if n := computed.Load(); n != 50 {
 		t.Fatalf("first run computed %d of 50 jobs", n)
@@ -63,7 +65,6 @@ func TestCheckpointReplaysJobs(t *testing.T) {
 		t.Fatalf("store holds %d blobs, want 50", len(store.blobs))
 	}
 
-	cfg.Checkpoint = &Checkpoint{Store: store} // fresh Checkpoint, same store
 	second := mapJobs(cfg, 50, job)
 	if n := computed.Load(); n != 50 {
 		t.Fatalf("replay recomputed jobs: %d total computations", n)
@@ -73,44 +74,24 @@ func TestCheckpointReplaysJobs(t *testing.T) {
 	}
 }
 
-// TestCheckpointStageCounter: successive fan-outs under one Checkpoint
-// get distinct stages, so equal indices in different fan-outs never
-// collide.
-func TestCheckpointStageCounter(t *testing.T) {
-	store := newMemStore()
-	cfg := Config{Workers: 2, Checkpoint: &Checkpoint{Store: store}}
-	a := mapJobs(cfg, 5, func(i int) int { return i })
-	b := mapJobs(cfg, 5, func(i int) int { return 100 + i })
-	if len(store.blobs) != 10 {
-		t.Fatalf("store holds %d blobs, want 10 (stage collision?)", len(store.blobs))
-	}
-	// Replay both stages in program order with a fresh Checkpoint.
-	cfg.Checkpoint = &Checkpoint{Store: store}
-	a2 := mapJobs(cfg, 5, func(i int) int { t.Error("stage 0 recomputed"); return -1 })
-	b2 := mapJobs(cfg, 5, func(i int) int { t.Error("stage 1 recomputed"); return -1 })
-	if !reflect.DeepEqual(a, a2) || !reflect.DeepEqual(b, b2) {
-		t.Fatal("replay diverged across stages")
-	}
-}
-
-// TestCheckpointSkipsUnfaithfulTypes: a job result that does not
-// round-trip JSON (unexported fields) must never be stored — those jobs
-// re-run, which is slow but correct.
+// TestCheckpointSkipsUnfaithfulTypes: a value that does not round-trip
+// JSON (here, an unexported field JSON drops) must never be stored —
+// its job re-runs, which is slow but correct. A value of the same type
+// that does round-trip is stored. wormholed's finished sweep points
+// rely on the same proof.
 func TestCheckpointSkipsUnfaithfulTypes(t *testing.T) {
 	type opaque struct {
 		Visible int
 		hidden  int
 	}
 	store := newMemStore()
-	cfg := Config{Workers: 2, Checkpoint: &Checkpoint{Store: store}}
-	out := mapJobs(cfg, 8, func(i int) opaque { return opaque{Visible: i, hidden: i*3 + 1} })
+	StoreMemo(store, "unfaithful.json", opaque{Visible: 1, hidden: 4})
 	if len(store.blobs) != 0 {
-		t.Fatalf("%d unfaithful blobs were stored", len(store.blobs))
+		t.Fatalf("an unfaithful blob was stored: %q", store.blobs)
 	}
-	for i, o := range out {
-		if o.hidden != i*3+1 {
-			t.Fatalf("job %d result corrupted: %+v", i, o)
-		}
+	StoreMemo(store, "faithful.json", opaque{Visible: 1})
+	if got, ok := LoadMemo[opaque](store, "faithful.json"); !ok || got != (opaque{Visible: 1}) {
+		t.Fatalf("a faithful value did not replay: %+v %v", got, ok)
 	}
 }
 
@@ -141,7 +122,7 @@ func TestInterruptAbortsAndResumes(t *testing.T) {
 		}}
 		defer delete(registry, "cancel-probe")
 		run := func(ctx context.Context) error {
-			_, err := Run(ctx, "cancel-probe", Config{Workers: workers, Checkpoint: &Checkpoint{Store: store}})
+			_, err := Run(ctx, "cancel-probe", Config{Workers: workers, Checkpoint: store})
 			return err
 		}
 
@@ -166,13 +147,24 @@ func TestInterruptAbortsAndResumes(t *testing.T) {
 	}
 }
 
-// TestCheckpointExperimentByteIdentity runs every registered experiment
-// through a checkpoint: every job a run measures is stored, a resume
-// over the same store recomputes none of them, and the checkpointed
-// run, the resumed run and the plain run render byte-identical tables.
-// F2 runs no jobs, so it stores nothing; T12 also runs through a
-// DirStore. Building a workload (a *Problem) is not a job: it runs
-// outside mapJobs, unmemoized, so a resumed run builds it again.
+// quickSHA256 is the SHA-256 of `wormbench -all -quick -csv -seed 42`
+// stdout — every registered experiment's tables, in registry order —
+// recorded from the build before the checkpoint keys lost their stage.
+// It is the bytes benchmark/golden.json pins for tables-quick;
+// testdata/full.sha256 is the same at full scale, checked in CI.
+const quickSHA256 = "fc42b782ca3536c7b0db74259597b40c411616a61dabe7d9f0f2f4aa73a0353f"
+
+// TestCheckpointExperimentByteIdentity is the one registry pass at
+// -quick -seed 42. Per experiment: a plain run at the default worker
+// count; a checkpointed run at one worker, which asks its store for one
+// fan-out's keys in the order the jobs are handed out (which job comes
+// first is the engine's rule, pinned by TestJobsIssuedLastFirst) and
+// stores every job — F2 runs none; and a resume over that store at the
+// default worker count, which recomputes nothing. All three render the
+// same CSV, and the plain runs concatenated hash to quickSHA256. T12
+// also runs through a DirStore. Building a workload (a *Problem) is not
+// a job: it runs outside mapJobs, unmemoized, so a resumed run builds
+// it again.
 func TestCheckpointExperimentByteIdentity(t *testing.T) {
 	quick42 := Config{Seed: 42, Quick: true}
 	t.Run("T12-DirStore", func(t *testing.T) {
@@ -193,17 +185,32 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 			t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
 		}
 	})
+	var all bytes.Buffer
+	ran := 0
 	for _, e := range Experiments() {
 		id := e.ID
 		t.Run(id, func(t *testing.T) {
+			ran++
 			plain := renderCSV(t, id, quick42, nil)
+			all.WriteString(plain)
+			serial := quick42
+			serial.Workers = 1
 			store := newMemStore()
-			if got := renderCSV(t, id, quick42, store); got != plain {
+			if got := renderCSV(t, id, serial, store); got != plain {
 				t.Fatalf("checkpointed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
 			}
 			jobs := len(store.loaded)
 			if (jobs == 0) != (id == "F2") || store.saves.Load() != int64(jobs) {
 				t.Fatalf("checkpointed run stored %d blobs for %d jobs", store.saves.Load(), jobs)
+			}
+			run := Config{prefix: runPrefix(id, quick42)}
+			for j, key := range store.loaded {
+				if want := run.key(jobs, j); key != want {
+					t.Fatalf("job %d asked for as %s, want %s (one fan-out of %d, in order)", j, key, want, jobs)
+				}
+				if _, ok := store.blobs[key]; !ok {
+					t.Fatalf("job %d: result not stored", j)
+				}
 			}
 			if got := renderCSV(t, id, quick42, store); got != plain {
 				t.Fatalf("resumed run diverged\nwant:\n%s\ngot:\n%s", plain, got)
@@ -213,15 +220,19 @@ func TestCheckpointExperimentByteIdentity(t *testing.T) {
 			}
 		})
 	}
+	if ran < len(Experiments()) {
+		return // -run picked some experiments: there is no whole to hash
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(all.Bytes())); got != quickSHA256 {
+		t.Errorf("quick CSV digest %s, want %s; output:\n%s", got, quickSHA256, all.String())
+	}
 }
 
 // renderCSV runs experiment id under cfg, checkpointed into store when
 // it is non-nil, and returns its CSV.
 func renderCSV(t *testing.T, id string, cfg Config, store BlobStore) string {
 	t.Helper()
-	if store != nil {
-		cfg.Checkpoint = &Checkpoint{Store: store}
-	}
+	cfg.Checkpoint = store
 	tables, err := Run(context.Background(), id, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -250,12 +261,12 @@ func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
 	// T12 quick is one fan-out of 6 curve rows and 2 bisections, issued
 	// in reverse table order: curve row 0 is job 7, the B = 1 bisection
 	// job 1.
-	cp := (&Checkpoint{}).scoped("T12", cfg)
+	run := Config{prefix: runPrefix("T12", cfg)}
 	store := newMemStore()
 	stale := map[string][]byte{}
 	for file, key := range map[string]string{
-		"s000-j000000.json": cp.key(0, 8, 7),
-		"s001-j000000.json": cp.key(0, 8, 1),
+		"s000-j000000.json": run.key(8, 7),
+		"s001-j000000.json": run.key(8, 1),
 	} {
 		blob, err := os.ReadFile(filepath.Join("testdata", "ckpt_parent_T12", file))
 		if err != nil {
@@ -287,9 +298,9 @@ func TestCheckpointStaleBlobsRecomputed(t *testing.T) {
 
 // TestCheckpointKeysScopedToRun: a store reused by a run under another
 // Config — another seed, quick then full, another scale — or written
-// by a build before the batch engine, before T10 joined it or before
-// T12 did, replays nothing into the run: it recomputes every job and
-// prints what a plain run prints.
+// by a build before the batch engine, before T10 joined it, before T12
+// did or before the keys lost their stage, replays nothing into the
+// run: it recomputes every job and prints what a plain run prints.
 func TestCheckpointKeysScopedToRun(t *testing.T) {
 	quick42 := Config{Seed: 42, Quick: true}
 	for _, tc := range []struct {
@@ -309,20 +320,24 @@ func TestCheckpointKeysScopedToRun(t *testing.T) {
 			renderCSV(t, "T15", Config{Seed: 1, Quick: true, Scale: 256}, s)
 		}, "T15", Config{Seed: 1, Quick: true, Scale: 512}},
 		// What the build before T12–T16 joined the engine wrote for the
-		// same run: point blobs, its one 8-job fan-out at the same stage
-		// and length as this build's, under layout 2.
+		// same run: point blobs, its one 8-job fan-out of the same length
+		// as this build's, under layout 2.
 		{"parent T12 layout", plantParent("T12_layout2"), "T12", quick42},
 		// What `wormbench -run T1 -quick -seed 42 -checkpoint DIR` and
 		// the same for T7 wrote before the batch engine, under the keys
 		// that build wrote: T1's rows are the old T1Row, T7's jobs bare
-		// float64s, and T7's one 18-job fan-out has the same stage and
-		// length as this build's.
+		// float64s, and T7's one 18-job fan-out has the same length as
+		// this build's.
 		{"parent T1 layout", plantParent("T1"), "T1", quick42},
 		{"parent T7 layout", plantParent("T7"), "T7", quick42},
 		// What the build before T10 joined the engine wrote for the same
-		// run: T10Row blobs, its one 4-job fan-out at the same stage and
-		// length as this build's.
+		// run: T10Row blobs, its one 4-job fan-out of the same length as
+		// this build's.
 		{"parent T10 layout", plantParent("T10"), "T10", quick42},
+		// What `wormbench -run T2 -quick -seed 42 -checkpoint DIR` wrote
+		// under layout 3, in DIR/T2: the same vals as this build's, for
+		// the same jobs, under keys that name the fan-out's stage.
+		{"parent T2 layout", plantParent("T2"), "T2", quick42},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := newMemStore()

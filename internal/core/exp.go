@@ -34,16 +34,20 @@ type Config struct {
 	// child registry (via metrics), folded deterministically at
 	// Telemetry.Snapshot(). Tables stay byte-identical either way.
 	Telemetry *telemetry.Aggregate
-	// Checkpoint, when non-nil, memoizes completed harness jobs in its
-	// BlobStore so a re-run of the same experiment with the same Seed,
-	// Quick, Trials and Scale resumes instead of recomputing (see
-	// checkpoint.go); a run under any other Config recomputes. Tables
-	// stay byte-identical with or without it.
-	Checkpoint *Checkpoint
+	// Checkpoint, when non-nil, memoizes completed harness jobs in this
+	// store so a re-run of the same experiment with the same Seed, Quick,
+	// Trials and Scale resumes instead of recomputing (see
+	// checkpoint.go); a run under any other Config recomputes. One store
+	// may serve every experiment: keys name the run. Tables stay
+	// byte-identical with or without it.
+	Checkpoint BlobStore
 
 	// ctx is the context Run was given; mapJobs stops starting jobs once
 	// it is cancelled. Nil (an Experiment.Run called directly) never is.
 	ctx context.Context
+	// prefix is the key prefix Run gives the run's jobs in Checkpoint
+	// (runPrefix).
+	prefix string
 }
 
 // trials is the experiment's trial count: Trials when set, otherwise its
@@ -149,10 +153,7 @@ func Run(ctx context.Context, id string, cfg Config) (tables []*stats.Table, err
 	if err := Validate(id, cfg); err != nil {
 		return nil, err
 	}
-	cfg.ctx = ctx
-	if cfg.Checkpoint != nil {
-		cfg.Checkpoint = cfg.Checkpoint.scoped(id, cfg)
-	}
+	cfg.ctx, cfg.prefix = ctx, runPrefix(id, cfg)
 	defer func() {
 		if r := recover(); r != nil {
 			if r != errCanceled {

@@ -27,8 +27,8 @@ import (
 // its one fan-out from the last job back, costliest first (batch.go,
 // measure), and stores each result in table order. The contract above
 // is unchanged by that, and so is checkpointing, whose memo key
-// (checkpoint.go) is scoped to the run, the fan-out's stage and length,
-// and the job's index.
+// (checkpoint.go) is scoped to the run, the fan-out's length and the
+// job's index.
 
 // workers resolves Config.Workers: 0 means GOMAXPROCS.
 func (c Config) workers() int {
@@ -105,22 +105,26 @@ func runJob(job func(i int), i int, once *sync.Once, val *any, flag *atomic.Bool
 var errCanceled = errors.New("core: run canceled")
 
 // mapJobs runs n independent jobs under cfg's worker budget and collects
-// their results in index order. With Config.Checkpoint set, completed
-// jobs are memoized and replayed across runs; once the context Run was
-// given is cancelled, no further job starts (see checkpoint.go for both
-// contracts).
+// their results in index order. With Config.Checkpoint set, each job is
+// replayed from the store when it holds a faithful result and otherwise
+// computed and stored; once the context Run was given is cancelled, no
+// further job starts (see checkpoint.go for both contracts).
 func mapJobs[T any](cfg Config, n int, job func(i int) T) []T {
-	run := job
-	if cp := cfg.Checkpoint; cp != nil && cp.Store != nil {
-		stage := cp.nextStage()
-		run = func(i int) T { return memoJob(cp, stage, n, i, job) }
-	}
 	out := make([]T, n)
 	forEachJob(cfg.workers(), n, func(i int) {
 		if cfg.ctx != nil && cfg.ctx.Err() != nil {
 			panic(errCanceled)
 		}
-		out[i] = run(i)
+		if cfg.Checkpoint == nil {
+			out[i] = job(i)
+			return
+		}
+		key := cfg.key(n, i)
+		var ok bool
+		if out[i], ok = LoadMemo[T](cfg.Checkpoint, key); !ok {
+			out[i] = job(i)
+			StoreMemo(cfg.Checkpoint, key, out[i])
+		}
 	})
 	return out
 }

@@ -70,6 +70,17 @@ const MaxEndpoints = 1 << 16
 // every restart). The largest documented length is 20.
 const MaxMessageLength = 1 << 12
 
+// MaxWindows bounds the window count of a run, ⌈(Warmup + Measure +
+// Drain) / Window⌉, whose terms also arrive from outside (a wormholed
+// sweep's window and phase lengths). A Runner keeps one
+// telemetry.WindowStats per window, and wormholed publishes, memoizes
+// and snapshots that series: on a 2-input butterfly with one-step
+// windows, 2²⁰ windows held 107 MB once the run was done (2¹⁶ held
+// 7.5 MB), so a one-step window over a 2·10⁹-step measurement was an
+// allocation the daemon could not survive, again on every restart.
+// wormholed's benchmark sweep makes 21 windows and its e2e sweep 41.
+const MaxWindows = 1 << 16
+
 // NewButterflyNet adapts an n-input butterfly: endpoint i injects at
 // input column i and delivers at output column i, routed on the unique
 // bit-fixing path. The leveled DAG structure makes greedy wormhole

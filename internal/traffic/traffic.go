@@ -237,6 +237,11 @@ func (c *Config) validate(endpoints int) error {
 		c.Drain > vcsim.MaxHorizon-c.Warmup-c.Measure {
 		return fmt.Errorf("%w: windows %d + %d + %d exceed MaxHorizon %d", vcsim.ErrOverHorizon, c.Warmup, c.Measure, c.Drain, vcsim.MaxHorizon)
 	}
+	// Measure ≥ 1, so the ceiling is (steps-1)/Window + 1, which cannot
+	// overflow however large Window is.
+	if steps := c.Warmup + c.Measure + c.Drain; c.Window > 0 && (steps-1)/c.Window+1 > MaxWindows {
+		return fmt.Errorf("traffic: %d steps in windows of %d make more than MaxWindows %d", steps, c.Window, MaxWindows)
+	}
 	// NaN compares false against every bound below and an infinite mean
 	// turns the OnOff maximum into NaN, so non-finite values are refused
 	// by name before the range checks can wave them through.
