@@ -1,11 +1,34 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// quickSHA256 is the SHA-256 of `wormbench -all -quick -csv -seed 42`
+// stdout — every registered experiment's tables, in registry order —
+// recorded from the build before the checkpoint keys lost their stage.
+// It is the bytes benchmark/golden.json pins for tables-quick;
+// testdata/full.sha256 is the same at full scale, checked in CI.
+const quickSHA256 = "fc42b782ca3536c7b0db74259597b40c411616a61dabe7d9f0f2f4aa73a0353f"
+
+// TestBatchQuickGolden is the quick golden: every experiment but F2 is
+// a batch declaration, so the batch engine's tables are the registry's,
+// and the plain legs of the registry pass (quickPass), concatenated,
+// must hash to quickSHA256.
+func TestBatchQuickGolden(t *testing.T) {
+	var all strings.Builder
+	for _, e := range Experiments() {
+		all.WriteString(quickPass(t, e.ID).plain)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(all.String()))); got != quickSHA256 {
+		t.Errorf("quick CSV digest %s, want %s; output:\n%s", got, quickSHA256, all.String())
+	}
+}
 
 // tableRow is one row of a batch table: each column's value, by header.
 type tableRow map[string]any
@@ -47,6 +70,32 @@ func (r tableRow) is(header string) bool {
 		panic(fmt.Sprintf("no boolean column %q in %v", header, r))
 	}
 	return v
+}
+
+// TestJobLayout pins the engine's schedule across the registry: in the
+// checkpointed leg of the registry pass (one worker, so the store is
+// asked in the order jobs are handed out) every experiment but F2 issues
+// exactly one fan-out, asks for its keys in order, and stores a blob
+// for every job. Which job comes first is the engine's rule, pinned by
+// TestJobsIssuedLastFirst.
+func TestJobLayout(t *testing.T) {
+	for _, e := range Experiments() {
+		l := quickPass(t, e.ID)
+		n := len(l.asked)
+		if (n == 0) != (e.ID == "F2") {
+			t.Errorf("%s: %d jobs", e.ID, n)
+		}
+		run := Config{prefix: runPrefix(e.ID, Config{Seed: 42, Quick: true})}
+		for j, key := range l.asked {
+			if want := run.key(n, j); key != want {
+				t.Errorf("%s: job %d asked for as %s, want %s (one fan-out of %d, in order)", e.ID, j, key, want, n)
+				break
+			}
+			if !l.stored[key] {
+				t.Errorf("%s job %d: result not stored", e.ID, j)
+			}
+		}
+	}
 }
 
 // TestJobsIssuedLastFirst: the one fan-out of an experiment's tables

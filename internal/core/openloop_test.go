@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"strings"
@@ -290,5 +291,23 @@ func TestT12SaturationSearchWakeupMatchesNaive(t *testing.T) {
 		if !reflect.DeepEqual(wake, naive) {
 			t.Errorf("B=%d: saturation searches disagree\nwakeup: %+v\n naive: %+v", b, wake, naive)
 		}
+	}
+}
+
+// openLoopQuickSHA256 is the SHA-256 of `wormbench -run T -quick -csv
+// -seed 42` stdout for T = T12..T16, concatenated, recorded from a build
+// of the commit before the five experiments became declarations. It is
+// a slice of what quickSHA256 pins, read from the same registry pass,
+// so a drift that fails TestBatchQuickGolden is placed inside or
+// outside the open-loop studies at no extra run.
+const openLoopQuickSHA256 = "fb32f2356f7e6af810c99952d862ee83b4dc9b328c1b7be4b48e213d2d762200"
+
+func TestOpenLoopQuickGolden(t *testing.T) {
+	var out strings.Builder
+	for _, id := range []string{"T12", "T13", "T14", "T15", "T16"} {
+		out.WriteString(quickPass(t, id).plain)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != openLoopQuickSHA256 {
+		t.Errorf("T12–T16 quick CSV digest %s, want %s; output:\n%s", got, openLoopQuickSHA256, out.String())
 	}
 }
