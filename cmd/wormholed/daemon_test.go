@@ -156,13 +156,12 @@ func waitState(t *testing.T, srv *httptest.Server, id string, want jobState) Job
 
 func waitStateURL(t *testing.T, base, id string, want jobState) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
+	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/api/v1/jobs/" + id)
-		if err != nil {
+		var st JobStatus
+		if err := json.Unmarshal(fetch(t, base+"/api/v1/jobs/"+id, http.StatusOK), &st); err != nil {
 			t.Fatal(err)
 		}
-		st := decodeStatus(t, resp)
 		switch st.State {
 		case want:
 			return st

@@ -70,41 +70,6 @@ func startDaemon(t *testing.T, bin, stateDir string, extraArgs ...string) (*exec
 	return nil, ""
 }
 
-func e2eGet(t *testing.T, url string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body) //nolint:errcheck
-	return resp.StatusCode, buf.Bytes()
-}
-
-func e2eWaitDone(t *testing.T, base, id string) {
-	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		code, body := e2eGet(t, base+"/api/v1/jobs/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("status %s: %d %s", id, code, body)
-		}
-		var st JobStatus
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		switch st.State {
-		case stateDone:
-			return
-		case stateFailed, stateCanceled:
-			t.Fatalf("job %s reached %s: %s", id, st.State, st.Error)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("job %s never completed", id)
-}
-
 func TestDaemonE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e builds and drives real binaries")
@@ -179,23 +144,17 @@ func TestDaemonE2E(t *testing.T) {
 		cmd2.Process.Kill() //nolint:errcheck
 		cmd2.Wait()         //nolint:errcheck
 	}()
-	e2eWaitDone(t, base2, sweepID)
-	e2eWaitDone(t, base2, expID)
+	waitStateURL(t, base2, sweepID, stateDone)
+	waitStateURL(t, base2, expID, stateDone)
 
 	// Sweep CSV vs direct in-process runs of the same configuration.
-	code, gotSweep := e2eGet(t, base2+"/api/v1/jobs/"+sweepID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("sweep result: %d", code)
-	}
+	gotSweep := fetch(t, base2+"/api/v1/jobs/"+sweepID+"/result", http.StatusOK)
 	if want := directRunCSV(t, sweep); want != string(gotSweep) {
 		t.Errorf("killed-and-restored sweep diverged from direct runs\nwant:\n%s\ngot:\n%s", want, gotSweep)
 	}
 
 	// Experiment CSV vs the CLI, byte for byte.
-	code, gotExp := e2eGet(t, base2+"/api/v1/jobs/"+expID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("experiment result: %d", code)
-	}
+	gotExp := fetch(t, base2+"/api/v1/jobs/"+expID+"/result", http.StatusOK)
 	bench := exec.Command(benchBin, "-run", "T12", "-quick", "-csv")
 	var benchOut bytes.Buffer
 	bench.Stdout = &benchOut
@@ -227,7 +186,5 @@ func TestDaemonE2E(t *testing.T) {
 	}
 
 	// The daemon stays healthy after all of it.
-	if code, body := e2eGet(t, base2+"/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz: %d %s", code, body)
-	}
+	fetch(t, base2+"/healthz", http.StatusOK)
 }

@@ -174,6 +174,8 @@ func TestOversizedSpecIs400(t *testing.T) {
 		"dims overflow":   strings.Replace(sweep, "%s", `"mesh","dims":[4294967296,4294967296]`, 1),
 		"many small dims": strings.Replace(sweep, "%s", `"mesh","dims":[`+strings.Repeat("2,", 40)+`2]`, 1),
 		"odd butterfly":   strings.Replace(sweep, "%s", `"butterfly","size":12`, 1), // NewButterfly panics on it
+		"hotspot count": strings.Replace(sweep, "%s",
+			`"mesh","dims":[4,4],"pattern":"hotspot","hotspot_count":4611686018427387904,"hotspot_fraction":1`, 1),
 		"T15 scale":       `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`,
 		"T14 quick scale": `{"type":"experiment","experiment":{"id":"T14","scale":1073741824,"quick":true}}`,
 		"trials":          `{"type":"experiment","experiment":{"id":"T7","trials":1099511627776}}`,
@@ -207,6 +209,8 @@ func TestPersistedOversizedSpecFailsJob(t *testing.T) {
 			"virtual_channels":2,"lane_depth":2,"message_length":2000000000,"rates":[0.1],"measure":100}}`, "4096"},
 		"window count": {"sweep", `{"type":"sweep","sweep":{"topology":"butterfly","size":16,
 			"virtual_channels":2,"message_length":4,"window":1,"rates":[0.1],"measure":2000000000}}`, "65536"},
+		"hotspot count": {"sweep", `{"type":"sweep","sweep":{"topology":"mesh","dims":[4,4],"pattern":"hotspot",
+			"hotspot_count":4611686018427387904,"hotspot_fraction":1,"virtual_channels":2,"message_length":4,"rates":[0.02],"measure":160}}`, "count 16"},
 		"experiment": {"experiment", `{"type":"experiment","experiment":{"id":"T15","scale":1073741824}}`, "65536"},
 		"trials":     {"experiment", `{"type":"experiment","experiment":{"id":"T7","trials":1099511627776}}`, "1000"},
 	} {

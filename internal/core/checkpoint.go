@@ -21,15 +21,16 @@ package core
 // Telemetry stay out of the key: tables do not depend on them.
 //
 // Correctness over reuse: a memoized job result must be EXACTLY the
-// value the job would compute, or tables silently corrupt. Job results
-// are arbitrary Go values (some with unexported fields JSON cannot
-// carry), so the save side proves each blob faithful before storing it:
-// marshal, unmarshal into a fresh value, and deep-compare against the
-// live result. A type that does not round-trip is simply never stored —
-// those jobs re-run every time, which is slower but always right. The
-// load side mirrors the proof: a stored blob is replayed only if it
-// re-encodes to itself under the job's current result type; a stale
-// one is recomputed and overwritten.
+// value the job would compute, or tables silently corrupt. Every
+// experiment job returns vals (named numbers), and the memo's one other
+// user is wormholed's pointResult. Neither is trusted to survive JSON
+// unproven (a NaN does not marshal at all), so the save side proves
+// each blob faithful before storing it: marshal, unmarshal into a fresh
+// value, and deep-compare against the live result. A value that does
+// not round-trip is simply never stored — its job re-runs every time,
+// which is slower but always right. The load side mirrors the proof: a
+// stored blob is replayed only if it re-encodes to itself under the
+// job's current result type; a stale one is recomputed and overwritten.
 //
 // Cancellation is the cooperative half of graceful shutdown: Run takes
 // a context, the harness checks it before starting each job, and once

@@ -11,7 +11,6 @@ package traffic
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"wormhole/internal/vcsim"
@@ -35,26 +34,6 @@ func kneeBenchCfg(laneDepth int) Config {
 	}
 }
 
-// kneePaused returns the knee run paused at step at.
-func kneePaused(tb testing.TB, laneDepth, at int) *Runner {
-	tb.Helper()
-	cfg := kneeBenchCfg(laneDepth)
-	cfg.OnStep = func(step int) error {
-		if step == at {
-			return errPause
-		}
-		return nil
-	}
-	r, err := NewRunner(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := r.Run(); !errors.Is(err, errPause) {
-		tb.Fatalf("run did not pause at step %d: %v", at, err)
-	}
-	return r
-}
-
 var benchDepths = []struct {
 	name  string
 	depth int
@@ -63,7 +42,7 @@ var benchDepths = []struct {
 func BenchmarkSnapshot(b *testing.B) {
 	for _, d := range benchDepths {
 		b.Run(d.name, func(b *testing.B) {
-			r := kneePaused(b, d.depth, 4096)
+			r := pausedAt(b, kneeBenchCfg(d.depth), 4096)
 			var buf bytes.Buffer
 			if err := r.Snapshot(&buf); err != nil {
 				b.Fatal(err)
@@ -85,7 +64,7 @@ func BenchmarkRestore(b *testing.B) {
 	for _, d := range benchDepths {
 		b.Run(d.name, func(b *testing.B) {
 			var buf bytes.Buffer
-			if err := kneePaused(b, d.depth, 4096).Snapshot(&buf); err != nil {
+			if err := pausedAt(b, kneeBenchCfg(d.depth), 4096).Snapshot(&buf); err != nil {
 				b.Fatal(err)
 			}
 			cfg := kneeBenchCfg(d.depth)

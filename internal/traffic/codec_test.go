@@ -1,80 +1,24 @@
 package traffic
 
-// Pause/resume and checkpoint/restore differentials for the open-loop
-// Runner: a run paused via Config.OnStep — or snapshotted there, killed,
-// and restored into a fresh Runner — must produce a Result (and window
-// series) byte-identical to the uninterrupted run.
+// The Runner checkpoint codec's own contracts: its errors, its refusal
+// of a mismatched Config or a cut stream, and its allocations. That a
+// restored run finishes as the uninterrupted one did is checkRunner's.
 
 import (
 	"bytes"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
 	"wormhole/internal/snap/snaptest"
-	"wormhole/internal/telemetry"
+	"wormhole/internal/vcsim"
 )
-
-var errPause = errors.New("pause requested")
-
-func runnerOracleCfg(proc Process, pat Pattern) Config {
-	return Config{
-		Net:             NewButterflyNet(8),
-		VirtualChannels: 2,
-		MessageLength:   4,
-		Process:         proc,
-		Pattern:         pat,
-		Rate:            0.08,
-		Warmup:          40,
-		Measure:         160,
-		Drain:           400,
-		Window:          50,
-		Seed:            17,
-	}
-}
-
-// TestRunnerPauseResume pins the state-machine refactor: pausing via
-// OnStep at an arbitrary step and Resuming must not perturb the run.
-func TestRunnerPauseResume(t *testing.T) {
-	for _, proc := range []Process{Bernoulli, Poisson, OnOff} {
-		cfg := runnerOracleCfg(proc, Uniform)
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		pauses := 0
-		cfg.OnStep = func(step int) error {
-			if step%37 == 0 {
-				pauses++
-				return errPause
-			}
-			return nil
-		}
-		r, err := NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		for errors.Is(err, errPause) {
-			res, err = r.Resume()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pauses == 0 {
-			t.Fatalf("%s: run never paused; the resume path is untested", proc)
-		}
-		if !reflect.DeepEqual(want, res) {
-			t.Fatalf("%s: paused run diverged\nwant: %+v\n got: %+v", proc, want, res)
-		}
-	}
-}
 
 // TestRunnerResumeWithoutRun pins the error contract.
 func TestRunnerResumeWithoutRun(t *testing.T) {
-	r, err := NewRunner(runnerOracleCfg(Bernoulli, Uniform))
+	cfg := wireGoldenCfg() // less its faults and telemetry, under Bernoulli to uniform destinations
+	cfg.Process, cfg.Pattern, cfg.Faults, cfg.Retry, cfg.Metrics = Bernoulli, Uniform, nil, vcsim.RetryPolicy{}, nil
+	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,105 +31,14 @@ func TestRunnerResumeWithoutRun(t *testing.T) {
 	}
 }
 
-// TestRunnerSnapshotRestore is the kill-and-restore differential: the
-// run is snapshotted mid-flight from inside OnStep, the original Runner
-// abandoned, and a RestoreRunner-built replacement finishes it. The
-// final Result and the per-window series must match the uninterrupted
-// oracle exactly — including a cross-mechanism case whose oracle runs
-// on the naive-scan stepper (NaiveScan is a verified snapshot field, so
-// the restore itself cannot switch steppers).
-func TestRunnerSnapshotRestore(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		proc        Process
-		pat         Pattern
-		snapAt      int
-		naiveOracle bool
-		inputs      int // butterfly size; 0 keeps runnerOracleCfg's 8
-	}{
-		{"bernoulli-uniform", Bernoulli, Uniform, 31, false, 0},
-		{"poisson-transpose", Poisson, Transpose, 97, false, 0},
-		{"onoff-hotspot", OnOff, Hotspot, 53, false, 0},
-		{"cross-stepper", Bernoulli, Uniform, 142, true, 0},
-		{"drain-phase", Bernoulli, Uniform, 201, false, 0},
-		// Wide and sparse: most endpoints are between arrivals at the cut,
-		// so the resumed producer scans from the due times RestoreRunner restored.
-		{"poisson-wide", Poisson, Uniform, 97, false, 512},
-	} {
-		cfg := runnerOracleCfg(tc.proc, tc.pat)
-		if tc.inputs > 0 {
-			cfg.Net = NewButterflyNet(tc.inputs)
-		}
-		oracleCfg := cfg
-		oracleCfg.NaiveScan = tc.naiveOracle
-		oracle, err := NewRunner(oracleCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := oracle.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantWindows := append([]telemetry.WindowStats(nil), oracle.Windows()...)
-
-		var blob bytes.Buffer
-		cfg.OnStep = func(step int) error {
-			if step >= tc.snapAt && blob.Len() == 0 {
-				if err := oracle.Snapshot(&blob); err != nil {
-					t.Fatal(err)
-				}
-				return errPause
-			}
-			return nil
-		}
-		victim, err := NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle = victim // Snapshot target inside OnStep
-		if _, err := victim.Run(); !errors.Is(err, errPause) {
-			t.Fatalf("%s: run did not pause at step %d: %v", tc.name, tc.snapAt, err)
-		}
-
-		reCfg := cfg
-		reCfg.OnStep = nil
-		restored, err := RestoreRunner(reCfg, bytes.NewReader(blob.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: restore: %v", tc.name, err)
-		}
-		got, err := restored.Resume()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: restored run diverged\nwant: %+v\n got: %+v", tc.name, want, got)
-		}
-		if !reflect.DeepEqual(wantWindows, restored.Windows()) {
-			t.Fatalf("%s: restored window series diverged\nwant: %+v\n got: %+v", tc.name, wantWindows, restored.Windows())
-		}
-	}
-}
-
 // TestRestoreRunnerRejectsMismatch: every digest field mismatch must be
 // reported as ErrRunnerSnapshot naming the field, and garbage must
 // never restore.
 func TestRestoreRunnerRejectsMismatch(t *testing.T) {
-	cfg := runnerOracleCfg(OnOff, Hotspot)
+	base := wireGoldenCfg() // less its faults and telemetry
+	base.Faults, base.Retry, base.Metrics = nil, vcsim.RetryPolicy{}, nil
 	var blob bytes.Buffer
-	cfg.OnStep = func(step int) error {
-		if step == 25 {
-			return errPause
-		}
-		return nil
-	}
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); !errors.Is(err, errPause) {
-		t.Fatal(err)
-	}
-	if err := r.Snapshot(&blob); err != nil {
+	if err := pausedAt(t, base, 25).Snapshot(&blob); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,7 +55,6 @@ func TestRestoreRunnerRejectsMismatch(t *testing.T) {
 		"Window":          func(c *Config) { c.Window = 25 },
 		"OnMean":          func(c *Config) { c.OnMean = 9 },
 	}
-	base := runnerOracleCfg(OnOff, Hotspot)
 	for field, mutate := range mutations {
 		bad := base
 		mutate(&bad)
@@ -223,61 +75,6 @@ func TestRestoreRunnerRejectsMismatch(t *testing.T) {
 	// The unmutated config restores.
 	if _, err := RestoreRunner(base, bytes.NewReader(valid)); err != nil {
 		t.Errorf("valid snapshot failed to restore: %v", err)
-	}
-}
-
-// TestRunnerSnapshotCheckpointContinue pins the checkpoint-and-keep-
-// going mode the daemon's periodic checkpointer uses: snapshotting
-// WITHOUT pausing must not perturb the run (Snapshot only reads), and
-// the LAST snapshot taken must still restore to the oracle result.
-func TestRunnerSnapshotCheckpointContinue(t *testing.T) {
-	cfg := runnerOracleCfg(Poisson, BitReverse)
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var last bytes.Buffer
-	var victim *Runner
-	cfg.OnStep = func(step int) error {
-		if step%60 == 0 {
-			last.Reset()
-			if err := victim.Snapshot(&last); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return nil
-	}
-	victim, err = NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := victim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("periodic snapshots perturbed the run\nwant: %+v\n got: %+v", want, got)
-	}
-	if last.Len() == 0 {
-		t.Fatal("no checkpoint was taken")
-	}
-
-	reCfg := cfg
-	reCfg.OnStep = nil
-	restored, err := RestoreRunner(reCfg, bytes.NewReader(last.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := restored.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, res) {
-		t.Fatalf("restored-from-checkpoint run diverged\nwant: %+v\n got: %+v", want, res)
-	}
-	if math.IsNaN(res.MeanLatency) {
-		t.Fatal("NaN latency after restore")
 	}
 }
 
@@ -339,7 +136,7 @@ func TestSnapshotAllocationsAreConstant(t *testing.T) {
 		t.Skip("runs the knee point for 4 k steps")
 	}
 	allocs := func(at int) (float64, int) {
-		r := kneePaused(t, 0, at)
+		r := pausedAt(t, kneeBenchCfg(0), at)
 		var buf bytes.Buffer
 		if err := r.Snapshot(&buf); err != nil {
 			t.Fatal(err)

@@ -20,36 +20,16 @@ import (
 	"errors"
 	"testing"
 
-	"wormhole/internal/fault"
 	"wormhole/internal/snap/snaptest"
 	"wormhole/internal/vcsim"
 )
 
 func FuzzRestoreRunner(f *testing.F) {
-	cfg := runnerOracleCfg(OnOff, Hotspot)
-	cfg.Faults = fault.Generate(fault.GenConfig{
-		Seed: 23, NumEdges: cfg.Net.G.NumEdges(), Horizon: 120, Rate: 0.3, MeanOutage: 40, Lanes: 1,
-	})
-	cfg.Retry = vcsim.RetryPolicy{MaxAttempts: 3, Backoff: 8, BackoffCap: 64}
-
+	cfg := wireGoldenCfg()
+	cfg.Metrics = nil
 	var blob bytes.Buffer
-	snapCfg := cfg
-	var victim *Runner
-	snapCfg.OnStep = func(step int) error {
-		if step >= 60 && blob.Len() == 0 {
-			if err := victim.Snapshot(&blob); err != nil {
-				f.Fatal(err)
-			}
-			return errPause
-		}
-		return nil
-	}
-	victim, err := NewRunner(snapCfg)
-	if err != nil {
+	if err := pausedAt(f, cfg, 60).Snapshot(&blob); err != nil {
 		f.Fatal(err)
-	}
-	if _, err := victim.Run(); !errors.Is(err, errPause) {
-		f.Fatalf("run did not pause: %v", err)
 	}
 	valid := blob.Bytes()
 

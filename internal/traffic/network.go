@@ -22,10 +22,10 @@ import (
 // is safe for concurrent use by multiple Runners. A caller-built Network
 // keeps that guarantee as long as its function fields are themselves safe
 // to call concurrently. Even a Network used by one Runner is called from
-// two goroutines: Route and AppendRoute run on the Runner's arrival
-// producer during the injection window, not on the goroutine that calls
-// Run or Resume, so a router must not write state that the caller's own
-// code (an OnStep hook, say) reads.
+// two goroutines: AppendRoute runs on the Runner's arrival producer
+// during the injection window, not on the goroutine that calls Run or
+// Resume, so a router must not write state that the caller's own code
+// (an OnStep hook, say) reads.
 type Network struct {
 	// G is the physical network.
 	G *graph.Graph
@@ -36,13 +36,13 @@ type Network struct {
 	// Dest returns the delivery node of endpoint i.
 	Dest func(i int) graph.NodeID
 	// Route returns the path from endpoint src's injection node to
-	// endpoint dst's delivery node as a fresh slice the caller owns.
+	// endpoint dst's delivery node as a fresh slice the caller owns. The
+	// Runner does not call it; it serves callers that route outside one.
 	Route func(src, dst int) graph.Path
 	// AppendRoute appends that same path to buf and returns the extended
 	// slice, allocating only when buf lacks the capacity. The Runner
-	// routes every message through it into one reused buffer. Optional:
-	// a Network that sets only Route is routed through Route, at one
-	// allocation per message.
+	// routes every message through it into one reused buffer, and refuses
+	// a Network without it.
 	AppendRoute func(buf graph.Path, src, dst int) graph.Path
 	// Label names the network in tables and errors.
 	Label string

@@ -255,6 +255,7 @@ func (r *Runner) produce() {
 func (r *Runner) fill(c *chunk) {
 	p := &r.prod
 	cfg := &r.cfg
+	route := cfg.Net.AppendRoute
 	// The chunk is built in locals and stored once at the end: its
 	// headers share cache lines with the chunk the stepper is reading,
 	// so an append that wrote them would bounce those lines between the
@@ -271,7 +272,7 @@ func (r *Runner) fill(c *chunk) {
 			}
 			src, in := &p.src[e], &p.inj[e]
 			for ; k > 0; k-- {
-				paths = r.route(paths, e, cfg.dest(e, src)) //wormvet:allow hotalloc -- the Network's router appends into the chunk's reused buffer
+				paths = route(paths, e, cfg.dest(e, src)) //wormvet:allow hotalloc -- the Network's router appends into the chunk's reused buffer
 				ends = append(ends, uint32(len(paths)))
 			}
 			visits = append(visits, visit{rng: src.State(), next: in.next, e: uint32(e), on: in.on})

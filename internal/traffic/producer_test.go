@@ -1,12 +1,12 @@
 package traffic
 
-// The arrival producer's contracts: how far it runs ahead of the stepper
-// never shows in a snapshot or a Result, and no way out of Run or Resume
-// leaves it running.
+// The arrival producer's contracts beside checkRunner's lead property
+// (how far it runs ahead never shows in a snapshot or a Result): no way
+// out of Run or Resume leaves it running, and the stepper's rewound
+// sources stand in exactly for the steps it records nothing for.
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"reflect"
 	"runtime"
@@ -15,114 +15,8 @@ import (
 
 	"wormhole/internal/graph"
 	"wormhole/internal/rng"
-	"wormhole/internal/telemetry"
 	"wormhole/internal/vcsim"
 )
-
-// leadRun is one run that snapshots from OnStep after every step, and
-// sleeps on some steps when sleeps is non-nil, so the producer's lead
-// varies from step to step.
-type leadRun struct {
-	res     Result
-	windows []telemetry.WindowStats
-	digests [][sha256.Size]byte // of the snapshot taken after step i+1
-	// One snapshot taken mid-chunk, and its step.
-	mid     []byte
-	midStep int
-	// Steps whose snapshot was taken mid-chunk, and at a chunk's end.
-	inside, boundary int
-	// Whether a chunk being consumed held a step it did not finish.
-	split bool
-}
-
-func runWithLead(t *testing.T, cfg Config, sleeps *rng.Source) leadRun {
-	t.Helper()
-	var out leadRun
-	var r *Runner
-	var buf bytes.Buffer
-	cfg.OnStep = func(step int) error {
-		buf.Reset()
-		if err := r.Snapshot(&buf); err != nil {
-			return err
-		}
-		out.digests = append(out.digests, sha256.Sum256(buf.Bytes()))
-		if p := &r.prod; p.running && p.cur != nil {
-			for _, sg := range p.cur.segs {
-				out.split = out.split || int(sg.to) < cfg.Net.Endpoints
-			}
-			out.inside++
-			if out.mid == nil && step > cfg.Warmup {
-				out.mid, out.midStep = append([]byte(nil), buf.Bytes()...), step
-			}
-		} else if p.running {
-			out.boundary++
-		}
-		if sleeps != nil && sleeps.Intn(3) == 0 {
-			time.Sleep(time.Duration(sleeps.Intn(201)) * time.Microsecond)
-		}
-		return nil
-	}
-	var err error
-	if r, err = NewRunner(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if out.res, err = r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out.windows = append(out.windows, r.Windows()...)
-	return out
-}
-
-// TestArrivalLeadInvariance: a run whose OnStep hook sleeps a
-// seed-chosen 0–200 µs on some steps, so the producer's lead varies,
-// must snapshot the same bytes after every step — mid-chunk and at chunk
-// ends alike — and end with the same Result as the run with no sleeps;
-// and a Runner restored from a mid-chunk snapshot must finish the run
-// exactly as the uninterrupted one did. On the 8-input butterfly a chunk
-// spans many steps; on the 1024-input one, loaded to 0.25, a step spans
-// several chunks.
-func TestArrivalLeadInvariance(t *testing.T) {
-	for _, proc := range []Process{Bernoulli, Poisson, OnOff} {
-		for _, pat := range []Pattern{Uniform, Hotspot} {
-			cfg := runnerOracleCfg(proc, pat)
-			name := proc.String() + "/" + pat.String()
-			if pat == Hotspot {
-				name += "/wide"
-				cfg.Net = NewButterflyNet(1024)
-				cfg.Rate, cfg.Warmup, cfg.Measure, cfg.Drain, cfg.Window = 0.25, 4, 12, 0, 8
-			}
-			want := runWithLead(t, cfg, nil)
-			got := runWithLead(t, cfg, rng.New(uint64(proc)<<8|uint64(pat)))
-			if got.inside == 0 || got.boundary == 0 || got.split != (pat == Hotspot) {
-				t.Fatalf("%s: %d snapshots mid-chunk and %d at a chunk's end, a step split across chunks: %v",
-					name, got.inside, got.boundary, got.split)
-			}
-			if len(got.digests) != len(want.digests) {
-				t.Fatalf("%s: %d steps with sleeps, %d without", name, len(got.digests), len(want.digests))
-			}
-			for i := range want.digests {
-				if got.digests[i] != want.digests[i] {
-					t.Fatalf("%s: the snapshot after step %d depends on the producer's lead", name, i+1)
-				}
-			}
-			if !reflect.DeepEqual(got.res, want.res) || !reflect.DeepEqual(got.windows, want.windows) {
-				t.Fatalf("%s: the Result depends on the producer's lead\nwant %+v\n got %+v", name, want.res, got.res)
-			}
-
-			restored, err := RestoreRunner(cfg, bytes.NewReader(got.mid))
-			if err != nil {
-				t.Fatalf("%s: restore from step %d: %v", name, got.midStep, err)
-			}
-			res, err := restored.Resume()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, want.res) || !reflect.DeepEqual(restored.Windows(), want.windows) {
-				t.Fatalf("%s: resumed from the mid-chunk snapshot at step %d\nwant %+v\n got %+v", name, got.midStep, want.res, res)
-			}
-		}
-	}
-}
 
 // TestResumeLeavesNoGoroutine: every way out of Run and Resume — a
 // finished run, a drain cut short, an early stop, a pause, an error, a
@@ -130,8 +24,7 @@ func TestArrivalLeadInvariance(t *testing.T) {
 // point built on them.
 func TestResumeLeavesNoGoroutine(t *testing.T) {
 	badRoute := *NewButterflyNet(8)
-	badRoute.AppendRoute = nil
-	badRoute.Route = func(src, dst int) graph.Path { return graph.Path{graph.EdgeID(1 << 30)} }
+	badRoute.AppendRoute = func(buf graph.Path, src, dst int) graph.Path { return append(buf, graph.EdgeID(1<<30)) }
 	torus := Config{ // TestDeadlockedBacklogVisible's
 		Net: NewTorusNet(4, 4), VirtualChannels: 1, MessageLength: 6, Process: Bernoulli,
 		Rate: 0.8, Pattern: Uniform, Measure: 2048, Drain: 2048, Seed: 1,
@@ -192,7 +85,7 @@ func TestResumeLeavesNoGoroutine(t *testing.T) {
 			return restored.Resume()
 		}, func(res Result, err error) bool { return err == nil && res.Backlog == 0 }},
 	} {
-		cfg := smallCfg()
+		cfg := baseCfg()
 		if tc.cfg != nil {
 			tc.cfg(&cfg)
 		}
@@ -266,8 +159,8 @@ func TestQuietDraws(t *testing.T) {
 func TestHeldOffPerStepEndpoint(t *testing.T) {
 	const e, pauseAt, next = 3, 10, 20.5
 	for _, proc := range []Process{Bernoulli, OnOff} {
-		cfg := runnerOracleCfg(proc, Uniform)
-		cfg.Window = 0
+		cfg := wireGoldenCfg() // less its faults and telemetry, to uniform destinations, with no series
+		cfg.Process, cfg.Pattern, cfg.Faults, cfg.Retry, cfg.Metrics, cfg.Window = proc, Uniform, nil, vcsim.RetryPolicy{}, nil, 0
 		var r *Runner
 		var ref rng.Source
 		var refIn injector

@@ -30,7 +30,6 @@ import (
 	"math"
 
 	"wormhole/internal/fault"
-	"wormhole/internal/graph"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
 	"wormhole/internal/telemetry"
@@ -262,6 +261,11 @@ func (c *Config) validate(endpoints int) error {
 	if max := c.MaxRate(); c.Rate > max {
 		return fmt.Errorf("traffic: Rate %g exceeds the %s process maximum %g", c.Rate, c.Process, max)
 	}
+	// A hot endpoint is r.Intn(count)·n/count, a product that
+	// count ≤ n ≤ MaxEndpoints keeps in range.
+	if c.HotspotCount > endpoints {
+		return fmt.Errorf("traffic: HotspotCount %d exceeds the endpoint count %d", c.HotspotCount, endpoints)
+	}
 	if c.Pattern.needsPow2() && endpoints&(endpoints-1) != 0 {
 		return fmt.Errorf("traffic: %s pattern needs a power-of-two endpoint count, have %d", c.Pattern, endpoints)
 	}
@@ -324,9 +328,9 @@ type Result struct {
 // goroutine (producer.go), which exits before Run or Resume returns.
 // Results cannot depend on that: the stepper commits each step's
 // arrival state in step order, and Results are byte-identical to the
-// one-shot Run whatever the producer's lead — the differential tests pin
-// both. A Runner, like the Sim inside it, must not be shared across
-// goroutines.
+// one-shot Run whatever the producer's lead — checkRunner's replay and
+// lead properties pin both. A Runner, like the Sim inside it, must not
+// be shared across goroutines.
 type Runner struct {
 	cfg     Config
 	horizon int
@@ -342,9 +346,7 @@ type Runner struct {
 	inject  []injector
 	// params are what every endpoint's process shares, derived from cfg.
 	params processParams
-	// route appends one message's path to a buffer.
-	route func(buf graph.Path, src, dst int) graph.Path
-	prod  producer
+	prod   producer
 
 	// Per-run measurement state, reset at the top of Run; the Sim's
 	// OnComplete closure (built once) streams into these.
@@ -390,8 +392,8 @@ func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
 	if cfg.Net.Endpoints < 1 {
 		return nil, vcsim.Config{}, fmt.Errorf("traffic: network %q has no endpoints", cfg.Net.Label)
 	}
-	if cfg.Net.Route == nil && cfg.Net.AppendRoute == nil {
-		return nil, vcsim.Config{}, fmt.Errorf("traffic: network %q has no router", cfg.Net.Label)
+	if cfg.Net.AppendRoute == nil {
+		return nil, vcsim.Config{}, fmt.Errorf("traffic: network %q has no AppendRoute", cfg.Net.Label)
 	}
 	if err := cfg.validate(cfg.Net.Endpoints); err != nil {
 		return nil, vcsim.Config{}, err
@@ -402,16 +404,9 @@ func newRunnerShell(cfg Config) (*Runner, vcsim.Config, error) {
 		sources: make([]rng.Source, cfg.Net.Endpoints),
 		inject:  make([]injector, cfg.Net.Endpoints),
 		params:  cfg.processParams(),
-		route:   cfg.Net.AppendRoute,
 		prod:    newProducer(cfg.Net.Endpoints),
 	}
 	r.prod.body = r.produce
-	if r.route == nil {
-		route := cfg.Net.Route
-		r.route = func(buf graph.Path, src, dst int) graph.Path {
-			return append(buf, route(src, dst)...)
-		}
-	}
 	onComplete := func(_ message.ID, st vcsim.MessageStats) {
 		if st.Status != vcsim.StatusDelivered {
 			return

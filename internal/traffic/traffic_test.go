@@ -11,7 +11,9 @@ import (
 	"wormhole/internal/vcsim"
 )
 
-func smallCfg() Config {
+// baseCfg is the tests' one base Config: a 16-input butterfly at B = 2
+// under ArbAge, Poisson at 0.05. Tests and checker rows vary it.
+func baseCfg() Config {
 	return Config{
 		Net:             NewButterflyNet(16),
 		VirtualChannels: 2,
@@ -27,35 +29,10 @@ func smallCfg() Config {
 	}
 }
 
-// TestRunDeterminism: identical configs produce bit-identical results.
-func TestRunDeterminism(t *testing.T) {
-	for _, proc := range []Process{Bernoulli, Poisson, OnOff} {
-		for _, pat := range []Pattern{Uniform, Transpose, BitReverse, Hotspot} {
-			cfg := smallCfg()
-			cfg.Process = proc
-			cfg.Pattern = pat
-			a, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", proc, pat, err)
-			}
-			b, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", proc, pat, err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s/%s: results differ across identical runs:\n%+v\n%+v", proc, pat, a, b)
-			}
-			if a.Injected == 0 {
-				t.Errorf("%s/%s: no messages injected", proc, pat)
-			}
-		}
-	}
-}
-
 // TestZeroLoadLatency: at a vanishing rate, latency approaches the
 // contention-free value D + L − 1.
 func TestZeroLoadLatency(t *testing.T) {
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.Rate = 0.005
 	cfg.Measure = 2048
 	res, err := Run(cfg)
@@ -81,7 +58,7 @@ func TestZeroLoadLatency(t *testing.T) {
 // population is always stranded (Truncated), but a trivially sustainable
 // load must still not be called saturated.
 func TestZeroDrainNotSaturated(t *testing.T) {
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.Rate = 0.02
 	cfg.Drain = 0
 	res, err := Run(cfg)
@@ -128,7 +105,7 @@ func TestDeadlockedBacklogVisible(t *testing.T) {
 
 // TestThroughputConservation: well below saturation, accepted ≈ offered.
 func TestThroughputConservation(t *testing.T) {
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.VirtualChannels = 4
 	cfg.Rate = 0.08
 	res, err := Run(cfg)
@@ -146,7 +123,7 @@ func TestThroughputConservation(t *testing.T) {
 // TestSaturationDetectedAtOverload: a B=1 butterfly cannot sustain one
 // message per endpoint per step.
 func TestSaturationDetectedAtOverload(t *testing.T) {
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.VirtualChannels = 1
 	cfg.Process = Bernoulli
 	cfg.Rate = 0.9
@@ -163,7 +140,7 @@ func TestSaturationDetectedAtOverload(t *testing.T) {
 // TestSaturationRateMonotoneInB: the knee must move right as virtual
 // channels are added — the open-loop restatement of the paper's benefit.
 func TestSaturationRateMonotoneInB(t *testing.T) {
-	base := smallCfg()
+	base := baseCfg()
 	base.Warmup = 64
 	base.Measure = 192
 	base.Drain = 512
@@ -189,7 +166,7 @@ func TestSaturationRateMonotoneInB(t *testing.T) {
 
 // TestSaturationSearchDeterminism: two searches agree probe for probe.
 func TestSaturationSearchDeterminism(t *testing.T) {
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.MaxBacklog = 512
 	cfg.Measure = 128
 	opts := SearchOptions{Hi: 1, Iters: 5}
@@ -214,7 +191,7 @@ func TestSaturationSearchDeterminism(t *testing.T) {
 // (rate, the documented (cfg.Seed, i) seed) reports. ArbRandom makes the
 // seed reach the simulator's shuffle, not just the injectors.
 func TestSaturationRateMatchesFreshRuns(t *testing.T) {
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.Arbitration = vcsim.ArbRandom
 	cfg.MaxBacklog = 512
 	cfg.Measure = 128
@@ -263,7 +240,7 @@ func TestPermutationPatterns(t *testing.T) {
 // TestOnOffMatchesMeanRate: the bursty process must still deliver the
 // configured long-run rate.
 func TestOnOffMatchesMeanRate(t *testing.T) {
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.Process = OnOff
 	cfg.Rate = 0.06
 	cfg.VirtualChannels = 4
@@ -317,15 +294,15 @@ func TestMeshAndTorusNetworks(t *testing.T) {
 	}
 }
 
-// TestConfigValidation exercises the error paths.
 // TestBufferArchitecturePlumbing drives the open-loop engine across the
-// (LaneDepth, SharedPool) grid: every architecture must run, stay
-// deterministic, and sustain a load the shallowest buffers already
-// sustain. (Accepted throughput below the knee tracks offered for every
-// depth, so point-wise comparisons only see window-edge noise; the
-// monotone quantity — the saturation rate — is pinned by the T13 tests.)
+// (LaneDepth, SharedPool) grid: every architecture must run and sustain
+// a load the shallowest buffers already sustain. (Accepted throughput
+// below the knee tracks offered for every depth, so point-wise
+// comparisons only see window-edge noise; the monotone quantity — the
+// saturation rate — is pinned by the T13 tests.) Determinism and the
+// NaiveScan identity on deep lanes are checkRunner's.
 func TestBufferArchitecturePlumbing(t *testing.T) {
-	base := smallCfg()
+	base := baseCfg()
 	base.Rate = 0.3
 	for _, depth := range []int{1, 2, 4} {
 		for _, shared := range []bool{false, true} {
@@ -336,13 +313,6 @@ func TestBufferArchitecturePlumbing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("d=%d shared=%v: %v", depth, shared, err)
 			}
-			b, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("d=%d shared=%v: %v", depth, shared, err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("d=%d shared=%v: nondeterministic", depth, shared)
-			}
 			if a.Injected == 0 || a.TrackedDone == 0 {
 				t.Errorf("d=%d shared=%v: no traffic flowed: %+v", depth, shared, a)
 			}
@@ -351,25 +321,9 @@ func TestBufferArchitecturePlumbing(t *testing.T) {
 			}
 		}
 	}
-	// NaiveScan must stay byte-identical on the deep engine through the
-	// traffic layer too, not just in vcsim's own differential tests.
-	cfg := base
-	cfg.LaneDepth = 4
-	cfg.SharedPool = true
-	wake, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NaiveScan = true
-	naive, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wake, naive) {
-		t.Errorf("deep traffic run differs between steppers:\nwakeup: %+v\n naive: %+v", wake, naive)
-	}
 }
 
+// TestConfigValidation exercises the error paths.
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Net = nil },
@@ -381,9 +335,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Drain = -1 },
 		func(c *Config) { c.Pattern = Transpose; c.Net = NewMeshNet(3, 3) },
 		func(c *Config) { c.LaneDepth = -1 },
+		func(c *Config) { c.Pattern, c.HotspotCount = Hotspot, 17 },
+		func(c *Config) { c.Pattern, c.HotspotCount = Hotspot, 1<<62 },
 	}
 	for i, mutate := range bad {
-		cfg := smallCfg()
+		cfg := baseCfg()
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("mutation %d: expected a validation error", i)
@@ -391,7 +347,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// A lane count past the engine's layout is the engine's typed error,
 	// not a panic: wormholed validates a submission by building a Runner.
-	cfg := smallCfg()
+	cfg := baseCfg()
 	cfg.VirtualChannels, cfg.LaneDepth = 1<<30, 4
 	if _, err := NewRunner(cfg); !errors.Is(err, vcsim.ErrBadConfig) {
 		t.Errorf("NewRunner with 2^30 lanes: err = %v, want vcsim.ErrBadConfig", err)
@@ -419,7 +375,7 @@ func TestNonFiniteRejected(t *testing.T) {
 		{"HotspotFraction NaN", func(c *Config) { c.Pattern = Hotspot; c.HotspotFraction = nan }},
 		{"HotspotFraction +Inf", func(c *Config) { c.Pattern = Hotspot; c.HotspotFraction = inf }},
 	} {
-		cfg := smallCfg()
+		cfg := baseCfg()
 		tc.mutate(&cfg)
 		if res, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted, returned %+v", tc.name, res)
@@ -432,7 +388,7 @@ func TestNonFiniteRejected(t *testing.T) {
 		{"Hi NaN", SearchOptions{Hi: nan}},
 		{"Hi +Inf", SearchOptions{Hi: inf}},
 	} {
-		cfg := smallCfg()
+		cfg := baseCfg()
 		cfg.MaxBacklog = 256
 		tc.opts.Iters = 2
 		if res, err := SaturationRate(cfg, tc.opts); err == nil {
@@ -453,7 +409,7 @@ func TestPublishedWindowsCostLinear(t *testing.T) {
 		}
 	}
 	allocated := func(windows int) uint64 {
-		cfg := smallCfg()
+		cfg := baseCfg()
 		cfg.Warmup, cfg.Measure, cfg.Drain = 0, windows, 0
 		cfg.Window, cfg.Publish = 1, &telemetry.Publisher{}
 		r, err := NewRunner(cfg)

@@ -35,7 +35,10 @@ const (
 // wireGoldenCfg is the faulted, telemetry-attached run behind digests
 // (a) and (c) and the committed blob.
 func wireGoldenCfg() Config {
-	cfg := runnerOracleCfg(OnOff, Hotspot)
+	cfg := Config{
+		Net: NewButterflyNet(8), VirtualChannels: 2, MessageLength: 4, Process: OnOff, Pattern: Hotspot,
+		Rate: 0.08, Warmup: 40, Measure: 160, Drain: 400, Window: 50, Seed: 17,
+	}
 	cfg.Faults = fault.Generate(fault.GenConfig{
 		Seed: 23, NumEdges: cfg.Net.G.NumEdges(), Horizon: 120, Rate: 0.3, MeanOutage: 40, Lanes: 1,
 	})
@@ -45,8 +48,8 @@ func wireGoldenCfg() Config {
 }
 
 // pausedAt runs cfg until step at and returns the paused Runner.
-func pausedAt(t *testing.T, cfg Config, at int) *Runner {
-	t.Helper()
+func pausedAt(tb testing.TB, cfg Config, at int) *Runner {
+	tb.Helper()
 	cfg.OnStep = func(step int) error {
 		if step == at {
 			return errPause
@@ -55,10 +58,10 @@ func pausedAt(t *testing.T, cfg Config, at int) *Runner {
 	}
 	r, err := NewRunner(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := r.Run(); !errors.Is(err, errPause) {
-		t.Fatalf("run did not pause at step %d: %v", at, err)
+		tb.Fatalf("run did not pause at step %d: %v", at, err)
 	}
 	return r
 }
@@ -81,7 +84,8 @@ func TestSnapshotWireGolden(t *testing.T) {
 	}
 	check("WRUNSNAP v2 (faulted, telemetry attached)", digest(runner.Bytes()), wireGoldenRunner)
 
-	deepCfg := runnerOracleCfg(Bernoulli, Uniform)
+	deepCfg := wireGoldenCfg() // less its faults and telemetry, under Bernoulli to uniform destinations
+	deepCfg.Process, deepCfg.Pattern, deepCfg.Faults, deepCfg.Retry, deepCfg.Metrics = Bernoulli, Uniform, nil, vcsim.RetryPolicy{}, nil
 	deepCfg.LaneDepth, deepCfg.SharedPool, deepCfg.Arbitration = 4, true, vcsim.ArbRandom
 	var deep bytes.Buffer
 	if err := pausedAt(t, deepCfg, 90).sim.Snapshot(&deep); err != nil {

@@ -269,5 +269,16 @@ func simRows(t *testing.T) []simRow {
 			set, releases, cfg := faultScenario(faultScenarios[s].name)
 			return set, releases, checkCfg{Config: cfg, cut: 12}
 		}},
+		// A header parked for its first edge's lane when that edge dies: the
+		// naive scan retries it on the kill step, so the kill must wake it.
+		{name: "fault/parked", build: func(uint64) (*message.Set, []int, checkCfg) {
+			g := topology.NewLinearArray(4)
+			path := message.ShortestPathRouter(g)(0, 3)
+			set := message.NewSet(g)
+			set.Add(0, 3, 30, path)
+			set.Add(0, 3, 4, path)
+			faults := fault.Schedule{{Step: 20, Edge: int(path[0]), Kind: fault.KillEdge}, {Step: 60, Edge: int(path[0]), Kind: fault.ReviveEdge}}
+			return directed(set, []int{0, 0}, Config{VirtualChannels: 1, MaxSteps: 1 << 12, Faults: faults, Retry: faultRetryDefaults})(0)
+		}, axes: axes{pol: pols, arch: []arch{{0, false}, {2, true}}, telemetry: both}},
 	}
 }

@@ -117,6 +117,17 @@ func (si *Sim) applyFaults(upTo int) {
 		case fault.KillEdge:
 			si.deadEdge[e] = true
 			si.deadEdges++
+			// From the next step on, a header parked for a credit on e
+			// fails on the dead edge instead: a fault stall, or a retry if
+			// it never left its source, as the naive scan finds. Wake the
+			// credit waiters to make that attempt. (Direct mode has none.)
+			if !si.naive {
+				for _, k := range [...]int32{0, si.waits.flit} {
+					if q := si.waits.find(e, k); q != nil {
+						si.wakeAll(q)
+					}
+				}
+			}
 		case fault.ReviveEdge:
 			si.deadEdge[e] = false
 			si.deadEdges--
