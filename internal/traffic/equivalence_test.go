@@ -1,8 +1,9 @@
 package traffic
 
 // The Runner's contract is one checker, checkRunner, and one row table,
-// TestRunnerEquivalences, whose every row runs every property. A new
-// equivalence is a property there, a new workload a row.
+// forEachRunnerRow. Each of the checker's six properties is a method,
+// and one top-level test runs it on every row, so every row runs every
+// property. A new equivalence is a property there, a new workload a row.
 
 import (
 	"bytes"
@@ -42,223 +43,271 @@ func ownHooks(cfg Config) Config {
 	return cfg
 }
 
-// checkRunner asserts the Runner's contract on cfg and returns the
-// uninterrupted run's Result. Every run below must equal that run, its
-// window series included:
+// runnerCheck is one row's uninterrupted run. Every property compares
+// its runs to want, the window series included.
+type runnerCheck struct {
+	t      *testing.T
+	cfg    Config
+	runner *Runner // the Runner that ran want
+	want   outcome
+}
+
+// checkRunner runs cfg uninterrupted and returns the checker whose
+// properties hold every other run of cfg to that one:
 //
-//  1. Replay: Run(cfg), and each of three successive Runs of one Runner.
-//  2. Stepper: two Runs of one Runner of the same Config with NaiveScan.
-//  3. Pause: a run paused through OnStep every k steps and resumed.
-//  4. Lead: two runs that snapshot after every step, one of them with
-//     seeded 0–200 µs sleeps so the arrival producer's lead varies, must
-//     snapshot the same bytes after every step; each takes at least one
-//     snapshot mid-chunk and one at a chunk's end, and on a network wider
-//     than a chunk's budget a step spans several chunks.
-//  5. Cut: a run paused at the first step, mid-chunk in warmup, mid-chunk
-//     in measurement, at the last injection step and inside the drain
-//     (those the run reaches) snapshots the bytes the lead run did there;
-//     a RestoreRunner built from each snapshot snapshots the same bytes
-//     again and its Resume finishes the run, as does the paused
-//     original's.
-//  6. Retarget: the replay Runner retargeted to another rate and seed
-//     runs what a fresh Runner of that Config runs.
-func checkRunner(t *testing.T, cfg Config) Result {
+//  1. determinism (TestRunDeterminism): Run(cfg) and two Runs of one
+//     NaiveScan Runner.
+//  2. replay (TestRunnerReplayByteIdentical): Runs 2 and 3 of the
+//     uninterrupted run's Runner; then that Runner, retargeted to another
+//     rate and seed, runs what a fresh Runner of that Config runs.
+//  3. pause (TestRunnerPauseResume): a run paused through OnStep every k
+//     steps and resumed.
+//  4. lead (TestArrivalLeadInvariance): two runs that snapshot after
+//     every step, one of them with seeded 0–200 µs sleeps so the arrival
+//     producer's lead varies, snapshot the same bytes after every step.
+//     Each takes at least one snapshot mid-chunk and one at a chunk's
+//     end, and on a network wider than a chunk's budget a step spans
+//     several chunks.
+//  5. checkpoint (TestRunnerSnapshotCheckpointContinue): a run that
+//     snapshots at the cuts without pausing, and a run paused at the cuts
+//     that snapshots the same bytes there and, resumed, finishes the run.
+//     The cuts are the first step, the first step mid-chunk from the
+//     middle of warmup and from a quarter into measurement, the last
+//     injection step and halfway through the drain, those the run
+//     reaches.
+//  6. restore (TestRunnerSnapshotRestore): a RestoreRunner built from
+//     each cut's snapshot snapshots the same bytes again, and its Resume
+//     finishes the run.
+func checkRunner(t *testing.T, cfg Config) *runnerCheck {
 	t.Helper()
-	build := func(c Config) *Runner {
-		t.Helper()
-		r, err := NewRunner(ownHooks(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	c := &runnerCheck{t: t, cfg: cfg}
+	c.runner = c.build(cfg)
+	c.want = c.finish(c.runner, nil)
+	if c.want.res.Injected == 0 {
+		t.Fatalf("no message injected: every property would hold vacuously: %+v", c.want.res)
 	}
-	outcomeOf := func(r *Runner, res Result, err error) outcome {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{res, append([]telemetry.WindowStats(nil), r.Windows()...)}
-	}
-	// finish runs r to its end, calling onPause at every pause.
-	finish := func(r *Runner, onPause func()) outcome {
-		t.Helper()
-		res, err := r.Run()
-		for ; errors.Is(err, errPause); res, err = r.Resume() {
-			onPause()
-		}
-		return outcomeOf(r, res, err)
-	}
-	var want outcome
-	same := func(what string, got outcome) {
-		t.Helper()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s differs from the uninterrupted run\nwant %+v\n got %+v", what, want, got)
-		}
-	}
+	return c
+}
 
-	// 1. Replay.
-	replay := build(cfg)
-	want = finish(replay, nil)
-	if want.res.Injected == 0 {
-		t.Fatalf("no message injected: every property would hold vacuously: %+v", want.res)
+func (c *runnerCheck) build(cfg Config) *Runner {
+	c.t.Helper()
+	r, err := NewRunner(ownHooks(cfg))
+	if err != nil {
+		c.t.Fatal(err)
 	}
-	if res, err := Run(ownHooks(cfg)); err != nil || res != want.res {
-		t.Fatalf("Run(cfg) = %+v, %v; a Runner's Run gives %+v", res, err, want.res)
-	}
-	for i := 2; i <= 3; i++ {
-		same(fmt.Sprintf("replay: Run %d of one Runner", i), finish(replay, nil))
-	}
+	return r
+}
 
-	// 2. Stepper.
-	naive := cfg
+func (c *runnerCheck) outcomeOf(r *Runner, res Result, err error) outcome {
+	c.t.Helper()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return outcome{res, append([]telemetry.WindowStats(nil), r.Windows()...)}
+}
+
+// finish runs r to its end, calling onPause at every pause.
+func (c *runnerCheck) finish(r *Runner, onPause func()) outcome {
+	c.t.Helper()
+	res, err := r.Run()
+	for ; errors.Is(err, errPause); res, err = r.Resume() {
+		onPause()
+	}
+	return c.outcomeOf(r, res, err)
+}
+
+func (c *runnerCheck) same(what string, got outcome) {
+	c.t.Helper()
+	if !reflect.DeepEqual(got, c.want) {
+		c.t.Fatalf("%s differs from the uninterrupted run\nwant %+v\n got %+v", what, c.want, got)
+	}
+}
+
+func (c *runnerCheck) determinism() {
+	if res, err := Run(ownHooks(c.cfg)); err != nil || res != c.want.res {
+		c.t.Fatalf("Run(cfg) = %+v, %v; a Runner's Run gives %+v", res, err, c.want.res)
+	}
+	naive := c.cfg
 	naive.NaiveScan = true
-	oracle := build(naive)
+	oracle := c.build(naive)
 	for i := 1; i <= 2; i++ {
-		same(fmt.Sprintf("stepper: Run %d of a NaiveScan Runner", i), finish(oracle, nil))
+		c.same(fmt.Sprintf("Run %d of a NaiveScan Runner", i), c.finish(oracle, nil))
 	}
+}
 
-	// 3. Pause.
-	k, pauses := 1+want.res.Steps/7, 0
-	paused := cfg
+func (c *runnerCheck) replay() {
+	for i := 2; i <= 3; i++ {
+		c.same(fmt.Sprintf("Run %d of one Runner", i), c.finish(c.runner, nil))
+	}
+	other := c.cfg
+	other.Rate, other.Seed = c.cfg.Rate/2, c.cfg.Seed+1
+	if err := c.runner.retarget(other.Rate, other.Seed); err != nil {
+		c.t.Fatal(err)
+	}
+	if got, fresh := c.finish(c.runner, nil), c.finish(c.build(other), nil); !reflect.DeepEqual(got, fresh) {
+		c.t.Fatalf("the retargeted Runner ran %+v, a fresh one %+v", got, fresh)
+	}
+}
+
+func (c *runnerCheck) pause() {
+	k, pauses := 1+c.want.res.Steps/7, 0
+	paused := c.cfg
 	paused.OnStep = func(step int) error {
 		if step%k == 0 {
 			return errPause
 		}
 		return nil
 	}
-	same(fmt.Sprintf("pause: the run paused every %d steps", k), finish(build(paused), func() { pauses++ }))
+	c.same(fmt.Sprintf("the run paused every %d steps", k), c.finish(c.build(paused), func() { pauses++ }))
 	if pauses == 0 {
-		t.Fatalf("pause: no pause in %d steps", want.res.Steps)
+		c.t.Fatalf("no pause in %d steps", c.want.res.Steps)
 	}
+}
 
-	// 4. Lead.
-	type leadRun struct {
-		out     outcome
-		digests [][sha256.Size]byte // of the snapshot after step i+1
-		mid     []bool              // whether it was taken mid-chunk
-		ends    int                 // snapshots taken at a chunk's end
-		split   bool                // a chunk being consumed held a step it did not finish
-	}
-	lead := func(sleeps *rng.Source) (lr leadRun) {
-		var r *Runner
-		h := sha256.New()
-		c := cfg
-		c.OnStep = func(int) error {
-			h.Reset()
-			if err := r.Snapshot(h); err != nil {
-				return err
+// snapshotEveryStep runs cfg snapshotting after every step, and sleeps
+// on a third of the steps when sleeps is non-nil. It returns the
+// snapshots' digests; the run must equal the uninterrupted one and take
+// the snapshots mid-chunk, at a chunk's end and across chunks that the
+// lead property promises.
+func (c *runnerCheck) snapshotEveryStep(sleeps *rng.Source) (digests [][sha256.Size]byte) {
+	c.t.Helper()
+	var r *Runner
+	mid, ends, split := false, 0, false
+	h := sha256.New()
+	cfg := c.cfg
+	cfg.OnStep = func(int) error {
+		h.Reset()
+		if err := r.Snapshot(h); err != nil {
+			return err
+		}
+		digests = append(digests, [sha256.Size]byte(h.Sum(nil)))
+		if p := &r.prod; p.running && p.cur != nil {
+			mid = true
+			for _, sg := range p.cur.segs {
+				split = split || int(sg.to) < c.cfg.Net.Endpoints
 			}
-			lr.digests = append(lr.digests, [sha256.Size]byte(h.Sum(nil)))
-			p := &r.prod
-			lr.mid = append(lr.mid, p.running && p.cur != nil)
-			if p.running && p.cur != nil {
-				for _, sg := range p.cur.segs {
-					lr.split = lr.split || int(sg.to) < cfg.Net.Endpoints
-				}
-			} else if p.running {
-				lr.ends++
-			}
-			if sleeps != nil && sleeps.Intn(3) == 0 {
-				time.Sleep(time.Duration(sleeps.Intn(201)) * time.Microsecond)
-			}
-			return nil
+		} else if p.running {
+			ends++
 		}
-		r = build(c)
-		lr.out = finish(r, nil)
-		return lr
-	}
-	calm, slept := lead(nil), lead(rng.New(cfg.Seed))
-	wide := cfg.Net.Endpoints > chunkSlots
-	for _, lr := range []leadRun{calm, slept} {
-		same("lead: the run snapshotted after every step", lr.out)
-		if !slices.Contains(lr.mid, true) || lr.ends == 0 || wide && !lr.split {
-			t.Fatalf("lead: a snapshot mid-chunk: %v, %d at a chunk's end, a step split across chunks: %v",
-				slices.Contains(lr.mid, true), lr.ends, lr.split)
-		}
-	}
-	if len(calm.digests) != len(slept.digests) {
-		t.Fatalf("lead: %d steps with sleeps, %d without", len(slept.digests), len(calm.digests))
-	}
-	for i := range calm.digests {
-		if calm.digests[i] != slept.digests[i] {
-			t.Fatalf("lead: the snapshot after step %d depends on the producer's lead", i+1)
-		}
-	}
-
-	// 5. Cut.
-	seen, horizon := len(calm.mid), cfg.Warmup+cfg.Measure
-	var cuts []int
-	cutAt := func(s int) {
-		if s > 0 && s <= seen && (len(cuts) == 0 || s > cuts[len(cuts)-1]) {
-			cuts = append(cuts, s)
-		}
-	}
-	midChunk := func(phase string, lo, hi int) {
-		for s := lo; s < hi && s <= seen; s++ {
-			if calm.mid[s-1] {
-				cutAt(s)
-				return
-			}
-		}
-		if hi <= seen {
-			t.Fatalf("cut: no step in [%d, %d) of the %s ends mid-chunk", lo, hi, phase)
-		}
-	}
-	cutAt(1)
-	midChunk("warmup", max(2, cfg.Warmup/2), cfg.Warmup)
-	midChunk("measurement", cfg.Warmup+max(1, cfg.Measure/4), horizon)
-	cutAt(horizon)
-	cutAt(horizon + max(1, (want.res.Steps-horizon)/2))
-	next := 0
-	cut := cfg
-	cut.OnStep = func(step int) error {
-		if next < len(cuts) && step == cuts[next] {
-			next++
-			return errPause
+		if sleeps != nil && sleeps.Intn(3) == 0 {
+			time.Sleep(time.Duration(sleeps.Intn(201)) * time.Microsecond)
 		}
 		return nil
 	}
-	r := build(cut)
-	same("cut: the paused original's Resume", finish(r, func() {
-		step := cuts[next-1]
-		var blob, again bytes.Buffer
-		if err := r.Snapshot(&blob); err != nil {
-			t.Fatal(err)
-		}
-		if sha256.Sum256(blob.Bytes()) != calm.digests[step-1] {
-			t.Fatalf("cut at step %d: the paused run snapshots other bytes than the lead run", step)
-		}
-		restored, err := RestoreRunner(ownHooks(cfg), bytes.NewReader(blob.Bytes()))
-		if err != nil {
-			t.Fatalf("cut at step %d: %v", step, err)
-		}
-		if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), blob.Bytes()) {
-			t.Fatalf("cut at step %d: the restored Runner snapshots other bytes (%v)", step, err)
-		}
-		res, err := restored.Resume()
-		same(fmt.Sprintf("cut at step %d: the restored Runner's Resume", step), outcomeOf(restored, res, err))
-	}))
-	if next != len(cuts) {
-		t.Fatalf("cut: paused at %d of the steps %v", next, cuts)
+	r = c.build(cfg)
+	c.same(fmt.Sprintf("the run snapshotted after every step (sleeps: %v)", sleeps != nil), c.finish(r, nil))
+	if wide := c.cfg.Net.Endpoints > chunkSlots; !mid || ends == 0 || wide && !split {
+		c.t.Fatalf("a snapshot mid-chunk: %v, %d at a chunk's end, a step split across chunks: %v", mid, ends, split)
 	}
-
-	// 6. Retarget.
-	other := cfg
-	other.Rate, other.Seed = cfg.Rate/2, cfg.Seed+1
-	if err := replay.retarget(other.Rate, other.Seed); err != nil {
-		t.Fatal(err)
-	}
-	if got, fresh := finish(replay, nil), finish(build(other), nil); !reflect.DeepEqual(got, fresh) {
-		t.Fatalf("retarget: the retargeted Runner ran %+v, a fresh one %+v", got, fresh)
-	}
-	return want.res
+	return digests
 }
 
-// TestRunnerEquivalences is checkRunner's table: every row under
-// Bernoulli, Poisson and OnOff, less a rate the process cannot offer.
-// CHANGES.md maps each differential test this table replaced onto its
-// (property, row) pairs.
-func TestRunnerEquivalences(t *testing.T) {
+func (c *runnerCheck) lead() {
+	calm, slept := c.snapshotEveryStep(nil), c.snapshotEveryStep(rng.New(c.cfg.Seed))
+	if len(calm) != len(slept) {
+		c.t.Fatalf("%d steps with sleeps, %d without", len(slept), len(calm))
+	}
+	for i := range calm {
+		if calm[i] != slept[i] {
+			c.t.Fatalf("the snapshot after step %d depends on the producer's lead", i+1)
+		}
+	}
+}
+
+// cut runs cfg and snapshots it at the cuts the checkpoint property
+// names, from OnStep or, when pause is set, after pausing there. It calls
+// onCut with each cut's step and snapshot, and returns the run's outcome.
+func (c *runnerCheck) cut(pause bool, onCut func(step int, blob []byte)) outcome {
+	c.t.Helper()
+	cfg := c.cfg
+	horizon := cfg.Warmup + cfg.Measure
+	fixed := []int{1, horizon, horizon + max(1, (c.want.res.Steps-horizon)/2)}
+	midChunk := [][2]int{{max(2, cfg.Warmup/2), cfg.Warmup}, {cfg.Warmup + max(1, cfg.Measure/4), horizon}}
+	found := make([]bool, len(midChunk))
+	var r *Runner
+	var cuts []int
+	seen := 0
+	snap := func() {
+		var blob bytes.Buffer
+		if err := r.Snapshot(&blob); err != nil {
+			c.t.Fatal(err)
+		}
+		onCut(cuts[len(cuts)-1], blob.Bytes())
+	}
+	cfg.OnStep = func(step int) error {
+		seen = step
+		at := slices.Contains(fixed, step)
+		for i, span := range midChunk {
+			if !found[i] && span[0] <= step && step < span[1] && r.prod.running && r.prod.cur != nil {
+				found[i], at = true, true
+			}
+		}
+		if !at {
+			return nil
+		}
+		cuts = append(cuts, step)
+		if pause {
+			return errPause
+		}
+		snap()
+		return nil
+	}
+	r = c.build(cfg)
+	out := c.finish(r, snap)
+	for i, span := range midChunk {
+		if !found[i] && span[1] <= seen {
+			c.t.Fatalf("no step in [%d, %d) ends mid-chunk", span[0], span[1])
+		}
+	}
+	return out
+}
+
+func (c *runnerCheck) checkpoint() {
+	kept := map[int][sha256.Size]byte{}
+	c.same("the run snapshotted at the cuts", c.cut(false, func(step int, blob []byte) {
+		kept[step] = sha256.Sum256(blob)
+	}))
+	pauses := 0
+	c.same("the run paused at the cuts and resumed", c.cut(true, func(step int, blob []byte) {
+		pauses++
+		if d, ok := kept[step]; !ok || d != sha256.Sum256(blob) {
+			c.t.Fatalf("cut at step %d: the paused run snapshots other bytes than the run that did not pause", step)
+		}
+	}))
+	if pauses != len(kept) {
+		c.t.Fatalf("%d cuts paused, %d snapshotted without pausing", pauses, len(kept))
+	}
+}
+
+func (c *runnerCheck) restore() {
+	c.cut(true, func(step int, blob []byte) {
+		restored, err := RestoreRunner(ownHooks(c.cfg), bytes.NewReader(blob))
+		if err != nil {
+			c.t.Fatalf("cut at step %d: %v", step, err)
+		}
+		var again bytes.Buffer
+		if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), blob) {
+			c.t.Fatalf("cut at step %d: the restored Runner snapshots other bytes (%v)", step, err)
+		}
+		res, err := restored.Resume()
+		c.same(fmt.Sprintf("cut at step %d: the restored Runner's Resume", step), c.outcomeOf(restored, res, err))
+	})
+}
+
+func TestRunDeterminism(t *testing.T)            { forEachRunnerRow(t, (*runnerCheck).determinism) }
+func TestRunnerReplayByteIdentical(t *testing.T) { forEachRunnerRow(t, (*runnerCheck).replay) }
+func TestRunnerPauseResume(t *testing.T)         { forEachRunnerRow(t, (*runnerCheck).pause) }
+func TestArrivalLeadInvariance(t *testing.T)     { forEachRunnerRow(t, (*runnerCheck).lead) }
+func TestRunnerSnapshotRestore(t *testing.T)     { forEachRunnerRow(t, (*runnerCheck).restore) }
+func TestRunnerSnapshotCheckpointContinue(t *testing.T) {
+	forEachRunnerRow(t, (*runnerCheck).checkpoint)
+}
+
+// forEachRunnerRow is checkRunner's table: it runs property on every row
+// under Bernoulli, Poisson and OnOff, less a rate the process cannot
+// offer. CHANGES.md maps the hand-written differentials it replaced onto
+// their (property, row) pairs.
+func forEachRunnerRow(t *testing.T, property func(*runnerCheck)) {
 	base := baseCfg()
 	base.Arbitration, base.Rate = vcsim.ArbByID, 0.15
 	base.Warmup, base.Measure, base.Drain, base.Window = 6, 18, 400, 8
@@ -317,9 +366,11 @@ func TestRunnerEquivalences(t *testing.T) {
 			}
 			t.Run(row.name+"/"+proc.String(), func(t *testing.T) {
 				t.Parallel()
-				if res := checkRunner(t, cfg); row.expect != nil && !row.expect(res) {
-					t.Fatalf("the run does not show what the row is for: %+v", res)
+				c := checkRunner(t, cfg)
+				if row.expect != nil && !row.expect(c.want.res) {
+					t.Fatalf("the run does not show what the row is for: %+v", c.want.res)
 				}
+				property(c)
 			})
 		}
 	}

@@ -57,7 +57,7 @@ func SaturationRate(cfg Config, opts SearchOptions) (SearchResult, error) {
 	// One Runner serves the whole search: every probe replays over the
 	// same Sim, worm chunks, arenas and injectors, re-targeted to its rate
 	// and seed, instead of building and discarding them a dozen times.
-	// Results are those of a fresh Run per probe: checkRunner's retarget
+	// Results are those of a fresh Run per probe: checkRunner's replay
 	// property holds a retargeted Runner to a fresh one, and
 	// TestSaturationRateMatchesFreshRuns holds each probe to its seed.
 	first := cfg

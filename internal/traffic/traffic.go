@@ -328,8 +328,8 @@ type Result struct {
 // goroutine (producer.go), which exits before Run or Resume returns.
 // Results cannot depend on that: the stepper commits each step's
 // arrival state in step order, and Results are byte-identical to the
-// one-shot Run whatever the producer's lead — checkRunner's replay and
-// lead properties pin both. A Runner, like the Sim inside it, must not
+// one-shot Run whatever the producer's lead — checkRunner's determinism
+// and lead properties pin both. A Runner, like the Sim inside it, must not
 // be shared across goroutines.
 type Runner struct {
 	cfg     Config
