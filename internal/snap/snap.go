@@ -184,6 +184,20 @@ func (s *Writer) U64s(v []uint64) {
 	}
 }
 
+// I64sRaw writes the elements in bulk with no count prefix: the twin of
+// Reader.I64sInto, for arrays whose length the reader fixes.
+func (s *Writer) I64sRaw(v []int64) {
+	for len(v) > 0 {
+		b := s.room(8)
+		n := min(len(v), len(b)/8)
+		for i, x := range v[:n] {
+			le.PutUint64(b[8*i:], uint64(x))
+		}
+		s.n += 8 * n
+		v = v[n:]
+	}
+}
+
 // Bits packs a []bool as a bitset, low bit first (the reader supplies
 // the length).
 func (s *Writer) Bits(v []bool) {

@@ -109,9 +109,7 @@ func (rec *record) encode(w io.Writer) error {
 	s.U64(rec.Pair.C)
 	s.I32s(rec.Long)
 	s.U64s(rec.Many)
-	for _, v := range rec.Table {
-		s.I64(v)
-	}
+	s.I64sRaw(rec.Table[:])
 	s.U64(rec.Tail)
 	return s.Flush()
 }

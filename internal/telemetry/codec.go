@@ -72,27 +72,22 @@ func (m *Metrics) BinarySize() int {
 
 // WriteBinary writes MarshalBinary's blob to w.
 func (m *Metrics) WriteBinary(w *snap.Writer) {
-	i64s := func(s []int64) {
-		for _, v := range s {
-			w.I64(v)
-		}
-	}
 	w.U64(metricsCodecVersion)
 	w.U64(uint64(NumCounters))
-	i64s(m.ctr[:])
+	w.I64sRaw(m.ctr[:])
 	w.U64(jumpBuckets)
-	i64s(m.jump[:])
+	w.I64sRaw(m.jump[:])
 	for _, p := range m.gauges() {
 		w.I64(*p)
 	}
 	w.U64(uint64(len(m.edgeStall)))
-	i64s(m.edgeStall)
+	w.I64sRaw(m.edgeStall)
 	for _, field := range occFields {
 		for e := range m.occ {
 			w.I64(*field(&m.occ[e]))
 		}
 	}
-	i64s(m.edgeFault)
+	w.I64sRaw(m.edgeFault)
 }
 
 // UnmarshalBinary replaces m's state with the blob's, all or nothing: a

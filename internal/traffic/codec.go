@@ -42,9 +42,7 @@ const (
 var ErrRunnerSnapshot = errors.New("traffic: bad runner snapshot")
 
 func writeSketch(w *snap.Writer, sk *Sketch) {
-	for _, c := range sk.counts {
-		w.I64(c)
-	}
+	w.I64sRaw(sk.counts[:])
 	w.I64(sk.n)
 	w.I64(sk.sum)
 	w.I64(int64(sk.min))

@@ -702,6 +702,7 @@ func RestoreSim(g *graph.Graph, cfg Config, rd io.Reader) (*Sim, error) {
 	si.totalStalls = int(r.I64())
 	si.flitHops = r.I64()
 	si.maxOccupied = int(r.I64())
+	si.setProbeOwed()
 	si.delivered = int(r.I64())
 	si.dropped = int(r.I64())
 	// Cross-check the terminal counters against the per-worm statuses: a

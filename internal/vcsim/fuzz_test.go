@@ -27,7 +27,13 @@ package vcsim
 //     jumping a cycle of strides, match the Step-driven pair at every
 //     aligned time, and the wakeup twin replays the workload once more after
 //     Reset — so fast-forward never skips a step in which any worm could
-//     move and Reset leaks nothing between runs;
+//     move and Reset leaks nothing between runs. The pair and the
+//     restorations always carry Metrics (property 2 compares their stall
+//     attribution), so the twins of an input with telemetry false are the
+//     only Sims here with no sink attached: the one place the step-end
+//     occupancy probe stops once MaxOccupied reaches its ceiling
+//     (Sim.probeOwed), and TestSimEquivalences fails unless some such input
+//     reaches it;
 //  6. checkpoint transparency: both engines are snapshotted at the cut and
 //     restored, the restorations step in lockstep with the originals, equal
 //     after every step, and end with byte-identical snapshots and stall

@@ -740,6 +740,10 @@ type Sim struct {
 	// membership bits live in edgeRec.dirtyFlag.
 	dirty    []int32
 	dirtyMax []int32
+	// probeOwed says whether step-end occupancy probes still have a
+	// reader (see setProbeOwed). While it is false touchMax records
+	// nothing and the release fold skips probeOccupancy.
+	probeOwed bool
 
 	// Wakeup-engine state (empty under Config.NaiveScan). waits holds
 	// the worms parked on each edge as min-heaps in key order, so a slot
@@ -868,6 +872,7 @@ func emptySim(numEdges int, cfg Config) *Sim {
 	}
 	si.met = cfg.Metrics
 	si.trc = cfg.Trace
+	si.setProbeOwed()
 	if si.met != nil {
 		si.met.EnsureEdges(numEdges)
 	}
@@ -967,6 +972,7 @@ func (si *Sim) Reset() {
 	si.totalStalls = 0
 	si.flitHops = 0
 	si.maxOccupied = 0
+	si.setProbeOwed()
 	si.delivered = 0
 	si.dropped = 0
 	si.deadlocked = false
@@ -1619,13 +1625,16 @@ func (si *Sim) touch(e int32) {
 }
 
 // touchMax records an edge that received a credit grant, for the
-// MaxOccupied probe at step end. A grant can never wake a waiter — free
-// credit only falls within a step, and every parked worm already failed
-// against a level at least this high — so grant-only edges skip the fold
-// and wake machinery entirely.
+// MaxOccupied probe at step end, while a probe is owed (probeOwed). A
+// grant can never wake a waiter — free credit only falls within a step,
+// and every parked worm already failed against a level at least this
+// high — so grant-only edges skip the fold and wake machinery entirely.
 //
 //wormvet:hotpath
 func (si *Sim) touchMax(e int32) {
+	if !si.probeOwed {
+		return
+	}
 	if r := &si.edges[e]; r.dirtyFlag&2 == 0 {
 		r.dirtyFlag |= 2
 		si.dirtyMax = append(si.dirtyMax, e)
@@ -1665,9 +1674,11 @@ func (si *Sim) applyStepEnd() {
 		}
 		// Dirty edges are exactly the ones whose persistent occupancy can
 		// have changed, so folding the metrics integral here is exact.
-		occ := si.probeOccupancy(e)
-		if tr := si.trc; tr != nil {
-			tr.Credit(si.now+1, e, occ)
+		if si.probeOwed {
+			occ := si.probeOccupancy(e)
+			if tr := si.trc; tr != nil {
+				tr.Credit(si.now+1, e, occ)
+			}
 		}
 		if r.waiters != 0 {
 			// Only park sets the bit, so the wakeup engine is running and
@@ -1681,7 +1692,9 @@ func (si *Sim) applyStepEnd() {
 	}
 	si.dirty = si.dirty[:0]
 	// Grant-only edges: occupancy may have peaked, nothing else owed.
-	// (An edge also on the release list was fully handled above.)
+	// (An edge also on the release list was fully handled above.) The
+	// list is empty while no probe is owed, except on the step whose
+	// probe raised the mark to its ceiling.
 	for _, e := range si.dirtyMax {
 		r := &si.edges[e]
 		if r.dirtyFlag == 0 {
@@ -1780,11 +1793,29 @@ func (si *Sim) probeOccupancy(e int32) int32 {
 	}
 	if int(occ) > si.maxOccupied {
 		si.maxOccupied = int(occ)
+		si.setProbeOwed()
 	}
 	if m := si.met; m != nil {
 		m.EdgeOccupancy(e, int64(occ), int64(si.now)+1)
 	}
 	return occ
+}
+
+// setProbeOwed recomputes probeOwed wherever one of its inputs changes:
+// at construction, in Reset and RestoreSim, and when probeOccupancy raises
+// the mark. A probe's only readers are the MaxOccupied high-water mark,
+// Metrics.EdgeOccupancy and Trace.Credit, and no edge can hold more than
+// the ceiling — B lanes on the rigid engine, B·d flits on the deep one —
+// so once the mark stands there with no sink attached, no probe can
+// change anything a Result, a snapshot or a sink shows.
+//
+//wormvet:hotpath
+func (si *Sim) setProbeOwed() {
+	ceiling := si.b
+	if si.deepMode {
+		ceiling = int(si.poolCap)
+	}
+	si.probeOwed = si.met != nil || si.trc != nil || si.maxOccupied < ceiling
 }
 
 // checkInvariants asserts model invariants; it panics on violation so test
