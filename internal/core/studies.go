@@ -225,8 +225,10 @@ func outages(s fault.Schedule) int {
 	return n
 }
 
-// saturation bisects cell c's saturation rate. The probes of one search
-// run sequentially inside its job.
+// saturation bisects cell c's saturation rate. Once a probe has been
+// sustained, a search runs the next probe beside the current one on a
+// second Runner when the process has more than one P, so its job may
+// use two cores; the result is the serial search's either way.
 func (s *openLoop) saturation(cfg Config, c cell, _ int) vals {
 	stride := s.satStride
 	if stride == 0 {

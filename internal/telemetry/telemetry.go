@@ -358,9 +358,23 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
+// Reset zeroes the registry and keeps its per-edge accumulators sized,
+// so a simulator that sized them at construction can record a fresh run
+// into it.
+func (m *Metrics) Reset() {
+	clear(m.edgeStall)
+	clear(m.occ)
+	clear(m.edgeFault)
+	*m = Metrics{edgeStall: m.edgeStall, occ: m.occ, edgeFault: m.edgeFault}
+}
+
 // Merge folds other's scalar counters, gauges and histogram into m, and the
 // per-edge accumulators when both registries describe the same edge set.
 // Used by Aggregate to combine per-job registries after concurrent runs.
+// Each edge's occupancy integrals add up and the horizon is the longer
+// one, so a merged EdgeOcc is the sum of the runs' mean occupancies when
+// their horizons are equal, and each run's weighted by its share of the
+// longest horizon when they are not.
 func (m *Metrics) Merge(other *Metrics) {
 	for i := range m.ctr {
 		m.ctr[i] += other.ctr[i]

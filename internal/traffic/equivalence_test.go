@@ -59,7 +59,9 @@ type runnerCheck struct {
 //     NaiveScan Runner.
 //  2. replay (TestRunnerReplayByteIdentical): Runs 2 and 3 of the
 //     uninterrupted run's Runner; then that Runner, retargeted to another
-//     rate and seed, runs what a fresh Runner of that Config runs.
+//     rate and seed, runs what a fresh Runner of that Config runs, and so
+//     does one paused by its hook mid-injection or mid-drain, then
+//     retargeted.
 //  3. pause (TestRunnerPauseResume): a run paused through OnStep every k
 //     steps and resumed.
 //  4. lead (TestArrivalLeadInvariance): two runs that snapshot after
@@ -144,8 +146,36 @@ func (c *runnerCheck) replay() {
 	if err := c.runner.retarget(other.Rate, other.Seed); err != nil {
 		c.t.Fatal(err)
 	}
-	if got, fresh := c.finish(c.runner, nil), c.finish(c.build(other), nil); !reflect.DeepEqual(got, fresh) {
+	fresh := c.finish(c.build(other), nil)
+	if got := c.finish(c.runner, nil); !reflect.DeepEqual(got, fresh) {
 		c.t.Fatalf("the retargeted Runner ran %+v, a fresh one %+v", got, fresh)
+	}
+	// A Runner its hook paused once, mid-injection or mid-drain, and
+	// retargeted runs the fresh Runner's run too: a speculative
+	// saturation probe is abandoned that way and its Runner reused.
+	horizon := c.cfg.Warmup + c.cfg.Measure
+	for _, at := range []int{max(1, horizon/2), horizon + max(1, (c.want.res.Steps-horizon)/2)} {
+		if at >= c.want.res.Steps {
+			continue
+		}
+		paused, armed := c.cfg, true
+		paused.OnStep = func(step int) error {
+			if armed && step == at {
+				armed = false
+				return errPause
+			}
+			return nil
+		}
+		r := c.build(paused)
+		if _, err := r.Run(); !errors.Is(err, errPause) {
+			c.t.Fatalf("no pause at step %d: %v", at, err)
+		}
+		if err := r.retarget(other.Rate, other.Seed); err != nil {
+			c.t.Fatal(err)
+		}
+		if got := c.finish(r, nil); !reflect.DeepEqual(got, fresh) {
+			c.t.Fatalf("the Runner paused at step %d and retargeted ran %+v, a fresh one %+v", at, got, fresh)
+		}
 	}
 }
 

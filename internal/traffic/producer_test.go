@@ -8,8 +8,10 @@ package traffic
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,6 +61,34 @@ func TestResumeLeavesNoGoroutine(t *testing.T) {
 				_, err := SaturationRate(r.cfg, SearchOptions{Iters: 4})
 				return Result{}, err
 			}, func(_ Result, err error) bool { return err == nil }},
+		// OnStep fails in the probe after the first sustained one, while
+		// the search runs the probe after that on a second Runner: at
+		// least two Ps, whatever the test runs at.
+		{"SaturationRate hook error", func(c *Config) { c.MaxBacklog = 256 },
+			func(r *Runner) (Result, error) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+				opts := SearchOptions{Hi: 1, Iters: 6}
+				sr, err := SaturationRate(r.cfg, opts)
+				if err != nil {
+					return Result{}, err
+				}
+				at := slices.IndexFunc(sr.Probes, func(p Probe) bool { return !p.Saturated }) + 1
+				if at == 0 || at >= len(sr.Probes)-1 {
+					return Result{}, fmt.Errorf("no probe runs beside a speculative one: %+v", sr.Probes)
+				}
+				cfg, probes := r.cfg, 0
+				cfg.OnStep = func(step int) error {
+					if step == 1 {
+						probes++
+					}
+					if probes == at+1 && step == 16 {
+						return errPause
+					}
+					return nil
+				}
+				_, err = SaturationRate(cfg, opts)
+				return Result{}, err
+			}, func(_ Result, err error) bool { return errors.Is(err, errPause) }},
 		{"RestoreRunner then Resume", nil, func(r *Runner) (Result, error) {
 			cfg := r.cfg
 			cfg.OnStep = func(step int) error {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wormhole/internal/telemetry"
@@ -188,13 +189,16 @@ func TestSaturationSearchDeterminism(t *testing.T) {
 
 // TestSaturationRateMatchesFreshRuns: the search keeps one Runner and
 // re-targets it per probe; every probe must still be what a fresh Run of
-// (rate, the documented (cfg.Seed, i) seed) reports. ArbRandom makes the
-// seed reach the simulator's shuffle, not just the injectors.
+// (rate, the documented (cfg.Seed, i) seed) reports, and the search's
+// Metrics the Merge of those Runs' registries, each of its own.
+// ArbRandom makes the seed reach the simulator's shuffle, not just the
+// injectors.
 func TestSaturationRateMatchesFreshRuns(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Arbitration = vcsim.ArbRandom
 	cfg.MaxBacklog = 512
 	cfg.Measure = 128
+	cfg.Metrics = telemetry.NewMetrics()
 	sr, err := SaturationRate(cfg, SearchOptions{Hi: 1, Iters: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +206,12 @@ func TestSaturationRateMatchesFreshRuns(t *testing.T) {
 	if len(sr.Probes) != 6 {
 		t.Fatalf("%d probes, want the bracket probe and 5 bisections", len(sr.Probes))
 	}
+	merged := telemetry.NewMetrics()
 	for i, p := range sr.Probes {
 		c := cfg
 		c.Rate = p.Rate
 		c.Seed = cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
+		c.Metrics = telemetry.NewMetrics()
 		r, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
@@ -213,6 +219,73 @@ func TestSaturationRateMatchesFreshRuns(t *testing.T) {
 		if want := (Probe{Rate: p.Rate, Accepted: r.Accepted, MeanLat: r.MeanLatency, Saturated: r.Saturated}); p != want {
 			t.Errorf("probe %d: search saw %+v, a fresh run gives %+v", i, p, want)
 		}
+		merged.Merge(c.Metrics)
+	}
+	if got, want := cfg.Metrics.Snapshot(), merged.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the search's metrics differ from the Merge of fresh runs'\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSaturationSpeculationMatchesSerial: a search that runs the next
+// probe on a second Runner returns what the serial search at one P
+// returns, with the same metrics, under arbitration the seed does and
+// does not reach; it adopts a probe it ran ahead, which OnStep does not
+// see; two such searches call OnStep with the same steps; and a traced
+// search runs serially, every probe under OnStep.
+func TestSaturationSpeculationMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	opts := SearchOptions{Hi: 1, Iters: 6}
+	type search struct {
+		res   SearchResult
+		met   telemetry.Snapshot
+		steps []int // OnStep's, in call order
+	}
+	run := func(cfg Config, procs int) search {
+		runtime.GOMAXPROCS(procs)
+		var s search
+		cfg.Metrics = telemetry.NewMetrics()
+		cfg.OnStep = func(step int) error {
+			s.steps = append(s.steps, step)
+			return nil
+		}
+		var err error
+		if s.res, err = SaturationRate(cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		s.met = cfg.Metrics.Snapshot()
+		return s
+	}
+	// observed counts the probes OnStep saw: each calls it at step 1.
+	observed := func(s search) int {
+		n := 0
+		for _, step := range s.steps {
+			if step == 1 {
+				n++
+			}
+		}
+		return n
+	}
+	cfg := baseCfg()
+	cfg.Measure, cfg.Drain, cfg.MaxBacklog = 128, 256, 256
+	for _, arb := range []vcsim.Policy{vcsim.ArbByID, vcsim.ArbRandom} {
+		cfg.Arbitration = arb
+		serial, spec := run(cfg, 1), run(cfg, 2)
+		if !reflect.DeepEqual(spec.res, serial.res) || !reflect.DeepEqual(spec.met, serial.met) {
+			t.Fatalf("%s: at 2 Ps the search returned %+v with metrics %+v;\nat 1 P %+v with %+v", arb, spec.res, spec.met, serial.res, serial.met)
+		}
+		if n := observed(serial); n != len(serial.res.Probes) {
+			t.Fatalf("%s: OnStep saw %d of the serial search's %d probes", arb, n, len(serial.res.Probes))
+		}
+		if n := observed(spec); n >= len(spec.res.Probes) {
+			t.Fatalf("%s: OnStep saw %d of %d probes: the search adopted none it ran ahead", arb, n, len(spec.res.Probes))
+		}
+		if again := run(cfg, 2); !slices.Equal(again.steps, spec.steps) {
+			t.Fatalf("%s: two searches at 2 Ps called OnStep with other steps", arb)
+		}
+	}
+	cfg.Trace = telemetry.NewTrace(64)
+	if traced := run(cfg, 2); observed(traced) != len(traced.res.Probes) {
+		t.Fatalf("OnStep saw %d of a traced search's %d probes: it ran ahead", observed(traced), len(traced.res.Probes))
 	}
 }
 

@@ -255,7 +255,12 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) { return traffic.Ru
 
 // SaturationRate bisects the offered load to locate the network's
 // saturation knee — the highest rate at which accepted throughput keeps
-// up with offered load. The search is deterministic.
+// up with offered load. The search is deterministic: each probe is a
+// pure function of its rate and index, so the result does not depend on
+// GOMAXPROCS, although with more than one P the search runs the next
+// probe on a second core while the current one runs. OnStep sees only
+// the probes run on the caller's goroutine; Metrics receives the Merge of
+// every probe's counters.
 func SaturationRate(cfg OpenLoopConfig, opts SaturationOptions) (SaturationResult, error) {
 	return traffic.SaturationRate(cfg, opts)
 }
